@@ -15,7 +15,10 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the codecs (v1 + multiplexed v2 framing), the
-# stream demux, and the fault-injected frame path.
+# stream demux, the fault-injected frame path, and what a restart reads
+# back from disk: the log framing, the node's log records and its
+# manifest checkpoint (the server's records and checkpoint are the
+# replication codecs, FuzzRepDecoders).
 fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrame$$ -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrameID -fuzztime=15s
@@ -23,6 +26,9 @@ fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzRepDecoders -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadStreamFrames -fuzztime=15s
 	$(GO) test ./internal/faultnet -run=^$$ -fuzz=FuzzCorruptedFrames -fuzztime=15s
+	$(GO) test ./internal/wal -run=^$$ -fuzz=FuzzWALReplay -fuzztime=15s
+	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeRecord -fuzztime=15s
+	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeManifest -fuzztime=15s
 
 # Per-suite benchmark commands. The recording targets below and the
 # bench-compare gate invoke these SAME variables, so the suite a baseline

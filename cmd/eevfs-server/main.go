@@ -21,7 +21,7 @@ func main() {
 	var (
 		addr  = flag.String("addr", "127.0.0.1:7000", "listen address")
 		nodes = flag.String("nodes", "", "comma-separated storage-node addresses (required)")
-		state = flag.String("state", "", "path for persisted metadata (empty = in-memory only)")
+		state = flag.String("state", "", "checkpoint path for persisted metadata; the op log goes to <path>.wal (empty = in-memory only)")
 
 		dialTimeout = flag.Duration("dial-timeout", proto.DefaultDialTimeout,
 			"timeout for establishing a storage-node connection")

@@ -92,8 +92,8 @@ func main() {
 		if *live > 0 && i%*live == 0 {
 			ls := simtest.GenerateLive(*seed + uint64(i))
 			if *verbose {
-				fmt.Printf("live seed=%d nodes=%d ops=%d kill=%d srv=%d kp=%v\n",
-					ls.Seed, ls.Nodes, ls.Ops, ls.KillNode, ls.Servers, ls.KillPrimary)
+				fmt.Printf("live seed=%d nodes=%d ops=%d kill=%d srv=%d kp=%v rs=%v\n",
+					ls.Seed, ls.Nodes, ls.Ops, ls.KillNode, ls.Servers, ls.KillPrimary, ls.RestartServer)
 			}
 			if !runLive(ls, outFile) {
 				failures++
@@ -175,7 +175,7 @@ func failoverBattery(seed uint64, n int, verbose bool, outFile *os.File) int {
 		ls.Servers = 2 + i%2 // alternate 2- and 3-member groups
 		ls.KillPrimary = true
 		if verbose {
-			fmt.Printf("failover seed=%d nodes=%d ops=%d srv=%d\n", ls.Seed, ls.Nodes, ls.Ops, ls.Servers)
+			fmt.Printf("failover seed=%d nodes=%d ops=%d srv=%d rs=%v\n", ls.Seed, ls.Nodes, ls.Ops, ls.Servers, ls.RestartServer)
 		}
 		if !runLive(ls, outFile) {
 			failures++

@@ -15,6 +15,7 @@ import (
 	"eevfs/internal/proto"
 	"eevfs/internal/simtime"
 	"eevfs/internal/telemetry"
+	"eevfs/internal/wal"
 )
 
 // NodeConfig configures one storage-node daemon.
@@ -137,6 +138,7 @@ type Node struct {
 	mu         sync.Mutex
 	nextDisk   int             // round-robin cursor for file creation
 	dirty      map[int]int64   // fileID -> size awaiting flush to its data disk
+	dirtyBytes int64           // sum of dirty's values, kept by set/clearDirtyLocked
 	hints      map[int]float64 // fileID -> mean inter-arrival (model sec)
 	lastAccess map[int]float64 // fileID -> model time of the last request
 	closing    bool
@@ -146,6 +148,10 @@ type Node struct {
 	misses     int64
 	bufWrites  int64
 
+	// persistMu serializes log appends and checkpoints (see persist.go).
+	persistMu sync.Mutex
+	wal       *wal.Log
+
 	// Pre-resolved telemetry handles (all no-ops with a nil registry);
 	// hitsC/missesC/bufWritesC mirror the counters above into the
 	// registry so the admin endpoint sees them live.
@@ -154,6 +160,8 @@ type Node struct {
 	missesC       *telemetry.Counter
 	bufWritesC    *telemetry.Counter
 	flushesC      *telemetry.Counter
+	logBytesC     *telemetry.Counter
+	checkpointsC  *telemetry.Counter
 	streamBytesC  *telemetry.Counter
 	streamChunksC *telemetry.Counter
 }
@@ -193,6 +201,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.missesC = cfg.Metrics.Counter("node.buffer.misses")
 	n.bufWritesC = cfg.Metrics.Counter("node.buffer.writes")
 	n.flushesC = cfg.Metrics.Counter("node.buffer.flushes")
+	n.logBytesC = cfg.Metrics.Counter("persist.log.bytes")
+	n.checkpointsC = cfg.Metrics.Counter("persist.checkpoints")
 	diskObs := transitionObserver(cfg.Metrics, "node")
 
 	bufDir := filepath.Join(cfg.RootDir, "buffer")
@@ -219,11 +229,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.data = append(n.data, nd)
 	}
 
-	if err := n.loadManifest(); err != nil {
+	if err := n.openManifest(); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
+		n.wal.Close()
 		return nil, err
 	}
 	n.ln = ln
@@ -271,7 +282,12 @@ func (n *Node) Close() error {
 	err := n.ln.Close()
 	n.wg.Wait()
 	n.flushAll()
-	n.saveManifest()
+	n.persistMu.Lock()
+	n.checkpointLocked()
+	n.persistMu.Unlock()
+	if cerr := n.wal.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
@@ -552,7 +568,7 @@ func (n *Node) handleCreate(req proto.NodeCreateReq) error {
 	}); err != nil {
 		return err
 	}
-	n.saveManifest()
+	n.logState(int(req.FileID))
 	return nil
 }
 
@@ -565,45 +581,50 @@ func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (bool, er
 	name := fileName(req.FileID)
 	ra := spanAttrib(sp, req.FileID)
 
-	if n.cfg.WriteBuffer && n.bufferHasRoom(int64(len(req.Data))) {
+	buffered := n.cfg.WriteBuffer && n.bufferHasRoom(int64(len(req.Data)))
+	if buffered {
 		// Append-style write into the buffer disk's log area; the data
 		// disk stays asleep. Flush happens lazily.
 		if err := n.diskWrite(n.buffer, name, req.Data, true, ra); err != nil {
 			return false, err
 		}
-		n.mu.Lock()
-		n.dirty[int(req.FileID)] = int64(len(req.Data))
-		n.bufWrites++
-		n.mu.Unlock()
-		n.bufWritesC.Inc()
-		n.updateSize(entry, len(req.Data))
-		n.saveManifest()
-		return true, nil
-	}
-
-	if err := n.writeDataFile(entry, req.Data, ra); err != nil {
+	} else if err := n.writeDataFile(entry, req.Data, ra); err != nil {
 		return false, err
 	}
-	// A direct write supersedes any buffer-disk copy: drop stale
-	// prefetched replicas and unflushed log entries so reads cannot see
-	// old content.
-	n.mu.Lock()
-	_, wasDirty := n.dirty[int(req.FileID)]
-	delete(n.dirty, int(req.FileID))
-	n.mu.Unlock()
-	if entry.Prefetched || wasDirty {
-		n.meta.SetPrefetched(int(req.FileID), false)
-		os.Remove(filepath.Join(n.buffer.dir, name))
-		n.saveManifest()
-	}
-	n.updateSize(entry, len(req.Data))
-	return false, nil
+	n.commitWrite(entry, int64(len(req.Data)), buffered)
+	return buffered, nil
 }
 
-func (n *Node) updateSize(entry metadata.NodeEntry, size int) {
-	if int64(size) != entry.Size && size > 0 {
-		entry.Size = int64(size)
-		_ = n.meta.Put(entry)
+// commitWrite applies the metadata transitions of a write whose bytes
+// have landed — shared by the RPC and streaming write paths — and logs
+// the file's new state if anything persistent changed.
+func (n *Node) commitWrite(entry metadata.NodeEntry, size int64, buffered bool) {
+	n.mu.Lock()
+	changed := buffered
+	if buffered {
+		n.setDirtyLocked(entry.ID, size)
+		n.bufWrites++
+	} else {
+		changed = n.clearDirtyLocked(entry.ID) || entry.Prefetched
+	}
+	n.mu.Unlock()
+	if buffered {
+		n.bufWritesC.Inc()
+	} else if changed {
+		// A direct write supersedes any buffer-disk copy: drop the stale
+		// prefetched replica or unflushed write so reads cannot see old
+		// content.
+		entry.Prefetched = false
+		n.meta.SetPrefetched(entry.ID, false)
+		os.Remove(filepath.Join(n.buffer.dir, fileName(int64(entry.ID))))
+	}
+	if size != entry.Size && size > 0 {
+		entry.Size = size
+		_ = n.meta.Put(entry) // valid when looked up; only the size moved
+		changed = true
+	}
+	if changed {
+		n.logState(entry.ID)
 	}
 }
 
@@ -652,29 +673,44 @@ func (n *Node) handleDelete(fileID int64) error {
 		return fmt.Errorf("fs: delete of unknown file %d", fileID)
 	}
 	n.mu.Lock()
-	delete(n.dirty, int(fileID))
+	n.clearDirtyLocked(int(fileID))
 	n.mu.Unlock()
 	os.Remove(filepath.Join(n.buffer.dir, fileName(fileID)))
 	n.removeDataFile(entry)
 	n.meta.Delete(int(fileID))
-	n.saveManifest()
+	n.logState(int(fileID))
 	return nil
+}
+
+// setDirtyLocked and clearDirtyLocked are the only writers of the dirty
+// map, so dirtyBytes always equals the sum of its values. Callers hold
+// n.mu. clearDirtyLocked reports whether the id was dirty.
+func (n *Node) setDirtyLocked(id int, size int64) {
+	n.dirtyBytes += size - n.dirty[id]
+	n.dirty[id] = size
+}
+
+func (n *Node) clearDirtyLocked(id int) bool {
+	size, ok := n.dirty[id]
+	if ok {
+		n.dirtyBytes -= size
+		delete(n.dirty, id)
+	}
+	return ok
 }
 
 // bufferHasRoom reports whether size more bytes fit in the buffer disk's
 // configured capacity (prefetched copies plus unflushed writes count
-// against it).
+// against it). Both terms are running counters: every write and every
+// prefetched file asks.
 func (n *Node) bufferHasRoom(size int64) bool {
 	if n.cfg.BufferCapacityBytes <= 0 {
 		return true
 	}
-	used := n.meta.PrefetchedBytes()
 	n.mu.Lock()
-	for _, sz := range n.dirty {
-		used += sz
-	}
+	used := n.dirtyBytes
 	n.mu.Unlock()
-	return used+size <= n.cfg.BufferCapacityBytes
+	return used+n.meta.PrefetchedBytes()+size <= n.cfg.BufferCapacityBytes
 }
 
 // handlePrefetch copies each locally-known file from its data disk into
@@ -684,6 +720,7 @@ func (n *Node) bufferHasRoom(size int64) bool {
 // popularity-order selection of Section IV-B).
 func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
 	var count int64
+	var staged []int
 	for _, id := range ids {
 		entry, ok := n.meta.Lookup(int(id))
 		if !ok {
@@ -718,10 +755,11 @@ func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
 			continue
 		}
 		n.meta.SetPrefetched(int(id), true)
+		staged = append(staged, int(id))
 		count++
 	}
-	if count > 0 {
-		n.saveManifest()
+	if len(staged) > 0 {
+		n.logState(staged...)
 	}
 	return count
 }
@@ -931,14 +969,14 @@ func (n *Node) flushOne(id int) {
 		return
 	}
 	n.mu.Lock()
-	delete(n.dirty, id)
+	n.clearDirtyLocked(id)
 	n.mu.Unlock()
 	n.flushesC.Inc()
 	// Drop the buffer copy unless it doubles as a prefetched replica.
 	if !entry.Prefetched {
 		os.Remove(filepath.Join(n.buffer.dir, name))
 	}
-	n.saveManifest()
+	n.logState(id)
 }
 
 // beginWork/endWork bracket one modeled disk operation with its request

@@ -339,7 +339,7 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 				w.abandon()
 				return err
 			}
-			n.commitStreamWrite(entry, req, buffered, name)
+			n.commitWrite(entry, req.Size, buffered)
 			sp.Annotate("stream.bytes", fmt.Sprint(received))
 			return st.sendEnd(buffered)
 		case proto.TStreamAbort:
@@ -351,32 +351,4 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 			return fmt.Errorf("fs: unexpected frame type %d on write stream", msg.t)
 		}
 	}
-}
-
-// commitStreamWrite applies the RPC write path's metadata transitions to
-// a committed streamed write.
-func (n *Node) commitStreamWrite(entry metadata.NodeEntry, req proto.StreamOpenReq, buffered bool, name string) {
-	if buffered {
-		n.mu.Lock()
-		n.dirty[int(req.FileID)] = req.Size
-		n.bufWrites++
-		n.mu.Unlock()
-		n.bufWritesC.Inc()
-		n.updateSize(entry, int(req.Size))
-		n.saveManifest()
-		return
-	}
-	// A direct write supersedes any buffer-disk copy: drop stale
-	// prefetched replicas and unflushed log entries so reads cannot see
-	// old content.
-	n.mu.Lock()
-	_, wasDirty := n.dirty[int(req.FileID)]
-	delete(n.dirty, int(req.FileID))
-	n.mu.Unlock()
-	if entry.Prefetched || wasDirty {
-		n.meta.SetPrefetched(int(req.FileID), false)
-		os.Remove(filepath.Join(n.buffer.dir, name))
-		n.saveManifest()
-	}
-	n.updateSize(entry, int(req.Size))
 }

@@ -2,34 +2,31 @@ package fs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"eevfs/internal/metadata"
+	"eevfs/internal/proto"
+	"eevfs/internal/wal"
 )
 
-// Metadata persistence. The paper's prototype kept metadata in memory;
-// for a restartable daemon we journal it as JSON manifests: the storage
-// node keeps one in its root directory (next to the disk directories),
-// and the storage server keeps one at an operator-chosen path. Manifests
-// are written atomically (temp file + rename) on every mutation — the
-// metadata is tiny compared to the data it describes.
+// Metadata persistence. Both daemons keep a checkpoint plus an
+// append-only, CRC-framed log (internal/wal): a mutation appends one
+// small record, the O(files) checkpoint is written on clean shutdown and
+// whenever the log outgrows it, and a restart loads the checkpoint and
+// replays the log's valid prefix. The storage node's checkpoint is
+// <RootDir>/manifest.json with its log beside it; the storage server's is
+// the operator-chosen StateFile with <StateFile>.wal. Nothing is fsynced:
+// state survives kill -9, not power loss.
 
-// nodeManifest is the storage node's on-disk metadata.
+// nodeManifest is the storage node's checkpoint.
 type nodeManifest struct {
-	Version  int             `json:"version"`
-	NextDisk int             `json:"next_disk"`
-	Files    []nodeFileEntry `json:"files"`
-	Dirty    []dirtyEntry    `json:"dirty,omitempty"`
-}
-
-type nodeFileEntry struct {
-	ID         int   `json:"id"`
-	Size       int64 `json:"size"`
-	Disk       int   `json:"disk"`
-	Prefetched bool  `json:"prefetched,omitempty"`
+	Version  int                  `json:"version"`
+	NextDisk int                  `json:"next_disk"`
+	Files    []metadata.NodeEntry `json:"files"`
+	Dirty    []dirtyEntry         `json:"dirty,omitempty"`
 }
 
 type dirtyEntry struct {
@@ -43,28 +40,68 @@ func (n *Node) manifestPath() string {
 	return filepath.Join(n.cfg.RootDir, "manifest.json")
 }
 
-// saveManifest snapshots the node's metadata. Callers must not hold n.mu.
-func (n *Node) saveManifest() {
-	n.mu.Lock()
-	m := nodeManifest{Version: manifestVersion, NextDisk: n.nextDisk}
-	for id, size := range n.dirty {
-		m.Dirty = append(m.Dirty, dirtyEntry{ID: id, Size: size})
-	}
-	n.mu.Unlock()
+// nodeRecord is one record of the node's log: the complete persisted
+// state of one file id — its entry or a tombstone, its unflushed
+// buffered-write size — plus the placement cursor, all as they stood
+// after the mutation. Carrying post-state instead of the operation makes
+// replay idempotent and order-safe: applying a record twice, or over a
+// checkpoint that already reflects it, lands in the same state, and the
+// last record of an id always wins.
+type nodeRecord struct {
+	Entry     metadata.NodeEntry
+	Present   bool // false: tombstone, the id is gone
+	Dirty     bool
+	DirtySize int64
+	NextDisk  int
+}
 
-	for _, id := range n.meta.IDs() {
-		if e, ok := n.meta.Lookup(id); ok {
-			m.Files = append(m.Files, nodeFileEntry{
-				ID: e.ID, Size: e.Size, Disk: e.Disk, Prefetched: e.Prefetched,
-			})
-		}
-	}
-	sort.Slice(m.Files, func(i, j int) bool { return m.Files[i].ID < m.Files[j].ID })
-	sort.Slice(m.Dirty, func(i, j int) bool { return m.Dirty[i].ID < m.Dirty[j].ID })
+func (r nodeRecord) encode() []byte {
+	var e proto.Encoder
+	e.I64(int64(r.Entry.ID)).Bool(r.Present).I64(r.Entry.Size).I64(int64(r.Entry.Disk))
+	e.Bool(r.Entry.Prefetched).Bool(r.Dirty).I64(r.DirtySize).I64(int64(r.NextDisk))
+	return e.Bytes()
+}
 
-	if err := writeJSONAtomic(n.manifestPath(), m); err != nil {
-		n.logger.Printf("manifest save failed: %v", err)
+// decodeNodeRecord parses one log record, rejecting trailing bytes and
+// values no node writes, so a foreign or damaged record that still
+// passes its checksum fails the restart instead of installing garbage.
+func decodeNodeRecord(b []byte) (nodeRecord, error) {
+	d := proto.NewDecoder(b)
+	var r nodeRecord
+	r.Entry.ID = int(d.I64())
+	r.Present = d.Bool()
+	r.Entry.Size = d.I64()
+	r.Entry.Disk = int(d.I64())
+	r.Entry.Prefetched = d.Bool()
+	r.Dirty = d.Bool()
+	r.DirtySize = d.I64()
+	r.NextDisk = int(d.I64())
+	switch {
+	case d.Err() != nil:
+		return nodeRecord{}, d.Err()
+	case d.Remaining() != 0:
+		return nodeRecord{}, fmt.Errorf("fs: node record has %d trailing bytes", d.Remaining())
+	case r.Entry.ID < 0 || r.NextDisk < 0 || r.DirtySize < 0:
+		return nodeRecord{}, errors.New("fs: node record with a negative id, cursor or dirty size")
+	case r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0):
+		return nodeRecord{}, fmt.Errorf("fs: node record for file %d has size %d on disk %d",
+			r.Entry.ID, r.Entry.Size, r.Entry.Disk)
+	case !r.Present && r.Dirty:
+		return nodeRecord{}, fmt.Errorf("fs: node record marks deleted file %d dirty", r.Entry.ID)
 	}
+	return r, nil
+}
+
+// openManifest restores the node's metadata from a previous run and
+// opens the log for this one; nothing on disk means a fresh node.
+func (n *Node) openManifest() error {
+	l, err := wal.Open(n.manifestPath(), filepath.Join(n.cfg.RootDir, "manifest.wal"),
+		n.loadManifest, n.replayRecord)
+	if err != nil {
+		return fmt.Errorf("fs: restoring node metadata: %w", err)
+	}
+	n.wal = l
+	return nil
 }
 
 // decodeNodeManifest parses and version-checks a node manifest. Split
@@ -80,154 +117,225 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	return m, nil
 }
 
-// loadManifest restores metadata from a previous run; a missing manifest
-// means a fresh node.
-func (n *Node) loadManifest() error {
-	raw, err := os.ReadFile(n.manifestPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("fs: reading manifest: %w", err)
-	}
+// loadManifest installs a checkpoint.
+func (n *Node) loadManifest(raw []byte) error {
 	m, err := decodeNodeManifest(raw)
 	if err != nil {
-		return fmt.Errorf("fs: corrupt manifest %s: %w", n.manifestPath(), err)
+		return err
 	}
-	for _, f := range m.Files {
-		if f.Disk >= n.cfg.DataDisks {
-			return fmt.Errorf("fs: manifest file %d on disk %d, node has %d", f.ID, f.Disk, n.cfg.DataDisks)
-		}
-		if err := n.meta.Put(metadata.NodeEntry{
-			ID: f.ID, Size: f.Size, Disk: f.Disk, Prefetched: f.Prefetched,
-		}); err != nil {
+	for _, e := range m.Files {
+		if err := n.putRestored(e); err != nil {
 			return err
 		}
 	}
 	n.mu.Lock()
 	n.nextDisk = m.NextDisk
 	for _, d := range m.Dirty {
-		n.dirty[d.ID] = d.Size
+		n.setDirtyLocked(d.ID, d.Size)
 	}
 	n.mu.Unlock()
 	return nil
 }
 
-// serverState is the storage server's on-disk metadata. RepSeq and
-// Epoch only matter for members of a replicated group; pre-replication
-// state files decode with both zero, which is exactly "fresh log".
-type serverState struct {
-	Version  int               `json:"version"`
-	NextID   int64             `json:"next_id"`
-	NextNode int               `json:"next_node"`
-	RepSeq   uint64            `json:"rep_seq,omitempty"`
-	Epoch    uint64            `json:"epoch,omitempty"`
-	Files    []serverFileEntry `json:"files"`
+func (n *Node) putRestored(e metadata.NodeEntry) error {
+	if e.Disk >= n.cfg.DataDisks {
+		return fmt.Errorf("fs: persisted file %d on disk %d, node has %d", e.ID, e.Disk, n.cfg.DataDisks)
+	}
+	return n.meta.Put(e)
 }
 
-type serverFileEntry struct {
-	Name    string `json:"name"`
-	ID      int    `json:"id"`
-	Size    int64  `json:"size"`
-	Node    int    `json:"node"`
-	Replica int    `json:"replica,omitempty"`
-}
-
-// saveState snapshots the server metadata to cfg.StateFile (no-op when
-// persistence is not configured). The snapshot walks the sharded map one
-// stripe at a time — no global lock exists to freeze the whole namespace,
-// so concurrent mutations may or may not appear; each stripe is
-// internally consistent and the final mutation of any burst triggers its
-// own save. saveMu serializes writers so snapshots cannot interleave on
-// the temp file.
-func (s *Server) saveState() {
-	if s.cfg.StateFile == "" {
-		return
-	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	st := serverState{
-		Version:  manifestVersion,
-		NextID:   s.nextID.Load(),
-		NextNode: int(s.nextNode.Load()),
-		RepSeq:   s.repSeqA.Load(),
-		Epoch:    s.epoch.Load(),
-	}
-	for _, name := range s.meta.Names() {
-		if fi, ok := s.meta.LookupName(name); ok {
-			st.Files = append(st.Files, serverFileEntry{
-				Name: fi.Name, ID: fi.ID, Size: fi.Size, Node: fi.Node, Replica: fi.Replica,
-			})
-		}
-	}
-	if err := writeJSONAtomic(s.cfg.StateFile, st); err != nil {
-		s.logger.Printf("state save failed: %v", err)
-	}
-}
-
-// decodeServerState parses and version-checks a server state file. Split
-// from loadState so the decode path is directly fuzzable.
-func decodeServerState(raw []byte) (serverState, error) {
-	var st serverState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return serverState{}, err
-	}
-	if st.Version != manifestVersion {
-		return serverState{}, fmt.Errorf("fs: server state version %d unsupported", st.Version)
-	}
-	return st, nil
-}
-
-// loadState restores server metadata; a missing file means a fresh server.
-func (s *Server) loadState() error {
-	if s.cfg.StateFile == "" {
-		return nil
-	}
-	raw, err := os.ReadFile(s.cfg.StateFile)
-	if os.IsNotExist(err) {
-		return nil
-	}
+// replayRecord applies one log record on top of the checkpoint.
+func (n *Node) replayRecord(raw []byte) error {
+	r, err := decodeNodeRecord(raw)
 	if err != nil {
-		return fmt.Errorf("fs: reading server state: %w", err)
+		return err
 	}
-	st, err := decodeServerState(raw)
-	if err != nil {
-		return fmt.Errorf("fs: corrupt server state %s: %w", s.cfg.StateFile, err)
-	}
-	for _, f := range st.Files {
-		if f.Node >= len(s.nodes) {
-			return fmt.Errorf("fs: state file %q on node %d, server has %d", f.Name, f.Node, len(s.nodes))
-		}
-		if err := s.meta.Put(metadata.FileInfo{
-			Name: f.Name, ID: f.ID, Size: f.Size, Node: f.Node, Replica: f.Replica,
-		}); err != nil {
+	if r.Present {
+		if err := n.putRestored(r.Entry); err != nil {
 			return err
 		}
+	} else {
+		n.meta.Delete(r.Entry.ID)
 	}
-	s.nextID.Store(st.NextID)
-	s.nextNode.Store(int64(st.NextNode))
-	s.repSeq = st.RepSeq
-	s.repSeqA.Store(st.RepSeq)
-	if st.Epoch > 0 {
-		s.epoch.Store(st.Epoch)
+	n.mu.Lock()
+	if r.Dirty {
+		n.setDirtyLocked(r.Entry.ID, r.DirtySize)
+	} else {
+		n.clearDirtyLocked(r.Entry.ID)
 	}
-	for _, f := range st.Files {
-		if f.ID >= 0 && int64(f.ID) < st.NextID {
-			s.sizes.set(int64(f.ID), f.Size)
-		}
-	}
+	n.nextDisk = r.NextDisk
+	n.mu.Unlock()
 	return nil
 }
 
-// writeJSONAtomic writes v as indented JSON via a temp file + rename.
-func writeJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// logState appends the current state of the touched ids as one log
+// write. Callers have already applied their mutation and must not hold
+// n.mu. The state is read under persistMu, so log order is the order of
+// those reads and an id's newest record is never older than an earlier
+// one. A failed append is logged, not fatal — as a failed manifest save
+// always was.
+func (n *Node) logState(ids ...int) {
+	n.persistMu.Lock()
+	defer n.persistMu.Unlock()
+	recs := make([][]byte, len(ids))
+	for i, id := range ids {
+		r := nodeRecord{Entry: metadata.NodeEntry{ID: id}}
+		if e, ok := n.meta.Lookup(id); ok {
+			r.Entry, r.Present = e, true
+		}
+		n.mu.Lock()
+		if size, ok := n.dirty[id]; ok && r.Present {
+			r.Dirty, r.DirtySize = true, size
+		}
+		r.NextDisk = n.nextDisk
+		n.mu.Unlock()
+		recs[i] = r.encode()
+	}
+	before := n.wal.Size()
+	if err := n.wal.Append(recs...); err != nil {
+		n.logger.Printf("manifest log append failed: %v", err)
+		return
+	}
+	n.logBytesC.Add(n.wal.Size() - before)
+	if n.wal.NeedsCheckpoint() {
+		n.checkpointLocked()
+	}
+}
+
+// checkpointLocked writes the whole table as manifest.json and empties
+// the log. Callers hold persistMu, which keeps records out of the log
+// while the table is walked: a mutation racing the walk may or may not
+// be in the manifest, but its record lands in the fresh log either way.
+func (n *Node) checkpointLocked() {
+	n.mu.Lock()
+	m := nodeManifest{Version: manifestVersion, NextDisk: n.nextDisk}
+	for id, size := range n.dirty {
+		m.Dirty = append(m.Dirty, dirtyEntry{ID: id, Size: size})
+	}
+	n.mu.Unlock()
+	m.Files = n.Files() // id order
+	sort.Slice(m.Dirty, func(i, j int) bool { return m.Dirty[i].ID < m.Dirty[j].ID })
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err == nil {
+		err = n.wal.Checkpoint(data)
+	}
+	if err != nil {
+		n.logger.Printf("manifest checkpoint failed: %v", err)
+		return
+	}
+	n.checkpointsC.Inc()
+}
+
+// Server persistence: the log is the replication op stream itself — the
+// ops this server sequenced as primary or applied as follower — and the
+// checkpoint is the replication snapshot, one frame. Popularity is not
+// persisted: access epochs keep their seq in the log (replay demands a
+// dense stream) but drop their records, and checkpoints carry no access
+// journal.
+
+// openState restores the server's metadata and opens its log; it is a
+// no-op when persistence is not configured.
+func (s *Server) openState() error {
+	if s.cfg.StateFile == "" {
+		return nil
+	}
+	l, err := wal.Open(s.cfg.StateFile, s.cfg.StateFile+".wal", s.loadCheckpoint, s.replayOp)
+	if err != nil {
+		return fmt.Errorf("fs: restoring server state: %w", err)
+	}
+	s.wal = l
+	s.repSeqA.Store(s.repSeq)
+	return nil
+}
+
+// loadCheckpoint installs a checkpoint: exactly one frame holding a
+// RepSnapshot.
+func (s *Server) loadCheckpoint(raw []byte) error {
+	payload, err := wal.Unframe(raw)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	snap, err := proto.DecodeRepSnapshot(payload)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if snap.Epoch > 0 {
+		s.epoch.Store(snap.Epoch)
+	}
+	return s.installSnapshotLocked(snap)
+}
+
+// replayOp applies one logged op on top of the checkpoint. Ops the
+// checkpoint already reflects (a crash between installing it and
+// emptying the log leaves them behind) are skipped; a gap means records
+// were lost from the middle, which no torn tail explains.
+func (s *Server) replayOp(raw []byte) error {
+	op, err := proto.DecodeRepOp(raw)
+	if err != nil {
+		return err
+	}
+	if op.Seq <= s.repSeq {
+		return nil
+	}
+	if op.Seq != s.repSeq+1 {
+		return fmt.Errorf("%s: have %d, got %d", repMsgGap, s.repSeq, op.Seq)
+	}
+	if op.Kind == proto.RepOpCreate && (op.Node < 0 || int(op.Node) >= len(s.nodes)) {
+		return fmt.Errorf("fs: logged file %q on node %d, server has %d", op.Name, op.Node, len(s.nodes))
+	}
+	if err := s.applyOpLocked(op); err != nil {
+		return err
+	}
+	s.repSeq = op.Seq
+	return nil
+}
+
+// logOpsLocked appends sequenced ops to the log with one write and
+// checkpoints when the log has outgrown the last one. Callers hold
+// repMu. A failed append is logged, not fatal.
+func (s *Server) logOpsLocked(ops []proto.RepOp) {
+	if s.wal == nil || len(ops) == 0 {
+		return
+	}
+	recs := make([][]byte, len(ops))
+	for i, op := range ops {
+		if op.Kind == proto.RepOpAccess {
+			op.Records = nil
+		}
+		recs[i] = op.Encode()
+	}
+	before := s.wal.Size()
+	if err := s.wal.Append(recs...); err != nil {
+		s.logger.Printf("state log append failed: %v", err)
+		return
+	}
+	s.logBytesC.Add(s.wal.Size() - before)
+	if s.wal.NeedsCheckpoint() {
+		s.checkpointLocked()
+	}
+}
+
+// checkpointLocked writes the namespace as a snapshot frame at StateFile
+// and empties the log. Callers hold repMu.
+func (s *Server) checkpointLocked() {
+	if s.wal == nil {
+		return
+	}
+	if err := s.wal.Checkpoint(wal.AppendFrame(nil, s.namespaceLocked().Encode())); err != nil {
+		s.logger.Printf("state checkpoint failed: %v", err)
+		return
+	}
+	s.checkpointsC.Inc()
+}
+
+// closeState checkpoints and closes the log: a clean shutdown leaves an
+// empty log, so the next start replays nothing.
+func (s *Server) closeState() error {
+	if s.wal == nil {
+		return nil
+	}
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	s.checkpointLocked()
+	return s.wal.Close()
 }

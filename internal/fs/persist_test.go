@@ -1,0 +1,662 @@
+package fs
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"eevfs/internal/disk"
+	"eevfs/internal/metadata"
+	"eevfs/internal/proto"
+	"eevfs/internal/telemetry"
+	"eevfs/internal/wal"
+)
+
+var quietLog = log.New(io.Discard, "", 0)
+
+// persistNodeConfig is a node with the write buffer on and every delay
+// off: the persistence tests exercise metadata, not the disk model.
+func persistNodeConfig(root, addr string) NodeConfig {
+	return NodeConfig{
+		Addr: addr, RootDir: root, DataDisks: 2,
+		DataModel: disk.ModelType1, BufferModel: disk.ModelType1,
+		TimeScale: 2000, WriteBuffer: true, Logger: quietLog,
+	}
+}
+
+// crashCase is what a crash left on disk: a checkpoint (nil: none), a
+// log, and the state recovery must arrive at.
+type crashCase struct {
+	what       string
+	checkpoint []byte
+	log        []byte
+	want       int // index into the acked states
+}
+
+// crashCases damages log in every way a crash or a bad sector can: a cut
+// at every byte (so every record boundary and every mid-record position)
+// and one flipped bit per byte. ends[i] is the log's length after acked
+// mutation i (ends[0]: right after the checkpoint); a record survives iff
+// it lies wholly before the damage, and nothing after the damage may.
+func crashCases(checkpoint, log []byte, ends []int) []crashCase {
+	survivors := func(damageAt int) int {
+		n := 0
+		for n+1 < len(ends) && ends[n+1] <= damageAt {
+			n++
+		}
+		return n
+	}
+	var cases []crashCase
+	for cut := 0; cut <= len(log); cut++ {
+		cases = append(cases, crashCase{fmt.Sprintf("log cut at byte %d of %d", cut, len(log)),
+			checkpoint, log[:cut], survivors(cut)})
+	}
+	for i := range log {
+		damaged := bytes.Clone(log)
+		damaged[i] ^= 1 << (i % 8)
+		cases = append(cases, crashCase{fmt.Sprintf("bit %d of log byte %d flipped", i%8, i),
+			checkpoint, damaged, survivors(i)})
+	}
+	return cases
+}
+
+// launderCRC is the planted bug: it rewrites every frame's checksum to
+// match whatever payload the frame now holds — on disk, exactly what a
+// recovery that skips the CRC check would accept. The oracles below must
+// fail on a log damaged and then laundered, or they prove nothing.
+func launderCRC(log []byte) []byte {
+	var out []byte
+	for off := 0; off < len(log); {
+		n := int(binary.BigEndian.Uint32(log[off:]))
+		out = wal.AppendFrame(out, log[off+8:off+8+n])
+		off += 8 + n
+	}
+	return out
+}
+
+// violations counts the cases whose recovery is not exactly the acked
+// state the damage should leave, logging the first few.
+func violations[S any](t *testing.T, cases []crashCase, states []S, recovery func(*testing.T, crashCase) (S, bool)) (n int) {
+	t.Helper()
+	for _, c := range cases {
+		got, ok := recovery(t, c)
+		if !ok || !reflect.DeepEqual(got, states[c.want]) {
+			if n++; n <= 3 {
+				t.Logf("%s: started=%v, recovered %+v, want the state after ack %d: %+v", c.what, ok, got, c.want, states[c.want])
+			}
+		}
+	}
+	return n
+}
+
+// checkpoint forces the checkpoint a full log would trigger.
+func (s *Server) checkpoint() {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	s.checkpointLocked()
+}
+
+func (n *Node) checkpoint() {
+	n.persistMu.Lock()
+	defer n.persistMu.Unlock()
+	n.checkpointLocked()
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func mustWrite(t *testing.T, path string, b []byte) {
+	t.Helper()
+	if b == nil {
+		return
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serverCrashHistory drives a scripted mutation sequence through a
+// standalone persisted server and returns what a kill -9 after the last
+// ack leaves on disk, the log length after every ack since the mid-run
+// checkpoint, and the file table after each of those acks.
+func serverCrashHistory(t *testing.T) (checkpoint, oplog []byte, ends []int, states [][]metadata.FileInfo) {
+	t.Helper()
+	dir := t.TempDir()
+	node, err := StartNode(persistNodeConfig(filepath.Join(dir, "n"), "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	state := filepath.Join(dir, "state")
+	srv, err := StartServer(ServerConfig{
+		Addr: "127.0.0.1:0", NodeAddrs: []string{node.Addr()}, StateFile: state,
+		Logger: quietLog, Health: HealthConfig{ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	script := []func() error{
+		func() error { return cl.Create("a", []byte("aaaa")) },
+		func() error { return cl.Create("b", []byte("bb")) },
+		func() error { return cl.Delete("a") },
+		func() error { return cl.Create("c", []byte("cccccc")) },
+		nil, // checkpoint here: recovery = checkpoint + the log of what follows
+		func() error { return cl.Create("a", []byte("again")) },
+		func() error { return cl.Delete("b") },
+		func() error { return cl.Create("d", []byte("d")) },
+		func() error { return cl.Delete("c") },
+		func() error { return cl.Create("e", []byte("eeee")) },
+	}
+	for _, op := range script {
+		if op == nil {
+			srv.checkpoint()
+			ends, states = []int{0}, [][]metadata.FileInfo{srv.Files()}
+			continue
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if states != nil {
+			ends = append(ends, int(srv.wal.Size()))
+			states = append(states, srv.Files())
+		}
+	}
+	return mustRead(t, state), mustRead(t, state+".wal"), ends, states
+}
+
+// recoverServer restarts a server on what a crash left and returns its
+// file table; ok is false when it refused to start.
+func recoverServer(t *testing.T, c crashCase) (files []metadata.FileInfo, ok bool) {
+	t.Helper()
+	state := filepath.Join(t.TempDir(), "state")
+	mustWrite(t, state, c.checkpoint)
+	mustWrite(t, state+".wal", c.log)
+	srv, err := StartServer(ServerConfig{
+		Addr: "127.0.0.1:0", NodeAddrs: []string{"127.0.0.1:1"}, StateFile: state,
+		Logger: quietLog, Health: HealthConfig{ProbeInterval: -1},
+	})
+	if err != nil {
+		return nil, false
+	}
+	defer srv.Close()
+	return srv.Files(), true
+}
+
+func TestServerCrashPrefixOracle(t *testing.T) {
+	checkpoint, oplog, ends, states := serverCrashHistory(t)
+	if checkpoint == nil || len(ends) != 6 || ends[5] != len(oplog) {
+		t.Fatalf("history: checkpoint %d bytes, log %d bytes, ends %v", len(checkpoint), len(oplog), ends)
+	}
+	cases := crashCases(checkpoint, oplog, ends)
+	if testing.Short() {
+		cases = cases[:len(cases)/8]
+	}
+	if n := violations(t, cases, states, recoverServer); n != 0 {
+		t.Fatalf("%d of %d crash recoveries were not the longest acked prefix", n, len(cases))
+	}
+
+	// The window between installing a checkpoint and emptying the log:
+	// the log still holds ops the checkpoint reflects, and replays clean.
+	state := filepath.Join(t.TempDir(), "state")
+	mustWrite(t, state, checkpoint)
+	mustWrite(t, state+".wal", oplog)
+	srv, err := StartServer(ServerConfig{
+		Addr: "127.0.0.1:0", NodeAddrs: []string{"127.0.0.1:1"}, StateFile: state,
+		Logger: quietLog, Health: HealthConfig{ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close() // a clean close checkpoints
+	newer := mustRead(t, state)
+	if got, ok := recoverServer(t, crashCase{checkpoint: newer, log: oplog}); !ok || !reflect.DeepEqual(got, states[5]) {
+		t.Fatalf("stale log over a newer checkpoint: started=%v, recovered %v, want %v", ok, got, states[5])
+	}
+
+	// Planted bug: flip one bit of the file name inside the last record
+	// and launder the checksums. A recovery that trusted the frame
+	// installs a name no client ever created, and the oracle must say so.
+	damaged := bytes.Clone(oplog)
+	damaged[ends[4]+8+8+4+4] ^= 0x02 // frame header, seq, kind, name length, then the name
+	planted := []crashCase{{"laundered name flip", checkpoint, launderCRC(damaged), 4}}
+	if violations(t, planted, states, recoverServer) == 0 {
+		t.Fatal("oracle passed a recovery of a corrupt record whose CRC check was defeated")
+	}
+}
+
+// nodeState is everything a node persists.
+type nodeState struct {
+	Files    []metadata.NodeEntry
+	Dirty    map[int]int64
+	NextDisk int
+}
+
+func (n *Node) persistedState() nodeState {
+	st := nodeState{Files: n.Files(), Dirty: map[int]int64{}}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for id, size := range n.dirty {
+		st.Dirty[id] = size
+	}
+	st.NextDisk = n.nextDisk
+	return st
+}
+
+func recoverNode(t *testing.T, c crashCase) (st nodeState, ok bool) {
+	t.Helper()
+	root := t.TempDir()
+	mustWrite(t, filepath.Join(root, "manifest.json"), c.checkpoint)
+	mustWrite(t, filepath.Join(root, "manifest.wal"), c.log)
+	n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
+	if err != nil {
+		return nodeState{}, false
+	}
+	st = n.persistedState()
+	// Close would flush the dirty set and checkpoint; the state was
+	// captured first, and the directory is thrown away.
+	n.Close()
+	return st, true
+}
+
+func TestNodeCrashPrefixOracle(t *testing.T) {
+	root := t.TempDir()
+	n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	create := func(id, size int64) func() error {
+		return func() error { return n.handleCreate(proto.NodeCreateReq{FileID: id, Size: size}) }
+	}
+	write := func(id int64, data string) func() error {
+		return func() error {
+			_, err := n.handleWrite(proto.NodeWriteReq{FileID: id, Data: []byte(data)}, nil)
+			return err
+		}
+	}
+	// Every step appends exactly once, so every record boundary is an
+	// ack boundary.
+	script := []func() error{
+		create(0, 4), write(0, "zero"), create(1, 3), write(1, "one"),
+		nil, // checkpoint
+		create(2, 3),
+		write(2, "two-but-longer"), // buffered: dirty + size change
+		func() error { n.flushOne(1); return nil },
+		func() error {
+			if got := n.handlePrefetch([]int64{1}, nil); got != 1 {
+				return fmt.Errorf("prefetched %d of 1", got)
+			}
+			return nil
+		},
+		func() error { return n.handleDelete(0) },
+		write(2, "2"),
+		create(3, 9),
+	}
+	var ends []int
+	var states []nodeState
+	for _, op := range script {
+		if op == nil {
+			n.checkpoint()
+			ends, states = []int{0}, []nodeState{n.persistedState()}
+			continue
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if states != nil {
+			ends = append(ends, int(n.wal.Size()))
+			states = append(states, n.persistedState())
+		}
+	}
+	checkpoint := mustRead(t, filepath.Join(root, "manifest.json"))
+	oplog := mustRead(t, filepath.Join(root, "manifest.wal"))
+	if checkpoint == nil || ends[len(ends)-1] != len(oplog) {
+		t.Fatalf("history: checkpoint %d bytes, log %d bytes, ends %v", len(checkpoint), len(oplog), ends)
+	}
+
+	cases := crashCases(checkpoint, oplog, ends)
+	if testing.Short() {
+		cases = cases[:len(cases)/8]
+	}
+	if bad := violations(t, cases, states, recoverNode); bad != 0 {
+		t.Fatalf("%d of %d crash recoveries were not the longest acked prefix", bad, len(cases))
+	}
+
+	// Crash between checkpoint rename and log truncate: post-state
+	// records replayed over a checkpoint that already holds them.
+	n.checkpoint()
+	newer := mustRead(t, filepath.Join(root, "manifest.json"))
+	last := states[len(states)-1]
+	if got, ok := recoverNode(t, crashCase{checkpoint: newer, log: oplog}); !ok || !reflect.DeepEqual(got, last) {
+		t.Fatalf("stale log over a newer checkpoint: started=%v, recovered %+v, want %+v", ok, got, last)
+	}
+
+	// Planted bug: one bit of the last record's size field, checksums
+	// laundered. The record still decodes; the state is one no prefix of
+	// the history produces.
+	damaged := bytes.Clone(oplog)
+	damaged[ends[len(ends)-2]+8+8+1+7] ^= 0x40 // frame header, id, present flag, then the size's low byte
+	planted := []crashCase{{"laundered size flip", checkpoint, launderCRC(damaged), len(states) - 2}}
+	if violations(t, planted, states, recoverNode) == 0 {
+		t.Fatal("oracle passed a recovery of a corrupt record whose CRC check was defeated")
+	}
+}
+
+// TestKill9MidBurst is the durability contract end to end: real
+// processes, a real SIGKILL in the middle of a write burst, a restart
+// from checkpoint + log, and a byte-for-byte read of every acked write.
+// The child is this test binary re-executed (see TestKill9Child).
+func TestKill9MidBurst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	dir := t.TempDir()
+	// Fixed addresses the restarted daemons can come back on.
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	nodeAddr, srvAddr := addrs[0], addrs[1]
+
+	child := exec.Command(os.Args[0], "-test.run=^TestKill9Child$")
+	child.Env = append(os.Environ(), "EEVFS_KILL9_DIR="+dir, "EEVFS_KILL9_NODE="+nodeAddr, "EEVFS_KILL9_SERVER="+srvAddr)
+	child.Stderr = os.Stderr
+	out, err := child.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer child.Process.Kill()
+	ready := make(chan bool, 1)
+	go func() {
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			if sc.Text() == "ready" {
+				ready <- true
+				break
+			}
+		}
+		io.Copy(io.Discard, out)
+	}()
+	select {
+	case <-ready:
+	case <-time.After(30 * time.Second):
+		t.Fatal("child daemons never came up")
+	}
+
+	// The burst: every client owns its names, so it knows each file's
+	// last acked content; an op in flight at the kill makes its file's
+	// outcome open.
+	type fileLog struct {
+		acked    []byte // nil: absent (never created, or delete acked)
+		inFlight bool
+	}
+	const clients, filesPerClient = 8, 12
+	logs := make([]map[string]*fileLog, clients)
+	cfg := ClientConfig{Transport: proto.TransportConfig{
+		DialTimeout: 250 * time.Millisecond, RTTimeout: 2 * time.Second, Retries: -1,
+	}}
+	var wg sync.WaitGroup
+	var acked sync.WaitGroup // released once every client has some acked history
+	acked.Add(clients)
+	for c := 0; c < clients; c++ {
+		logs[c] = make(map[string]*fileLog)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl, err := DialCluster([]string{srvAddr}, cfg)
+			if err != nil {
+				t.Error(err)
+				acked.Done()
+				return
+			}
+			defer cl.Close()
+			for op := 0; ; op++ {
+				if op == 3*filesPerClient {
+					acked.Done()
+				}
+				name := fmt.Sprintf("c%d-f%d", c, op%filesPerClient)
+				fl := logs[c][name]
+				if fl == nil {
+					fl = &fileLog{}
+					logs[c][name] = fl
+				}
+				data := bytes.Repeat([]byte{byte('a' + op%26)}, 100+(op*37)%3000)
+				fl.inFlight = true
+				switch {
+				case fl.acked == nil:
+					err = cl.Create(name, data)
+				case op%5 == 4:
+					err, data = cl.Delete(name), nil
+				default:
+					_, err = cl.Write(name, data)
+				}
+				if err != nil {
+					if op < 3*filesPerClient {
+						t.Errorf("client %d op %d failed before the kill: %v", c, op, err)
+						acked.Done()
+					}
+					return // the kill (or its aftermath)
+				}
+				fl.acked, fl.inFlight = data, false
+			}
+		}(c)
+	}
+	acked.Wait()
+	if err := child.Process.Kill(); err != nil { // SIGKILL, mid-burst
+		t.Fatal(err)
+	}
+	child.Wait()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	node, err := StartNode(persistNodeConfig(filepath.Join(dir, "n"), nodeAddr))
+	if err != nil {
+		t.Fatalf("node restart after kill -9: %v", err)
+	}
+	defer node.Close()
+	srv, err := StartServer(ServerConfig{
+		Addr: srvAddr, NodeAddrs: []string{nodeAddr}, StateFile: filepath.Join(dir, "state"),
+		Logger: quietLog, Health: HealthConfig{ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatalf("server restart after kill -9: %v", err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srvAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	checked, open := 0, 0
+	for c := range logs {
+		for name, fl := range logs[c] {
+			if fl.inFlight {
+				open++
+				continue
+			}
+			checked++
+			got, _, err := cl.Read(name)
+			switch {
+			case fl.acked == nil && err == nil:
+				t.Errorf("%s: delete was acked, yet the file reads back %d bytes", name, len(got))
+			case fl.acked != nil && err != nil:
+				t.Errorf("%s: acked write lost: %v", name, err)
+			case fl.acked != nil && !bytes.Equal(got, fl.acked):
+				t.Errorf("%s: read %d bytes that are not the %d acked", name, len(got), len(fl.acked))
+			}
+		}
+	}
+	t.Logf("%d files verified byte for byte, %d had an op in flight at the kill", checked, open)
+	if checked < clients*filesPerClient-clients {
+		t.Fatalf("only %d files had an acked history to verify", checked)
+	}
+}
+
+// TestKill9Child is TestKill9MidBurst's victim: a node and a persisted
+// server that run until killed. It does nothing in a normal test run.
+func TestKill9Child(t *testing.T) {
+	dir := os.Getenv("EEVFS_KILL9_DIR")
+	if dir == "" {
+		return
+	}
+	node, err := StartNode(persistNodeConfig(filepath.Join(dir, "n"), os.Getenv("EEVFS_KILL9_NODE")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StartServer(ServerConfig{
+		Addr: os.Getenv("EEVFS_KILL9_SERVER"), NodeAddrs: []string{node.Addr()},
+		StateFile: filepath.Join(dir, "state"), Logger: quietLog,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Println("ready")
+	select {} // until SIGKILL
+}
+
+// TestGroupBootsWithoutProbeStall: a starting member probes its peers
+// for a running primary, and a peer whose listener is bound but not yet
+// serving used to cost the full 10 s round-trip timeout.
+func TestGroupBootsWithoutProbeStall(t *testing.T) {
+	node, err := StartNode(persistNodeConfig(t.TempDir(), "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	lns := make([]net.Listener, 3)
+	addrs := make([]string, 3)
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = lns[i].Addr().String()
+	}
+	start := time.Now()
+	for i := range lns {
+		// Default transport: the production 5 s dial / 10 s round trip.
+		srv, err := StartServer(ServerConfig{
+			NodeAddrs: []string{node.Addr()}, Logger: quietLog,
+			Peers: addrs, Self: i, Listener: lns[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+	}
+	cl, err := DialCluster(addrs, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Create("first", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("3-member group on pre-bound listeners took %v to serve its first create, want < 2 s", took)
+	}
+}
+
+// TestGroupCommitBatches: mutations that arrive while a fan-out is in
+// flight ride the next one together, and every member's log — primary
+// and followers — recovers the same namespace.
+func TestGroupCommitBatches(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	dir := t.TempDir()
+	g := startGroup(t, 3, 1, func(i int, c *ServerConfig) {
+		c.StateFile = filepath.Join(dir, fmt.Sprintf("s%d", i))
+		if i == 0 {
+			c.Metrics = reg
+		}
+	})
+	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const writers, each = 32, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := cl.Create(fmt.Sprintf("w%d-%d", w, i), []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	h := reg.Histogram("server.repl.batch", nil)
+	if h.Count() == 0 || h.Sum() < writers*each || h.Sum() <= float64(h.Count()) {
+		t.Fatalf("server.repl.batch: %v ops in %d appends; want every op counted and a mean above 1", h.Sum(), h.Count())
+	}
+	t.Logf("%v ops replicated in %d appends (mean batch %.1f)", h.Sum(), h.Count(), h.Sum()/float64(h.Count()))
+	if reg.Counter("persist.log.bytes").Value() == 0 {
+		t.Fatal("persist.log.bytes never moved")
+	}
+	if err := g.waitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := g.servers[0].Files()
+	for i := range g.servers {
+		// What each member wrote — no clean close — must recover alone.
+		state := g.servers[i].cfg.StateFile
+		got, ok := recoverServer(t, crashCase{checkpoint: mustRead(t, state), log: mustRead(t, state+".wal")})
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("member %d recovers %d files from its own log (started=%v), the group holds %d", i, len(got), ok, len(want))
+		}
+	}
+}
+
+// TestLoadCheckpointRejectsExtraFrames: a checkpoint is exactly one
+// frame; anything else is a foreign file.
+func TestLoadCheckpointRejectsExtraFrames(t *testing.T) {
+	one := wal.AppendFrame(nil, proto.RepSnapshot{Seq: 1}.Encode())
+	for what, raw := range map[string][]byte{
+		"two frames":     append(bytes.Clone(one), one...),
+		"trailing bytes": append(bytes.Clone(one), 1, 2, 3),
+		"empty":          {},
+	} {
+		if _, ok := recoverServer(t, crashCase{checkpoint: raw}); ok {
+			t.Errorf("server started from a checkpoint with %s", what)
+		}
+	}
+}

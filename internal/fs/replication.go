@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -53,15 +54,12 @@ type peerHandle struct {
 
 // initReplication wires the peer handles and decides the initial role.
 // Called from StartServer before the listener starts accepting.
-func (s *Server) initReplication() error {
+func (s *Server) initReplication() {
 	if len(s.cfg.Peers) == 0 {
 		// Standalone: the server is trivially primary forever.
 		s.primary.Store(true)
 		s.roleG.Set(1)
-		return nil
-	}
-	if s.cfg.Self < 0 || s.cfg.Self >= len(s.cfg.Peers) {
-		return fmt.Errorf("fs: self index %d outside peer list of %d", s.cfg.Self, len(s.cfg.Peers))
+		return
 	}
 	s.peers = make([]*peerHandle, len(s.cfg.Peers))
 	for i, addr := range s.cfg.Peers {
@@ -74,15 +72,28 @@ func (s *Server) initReplication() error {
 		probeCfg := tc
 		probeCfg.Retries = -1
 		probeCfg.Metrics = nil
-		s.peers[i] = &peerHandle{
+		// The discovery round below probes on short deadlines: when a
+		// whole group boots at once a peer's listener may be bound but
+		// not yet serving, and waiting out the full round-trip timeout on
+		// it stalled every start by ~10 s. A primary that is really
+		// running answers a status probe well inside the bound.
+		bootCfg := probeCfg
+		bootCfg.DialTimeout = min(cmp.Or(tc.DialTimeout, bootProbeTimeout), bootProbeTimeout)
+		bootCfg.RTTimeout = min(cmp.Or(tc.RTTimeout, bootProbeTimeout), bootProbeTimeout)
+		p := &peerHandle{
 			idx:   i,
 			addr:  addr,
 			ep:    proto.NewEndpoint(addr, s.cfg.Dialer, tc),
-			probe: proto.NewEndpoint(addr, s.cfg.Dialer, probeCfg),
+			probe: proto.NewEndpoint(addr, s.cfg.Dialer, bootCfg),
 		}
+		s.peers[i] = p
+		defer func() {
+			p.probe.Close()
+			p.probe = proto.NewEndpoint(addr, s.cfg.Dialer, probeCfg)
+		}()
 	}
 	if s.epoch.Load() == 0 {
-		s.epoch.Store(1) // loadState may already have restored a later epoch
+		s.epoch.Store(1) // openState may already have restored a later epoch
 	}
 
 	// Discovery: if some peer already claims primary (we are restarting
@@ -101,8 +112,11 @@ func (s *Server) initReplication() error {
 		s.primaryIdx.Store(0)
 		s.logger.Printf("replication: starting as follower of %s", s.cfg.Peers[0])
 	}
-	return nil
 }
+
+// bootProbeTimeout bounds the dial and the round trip of the start-up
+// discovery probes (a shorter configured timeout still wins).
+const bootProbeTimeout = 500 * time.Millisecond
 
 // adoptEpoch raises the local epoch to at least e.
 func (s *Server) adoptEpoch(e uint64) {
@@ -166,23 +180,44 @@ func (s *Server) notPrimaryErr() error {
 	return &notPrimaryError{primary: s.cfg.Peers[idx]}
 }
 
-// commit sequences one already-applied mutation into the op log,
-// replicates it synchronously to the followers, and persists. Standalone
-// servers just persist. The caller has already applied the mutation to
-// local state; followers converge through replication or snapshot
-// resync. Holding repMu across the fan-out is what makes the log
-// ordered: no second mutation can be sequenced until the fan-out (which
-// is bounded by the transport timeouts) resolves.
+// commit makes one already-applied mutation durable and replicated
+// before the caller acks it. It is a group commit: the op is queued,
+// then the caller takes repMu and sequences everything queued — its own
+// op and every op that arrived while the previous batch was in flight —
+// as one log append and one fan-out. A caller that gets repMu finds its
+// op either in the queue or already committed by an earlier holder (who
+// drained the queue and finished before unlocking), so returning after
+// the unlock means "committed" with no further signalling. Holding repMu
+// across the fan-out keeps the log ordered; batching keeps that from
+// costing a follower round trip per mutation. sp parents the fan-out
+// spans of the batch this caller leads.
 func (s *Server) commit(op proto.RepOp, sp *telemetry.Span) {
-	if len(s.peers) > 0 {
-		s.repMu.Lock()
-		s.repSeq++
-		op.Seq = s.repSeq
-		s.repSeqA.Store(s.repSeq)
-		s.replicateLocked([]proto.RepOp{op}, sp.Context())
-		s.repMu.Unlock()
+	s.commitMu.Lock()
+	s.commitQ = append(s.commitQ, op)
+	s.commitMu.Unlock()
+
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	s.commitMu.Lock()
+	batch := s.commitQ
+	s.commitQ = nil
+	s.commitMu.Unlock()
+	if len(batch) > 0 {
+		s.sequenceLocked(batch, sp.Context())
 	}
-	s.saveState()
+}
+
+// sequenceLocked assigns the next dense seqs to ops (already applied
+// locally), appends them to the on-disk log and replicates them.
+// Callers hold repMu.
+func (s *Server) sequenceLocked(ops []proto.RepOp, sc telemetry.SpanContext) {
+	for i := range ops {
+		s.repSeq++
+		ops[i].Seq = s.repSeq
+	}
+	s.repSeqA.Store(s.repSeq)
+	s.logOpsLocked(ops)
+	s.replicateLocked(ops, sc)
 }
 
 // replicateLocked fans a batch out to every peer. Callers hold repMu.
@@ -192,6 +227,10 @@ func (s *Server) commit(op proto.RepOp, sp *telemetry.Span) {
 // parents a per-peer replication span so synchronous append latency
 // shows up inside the mutation's trace.
 func (s *Server) replicateLocked(ops []proto.RepOp, sc telemetry.SpanContext) {
+	if len(s.peers) == 0 {
+		return // standalone: the log is the only replica
+	}
+	s.replBatch.Observe(float64(len(ops)))
 	if n := s.cfg.ReplChaosSilentAfter; n > 0 && s.repSeq > uint64(n) {
 		// Test-only convergence-bug injection: the primary silently stops
 		// replicating but keeps acking clients, so a failover after this
@@ -298,22 +337,7 @@ func (s *Server) updateLagLocked() {
 // accesses by journal order, so two replicas in the same state produce
 // byte-identical snapshots — the determinism tests rely on it.
 func (s *Server) snapshotLocked() proto.RepSnapshot {
-	snap := proto.RepSnapshot{
-		Epoch:    s.epoch.Load(),
-		Seq:      s.repSeq,
-		From:     int64(s.cfg.Self),
-		NextID:   s.nextID.Load(),
-		NextNode: s.nextNode.Load(),
-	}
-	names := s.meta.Names() // already sorted
-	for _, name := range names {
-		if fi, ok := s.meta.LookupName(name); ok {
-			snap.Files = append(snap.Files, proto.RepFile{
-				Name: fi.Name, ID: int64(fi.ID), Size: fi.Size,
-				Node: int64(fi.Node), Replica: int64(fi.Replica),
-			})
-		}
-	}
+	snap := s.namespaceLocked()
 	recs := s.accesses.Snapshot()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	for _, r := range recs {
@@ -324,12 +348,38 @@ func (s *Server) snapshotLocked() proto.RepSnapshot {
 	return snap
 }
 
+// namespaceLocked is the snapshot without the access journal: all a
+// checkpoint stores, since popularity is not persisted. Callers hold
+// repMu.
+func (s *Server) namespaceLocked() proto.RepSnapshot {
+	snap := proto.RepSnapshot{
+		Epoch: s.epoch.Load(),
+		Seq:   s.repSeq,
+		From:  int64(s.cfg.Self),
+	}
+	for _, fi := range s.Files() { // name order
+		snap.Files = append(snap.Files, proto.RepFile{
+			Name: fi.Name, ID: int64(fi.ID), Size: fi.Size,
+			Node: int64(fi.Node), Replica: int64(fi.Replica),
+		})
+	}
+	// Creates claim their id before they publish the file and are not
+	// ordered by repMu, so the cursors are read after the walk: every
+	// file in the snapshot then has an id below NextID.
+	snap.NextID = s.nextID.Load()
+	snap.NextNode = s.nextNode.Load()
+	return snap
+}
+
 // applyOpLocked applies one replicated op to local state on a follower.
 // Callers hold repMu. Apply failures are returned to the primary, which
 // falls back to a snapshot.
 func (s *Server) applyOpLocked(op proto.RepOp) error {
 	switch op.Kind {
 	case proto.RepOpCreate:
+		if op.ID < 0 {
+			return fmt.Errorf("replication: create of %q with id %d", op.Name, op.ID)
+		}
 		if op.ID+1 > s.nextID.Load() {
 			s.nextID.Store(op.ID + 1)
 		}
@@ -373,22 +423,27 @@ func (s *Server) handleRepAppend(req proto.RepAppendReq) (proto.RepAppendResp, e
 	if err := s.fenceLocked(req.Epoch, req.From); err != nil {
 		return proto.RepAppendResp{LastSeq: s.repSeq}, err
 	}
+	// Whatever part of the batch applies reaches the log as one append,
+	// also when a later op of the batch is refused.
+	applied := make([]proto.RepOp, 0, len(req.Ops))
+	var err error
 	for _, op := range req.Ops {
 		if op.Seq <= s.repSeq {
 			continue // duplicate delivery: ack idempotently
 		}
 		if op.Seq != s.repSeq+1 {
-			return proto.RepAppendResp{LastSeq: s.repSeq},
-				fmt.Errorf("%s: have %d, got %d", repMsgGap, s.repSeq, op.Seq)
+			err = fmt.Errorf("%s: have %d, got %d", repMsgGap, s.repSeq, op.Seq)
+			break
 		}
-		if err := s.applyOpLocked(op); err != nil {
-			return proto.RepAppendResp{LastSeq: s.repSeq}, err
+		if err = s.applyOpLocked(op); err != nil {
+			break
 		}
 		s.repSeq = op.Seq
-		s.repSeqA.Store(s.repSeq)
+		applied = append(applied, op)
 	}
-	s.saveState()
-	return proto.RepAppendResp{LastSeq: s.repSeq}, nil
+	s.repSeqA.Store(s.repSeq)
+	s.logOpsLocked(applied)
+	return proto.RepAppendResp{LastSeq: s.repSeq}, err
 }
 
 // handleRepSnapshot replaces the follower's state wholesale.
@@ -401,8 +456,26 @@ func (s *Server) handleRepSnapshot(snap proto.RepSnapshot) error {
 	if err := s.fenceLocked(snap.Epoch, snap.From); err != nil {
 		return err
 	}
+	if err := s.installSnapshotLocked(snap); err != nil {
+		return err
+	}
+	// The checkpoint also makes the epoch just adopted durable.
+	s.checkpointLocked()
+	return nil
+}
+
+// installSnapshotLocked replaces the local state with snap's: a resync
+// from the primary, or the checkpoint a restart begins from. Callers
+// hold repMu or run before the server is serving.
+func (s *Server) installSnapshotLocked(snap proto.RepSnapshot) error {
 	s.meta.Clear()
 	for _, f := range snap.Files {
+		if f.Node < 0 || int(f.Node) >= len(s.nodes) {
+			return fmt.Errorf("fs: snapshot places %q on node %d, server has %d", f.Name, f.Node, len(s.nodes))
+		}
+		if f.ID < 0 || f.ID >= snap.NextID {
+			return fmt.Errorf("fs: snapshot file %q has id %d outside [0, %d)", f.Name, f.ID, snap.NextID)
+		}
 		if err := s.meta.Put(metadata.FileInfo{
 			Name: f.Name, ID: int(f.ID), Size: f.Size,
 			Node: int(f.Node), Replica: int(f.Replica),
@@ -424,7 +497,6 @@ func (s *Server) handleRepSnapshot(snap proto.RepSnapshot) error {
 	s.accessMark = int64(s.accesses.Len())
 	s.repSeq = snap.Seq
 	s.repSeqA.Store(s.repSeq)
-	s.saveState()
 	return nil
 }
 
@@ -538,9 +610,7 @@ func (s *Server) flushAccessEpoch() {
 		return
 	}
 	s.accessMark = maxSeq + 1
-	s.repSeq++
-	s.repSeqA.Store(s.repSeq)
-	s.replicateLocked([]proto.RepOp{{Seq: s.repSeq, Kind: proto.RepOpAccess, Records: recs}}, telemetry.SpanContext{})
+	s.sequenceLocked([]proto.RepOp{{Kind: proto.RepOpAccess, Records: recs}}, telemetry.SpanContext{})
 }
 
 // watchPrimary probes the believed primary; FailThreshold consecutive
@@ -638,6 +708,7 @@ func (s *Server) promote(maxEpoch uint64) {
 	}
 	s.accessMark = int64(s.accesses.Len())
 	epoch, seq := s.epoch.Load(), s.repSeq
+	s.checkpointLocked() // the op log carries no epochs; make the new one durable
 	s.repMu.Unlock()
 	s.roleG.Set(1)
 	s.failoversC.Inc()

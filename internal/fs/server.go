@@ -16,6 +16,7 @@ import (
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
 	"eevfs/internal/trace"
+	"eevfs/internal/wal"
 )
 
 // HealthConfig tunes node failure detection and recovery.
@@ -48,7 +49,8 @@ type ServerConfig struct {
 	// popularity round-robin should use.
 	NodeAddrs []string
 	// StateFile, when set, persists the server's metadata (name -> node
-	// assignments) as JSON so a restarted server keeps its namespace.
+	// assignments) so a restarted server keeps its namespace: a checkpoint
+	// at this path plus the op log at <StateFile>.wal.
 	StateFile string
 	// Logger receives operational messages (nil = stderr default).
 	Logger *log.Logger
@@ -174,7 +176,7 @@ func (h *nodeHandle) note(err error, failThreshold int) int {
 // cursors are atomics — so independent client operations on different
 // files never contend on a shared lock. The only mutexes left guard the
 // connection set (accept/close lifecycle), each node's health word, and
-// state-file snapshotting.
+// the commit path that orders mutations into the op log.
 type Server struct {
 	cfg    ServerConfig
 	ln     net.Listener
@@ -218,7 +220,6 @@ type Server struct {
 	connMu  sync.Mutex
 	closing bool
 	conns   map[net.Conn]struct{}
-	saveMu  sync.Mutex // serializes state-file snapshots
 	wg      sync.WaitGroup
 	probeWg sync.WaitGroup
 	repWg   sync.WaitGroup
@@ -226,9 +227,11 @@ type Server struct {
 
 	// Replication plane (see replication.go). peers is index-aligned
 	// with cfg.Peers; peers[cfg.Self] is nil. repMu orders mutations
-	// into the op log and their fan-out to followers; repSeq is the
-	// canonical last-applied seq under repMu, mirrored in repSeqA for
-	// lock-free status answers.
+	// into the op log — on disk (wal, nil without a StateFile) and out
+	// to the followers; repSeq is the canonical last-applied seq under
+	// repMu, mirrored in repSeqA for lock-free status answers. commitQ
+	// (under commitMu) holds applied mutations waiting for the next
+	// repMu holder to sequence them as one batch.
 	peers      []*peerHandle
 	primary    atomic.Bool
 	primaryIdx atomic.Int64
@@ -236,13 +239,19 @@ type Server struct {
 	forceElect atomic.Bool
 	repMu      sync.Mutex
 	repSeq     uint64
+	wal        *wal.Log
+	commitMu   sync.Mutex
+	commitQ    []proto.RepOp
 	repSeqA    atomic.Uint64
 	accessMark int64 // access-journal seq horizon already replicated
 	watchFails int   // consecutive failed primary probes (repLoop-owned)
 
-	replLag    *telemetry.Gauge
-	roleG      *telemetry.Gauge
-	failoversC *telemetry.Counter
+	replLag      *telemetry.Gauge
+	roleG        *telemetry.Gauge
+	failoversC   *telemetry.Counter
+	replBatch    *telemetry.Histogram // ops per RepAppendReq
+	logBytesC    *telemetry.Counter
+	checkpointsC *telemetry.Counter
 }
 
 // StartServer binds the listener and begins serving. Node daemons must be
@@ -250,6 +259,9 @@ type Server struct {
 func StartServer(cfg ServerConfig) (*Server, error) {
 	if len(cfg.NodeAddrs) == 0 {
 		return nil, errors.New("fs: server needs at least one storage node")
+	}
+	if len(cfg.Peers) > 0 && (cfg.Self < 0 || cfg.Self >= len(cfg.Peers)) {
+		return nil, fmt.Errorf("fs: self index %d outside peer list of %d", cfg.Self, len(cfg.Peers))
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(os.Stderr, "eevfs-server ", log.LstdFlags)
@@ -301,6 +313,9 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	s.replLag = cfg.Metrics.Gauge("server.repl.lag")
 	s.roleG = cfg.Metrics.Gauge("server.repl.primary")
 	s.failoversC = cfg.Metrics.Counter("server.repl.failovers")
+	s.replBatch = cfg.Metrics.Histogram("server.repl.batch", []float64{1, 2, 4, 8, 16, 32, 64, 128})
+	s.logBytesC = cfg.Metrics.Counter("persist.log.bytes")
+	s.checkpointsC = cfg.Metrics.Counter("persist.checkpoints")
 	for i, addr := range cfg.NodeAddrs {
 		tc := cfg.Transport
 		tc.Seed = cfg.Transport.Seed + int64(i) + 1 // decorrelate per-node jitter
@@ -316,17 +331,18 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		s.placements = append(s.placements,
 			cfg.Metrics.Counter(fmt.Sprintf("server.placement.node%d", i)))
 	}
-	if err := s.loadState(); err != nil {
+	if err := s.openState(); err != nil {
 		return nil, err
 	}
-	if err := s.initReplication(); err != nil {
-		return nil, err
-	}
+	s.initReplication()
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
 		ln, err = net.Listen("tcp", cfg.Addr)
 		if err != nil {
+			if s.wal != nil {
+				s.wal.Close()
+			}
 			return nil, err
 		}
 	}
@@ -383,6 +399,9 @@ func (s *Server) Close() error {
 			p.ep.Close()
 			p.probe.Close()
 		}
+	}
+	if cerr := s.closeState(); err == nil {
+		err = cerr
 	}
 	return err
 }

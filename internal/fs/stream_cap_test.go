@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"eevfs/internal/proto"
 )
@@ -63,9 +64,17 @@ func TestStreamConnCapRejectedTyped(t *testing.T) {
 
 	// Freeing one slot makes the next open admissible again, and plain
 	// round trips on the same connection never stopped working.
-	r, err := cl.OpenRead("capped", opts)
-	if err != nil {
-		t.Fatalf("open after a slot freed: %v", err)
+	// The node releases the slot after it has sent the stream's last
+	// frame, so the client's Close can return first: poll briefly.
+	var r *FileReader
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if r, err = cl.OpenRead("capped", opts); err == nil {
+			break
+		}
+		if !errors.Is(err, ErrNodeUnavailable) || time.Now().After(deadline) {
+			t.Fatalf("open after a slot freed: %v", err)
+		}
 	}
 	open[0] = r
 	if _, _, err := cl.Read("capped"); err != nil {

@@ -127,19 +127,29 @@ func (m *ServerMap) Names() []string {
 	return names
 }
 
-// NodeEntry is a storage node's local record for one file.
+// NodeEntry is a storage node's local record for one file. The JSON
+// form is how the node's manifest checkpoint stores it.
 type NodeEntry struct {
-	ID         int
-	Size       int64
-	Disk       int  // data-disk index inside the node
-	Prefetched bool // a copy lives on the buffer disk
+	ID         int   `json:"id"`
+	Size       int64 `json:"size"`
+	Disk       int   `json:"disk"`                 // data-disk index inside the node
+	Prefetched bool  `json:"prefetched,omitempty"` // a copy lives on the buffer disk
 }
 
 // NodeMap is one storage node's local metadata: file id -> disk placement
 // and prefetch status. Safe for concurrent use.
 type NodeMap struct {
-	mu      sync.RWMutex
-	entries map[int]NodeEntry
+	mu         sync.RWMutex
+	entries    map[int]NodeEntry
+	prefetched int64 // running total size of entries with Prefetched set
+}
+
+// bufferBytes is what an entry contributes to the buffer disk's occupancy.
+func bufferBytes(e NodeEntry) int64 {
+	if e.Prefetched {
+		return e.Size
+	}
+	return 0
 }
 
 // NewNodeMap returns an empty node metadata map.
@@ -156,6 +166,7 @@ func (m *NodeMap) Put(e NodeEntry) error {
 		return fmt.Errorf("metadata: node entry for file %d has negative disk %d", e.ID, e.Disk)
 	}
 	m.mu.Lock()
+	m.prefetched += bufferBytes(e) - bufferBytes(m.entries[e.ID])
 	m.entries[e.ID] = e
 	m.mu.Unlock()
 	return nil
@@ -178,7 +189,9 @@ func (m *NodeMap) SetPrefetched(id int, v bool) bool {
 	if !ok {
 		return false
 	}
+	m.prefetched -= bufferBytes(e)
 	e.Prefetched = v
+	m.prefetched += bufferBytes(e)
 	m.entries[id] = e
 	return true
 }
@@ -187,9 +200,11 @@ func (m *NodeMap) SetPrefetched(id int, v bool) bool {
 func (m *NodeMap) Delete(id int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.entries[id]; !ok {
+	e, ok := m.entries[id]
+	if !ok {
 		return false
 	}
+	m.prefetched -= bufferBytes(e)
 	delete(m.entries, id)
 	return true
 }
@@ -231,16 +246,11 @@ func (m *NodeMap) FilesOnDisk(disk int) []int {
 
 // PrefetchedBytes returns the total size of buffer-disk copies — the
 // buffer disk's occupancy, which the write-buffer logic needs to know.
+// It is a running counter, O(1): the write path asks on every request.
 func (m *NodeMap) PrefetchedBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var total int64
-	for _, e := range m.entries {
-		if e.Prefetched {
-			total += e.Size
-		}
-	}
-	return total
+	return m.prefetched
 }
 
 // IDs returns all file ids known to the node, sorted.

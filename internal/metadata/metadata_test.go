@@ -179,6 +179,22 @@ func TestNodeMapPrefetchFlag(t *testing.T) {
 	if got := m.PrefetchedIDs(); !reflect.DeepEqual(got, []int{3}) {
 		t.Errorf("after clear PrefetchedIDs = %v", got)
 	}
+	// The byte total is a running counter: it must follow a resize, a
+	// replaced entry and a delete, not only the flag.
+	if err := m.Put(NodeEntry{ID: 3, Size: 70, Disk: 1, Prefetched: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(NodeEntry{ID: 2, Size: 5, Disk: 0, Prefetched: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.PrefetchedBytes(); got != 70+5 {
+		t.Errorf("PrefetchedBytes after resize = %d, want 75", got)
+	}
+	m.Delete(3)
+	m.Delete(0) // never prefetched
+	if got := m.PrefetchedBytes(); got != 5 {
+		t.Errorf("PrefetchedBytes after delete = %d, want 5", got)
+	}
 }
 
 func TestNodeMapFilesOnDisk(t *testing.T) {

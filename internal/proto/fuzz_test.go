@@ -126,6 +126,7 @@ func FuzzRepDecoders(f *testing.F) {
 		{Seq: 9, Kind: RepOpCreate, Name: "f", ID: 4, Size: 100, Node: 1, Cursor: 2},
 		{Seq: 10, Kind: RepOpAccess, Records: []RepAccess{{FileID: 4, TimeS: 1.5, Size: 100}}},
 	}}.Encode())
+	f.Add(RepOp{Seq: 11, Kind: RepOpDelete, Name: "f"}.Encode())
 	f.Add(RepAppendResp{LastSeq: 10}.Encode())
 	f.Add(RepSnapshot{Epoch: 2, Seq: 7, NextID: 5, NextNode: 1,
 		Files:    []RepFile{{Name: "f", ID: 4, Size: 100, Node: 1, Replica: 2}},
@@ -137,6 +138,9 @@ func FuzzRepDecoders(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if m, err := DecodeRepAppendReq(input); err == nil {
+			_ = m.Encode()
+		}
+		if m, err := DecodeRepOp(input); err == nil {
 			_ = m.Encode()
 		}
 		if m, err := DecodeRepAppendResp(input); err == nil {

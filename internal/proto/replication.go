@@ -52,6 +52,22 @@ func (op RepOp) encode(e *Encoder) {
 	}
 }
 
+// Encode serializes one op on its own — the record format of the
+// server's on-disk op log, identical to the op's encoding inside a
+// RepAppendReq.
+func (op RepOp) Encode() []byte {
+	var e Encoder
+	op.encode(&e)
+	return e.Bytes()
+}
+
+// DecodeRepOp parses the output of RepOp.Encode.
+func DecodeRepOp(b []byte) (RepOp, error) {
+	d := NewDecoder(b)
+	op := decodeRepOp(d)
+	return op, d.Err()
+}
+
 func decodeRepOp(d *Decoder) RepOp {
 	op := RepOp{
 		Seq:  d.U64(),

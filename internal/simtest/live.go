@@ -41,6 +41,11 @@ type LiveScenario struct {
 	Servers     int    // metadata servers in the replicated group (0/1: standalone)
 	KillPrimary bool   // crash the primary mid-run (needs Servers > 1)
 	Inject      string // deliberate-bug injection ("" or "silent-replication")
+	// RestartServer stops a metadata server mid-run and restarts it from
+	// its StateFile (checkpoint + op log): the standalone server, which
+	// must come back with the namespace it acked; or, with KillPrimary,
+	// the killed primary, which must rejoin as a follower and converge.
+	RestartServer bool
 }
 
 // LiveFailure is one live-oracle violation. Oracle names the invariant
@@ -87,6 +92,9 @@ func GenerateLive(seed uint64) LiveScenario {
 		if src.Float64() < 0.6 {
 			s.KillPrimary = true
 		}
+	}
+	if src.Float64() < 0.5 {
+		s.RestartServer = s.Servers == 1 || s.KillPrimary
 	}
 	return s
 }
@@ -181,10 +189,12 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	// pre-bound listeners (every member must know the full peer list
 	// before any member starts). Server 0 boots as primary; the injected
 	// replication bug, when asked for, arms on it.
+	var srvAddrs []string
 	srvCfg := func(i int) fs.ServerConfig {
-		return fs.ServerConfig{
+		cfg := fs.ServerConfig{
 			Addr:      "127.0.0.1:0",
 			NodeAddrs: addrs,
+			StateFile: fmt.Sprintf("%s/server%d.state", tmpDir, i),
 			Logger:    quiet,
 			Dialer:    serverNet,
 			Transport: liveTransport(),
@@ -194,10 +204,20 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 			},
 			WriteTimeout: time.Second,
 		}
+		if numServers > 1 {
+			cfg.Peers, cfg.Self = srvAddrs, i
+		}
+		return cfg
+	}
+	// restartSrv brings server i back on its old address from its state
+	// file.
+	restartSrv := func(i int) (*fs.Server, error) {
+		cfg := srvCfg(i)
+		cfg.Addr = srvAddrs[i]
+		return fs.StartServer(cfg)
 	}
 	srvs := make([]*fs.Server, numServers)
 	srvDown := make([]bool, numServers)
-	var srvAddrs []string
 	if numServers == 1 {
 		srv, err := fs.StartServer(srvCfg(0))
 		if err != nil {
@@ -217,8 +237,6 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 		}
 		for i := 0; i < numServers; i++ {
 			cfg := srvCfg(i)
-			cfg.Peers = srvAddrs
-			cfg.Self = i
 			cfg.Listener = lns[i]
 			if i == 0 && s.Inject == "silent-replication" {
 				cfg.ReplChaosSilentAfter = 1
@@ -311,6 +329,10 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	if numServers > 1 && s.KillPrimary {
 		killPrimaryAt = s.Ops / 2
 	}
+	restartAt := -1
+	if numServers == 1 && s.RestartServer {
+		restartAt = s.Ops / 2
+	}
 	for op := 0; op < s.Ops; op++ {
 		if op == killAt {
 			nodes[s.KillNode].Close()
@@ -318,6 +340,16 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 		if op == killPrimaryAt {
 			srvs[0].Close()
 			srvDown[0] = true
+		}
+		if op == restartAt {
+			// Same address, same StateFile: the client's next operation
+			// reconnects to a server that must know everything it acked.
+			srvs[0].Close()
+			restarted, err := restartSrv(0)
+			if err != nil {
+				return liveFail("restart", "restart the server from its state file: %v", err)
+			}
+			srvs[0] = restarted
 		}
 		name := names[src.Intn(len(names))]
 		if s.WritePct > 0 && int(src.Intn(100)) < s.WritePct {
@@ -366,6 +398,18 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+
+	// Phase 3a': the killed primary comes back from its state file. It
+	// must find the new primary, step in as a follower, and — checked by
+	// the convergence oracle below — end up with the group's namespace,
+	// not the one it crashed with.
+	if killPrimaryAt >= 0 && s.RestartServer {
+		restarted, err := restartSrv(0)
+		if err != nil {
+			return liveFail("restart", "restart the killed primary from its state file: %v", err)
+		}
+		srvs[0], srvDown[0] = restarted, false
 	}
 
 	// Phase 3b: heal (restart the crashed node on its old address with

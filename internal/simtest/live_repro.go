@@ -35,6 +35,29 @@ func liveIntField(key string, p func(*LiveScenario) *int) liveFieldCodec {
 	}
 }
 
+func liveBoolField(key string, p func(*LiveScenario) *bool) liveFieldCodec {
+	return liveFieldCodec{
+		key: key,
+		get: func(s *LiveScenario) string {
+			if *p(s) {
+				return "1"
+			}
+			return "0"
+		},
+		set: func(s *LiveScenario, v string) error {
+			switch v {
+			case "0":
+				*p(s) = false
+			case "1":
+				*p(s) = true
+			default:
+				return fmt.Errorf("bad bool %q", v)
+			}
+			return nil
+		},
+	}
+}
+
 // liveCodecs lists every LiveScenario field in encoding order. KillNode
 // is stored off by one so its -1 default ("no kill") elides like every
 // other zero value.
@@ -70,26 +93,8 @@ var liveCodecs = []liveFieldCodec{
 		},
 	},
 	liveIntField("srv", func(s *LiveScenario) *int { return &s.Servers }),
-	{
-		key: "kp",
-		get: func(s *LiveScenario) string {
-			if s.KillPrimary {
-				return "1"
-			}
-			return "0"
-		},
-		set: func(s *LiveScenario, v string) error {
-			switch v {
-			case "0":
-				s.KillPrimary = false
-			case "1":
-				s.KillPrimary = true
-			default:
-				return fmt.Errorf("bad bool %q", v)
-			}
-			return nil
-		},
-	},
+	liveBoolField("kp", func(s *LiveScenario) *bool { return &s.KillPrimary }),
+	liveBoolField("rs", func(s *LiveScenario) *bool { return &s.RestartServer }),
 	{
 		key: "inject",
 		get: func(s *LiveScenario) string { return s.Inject },
@@ -227,6 +232,7 @@ var liveReducers = []func(LiveScenario) []LiveScenario{
 			func(s *LiveScenario) { s.PrefetchK = 0 },
 			func(s *LiveScenario) { s.KillNode = -1 },
 			func(s *LiveScenario) { s.KillPrimary = false },
+			func(s *LiveScenario) { s.RestartServer = false },
 		} {
 			c := s
 			f(&c)

@@ -19,8 +19,8 @@ func TestLiveScenario(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		s := GenerateLive(seed)
-		t.Logf("live seed=%d nodes=%d files=%d ops=%d writes=%d%% latency=%dms k=%d kill=%d srv=%d kp=%v",
-			s.Seed, s.Nodes, s.Files, s.Ops, s.WritePct, s.LatencyMS, s.PrefetchK, s.KillNode, s.Servers, s.KillPrimary)
+		t.Logf("live seed=%d nodes=%d files=%d ops=%d writes=%d%% latency=%dms k=%d kill=%d srv=%d kp=%v rs=%v",
+			s.Seed, s.Nodes, s.Files, s.Ops, s.WritePct, s.LatencyMS, s.PrefetchK, s.KillNode, s.Servers, s.KillPrimary, s.RestartServer)
 		if f := CheckLive(s, t.TempDir()); f != nil {
 			t.Errorf("seed %d: %v", seed, f)
 		}
@@ -44,6 +44,26 @@ func TestLiveFailoverScenario(t *testing.T) {
 		s.KillPrimary = true
 		if f := CheckLive(s, t.TempDir()); f != nil {
 			t.Errorf("seed %d: %v\n  repro: %s", seed, f, LiveReproCommand(s))
+		}
+	}
+}
+
+// TestLiveServerRestartScenario: a metadata server stopped mid-run comes
+// back from its state file (checkpoint + op log). Standalone, it must
+// still hold every file it acked; in a group, the killed primary must
+// rejoin as a follower and converge on its successor's namespace.
+func TestLiveServerRestartScenario(t *testing.T) {
+	leak.Check(t)
+	for _, servers := range []int{1, 3} {
+		s := GenerateLive(5)
+		s.Servers = servers
+		s.KillPrimary = servers > 1
+		s.RestartServer = true
+		if s.WritePct == 0 {
+			s.WritePct = 30
+		}
+		if f := CheckLive(s, t.TempDir()); f != nil {
+			t.Errorf("servers=%d: %v\n  repro: %s", servers, f, LiveReproCommand(s))
 		}
 	}
 }
@@ -107,6 +127,9 @@ func TestGenerateLiveDeterministic(t *testing.T) {
 		if a.KillPrimary && a.Servers < 2 {
 			t.Fatalf("seed %d: kill-primary with %d servers", seed, a.Servers)
 		}
+		if a.RestartServer && a.Servers > 1 && !a.KillPrimary {
+			t.Fatalf("seed %d: restart-server in a group without a killed primary", seed)
+		}
 		if a.Inject != "" {
 			t.Fatalf("seed %d: generation set an injection: %+v", seed, a)
 		}
@@ -121,7 +144,7 @@ func TestLiveReproRoundTrip(t *testing.T) {
 		GenerateLive(20),
 		{Seed: 9, Nodes: 2, Files: 1, Ops: 1, KillNode: -1, Servers: 1},
 		{Seed: 42, Nodes: 3, Files: 4, Ops: 12, WritePct: 30, LatencyMS: 2,
-			PrefetchK: 2, KillNode: 0, Servers: 3, KillPrimary: true, Inject: "silent-replication"},
+			PrefetchK: 2, KillNode: 0, Servers: 3, KillPrimary: true, RestartServer: true, Inject: "silent-replication"},
 	}
 	for _, want := range cases {
 		enc := want.Encode()
