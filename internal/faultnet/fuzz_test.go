@@ -15,7 +15,7 @@ import (
 func FuzzCorruptedFrames(f *testing.F) {
 	frame := func(t proto.Type, payload []byte) []byte {
 		var buf bytes.Buffer
-		if err := proto.WriteFrame(&buf, t, payload); err != nil {
+		if err := proto.WriteFrameID(&buf, t, 7, payload); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -32,7 +32,7 @@ func FuzzCorruptedFrames(f *testing.F) {
 		corrupted := append([]byte(nil), input...)
 		CorruptBytes(corrupted, every, 0, seed)
 
-		ty, payload, err := proto.ReadFrame(bytes.NewReader(corrupted))
+		ty, id, payload, err := proto.ReadFrameID(bytes.NewReader(corrupted))
 		if err != nil {
 			return
 		}
@@ -42,11 +42,11 @@ func FuzzCorruptedFrames(f *testing.F) {
 		}
 		// Whatever decoded must survive a clean round trip.
 		var buf bytes.Buffer
-		if err := proto.WriteFrame(&buf, ty, payload); err != nil {
+		if err := proto.WriteFrameID(&buf, ty, id, payload); err != nil {
 			t.Fatalf("re-encoding accepted frame failed: %v", err)
 		}
-		ty2, payload2, err := proto.ReadFrame(&buf)
-		if err != nil || ty2 != ty || !bytes.Equal(payload2, payload) {
+		ty2, id2, payload2, err := proto.ReadFrameID(&buf)
+		if err != nil || ty2 != ty || id2 != id || !bytes.Equal(payload2, payload) {
 			t.Fatal("round trip of corrupted-but-accepted frame mismatched")
 		}
 		// And the error decoder must tolerate corrupted payloads without

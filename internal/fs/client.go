@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -261,6 +262,17 @@ func (c *Client) nodeRT(addr string, t proto.Type, payload []byte, parent *telem
 	return rt, rp, err
 }
 
+// locate asks the server which node holds name. t is TLookupReq, or
+// TLookupWriteReq to declare write intent (the server invalidates any
+// buffer-disk replica before answering).
+func (c *Client) locate(name string, t proto.Type, sp *telemetry.Span) (proto.LookupResp, error) {
+	_, payload, err := c.serverRT(t, proto.LookupReq{Name: name}.Encode(), sp)
+	if err != nil {
+		return proto.LookupResp{}, err
+	}
+	return proto.DecodeLookupResp(payload)
+}
+
 // Create registers a new file with the server and uploads its content to
 // the assigned storage node.
 func (c *Client) Create(name string, data []byte) (err error) {
@@ -286,45 +298,30 @@ func (c *Client) Create(name string, data []byte) (err error) {
 // Read fetches a file. fromBuffer reports whether the storage node served
 // it from its buffer disk.
 func (c *Client) Read(name string) (data []byte, fromBuffer bool, err error) {
-	sp := c.startOp("read", name)
-	defer func() { sp.End(err) }()
-	_, payload, err := c.serverRT(proto.TLookupReq, proto.LookupReq{Name: name}.Encode(), sp)
-	if err != nil {
-		return nil, false, err
-	}
-	loc, err := proto.DecodeLookupResp(payload)
-	if err != nil {
-		return nil, false, err
-	}
-	_, payload, err = c.nodeRT(loc.NodeAddr, proto.TNodeReadReq,
-		proto.NodeReadReq{FileID: loc.FileID}.Encode(), sp)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := proto.DecodeNodeReadResp(payload)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]byte, len(resp.Data))
-	copy(out, resp.Data)
-	return out, resp.FromBuffer, nil
+	return c.read("read", name, func(id int64) (proto.Type, []byte) {
+		return proto.TNodeReadReq, proto.NodeReadReq{FileID: id}.Encode()
+	})
 }
 
 // ReadAt fetches length bytes of a file starting at off. fromBuffer
 // reports whether the storage node's buffer disk served the range.
 func (c *Client) ReadAt(name string, off, length int64) (data []byte, fromBuffer bool, err error) {
-	sp := c.startOp("readat", name)
+	return c.read("readat", name, func(id int64) (proto.Type, []byte) {
+		return proto.TNodeReadAtReq, proto.NodeReadAtReq{FileID: id, Offset: off, Length: length}.Encode()
+	})
+}
+
+// read is the RPC read path: locate the file, then one round trip to its
+// node with the request req builds for the file's id.
+func (c *Client) read(op, name string, req func(fileID int64) (proto.Type, []byte)) (data []byte, fromBuffer bool, err error) {
+	sp := c.startOp(op, name)
 	defer func() { sp.End(err) }()
-	_, payload, err := c.serverRT(proto.TLookupReq, proto.LookupReq{Name: name}.Encode(), sp)
+	loc, err := c.locate(name, proto.TLookupReq, sp)
 	if err != nil {
 		return nil, false, err
 	}
-	loc, err := proto.DecodeLookupResp(payload)
-	if err != nil {
-		return nil, false, err
-	}
-	_, payload, err = c.nodeRT(loc.NodeAddr, proto.TNodeReadAtReq,
-		proto.NodeReadAtReq{FileID: loc.FileID, Offset: off, Length: length}.Encode(), sp)
+	t, payload := req(loc.FileID)
+	_, payload, err = c.nodeRT(loc.NodeAddr, t, payload, sp)
 	if err != nil {
 		return nil, false, err
 	}
@@ -332,9 +329,7 @@ func (c *Client) ReadAt(name string, off, length int64) (data []byte, fromBuffer
 	if err != nil {
 		return nil, false, err
 	}
-	out := make([]byte, len(resp.Data))
-	copy(out, resp.Data)
-	return out, resp.FromBuffer, nil
+	return bytes.Clone(resp.Data), resp.FromBuffer, nil
 }
 
 // Write replaces a file's content. The lookup declares write intent so
@@ -347,15 +342,11 @@ func (c *Client) Write(name string, data []byte) (buffered bool, err error) {
 	}
 	sp := c.startOp("write", name)
 	defer func() { sp.End(err) }()
-	_, payload, err := c.serverRT(proto.TLookupWriteReq, proto.LookupReq{Name: name}.Encode(), sp)
+	loc, err := c.locate(name, proto.TLookupWriteReq, sp)
 	if err != nil {
 		return false, err
 	}
-	loc, err := proto.DecodeLookupResp(payload)
-	if err != nil {
-		return false, err
-	}
-	_, payload, err = c.nodeRT(loc.NodeAddr, proto.TNodeWriteReq,
+	_, payload, err := c.nodeRT(loc.NodeAddr, proto.TNodeWriteReq,
 		proto.NodeWriteReq{FileID: loc.FileID, Data: data}.Encode(), sp)
 	if err != nil {
 		return false, err

@@ -73,48 +73,50 @@ func (r *FileReader) Close() error {
 	return err
 }
 
-// OpenRead opens a streamed read of name: lookup on the server (with the
-// usual failover walk), then a chunked stream straight from the owning
-// storage node. A transport fault during the open is retried once
-// against a fresh lookup, so a node redirect or replica change heals
+// openOnNode opens a stream on the node holding name: lookup on the
+// server (with the usual failover walk), then open against the owning
+// storage node. A transport fault during the open is retried once against
+// a fresh lookup, so a node redirect or replica change heals
 // transparently; faults after data starts flowing surface to the caller
-// (a partially consumed stream cannot be transparently replayed).
-func (c *Client) OpenRead(name string, opts StreamOptions) (fr *FileReader, err error) {
-	sp := c.startOp("stream.read", name)
-	defer func() {
-		if err != nil {
-			sp.End(err)
-		}
-	}()
-	var lastErr error
+// (a partially moved stream cannot be transparently replayed). att is the
+// node round trip's span, still open on success.
+func openOnNode[S any](c *Client, name string, lookup proto.Type, sp *telemetry.Span,
+	open func(ep *proto.Endpoint, fileID int64, sc telemetry.SpanContext) (S, error)) (s S, att *telemetry.Span, err error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		_, payload, err := c.serverRT(proto.TLookupReq, proto.LookupReq{Name: name}.Encode(), sp)
-		if err != nil {
-			return nil, err
+		loc, lerr := c.locate(name, lookup, sp)
+		if lerr != nil {
+			return s, nil, lerr
 		}
-		loc, err := proto.DecodeLookupResp(payload)
-		if err != nil {
-			return nil, err
-		}
-		att := sp.Child("client.rt.node.stream")
+		att = sp.Child("client.rt.node.stream")
 		att.Annotate("peer", loc.NodeAddr)
-		rs, err := c.nodeEp(loc.NodeAddr).OpenReadStream(proto.StreamOpenReq{
-			FileID:    loc.FileID,
-			ChunkSize: uint32(opts.ChunkBytes),
-			Window:    uint32(opts.Window),
-		}, att.Context())
-		if err == nil {
-			return &FileReader{rs: rs, sp: sp, att: att}, nil
+		if s, err = open(c.nodeEp(loc.NodeAddr), loc.FileID, att.Context()); err == nil {
+			return s, att, nil
 		}
-		lastErr = mapRemote(err)
-		att.End(lastErr)
+		att.End(mapRemote(err))
 		if !isTransportErr(err) {
-			return nil, lastErr
+			break
 		}
-		// Transport fault before any data moved: redo the lookup (the
-		// server may place us on a replica) and try once more.
 	}
-	return nil, lastErr
+	return s, nil, mapRemote(err)
+}
+
+// OpenRead opens a streamed read of name straight from the owning
+// storage node.
+func (c *Client) OpenRead(name string, opts StreamOptions) (*FileReader, error) {
+	sp := c.startOp("stream.read", name)
+	rs, att, err := openOnNode(c, name, proto.TLookupReq, sp,
+		func(ep *proto.Endpoint, id int64, sc telemetry.SpanContext) (*proto.ReadStream, error) {
+			return ep.OpenReadStream(proto.StreamOpenReq{
+				FileID:    id,
+				ChunkSize: uint32(opts.ChunkBytes),
+				Window:    uint32(opts.Window),
+			}, sc)
+		})
+	if err != nil {
+		sp.End(err)
+		return nil, err
+	}
+	return &FileReader{rs: rs, sp: sp, att: att}, nil
 }
 
 // FileWriter is one open streamed write: an io.WriteCloser that must
@@ -159,44 +161,25 @@ func (w *FileWriter) Buffered() bool { return w.ws.Buffered() }
 // size bytes. The lookup declares write intent, so the server
 // invalidates any buffer-disk replica before the stream opens — the
 // same stale-mirror guarantee as the RPC Write path.
-func (c *Client) OpenWrite(name string, size int64, opts StreamOptions) (fw *FileWriter, err error) {
+func (c *Client) OpenWrite(name string, size int64, opts StreamOptions) (*FileWriter, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("fs: refusing to stream empty content to %q", name)
 	}
 	sp := c.startOp("stream.write", name)
-	defer func() {
-		if err != nil {
-			sp.End(err)
-		}
-	}()
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		_, payload, err := c.serverRT(proto.TLookupWriteReq, proto.LookupReq{Name: name}.Encode(), sp)
-		if err != nil {
-			return nil, err
-		}
-		loc, err := proto.DecodeLookupResp(payload)
-		if err != nil {
-			return nil, err
-		}
-		att := sp.Child("client.rt.node.stream")
-		att.Annotate("peer", loc.NodeAddr)
-		ws, err := c.nodeEp(loc.NodeAddr).OpenWriteStream(proto.StreamOpenReq{
-			FileID:    loc.FileID,
-			Size:      size,
-			ChunkSize: uint32(opts.ChunkBytes),
-			Window:    uint32(opts.Window),
-		}, att.Context())
-		if err == nil {
-			return &FileWriter{ws: ws, sp: sp, att: att}, nil
-		}
-		lastErr = mapRemote(err)
-		att.End(lastErr)
-		if !isTransportErr(err) {
-			return nil, lastErr
-		}
+	ws, att, err := openOnNode(c, name, proto.TLookupWriteReq, sp,
+		func(ep *proto.Endpoint, id int64, sc telemetry.SpanContext) (*proto.WriteStream, error) {
+			return ep.OpenWriteStream(proto.StreamOpenReq{
+				FileID:    id,
+				Size:      size,
+				ChunkSize: uint32(opts.ChunkBytes),
+				Window:    uint32(opts.Window),
+			}, sc)
+		})
+	if err != nil {
+		sp.End(err)
+		return nil, err
 	}
-	return nil, lastErr
+	return &FileWriter{ws: ws, sp: sp, att: att}, nil
 }
 
 // WriteFrom streams size bytes from r into name: OpenWrite + io.Copy +

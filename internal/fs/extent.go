@@ -1,0 +1,373 @@
+// The node's storage engine (DESIGN.md §19). A file copy is a list of
+// extents: one on the buffer disk, or one per stripe chunk on the data
+// disks. Everything that moves file bytes — RPC handlers, stream
+// handlers, prefetch, flush — goes through the pieces here: source picks
+// the copy to read, sink where a write lands, charge runs the disk model,
+// reading.emit moves bytes out and extentWriter moves them in. The wire
+// planes above differ only in how they frame the bytes.
+package fs
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+
+	"eevfs/internal/metadata"
+	"eevfs/internal/proto"
+)
+
+// extent is one on-disk piece of a file copy: the disk it lives on (for
+// latency and energy charging), its path, and its length.
+type extent struct {
+	nd   *nodeDisk
+	path string
+	size int64
+}
+
+// fileName is the on-disk name for a file id.
+func fileName(id int64) string { return fmt.Sprintf("f%08d.dat", id) }
+
+// chunkName is the on-disk name for one stripe chunk of a file.
+func chunkName(id int64, chunk int) string {
+	return fmt.Sprintf("f%08d.c%03d.dat", id, chunk)
+}
+
+// bufferExtent is the buffer-disk copy of a file: always one extent.
+func (n *Node) bufferExtent(id int, size int64) []extent {
+	return []extent{{nd: n.buffer, path: filepath.Join(n.buffer.dir, fileName(int64(id))), size: size}}
+}
+
+// dataExtents lists the data-disk extents of entry in byte order: the
+// whole file on its primary disk, or — when striping is on and the file
+// is longer than one chunk — stripe chunks round-robined across the
+// spindles. The layout is a function of the entry alone: the data disks
+// hold either nothing for a file or exactly dataExtents(entry), because
+// a write that changes the size removes what it does not reuse (sink).
+func (n *Node) dataExtents(entry metadata.NodeEntry) []extent {
+	stripe := n.cfg.StripeChunkBytes
+	if stripe <= 0 || entry.Size <= stripe || len(n.data) < 2 {
+		nd := n.data[entry.Disk]
+		return []extent{{nd: nd, path: filepath.Join(nd.dir, fileName(int64(entry.ID))), size: entry.Size}}
+	}
+	var exts []extent
+	for off := int64(0); off < entry.Size; off += stripe {
+		nd := n.data[(entry.Disk+len(exts))%len(n.data)]
+		exts = append(exts, extent{nd: nd, path: filepath.Join(nd.dir, chunkName(int64(entry.ID), len(exts))),
+			size: min(stripe, entry.Size-off)})
+	}
+	return exts
+}
+
+// removeExtents deletes the files behind exts; missing ones are fine.
+func removeExtents(exts []extent) {
+	for _, e := range exts {
+		os.Remove(e.path)
+	}
+}
+
+// wholeFile as a read length means "through the end of the file".
+const wholeFile = -1
+
+// reading is one read resolved by source: the open extents of the copy
+// that serves it and the byte range wanted from them.
+type reading struct {
+	exts        []extent
+	first       *os.File // exts[0]; the caller closes it
+	off, length int64
+	fromBuffer  bool
+}
+
+// source resolves a read of bytes [off, off+length) of a file to its
+// newest copy: the buffer disk's when it holds one (a prefetched replica
+// or an unflushed buffered write), the data disks' otherwise. Opening
+// exts[0] is the existence check: a buffer copy that has gone missing
+// falls back to the data disks, a file with no bytes anywhere fails
+// before any disk is charged. source counts the buffer hit or miss,
+// timestamps the access and charges the disks the range touches.
+func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) {
+	entry, ok := n.meta.Lookup(int(fileID))
+	if !ok {
+		return reading{}, fmt.Errorf("fs: read of unknown file %d", fileID)
+	}
+	if length == wholeFile {
+		off, length = 0, entry.Size
+	}
+	if off < 0 || length < 0 || off > entry.Size || length > entry.Size-off {
+		return reading{}, fmt.Errorf("fs: range [%d,+%d) outside file %d of %d bytes",
+			off, length, fileID, entry.Size)
+	}
+	n.noteAccess(entry.ID)
+	n.mu.Lock()
+	_, dirty := n.dirty[entry.ID]
+	n.mu.Unlock()
+	r := reading{off: off, length: length}
+	var err error
+	if entry.Prefetched || dirty {
+		r.exts = n.bufferExtent(entry.ID, entry.Size)
+		if r.first, err = os.Open(r.exts[0].path); err == nil {
+			r.fromBuffer = true
+			n.hits.Add(1)
+			n.hitsC.Inc()
+		} else {
+			n.logger.Printf("buffer copy of file %d unreadable, falling back: %v", fileID, err)
+		}
+	}
+	if !r.fromBuffer {
+		r.exts = n.dataExtents(entry)
+		if r.first, err = os.Open(r.exts[0].path); err != nil {
+			return reading{}, err
+		}
+		n.misses.Add(1)
+		n.missesC.Inc()
+	}
+	n.charge(r.exts, off, length, false, ra)
+	return r, nil
+}
+
+// sink resolves a write of size bytes to where it lands — the buffer
+// disk's log area when write buffering is on and it has room (the data
+// disks stay asleep; the flush is lazy), the data disks at the new size's
+// layout otherwise — timestamps the access and charges the disks. A
+// write that changes the size invalidates the old data layout, so the
+// writer takes it as prev — a buffered write too: when flushOne runs, the
+// entry has the new size and can no longer name the old extents.
+func (n *Node) sink(fileID, size int64, ra reqAttrib) (*extentWriter, error) {
+	entry, ok := n.meta.Lookup(int(fileID))
+	if !ok {
+		return nil, fmt.Errorf("fs: write to unknown file %d", fileID)
+	}
+	if size <= 0 {
+		return nil, fmt.Errorf("fs: write of file %d with size %d", fileID, size)
+	}
+	n.noteAccess(entry.ID)
+	w := n.newWriter(nil, nil)
+	w.entry, w.size = entry, size
+	w.buffered = n.cfg.WriteBuffer && n.bufferHasRoom(size)
+	if size != entry.Size {
+		w.prev = n.dataExtents(entry)
+	}
+	if w.buffered {
+		w.exts = n.bufferExtent(entry.ID, size)
+	} else {
+		entry.Size = size
+		w.exts = n.dataExtents(entry)
+	}
+	n.charge(w.exts, 0, size, true, ra)
+	return w, nil
+}
+
+// charge runs the disk model for bytes [off, off+length) of a copy, one
+// service per touched extent: wake the spindle if it sleeps, charge the
+// service time, attribute the energy, rearm the idle timer. Writes to the
+// buffer disk append to its log (sequential cost); everything else pays
+// the random-access cost. The spindles of a striped copy are charged in
+// parallel, each taking its own extents in file order, and every nd.mu is
+// released before charge returns: callers move the real bytes afterwards,
+// at wire speed, holding no disk.
+func (n *Node) charge(exts []extent, off, length int64, write bool, ra reqAttrib) {
+	if ra.plane != "" && ra.plane == n.plantSkipCharge.Load() {
+		return
+	}
+	if len(exts) == 1 { // the common case stays on the caller's goroutine
+		n.chargeOn(exts[0].nd, exts, off, length, write, ra)
+		return
+	}
+	var wg sync.WaitGroup
+	for _, nd := range n.data {
+		wg.Add(1)
+		go func(nd *nodeDisk) {
+			defer wg.Done()
+			n.chargeOn(nd, exts, off, length, write, ra)
+		}(nd)
+	}
+	wg.Wait()
+}
+
+// chargeOn is charge's share for one disk: the touched extents on nd.
+func (n *Node) chargeOn(nd *nodeDisk, exts []extent, off, length int64, write bool, ra reqAttrib) {
+	op := "disk.read"
+	if write {
+		op = "disk.write"
+	}
+	pos := int64(0)
+	for _, e := range exts {
+		size := min(off+length, pos+e.size) - max(off, pos)
+		pos += e.size
+		if e.nd != nd || size <= 0 {
+			continue
+		}
+		sp := ra.span.Child(op)
+		sp.Annotate("disk", nd.label)
+		sp.Annotate("bytes", strconv.FormatInt(size, 10))
+		sp.Annotate("plane", ra.plane)
+		nd.mu.Lock()
+		// Every dwell the disk closes in a working state until the reset
+		// below is charged to ra's trace, file, and span.
+		nd.curTrace, nd.curFile, nd.curSpan = ra.trace, ra.file, sp
+		n.wakeLocked(nd, sp)
+		n.serviceLocked(nd, size, write && nd.isBuffer)
+		nd.curTrace, nd.curFile, nd.curSpan = 0, "", nil
+		nd.mu.Unlock()
+		sp.Finish()
+	}
+}
+
+// emit moves the reading's bytes to fn, at most len(buf) at a time
+// through buf.
+func (r reading) emit(buf []byte, fn func([]byte) error) error {
+	pos := int64(0)
+	for i, e := range r.exts {
+		lo, hi := max(r.off, pos)-pos, min(r.off+r.length, pos+e.size)-pos
+		pos += e.size
+		if lo >= hi {
+			continue
+		}
+		f, err := r.first, error(nil)
+		if i > 0 {
+			if f, err = os.Open(e.path); err != nil {
+				return err
+			}
+		}
+		for ; lo < hi && err == nil; lo += int64(len(buf)) {
+			b := buf[:min(int64(len(buf)), hi-lo)]
+			if _, err = f.ReadAt(b, lo); err != nil {
+				err = fmt.Errorf("fs: %s truncated on disk: %w", filepath.Base(e.path), err)
+			} else {
+				err = fn(b)
+			}
+		}
+		if i > 0 {
+			f.Close()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// copyExtents moves a whole copy of size bytes from src to dst — a
+// prefetch (data disks to buffer) or a flush (buffer to data disks) —
+// through one pooled chunk, so tier movement costs O(chunk) memory at any
+// file size. Both sides are charged to ra.
+func (n *Node) copyExtents(src, dst []extent, size int64, ra reqAttrib) error {
+	first, err := os.Open(src[0].path)
+	if err != nil {
+		return err
+	}
+	defer first.Close()
+	n.charge(src, 0, size, false, ra)
+	n.charge(dst, 0, size, true, ra)
+	w := n.newWriter(dst, nil)
+	buf := proto.GetChunk(proto.DefaultStreamChunk)
+	defer proto.PutChunk(buf)
+	if err := (reading{exts: src, first: first, length: size}).emit(buf, w.write); err != nil {
+		w.abandon()
+		return err
+	}
+	return w.commit()
+}
+
+// extentWriter lands a byte stream across the extents of a copy; nothing
+// else creates files under buffer/ and data*/. Each extent is written as
+// a ".part" sibling that commit renames into place, so a failed write
+// leaves the previous content visible and intact. The per-writer sequence
+// number in the sibling's name keeps concurrent writers of one file out
+// of each other's bytes. StartNode sweeps the siblings a crash leaves.
+type extentWriter struct {
+	exts []extent
+	prev []extent // layout being replaced; commit removes what exts does not reuse
+	part string   // ".<seq>.part"
+	idx  int
+	f    *os.File
+	rem  int64 // bytes left in the current extent
+
+	// Set by sink for a client write, for commitWrite once the bytes land.
+	entry    metadata.NodeEntry // as it stood before the write
+	size     int64
+	buffered bool
+}
+
+func (n *Node) newWriter(exts, prev []extent) *extentWriter {
+	seq := n.partSeq.Add(1)
+	return &extentWriter{exts: exts, prev: prev, part: "." + strconv.FormatUint(seq, 10) + ".part"}
+}
+
+// write lands b, splitting across extent boundaries as needed. Callers
+// never hand it more than the extents hold (receive checks the peer).
+func (w *extentWriter) write(b []byte) error {
+	for len(b) > 0 {
+		if w.f == nil {
+			f, err := os.Create(w.exts[w.idx].path + w.part)
+			if err != nil {
+				return err
+			}
+			w.f, w.rem = f, w.exts[w.idx].size
+		}
+		m := min(int64(len(b)), w.rem)
+		if _, err := w.f.Write(b[:m]); err != nil {
+			return err
+		}
+		b = b[m:]
+		w.rem -= m
+		if w.rem == 0 {
+			err := w.f.Close()
+			w.f = nil
+			w.idx++
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// commit renames every completed sibling into place, then removes the
+// extents of the previous layout that the new one does not reuse. Names
+// are a function of (file, chunk index), so reuse is positional. On
+// failure the writer is abandoned.
+func (w *extentWriter) commit() error {
+	if w.f != nil || w.idx != len(w.exts) {
+		w.abandon()
+		return fmt.Errorf("fs: write ended short of declared size")
+	}
+	for _, e := range w.exts {
+		if err := os.Rename(e.path+w.part, e.path); err != nil {
+			w.abandon()
+			return err
+		}
+	}
+	for i, old := range w.prev {
+		if i >= len(w.exts) || w.exts[i].path != old.path {
+			os.Remove(old.path)
+		}
+	}
+	return nil
+}
+
+// abandon discards all partial state.
+func (w *extentWriter) abandon() {
+	if w.f != nil {
+		w.f.Close()
+		w.f = nil
+	}
+	for _, e := range w.exts {
+		os.Remove(e.path + w.part)
+	}
+}
+
+// sweepParts removes the ".part" siblings a crash mid-write left in dir.
+// Nothing references them: a write is acknowledged only after its rename.
+func sweepParts(dir string) error {
+	files, err := os.ReadDir(dir)
+	for _, f := range files {
+		if strings.HasSuffix(f.Name(), ".part") {
+			err = errors.Join(err, os.Remove(filepath.Join(dir, f.Name())))
+		}
+	}
+	return err
+}

@@ -1,0 +1,496 @@
+package fs
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"eevfs/internal/disk"
+	"eevfs/internal/proto"
+)
+
+// Tests of the node's storage engine (extent.go): whatever wire plane a
+// request arrives on, it must read the same copy, charge the same disks
+// and leave the same files behind.
+
+// planeState is one on-disk situation the equivalence oracle runs every
+// operation against.
+type planeState struct {
+	name        string
+	stripe      int64 // StripeChunkBytes
+	writeBuffer bool
+	// prepare runs after the file exists (created through the client).
+	prepare func(t *testing.T, n *Node, id int64)
+	// straddle is the per-disk byte count [buffer, data0, data1] a read of
+	// bytes [900, 2100) must move.
+	straddle [3]int64
+}
+
+func prefetchFile(t *testing.T, n *Node, id int64) {
+	t.Helper()
+	if got := n.handlePrefetch([]int64{id}, nil); got != 1 {
+		t.Fatalf("prefetched %d of 1", got)
+	}
+}
+
+var planeStates = []planeState{
+	{name: "plain", straddle: [3]int64{0, 1200, 0}},
+	{name: "striped", stripe: 1000, straddle: [3]int64{0, 200, 1000}},
+	{name: "prefetched", stripe: 1000, prepare: prefetchFile, straddle: [3]int64{1200, 0, 0}},
+	{name: "dirty-in-buffer", stripe: 1000, writeBuffer: true, straddle: [3]int64{1200, 0, 0}},
+	{name: "buffer-copy-deleted", stripe: 1000, straddle: [3]int64{0, 200, 1000},
+		prepare: func(t *testing.T, n *Node, id int64) {
+			prefetchFile(t, n, id)
+			// Behind the node's back: the entry still says prefetched.
+			if err := os.Remove(n.bufferExtent(int(id), 0)[0].path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+}
+
+// planeContent is the file every state starts from: three stripe chunks
+// at stripe 1000, two of them on data0.
+var planeContent = bytes.Repeat([]byte("0123456789abcdefghijklmno"), 100)
+
+// planeObs is everything one operation is allowed to change that a client
+// or an operator could see.
+type planeObs struct {
+	Data      []byte // bytes read; after a write, the content read back
+	Flag      bool   // fromBuffer or buffered
+	Hits      int64
+	Misses    int64
+	BufWrites int64
+	Disks     []diskObs // buffer, data0, data1
+	Files     []string  // after a write: what lies under buffer/ and data*/
+}
+
+type diskObs struct {
+	BusySec  float64
+	EnergyJ  float64
+	SpinUps  int
+	Requests int64
+	Bytes    int64
+}
+
+// planeRig is a one-node cluster in the given state with a frozen clock
+// and no latency injection, so every disk timestamp is the model's own;
+// the data disks are asleep, so an operation that touches one pays (and
+// must account) a spin-up.
+type planeRig struct {
+	cl   *Client
+	n    *Node
+	base planeObs
+}
+
+func newPlaneRig(t *testing.T, st planeState) *planeRig {
+	t.Helper()
+	cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) {
+		c.InjectLatency = false
+		c.IdleThresholdSec = 0 // no timers: spin-downs happen only below
+		c.TimeScale = 1e-12    // the fake clock: model time stands still
+		c.StripeChunkBytes = st.stripe
+		c.WriteBuffer = st.writeBuffer
+	})
+	n := nodes[0]
+	if err := cl.Create("f", planeContent); err != nil {
+		t.Fatal(err)
+	}
+	id := int64(n.Files()[0].ID)
+	if st.prepare != nil {
+		st.prepare(t, n, id)
+	}
+	for _, nd := range n.data {
+		nd.mu.Lock()
+		now := n.diskNow(nd)
+		nd.d.BeginSpinDown(now)
+		nd.d.CompleteSpinDown(now + 1)
+		nd.mu.Unlock()
+	}
+	r := &planeRig{cl: cl, n: n}
+	r.base = r.snapshot()
+	return r
+}
+
+// snapshot reads the counters and every disk's accounting.
+func (r *planeRig) snapshot() planeObs {
+	var o planeObs
+	o.Hits, o.Misses, o.BufWrites = r.n.Counters()
+	for _, nd := range append([]*nodeDisk{r.n.buffer}, r.n.data...) {
+		nd.mu.Lock()
+		nd.d.Advance(r.n.diskNow(nd))
+		s := nd.d.Stats()
+		nd.mu.Unlock()
+		o.Disks = append(o.Disks, diskObs{
+			BusySec: s.TimeInState[disk.Active], EnergyJ: s.EnergyJ,
+			SpinUps: s.SpinUps, Requests: s.Requests, Bytes: s.BytesMoved,
+		})
+	}
+	return o
+}
+
+// observe returns what changed since the rig was built.
+func (r *planeRig) observe(data []byte, flag bool) planeObs {
+	o := r.snapshot()
+	o.Data, o.Flag = data, flag
+	o.Hits -= r.base.Hits
+	o.Misses -= r.base.Misses
+	o.BufWrites -= r.base.BufWrites
+	for i, b := range r.base.Disks {
+		d := &o.Disks[i]
+		d.BusySec -= b.BusySec
+		d.EnergyJ -= b.EnergyJ
+		d.SpinUps -= b.SpinUps
+		d.Requests -= b.Requests
+		d.Bytes -= b.Bytes
+	}
+	return o
+}
+
+// storedFiles lists what lies under buffer/ and data*/, as dir/name.
+func storedFiles(t *testing.T, n *Node) []string {
+	t.Helper()
+	var out []string
+	for _, nd := range append([]*nodeDisk{n.buffer}, n.data...) {
+		files, err := os.ReadDir(nd.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			out = append(out, filepath.Base(nd.dir)+"/"+f.Name())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// samePlaneObs compares two observations: counts and bytes exactly,
+// modeled seconds and joules to float noise (the frozen clock still
+// creeps by ~1e-12 model seconds per real second).
+func samePlaneObs(a, b planeObs) error {
+	if !bytes.Equal(a.Data, b.Data) {
+		return fmt.Errorf("bytes differ (%d vs %d)", len(a.Data), len(b.Data))
+	}
+	fa, fb := a, b
+	fa.Data, fb.Data = nil, nil
+	fa.Disks, fb.Disks = slices.Clone(a.Disks), slices.Clone(b.Disks)
+	for i := range fa.Disks {
+		da, db := &fa.Disks[i], &fb.Disks[i]
+		if math.Abs(da.BusySec-db.BusySec) > 1e-9 || math.Abs(da.EnergyJ-db.EnergyJ) > 1e-6 {
+			return fmt.Errorf("disk %d modeled cost differs: %+v vs %+v", i, *da, *db)
+		}
+		da.BusySec, db.BusySec, da.EnergyJ, db.EnergyJ = 0, 0, 0, 0
+	}
+	if !reflect.DeepEqual(fa, fb) {
+		return fmt.Errorf("observations differ:\n  %+v\n  %+v", fa, fb)
+	}
+	return nil
+}
+
+// planeOp is one client operation on the file, on one wire plane.
+type planeOp struct {
+	name string
+	run  func(r *planeRig) (data []byte, flag bool, err error)
+}
+
+var newPlaneContent = bytes.Repeat([]byte("ZYXWVUTSRQ"), 170) // 1700 B: two chunks, a shrink
+
+var (
+	opRead  = planeOp{"Read", func(r *planeRig) ([]byte, bool, error) { return r.cl.Read("f") }}
+	opRead0 = planeOp{"ReadAt-whole", func(r *planeRig) ([]byte, bool, error) {
+		return r.cl.ReadAt("f", 0, int64(len(planeContent)))
+	}}
+	opReadTo = planeOp{"ReadTo", func(r *planeRig) ([]byte, bool, error) {
+		var buf bytes.Buffer
+		_, fromBuffer, err := r.cl.ReadTo("f", &buf)
+		return buf.Bytes(), fromBuffer, err
+	}}
+	opWrite = planeOp{"Write", func(r *planeRig) ([]byte, bool, error) {
+		buffered, err := r.cl.Write("f", newPlaneContent)
+		return nil, buffered, err
+	}}
+	opWriteFrom = planeOp{"WriteFrom", func(r *planeRig) ([]byte, bool, error) {
+		buffered, err := r.cl.WriteFrom("f", int64(len(newPlaneContent)), bytes.NewReader(newPlaneContent))
+		return nil, buffered, err
+	}}
+)
+
+// runPlaneOp builds a fresh rig in state st, runs op on it and observes.
+// plant, when set, names the wire plane whose disk charge is skipped.
+func runPlaneOp(t *testing.T, st planeState, op planeOp, write bool, plant string) planeObs {
+	t.Helper()
+	r := newPlaneRig(t, st)
+	if plant != "" {
+		r.n.plantSkipCharge.Store(plant)
+	}
+	data, flag, err := op.run(r)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", st.name, op.name, err)
+	}
+	o := r.observe(data, flag)
+	if write {
+		o.Files = storedFiles(t, r.n)
+		if o.Data, _, err = r.cl.Read("f"); err != nil {
+			t.Fatalf("%s/%s: reading back: %v", st.name, op.name, err)
+		}
+	}
+	return o
+}
+
+// TestPlanesAreEquivalent is the cross-plane oracle: in every state, the
+// RPC and the stream form of an operation return the same bytes and flag,
+// move the hit/miss/buffered-write counters alike, and charge every disk
+// the same modeled busy time, joules, spin-ups, requests and bytes; a
+// write leaves the same files behind. A ranged read charges exactly the
+// bytes of the extents it overlaps.
+func TestPlanesAreEquivalent(t *testing.T) {
+	for _, st := range planeStates {
+		t.Run(st.name, func(t *testing.T) {
+			read := runPlaneOp(t, st, opRead, false, "")
+			if !bytes.Equal(read.Data, planeContent) {
+				t.Fatal("Read returned the wrong bytes")
+			}
+			if wantBuf := st.straddle[0] > 0; read.Flag != wantBuf || read.Hits == 0 == wantBuf {
+				t.Fatalf("Read: fromBuffer=%v hits=%d misses=%d, want buffer=%v", read.Flag, read.Hits, read.Misses, wantBuf)
+			}
+			for _, op := range []planeOp{opReadTo, opRead0} {
+				if err := samePlaneObs(read, runPlaneOp(t, st, op, false, "")); err != nil {
+					t.Errorf("Read vs %s: %v", op.name, err)
+				}
+			}
+
+			// A chunk-straddling range: same source and counters as the
+			// whole read, and only the overlapped bytes charged.
+			at := runPlaneOp(t, st, planeOp{"ReadAt", func(r *planeRig) ([]byte, bool, error) {
+				return r.cl.ReadAt("f", 900, 1200)
+			}}, false, "")
+			if !bytes.Equal(at.Data, planeContent[900:2100]) {
+				t.Error("ReadAt returned the wrong bytes")
+			}
+			if at.Flag != read.Flag || at.Hits != read.Hits || at.Misses != read.Misses {
+				t.Errorf("ReadAt: fromBuffer=%v hits=%d misses=%d; Read: %v %d %d",
+					at.Flag, at.Hits, at.Misses, read.Flag, read.Hits, read.Misses)
+			}
+			for i, want := range st.straddle {
+				wantUps := 0
+				if want > 0 && i > 0 {
+					wantUps = 1 // a sleeping data disk that is touched wakes once
+				}
+				if d := at.Disks[i]; d.Bytes != want || d.SpinUps != wantUps {
+					t.Errorf("ReadAt disk %d moved %d bytes with %d spin-ups, want %d and %d", i, d.Bytes, d.SpinUps, want, wantUps)
+				}
+			}
+
+			write := runPlaneOp(t, st, opWrite, true, "")
+			if !bytes.Equal(write.Data, newPlaneContent) {
+				t.Fatal("content after Write is not what was written")
+			}
+			if write.Flag != st.writeBuffer {
+				t.Fatalf("Write buffered=%v, want %v", write.Flag, st.writeBuffer)
+			}
+			if err := samePlaneObs(write, runPlaneOp(t, st, opWriteFrom, true, "")); err != nil {
+				t.Errorf("Write vs WriteFrom: %v", err)
+			}
+		})
+	}
+}
+
+// TestPlaneOraclePlantedBug: the oracle must notice a plane that moves
+// the right bytes but forgets to charge the disks.
+func TestPlaneOraclePlantedBug(t *testing.T) {
+	st := planeStates[1] // striped
+	if err := samePlaneObs(runPlaneOp(t, st, opRead, false, ""), runPlaneOp(t, st, opReadTo, false, planeStream)); err == nil {
+		t.Error("oracle passed a stream read that skips the disk charge")
+	}
+	if err := samePlaneObs(runPlaneOp(t, st, opWrite, true, planeRPC), runPlaneOp(t, st, opWriteFrom, true, "")); err == nil {
+		t.Error("oracle passed an RPC write that skips the disk charge")
+	}
+}
+
+// dataFiles lists storedFiles without the buffer disk.
+func dataFiles(t *testing.T, n *Node) []string {
+	t.Helper()
+	var out []string
+	for _, f := range storedFiles(t, n) {
+		if !strings.HasPrefix(f, "buffer/") {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestOverwriteLeavesNoStaleExtents: a file's data-disk extents are
+// exactly its current layout after every overwrite, and nothing after a
+// delete, on both planes and through the write buffer's lazy flush.
+func TestOverwriteLeavesNoStaleExtents(t *testing.T) {
+	big, small := bytes.Repeat([]byte("x"), 2500), []byte("y")
+	for _, op := range []string{"Write", "WriteFrom", "buffered"} {
+		t.Run(op, func(t *testing.T) {
+			cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) {
+				c.InjectLatency = false
+				c.StripeChunkBytes = 1000
+				c.WriteBuffer = op == "buffered"
+			})
+			n := nodes[0]
+			write := func(data []byte) {
+				t.Helper()
+				var err error
+				if op == "WriteFrom" {
+					_, err = cl.WriteFrom("f", int64(len(data)), bytes.NewReader(data))
+				} else {
+					_, err = cl.Write("f", data)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.flushAll() // a no-op unless buffered
+				got, _, err := cl.Read("f")
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("read back %d bytes, err=%v; want %d", len(got), err, len(data))
+				}
+			}
+			expect := func(when string, want ...string) {
+				t.Helper()
+				if got := dataFiles(t, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: data disks hold %v, want %v", when, got, want)
+				}
+			}
+			if err := cl.Create("f", big); err != nil {
+				t.Fatal(err)
+			}
+			n.flushAll()
+			chunks := []string{"data0/f00000000.c000.dat", "data0/f00000000.c002.dat", "data1/f00000000.c001.dat"}
+			expect("after create", chunks...)
+			write(small)
+			expect("after overwrite-shrink", "data0/f00000000.dat")
+			write(big)
+			expect("after overwrite-grow", chunks...)
+			write(small)
+			if err := cl.Delete("f"); err != nil {
+				t.Fatal(err)
+			}
+			if got := storedFiles(t, n); len(got) != 0 {
+				t.Fatalf("after delete the disks still hold %v", got)
+			}
+		})
+	}
+}
+
+// TestFailedWriteLeavesOldContent: a write that fails after part of it
+// has landed leaves the previous content readable byte for byte and no
+// debris, on both planes. The fault is a directory squatting on the
+// staging name of the second stripe chunk, so chunk 0 lands and chunk 1's
+// create fails.
+func TestFailedWriteLeavesOldContent(t *testing.T) {
+	for _, op := range []planeOp{opWrite, opWriteFrom} {
+		t.Run(op.name, func(t *testing.T) {
+			cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) {
+				c.InjectLatency = false
+				c.StripeChunkBytes = 1000
+			})
+			n := nodes[0]
+			if err := cl.Create("f", planeContent); err != nil {
+				t.Fatal(err)
+			}
+			before := storedFiles(t, n)
+			squat := fmt.Sprintf("%s.%d.part", filepath.Join(n.data[1].dir, chunkName(0, 1)), n.partSeq.Load()+1)
+			if err := os.Mkdir(squat, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := op.run(&planeRig{cl: cl, n: n}); err == nil {
+				t.Fatal("write succeeded although chunk 1 could not be staged")
+			}
+			got, _, err := cl.Read("f")
+			if err != nil || !bytes.Equal(got, planeContent) {
+				t.Fatalf("after the failed write: read %d bytes, err=%v; want the old %d bytes", len(got), err, len(planeContent))
+			}
+			if after := storedFiles(t, n); !reflect.DeepEqual(after, before) {
+				t.Fatalf("failed write left debris: %v, want %v", after, before)
+			}
+		})
+	}
+}
+
+// TestStartNodeSweepsPartFiles: staging files a crash mid-write left
+// behind are removed before the node serves; visible files are untouched.
+func TestStartNodeSweepsPartFiles(t *testing.T) {
+	root := t.TempDir()
+	cfg := persistNodeConfig(root, "127.0.0.1:0")
+	cfg.WriteBuffer = false
+	n, err := StartNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.handleCreate(proto.NodeCreateReq{FileID: 1, Size: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.handleWrite(proto.NodeWriteReq{FileID: 1, Data: []byte("hello")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	for _, orphan := range []string{"data0/f00000001.dat.7.part", "data1/f00000009.c001.dat.3.part", "buffer/f00000001.dat.8.part"} {
+		if err := os.WriteFile(filepath.Join(root, orphan), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	n, err = StartNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got, want := storedFiles(t, n), []string{"data0/f00000001.dat"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after restart the disks hold %v, want %v", got, want)
+	}
+	if data, _, err := n.handleRead(1, 0, wholeFile, nil); err != nil || string(data) != "hello" {
+		t.Fatalf("visible file after the sweep: %q, err=%v", data, err)
+	}
+}
+
+// TestTierMovementIsChunkMemory: prefetch and flush move a file between
+// the tiers through one pooled chunk, whatever its size.
+func TestTierMovementIsChunkMemory(t *testing.T) {
+	const size = 32 << 20
+	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
+	cfg.StripeChunkBytes = 1 << 20
+	n, err := StartNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.handleCreate(proto.NodeCreateReq{FileID: 1, Size: size}); err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("eevfs-32MiB-file"), size/16)
+	if buffered, err := n.handleWrite(proto.NodeWriteReq{FileID: 1, Data: content}, nil); err != nil || !buffered {
+		t.Fatalf("buffered=%v err=%v", buffered, err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n.flushOne(1)
+	prefetched := n.handlePrefetch([]int64{1}, nil)
+	runtime.ReadMemStats(&after)
+
+	if prefetched != 1 {
+		t.Fatalf("prefetched %d of 1", prefetched)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("flushing and prefetching %d MiB allocated %d bytes, want < 1 MiB", size>>20, got)
+	}
+	if e, _ := n.meta.Lookup(1); !e.Prefetched {
+		t.Fatal("file not marked prefetched")
+	}
+	data, fromBuffer, err := n.handleRead(1, 0, wholeFile, nil)
+	if err != nil || !fromBuffer || !bytes.Equal(data, content) {
+		t.Fatalf("read after tier movement: %d bytes fromBuffer=%v err=%v", len(data), fromBuffer, err)
+	}
+}

@@ -403,44 +403,75 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// dialFramed opens a raw connection to addr and sends the preface, for
+// tests that speak frames directly.
+func dialFramed(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := proto.WritePreface(conn); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
 func TestMalformedFrameGetsErrorNotCrash(t *testing.T) {
 	_, srv, _ := testCluster(t, 1, nil)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialFramed(t, srv.Addr())
 	// A CreateReq frame whose payload is garbage.
-	if err := proto.WriteFrame(conn, proto.TCreateReq, []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}); err != nil {
+	if err := proto.WriteFrameID(conn, proto.TCreateReq, 1, []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	ty, _, err := proto.ReadFrame(conn)
+	ty, id, _, err := proto.ReadFrameID(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ty != proto.TError {
-		t.Fatalf("got type %d, want TError", ty)
+	if ty != proto.TError || id != 1 {
+		t.Fatalf("got type %d id %d, want TError for request 1", ty, id)
 	}
 	// The connection is still usable afterwards.
-	_, _, err = proto.RoundTrip(conn, proto.TListReq, nil)
-	if err != nil {
+	if err := proto.WriteFrameID(conn, proto.TListReq, 2, nil); err != nil {
 		t.Fatal(err)
+	}
+	if ty, id, _, err := proto.ReadFrameID(conn); err != nil || ty != proto.TListResp || id != 2 {
+		t.Fatalf("after the error: type=%d id=%d err=%v", ty, id, err)
 	}
 }
 
 func TestUnknownMessageTypeGetsError(t *testing.T) {
 	_, srv, _ := testCluster(t, 1, nil)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
+	conn := dialFramed(t, srv.Addr())
+	if err := proto.WriteFrameID(conn, proto.Type(200), 9, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := proto.WriteFrame(conn, proto.Type(200), nil); err != nil {
-		t.Fatal(err)
+	ty, id, _, err := proto.ReadFrameID(conn)
+	if err != nil || ty != proto.TError || id != 9 {
+		t.Fatalf("type=%d id=%d err=%v", ty, id, err)
 	}
-	ty, _, err := proto.ReadFrame(conn)
-	if err != nil || ty != proto.TError {
-		t.Fatalf("type=%d err=%v", ty, err)
+}
+
+// TestConnectionWithoutPrefaceIsClosed: the serial pre-mux framing is
+// gone; a peer that does not open with the preface gets a hangup, not an
+// attempt to parse its bytes.
+func TestConnectionWithoutPrefaceIsClosed(t *testing.T) {
+	_, srv, nodes := testCluster(t, 1, nil)
+	for _, addr := range []string{srv.Addr(), nodes[0].Addr()} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// What a v1 peer would have sent: [u32 length][u8 type], no preface.
+		if _, err := conn.Write([]byte{0, 0, 0, 1, byte(proto.TListReq)}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 16)); err == nil {
+			t.Fatalf("%s answered %d bytes to a connection with no preface", addr, n)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,7 +83,7 @@ func acceptConns(ln net.Listener, logf func(format string, args ...any), accept 
 // frame. sc is the trace context extracted from the frame (zero when
 // untraced). A returned error becomes a TError frame; the connection
 // stays up either way (malformed payloads answer with an error rather
-// than a hangup, matching the v1 behavior the tests pin).
+// than a hangup).
 type handlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error)
 
 // streamHandlerFunc serves one open stream (DESIGN.md §19): t is the
@@ -93,60 +92,6 @@ type handlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext) (p
 // the stream until it returns; every exit path must have sent a terminal
 // frame (end or abort) unless the connection itself is dead.
 type streamHandlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext, st *srvStream)
-
-// serveFrames drives one accepted connection until it dies, speaking
-// whichever protocol version the peer opened with:
-//
-//   - v2 (the 4-byte EEV2 preface): requests are dispatched to a bounded
-//     pool of worker goroutines, so many round trips from one peer are
-//     serviced concurrently; responses carry the request's id and are
-//     written whole under a per-connection mutex (ordered, never
-//     interleaved), in whatever order the handlers finish. Stream opens
-//     spawn a dedicated handler goroutine outside the worker pool
-//     (bounded by lim.streams instead), and later frames of an open
-//     stream are routed to it by id.
-//   - v1 (no preface — the first four bytes are a frame length):
-//     requests are served one at a time, in order, exactly as before the
-//     multiplexed framing existed. Streams are v2-only.
-//
-// writeTimeout bounds each response write so a stalled peer cannot pin
-// a handler goroutine. shandle may be nil: stream opens then answer with
-// a typed TError and the connection stays healthy (the metadata server
-// does not serve file bytes).
-func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, shandle streamHandlerFunc, lim connLimits) {
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return
-	}
-	dc := &deadlineConn{Conn: conn, writeTimeout: writeTimeout}
-	if binary.BigEndian.Uint32(first[:]) == proto.MagicV2 {
-		serveV2(conn, dc, handle, shandle, lim.withDefaults())
-		return
-	}
-	// v1 peer: replay the sniffed bytes as the first frame's length.
-	serveV1(io.MultiReader(bytes.NewReader(first[:]), conn), dc, handle)
-}
-
-func serveV1(r io.Reader, w io.Writer, handle handlerFunc) {
-	for {
-		t, payload, err := proto.ReadFrame(r)
-		if err != nil {
-			return
-		}
-		t, payload, sc, herr := proto.ExtractContext(t, payload)
-		var rt proto.Type
-		var rp []byte
-		if herr == nil {
-			rt, rp, herr = handle(t, payload, sc)
-		}
-		if herr != nil {
-			rt, rp = proto.TError, errorPayload(herr)
-		}
-		if err := proto.WriteFrame(w, rt, rp); err != nil {
-			return
-		}
-	}
-}
 
 // srvMsg is one inbound frame of a server-side stream. Data payloads are
 // pooled chunk buffers; the consumer returns them via proto.PutChunk.
@@ -356,7 +301,27 @@ func decodeStreamAbort(payload []byte) error {
 	return fmt.Errorf("fs: stream aborted by peer: %s", em.Msg)
 }
 
-func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandlerFunc, lim connLimits) {
+// serveFrames drives one accepted connection until it dies. The peer
+// opens with the 4-byte EEV2 preface; a connection that opens with
+// anything else is closed. Requests are dispatched to a bounded pool of
+// worker goroutines, so many round trips from one peer are serviced
+// concurrently; responses carry the request's id and are written whole
+// under a per-connection mutex (ordered, never interleaved), in whatever
+// order the handlers finish. Stream opens spawn a dedicated handler
+// goroutine outside the worker pool (bounded by lim.streams instead), and
+// later frames of an open stream are routed to it by id.
+//
+// writeTimeout bounds each response write so a stalled peer cannot pin
+// a handler goroutine. shandle may be nil: stream opens then answer with
+// a typed TError and the connection stays healthy (the metadata server
+// does not serve file bytes).
+func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, shandle streamHandlerFunc, lim connLimits) {
+	var preface [4]byte
+	if _, err := io.ReadFull(conn, preface[:]); err != nil || binary.BigEndian.Uint32(preface[:]) != proto.MagicV2 {
+		return
+	}
+	lim = lim.withDefaults()
+	var w io.Writer = &deadlineConn{Conn: conn, writeTimeout: writeTimeout}
 	var (
 		wg      sync.WaitGroup
 		writeMu sync.Mutex
@@ -391,6 +356,11 @@ func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandl
 		smu.Lock()
 		delete(streams, id)
 		smu.Unlock()
+	}
+	reply := func(t proto.Type, id uint32, payload []byte) error {
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		return proto.WriteFrameID(w, t, id, payload)
 	}
 
 	for {
@@ -434,10 +404,7 @@ func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandl
 			}
 			t, payload, sc, herr := proto.ExtractContext(t, payload)
 			if herr != nil {
-				writeMu.Lock()
-				werr := proto.WriteFrameID(w, proto.TError, id, errorPayload(herr))
-				writeMu.Unlock()
-				if werr != nil {
+				if reply(proto.TError, id, errorPayload(herr)) != nil {
 					goto out
 				}
 				continue
@@ -446,11 +413,7 @@ func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandl
 				// This daemon has no data plane (the metadata server):
 				// reject the open with a typed error; the connection and
 				// its other round trips stay healthy.
-				writeMu.Lock()
-				werr := proto.WriteFrameID(w, proto.TError, id,
-					errorPayload(fmt.Errorf("unexpected message type %d", t)))
-				writeMu.Unlock()
-				if werr != nil {
+				if reply(proto.TError, id, errorPayload(fmt.Errorf("unexpected message type %d", t))) != nil {
 					goto out
 				}
 				continue
@@ -464,11 +427,8 @@ func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandl
 			if !ok {
 				// Stream cap: reject the open, keep the connection (and
 				// every running stream on it) healthy.
-				writeMu.Lock()
-				werr := proto.WriteFrameID(w, proto.TError, id,
-					errorPayload(fmt.Errorf("%w: too many open streams on one connection", ErrNodeUnavailable)))
-				writeMu.Unlock()
-				if werr != nil {
+				err := fmt.Errorf("%w: too many open streams on one connection", ErrNodeUnavailable)
+				if reply(proto.TError, id, errorPayload(err)) != nil {
 					goto out
 				}
 				continue
@@ -499,10 +459,7 @@ func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandl
 				if herr != nil {
 					rt, rp = proto.TError, errorPayload(herr)
 				}
-				writeMu.Lock()
-				werr := proto.WriteFrameID(w, rt, id, rp)
-				writeMu.Unlock()
-				if werr != nil {
+				if reply(rt, id, rp) != nil {
 					// A response we cannot deliver poisons the stream for
 					// the peer anyway; close so the read loop exits too.
 					conn.Close()

@@ -5,36 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
-// panic nor over-allocate, and accepted frames must round-trip.
-func FuzzReadFrame(f *testing.F) {
-	var good bytes.Buffer
-	if err := WriteFrame(&good, TCreateReq, CreateReq{"x", 1}.Encode()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 1})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
-	f.Add([]byte{0, 0, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, input []byte) {
-		ty, payload, err := ReadFrame(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, ty, payload); err != nil {
-			t.Fatalf("re-encoding accepted frame failed: %v", err)
-		}
-		ty2, payload2, err := ReadFrame(&buf)
-		if err != nil || ty2 != ty || !bytes.Equal(payload2, payload) {
-			t.Fatal("frame round trip mismatch")
-		}
-	})
-}
-
-// FuzzReadFrameID feeds arbitrary bytes to the v2 frame reader: it must
+// FuzzReadFrameID feeds arbitrary bytes to the frame reader: it must
 // never panic nor over-allocate, and accepted frames (with their request
 // id) must round-trip through WriteFrameID.
 func FuzzReadFrameID(f *testing.F) {
@@ -45,7 +16,9 @@ func FuzzReadFrameID(f *testing.F) {
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 5, 1, 0, 0, 0, 9}) // minimal: empty payload
-	f.Add([]byte{0, 0, 0, 4, 1, 0, 0, 0})    // length below the v2 header
+	f.Add([]byte{0, 0, 0, 4, 1, 0, 0, 0})    // length below the header
+	f.Add([]byte{0, 0, 0, 0, 0})             // zero length
+	f.Add([]byte{0, 0, 0, 1, 1})             // the old serial framing's minimal frame
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0}) // oversized length
 	f.Add([]byte{0x45, 0x45, 0x56, 0x32})    // the preface magic itself
 	f.Add([]byte{0, 0, 0, 9, 2, 0, 0, 0, 1, 'h', 'i'})

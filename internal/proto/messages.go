@@ -1,9 +1,6 @@
 package proto
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // The typed messages below wrap the raw codec. Each has Encode/Decode; a
 // Decode returning an error means the peer sent a malformed frame and the
@@ -503,24 +500,4 @@ func DecodeNodeHintsReq(b []byte) (NodeHintsReq, error) {
 		}
 	}
 	return m, d.Err()
-}
-
-// RoundTrip sends a request frame and reads one response frame, turning a
-// TError response into a Go error.
-func RoundTrip(rw io.ReadWriter, t Type, payload []byte) (Type, []byte, error) {
-	if err := WriteFrame(rw, t, payload); err != nil {
-		return 0, nil, err
-	}
-	rt, rp, err := ReadFrame(rw)
-	if err != nil {
-		return 0, nil, err
-	}
-	if rt == TError {
-		em, derr := DecodeErrorMsg(rp)
-		if derr != nil {
-			return 0, nil, fmt.Errorf("proto: undecodable error response: %w", derr)
-		}
-		return 0, nil, &RemoteError{Code: em.Code, Msg: em.Msg, Redirect: em.Redirect}
-	}
-	return rt, rp, nil
 }

@@ -392,7 +392,7 @@ func (m *muxConn) register() (uint32, chan wireResult, error) {
 // roundTrip runs one multiplexed request: register an id, enqueue the
 // frame, await the correlated response. The timeout poisons the whole
 // generation — a response that never arrived leaves the stream's frame
-// boundary in doubt, exactly like a half-read v1 response did.
+// boundary in doubt.
 func (m *muxConn) roundTrip(t Type, payload []byte, timeout time.Duration) (Type, []byte, error) {
 	id, ch, err := m.register()
 	if err != nil {

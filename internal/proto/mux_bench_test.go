@@ -8,50 +8,16 @@ import (
 	"time"
 )
 
-// benchDelay simulates per-request service time at the peer. With a
-// serialized connection, 8 callers pay 8 x benchDelay each round; a
-// pipelined connection overlaps them. The delay makes the comparison
-// about architecture, not loopback syscall latency.
+// benchDelay simulates per-request service time at the peer; the
+// pipelined connection overlaps the 8 callers' waits. The delay makes the
+// number about the mux, not loopback syscall latency.
 const benchDelay = 100 * time.Microsecond
 
 const benchCallers = 8
 
-// benchServerV1 answers v1 frames one at a time, sleeping benchDelay per
-// request — the pre-mux wire discipline.
-func benchServerV1(b *testing.B) string {
-	b.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				for {
-					t, p, err := ReadFrame(c)
-					if err != nil {
-						return
-					}
-					time.Sleep(benchDelay)
-					if err := WriteFrame(c, t, p); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// benchServerV2 answers v2 frames with a goroutine per request, sleeping
-// the same benchDelay, so requests overlap server-side exactly as the
-// fs daemons do.
+// benchServerV2 answers frames with a goroutine per request, sleeping
+// benchDelay, so requests overlap server-side exactly as the fs daemons
+// do.
 func benchServerV2(b *testing.B) string {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -89,37 +55,8 @@ func benchServerV2(b *testing.B) string {
 	return ln.Addr().String()
 }
 
-// BenchmarkEndpointSerialized is the pre-mux architecture: 8 concurrent
-// callers forced to take turns on one connection (a mutex-guarded v1
-// RoundTrip), so round trips queue behind each other.
-func BenchmarkEndpointSerialized(b *testing.B) {
-	addr := benchServerV1(b)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	var mu sync.Mutex
-	payload := []byte("bench-payload")
-
-	b.SetParallelism(benchParallelism())
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			_, _, err := RoundTrip(conn, TLookupReq, payload)
-			mu.Unlock()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkEndpointPipelined is the same workload on the multiplexed
-// endpoint: 8 concurrent callers share one connection with their round
-// trips in flight simultaneously.
+// BenchmarkEndpointPipelined: 8 concurrent callers share one multiplexed
+// connection with their round trips in flight simultaneously.
 func BenchmarkEndpointPipelined(b *testing.B) {
 	addr := benchServerV2(b)
 	ep := NewEndpoint(addr, nil, TransportConfig{RTTimeout: 5 * time.Second, Retries: 0})

@@ -65,10 +65,10 @@ func TestWriteFrameIDTooLarge(t *testing.T) {
 	}
 }
 
-// TestMagicNeverAValidV1Length pins the negotiation invariant: the v2
-// preface read as a v1 length prefix must always exceed MaxFrame, so a
-// sniffing server can never mistake one for the other.
-func TestMagicNeverAValidV1Length(t *testing.T) {
+// TestMagicNeverAValidFrameLength pins the framing invariant: the
+// preface read as a length prefix must always exceed MaxFrame, so a frame
+// reader handed a preface rejects it instead of parsing it.
+func TestMagicNeverAValidFrameLength(t *testing.T) {
 	if MagicV2 <= MaxFrame {
 		t.Fatalf("MagicV2 (%#x) must exceed MaxFrame (%#x)", MagicV2, MaxFrame)
 	}

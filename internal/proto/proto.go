@@ -3,18 +3,13 @@
 // node; clients contact the server for metadata and then transfer data
 // directly with the owning storage node).
 //
-// Framing, v1: every message is [u32 length][u8 type][payload]; length
-// covers the type byte plus payload. One request is answered by one
-// response on the same connection before the next request is sent.
-//
-// Framing, v2 (multiplexed): a connection opens with the 4-byte magic
-// "EEV2", then every frame is [u32 length][u8 type][u32 id][payload];
-// length covers type + id + payload. The id correlates a response with
-// its request, so many round trips can be in flight on one connection
-// and responses may arrive in any order. The magic is deliberately
-// larger than MaxFrame, so a v2 preface can never be mistaken for a v1
-// length prefix — servers sniff the first four bytes and speak
-// whichever version the peer opened with.
+// Framing: a connection opens with the 4-byte magic "EEV2", then every
+// frame is [u32 length][u8 type][u32 id][payload]; length covers type +
+// id + payload. The id correlates a response with its request, so many
+// round trips can be in flight on one connection and responses may
+// arrive in any order; the frames of one stream share their open frame's
+// id. A peer that does not open with the magic is hung up on. The magic
+// is larger than MaxFrame, so it can never be read as a frame length.
 //
 // Integers are big-endian; strings and byte slices are length-prefixed
 // (u32). Frames are capped to prevent a malformed peer from forcing
@@ -24,7 +19,6 @@ package proto
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -105,59 +99,18 @@ var (
 	ErrShortPayload  = errors.New("proto: truncated payload")
 )
 
-// WriteFrame sends one message.
-func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	n := 1 + len(payload)
-	if n > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFrame receives one message.
-func ReadFrame(r io.Reader) (Type, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 1 {
-		return 0, nil, fmt.Errorf("proto: zero-length frame")
-	}
-	if n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
-	}
-	t := Type(hdr[4])
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return t, payload, nil
-}
-
-// MagicV2 is the connection preface of the multiplexed v2 framing. Read
-// as a v1 length prefix it decodes to ~1.16 GB — far beyond MaxFrame —
-// so the two framings can never be confused on the wire.
+// MagicV2 is the connection preface. Read as a frame length it decodes
+// to ~1.16 GB — far beyond MaxFrame — so a preface where a frame should
+// be is rejected, never parsed.
 const MagicV2 uint32 = 0x45455632 // "EEV2"
 
-// v2 frame overhead past the length prefix: 1 type byte + 4 id bytes.
+// Frame overhead past the length prefix: 1 type byte + 4 id bytes.
 const v2HeaderLen = 5
 
-// ErrShortV2Frame reports a v2 frame too small to carry type + id.
-var ErrShortV2Frame = errors.New("proto: v2 frame shorter than its header")
+// ErrShortV2Frame reports a frame too small to carry type + id.
+var ErrShortV2Frame = errors.New("proto: frame shorter than its header")
 
-// WritePreface sends the v2 magic; a muxed connection starts with it.
+// WritePreface sends the magic; every connection starts with it.
 func WritePreface(w io.Writer) error {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], MagicV2)
@@ -165,13 +118,13 @@ func WritePreface(w io.Writer) error {
 	return err
 }
 
-// framePool recycles whole-frame encode buffers: a v2 frame is built
+// framePool recycles whole-frame encode buffers: a frame is built
 // (header + payload) in one pooled buffer and written with a single
 // Write call, so the per-RPC steady state allocates nothing and a frame
 // is never interleaved with another writer's bytes.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendFrameID appends one v2 frame to buf.
+// appendFrameID appends one frame to buf.
 func appendFrameID(buf []byte, t Type, id uint32, payload []byte) []byte {
 	n := v2HeaderLen + len(payload)
 	var hdr [9]byte
@@ -182,7 +135,7 @@ func appendFrameID(buf []byte, t Type, id uint32, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// WriteFrameID sends one v2 frame: [u32 length][u8 type][u32 id][payload].
+// WriteFrameID sends one frame: [u32 length][u8 type][u32 id][payload].
 // The frame is assembled in a pooled buffer and written atomically with
 // respect to other WriteFrameID calls on a mutex-guarded writer.
 func WriteFrameID(w io.Writer, t Type, id uint32, payload []byte) error {
@@ -197,7 +150,7 @@ func WriteFrameID(w io.Writer, t Type, id uint32, payload []byte) error {
 	return err
 }
 
-// ReadFrameHeader receives one v2 frame's header, returning its type,
+// ReadFrameHeader receives one frame's header, returning its type,
 // request id, and payload length. The caller reads (or discards) exactly
 // that many payload bytes next — splitting header from payload lets
 // stream demuxers route the payload into a pooled chunk buffer instead
@@ -217,7 +170,7 @@ func ReadFrameHeader(r io.Reader) (Type, uint32, int, error) {
 	return Type(hdr[4]), binary.BigEndian.Uint32(hdr[5:]), int(n - v2HeaderLen), nil
 }
 
-// ReadFrameID receives one v2 frame, returning its type, request id, and
+// ReadFrameID receives one frame, returning its type, request id, and
 // payload. The payload is freshly allocated and owned by the caller.
 func ReadFrameID(r io.Reader) (Type, uint32, []byte, error) {
 	t, id, n, err := ReadFrameHeader(r)

@@ -6,11 +6,10 @@
 //
 //	[u8 flags][u64 trace id][u64 span id][u64 parent id]
 //
-// flags bit 0 carries the head-sampling decision. The extension works
-// identically under the v1 and v2 framings — it lives inside the
-// (type, payload) pair both share — and is strictly optional: a peer
-// that predates it never sets the bit and never sees it (requests are
-// only flagged by tracing clients; responses are never flagged).
+// flags bit 0 carries the head-sampling decision. The extension lives
+// inside a frame's (type, payload) pair and is strictly optional:
+// requests are only flagged by tracing clients; responses are never
+// flagged.
 package proto
 
 import (
