@@ -45,10 +45,8 @@ BENCH_CMD_stream = $(GO) test -run '^$$' -bench 'BenchmarkStream' \
 BENCH_CMD_load = $(GO) test -run '^$$' -bench 'BenchmarkLoad' \
 	-benchtime 1x -count 3 -json ./internal/fs
 
-# Snapshot every benchmark once (test2json stream) so perf regressions
-# can be diffed against a committed baseline.
+# Re-record every gated baseline.
 bench: bench-parallel bench-mux bench-trace bench-stream bench-load
-	$(GO) test -run '^$$' -bench . -benchtime 1x -json ./... > BENCH_baseline.json
 
 # The parallel-engine comparison (ISSUE 3 acceptance): sweep wall-clock
 # sequential vs pooled, server ops/sec under concurrent clients, and the
@@ -153,9 +151,9 @@ soak-drift:
 # detector (the chaos tests in internal/fs exercise real concurrency).
 verify: vet build race
 
-# Non-test Go lines per package and in total: the number ROADMAP item 4
-# ("delete what the system does not need") is judged by. Every simplicity
-# PR states its delta from this script.
+# Non-test Go lines per package and in total: the number ROADMAP item 5
+# ("delete what the system does not need") is judged by. CI prints it,
+# and on a pull request each package's delta against the base commit.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 != "total" { sub(/^\.\//, "", $$2); if (!sub(/\/[^\/]*$$/, "", $$2)) $$2 = "."; n[$$2] += $$1; t += $$1 } \

@@ -1,5 +1,5 @@
 // Command eevfs-server runs the EEVFS storage-server daemon: it owns the
-// name -> storage-node metadata, journals accesses for popularity, routes
+// name -> storage-node metadata, counts accesses for popularity, routes
 // client requests, and commands prefetching on the storage nodes.
 package main
 

@@ -63,46 +63,3 @@ func TestAcceptConnsSurvivesTransientErrors(t *testing.T) {
 		t.Fatalf("logged %d transient errors, want 3", logs)
 	}
 }
-
-// TestHintTableAggregates: the incremental per-file aggregate must match
-// what a full journal walk would have computed — counts, first/last
-// times, and absence below two observations.
-func TestHintTableAggregates(t *testing.T) {
-	var ht hintTable
-	// File 0: three accesses out of order; file 1: one access (no hint);
-	// file 2000 forces a chunk grow.
-	ht.note(0, 5.0)
-	ht.note(0, 1.0)
-	ht.note(0, 9.0)
-	ht.note(1, 3.0)
-	ht.note(2000, 0.0)
-	ht.note(2000, 4.0)
-
-	type agg struct {
-		count       int64
-		first, last float64
-	}
-	got := map[int64]agg{}
-	ht.each(4096, func(id, count int64, first, last float64) {
-		got[id] = agg{count, first, last}
-	})
-	want := map[int64]agg{
-		0:    {3, 1.0, 9.0},
-		1:    {1, 3.0, 3.0},
-		2000: {2, 0.0, 4.0},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("visited %d files, want %d: %v", len(got), len(want), got)
-	}
-	for id, w := range want {
-		if got[id] != w {
-			t.Errorf("file %d: got %+v, want %+v", id, got[id], w)
-		}
-	}
-	// A horizon below the populated ids must not visit them.
-	n := 0
-	ht.each(1, func(int64, int64, float64, float64) { n++ })
-	if n != 1 {
-		t.Fatalf("horizon 1 visited %d files, want 1", n)
-	}
-}

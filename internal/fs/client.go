@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -329,7 +328,9 @@ func (c *Client) read(op, name string, req func(fileID int64) (proto.Type, []byt
 	if err != nil {
 		return nil, false, err
 	}
-	return bytes.Clone(resp.Data), resp.FromBuffer, nil
+	// resp.Data is a view into payload, which the transport allocated for
+	// this response alone: the caller can own it without a copy.
+	return resp.Data, resp.FromBuffer, nil
 }
 
 // Write replaces a file's content. The lookup declares write intent so

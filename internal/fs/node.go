@@ -373,6 +373,7 @@ func (n *Node) dispatchInner(t proto.Type, payload []byte, sp *telemetry.Span) (
 		if err != nil {
 			return 0, nil, err
 		}
+		defer proto.PutChunk(data)
 		return proto.TNodeReadResp,
 			proto.NodeReadResp{FromBuffer: fromBuffer, Data: data}.Encode(), nil
 
@@ -406,6 +407,7 @@ func (n *Node) dispatchInner(t proto.Type, payload []byte, sp *telemetry.Span) (
 		if err != nil {
 			return 0, nil, err
 		}
+		defer proto.PutChunk(data)
 		return proto.TNodeReadAtResp,
 			proto.NodeReadResp{FromBuffer: fromBuffer, Data: data}.Encode(), nil
 
@@ -554,14 +556,16 @@ func (n *Node) commitWrite(entry metadata.NodeEntry, size int64, buffered bool) 
 	}
 }
 
-// handleRead serves a byte range (or wholeFile) as one RPC payload.
+// handleRead serves a byte range (or wholeFile) as one RPC payload. The
+// bytes are dead once the response is encoded, so they come from the
+// chunk pool: the caller hands them to proto.PutChunk when done.
 func (n *Node) handleRead(fileID, off, length int64, sp *telemetry.Span) ([]byte, bool, error) {
 	r, err := n.source(fileID, off, length, spanAttrib(sp, fileID, planeRPC))
 	if err != nil {
 		return nil, false, err
 	}
 	defer r.first.Close()
-	data := make([]byte, 0, r.length)
+	data := proto.GetChunk(int(r.length))[:0]
 	buf := proto.GetChunk(int(min(r.length, proto.DefaultStreamChunk)))
 	defer proto.PutChunk(buf)
 	err = r.emit(buf, func(b []byte) error {

@@ -231,7 +231,7 @@ func (n *Node) checkpointLocked() {
 // checkpoint is the replication snapshot, one frame. Popularity is not
 // persisted: access epochs keep their seq in the log (replay demands a
 // dense stream) but drop their records, and checkpoints carry no access
-// journal.
+// folds.
 
 // openState restores the server's metadata and opens its log; it is a
 // no-op when persistence is not configured.

@@ -3,7 +3,6 @@ package fs
 import (
 	"cmp"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"eevfs/internal/metadata"
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
-	"eevfs/internal/trace"
 )
 
 // Replication plane: a configured group of metadata servers elects one
@@ -333,22 +331,24 @@ func (s *Server) updateLagLocked() {
 }
 
 // snapshotLocked captures the full replicated state. Callers hold repMu
-// (or otherwise exclude concurrent applies). Files sort by name and
-// accesses by journal order, so two replicas in the same state produce
-// byte-identical snapshots — the determinism tests rely on it.
+// (or otherwise exclude concurrent applies). It carries the sequenced
+// part of each file's access fold and nothing of the live part, so the
+// snapshot at seq N is exactly the fold of ops 1..N: a follower built
+// from it and a follower that applied those ops one by one hold — and
+// re-encode — the same bytes. Files go in name order and folds in id
+// order; the determinism tests rely on both.
 func (s *Server) snapshotLocked() proto.RepSnapshot {
 	snap := s.namespaceLocked()
-	recs := s.accesses.Snapshot()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	for _, r := range recs {
-		snap.Accesses = append(snap.Accesses, proto.RepAccess{
-			FileID: int64(r.FileID), TimeS: r.TimeS, Size: r.Size,
-		})
-	}
+	s.pop.each(snap.NextID, func(id int64, sl *popSlot) {
+		if r := sl.rep; r.Count > 0 {
+			r.FileID = id
+			snap.Accesses = append(snap.Accesses, r)
+		}
+	})
 	return snap
 }
 
-// namespaceLocked is the snapshot without the access journal: all a
+// namespaceLocked is the snapshot without the access folds: all a
 // checkpoint stores, since popularity is not persisted. Callers hold
 // repMu.
 func (s *Server) namespaceLocked() proto.RepSnapshot {
@@ -386,7 +386,7 @@ func (s *Server) applyOpLocked(op proto.RepOp) error {
 		if op.Cursor > s.nextNode.Load() {
 			s.nextNode.Store(op.Cursor)
 		}
-		s.sizes.set(op.ID, op.Size)
+		s.pop.slot(op.ID).size.Store(op.Size)
 		return s.meta.Put(metadata.FileInfo{
 			Name: op.Name, ID: int(op.ID), Size: op.Size,
 			Node: int(op.Node), Replica: int(op.Replica),
@@ -396,9 +396,10 @@ func (s *Server) applyOpLocked(op proto.RepOp) error {
 		return nil
 	case proto.RepOpAccess:
 		for _, r := range op.Records {
-			s.recordAccess(int(r.FileID), r.TimeS, r.Size)
+			sl := s.pop.slot(r.FileID)
+			sl.foldRep(r)
+			sl.publishRep()
 		}
-		s.accessMark = int64(s.accesses.Len())
 		return nil
 	case proto.RepOpReplica:
 		fi, ok := s.meta.LookupName(op.Name)
@@ -469,6 +470,7 @@ func (s *Server) handleRepSnapshot(snap proto.RepSnapshot) error {
 // hold repMu or run before the server is serving.
 func (s *Server) installSnapshotLocked(snap proto.RepSnapshot) error {
 	s.meta.Clear()
+	s.pop.reset()
 	for _, f := range snap.Files {
 		if f.Node < 0 || int(f.Node) >= len(s.nodes) {
 			return fmt.Errorf("fs: snapshot places %q on node %d, server has %d", f.Name, f.Node, len(s.nodes))
@@ -482,19 +484,18 @@ func (s *Server) installSnapshotLocked(snap proto.RepSnapshot) error {
 		}); err != nil {
 			return err
 		}
-		s.sizes.set(f.ID, f.Size)
+		s.pop.slot(f.ID).size.Store(f.Size)
+	}
+	for _, r := range snap.Accesses {
+		if r.FileID >= snap.NextID {
+			return fmt.Errorf("fs: snapshot counts accesses to id %d outside [0, %d)", r.FileID, snap.NextID)
+		}
+		sl := s.pop.slot(r.FileID)
+		sl.rep = r
+		sl.publishRep()
 	}
 	s.nextID.Store(snap.NextID)
 	s.nextNode.Store(snap.NextNode)
-	// The local journal is append-only; a follower's records are a
-	// prefix of the primary's replicated stream, so appending the tail
-	// converges. (After a demotion the prefix property can break; the
-	// popularity counts are advisory and re-converge on later epochs.)
-	for i := s.accesses.Len(); i < len(snap.Accesses); i++ {
-		r := snap.Accesses[i]
-		s.recordAccess(int(r.FileID), r.TimeS, r.Size)
-	}
-	s.accessMark = int64(s.accesses.Len())
 	s.repSeq = snap.Seq
 	s.repSeqA.Store(s.repSeq)
 	return nil
@@ -557,8 +558,8 @@ func (s *Server) repLoop() {
 	}
 }
 
-// primaryDuties: replicate any popularity records logged since the last
-// epoch, then snapshot-repair any follower marked out of sync.
+// primaryDuties: replicate the popularity counted since the last epoch,
+// then snapshot-repair any follower marked out of sync.
 func (s *Server) primaryDuties() {
 	s.flushAccessEpoch()
 	s.repMu.Lock()
@@ -582,8 +583,8 @@ func (s *Server) primaryDuties() {
 	s.repMu.Unlock()
 }
 
-// flushAccessEpoch replicates the access-journal records appended since
-// the previous epoch as one batched op. Lookups stay lock-free and
+// flushAccessEpoch replicates the accesses counted since the previous
+// epoch as one op: a delta per file touched. Lookups stay lock-free and
 // replication-free on the hot path; followers receive popularity in
 // periodic batches, which is all the prefetch ranking needs.
 func (s *Server) flushAccessEpoch() {
@@ -595,21 +596,21 @@ func (s *Server) flushAccessEpoch() {
 	if !s.primary.Load() {
 		return
 	}
-	// Scan only the tail appended since the last epoch: the flush runs
-	// every repLoop tick, and re-walking the whole journal each time
-	// made the tick O(history) — a measurable stall source under load.
 	var recs []proto.RepAccess
-	maxSeq := s.accessMark - 1
-	s.accesses.ScanFrom(s.accessMark, func(r trace.Record) {
-		recs = append(recs, proto.RepAccess{FileID: int64(r.FileID), TimeS: r.TimeS, Size: r.Size})
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
+	s.pop.each(s.nextID.Load(), func(id int64, sl *popSlot) {
+		count, first, last := sl.live()
+		if count <= sl.rep.Count {
+			return
+		}
+		d := proto.RepAccess{FileID: id, Count: count - sl.rep.Count, First: first, Last: last}
+		recs = append(recs, d)
+		if !s.plantReshipEpoch {
+			sl.foldRep(d)
 		}
 	})
 	if len(recs) == 0 {
 		return
 	}
-	s.accessMark = maxSeq + 1
 	s.sequenceLocked([]proto.RepOp{{Kind: proto.RepOpAccess, Records: recs}}, telemetry.SpanContext{})
 }
 
@@ -706,7 +707,6 @@ func (s *Server) promote(maxEpoch uint64) {
 			p.synced = false
 		}
 	}
-	s.accessMark = int64(s.accesses.Len())
 	epoch, seq := s.epoch.Load(), s.repSeq
 	s.checkpointLocked() // the op log carries no epochs; make the new one durable
 	s.repMu.Unlock()

@@ -367,55 +367,168 @@ func typedTestErr(err error) bool {
 		errors.Is(err, ErrNotPrimary) || errors.As(err, &te) || errors.As(err, &re)
 }
 
-// snapshotBytes grabs a follower's state fingerprint under its own
-// replication lock, with the member identity zeroed so two different
-// followers can be compared byte-for-byte.
-func snapshotBytes(s *Server) []byte {
+// snapshotOf takes a server's snapshot under its own replication lock.
+func snapshotOf(s *Server) proto.RepSnapshot {
 	s.repMu.Lock()
-	snap := s.snapshotLocked()
-	s.repMu.Unlock()
+	defer s.repMu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotBytes is a server's state fingerprint: its snapshot with the
+// member identity zeroed, so two different members can be compared
+// byte-for-byte.
+func snapshotBytes(s *Server) []byte {
+	snap := snapshotOf(s)
 	snap.From = 0
 	return snap.Encode()
 }
 
-// TestOpLogReplayDeterminism: two followers fed the same op log land in
-// byte-identical states; duplicates ack idempotently; gaps are loud.
-func TestOpLogReplayDeterminism(t *testing.T) {
-	g := startGroup(t, 3, 2, nil)
-	f1, f2 := g.servers[1], g.servers[2]
-
-	// One real create through the group pins both followers at seq 1 and
-	// guarantees the primary's initial snapshot resync is behind us, so
-	// the hand-fed appends below cannot race it.
+// manualGroup is a 3-server group whose heartbeat is parked: the test
+// calls primaryDuties itself, so which follower learns what by epoch op
+// and what by snapshot is decided by the test, not by timing.
+func manualGroup(t *testing.T) (*testGroup, *Client) {
+	t.Helper()
+	g := startGroup(t, 3, 2, func(_ int, cfg *ServerConfig) { cfg.Health.ProbeInterval = time.Hour })
 	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if err := cl.Create("seed", bytes.Repeat([]byte{'s'}, 32)); err != nil {
+	t.Cleanup(func() { cl.Close() })
+	return g, cl
+}
+
+// desync makes the primary treat a follower as out of sync, as a failed
+// append would: its next contact is a snapshot.
+func (g *testGroup) desync(peer int) {
+	p := g.servers[0]
+	p.repMu.Lock()
+	p.peers[peer].synced = false
+	p.repMu.Unlock()
+}
+
+// lookups reads every name n times on the primary, without the network.
+func (g *testGroup) lookups(names []string, n int) {
+	g.t.Helper()
+	for i := 0; i < n; i++ {
+		for _, name := range names {
+			if _, err := g.servers[0].handleLookup(proto.LookupReq{Name: name}); err != nil {
+				g.t.Fatal(err)
+			}
+		}
+	}
+}
+
+// epochsAndSnapshots runs three popularity epochs through a real primary
+// with follower 1 always in sync — it is built from ops alone — and
+// follower 2 pushed out of sync twice, so it is built from snapshots:
+// one taken by a commit in the middle of an epoch, one by an epoch's own
+// fan-out. plant arms the primary's reship bug.
+func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
+	t.Helper()
+	g, cl := manualGroup(t)
+	p := g.servers[0]
+	p.repMu.Lock()
+	p.plantReshipEpoch = plant
+	p.repMu.Unlock()
+	names := []string{"a", "b", "c", "doomed"}
+	for _, name := range names {
+		if err := cl.Create(name, bytes.Repeat([]byte{'x'}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.lookups(names, 5)
+	p.primaryDuties() // epoch 1: an op to both followers
+
+	g.desync(2)
+	g.lookups(names, 7)
+	if err := cl.Create("late", []byte("l")); err != nil { // op to 1, snapshot to 2
 		t.Fatal(err)
 	}
-	if err := g.waitConverged(5 * time.Second); err != nil {
+	p.primaryDuties() // epoch 2: an op to both followers
+
+	g.desync(2)
+	g.lookups(names[:2], 3)
+	if err := cl.Delete("doomed"); err != nil { // op to 1, snapshot to 2
 		t.Fatal(err)
+	}
+	g.desync(2)
+	p.primaryDuties() // epoch 3: op to 1, snapshot to 2
+	return g
+}
+
+// TestSnapshotRepairCountsOnce: accesses counted but not yet sequenced
+// when a follower is repaired by snapshot reach it once — in the next
+// epoch — not once in the snapshot and again in the epoch.
+func TestSnapshotRepairCountsOnce(t *testing.T) {
+	g := epochsAndSnapshots(t, false)
+	want := map[int64]int64{0: 15, 1: 15, 2: 12, 3: 12}
+	for i, s := range g.servers {
+		snap, err := proto.DecodeRepSnapshot(snapshotBytes(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int64]int64{}
+		for _, r := range snap.Accesses {
+			got[r.FileID] = r.Count
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("server %d replicated counts %v, want %v", i, got, want)
+		}
+		if live, _ := s.popularity(); !reflect.DeepEqual(live, []int{15, 15, 12, 12, 0}) {
+			t.Errorf("server %d ranks from counts %v", i, live)
+		}
+	}
+}
+
+// TestOpLogReplayDeterminism: the snapshot at seq N is the fold of ops
+// 1..N, byte for byte — behind a real primary and for two followers fed
+// the same op log by hand; duplicates ack idempotently; gaps are loud.
+func TestOpLogReplayDeterminism(t *testing.T) {
+	// Planted bug: an epoch that is shipped but not recorded as shipped
+	// goes out again, and only the op-fed follower counts it twice. (A
+	// subtest, so the planted group is gone before the real one starts.)
+	t.Run("planted reship", func(t *testing.T) {
+		g := epochsAndSnapshots(t, true)
+		if bytes.Equal(snapshotBytes(g.servers[1]), snapshotBytes(g.servers[2])) {
+			t.Fatal("oracle blind: a reshipped epoch left both followers byte-identical")
+		}
+	})
+	g := epochsAndSnapshots(t, false)
+	want := snapshotBytes(g.servers[0])
+	if !bytes.Equal(want, snapshotBytes(g.servers[1])) {
+		t.Fatal("follower built from ops differs from the primary's snapshot")
+	}
+	if !bytes.Equal(want, snapshotBytes(g.servers[2])) {
+		t.Fatal("follower built from snapshots differs from the primary's snapshot")
 	}
 
+	// Hand-fed from here on; the group's primary is not used again.
+	f1, f2 := g.servers[1], g.servers[2]
+	base := f1.repSeqA.Load()
 	ops := []proto.RepOp{
-		{Seq: 2, Kind: proto.RepOpCreate, Name: "a", ID: 10, Size: 100, Node: 0, Cursor: 1},
-		{Seq: 3, Kind: proto.RepOpCreate, Name: "b", ID: 11, Size: 200, Node: 1, Cursor: 2},
-		{Seq: 4, Kind: proto.RepOpAccess, Records: []proto.RepAccess{
-			{FileID: 10, TimeS: 1, Size: 100}, {FileID: 11, TimeS: 2, Size: 200},
+		{Kind: proto.RepOpCreate, Name: "x", ID: 10, Size: 100, Node: 0, Cursor: 9},
+		{Kind: proto.RepOpCreate, Name: "y", ID: 2000, Size: 200, Node: 1, Cursor: 10}, // a new chunk
+		{Kind: proto.RepOpAccess, Records: []proto.RepAccess{
+			{FileID: 10, Count: 2, First: 5, Last: 6}, {FileID: 2000, Count: 1, First: 2, Last: 2},
 		}},
-		{Seq: 5, Kind: proto.RepOpReplica, Name: "a", Replica: 2},
-		{Seq: 6, Kind: proto.RepOpDelete, Name: "b"},
+		{Kind: proto.RepOpReplica, Name: "x", Replica: 2},
+		{Kind: proto.RepOpAccess, Records: []proto.RepAccess{ // earlier times arriving later
+			{FileID: 10, Count: 3, First: 1, Last: 4}, {FileID: 2000, Count: 1, First: 3, Last: 3},
+		}},
+		{Kind: proto.RepOpDelete, Name: "y"}, // its fold stays
 	}
+	for i := range ops {
+		ops[i].Seq = base + uint64(i) + 1
+	}
+	last := ops[len(ops)-1].Seq
 	req := proto.RepAppendReq{Epoch: 1, From: 0, Ops: ops}
 	for _, f := range []*Server{f1, f2} {
 		resp, err := f.handleRepAppend(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.LastSeq != 6 {
-			t.Fatalf("LastSeq %d, want 6", resp.LastSeq)
+		if resp.LastSeq != last {
+			t.Fatalf("LastSeq %d, want %d", resp.LastSeq, last)
 		}
 	}
 	if !reflect.DeepEqual(f1.Files(), f2.Files()) {
@@ -425,10 +538,20 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	if !bytes.Equal(before, snapshotBytes(f2)) {
 		t.Fatal("same op log produced different snapshot bytes")
 	}
+	if count, first, last := f1.pop.slot(10).live(); count != 5 || first != 1 || last != 6 {
+		t.Fatalf("two epochs folded to (%d, %g, %g), want (5, 1, 6)", count, first, last)
+	}
+	// Installing a server's own snapshot is the identity.
+	if err := f2.handleRepSnapshot(snapshotOf(f1)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, snapshotBytes(f2)) {
+		t.Fatal("a follower installed from a snapshot differs from the follower it was taken from")
+	}
 
 	// Duplicate delivery: idempotent ack, state unchanged.
 	resp, err := f1.handleRepAppend(req)
-	if err != nil || resp.LastSeq != 6 {
+	if err != nil || resp.LastSeq != last {
 		t.Fatalf("duplicate delivery: %+v, %v", resp, err)
 	}
 	if !bytes.Equal(before, snapshotBytes(f1)) {
@@ -437,7 +560,7 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 
 	// Gap: rejected with the gap marker, nothing applied.
 	gap := proto.RepAppendReq{Epoch: 1, From: 0, Ops: []proto.RepOp{
-		{Seq: 9, Kind: proto.RepOpCreate, Name: "z", ID: 8, Size: 1, Node: 0},
+		{Seq: last + 3, Kind: proto.RepOpCreate, Name: "z", ID: 8, Size: 1, Node: 0},
 	}}
 	if _, err := f1.handleRepAppend(gap); err == nil || !strings.Contains(err.Error(), repMsgGap) {
 		t.Fatalf("gap delivery: %v, want %q", err, repMsgGap)
@@ -450,6 +573,44 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	stale := proto.RepAppendReq{Epoch: 0, From: 0, Ops: nil}
 	if _, err := f1.handleRepAppend(stale); err == nil || !strings.Contains(err.Error(), repMsgStaleEpoch) {
 		t.Fatalf("stale epoch: %v, want %q", err, repMsgStaleEpoch)
+	}
+}
+
+// TestSnapshotSizeIndependentOfLookups: a snapshot is O(files). Its
+// encoding has the same length after a thousand and after two hundred
+// thousand lookups of one namespace, and a follower that falls out of
+// sync after all of them is whole again one tick later.
+func TestSnapshotSizeIndependentOfLookups(t *testing.T) {
+	g, cl := manualGroup(t)
+	p := g.servers[0]
+	var names []string
+	for i := 0; i < 50; i++ {
+		names = append(names, fmt.Sprintf("n%02d", i))
+		if err := cl.Create(names[i], []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.lookups(names, 20)
+	p.primaryDuties()
+	small := len(snapshotBytes(p))
+	g.lookups(names, 4000)
+	p.primaryDuties()
+	if big := len(snapshotBytes(p)); big != small {
+		t.Fatalf("snapshot grew from %d to %d bytes with the lookup count", small, big)
+	}
+	g.desync(1)
+	p.primaryDuties()
+	p.repMu.Lock()
+	synced := p.peers[1].synced
+	p.repMu.Unlock()
+	if !synced {
+		t.Fatal("out-of-sync follower not repaired by one tick")
+	}
+	if !bytes.Equal(snapshotBytes(p), snapshotBytes(g.servers[1])) {
+		t.Fatal("repaired follower differs from the primary")
+	}
+	if got := g.servers[1].AccessCount(); got != 50*4020 {
+		t.Fatalf("repaired follower counts %d accesses, want %d", got, 50*4020)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"eevfs/internal/prefetch"
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
-	"eevfs/internal/trace"
 	"eevfs/internal/wal"
 )
 
@@ -171,9 +170,9 @@ func (h *nodeHandle) note(err error, failThreshold int) int {
 // Server is a running storage-server daemon.
 //
 // Concurrency model: there is no global server mutex. File metadata
-// lives in a striped map (metadata.Sharded), the popularity journal is a
-// lock-free append-only log (trace.AtomicLog), and the id/placement
-// cursors are atomics — so independent client operations on different
+// lives in a striped map (metadata.Sharded), popularity is a per-file
+// fold updated with atomics (popTable), and the id/placement cursors are
+// atomics — so independent client operations on different
 // files never contend on a shared lock. The only mutexes left guard the
 // connection set (accept/close lifecycle), each node's health word, and
 // the commit path that orders mutations into the op log.
@@ -211,9 +210,7 @@ type Server struct {
 	churnCh      chan int
 	churnDropped *telemetry.Counter
 
-	accesses trace.AtomicLog
-	sizes    sizeTable    // per file id (dense); slots survive deletes
-	hints    hintTable    // per file id incremental {count, first, last}
+	pop      popTable     // per file id: size and access fold
 	nextID   atomic.Int64 // next file id
 	nextNode atomic.Int64 // placement round-robin cursor
 
@@ -243,8 +240,10 @@ type Server struct {
 	commitMu   sync.Mutex
 	commitQ    []proto.RepOp
 	repSeqA    atomic.Uint64
-	accessMark int64 // access-journal seq horizon already replicated
-	watchFails int   // consecutive failed primary probes (repLoop-owned)
+	watchFails int // consecutive failed primary probes (repLoop-owned)
+	// plantReshipEpoch is the replication oracle's planted bug: an epoch
+	// ships its deltas without recording them as shipped.
+	plantReshipEpoch bool
 
 	replLag      *telemetry.Gauge
 	roleG        *telemetry.Gauge
@@ -663,7 +662,7 @@ func (s *Server) handleCreate(req proto.CreateReq, sp *telemetry.Span) (proto.Cr
 		return proto.CreateResp{}, err
 	}
 	id := s.nextID.Add(1) - 1
-	s.sizes.set(id, req.Size)
+	s.pop.slot(id).size.Store(req.Size)
 
 	claimed, err := s.meta.PutIfAbsent(metadata.FileInfo{
 		Name: req.Name, ID: int(id), Size: req.Size, Node: nodeIdx,
@@ -691,8 +690,8 @@ func (s *Server) handleCreate(req proto.CreateReq, sp *telemetry.Span) (proto.Cr
 	return proto.CreateResp{FileID: id, NodeAddr: h.addr}, nil
 }
 
-// handleLookup resolves a name and journals the access (the append-only
-// popularity log of Section IV). Lookups of files on unhealthy nodes
+// handleLookup resolves a name and counts the access (the fold of
+// Section IV's append-only request log). Lookups of files on unhealthy nodes
 // fall back to a buffer-disk replica when mirroring has placed one on a
 // healthy node; otherwise they fail fast with a typed unavailable error
 // instead of handing the client an address that would hang it.
@@ -755,11 +754,11 @@ func (s *Server) handleLookupWrite(req proto.LookupReq, sp *telemetry.Span) (pro
 	}, nil
 }
 
-// journalAccess appends one popularity record for fi and, under the
-// adaptive policy, hands the access to the churn loop — the lookup hot
-// path takes no lock and waits on no detector.
+// journalAccess folds one access to fi into its popularity slot and,
+// under the adaptive policy, hands the access to the churn loop — the
+// lookup hot path takes no lock and waits on no detector.
 func (s *Server) journalAccess(fi metadata.FileInfo) {
-	s.recordAccess(fi.ID, float64(s.clock.Now()), fi.Size)
+	s.pop.slot(int64(fi.ID)).note(float64(s.clock.Now()))
 	s.accessCtr.Inc()
 	if s.churn == nil {
 		return
@@ -769,20 +768,6 @@ func (s *Server) journalAccess(fi metadata.FileInfo) {
 	default:
 		s.churnDropped.Inc()
 	}
-}
-
-// recordAccess appends one popularity record and folds it into the
-// incremental hint aggregate; every append into the access journal —
-// live lookups, replicated epochs, snapshot installs — must go through
-// here so the two views never diverge.
-func (s *Server) recordAccess(fileID int, timeS float64, size int64) {
-	s.accesses.Append(trace.Record{ // Seq is assigned atomically by the log
-		TimeS:  timeS,
-		Op:     trace.Read,
-		FileID: fileID,
-		Size:   size,
-	})
-	s.hints.note(int64(fileID), timeS)
 }
 
 // churnLoop is the single consumer of churnCh: it scores each observed
@@ -892,14 +877,7 @@ func (s *Server) handlePrefetch(k int, sp *telemetry.Span) (int64, error) {
 	// first: if this primary dies right after prefetching, its successor
 	// ranks files from the same evidence.
 	s.flushAccessEpoch()
-	// Consistent-enough snapshot without any lock: load the id horizon
-	// first, then counts and sizes. A file created after the horizon load
-	// simply misses this prefetch round; a file mid-create reads count 0
-	// and is never selected (Select skips zero-count files).
-	numFiles := s.nextID.Load()
-	counts := s.accesses.Counts(int(numFiles))
-	sizes := s.sizes.snapshot(numFiles)
-
+	counts, sizes := s.popularity()
 	ids, err := prefetch.Select(counts, sizes, k, 0)
 	if err != nil {
 		return 0, err
@@ -912,6 +890,20 @@ func (s *Server) handlePrefetch(k int, sp *telemetry.Span) (int64, error) {
 		s.noteBuffered(ids)
 	}
 	return total, err
+}
+
+// popularity returns every file id's access count and size, the inputs
+// of the ranking: a consistent-enough snapshot without any lock. The id
+// horizon is loaded first, so a file created after it simply misses this
+// prefetch round; a file mid-create reads count 0 and is never selected
+// (Select skips zero-count files).
+func (s *Server) popularity() (counts []int, sizes []int64) {
+	numFiles := s.nextID.Load()
+	counts, sizes = make([]int, numFiles), make([]int64, numFiles)
+	s.pop.each(numFiles, func(id int64, sl *popSlot) {
+		counts[id], sizes[id] = int(sl.count.Load()), sl.size.Load()
+	})
+	return counts, sizes
 }
 
 // commandPrefetch groups the selected ids by owning node, commands each
@@ -1101,14 +1093,13 @@ func (s *Server) copyToMirror(fi metadata.FileInfo, mirror int, sp *telemetry.Sp
 	return nil
 }
 
-// hintsPerNode derives each file's mean request inter-arrival from the
-// incremental hint aggregate and groups the hints by owning node —
-// O(number of files), not O(length of the access history) as the
-// original whole-journal walk was. Files seen fewer than twice yield no
-// estimate.
+// hintsPerNode derives each file's mean request inter-arrival from its
+// access fold and groups the hints by owning node. Files seen fewer than
+// twice yield no estimate.
 func (s *Server) hintsPerNode() map[int][]proto.FileHint {
 	out := make(map[int][]proto.FileHint)
-	s.hints.each(s.nextID.Load(), func(id, count int64, first, last float64) {
+	s.pop.each(s.nextID.Load(), func(id int64, sl *popSlot) {
+		count, first, last := sl.live()
 		if count < 2 || last <= first {
 			return
 		}
@@ -1185,9 +1176,12 @@ func (s *Server) handleStats(sp *telemetry.Span) (proto.StatsResp, error) {
 	return out, nil
 }
 
-// AccessCount reports the number of journaled accesses (for tests).
+// AccessCount reports the number of accesses counted, summed over the
+// files (for tests).
 func (s *Server) AccessCount() int {
-	return s.accesses.Len()
+	var n int64
+	s.pop.each(s.nextID.Load(), func(_ int64, sl *popSlot) { n += sl.count.Load() })
+	return int(n)
 }
 
 // Files returns a snapshot of the server's metadata records, in name

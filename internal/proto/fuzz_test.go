@@ -97,13 +97,21 @@ func FuzzMessageDecoders(f *testing.F) {
 func FuzzRepDecoders(f *testing.F) {
 	f.Add(RepAppendReq{Epoch: 3, From: 1, Ops: []RepOp{
 		{Seq: 9, Kind: RepOpCreate, Name: "f", ID: 4, Size: 100, Node: 1, Cursor: 2},
-		{Seq: 10, Kind: RepOpAccess, Records: []RepAccess{{FileID: 4, TimeS: 1.5, Size: 100}}},
+		{Seq: 10, Kind: RepOpAccess, Records: []RepAccess{{FileID: 4, Count: 3, First: 1.5, Last: 9}}},
 	}}.Encode())
+	// A logged epoch (records dropped), an epoch whose last aggregate is
+	// cut short, and one shipping a negative delta.
+	f.Add(RepOp{Seq: 12, Kind: RepOpAccess}.Encode())
+	epoch := RepOp{Seq: 13, Kind: RepOpAccess, Records: []RepAccess{
+		{FileID: 4, Count: 1, First: 2, Last: 2}, {FileID: 2000, Count: 7, First: 0, Last: 4},
+	}}.Encode()
+	f.Add(epoch[:len(epoch)-8])
+	f.Add(RepOp{Seq: 14, Kind: RepOpAccess, Records: []RepAccess{{FileID: 4, Count: -1, First: 1, Last: 2}}}.Encode())
 	f.Add(RepOp{Seq: 11, Kind: RepOpDelete, Name: "f"}.Encode())
 	f.Add(RepAppendResp{LastSeq: 10}.Encode())
 	f.Add(RepSnapshot{Epoch: 2, Seq: 7, NextID: 5, NextNode: 1,
 		Files:    []RepFile{{Name: "f", ID: 4, Size: 100, Node: 1, Replica: 2}},
-		Accesses: []RepAccess{{FileID: 4, TimeS: 1.5, Size: 100}},
+		Accesses: []RepAccess{{FileID: 4, Count: 3, First: 1.5, Last: 9}},
 	}.Encode())
 	f.Add(RepStatusResp{Primary: true, Epoch: 2, Seq: 7, PrimaryIdx: 0}.Encode())
 	f.Add([]byte{})

@@ -97,6 +97,7 @@ const (
 var (
 	ErrFrameTooLarge = errors.New("proto: frame exceeds MaxFrame")
 	ErrShortPayload  = errors.New("proto: truncated payload")
+	errBadRepAccess  = errors.New("proto: access fold with a negative id, no accesses or unordered times")
 )
 
 // MagicV2 is the connection preface. Read as a frame length it decodes

@@ -12,19 +12,43 @@ const (
 	RepOpCreate uint32 = iota + 1
 	// RepOpDelete removes Name from the namespace.
 	RepOpDelete
-	// RepOpAccess is a popularity epoch: the batch of access-journal
-	// records appended on the primary since the last epoch.
+	// RepOpAccess is a popularity epoch: one RepAccess delta per file
+	// looked up on the primary since the last epoch.
 	RepOpAccess
 	// RepOpReplica sets or clears (Replica == 0) the buffer-disk replica
 	// marker on Name.
 	RepOpReplica
 )
 
-// RepAccess is one replicated access-journal record.
+// RepAccess is one file's replicated access fold: Count lookups (inside
+// an epoch op, since the previous epoch; inside a snapshot, in total),
+// the earliest at First and the latest at Last. A follower folds it in
+// as count += Count, first = min, last = max.
 type RepAccess struct {
-	FileID int64
-	TimeS  float64
-	Size   int64
+	FileID      int64
+	Count       int64
+	First, Last float64
+}
+
+func encodeRepAccesses(e *Encoder, recs []RepAccess) {
+	e.U32(uint32(len(recs)))
+	for _, r := range recs {
+		e.I64(r.FileID).I64(r.Count).F64(r.First).F64(r.Last)
+	}
+}
+
+// decodeRepAccesses refuses what no primary ships: a follower indexes a
+// table by FileID and orders the times by their bit patterns. The times
+// test is written so that NaN fails it.
+func decodeRepAccesses(d *Decoder) (recs []RepAccess) {
+	for n := d.U32(); n > 0 && d.err == nil; n-- {
+		r := RepAccess{FileID: d.I64(), Count: d.I64(), First: d.F64(), Last: d.F64()}
+		if d.err == nil && (r.FileID < 0 || r.Count <= 0 || !(r.First >= 0 && r.Last >= r.First)) {
+			d.err = errBadRepAccess
+		}
+		recs = append(recs, r)
+	}
+	return recs
 }
 
 // RepOp is one entry of the ordered metadata operation log. Seq numbers
@@ -46,10 +70,7 @@ type RepOp struct {
 func (op RepOp) encode(e *Encoder) {
 	e.U64(op.Seq).U32(op.Kind).Str(op.Name).I64(op.ID).I64(op.Size)
 	e.I64(op.Node).I64(op.Replica).I64(op.Cursor)
-	e.U32(uint32(len(op.Records)))
-	for _, r := range op.Records {
-		e.I64(r.FileID).F64(r.TimeS).I64(r.Size)
-	}
+	encodeRepAccesses(e, op.Records)
 }
 
 // Encode serializes one op on its own — the record format of the
@@ -69,21 +90,17 @@ func DecodeRepOp(b []byte) (RepOp, error) {
 }
 
 func decodeRepOp(d *Decoder) RepOp {
-	op := RepOp{
-		Seq:  d.U64(),
-		Kind: d.U32(),
-		Name: d.Str(),
-		ID:   d.I64(),
-		Size: d.I64(),
+	return RepOp{
+		Seq:     d.U64(),
+		Kind:    d.U32(),
+		Name:    d.Str(),
+		ID:      d.I64(),
+		Size:    d.I64(),
+		Node:    d.I64(),
+		Replica: d.I64(),
+		Cursor:  d.I64(),
+		Records: decodeRepAccesses(d),
 	}
-	op.Node = d.I64()
-	op.Replica = d.I64()
-	op.Cursor = d.I64()
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		op.Records = append(op.Records, RepAccess{FileID: d.I64(), TimeS: d.F64(), Size: d.I64()})
-	}
-	return op
 }
 
 // RepAppendReq carries a batch of consecutive ops from the primary.
@@ -166,10 +183,7 @@ func (m RepSnapshot) Encode() []byte {
 	for _, f := range m.Files {
 		e.Str(f.Name).I64(f.ID).I64(f.Size).I64(f.Node).I64(f.Replica)
 	}
-	e.U32(uint32(len(m.Accesses)))
-	for _, r := range m.Accesses {
-		e.I64(r.FileID).F64(r.TimeS).I64(r.Size)
-	}
+	encodeRepAccesses(&e, m.Accesses)
 	return e.Bytes()
 }
 
@@ -189,10 +203,7 @@ func DecodeRepSnapshot(b []byte) (RepSnapshot, error) {
 			Name: d.Str(), ID: d.I64(), Size: d.I64(), Node: d.I64(), Replica: d.I64(),
 		})
 	}
-	n = d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		m.Accesses = append(m.Accesses, RepAccess{FileID: d.I64(), TimeS: d.F64(), Size: d.I64()})
-	}
+	m.Accesses = decodeRepAccesses(d)
 	return m, d.Err()
 }
 

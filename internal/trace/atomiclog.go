@@ -22,13 +22,14 @@ type logChunk struct {
 	ready [logChunkSize]atomic.Bool
 }
 
-// AtomicLog is a lock-free append-only request log: the storage server's
-// concurrent replacement for AccessLog (Section IV's append-only
-// popularity journal). Appenders reserve a slot with one atomic
-// fetch-add and publish it with one atomic flag store, so lookups on
-// different connections never serialize behind a journal mutex. Readers
-// (popularity recomputation, hint derivation) walk the reserved prefix
-// and skip the — transiently — unpublished slots of in-flight appends.
+// AtomicLog is a lock-free append-only request log: a concurrent
+// AccessLog (Section IV's append-only popularity journal). Appenders
+// reserve a slot with one atomic fetch-add and publish it with one
+// atomic flag store; readers walk the reserved prefix and skip the —
+// transiently — unpublished slots of in-flight appends. No program code
+// uses it: the storage server keeps the per-file fold of this log
+// (fs.popTable), not the log. The type stays only for the benchmark's
+// trace.* probes (bench/layers.go) and is removed with them.
 //
 // The zero value is ready to use. An AtomicLog must not be copied.
 type AtomicLog struct {
