@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"eevfs/internal/adaptive"
-	"eevfs/internal/disk"
 	"eevfs/internal/prefetch"
 	"eevfs/internal/simtime"
 )
@@ -63,34 +62,26 @@ func (s *sim) adaptiveObserve(d *simDisk, r *request, now simtime.Time) {
 // one timer at the controller's threshold; if the disk is still idle
 // when it fires, the spin-down is attempted against the budget.
 func (s *sim) adaptiveArm(d *simDisk, now simtime.Time) {
-	if d.d.State() != disk.Idle || d.busy || len(d.queue) > 0 {
+	if !d.idle() {
 		return
 	}
 	th := s.adapt.ctl.ThresholdSec(d.adIdx, s.cfg.IdleThresholdSec, d.d.Model())
 	s.met.adaptiveThreshold.Observe(th)
-	if d.idleTimer != nil {
-		s.eng.Cancel(d.idleTimer)
-	}
-	d.idleTimer = s.eng.After(th, func(now simtime.Time) {
-		d.idleTimer = nil
-		s.adaptiveMaybeSleep(d, now)
-	})
+	s.eng.Arm(&d.idleTimer, now+simtime.Time(th), s.on.adaptiveMaybeSleep, d)
 }
 
 // adaptiveMaybeSleep fires at the adapted threshold: if the disk is
 // still idle and the transition budget admits it, spin down; a budget
 // veto re-arms at the instant the window frees up.
-func (s *sim) adaptiveMaybeSleep(d *simDisk, now simtime.Time) {
-	if d.d.State() != disk.Idle || d.busy || len(d.queue) > 0 {
+func (s *sim) adaptiveMaybeSleep(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
+	if !d.idle() {
 		return
 	}
 	if !s.adapt.ctl.AllowSpinDown(d.adIdx, float64(now)) {
 		s.res.AdaptiveBudgetVetoes++
 		at := s.adapt.ctl.NextBudgetFreeAt(d.adIdx, float64(now))
-		d.idleTimer = s.eng.Schedule(simtime.Time(at), func(now simtime.Time) {
-			d.idleTimer = nil
-			s.adaptiveMaybeSleep(d, now)
-		})
+		s.eng.Arm(&d.idleTimer, simtime.Time(at), s.on.adaptiveMaybeSleep, d)
 		return
 	}
 	s.adapt.ctl.NoteSpinDown(d.adIdx, float64(now))
@@ -167,7 +158,7 @@ func (s *sim) adaptiveReprefetch(now simtime.Time) {
 		idle := true
 		for _, ch := range s.chunksOf(fid) {
 			dd := n.data[ch.disk]
-			if dd.d.State() != disk.Idle || dd.busy || len(dd.queue) > 0 {
+			if !dd.idle() {
 				idle = false
 				break
 			}
@@ -192,7 +183,7 @@ func (s *sim) adaptiveReprefetch(now simtime.Time) {
 		n.bufferReserve(fid, size)
 		s.fetching[fid] = true
 		s.addWork(1)
-		s.fanToDataDisks(n, fid, size, now, opPrefRead, now)
+		s.fanToDataDisks(n, s.newOp(opPrefRead, fid, size, now), now)
 		fetched++
 	}
 	s.res.AdaptiveReprefetches++

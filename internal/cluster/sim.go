@@ -25,23 +25,16 @@ const (
 	opPrefRead // data-disk read feeding a dynamic prefetch
 )
 
-// fanout tracks a striped operation spread over several data disks; the
-// client-visible completion happens when the last chunk finishes.
-type fanout struct {
-	remaining int
-	fileID    int
-	total     int64
-	sentAt    simtime.Time
-	kind      opKind
-}
-
 // request is one unit of disk work in flight through the simulator.
 type request struct {
 	kind   opKind
 	fileID int
 	size   int64
 	sentAt simtime.Time // client send time; zero-valued for flushes
-	fan    *fanout      // non-nil for chunks of a striped operation
+	// A striped operation is one request for the whole (size the total,
+	// remaining the chunks still out) and one per chunk pointing at it.
+	parent    *request
+	remaining int
 	// release lists, per buffer-disk index, the occupancy a completed
 	// flush frees (opFlush only).
 	release []int64
@@ -50,6 +43,31 @@ type request struct {
 	// its service began (for the journal's queue-wait accounting).
 	enqAt   simtime.Time
 	startAt simtime.Time
+}
+
+// reqQueue is a disk's FIFO: a slice with a head index, so serving a
+// request never reallocates.
+type reqQueue struct {
+	buf  []*request
+	head int
+}
+
+func (q *reqQueue) len() int { return len(q.buf) - q.head }
+
+func (q *reqQueue) push(r *request) {
+	// Reclaim the served prefix rather than grow once it is the larger half.
+	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	q.buf = append(q.buf, r)
+}
+
+func (q *reqQueue) pop() *request {
+	r := q.buf[q.head]
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return r
 }
 
 // simDisk wraps a disk state machine with its queue and power-management
@@ -61,7 +79,7 @@ type simDisk struct {
 	isBuffer  bool
 	dataIndex int // -1 for the buffer disk
 
-	queue []*request
+	queue reqQueue
 	busy  bool
 	cur   *request
 
@@ -70,8 +88,9 @@ type simDisk struct {
 	predicted []float64
 	predIdx   int
 
-	idleTimer   *simtime.Event
-	prewake     *simtime.Event
+	// The disk's own re-armable timers: no handle outlives what it names.
+	idleTimer   simtime.Event
+	prewake     simtime.Event
 	wakePending bool
 
 	// Adaptive-arm bookkeeping: the disk's index into the online
@@ -144,6 +163,35 @@ type sim struct {
 	// the structured event journal.
 	met  simMetrics
 	jour *telemetry.Journal
+
+	// The allocation-light hot path. on holds the event callbacks as
+	// method values, evaluated once (each evaluation allocates): an event
+	// carries the *simDisk or *request it acts on instead of a fresh
+	// closure. Retired requests are reused; chunkBuf backs chunksOf.
+	on struct {
+		writeArrived, diskDone, respond, spinUpDone, spinDownDone  func(simtime.Time, any)
+		onIdle, idleTimeout, adaptiveMaybeSleep, prewake, flushNow func(simtime.Time, any)
+	}
+	freeReqs []*request
+	chunkBuf []chunk
+}
+
+// newOp returns a request for one operation, reusing a retired one if any.
+func (s *sim) newOp(kind opKind, fileID int, size int64, sentAt simtime.Time) *request {
+	var r *request
+	if n := len(s.freeReqs); n > 0 {
+		r, s.freeReqs = s.freeReqs[n-1], s.freeReqs[:n-1]
+	} else {
+		r = &request{}
+	}
+	r.kind, r.fileID, r.size, r.sentAt = kind, fileID, size, sentAt
+	return r
+}
+
+// retire recycles a request nothing refers to any more.
+func (s *sim) retire(r *request) {
+	*r = request{}
+	s.freeReqs = append(s.freeReqs, r)
 }
 
 // bufferFor maps a file to its buffer disk (files hash across the m
@@ -180,16 +228,18 @@ type chunk struct {
 
 // chunksOf splits a file across the node's data disks (whole-file when
 // striping is off). Chunk c of file f lands on disk (primary + c) mod N,
-// so consecutive chunks parallelize across spindles.
+// so consecutive chunks parallelize across spindles. The result is the
+// run's scratch slice: valid until the next call.
 func (s *sim) chunksOf(fid int) []chunk {
 	size := s.tr.FileSizes[fid]
 	primary := s.assign.Disk[fid]
 	stripe := s.cfg.StripeChunkBytes
+	out := s.chunkBuf[:0]
 	if stripe <= 0 || size <= stripe {
-		return []chunk{{disk: primary, bytes: size}}
+		s.chunkBuf = append(out, chunk{disk: primary, bytes: size})
+		return s.chunkBuf
 	}
 	disks := s.cfg.DataDisksPerNode()
-	var out []chunk
 	for off, c := int64(0), 0; off < size; off, c = off+stripe, c+1 {
 		n := stripe
 		if size-off < n {
@@ -197,6 +247,7 @@ func (s *sim) chunksOf(fid int) []chunk {
 		}
 		out = append(out, chunk{disk: (primary + c) % disks, bytes: n})
 	}
+	s.chunkBuf = out
 	return out
 }
 
@@ -217,6 +268,10 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	cfg.DownNodes = nil
 
 	s := &sim{cfg: cfg, tr: tr, eng: &simtime.Engine{}, fetching: make(map[int]bool)}
+	s.on.writeArrived, s.on.diskDone, s.on.respond = s.writeArrived, s.diskDone, s.respond
+	s.on.spinUpDone, s.on.spinDownDone, s.on.onIdle = s.spinUpDone, s.spinDownDone, s.onIdle
+	s.on.idleTimeout, s.on.adaptiveMaybeSleep = s.idleTimeout, s.adaptiveMaybeSleep
+	s.on.prewake, s.on.flushNow = s.prewakeDue, s.flushNow
 	s.met = newSimMetrics(cfg.Metrics)
 	s.jour = cfg.Journal
 	if cfg.ReprefetchEvery > 0 {
@@ -254,22 +309,20 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 		s.buildPredictions()
 	}
 
-	// Replay: schedule every trace record's arrival at the storage node.
+	// Replay: every trace record's arrival at its storage node, streamed
+	// into the event order as the engine's ordered source.
 	s.outstanding = len(tr.Records)
-	for i := range tr.Records {
-		rec := tr.Records[i]
-		sent := s.offset + simtime.Time(rec.TimeS)
-		s.eng.Schedule(sent+simtime.Time(cfg.RouteLatencySec), func(now simtime.Time) {
-			s.nodeArrival(now, rec, sent)
-		})
+	arrivals := make([]simtime.Time, len(tr.Records))
+	for i, rec := range tr.Records {
+		arrivals[i] = s.offset + simtime.Time(rec.TimeS) + simtime.Time(cfg.RouteLatencySec)
 	}
+	s.eng.ScheduleAll(arrivals, s.nodeArrival)
 
 	// Initial power-management pass at replay start: disks left idle
 	// after the prefetch phase may already face a long predicted gap.
 	for _, n := range s.nodes {
 		for _, d := range n.data {
-			d := d
-			s.eng.Schedule(s.offset, func(now simtime.Time) { s.onIdle(d, now) })
+			s.eng.Post(s.offset, s.on.onIdle, d)
 		}
 	}
 
@@ -464,8 +517,10 @@ func (s *sim) meanFileSize() int64 {
 	return total / int64(s.tr.NumFiles())
 }
 
-// nodeArrival handles a request reaching its storage node.
-func (s *sim) nodeArrival(now simtime.Time, rec trace.Record, sentAt simtime.Time) {
+// nodeArrival handles trace record i reaching its storage node.
+func (s *sim) nodeArrival(now simtime.Time, i int) {
+	rec := &s.tr.Records[i]
+	sentAt := s.offset + simtime.Time(rec.TimeS)
 	n := s.nodes[s.assign.Node[rec.FileID]]
 	s.noteAccess(rec.FileID, now)
 	switch rec.Op {
@@ -475,16 +530,16 @@ func (s *sim) nodeArrival(now simtime.Time, rec trace.Record, sentAt simtime.Tim
 			s.res.BufferHits++
 			s.met.bufferHits.Inc()
 			buf, _ := n.bufferFor(rec.FileID)
-			s.enqueue(buf, &request{kind: opRead, fileID: rec.FileID, size: rec.Size, sentAt: sentAt}, now)
+			s.enqueue(buf, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
 		case s.cfg.MAID && s.maidHit(n, rec.FileID):
 			s.res.BufferHits++
 			s.met.bufferHits.Inc()
 			buf, _ := n.bufferFor(rec.FileID)
-			s.enqueue(buf, &request{kind: opRead, fileID: rec.FileID, size: rec.Size, sentAt: sentAt}, now)
+			s.enqueue(buf, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
 		default:
 			s.res.BufferMisses++
 			s.met.bufferMisses.Inc()
-			s.fanToDataDisks(n, rec.FileID, rec.Size, sentAt, opRead, now)
+			s.fanToDataDisks(n, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
 		}
 		// The churn detector sees every read's buffer outcome; it runs
 		// after the enqueue so a triggered re-prefetch never queues a
@@ -496,9 +551,7 @@ func (s *sim) nodeArrival(now simtime.Time, rec trace.Record, sentAt simtime.Tim
 	case trace.Write:
 		// Inbound data transfer over the node NIC, then the disk write.
 		_, end := n.link.Reserve(now, rec.Size)
-		s.eng.Schedule(end, func(now simtime.Time) {
-			s.writeArrived(n, rec, sentAt, now)
-		})
+		s.eng.Post(end, s.on.writeArrived, s.newOp(opWrite, rec.FileID, rec.Size, sentAt))
 	}
 }
 
@@ -521,27 +574,29 @@ func (s *sim) noteAccess(fileID int, now simtime.Time) {
 	}
 }
 
-// fanToDataDisks enqueues one request's chunks across the node's data
+// fanToDataDisks enqueues one operation's chunks across the node's data
 // disks; with striping off this degenerates to a single enqueue.
-func (s *sim) fanToDataDisks(n *simNode, fileID int, size int64, sentAt simtime.Time, kind opKind, now simtime.Time) {
-	chunks := s.chunksOf(fileID)
-	fan := &fanout{remaining: len(chunks), fileID: fileID, total: size, sentAt: sentAt, kind: kind}
+func (s *sim) fanToDataDisks(n *simNode, op *request, now simtime.Time) {
+	chunks := s.chunksOf(op.fileID)
+	op.remaining = len(chunks)
 	for _, ch := range chunks {
-		s.enqueue(n.data[ch.disk], &request{
-			kind: kind, fileID: fileID, size: ch.bytes, sentAt: sentAt, fan: fan,
-		}, now)
+		r := s.newOp(op.kind, op.fileID, ch.bytes, op.sentAt)
+		r.parent = op
+		s.enqueue(n.data[ch.disk], r, now)
 	}
 }
 
 // writeArrived places a fully-received write on the buffer disk (if the
 // write-buffer area has room) or directly on the data disk(s).
-func (s *sim) writeArrived(n *simNode, rec trace.Record, sentAt, now simtime.Time) {
-	if s.cfg.Prefetch && s.cfg.WriteBuffer && n.bufferFits(rec.FileID, rec.Size) {
-		n.bufferReserve(rec.FileID, rec.Size)
-		_, bi := n.bufferFor(rec.FileID)
+func (s *sim) writeArrived(now simtime.Time, arg any) {
+	r := arg.(*request)
+	n := s.nodes[s.assign.Node[r.fileID]]
+	if s.cfg.Prefetch && s.cfg.WriteBuffer && n.bufferFits(r.fileID, r.size) {
+		n.bufferReserve(r.fileID, r.size)
+		buf, bi := n.bufferFor(r.fileID)
 		// The eventual flush lands on the same disks a direct write
 		// would have touched.
-		for _, ch := range s.chunksOf(rec.FileID) {
+		for _, ch := range s.chunksOf(r.fileID) {
 			dd := n.data[ch.disk]
 			dd.pendingFlushBytes += ch.bytes
 			if dd.pendingPerBuffer == nil {
@@ -551,25 +606,21 @@ func (s *sim) writeArrived(n *simNode, rec trace.Record, sentAt, now simtime.Tim
 		}
 		s.res.BufferedWrites++
 		s.met.bufferedWrites.Inc()
-		buf, _ := n.bufferFor(rec.FileID)
-		s.enqueue(buf, &request{kind: opWrite, fileID: rec.FileID, size: rec.Size, sentAt: sentAt}, now)
+		s.enqueue(buf, r, now)
 		return
 	}
 	s.res.DirectWrites++
 	s.met.directWrites.Inc()
-	s.fanToDataDisks(n, rec.FileID, rec.Size, sentAt, opWrite, now)
+	s.fanToDataDisks(n, r, now)
 }
 
 // enqueue adds a request to a disk queue and makes sure the disk is
 // coming up to serve it.
 func (s *sim) enqueue(d *simDisk, r *request, now simtime.Time) {
-	if d.idleTimer != nil {
-		s.eng.Cancel(d.idleTimer)
-		d.idleTimer = nil
-	}
+	s.eng.Cancel(&d.idleTimer)
 	s.adaptiveObserve(d, r, now)
 	r.enqAt = now
-	d.queue = append(d.queue, r)
+	d.queue.push(r)
 	s.ensureAwake(d, now)
 }
 
@@ -593,25 +644,29 @@ func (s *sim) ensureAwake(d *simDisk, now simtime.Time) {
 }
 
 func (s *sim) beginSpinUp(d *simDisk, now simtime.Time) {
-	if d.prewake != nil {
-		s.eng.Cancel(d.prewake)
-		d.prewake = nil
-	}
+	s.eng.Cancel(&d.prewake)
 	s.adaptiveSettle(d, now)
 	d.d.BeginSpinUp(now)
-	s.eng.After(d.d.Model().SpinUpSec, func(now simtime.Time) {
-		d.d.CompleteSpinUp(now)
-		if len(d.queue) > 0 {
-			s.startService(d, now)
-		} else {
-			s.onIdle(d, now)
-		}
-	})
+	s.eng.Post(now+simtime.Time(d.d.Model().SpinUpSec), s.on.spinUpDone, d)
+}
+
+func (s *sim) spinUpDone(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
+	d.d.CompleteSpinUp(now)
+	s.serveOrIdle(d, now)
+}
+
+// serveOrIdle starts the next queued request, or runs the idle policy.
+func (s *sim) serveOrIdle(d *simDisk, now simtime.Time) {
+	if d.queue.len() > 0 {
+		s.startService(d, now)
+	} else {
+		s.onIdle(now, d)
+	}
 }
 
 func (s *sim) startService(d *simDisk, now simtime.Time) {
-	r := d.queue[0]
-	d.queue = d.queue[1:]
+	r := d.queue.pop()
 	d.busy = true
 	d.cur = r
 	r.startAt = now
@@ -625,38 +680,36 @@ func (s *sim) startService(d *simDisk, now simtime.Time) {
 	default:
 		dur = m.ServiceTime(r.size)
 	}
-	s.eng.After(dur, func(now simtime.Time) { s.diskDone(d, now) })
+	s.eng.Post(now+simtime.Time(dur), s.on.diskDone, d)
 }
 
-func (s *sim) diskDone(d *simDisk, now simtime.Time) {
+func (s *sim) diskDone(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
 	r := d.cur
 	d.d.EndService(now, r.size)
 	d.busy = false
 	d.cur = nil
 	s.noteService(d, r, now)
 
+	// op is the operation r belongs to: itself, or the whole it is a chunk of.
+	op := r
+	if r.parent != nil {
+		op = r.parent
+		op.remaining--
+	}
+	whole := op.remaining == 0
+	// A completed client operation carries its response event; everything
+	// else that is finished is retired below.
+	responds := whole && (r.kind == opRead || r.kind == opWrite)
+	if responds {
+		sent := now
+		if r.kind == opRead {
+			_, sent = d.node.link.Reserve(now, op.size) // outbound NIC transfer
+		}
+		s.eng.Post(sent+simtime.Time(s.cfg.RouteLatencySec), s.on.respond, op)
+	}
+
 	switch r.kind {
-	case opRead:
-		if r.fan != nil {
-			// One striped chunk done; the response waits for the rest.
-			r.fan.remaining--
-			if r.fan.remaining == 0 {
-				s.completeRead(d.node, r.fan.fileID, r.fan.total, r.fan.sentAt, now)
-			}
-			break
-		}
-		s.completeRead(d.node, r.fileID, r.size, r.sentAt, now)
-	case opWrite:
-		if r.fan != nil {
-			r.fan.remaining--
-			if r.fan.remaining != 0 {
-				break
-			}
-		}
-		respAt := now + simtime.Time(s.cfg.RouteLatencySec)
-		s.eng.Schedule(respAt, func(now simtime.Time) {
-			s.record(r, float64(now-r.sentAt))
-		})
 	case opFlush:
 		for bi, amount := range r.release {
 			d.node.bufUsed[bi] -= amount
@@ -675,42 +728,37 @@ func (s *sim) diskDone(d *simDisk, now simtime.Time) {
 	case opPrefRead:
 		// Dynamic-prefetch fetch read; when the last chunk lands, queue
 		// the buffer-disk log append.
-		r.fan.remaining--
-		if r.fan.remaining == 0 {
-			buf, _ := d.node.bufferFor(r.fan.fileID)
-			s.enqueue(buf, &request{
-				kind: opInsert, fileID: r.fan.fileID, size: r.fan.total,
-			}, now)
+		if whole {
+			s.insertIntoBuffer(d.node, op.fileID, op.size, now)
 		}
 	}
 
 	// MAID: a miss serviced by data disks is copied into the buffer
 	// disk's cache in LRU order (once, when the whole file is in).
-	if s.cfg.MAID && !d.isBuffer && r.kind == opRead &&
-		(r.fan == nil || r.fan.remaining == 0) {
-		size := r.size
-		if r.fan != nil {
-			size = r.fan.total
-		}
-		s.maidInsert(d.node, r.fileID, size, now)
+	if s.cfg.MAID && !d.isBuffer && r.kind == opRead && whole {
+		s.maidInsert(d.node, op.fileID, op.size, now)
 	}
-
-	if len(d.queue) > 0 {
-		s.startService(d, now)
-		return
+	if r != op {
+		s.retire(r)
 	}
-	s.onIdle(d, now)
+	if whole && !responds {
+		s.retire(op)
+	}
+	s.serveOrIdle(d, now)
 }
 
-// completeRead finishes a client read: outbound NIC transfer, then the
-// response sample.
-func (s *sim) completeRead(n *simNode, fileID int, size int64, sentAt, now simtime.Time) {
-	_, end := n.link.Reserve(now, size)
-	respAt := end + simtime.Time(s.cfg.RouteLatencySec)
-	rr := &request{kind: opRead, fileID: fileID, size: size, sentAt: sentAt}
-	s.eng.Schedule(respAt, func(now simtime.Time) {
-		s.record(rr, float64(now-rr.sentAt))
-	})
+// insertIntoBuffer queues the background log append that populates the
+// buffer disk (dynamic prefetch, MAID cache fill).
+func (s *sim) insertIntoBuffer(n *simNode, fileID int, size int64, now simtime.Time) {
+	buf, _ := n.bufferFor(fileID)
+	s.enqueue(buf, s.newOp(opInsert, fileID, size, 0), now)
+}
+
+// respond delivers a client operation's response and retires its carrier.
+func (s *sim) respond(now simtime.Time, arg any) {
+	r := arg.(*request)
+	s.record(r, float64(now-r.sentAt))
+	s.retire(r)
 }
 
 // reprefetch recomputes the popularity ranking from the accesses observed
@@ -746,7 +794,7 @@ func (s *sim) reprefetch(now simtime.Time) {
 		n.bufferReserve(fid, size)
 		s.fetching[fid] = true
 		s.addWork(1)
-		s.fanToDataDisks(n, fid, size, now, opPrefRead, now)
+		s.fanToDataDisks(n, s.newOp(opPrefRead, fid, size, now), now)
 	}
 }
 
@@ -799,14 +847,8 @@ func (s *sim) doneWork() {
 func (s *sim) quiesce() {
 	for _, n := range s.nodes {
 		for _, d := range n.data {
-			if d.idleTimer != nil {
-				s.eng.Cancel(d.idleTimer)
-				d.idleTimer = nil
-			}
-			if d.prewake != nil {
-				s.eng.Cancel(d.prewake)
-				d.prewake = nil
-			}
+			s.eng.Cancel(&d.idleTimer)
+			s.eng.Cancel(&d.prewake)
 		}
 	}
 }
@@ -833,18 +875,18 @@ func (s *sim) hintGate(m disk.Model) float64 {
 // onIdle runs every time a disk's queue drains (and once at replay start).
 // It flushes pending write-buffer data and then applies the node's power
 // management policy (Section III-C).
-func (s *sim) onIdle(d *simDisk, now simtime.Time) {
+func (s *sim) onIdle(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
 	if d.isBuffer {
 		return // the buffer disk must stay available (Section III-C)
 	}
 
 	// Piggyback the write-buffer flush on an awake, idle disk.
 	if d.pendingFlushBytes > 0 && d.d.State() == disk.Idle {
-		r := &request{kind: opFlush, size: d.pendingFlushBytes, release: d.pendingPerBuffer, enqAt: now}
-		d.pendingFlushBytes = 0
-		d.pendingPerBuffer = nil
+		r := s.takeFlush(d)
 		s.addWork(1)
-		d.queue = append(d.queue, r)
+		r.enqAt = now
+		d.queue.push(r)
 		s.startService(d, now)
 		return
 	}
@@ -855,8 +897,19 @@ func (s *sim) onIdle(d *simDisk, now simtime.Time) {
 	case s.cfg.Prefetch && s.cfg.Hints:
 		s.hintSleep(d, now)
 	case (s.cfg.Prefetch && !s.cfg.Hints) || s.cfg.DPMWithoutPrefetch || s.cfg.MAID:
-		s.armIdleTimer(d, now)
+		// The reactive threshold policy: a disk still idle when the timer
+		// fires spins down.
+		s.eng.Arm(&d.idleTimer, now+simtime.Time(s.cfg.IdleThresholdSec), s.on.idleTimeout, d)
 	}
+}
+
+// takeFlush turns the disk's pending write-buffer bytes into one flush.
+func (s *sim) takeFlush(d *simDisk) *request {
+	r := s.newOp(opFlush, 0, d.pendingFlushBytes, 0)
+	r.release = d.pendingPerBuffer
+	d.pendingFlushBytes = 0
+	d.pendingPerBuffer = nil
+	return r
 }
 
 // maidHit reports whether the file is in the node's MAID cache and, if so,
@@ -902,8 +955,7 @@ func (s *sim) maidInsert(n *simNode, fileID int, size int64, now simtime.Time) {
 	n.bufferReserve(fileID, size)
 	n.cache[fileID] = n.cacheLRU.PushFront(fileID)
 	s.addWork(1)
-	buf, _ := n.bufferFor(fileID)
-	s.enqueue(buf, &request{kind: opInsert, fileID: fileID, size: size}, now)
+	s.insertIntoBuffer(n, fileID, size, now)
 }
 
 // hintSleep applies the predictive policy: if the gap to the next
@@ -912,7 +964,7 @@ func (s *sim) hintSleep(d *simDisk, now simtime.Time) {
 	if !d.sleepAllowed {
 		return // PRE-BUD predicted no energy opportunity on this disk
 	}
-	if d.d.State() != disk.Idle || d.busy || len(d.queue) > 0 {
+	if !d.idle() {
 		return
 	}
 	next, ok := s.nextPredicted(d, now)
@@ -933,12 +985,14 @@ func (s *sim) hintSleep(d *simDisk, now simtime.Time) {
 		if wakeAt < earliest {
 			wakeAt = earliest
 		}
-		d.prewake = s.eng.Schedule(simtime.Time(wakeAt), func(now simtime.Time) {
-			d.prewake = nil
-			if d.d.State() == disk.Standby {
-				s.beginSpinUp(d, now)
-			}
-		})
+		s.eng.Arm(&d.prewake, simtime.Time(wakeAt), s.on.prewake, d)
+	}
+}
+
+// prewakeDue spins the disk up ahead of its next predicted access.
+func (s *sim) prewakeDue(now simtime.Time, arg any) {
+	if d := arg.(*simDisk); d.d.State() == disk.Standby {
+		s.beginSpinUp(d, now)
 	}
 }
 
@@ -956,29 +1010,29 @@ func (s *sim) nextPredicted(d *simDisk, now simtime.Time) (float64, bool) {
 	return d.predicted[d.predIdx], true
 }
 
-// armIdleTimer starts the reactive threshold policy: if the disk is still
-// idle when the timer fires, it spins down.
-func (s *sim) armIdleTimer(d *simDisk, now simtime.Time) {
-	if d.idleTimer != nil {
-		s.eng.Cancel(d.idleTimer)
+func (s *sim) idleTimeout(now simtime.Time, arg any) {
+	if d := arg.(*simDisk); d.idle() {
+		s.beginSpinDown(d, now)
 	}
-	d.idleTimer = s.eng.After(s.cfg.IdleThresholdSec, func(now simtime.Time) {
-		d.idleTimer = nil
-		if d.d.State() == disk.Idle && !d.busy && len(d.queue) == 0 {
-			s.beginSpinDown(d, now)
-		}
-	})
+}
+
+// idle reports that the disk is spinning with nothing to do.
+func (d *simDisk) idle() bool {
+	return d.d.State() == disk.Idle && !d.busy && d.queue.len() == 0
 }
 
 func (s *sim) beginSpinDown(d *simDisk, now simtime.Time) {
 	d.d.BeginSpinDown(now)
-	s.eng.After(d.d.Model().SpinDownSec, func(now simtime.Time) {
-		d.d.CompleteSpinDown(now)
-		if d.wakePending || len(d.queue) > 0 {
-			d.wakePending = false
-			s.beginSpinUp(d, now)
-		}
-	})
+	s.eng.Post(now+simtime.Time(d.d.Model().SpinDownSec), s.on.spinDownDone, d)
+}
+
+func (s *sim) spinDownDone(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
+	d.d.CompleteSpinDown(now)
+	if d.wakePending || d.queue.len() > 0 {
+		d.wakePending = false
+		s.beginSpinUp(d, now)
+	}
 }
 
 // finalFlush drains any write-buffer data still unflushed when the trace
@@ -990,14 +1044,8 @@ func (s *sim) finalFlush() {
 			for _, d := range n.data {
 				if d.pendingFlushBytes > 0 {
 					pending = true
-					d := d
 					s.addWork(1)
-					s.eng.Schedule(s.eng.Now(), func(now simtime.Time) {
-						r := &request{kind: opFlush, size: d.pendingFlushBytes, release: d.pendingPerBuffer}
-						d.pendingFlushBytes = 0
-						d.pendingPerBuffer = nil
-						s.enqueue(d, r, now)
-					})
+					s.eng.Post(s.eng.Now(), s.on.flushNow, d)
 				}
 			}
 		}
@@ -1008,9 +1056,16 @@ func (s *sim) finalFlush() {
 	}
 }
 
+// flushNow queues the disk's pending write-buffer bytes as one flush.
+func (s *sim) flushNow(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
+	s.enqueue(d, s.takeFlush(d), now)
+}
+
 // finalize integrates all remaining dwell energy and assembles the Result.
 func (s *sim) finalize() {
 	makespan := s.eng.Now()
+	s.met.queueMax.Set(float64(s.eng.MaxQueueLen()))
 	s.res.MakespanSec = float64(makespan)
 	s.res.Requests = len(s.tr.Records)
 

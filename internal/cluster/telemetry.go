@@ -44,6 +44,7 @@ type simMetrics struct {
 	// each time a disk is armed, and churn-triggered reprefetches.
 	adaptiveThreshold    *telemetry.Histogram
 	adaptiveReprefetches *telemetry.Counter
+	queueMax             *telemetry.Gauge // the event engine's queue high-water
 }
 
 func newSimMetrics(reg *telemetry.Registry) simMetrics {
@@ -60,6 +61,7 @@ func newSimMetrics(reg *telemetry.Registry) simMetrics {
 
 		adaptiveThreshold:    reg.Histogram("sim.adaptive.threshold", nil),
 		adaptiveReprefetches: reg.Counter("sim.adaptive.reprefetches"),
+		queueMax:             reg.Gauge("sim.engine.queue.max"),
 	}
 }
 
