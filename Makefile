@@ -15,15 +15,17 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the codecs (framing and messages), the stream
-# demux, the fault-injected frame path, and what a restart reads
-# back from disk: the log framing, the node's log records and its
-# manifest checkpoint (the server's records and checkpoint are the
-# replication codecs, FuzzRepDecoders).
+# demux on the dialing side and on the accepting side (the one that
+# faces untrusted peers), the fault-injected frame path, and what a
+# restart reads back from disk: the log framing, the node's log records
+# and its manifest checkpoint (the server's records and checkpoint are
+# the replication codecs, FuzzRepDecoders).
 fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrameID -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzMessageDecoders -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzRepDecoders -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadStreamFrames -fuzztime=15s
+	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzServeStreamFrames -fuzztime=15s
 	$(GO) test ./internal/faultnet -run=^$$ -fuzz=FuzzCorruptedFrames -fuzztime=15s
 	$(GO) test ./internal/wal -run=^$$ -fuzz=FuzzWALReplay -fuzztime=15s
 	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeRecord -fuzztime=15s

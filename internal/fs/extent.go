@@ -298,7 +298,8 @@ func (n *Node) newWriter(exts, prev []extent) *extentWriter {
 }
 
 // write lands b, splitting across extent boundaries as needed. Callers
-// never hand it more than the extents hold (receive checks the peer).
+// never hand it more than the extents hold (proto.Stream.RecvChunk checks
+// the peer against the declared size).
 func (w *extentWriter) write(b []byte) error {
 	for len(b) > 0 {
 		if w.f == nil {

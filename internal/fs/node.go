@@ -130,7 +130,7 @@ type nodeDisk struct {
 type Node struct {
 	cfg    NodeConfig
 	clock  *Clock
-	ln     net.Listener
+	lis    listener
 	meta   *metadata.NodeMap
 	buffer *nodeDisk
 	data   []*nodeDisk
@@ -142,9 +142,6 @@ type Node struct {
 	dirtyBytes int64           // sum of dirty's values, kept by set/clearDirtyLocked
 	hints      map[int]float64 // fileID -> mean inter-arrival (model sec)
 	lastAccess map[int]float64 // fileID -> model time of the last request
-	closing    bool
-	conns      map[net.Conn]struct{}
-	wg         sync.WaitGroup
 	hits       atomic.Int64
 	misses     atomic.Int64
 	bufWrites  int64
@@ -194,7 +191,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		dirty:      make(map[int]int64),
 		hints:      make(map[int]float64),
 		lastAccess: make(map[int]float64),
-		conns:      make(map[net.Conn]struct{}),
 	}
 
 	n.met = newOpMetrics(cfg.Metrics, "node", []proto.Type{
@@ -250,20 +246,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.wal.Close()
 		return nil, err
 	}
-	n.ln = ln
-	loops := cfg.AcceptLoops
-	if loops <= 0 {
-		loops = 4
-	}
-	for i := 0; i < loops; i++ {
-		n.wg.Add(1)
-		go n.acceptLoop()
-	}
+	n.lis.listen(ln, cfg.AcceptLoops, n.logger.Printf, func(conn net.Conn) {
+		serveFrames(conn, n.cfg.WriteTimeout, n.dispatch, n.dispatchStream,
+			connLimits{workers: n.cfg.ConnWorkers, streams: n.cfg.ConnStreams})
+	})
 	return n, nil
 }
 
 // Addr returns the bound listen address.
-func (n *Node) Addr() string { return n.ln.Addr().String() }
+func (n *Node) Addr() string { return n.lis.Addr() }
 
 // Files returns a snapshot of the node's local metadata, in id order.
 // The simulation-testing harness uses it to cross-check the server's
@@ -282,18 +273,11 @@ func (n *Node) Files() []metadata.NodeEntry {
 // Close stops the daemon, flushes the write buffer, and waits for
 // connections to drain.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
+	first, err := n.lis.shut()
+	if !first {
 		return nil
 	}
-	n.closing = true
-	for c := range n.conns {
-		c.Close()
-	}
-	n.mu.Unlock()
-	err := n.ln.Close()
-	n.wg.Wait()
+	n.lis.wait()
 	n.flushAll()
 	n.persistMu.Lock()
 	n.checkpointLocked()
@@ -302,34 +286,6 @@ func (n *Node) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	acceptConns(n.ln, n.logger.Printf, func(conn net.Conn) {
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
-			conn.Close()
-			return
-		}
-		n.conns[conn] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.serveConn(conn)
-	})
-}
-
-func (n *Node) serveConn(conn net.Conn) {
-	defer n.wg.Done()
-	defer func() {
-		n.mu.Lock()
-		delete(n.conns, conn)
-		n.mu.Unlock()
-		conn.Close()
-	}()
-	serveFrames(conn, n.cfg.WriteTimeout, n.dispatch, n.dispatchStream,
-		connLimits{workers: n.cfg.ConnWorkers, streams: n.cfg.ConnStreams})
 }
 
 func (n *Node) dispatch(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error) {

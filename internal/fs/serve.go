@@ -23,7 +23,7 @@ const defaultConnWorkers = 128
 
 // defaultConnStreams bounds how many streams one connection may hold open
 // at once. Stream handlers are deliberately NOT drawn from the RPC worker
-// pool: a handler parks in waitCredit for as long as its peer dawdles,
+// pool: a handler parks in SendChunk for as long as its peer dawdles,
 // and the demux read loop must never block on slot acquisition — it has
 // to keep reading inbound credit frames or every running stream on the
 // connection wedges behind the very loop that would feed it. Excess
@@ -79,6 +79,74 @@ func acceptConns(ln net.Listener, logf func(format string, args ...any), accept 
 	}
 }
 
+// listener is the accept side of both daemons: accept loops on one
+// net.Listener, the set of live connections, and the two halves of Close
+// — shut stops accepting and closes every connection, wait returns once
+// the last handler has. mu orders a connection's registration against
+// shut, so none is accepted and then missed by it.
+type listener struct {
+	ln net.Listener
+	wg sync.WaitGroup
+
+	mu      sync.Mutex
+	closing bool
+	conns   map[net.Conn]struct{}
+}
+
+// listen starts loops accept loops on ln (0 = the default 4); each
+// connection is served in its own goroutine and closed when serve returns.
+func (l *listener) listen(ln net.Listener, loops int, logf func(format string, args ...any), serve func(net.Conn)) {
+	l.ln, l.conns = ln, make(map[net.Conn]struct{})
+	if loops <= 0 {
+		loops = 4
+	}
+	handle := func(conn net.Conn) {
+		l.mu.Lock()
+		if l.closing {
+			l.mu.Unlock()
+			conn.Close()
+			return
+		}
+		l.conns[conn] = struct{}{}
+		l.wg.Add(1)
+		l.mu.Unlock()
+		go func() {
+			defer l.wg.Done()
+			serve(conn)
+			l.mu.Lock()
+			delete(l.conns, conn)
+			l.mu.Unlock()
+			conn.Close()
+		}()
+	}
+	l.wg.Add(loops)
+	for i := 0; i < loops; i++ {
+		go func() {
+			defer l.wg.Done()
+			acceptConns(ln, logf, handle)
+		}()
+	}
+}
+
+// Addr returns the bound listen address.
+func (l *listener) Addr() string { return l.ln.Addr().String() }
+
+// shut reports false, having done nothing, on every call but the first.
+func (l *listener) shut() (first bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closing {
+		return false, nil
+	}
+	l.closing = true
+	for c := range l.conns {
+		c.Close()
+	}
+	return true, l.ln.Close()
+}
+
+func (l *listener) wait() { l.wg.Wait() }
+
 // handlerFunc handles one decoded request and returns the response
 // frame. sc is the trace context extracted from the frame (zero when
 // untraced). A returned error becomes a TError frame; the connection
@@ -87,219 +155,42 @@ func acceptConns(ln net.Listener, logf func(format string, args ...any), accept 
 type handlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error)
 
 // streamHandlerFunc serves one open stream (DESIGN.md §19): t is the
-// opening frame type (TStreamReadReq or TStreamWriteReq), payload its
-// StreamOpenReq body, and st the stream's server half. The handler owns
-// the stream until it returns; every exit path must have sent a terminal
-// frame (end or abort) unless the connection itself is dead.
-type streamHandlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext, st *srvStream)
+// opening frame type (TStreamReadReq or TStreamWriteReq), req its body,
+// and st this side's end of the stream. The handler owns the stream until
+// it returns; every exit path must have sent a terminal frame (End or
+// Abort) unless the connection itself is dead — the dialing side retires
+// the stream id on that frame.
+type streamHandlerFunc func(t proto.Type, req proto.StreamOpenReq, sc telemetry.SpanContext, st *proto.Stream)
 
-// srvMsg is one inbound frame of a server-side stream. Data payloads are
-// pooled chunk buffers; the consumer returns them via proto.PutChunk.
-type srvMsg struct {
-	t       proto.Type
-	payload []byte
-}
-
-// errStreamConnDead reports that the connection under a server-side
-// stream died while its handler was mid-transfer.
+// errStreamConnDead reports that the connection under a stream died while
+// its handler was mid-transfer.
 var errStreamConnDead = errors.New("fs: stream connection closed")
 
-// srvStream is the server half of one open stream: the handler's window
-// onto the shared connection. Inbound frames for the stream's id arrive
-// on recv (bounded; overflow is a peer credit violation that tears the
-// connection down); outbound frames go through the connection's shared
-// write mutex. credits tracks the send allowance granted by the peer.
-type srvStream struct {
-	id   uint32
-	w    io.Writer
-	wmu  *sync.Mutex
+// connWriter is the outbound side of one accepted connection, and with it
+// the accepting side's proto.StreamConn: a frame is written whole, from
+// the caller's buffer, under the connection's write mutex, and killing
+// the connection is closing the socket — the read loop then fails every
+// open stream on its way out.
+type connWriter struct {
 	conn net.Conn
-	recv chan srvMsg
-	done chan struct{}
-
-	mu      sync.Mutex
-	err     error
-	credits int
+	mu   sync.Mutex
+	w    io.Writer // conn behind a per-write deadline
 }
 
-func newSrvStream(id uint32, w io.Writer, wmu *sync.Mutex, conn net.Conn) *srvStream {
-	return &srvStream{
-		id:   id,
-		w:    w,
-		wmu:  wmu,
-		conn: conn,
-		// The queue must absorb a full credit window of data frames plus
-		// interleaved control frames; overflow means the peer ignored the
-		// window we granted.
-		recv: make(chan srvMsg, proto.MaxStreamWindow+16),
-		done: make(chan struct{}),
-	}
-}
-
-// deliver routes one inbound frame to the handler. It reports false on
-// queue overflow (a flow-control violation; the caller tears the
-// connection down).
-func (st *srvStream) deliver(t proto.Type, payload []byte) bool {
-	select {
-	case st.recv <- srvMsg{t: t, payload: payload}:
-		return true
-	default:
-		if t == proto.TDataFrame {
-			proto.PutChunk(payload)
-		}
-		return false
-	}
-}
-
-// fail marks the stream dead (connection-level fault) and wakes the
-// handler. Idempotent.
-func (st *srvStream) fail(err error) {
-	st.mu.Lock()
-	if st.err != nil {
-		st.mu.Unlock()
-		return
-	}
-	st.err = err
-	st.mu.Unlock()
-	close(st.done)
-}
-
-// fault returns the connection-level error (nil while healthy).
-func (st *srvStream) fault() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
-}
-
-// drain empties the inbound queue, returning pooled chunks. Called after
-// the handler exits, so late frames never leak buffers.
-func (st *srvStream) drain() {
-	for {
-		select {
-		case msg := <-st.recv:
-			if msg.t == proto.TDataFrame {
-				proto.PutChunk(msg.payload)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// recvMsg blocks for the stream's next inbound frame: queued frames
-// first, then the connection's death or the deadline. A deadline expiry
-// closes the connection — a peer that stops mid-stream would otherwise
-// pin a worker slot forever.
-func (st *srvStream) recvMsg(timeout time.Duration) (srvMsg, error) {
-	select {
-	case msg := <-st.recv:
-		return msg, nil
-	default:
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case msg := <-st.recv:
-		return msg, nil
-	case <-st.done:
-		select {
-		case msg := <-st.recv:
-			return msg, nil
-		default:
-		}
-		if err := st.fault(); err != nil {
-			return srvMsg{}, err
-		}
-		return srvMsg{}, errStreamConnDead
-	case <-timer.C:
-		st.conn.Close()
-		return srvMsg{}, fmt.Errorf("fs: stream %d stalled: no frame within %v", st.id, timeout)
-	}
-}
-
-// sendFrame writes one outbound frame under the connection's write
-// mutex. A write error closes the connection (matching the RPC path).
-func (st *srvStream) sendFrame(t proto.Type, payload []byte) error {
-	st.wmu.Lock()
-	err := proto.WriteFrameID(st.w, t, st.id, payload)
-	st.wmu.Unlock()
+// SendFrame implements proto.StreamConn. A frame that cannot be written
+// leaves the peer's framing in doubt, so the connection goes with it.
+func (c *connWriter) SendFrame(t proto.Type, id uint32, payload []byte) error {
+	c.mu.Lock()
+	err := proto.WriteFrameID(c.w, t, id, payload)
+	c.mu.Unlock()
 	if err != nil {
-		st.conn.Close()
+		c.conn.Close()
 	}
 	return err
 }
 
-// sendData sends one data chunk, consuming a send credit; it blocks
-// waiting for replenishment when the window is exhausted.
-func (st *srvStream) sendData(chunk []byte, timeout time.Duration) error {
-	if err := st.waitCredit(timeout); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	st.credits--
-	st.mu.Unlock()
-	return st.sendFrame(proto.TDataFrame, chunk)
-}
-
-// grantCredits seeds the stream's send window (reads: from the open
-// request's negotiated window).
-func (st *srvStream) grantCredits(n int) {
-	st.mu.Lock()
-	st.credits += n
-	st.mu.Unlock()
-}
-
-// waitCredit consumes inbound control frames until a send credit is
-// available. A peer abort surfaces as the decoded remote error so the
-// handler can stop reading the disk immediately.
-func (st *srvStream) waitCredit(timeout time.Duration) error {
-	for {
-		st.mu.Lock()
-		ok := st.credits > 0
-		st.mu.Unlock()
-		if ok {
-			return nil
-		}
-		msg, err := st.recvMsg(timeout)
-		if err != nil {
-			return err
-		}
-		switch msg.t {
-		case proto.TStreamCredit:
-			c, derr := proto.DecodeStreamCredit(msg.payload)
-			if derr != nil {
-				st.conn.Close()
-				return derr
-			}
-			st.grantCredits(int(c.N))
-		case proto.TStreamAbort:
-			return decodeStreamAbort(msg.payload)
-		default:
-			st.conn.Close()
-			return fmt.Errorf("fs: unexpected frame type %d on read stream", msg.t)
-		}
-	}
-}
-
-// sendEnd terminates the stream cleanly.
-func (st *srvStream) sendEnd(buffered bool) error {
-	return st.sendFrame(proto.TStreamEnd, proto.StreamEnd{Buffered: buffered}.Encode())
-}
-
-// sendAbort terminates the stream with a typed failure; the connection
-// and its other streams stay healthy.
-func (st *srvStream) sendAbort(err error) {
-	_ = st.sendFrame(proto.TStreamAbort, errorPayload(err))
-}
-
-// decodeStreamAbort turns a peer's abort payload into an error.
-func decodeStreamAbort(payload []byte) error {
-	em, derr := proto.DecodeErrorMsg(payload)
-	if derr != nil {
-		return fmt.Errorf("fs: undecodable stream abort: %w", derr)
-	}
-	return fmt.Errorf("fs: stream aborted by peer: %s", em.Msg)
-}
+// Kill implements proto.StreamConn.
+func (c *connWriter) Kill(error) { c.conn.Close() }
 
 // serveFrames drives one accepted connection until it dies. The peer
 // opens with the 4-byte EEV2 preface; a connection that opens with
@@ -309,7 +200,7 @@ func decodeStreamAbort(payload []byte) error {
 // under a per-connection mutex (ordered, never interleaved), in whatever
 // order the handlers finish. Stream opens spawn a dedicated handler
 // goroutine outside the worker pool (bounded by lim.streams instead), and
-// later frames of an open stream are routed to it by id.
+// later frames of an open stream are delivered to it by id.
 //
 // writeTimeout bounds each response write so a stalled peer cannot pin
 // a handler goroutine. shandle may be nil: stream opens then answer with
@@ -321,10 +212,9 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 		return
 	}
 	lim = lim.withDefaults()
-	var w io.Writer = &deadlineConn{Conn: conn, writeTimeout: writeTimeout}
+	out := &connWriter{conn: conn, w: &deadlineConn{Conn: conn, writeTimeout: writeTimeout}}
 	var (
-		wg      sync.WaitGroup
-		writeMu sync.Mutex
+		wg sync.WaitGroup
 		// One handler goroutine per in-flight request, bounded by a slot
 		// semaphore. (A persistent worker pool was tried and measured
 		// ~20% slower on the load benchmarks: every hand-off through a
@@ -333,34 +223,13 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 		slots = make(chan struct{}, lim.workers)
 
 		smu     sync.Mutex
-		streams = make(map[uint32]*srvStream)
+		streams = make(map[uint32]*proto.Stream)
 	)
-	addStream := func(st *srvStream) (ok, dup bool) {
-		smu.Lock()
-		defer smu.Unlock()
-		if _, d := streams[st.id]; d {
-			return false, true
-		}
-		if len(streams) >= lim.streams {
-			return false, false
-		}
-		streams[st.id] = st
-		return true, false
-	}
-	getStream := func(id uint32) *srvStream {
-		smu.Lock()
-		defer smu.Unlock()
-		return streams[id]
-	}
-	dropStream := func(id uint32) {
-		smu.Lock()
-		delete(streams, id)
-		smu.Unlock()
-	}
-	reply := func(t proto.Type, id uint32, payload []byte) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		return proto.WriteFrameID(w, t, id, payload)
+	// refuse answers a request that gets no handler. The connection stays
+	// healthy, and so does every stream running on it (unless the answer
+	// cannot be written: SendFrame then closes it, ending the loop below).
+	refuse := func(id uint32, err error) {
+		_ = out.SendFrame(proto.TError, id, errorPayload(err))
 	}
 
 	for {
@@ -368,86 +237,75 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 		if err != nil {
 			break
 		}
-		base := t &^ proto.FlagTraced
-		switch base {
+		switch base := t &^ proto.FlagTraced; base {
 		case proto.TDataFrame, proto.TStreamCredit, proto.TStreamEnd, proto.TStreamAbort:
-			st := getStream(id)
+			smu.Lock()
+			st := streams[id]
+			smu.Unlock()
 			if st == nil {
 				// Late frame for a stream whose handler already finished
 				// (e.g. an abort racing our end): discard, keep framing.
-				if _, err := io.CopyN(io.Discard, conn, int64(n)); err != nil {
-					goto out
-				}
-				continue
-			}
-			var payload []byte
-			if base == proto.TDataFrame {
-				payload = proto.GetChunk(n)
+				_, err = io.CopyN(io.Discard, conn, int64(n))
 			} else {
-				payload = make([]byte, n)
+				// An error here is the peer breaking the protocol — it
+				// flooded past the window it was granted, say — and the
+				// connection can no longer be trusted.
+				err = st.Deliver(base, n, conn)
 			}
-			if _, err := io.ReadFull(conn, payload); err != nil {
-				if base == proto.TDataFrame {
-					proto.PutChunk(payload)
-				}
-				goto out
-			}
-			if !st.deliver(base, payload) {
-				// Credit violation: the peer flooded past the granted
-				// window. The connection can no longer be trusted.
-				goto out
+			if err != nil {
+				goto dead
 			}
 		case proto.TStreamReadReq, proto.TStreamWriteReq:
 			payload := make([]byte, n)
 			if _, err := io.ReadFull(conn, payload); err != nil {
-				goto out
+				goto dead
 			}
-			t, payload, sc, herr := proto.ExtractContext(t, payload)
-			if herr != nil {
-				if reply(proto.TError, id, errorPayload(herr)) != nil {
-					goto out
-				}
+			t, payload, sc, err := proto.ExtractContext(t, payload)
+			var req proto.StreamOpenReq
+			if err == nil && shandle == nil {
+				// This daemon has no data plane (the metadata server).
+				err = fmt.Errorf("unexpected message type %d", t)
+			}
+			if err == nil {
+				req, err = proto.DecodeStreamOpenReq(payload)
+			}
+			if err != nil {
+				refuse(id, err)
 				continue
 			}
-			if shandle == nil {
-				// This daemon has no data plane (the metadata server):
-				// reject the open with a typed error; the connection and
-				// its other round trips stay healthy.
-				if reply(proto.TError, id, errorPayload(fmt.Errorf("unexpected message type %d", t))) != nil {
-					goto out
-				}
-				continue
+			st := proto.NewStream(id, out, proto.StreamStallTimeout(writeTimeout), proto.ClampStreamWindow(req.Window))
+			smu.Lock()
+			_, dup := streams[id]
+			full := len(streams) >= lim.streams
+			if !dup && !full {
+				streams[id] = st
 			}
-			st := newSrvStream(id, w, &writeMu, conn)
-			ok, dup := addStream(st)
+			smu.Unlock()
 			if dup {
 				// Duplicate open for a live id: protocol violation.
-				goto out
+				goto dead
 			}
-			if !ok {
-				// Stream cap: reject the open, keep the connection (and
-				// every running stream on it) healthy.
-				err := fmt.Errorf("%w: too many open streams on one connection", ErrNodeUnavailable)
-				if reply(proto.TError, id, errorPayload(err)) != nil {
-					goto out
-				}
+			if full {
+				refuse(id, fmt.Errorf("%w: too many open streams on one connection", ErrNodeUnavailable))
 				continue
 			}
 			wg.Add(1)
-			go func(t proto.Type, payload []byte, sc telemetry.SpanContext, st *srvStream) {
+			go func() {
 				defer wg.Done()
-				shandle(t, payload, sc, st)
-				dropStream(st.id)
-				st.drain()
-			}(t, payload, sc, st)
+				shandle(t, req, sc, st)
+				smu.Lock()
+				delete(streams, id)
+				smu.Unlock()
+				st.Release()
+			}()
 		default:
 			payload := make([]byte, n)
 			if _, err := io.ReadFull(conn, payload); err != nil {
-				goto out
+				goto dead
 			}
 			slots <- struct{}{}
 			wg.Add(1)
-			go func(t proto.Type, id uint32, payload []byte) {
+			go func() {
 				defer wg.Done()
 				defer func() { <-slots }()
 				t, payload, sc, herr := proto.ExtractContext(t, payload)
@@ -459,26 +317,18 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 				if herr != nil {
 					rt, rp = proto.TError, errorPayload(herr)
 				}
-				if reply(rt, id, rp) != nil {
-					// A response we cannot deliver poisons the stream for
-					// the peer anyway; close so the read loop exits too.
-					conn.Close()
-				}
-			}(t, id, payload)
+				_ = out.SendFrame(rt, id, rp) // on failure the connection is closed, which ends the read loop too
+			}()
 		}
 	}
-out:
+dead:
 	conn.Close()
 	// Fail every open stream so mid-transfer handlers unblock, then wait
 	// for all workers (RPC and stream) to finish.
 	smu.Lock()
-	doomed := make([]*srvStream, 0, len(streams))
 	for _, st := range streams {
-		doomed = append(doomed, st)
+		st.Fail(errStreamConnDead)
 	}
 	smu.Unlock()
-	for _, st := range doomed {
-		st.fail(errStreamConnDead)
-	}
 	wg.Wait()
 }

@@ -173,12 +173,12 @@ func (h *nodeHandle) note(err error, failThreshold int) int {
 // lives in a striped map (metadata.Sharded), popularity is a per-file
 // fold updated with atomics (popTable), and the id/placement cursors are
 // atomics — so independent client operations on different
-// files never contend on a shared lock. The only mutexes left guard the
-// connection set (accept/close lifecycle), each node's health word, and
-// the commit path that orders mutations into the op log.
+// files never contend on a shared lock. The only mutexes left guard each
+// node's health word and the commit path that orders mutations into the
+// op log (the listener brings its own for the connection set).
 type Server struct {
 	cfg    ServerConfig
-	ln     net.Listener
+	lis    listener
 	meta   *metadata.Sharded
 	nodes  []*nodeHandle
 	clock  *Clock
@@ -214,10 +214,7 @@ type Server struct {
 	nextID   atomic.Int64 // next file id
 	nextNode atomic.Int64 // placement round-robin cursor
 
-	connMu  sync.Mutex
-	closing bool
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the churn loop and its re-prefetches
 	probeWg sync.WaitGroup
 	repWg   sync.WaitGroup
 	stop    chan struct{}
@@ -274,7 +271,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		meta:   metadata.NewSharded(),
 		clock:  NewClock(1),
 		logger: cfg.Logger,
-		conns:  make(map[net.Conn]struct{}),
 		stop:   make(chan struct{}),
 	}
 	switch cfg.Policy {
@@ -345,15 +341,12 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.ln = ln
-	loops := cfg.AcceptLoops
-	if loops <= 0 {
-		loops = 4
-	}
-	for i := 0; i < loops; i++ {
-		s.wg.Add(1)
-		go s.acceptLoop()
-	}
+	// The metadata server has no data plane: nil stream handler, so
+	// stream opens are rejected with a typed error.
+	s.lis.listen(ln, cfg.AcceptLoops, s.logger.Printf, func(conn net.Conn) {
+		serveFrames(conn, s.cfg.WriteTimeout, s.dispatch, nil,
+			connLimits{workers: s.cfg.ConnWorkers, streams: s.cfg.ConnStreams})
+	})
 	if s.churn != nil {
 		s.wg.Add(1)
 		go s.churnLoop()
@@ -370,22 +363,16 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.lis.Addr() }
 
 // Close stops the daemon and drains connections.
 func (s *Server) Close() error {
-	s.connMu.Lock()
-	if s.closing {
-		s.connMu.Unlock()
+	first, err := s.lis.shut()
+	if !first {
 		return nil
 	}
-	s.closing = true
 	close(s.stop)
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	err := s.ln.Close()
+	s.lis.wait()
 	s.wg.Wait()
 	s.probeWg.Wait()
 	s.repWg.Wait()
@@ -483,36 +470,6 @@ func (s *Server) Healthy() []bool {
 		out[i] = h.healthy()
 	}
 	return out
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	acceptConns(s.ln, s.logger.Printf, func(conn net.Conn) {
-		s.connMu.Lock()
-		if s.closing {
-			s.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	})
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	// The metadata server has no data plane: nil stream handler, so
-	// stream opens are rejected with a typed error.
-	serveFrames(conn, s.cfg.WriteTimeout, s.dispatch, nil,
-		connLimits{workers: s.cfg.ConnWorkers, streams: s.cfg.ConnStreams})
 }
 
 func (s *Server) dispatch(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error) {

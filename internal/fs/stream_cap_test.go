@@ -23,7 +23,7 @@ func TestStreamConnCapRejectedTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Window-1, min-chunk streams: each node handler parks in waitCredit
+	// Window-1, min-chunk streams: each node handler parks in SendChunk
 	// long before its 64 KB is sent, so the streams pile up server-side.
 	opts := StreamOptions{ChunkBytes: proto.MinStreamChunk, Window: 1}
 	var open []*FileReader

@@ -12,6 +12,7 @@
 package proto
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -61,68 +62,9 @@ type muxConn struct {
 
 	mu      sync.Mutex
 	pending map[uint32]chan wireResult
-	streams map[uint32]*muxStream
+	streams map[uint32]*Stream
 	nextID  uint32
 	err     error // the poisoning fault (nil while healthy)
-}
-
-// streamMsg is one inbound frame of an open stream. TDataFrame payloads
-// are pooled chunk buffers (the consumer returns them via PutChunk);
-// control-frame payloads are plain allocations.
-type streamMsg struct {
-	t       Type
-	payload []byte
-}
-
-// muxStream is one registered stream id on a connection generation: a
-// bounded inbound queue sized by the flow-control window, plus the
-// terminal fault. It lives in muxConn.streams from registerStream until
-// removeStream (or the generation's poison).
-type muxStream struct {
-	id   uint32
-	recv chan streamMsg
-	done chan struct{} // closed exactly once, on fail
-
-	mu      sync.Mutex
-	err     error
-	discard bool // owner closed early: drop inbound frames on the floor
-}
-
-// fail records the stream's terminal fault and wakes its owner. Safe to
-// call more than once; the first error wins.
-func (st *muxStream) fail(err error) {
-	st.mu.Lock()
-	if st.err != nil {
-		st.mu.Unlock()
-		return
-	}
-	st.err = err
-	st.mu.Unlock()
-	close(st.done)
-}
-
-// fault returns the terminal error (nil while live).
-func (st *muxStream) fault() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
-}
-
-// setDiscard flips the stream into discard mode: the demux reader drops
-// its inbound frames (returning data chunks to the pool) and retires the
-// id when the peer's terminal frame arrives. Used by early Close, where
-// the peer may still have frames in flight for this id.
-func (st *muxStream) setDiscard() {
-	st.mu.Lock()
-	st.discard = true
-	st.mu.Unlock()
-}
-
-// discarding reports whether the stream is in discard mode.
-func (st *muxStream) discarding() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.discard
 }
 
 // newMuxConn wraps an established socket and starts the writer and
@@ -135,7 +77,7 @@ func newMuxConn(conn net.Conn, met epMetrics) *muxConn {
 		writeCh: make(chan wireFrame, muxWriteQueue),
 		done:    make(chan struct{}),
 		pending: make(map[uint32]chan wireResult),
-		streams: make(map[uint32]*muxStream),
+		streams: make(map[uint32]*Stream),
 	}
 	go m.writeLoop()
 	go m.readLoop()
@@ -171,9 +113,13 @@ func (m *muxConn) poison(err error) {
 		ch <- wireResult{err: err}
 	}
 	for _, st := range doomed {
-		st.fail(err)
+		st.Fail(err)
 	}
 }
+
+// Kill implements StreamConn: a stream's protocol violation or stall
+// poisons the generation.
+func (m *muxConn) Kill(err error) { m.poison(err) }
 
 // hasStreams reports whether the generation currently carries open
 // streams (so bulk data frames may be queued ahead of RPC responses).
@@ -215,11 +161,11 @@ func (m *muxConn) writeLoop() {
 }
 
 // readLoop demuxes inbound frames: frames for a registered stream id are
-// routed to that stream's bounded queue (data chunks land in pooled
-// buffers); everything else is a response correlated to a waiting
-// round-trip caller. A read error poisons the generation; so does a
-// frame carrying an id with no owner — on a healthy connection every id
-// has exactly one owner, so an unknown id means the peer is lying.
+// delivered to that stream, and the peer's terminal frame retires the id;
+// everything else is a response correlated to a waiting round-trip
+// caller. A read error poisons the generation; so does a frame carrying
+// an id with no owner — on a healthy connection every id has exactly one
+// owner, so an unknown id means the peer is lying.
 func (m *muxConn) readLoop() {
 	for {
 		t, id, n, err := ReadFrameHeader(m.conn)
@@ -239,8 +185,14 @@ func (m *muxConn) readLoop() {
 		}
 		m.mu.Unlock()
 		if isStream {
-			if !m.readStreamFrame(st, t, n) {
+			if err := st.Deliver(t, n, m.conn); err != nil {
+				m.poison(err)
 				return
+			}
+			if streamTerminal(t) {
+				m.mu.Lock()
+				delete(m.streams, id)
+				m.mu.Unlock()
 			}
 			continue
 		}
@@ -257,120 +209,41 @@ func (m *muxConn) readLoop() {
 	}
 }
 
-// streamFrameType reports whether t is legal on an open stream id.
-func streamFrameType(t Type) bool {
-	switch t {
-	case TDataFrame, TStreamOpenResp, TStreamEnd, TStreamAbort, TStreamCredit, TError:
-		return true
+// SendFrame implements StreamConn, the dialing side's way: the frame is
+// queued for the writer goroutine, blocking on queue backpressure, a data
+// payload copied into a pooled chunk first (the write loop returns it
+// once the frame hits the socket). A poisoned generation returns its
+// fault instead.
+func (m *muxConn) SendFrame(t Type, id uint32, payload []byte) error {
+	f := wireFrame{t: t, id: id, payload: payload, pooled: t == TDataFrame}
+	if f.pooled {
+		f.payload = GetChunk(len(payload))
+		copy(f.payload, payload)
 	}
-	return false
-}
-
-// streamTerminal reports whether t retires a stream id: after it the
-// peer sends nothing further for the id.
-func streamTerminal(t Type) bool {
-	return t == TStreamEnd || t == TStreamAbort || t == TError
-}
-
-// readStreamFrame consumes one frame addressed to a registered stream.
-// Data payloads are read into pooled chunk buffers. Returns false when
-// the frame poisoned the generation (the read loop must exit).
-func (m *muxConn) readStreamFrame(st *muxStream, t Type, n int) bool {
-	if !streamFrameType(t) {
-		m.poison(fmt.Errorf("proto: frame type %d is illegal on stream id %d", t, st.id))
-		return false
-	}
-	var payload []byte
-	if t == TDataFrame {
-		payload = GetChunk(n)
-	} else {
-		payload = make([]byte, n)
-	}
-	if _, err := io.ReadFull(m.conn, payload); err != nil {
-		if t == TDataFrame {
-			PutChunk(payload)
-		}
-		m.poison(err)
-		return false
-	}
-	if st.discarding() {
-		// The owner closed early; drop the frame, and retire the id once
-		// the peer's terminal frame confirms nothing more is in flight.
-		if t == TDataFrame {
-			PutChunk(payload)
-		}
-		if streamTerminal(t) {
-			m.removeStream(st)
-		}
-		return true
-	}
-	select {
-	case st.recv <- streamMsg{t: t, payload: payload}:
-		return true
-	default:
-	}
-	// Queue full. If the stream already failed (generation poisoned in a
-	// race) the frame is moot; otherwise the peer overran the granted
-	// credit window, which is a protocol violation.
-	if t == TDataFrame {
-		PutChunk(payload)
-	}
-	select {
-	case <-st.done:
-		return true
-	default:
-	}
-	m.poison(fmt.Errorf("proto: stream %d receive overrun (flow-control credit violation)", st.id))
-	return false
-}
-
-// send enqueues one outbound frame, blocking on queue backpressure. A
-// poisoned generation returns its fault instead.
-func (m *muxConn) send(f wireFrame) error {
 	select {
 	case m.writeCh <- f:
 		return nil
 	case <-m.done:
+		if f.pooled {
+			PutChunk(f.payload)
+		}
 		return m.fault()
 	}
 }
 
-// registerStream claims a fresh request id for a stream. The inbound
-// queue holds the full credit window plus slack for control frames; the
-// demux reader treats overflow as a peer flow-control violation.
-func (m *muxConn) registerStream(window int) (*muxStream, error) {
+// registerStream claims a fresh request id for a stream granting the
+// peer window data frames of at most limit bytes.
+func (m *muxConn) registerStream(window, limit int, stall time.Duration) (*Stream, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return nil, m.err
 	}
 	m.nextID++
-	st := &muxStream{
-		id:   m.nextID,
-		recv: make(chan streamMsg, window+streamRecvSlack),
-		done: make(chan struct{}),
-	}
+	st := NewStream(m.nextID, m, stall, window)
+	st.limit = limit
 	m.streams[st.id] = st
 	return st, nil
-}
-
-// removeStream retires a stream id and drains its queue, returning any
-// buffered data chunks to the pool. Idempotent; a nil streams map (the
-// generation already poisoned) is a no-op delete.
-func (m *muxConn) removeStream(st *muxStream) {
-	m.mu.Lock()
-	delete(m.streams, st.id)
-	m.mu.Unlock()
-	for {
-		select {
-		case msg := <-st.recv:
-			if msg.t == TDataFrame {
-				PutChunk(msg.payload)
-			}
-		default:
-			return
-		}
-	}
 }
 
 // register claims a fresh request id and its response channel. The
@@ -418,13 +291,12 @@ func (m *muxConn) roundTrip(t Type, payload []byte, timeout time.Duration) (Type
 			return 0, nil, res.err
 		}
 		if res.t == TError {
-			em, derr := DecodeErrorMsg(res.payload)
-			if derr != nil {
-				err := fmt.Errorf("proto: undecodable error response: %w", derr)
+			err := remoteError(res.payload)
+			var re *RemoteError
+			if !errors.As(err, &re) {
 				m.poison(err)
-				return 0, nil, err
 			}
-			return 0, nil, &RemoteError{Code: em.Code, Msg: em.Msg, Redirect: em.Redirect}
+			return 0, nil, err
 		}
 		return res.t, res.payload, nil
 	case <-timer.C:

@@ -19,17 +19,18 @@
 // connection — and every other stream and round trip on it — healthy.
 // Transport faults keep the all-or-nothing rule: poisoning a connection
 // generation fails every open stream with the same typed error.
+//
+// Both ends of every stream run the one Stream type below; this file is
+// the wire messages and that type, stream_dial.go the dialing side's
+// io.Reader/io.Writer adaptors over it.
 package proto
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"eevfs/internal/telemetry"
 )
 
 // Stream chunk/window defaults and bounds. The chunk pool recycles
@@ -45,8 +46,12 @@ const (
 	// streamRecvSlack pads a stream's receive queue past its credit
 	// window: control frames (open response, end, abort, credits) ride
 	// the same queue as data chunks. Exceeding window+slack means the
-	// peer is violating flow control and poisons the connection.
+	// peer is violating flow control and kills the connection.
 	streamRecvSlack = 8
+
+	// maxStreamControl bounds a control frame on an open stream; the
+	// largest legitimate one is an abort carrying an error text.
+	maxStreamControl = 64 << 10
 )
 
 // chunkPool recycles stream chunk payload buffers (cf. the frame pool:
@@ -56,10 +61,18 @@ var chunkPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// chunksInUse counts pooled chunks handed out and not yet returned.
+var chunksInUse atomic.Int64
+
+// ChunksInUse reports how many pooled chunk buffers are out of the pool:
+// how a test shows that a stream path gave back every one it took.
+func ChunksInUse() int64 { return chunksInUse.Load() }
+
 // GetChunk returns a length-n buffer, pooled when n fits the standard
 // chunk capacity. Pair with PutChunk.
 func GetChunk(n int) []byte {
 	if n <= DefaultStreamChunk {
+		chunksInUse.Add(1)
 		bp := chunkPool.Get().(*[]byte)
 		return (*bp)[:n]
 	}
@@ -72,6 +85,7 @@ func PutChunk(b []byte) {
 	if cap(b) != DefaultStreamChunk {
 		return
 	}
+	chunksInUse.Add(-1)
 	b = b[:DefaultStreamChunk]
 	chunkPool.Put(&b)
 }
@@ -189,15 +203,12 @@ func DecodeStreamCredit(b []byte) (StreamCredit, error) {
 	return m, d.Err()
 }
 
-// errStreamClosed reports use of a stream after its owner closed it.
-var errStreamClosed = errors.New("proto: stream closed")
-
-// remoteStreamError turns an inbound TStreamAbort/TError payload into the
-// typed application error every RPC path already surfaces.
-func remoteStreamError(payload []byte) error {
+// remoteError turns a TError/TStreamAbort payload into the typed
+// application error every RPC and stream path surfaces.
+func remoteError(payload []byte) error {
 	em, derr := DecodeErrorMsg(payload)
 	if derr != nil {
-		return fmt.Errorf("proto: undecodable stream abort: %w", derr)
+		return fmt.Errorf("proto: undecodable error frame: %w", derr)
 	}
 	return &RemoteError{Code: em.Code, Msg: em.Msg, Redirect: em.Redirect}
 }
@@ -218,439 +229,348 @@ func StreamStallTimeout(rt time.Duration) time.Duration {
 	return rt * streamStallFactor
 }
 
-// awaitStreamMsg blocks for the next inbound frame of one stream:
-// queued frames first, then the generation's death or the deadline. A
-// deadline expiry poisons the whole generation, exactly like an RPC
-// round-trip timeout — a stream frame that never arrived leaves every
-// in-flight id in doubt.
-func awaitStreamMsg(m *muxConn, st *muxStream, timeout time.Duration) (streamMsg, error) {
+// StreamConn is the connection under a Stream: the two things the
+// dialing side (muxConn) and the accepting side (fs.serveFrames) do
+// differently.
+type StreamConn interface {
+	// SendFrame puts one frame of stream id on the wire, or queues it for
+	// the connection's writer. A TDataFrame payload is the caller's again
+	// on return; a control payload is handed over.
+	SendFrame(t Type, id uint32, payload []byte) error
+	// Kill tears the connection down — every stream and round trip on it
+	// fails — because of err.
+	Kill(err error)
+}
+
+// streamMsg is one inbound frame of an open stream. TDataFrame payloads
+// are pooled chunk buffers; control-frame payloads are plain allocations.
+type streamMsg struct {
+	t       Type
+	payload []byte
+}
+
+// Stream is one end of one open stream, the same on the side that dialed
+// and the side that accepted: the bounded inbound queue the connection's
+// demux reader delivers into, and the credit-window protocol its owner —
+// exactly one goroutine — runs on top. The receiving half enforces what
+// it granted: at most window data frames (plus slack for control frames)
+// undelivered, none longer than the negotiated chunk, exactly the
+// declared size in total.
+type Stream struct {
+	id    uint32
+	conn  StreamConn
+	stall time.Duration  // longest wait for the peer's next frame
+	recv  chan streamMsg // window + streamRecvSlack deep
+	done  chan struct{}  // closed exactly once, by Fail
+
+	mu      sync.Mutex
+	err     error // why the connection died (nil while it lives)
+	discard bool  // owner gone: inbound frames are dropped on arrival
+	limit   int   // longest legal inbound data frame
+
+	// The owner's state.
+	window  int    // data frames the peer may have undelivered
+	owed    int    // chunks consumed since the last replenishment
+	credits int    // data frames this end may still send
+	want    int64  // bytes the sending end declared
+	got     int64  // bytes received so far
+	cur     []byte // the chunk RecvChunk handed out last
+	ended   bool   // the peer's terminal frame has been consumed
+
+	// plant is the conformance suite's planted bug, tests only:
+	// plantNoReplenish never returns a credit, plantNoSizeCheck takes any
+	// end for a clean one.
+	plant string
+}
+
+const (
+	plantNoReplenish = "no-replenish"
+	plantNoSizeCheck = "no-size-check"
+)
+
+// NewStream makes the end of stream id on c that grants its peer window
+// data frames. Inbound data stays illegal until Accept (or the dialing
+// side's open) fixes the chunk size.
+func NewStream(id uint32, c StreamConn, stall time.Duration, window int) *Stream {
+	return &Stream{
+		id: id, conn: c, stall: stall, window: window,
+		recv: make(chan streamMsg, window+streamRecvSlack),
+		done: make(chan struct{}),
+	}
+}
+
+// streamFrameType reports whether t is legal on an open stream id.
+func streamFrameType(t Type) bool {
+	switch t {
+	case TDataFrame, TStreamOpenResp, TStreamEnd, TStreamAbort, TStreamCredit, TError:
+		return true
+	}
+	return false
+}
+
+// streamTerminal reports whether t retires a stream id: after it the
+// peer sends nothing further for the id.
+func streamTerminal(t Type) bool {
+	return t == TStreamEnd || t == TStreamAbort || t == TError
+}
+
+// Deliver is the demux reader's half: it reads the n-byte payload of a
+// type-t frame addressed to this stream from r and queues it for the
+// owner, data into a pooled chunk. An error means the peer broke the
+// protocol — illegal type, oversized frame, more frames than it was
+// granted — or r failed, and the caller must kill the connection;
+// violations are caught from the header, before the payload is buffered.
+func (st *Stream) Deliver(t Type, n int, r io.Reader) error {
+	st.mu.Lock()
+	limit, discard := st.limit, st.discard
+	st.mu.Unlock()
+	data := t == TDataFrame
+	if !data {
+		limit = maxStreamControl
+	}
+	switch {
+	case !streamFrameType(t):
+		return fmt.Errorf("proto: frame type %d is illegal on stream id %d", t, st.id)
+	case n > limit:
+		return fmt.Errorf("proto: %d-byte frame of type %d on stream %d exceeds the negotiated %d", n, t, st.id, limit)
+	case !discard && len(st.recv) == cap(st.recv):
+		return fmt.Errorf("proto: stream %d receive overrun (flow-control credit violation)", st.id)
+	}
+	var payload []byte
+	if data {
+		payload = GetChunk(n)
+	} else {
+		payload = make([]byte, n)
+	}
+	_, err := io.ReadFull(r, payload)
+	if err == nil {
+		// Queued under mu so that no frame slips in behind Release's
+		// drain. The send cannot block: this is the queue's one producer
+		// and it saw room above.
+		st.mu.Lock()
+		if discard = st.discard; !discard {
+			st.recv <- streamMsg{t: t, payload: payload}
+		}
+		st.mu.Unlock()
+	}
+	if data && (err != nil || discard) {
+		PutChunk(payload)
+	}
+	return err
+}
+
+// Fail records that the connection died of err and wakes the owner. Safe
+// to call more than once; the first error wins.
+func (st *Stream) Fail(err error) {
+	st.mu.Lock()
+	first := st.err == nil
+	if first {
+		st.err = err
+	}
+	st.mu.Unlock()
+	if first {
+		close(st.done)
+	}
+}
+
+// fault returns why the connection died (nil while it lives).
+func (st *Stream) fault() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.err
+}
+
+// violation kills the connection over err.
+func (st *Stream) violation(err error) error {
+	st.conn.Kill(err)
+	return err
+}
+
+// next blocks for the stream's next inbound frame — queued frames first,
+// then the connection's death or the stall bound — and settles what every
+// state of the protocol treats alike: a peer abort returns as its typed
+// *RemoteError, a frame type other than a or b kills the connection. So
+// does the stall bound expiring, exactly like an RPC round-trip timeout:
+// a frame that never arrived leaves every in-flight id in doubt.
+func (st *Stream) next(a, b Type) (streamMsg, error) {
+	var msg streamMsg
 	select {
-	case msg := <-st.recv:
-		return msg, nil
+	case msg = <-st.recv:
 	default:
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case msg := <-st.recv:
-		return msg, nil
-	case <-st.done:
-		// Drain one more time: deliveries may have raced the poison.
+		timer := time.NewTimer(st.stall)
+		defer timer.Stop()
 		select {
-		case msg := <-st.recv:
-			return msg, nil
-		default:
-		}
-		return streamMsg{}, st.fault()
-	case <-timer.C:
-		m.poison(errRTTimeout{})
-		return streamMsg{}, errRTTimeout{}
-	}
-}
-
-// ReadStream is the client side of one open read stream: an
-// io.ReadCloser pulling pooled chunks off the multiplexed connection,
-// replenishing flow-control credits as it consumes them.
-type ReadStream struct {
-	ep *Endpoint
-	m  *muxConn
-	st *muxStream
-
-	resp    StreamOpenResp
-	timeout time.Duration
-	window  int
-
-	cur     []byte // current pooled chunk (nil between chunks)
-	curOff  int
-	owed    int // consumed chunks not yet credited back to the sender
-	err     error
-	closed  bool
-	settled bool // terminal frame consumed; stream already deregistered
-}
-
-// FromBuffer reports whether the node serves this stream from its buffer
-// disk.
-func (s *ReadStream) FromBuffer() bool { return s.resp.FromBuffer }
-
-// Size returns the total byte count the stream will deliver.
-func (s *ReadStream) Size() int64 { return s.resp.Size }
-
-// transportErr wraps a generation-level fault the way Call does, so
-// errors.As(err, **TransportError) works identically for streams.
-func (s *ReadStream) transportErr(err error) error {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return err
-	}
-	s.ep.met.transportEs.Inc()
-	return &TransportError{Addr: s.ep.addr, Attempts: 1, Err: err}
-}
-
-// Read implements io.Reader. Mid-stream faults are never retried — a
-// partially consumed stream cannot be transparently replayed — and
-// surface typed: *RemoteError for peer aborts, *TransportError for
-// connection faults.
-func (s *ReadStream) Read(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	for s.cur == nil || s.curOff >= len(s.cur) {
-		if s.cur != nil {
-			PutChunk(s.cur)
-			s.cur, s.curOff = nil, 0
-			s.owed++
-			if s.owed >= s.window/2 || s.owed >= s.window {
-				if err := s.m.send(wireFrame{t: TStreamCredit, id: s.st.id,
-					payload: StreamCredit{N: uint32(s.owed)}.Encode()}); err != nil {
-					s.err = s.transportErr(err)
-					return 0, s.err
-				}
-				s.owed = 0
+		case msg = <-st.recv:
+		case <-st.done:
+			// Deliveries may have raced the connection's death.
+			select {
+			case msg = <-st.recv:
+			default:
+				return msg, st.fault()
 			}
+		case <-timer.C:
+			return msg, st.violation(errRTTimeout{})
 		}
-		msg, err := awaitStreamMsg(s.m, s.st, s.timeout)
+	}
+	st.ended = streamTerminal(msg.t)
+	switch msg.t {
+	case a, b:
+		return msg, nil
+	case TStreamAbort, TError:
+		return msg, remoteError(msg.payload)
+	case TDataFrame:
+		PutChunk(msg.payload)
+	}
+	return msg, st.violation(fmt.Errorf("proto: unexpected frame type %d on stream %d", msg.t, st.id))
+}
+
+// adopt takes the stream's parameters from its open response: the send
+// allowance and the size to expect.
+func (st *Stream) adopt(resp StreamOpenResp) {
+	st.credits = ClampStreamWindow(resp.Window)
+	st.want = resp.Size
+}
+
+// Accept answers the peer's open, on the accepting side: resp carries the
+// negotiated chunk size and the declared size, Accept fills in the window.
+func (st *Stream) Accept(resp StreamOpenResp) error {
+	resp.Window = uint32(st.window)
+	st.mu.Lock()
+	st.limit = int(resp.ChunkSize)
+	st.mu.Unlock()
+	st.adopt(resp)
+	return st.conn.SendFrame(TStreamOpenResp, st.id, resp.Encode())
+}
+
+// awaitOpen waits for the peer's answer to our open, on the dialing side.
+func (st *Stream) awaitOpen() (StreamOpenResp, error) {
+	msg, err := st.next(TStreamOpenResp, TStreamOpenResp)
+	if err != nil {
+		return StreamOpenResp{}, err
+	}
+	resp, err := DecodeStreamOpenResp(msg.payload)
+	if err != nil {
+		return resp, st.violation(err)
+	}
+	st.adopt(resp)
+	return resp, nil
+}
+
+// SendChunk sends b as one data frame, first waiting out the peer's
+// credit window if it is spent. A peer abort surfaces as its typed error,
+// so a sender can stop reading its disk at once.
+func (st *Stream) SendChunk(b []byte) error {
+	for st.credits <= 0 {
+		msg, err := st.next(TStreamCredit, TStreamCredit)
 		if err != nil {
-			s.err = s.transportErr(err)
-			return 0, s.err
+			return err
 		}
-		switch msg.t {
-		case TDataFrame:
-			s.cur, s.curOff = msg.payload, 0
-			s.ep.met.streamChunks.Inc()
-			s.ep.met.streamBytes.Add(int64(len(msg.payload)))
-		case TStreamEnd:
-			s.settle()
-			s.err = io.EOF
-			return 0, io.EOF
-		case TStreamAbort, TError:
-			s.settle()
-			s.err = remoteStreamError(msg.payload)
-			return 0, s.err
-		default:
-			err := fmt.Errorf("proto: unexpected frame type %d on read stream", msg.t)
-			s.m.poison(err)
-			s.err = s.transportErr(err)
-			return 0, s.err
-		}
-	}
-	n := copy(p, s.cur[s.curOff:])
-	s.curOff += n
-	return n, nil
-}
-
-// settle deregisters the stream after its terminal frame.
-func (s *ReadStream) settle() {
-	s.settled = true
-	s.m.removeStream(s.st)
-}
-
-// Close releases the stream. Closing before the terminal frame aborts
-// the transfer upstream: the node stops sending, and any chunks already
-// in flight are discarded without disturbing other streams or round
-// trips on the connection.
-func (s *ReadStream) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.cur != nil {
-		PutChunk(s.cur)
-		s.cur = nil
-	}
-	if !s.settled && s.err == nil {
-		// Early close: discard the remainder and tell the node to stop.
-		// The stream stays registered in discard mode until the node's
-		// terminal frame (or the generation's death) retires the id.
-		s.st.setDiscard()
-		_ = s.m.send(wireFrame{t: TStreamAbort, id: s.st.id,
-			payload: ErrorMsg{Msg: "stream closed by reader"}.Encode()})
-		s.err = errStreamClosed
-	} else if !s.settled {
-		// Faulted without a terminal frame: the generation poisoned, so
-		// the id died with it.
-		s.m.removeStream(s.st)
-	}
-	if s.err == nil {
-		s.err = errStreamClosed
-	}
-	return nil
-}
-
-// WriteStream is the client side of one open write stream: an
-// io.WriteCloser pushing pooled chunks under the node-granted credit
-// window. Close sends the end-of-stream marker and waits for the node's
-// final acknowledgement.
-type WriteStream struct {
-	ep *Endpoint
-	m  *muxConn
-	st *muxStream
-
-	timeout time.Duration
-	chunk   int
-	credits int
-
-	buffered bool
-	err      error
-	closed   bool
-	settled  bool
-}
-
-// Write implements io.Writer: the bytes are chunked, copied into pooled
-// buffers (the writer goroutine sends them asynchronously), and sent
-// within the credit window.
-func (s *WriteStream) Write(p []byte) (int, error) {
-	if s.closed {
-		return 0, errStreamClosed
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	total := 0
-	for len(p) > 0 {
-		if err := s.waitCredit(); err != nil {
-			s.err = err
-			return total, err
-		}
-		n := len(p)
-		if n > s.chunk {
-			n = s.chunk
-		}
-		buf := GetChunk(n)
-		copy(buf, p[:n])
-		if err := s.m.send(wireFrame{t: TDataFrame, id: s.st.id, payload: buf, pooled: true}); err != nil {
-			PutChunk(buf)
-			s.err = s.transportErr(err)
-			return total, s.err
-		}
-		s.credits--
-		p = p[n:]
-		total += n
-		s.ep.met.streamChunks.Inc()
-		s.ep.met.streamBytes.Add(int64(n))
-	}
-	return total, nil
-}
-
-func (s *WriteStream) transportErr(err error) error {
-	var re *RemoteError
-	if errors.As(err, &re) {
-		return err
-	}
-	s.ep.met.transportEs.Inc()
-	return &TransportError{Addr: s.ep.addr, Attempts: 1, Err: err}
-}
-
-// waitCredit consumes inbound control frames until a send credit is
-// available. A peer abort or connection fault surfaces typed.
-func (s *WriteStream) waitCredit() error {
-	for s.credits <= 0 {
-		msg, err := awaitStreamMsg(s.m, s.st, s.timeout)
+		c, err := DecodeStreamCredit(msg.payload)
 		if err != nil {
-			return s.transportErr(err)
+			return st.violation(err)
 		}
-		switch msg.t {
-		case TStreamCredit:
-			c, derr := DecodeStreamCredit(msg.payload)
-			if derr != nil {
-				s.m.poison(derr)
-				return s.transportErr(derr)
+		st.credits += int(c.N)
+	}
+	st.credits--
+	return st.conn.SendFrame(TDataFrame, st.id, b)
+}
+
+// RecvChunk returns the stream's next data chunk, valid until the next
+// call, or nil once the sender has ended the stream after exactly the
+// declared size (not io.EOF: a connection's death can be one); a stream
+// that ends short of it, or runs past it, is an error. Asking for the
+// next chunk is what tells the stream the last one is consumed: credits
+// go back to the sender half a window at a time.
+func (st *Stream) RecvChunk() ([]byte, error) {
+	if st.cur != nil {
+		PutChunk(st.cur)
+		st.cur = nil
+		if st.owed++; 2*st.owed >= st.window && st.plant != plantNoReplenish {
+			if err := st.conn.SendFrame(TStreamCredit, st.id, StreamCredit{N: uint32(st.owed)}.Encode()); err != nil {
+				return nil, err
 			}
-			s.credits += int(c.N)
-		case TStreamAbort, TError:
-			s.settle()
-			return remoteStreamError(msg.payload)
-		default:
-			err := fmt.Errorf("proto: unexpected frame type %d on write stream", msg.t)
-			s.m.poison(err)
-			return s.transportErr(err)
+			st.owed = 0
 		}
 	}
-	return nil
-}
-
-func (s *WriteStream) settle() {
-	s.settled = true
-	s.m.removeStream(s.st)
-}
-
-// Buffered reports whether the node's write-buffer area absorbed the
-// streamed content. Valid after a successful Close.
-func (s *WriteStream) Buffered() bool { return s.buffered }
-
-// Close sends the end-of-stream marker and waits for the node's final
-// acknowledgement (TStreamEnd carrying the buffered flag). Closing a
-// stream that already failed just releases it.
-func (s *WriteStream) Close() error {
-	if s.closed {
-		return s.err
+	msg, err := st.next(TDataFrame, TStreamEnd)
+	switch {
+	case err != nil:
+		return nil, err
+	case msg.t == TStreamEnd && (st.got == st.want || st.plant == plantNoSizeCheck):
+		return nil, nil
+	case msg.t == TStreamEnd:
+		return nil, fmt.Errorf("proto: stream %d ended at %d of %d bytes: %w", st.id, st.got, st.want, io.ErrUnexpectedEOF)
 	}
-	s.closed = true
-	if s.err != nil {
-		if !s.settled {
-			s.st.setDiscard()
-			_ = s.m.send(wireFrame{t: TStreamAbort, id: s.st.id,
-				payload: ErrorMsg{Msg: "stream closed by writer"}.Encode()})
+	st.cur = msg.payload
+	if st.got += int64(len(st.cur)); st.got > st.want {
+		return nil, fmt.Errorf("proto: stream %d overran its declared %d bytes", st.id, st.want)
+	}
+	return st.cur, nil
+}
+
+// End ends the stream cleanly from this side. buffered is the accepting
+// side's report on a write stream; everywhere else it is false.
+func (st *Stream) End(buffered bool) error {
+	return st.conn.SendFrame(TStreamEnd, st.id, StreamEnd{Buffered: buffered}.Encode())
+}
+
+// awaitEnd waits for the peer's end marker answering ours, passing over
+// replenishments that crossed it.
+func (st *Stream) awaitEnd() (StreamEnd, error) {
+	for {
+		msg, err := st.next(TStreamEnd, TStreamCredit)
+		if err != nil {
+			return StreamEnd{}, err
 		}
-		return s.err
+		if msg.t == TStreamEnd {
+			end, err := DecodeStreamEnd(msg.payload)
+			if err != nil {
+				err = st.violation(err)
+			}
+			return end, err
+		}
 	}
-	if err := s.m.send(wireFrame{t: TStreamEnd, id: s.st.id, payload: StreamEnd{}.Encode()}); err != nil {
-		s.err = s.transportErr(err)
-		return s.err
+}
+
+// Abort ends the stream from this side with a failure — errMsg is an
+// encoded ErrorMsg — and releases it. The connection and its other
+// streams stay healthy.
+func (st *Stream) Abort(errMsg []byte) {
+	st.Release()
+	_ = st.conn.SendFrame(TStreamAbort, st.id, errMsg) // a dead connection has told the peer already
+}
+
+// hangUp is how the dialing side lets go of a stream. The accepting side
+// has the last word on every stream — its terminal frame is what retires
+// the id here — so a stream it has not ended yet is aborted, and stays
+// registered, dropping what arrives, until that frame comes.
+func (st *Stream) hangUp(why string) {
+	if st.ended {
+		st.Release()
+	} else {
+		st.Abort(ErrorMsg{Msg: why}.Encode())
+	}
+}
+
+// Release is the owner's last call: chunks held or still queued go back to
+// the pool, and whatever the peer still has in flight for the id is
+// dropped on arrival.
+func (st *Stream) Release() {
+	st.mu.Lock()
+	st.discard = true
+	st.mu.Unlock()
+	if st.cur != nil {
+		PutChunk(st.cur)
+		st.cur = nil
 	}
 	for {
-		msg, err := awaitStreamMsg(s.m, s.st, s.timeout)
-		if err != nil {
-			s.err = s.transportErr(err)
-			return s.err
-		}
-		switch msg.t {
-		case TStreamCredit:
-			// Late replenishment racing our end marker; ignore.
-		case TStreamEnd:
-			end, derr := DecodeStreamEnd(msg.payload)
-			if derr != nil {
-				s.m.poison(derr)
-				s.err = s.transportErr(derr)
-				return s.err
+		select {
+		case msg := <-st.recv:
+			if msg.t == TDataFrame {
+				PutChunk(msg.payload)
 			}
-			s.buffered = end.Buffered
-			s.settle()
-			return nil
-		case TStreamAbort, TError:
-			s.settle()
-			s.err = remoteStreamError(msg.payload)
-			return s.err
 		default:
-			err := fmt.Errorf("proto: unexpected frame type %d closing write stream", msg.t)
-			s.m.poison(err)
-			s.err = s.transportErr(err)
-			return s.err
+			return
 		}
 	}
-}
-
-// openStream dials (or reuses) a connection generation, registers a
-// stream id, sends the open frame, and waits for the peer's verdict.
-// Opens are side-effect-free until data flows, so transport faults are
-// retried exactly like Call; a *RemoteError rejection is final.
-func (e *Endpoint) openStream(t Type, req StreamOpenReq, window int, sc telemetry.SpanContext) (*muxConn, *muxStream, StreamOpenResp, error) {
-	e.met.calls.Inc()
-	var last error
-	attempts := 0
-	for attempt := 0; attempt <= e.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			e.met.retries.Inc()
-			time.Sleep(e.backoff(attempt))
-		}
-		attempts++
-		m, err := e.conn()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				e.met.transportEs.Inc()
-				return nil, nil, StreamOpenResp{}, &TransportError{Addr: e.addr, Attempts: attempts, Err: err}
-			}
-			last = err
-			continue
-		}
-		st, err := m.registerStream(window)
-		if err != nil {
-			e.dropConn(m)
-			last = err
-			continue
-		}
-		ft, payload := AttachContext(t, req.Encode(), sc)
-		if err := m.send(wireFrame{t: ft, id: st.id, payload: payload}); err != nil {
-			e.dropConn(m)
-			last = err
-			continue
-		}
-		// The open response queues behind other streams' data frames on
-		// the shared connection, so it gets the stall bound, not the
-		// bare RPC deadline — a premature timeout here poisons the
-		// generation and takes healthy streams down with it.
-		msg, err := awaitStreamMsg(m, st, StreamStallTimeout(e.cfg.RTTimeout))
-		if err != nil {
-			e.dropConn(m)
-			last = err
-			continue
-		}
-		switch msg.t {
-		case TStreamOpenResp:
-			resp, derr := DecodeStreamOpenResp(msg.payload)
-			if derr != nil {
-				m.poison(derr)
-				e.dropConn(m)
-				last = derr
-				continue
-			}
-			e.met.streamOpens.Inc()
-			return m, st, resp, nil
-		case TError, TStreamAbort:
-			m.removeStream(st)
-			rerr := remoteStreamError(msg.payload)
-			var re *RemoteError
-			if errors.As(rerr, &re) {
-				e.met.remoteEs.Inc()
-				e.met.reg.Counter("proto.rt.errors.remote." + re.Code.String()).Inc()
-				return nil, nil, StreamOpenResp{}, rerr
-			}
-			m.poison(rerr)
-			e.dropConn(m)
-			last = rerr
-		default:
-			err := fmt.Errorf("proto: unexpected frame type %d answering stream open", msg.t)
-			m.poison(err)
-			e.dropConn(m)
-			last = err
-		}
-	}
-	terr := &TransportError{Addr: e.addr, Attempts: attempts, Err: last}
-	e.met.transportEs.Inc()
-	if terr.Timeout() {
-		e.met.timeouts.Inc()
-	}
-	return nil, nil, StreamOpenResp{}, terr
-}
-
-// OpenReadStream opens a chunked read stream for req.FileID. The
-// returned ReadStream delivers exactly resp.Size bytes (see Size) or a
-// typed error; the caller must Close it.
-func (e *Endpoint) OpenReadStream(req StreamOpenReq, sc telemetry.SpanContext) (*ReadStream, error) {
-	window := ClampStreamWindow(req.Window)
-	req.Window = uint32(window)
-	req.Size = 0
-	m, st, resp, err := e.openStream(TStreamReadReq, req, window, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &ReadStream{
-		ep: e, m: m, st: st,
-		resp:    resp,
-		timeout: StreamStallTimeout(e.cfg.RTTimeout),
-		window:  window,
-	}, nil
-}
-
-// OpenWriteStream opens a chunked write stream that will carry exactly
-// req.Size bytes to req.FileID. The node's grant (chunk size and credit
-// window) governs the returned WriteStream; the caller must Close it to
-// commit the write.
-func (e *Endpoint) OpenWriteStream(req StreamOpenReq, sc telemetry.SpanContext) (*WriteStream, error) {
-	window := ClampStreamWindow(req.Window)
-	req.Window = uint32(window)
-	m, st, resp, err := e.openStream(TStreamWriteReq, req, window, sc)
-	if err != nil {
-		return nil, err
-	}
-	chunk := NegotiateChunk(resp.ChunkSize, 0)
-	credits := int(resp.Window)
-	if credits <= 0 {
-		credits = DefaultStreamWindow
-	}
-	return &WriteStream{
-		ep: e, m: m, st: st,
-		timeout: StreamStallTimeout(e.cfg.RTTimeout),
-		chunk:   chunk,
-		credits: credits,
-	}, nil
 }

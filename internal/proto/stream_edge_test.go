@@ -117,9 +117,10 @@ func TestReadStreamEarlyCloseDiscardsLateFrames(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		rs.m.mu.Lock()
-		open := len(rs.m.streams)
-		rs.m.mu.Unlock()
+		m := rs.st.conn.(*muxConn)
+		m.mu.Lock()
+		open := len(m.streams)
+		m.mu.Unlock()
 		if open == 0 {
 			break
 		}

@@ -33,11 +33,11 @@ func FuzzReadStreamFrames(f *testing.F) {
 		go io.Copy(io.Discard, serverEnd)
 
 		const marker1, marker2 = 0xA5, 0x5A
-		st1, err := m.registerStream(4)
+		st1, err := m.registerStream(4, 512, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st2, err := m.registerStream(4)
+		st2, err := m.registerStream(4, 512, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func FuzzReadStreamFrames(f *testing.F) {
 		// pool, and retires the stream on its terminal frame — mirroring
 		// what ReadStream does.
 		errc := make(chan error, 2)
-		consume := func(st *muxStream, marker byte) {
+		consume := func(st *Stream, marker byte) {
 			for {
 				select {
 				case msg := <-st.recv:
@@ -64,7 +64,6 @@ func FuzzReadStreamFrames(f *testing.F) {
 						continue
 					}
 					if streamTerminal(msg.t) {
-						m.removeStream(st)
 						errc <- nil
 						return
 					}
@@ -140,7 +139,10 @@ func FuzzReadStreamFrames(f *testing.F) {
 				t.Fatal("consumer wedged: stream neither delivered nor failed")
 			}
 		}
-		if m.fault() == nil {
+		// The read loop may still be on its way to noticing the close.
+		select {
+		case <-m.done:
+		case <-time.After(5 * time.Second):
 			t.Fatal("connection alive after pipe close")
 		}
 	})

@@ -135,9 +135,10 @@ func TestReadStreamDelivery(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rs.m.mu.Lock()
-	open := len(rs.m.streams)
-	rs.m.mu.Unlock()
+	m := rs.st.conn.(*muxConn)
+	m.mu.Lock()
+	open := len(m.streams)
+	m.mu.Unlock()
 	if open != 0 {
 		t.Fatalf("%d stream ids still registered after a settled read", open)
 	}
