@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz verify loc bench bench-parallel bench-mux bench-trace bench-stream bench-load bench-compare load-smoke cover soak soak-failover soak-drift
+.PHONY: build test race vet fuzz verify loc bench-pairs load-smoke cover soak soak-failover soak-drift
 
 build:
 	$(GO) build ./...
@@ -31,78 +31,26 @@ fuzz:
 	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeRecord -fuzztime=15s
 	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeManifest -fuzztime=15s
 
-# Per-suite benchmark commands. The recording targets below and the
-# bench-compare gate invoke these SAME variables, so the suite a baseline
-# was recorded with can never drift from the suite the gate reruns.
-BENCH_CMD_parallel = $(GO) test -run '^$$' \
-	-bench 'Sweep|RunMany|ServerLookup|ServerStats|Sharded|ServerMap|AtomicLog|AccessLog' \
-	-benchtime 3x -count 3 -json \
-	./internal/experiments ./internal/fs ./internal/metadata ./internal/trace
-BENCH_CMD_mux = $(GO) test -run '^$$' -bench 'BenchmarkEndpointPipelined$$' \
-	-benchtime 200x -count 3 -json ./internal/proto
-BENCH_CMD_trace = $(GO) test -run '^$$' -bench 'BenchmarkEndpointPipelined(Traced)?$$' \
-	-benchtime 200x -count 3 -benchmem -json ./internal/proto
-BENCH_CMD_stream = $(GO) test -run '^$$' -bench 'BenchmarkStream' \
-	-benchtime 1x -count 3 -benchmem -json ./internal/fs
-BENCH_CMD_load = $(GO) test -run '^$$' -bench 'BenchmarkLoad' \
-	-benchtime 1x -count 3 -json ./internal/fs
-
-# Re-record every gated baseline.
-bench: bench-parallel bench-mux bench-trace bench-stream bench-load
-
-# The parallel-engine comparison (ISSUE 3 acceptance): sweep wall-clock
-# sequential vs pooled, server ops/sec under concurrent clients, and the
-# metadata/access-log microbenchmarks. Speedups require real cores —
-# record GOMAXPROCS alongside the numbers.
-bench-parallel:
-	$(BENCH_CMD_parallel) > BENCH_parallel.json
-
-# The multiplexed transport (ISSUE 5): 8 concurrent callers pipelining on
-# one connection against a peer with a simulated service time. (The
-# serialized-connection contrast row went with the v1 framing it
-# measured.)
-bench-mux:
-	$(BENCH_CMD_mux) > BENCH_mux.json
-
-# The tracing-overhead comparison (ISSUE 7 acceptance): the pipelined
-# mux benchmark with tracing off vs on at the production default 1%
-# head-sampling rate (span per call, wire-propagated context). The
-# traced variant must stay within a few percent of the plain one.
-bench-trace:
-	$(BENCH_CMD_trace) > BENCH_trace.json
-
-# The streaming data-plane comparison (ISSUE 8 acceptance): chunked
-# streamed reads at 1KB / 1MB / 64MB plus a streamed write and the
-# whole-payload RPC read as the contrast row. The allocs/op columns are
-# the O(chunk) guard — a 64MB read allocating like the file size means
-# the pool regressed.
-bench-stream:
-	$(BENCH_CMD_stream) > BENCH_stream.json
-
-# The load-harness capacity numbers (ISSUE 10 acceptance): fixed-work
-# open/closed-loop runs through the full TCP stack — RPC round-trip
-# capacity, mixed traffic, 1000-client fan-in, and accept-path connection
-# cycling. Each reports achieved ops/s and read p99 alongside ns/op.
-bench-load:
-	$(BENCH_CMD_load) > BENCH_load.json
-
-# The CI perf-regression gate: rerun the gated benchmark suites fresh and
-# diff them against the committed baselines. Fails on a >25% geomean
-# regression; override the threshold with BENCH_MAX_REGRESS (e.g.
-# `make bench-compare BENCH_MAX_REGRESS=1.50` on a known-noisy runner).
-# -normalize cancels uniform machine-speed differences between the
-# machine that recorded the baselines and the one running the gate.
-BENCH_MAX_REGRESS ?= 1.25
-bench-compare:
-	@tmp=$$(mktemp); \
-	{ $(BENCH_CMD_parallel) > $$tmp && \
-	  $(BENCH_CMD_mux) >> $$tmp && \
-	  $(BENCH_CMD_trace) >> $$tmp && \
-	  $(BENCH_CMD_stream) >> $$tmp && \
-	  $(BENCH_CMD_load) >> $$tmp && \
-	  $(GO) run ./cmd/benchdiff -max $(BENCH_MAX_REGRESS) -normalize \
-		-fresh $$tmp BENCH_parallel.json BENCH_mux.json BENCH_trace.json BENCH_stream.json BENCH_load.json; }; \
-	status=$$?; rm -f $$tmp; exit $$status
+# The performance gate (DESIGN.md §16): N pairs of `go run ./bench
+# --workload W --trace 0` on BASE and on this tree, alternating which side
+# goes first, judged per (workload, metric) by cmd/benchdiff against the
+# bounds in BENCHMARK.json. BASE is exported with `git archive` into a
+# fresh temporary directory, never inside the checkout, and removed again;
+# the two raw output files stay in that directory (its path is printed)
+# so the table can be re-derived. N=10 is what claiming a gain takes.
+N ?= 3
+W ?= hot-read write-mix stream-large cold-power sim-paper
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [N=$(N)] [W='$(W)']" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && mkdir $$tmp/base && trap 'rm -rf $$tmp/base' EXIT && \
+	git archive $(BASE) | tar -x -C $$tmp/base && \
+	run() { (cd $$1 && $(GO) run ./bench --workload $$3 --trace 0) >> $$tmp/$$2.txt 2>&1 || true; } && \
+	for w in $(W); do for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then run $$tmp/base parent $$w; run . change $$w; \
+		else run . change $$w; run $$tmp/base parent $$w; fi; \
+	done; done && \
+	echo "bench-pairs: BASE=$(BASE) N=$(N), raw outputs in $$tmp" && \
+	$(GO) run ./cmd/benchdiff BENCHMARK.json $$tmp/parent.txt $$tmp/change.txt
 
 # The CI load-smoke lane: 60 seconds of open-loop load from 500 clients
 # against a freshly booted in-process cluster (3 replicated metadata

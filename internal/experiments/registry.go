@@ -15,13 +15,10 @@ import (
 type Runner func(Options) (Table, error)
 
 // Registry maps experiment ids (the per-experiment index in DESIGN.md) to
-// their runners.
+// their runners; fig3a to fig5d are added from the figures table.
 var Registry = map[string]Runner{
-	"tableI":  TableI,
-	"tableII": TableII,
-	"fig3a":   fig3a, "fig3b": fig3b, "fig3c": fig3c, "fig3d": fig3d,
-	"fig4a": fig4a, "fig4b": fig4b, "fig4c": fig4c, "fig4d": fig4d,
-	"fig5a": fig5a, "fig5b": fig5b, "fig5c": fig5c, "fig5d": fig5d,
+	"tableI":             TableI,
+	"tableII":            TableII,
 	"fig6":               fig6,
 	"ext-disks":          extDisks,
 	"ext-hints":          extHints,
@@ -135,125 +132,56 @@ func TableII(Options) (Table, error) {
 	return t, nil
 }
 
-func fig3a(o Options) (Table, error) {
-	s, err := DataSizeSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.EnergyTable("fig3a", "Energy vs data size (PF vs NPF)",
-		"paper shape: PF wins at every size; reported gains 11% (1 MB) to 15% (50 MB); 50 MB inflates totals via queueing",
-	), nil
+// figure is one panel of the paper's Figures 3 to 5: one of the four
+// parameter sweeps rendered as one of the three PF-vs-NPF tables.
+type figure struct {
+	id    string
+	sweep func(Options) (Sweep, error)
+	table func(s Sweep, id, title string, notes ...string) Table
+	title string
+	notes []string
 }
 
-func fig3b(o Options) (Table, error) {
-	s, err := MUSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.EnergyTable("fig3b", "Energy vs popularity rate MU (PF vs NPF)",
-		"paper shape: identical PF energy for MU <= 100 (K=70 covers everything, disks sleep whole trace); smaller gain at MU=1000",
-	), nil
-}
-
-func fig3c(o Options) (Table, error) {
-	s, err := DelaySweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.EnergyTable("fig3c", "Energy vs inter-arrival delay (PF vs NPF)",
+var figures = []figure{
+	{"fig3a", DataSizeSweep, Sweep.EnergyTable, "Energy vs data size (PF vs NPF)", []string{
+		"paper shape: PF wins at every size; reported gains 11% (1 MB) to 15% (50 MB); 50 MB inflates totals via queueing"}},
+	{"fig3b", MUSweep, Sweep.EnergyTable, "Energy vs popularity rate MU (PF vs NPF)", []string{
+		"paper shape: identical PF energy for MU <= 100 (K=70 covers everything, disks sleep whole trace); smaller gain at MU=1000"}},
+	{"fig3c", DelaySweep, Sweep.EnergyTable, "Energy vs inter-arrival delay (PF vs NPF)", []string{
 		"paper shape: savings grow with delay and level off near 700 ms",
-		"absolute energy scales with the run's makespan; the paper's testbed replayed traces of similar wall-clock length across delays",
-	), nil
+		"absolute energy scales with the run's makespan; the paper's testbed replayed traces of similar wall-clock length across delays"}},
+	{"fig3d", PrefetchCountSweep, Sweep.EnergyTable, "Energy vs number of files to prefetch (PF vs NPF)", []string{
+		"paper shape: K=10 yields only ~3% savings; K >= 40 yields significant savings"}},
+	{"fig4a", DataSizeSweep, Sweep.TransitionsTable, "Power-state transitions vs data size", []string{
+		"paper shape: transitions decrease as data size increases"}},
+	{"fig4b", MUSweep, Sweep.TransitionsTable, "Power-state transitions vs MU", []string{
+		"paper shape: near-minimum transitions for MU <= 100 (one sleep per disk), hundreds at MU=1000"}},
+	{"fig4c", DelaySweep, Sweep.TransitionsTable, "Power-state transitions vs inter-arrival delay", []string{
+		"paper shape: transitions decrease as the delay increases (lighter load, longer windows)"}},
+	{"fig4d", PrefetchCountSweep, Sweep.TransitionsTable, "Power-state transitions vs number of files to prefetch", []string{
+		"paper shape: K=10 produces the most transitions of all tests (paper: 447) for the least savings"}},
+	{"fig5a", DataSizeSweep, Sweep.ResponseTable, "Response time vs data size (PF vs NPF)", []string{
+		"paper shape: penalty shrinks with size (121% at 1 MB, 4% at 25 MB); the paper omits the 50 MB point due to server queueing"}},
+	{"fig5b", MUSweep, Sweep.ResponseTable, "Response time vs MU (PF vs NPF)", []string{
+		"paper shape: virtually no penalty when disks sleep the whole trace (MU <= 100)"}},
+	{"fig5c", DelaySweep, Sweep.ResponseTable, "Response time vs inter-arrival delay (PF vs NPF)", []string{
+		"paper shape: penalty between ~16% and ~37% across delays, tracking the transition counts"}},
+	{"fig5d", PrefetchCountSweep, Sweep.ResponseTable, "Response time vs number of files to prefetch (PF vs NPF)", []string{
+		"paper shape: penalty falls as K grows (fewer misses, fewer wake-ups)"}},
 }
 
-func fig3d(o Options) (Table, error) {
-	s, err := PrefetchCountSweep(o)
+func (f figure) run(o Options) (Table, error) {
+	s, err := f.sweep(o)
 	if err != nil {
 		return Table{}, err
 	}
-	return s.EnergyTable("fig3d", "Energy vs number of files to prefetch (PF vs NPF)",
-		"paper shape: K=10 yields only ~3% savings; K >= 40 yields significant savings",
-	), nil
+	return f.table(s, f.id, f.title, f.notes...), nil
 }
 
-func fig4a(o Options) (Table, error) {
-	s, err := DataSizeSweep(o)
-	if err != nil {
-		return Table{}, err
+func init() {
+	for _, f := range figures {
+		Registry[f.id] = f.run
 	}
-	return s.TransitionsTable("fig4a", "Power-state transitions vs data size",
-		"paper shape: transitions decrease as data size increases",
-	), nil
-}
-
-func fig4b(o Options) (Table, error) {
-	s, err := MUSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.TransitionsTable("fig4b", "Power-state transitions vs MU",
-		"paper shape: near-minimum transitions for MU <= 100 (one sleep per disk), hundreds at MU=1000",
-	), nil
-}
-
-func fig4c(o Options) (Table, error) {
-	s, err := DelaySweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.TransitionsTable("fig4c", "Power-state transitions vs inter-arrival delay",
-		"paper shape: transitions decrease as the delay increases (lighter load, longer windows)",
-	), nil
-}
-
-func fig4d(o Options) (Table, error) {
-	s, err := PrefetchCountSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.TransitionsTable("fig4d", "Power-state transitions vs number of files to prefetch",
-		"paper shape: K=10 produces the most transitions of all tests (paper: 447) for the least savings",
-	), nil
-}
-
-func fig5a(o Options) (Table, error) {
-	s, err := DataSizeSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.ResponseTable("fig5a", "Response time vs data size (PF vs NPF)",
-		"paper shape: penalty shrinks with size (121% at 1 MB, 4% at 25 MB); the paper omits the 50 MB point due to server queueing",
-	), nil
-}
-
-func fig5b(o Options) (Table, error) {
-	s, err := MUSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.ResponseTable("fig5b", "Response time vs MU (PF vs NPF)",
-		"paper shape: virtually no penalty when disks sleep the whole trace (MU <= 100)",
-	), nil
-}
-
-func fig5c(o Options) (Table, error) {
-	s, err := DelaySweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.ResponseTable("fig5c", "Response time vs inter-arrival delay (PF vs NPF)",
-		"paper shape: penalty between ~16% and ~37% across delays, tracking the transition counts",
-	), nil
-}
-
-func fig5d(o Options) (Table, error) {
-	s, err := PrefetchCountSweep(o)
-	if err != nil {
-		return Table{}, err
-	}
-	return s.ResponseTable("fig5d", "Response time vs number of files to prefetch (PF vs NPF)",
-		"paper shape: penalty falls as K grows (fewer misses, fewer wake-ups)",
-	), nil
 }
 
 func fig6(o Options) (Table, error) {

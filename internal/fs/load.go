@@ -20,7 +20,7 @@ import (
 // requests arrive on an open-loop schedule, and reports per-op-class
 // tail latency, achieved vs offered throughput, and a typed error
 // taxonomy. The engine lives in this package (not cmd/eevfsload) so the
-// BenchmarkLoad* suite can gate it through internal/benchcmp.
+// BenchmarkLoad* benchmarks can drive it too.
 
 // loadBuckets is the latency bucket layout for load-harness histograms:
 // denser than DefBuckets between 1ms and 1s, where the knee search needs

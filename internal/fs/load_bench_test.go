@@ -9,11 +9,11 @@ import (
 	"eevfs/internal/disk"
 )
 
-// The gated load suite (BENCH_load.json): fixed work per iteration, run
-// with -benchtime 1x -count 3 like the stream suite, so ns/op is the
-// wall-clock of a deterministic op count and benchcmp can diff it. Each
-// benchmark boots a fresh cluster per iteration — connection setup and
-// accept-path behavior are part of what the suite guards.
+// Hand-run load benchmarks for the two shapes `go run ./bench` does not
+// hold yet — deep fan-in and connection cycling (run with -benchtime 1x):
+// fixed work per iteration, so ns/op is the wall-clock of a deterministic
+// op count. Each boots a fresh cluster — connection setup and accept-path
+// behavior are part of what they measure.
 
 // benchLoadCluster boots one server over two nodes shaped for load:
 // latency injection off, probes off, DPM off.
@@ -71,27 +71,6 @@ func runLoadBench(b *testing.B, cfg LoadConfig) {
 		b.ReportMetric(res.AchievedRate, "ops/s")
 		b.ReportMetric(res.Ops[LoadOpRead].P99*1000, "p99-ms")
 	}
-}
-
-// BenchmarkLoadRPC: closed-loop whole-file RPC reads from 128 pipelined
-// clients over 16 shared connections — the metadata+data round-trip
-// capacity number.
-func BenchmarkLoadRPC(b *testing.B) {
-	runLoadBench(b, LoadConfig{
-		Clients: 128, Conns: 16, MaxOps: 6000,
-		Files: 128, FileSize: 4 << 10, Seed: 1,
-	})
-}
-
-// BenchmarkLoadMixed: closed-loop mixed traffic (10% writes, 10%
-// streamed reads) from 96 clients — exercises the write-intent lookup,
-// the node write path, and the stream plane under the same fan-in.
-func BenchmarkLoadMixed(b *testing.B) {
-	runLoadBench(b, LoadConfig{
-		Clients: 96, Conns: 16, MaxOps: 4000,
-		Files: 128, FileSize: 4 << 10,
-		WriteFrac: 0.1, StreamFrac: 0.1, Seed: 2,
-	})
 }
 
 // BenchmarkLoadFanIn: 1000 logical clients over 32 connections,

@@ -60,14 +60,6 @@ type NodeConfig struct {
 	// WriteTimeout bounds writing one response frame, so a stalled or
 	// partitioned peer cannot pin a serving goroutine (default 30s).
 	WriteTimeout time.Duration
-	// AcceptLoops is how many goroutines accept on the listener in
-	// parallel (default 4).
-	AcceptLoops int
-	// ConnWorkers caps concurrent in-flight requests per connection
-	// (default 128); ConnStreams caps open streams per connection
-	// (default 64).
-	ConnWorkers int
-	ConnStreams int
 	// Logger receives operational messages (nil = log.Default).
 	Logger *log.Logger
 	// Metrics, when set, receives the node's telemetry: per-op latency
@@ -246,9 +238,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.wal.Close()
 		return nil, err
 	}
-	n.lis.listen(ln, cfg.AcceptLoops, n.logger.Printf, func(conn net.Conn) {
-		serveFrames(conn, n.cfg.WriteTimeout, n.dispatch, n.dispatchStream,
-			connLimits{workers: n.cfg.ConnWorkers, streams: n.cfg.ConnStreams})
+	n.lis.listen(ln, n.logger.Printf, func(conn net.Conn) {
+		serveFrames(conn, n.cfg.WriteTimeout, n.dispatch, n.dispatchStream)
 	})
 	return n, nil
 }

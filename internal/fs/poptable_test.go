@@ -37,8 +37,9 @@ func registerFiles(t *testing.T, srv *Server, ids []int) []metadata.FileInfo {
 // the paper's request log by its per-file fold: one seeded access stream
 // — out-of-order times, ids in three chunks, ids whose file is deleted,
 // eight concurrent appenders — goes into the server's table and into the
-// reference trace.AccessLog, and everything the server derives from
-// popularity must come out the same as a walk of the log gives.
+// reference log (a plain slice of records), and everything the server
+// derives from popularity must come out the same as a walk of the log
+// gives.
 func TestPopularityMatchesAccessLog(t *testing.T) {
 	_, srv, _ := testCluster(t, 2, nil)
 	var ids []int
@@ -54,7 +55,7 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(16))
 	const appenders, perAppender = 8, 2500
-	var ref trace.AccessLog
+	var ref []trace.Record
 	streams := make([][]trace.Record, appenders)
 	for a := range streams {
 		for i := 0; i < perAppender; i++ {
@@ -66,12 +67,12 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 			}
 			r := trace.Record{TimeS: 1000 * rng.Float64(), Op: trace.Read, FileID: fi.ID, Size: fi.Size}
 			streams[a] = append(streams[a], r)
-			ref.Append(r)
+			ref = append(ref, r)
 		}
 	}
 	once := trace.Record{TimeS: 77, Op: trace.Read, FileID: 1, Size: fis[1].Size}
 	streams[0] = append(streams[0], once)
-	ref.Append(once)
+	ref = append(ref, once)
 
 	var wg sync.WaitGroup
 	for _, recs := range streams {
@@ -91,9 +92,10 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 	for _, fi := range fis {
 		refSizes[fi.ID] = fi.Size
 	}
-	refCounts := ref.Counts(numFiles)
+	refCounts := make([]int, numFiles)
 	refFirst, refLast := map[int]float64{}, map[int]float64{}
-	for _, r := range ref.Entries() {
+	for _, r := range ref {
+		refCounts[r.FileID]++
 		if f, ok := refFirst[r.FileID]; !ok || r.TimeS < f {
 			refFirst[r.FileID] = r.TimeS
 		}
@@ -108,8 +110,8 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 		}
 	}
 
-	if got := srv.AccessCount(); got != ref.Len() {
-		t.Fatalf("table counted %d accesses, log holds %d", got, ref.Len())
+	if got := srv.AccessCount(); got != len(ref) {
+		t.Fatalf("table counted %d accesses, log holds %d", got, len(ref))
 	}
 	counts, sizes := srv.popularity()
 	for _, k := range []int{0, 1, 5, 20, numFiles} {

@@ -13,39 +13,27 @@ import (
 	"eevfs/internal/telemetry"
 )
 
-// defaultConnWorkers bounds how many requests from one connection may be
-// in flight in handler goroutines at once. The bound is per connection:
+// connWorkers bounds how many requests from one connection may be in
+// flight in handler goroutines at once. The bound is per connection:
 // one greedy pipelining peer cannot starve the daemon, and Close still
 // drains quickly. 128 (up from the original 32) because the load harness
 // showed tens of logical clients multiplexed onto one connection stalling
 // behind the cap long before the node's disks were busy (DESIGN.md §21).
-const defaultConnWorkers = 128
+const connWorkers = 128
 
-// defaultConnStreams bounds how many streams one connection may hold open
-// at once. Stream handlers are deliberately NOT drawn from the RPC worker
+// connStreams bounds how many streams one connection may hold open at
+// once. Stream handlers are deliberately NOT drawn from the RPC worker
 // pool: a handler parks in SendChunk for as long as its peer dawdles,
 // and the demux read loop must never block on slot acquisition — it has
 // to keep reading inbound credit frames or every running stream on the
 // connection wedges behind the very loop that would feed it. Excess
 // opens are rejected with a typed error; the connection stays healthy.
-const defaultConnStreams = 64
+const connStreams = 64
 
-// connLimits carries the per-connection concurrency caps into
-// serveFrames. The zero value means defaults.
-type connLimits struct {
-	workers int // concurrent RPC handlers (default defaultConnWorkers)
-	streams int // concurrent open streams (default defaultConnStreams)
-}
-
-func (l connLimits) withDefaults() connLimits {
-	if l.workers <= 0 {
-		l.workers = defaultConnWorkers
-	}
-	if l.streams <= 0 {
-		l.streams = defaultConnStreams
-	}
-	return l
-}
+// acceptLoops is how many goroutines accept on a daemon's listener in
+// parallel, so a burst of dials is not serialized behind one loop's
+// per-connection bookkeeping.
+const acceptLoops = 4
 
 // acceptConns runs one accept loop on ln, handing each connection to
 // accept. Transient errors — file-table exhaustion, handshakes aborted
@@ -93,13 +81,10 @@ type listener struct {
 	conns   map[net.Conn]struct{}
 }
 
-// listen starts loops accept loops on ln (0 = the default 4); each
-// connection is served in its own goroutine and closed when serve returns.
-func (l *listener) listen(ln net.Listener, loops int, logf func(format string, args ...any), serve func(net.Conn)) {
+// listen starts acceptLoops accept loops on ln; each connection is
+// served in its own goroutine and closed when serve returns.
+func (l *listener) listen(ln net.Listener, logf func(format string, args ...any), serve func(net.Conn)) {
 	l.ln, l.conns = ln, make(map[net.Conn]struct{})
-	if loops <= 0 {
-		loops = 4
-	}
 	handle := func(conn net.Conn) {
 		l.mu.Lock()
 		if l.closing {
@@ -119,8 +104,8 @@ func (l *listener) listen(ln net.Listener, loops int, logf func(format string, a
 			conn.Close()
 		}()
 	}
-	l.wg.Add(loops)
-	for i := 0; i < loops; i++ {
+	l.wg.Add(acceptLoops)
+	for i := 0; i < acceptLoops; i++ {
 		go func() {
 			defer l.wg.Done()
 			acceptConns(ln, logf, handle)
@@ -199,19 +184,18 @@ func (c *connWriter) Kill(error) { c.conn.Close() }
 // concurrently; responses carry the request's id and are written whole
 // under a per-connection mutex (ordered, never interleaved), in whatever
 // order the handlers finish. Stream opens spawn a dedicated handler
-// goroutine outside the worker pool (bounded by lim.streams instead), and
+// goroutine outside the worker pool (bounded by connStreams instead), and
 // later frames of an open stream are delivered to it by id.
 //
 // writeTimeout bounds each response write so a stalled peer cannot pin
 // a handler goroutine. shandle may be nil: stream opens then answer with
 // a typed TError and the connection stays healthy (the metadata server
 // does not serve file bytes).
-func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, shandle streamHandlerFunc, lim connLimits) {
+func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, shandle streamHandlerFunc) {
 	var preface [4]byte
 	if _, err := io.ReadFull(conn, preface[:]); err != nil || binary.BigEndian.Uint32(preface[:]) != proto.MagicV2 {
 		return
 	}
-	lim = lim.withDefaults()
 	out := &connWriter{conn: conn, w: &deadlineConn{Conn: conn, writeTimeout: writeTimeout}}
 	var (
 		wg sync.WaitGroup
@@ -220,7 +204,7 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 		// ~20% slower on the load benchmarks: every hand-off through a
 		// shared channel pays a contended wake-up, while a fresh
 		// goroutine usually runs on the spawning P's runnext slot.)
-		slots = make(chan struct{}, lim.workers)
+		slots = make(chan struct{}, connWorkers)
 
 		smu     sync.Mutex
 		streams = make(map[uint32]*proto.Stream)
@@ -276,7 +260,7 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 			st := proto.NewStream(id, out, proto.StreamStallTimeout(writeTimeout), proto.ClampStreamWindow(req.Window))
 			smu.Lock()
 			_, dup := streams[id]
-			full := len(streams) >= lim.streams
+			full := len(streams) >= connStreams
 			if !dup && !full {
 				streams[id] = st
 			}

@@ -25,7 +25,7 @@ func servePipe(t *testing.T, shandle streamHandlerFunc) (client, server net.Conn
 		serveFrames(server, time.Second,
 			func(proto.Type, []byte, telemetry.SpanContext) (proto.Type, []byte, error) {
 				return proto.TListResp, proto.ListResp{}.Encode(), nil
-			}, shandle, connLimits{})
+			}, shandle)
 	}()
 	if err := proto.WritePreface(client); err != nil {
 		t.Fatal(err)

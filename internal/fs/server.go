@@ -63,15 +63,6 @@ type ServerConfig struct {
 	// WriteTimeout bounds writing one response frame to a client, so a
 	// stalled client cannot pin a serving goroutine (default 30s).
 	WriteTimeout time.Duration
-	// AcceptLoops is how many goroutines accept on the listener in
-	// parallel (default 4). Under connection-storm fan-in a single loop's
-	// post-accept bookkeeping gates the accept rate.
-	AcceptLoops int
-	// ConnWorkers caps concurrent in-flight requests per client
-	// connection (default 128); ConnStreams caps open streams per
-	// connection (default 64).
-	ConnWorkers int
-	ConnStreams int
 	// Peers lists every metadata server of a replicated group (client
 	// addresses, including this server's own), index-aligned across the
 	// group. Empty means standalone: no replication, exactly the classic
@@ -343,9 +334,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	// The metadata server has no data plane: nil stream handler, so
 	// stream opens are rejected with a typed error.
-	s.lis.listen(ln, cfg.AcceptLoops, s.logger.Printf, func(conn net.Conn) {
-		serveFrames(conn, s.cfg.WriteTimeout, s.dispatch, nil,
-			connLimits{workers: s.cfg.ConnWorkers, streams: s.cfg.ConnStreams})
+	s.lis.listen(ln, s.logger.Printf, func(conn net.Conn) {
+		serveFrames(conn, s.cfg.WriteTimeout, s.dispatch, nil)
 	})
 	if s.churn != nil {
 		s.wg.Add(1)
@@ -392,13 +382,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// roundTrip runs one request on a node's main connection and feeds the
-// outcome into its health state.
-func (s *Server) roundTrip(h *nodeHandle, t proto.Type, payload []byte) (proto.Type, []byte, error) {
-	return s.roundTripCtx(h, t, payload, nil)
-}
-
-// roundTripCtx is roundTrip under a parent span: the fan-out RPC gets a
+// roundTripCtx runs one request on a node's main connection and feeds
+// the outcome into its health state. Under a parent span the RPC gets a
 // child span of its own and carries that child's context to the node,
 // so the node's server-side span parents correctly under this hop.
 func (s *Server) roundTripCtx(h *nodeHandle, t proto.Type, payload []byte, parent *telemetry.Span) (proto.Type, []byte, error) {
@@ -698,9 +683,7 @@ func (s *Server) handleLookupWrite(req proto.LookupReq, sp *telemetry.Span) (pro
 		if ridx < len(s.nodes) {
 			// Best-effort space reclaim on the mirror; the marker is
 			// already gone, so a failure only leaves an orphaned copy.
-			rh := s.nodes[ridx]
-			go s.roundTrip(rh, proto.TNodeDeleteReq,
-				proto.NodeDeleteReq{FileID: int64(fi.ID)}.Encode())
+			s.dropMirror(s.nodes[ridx], fi.ID)
 		}
 	}
 	s.journalAccess(fi)
@@ -709,6 +692,17 @@ func (s *Server) handleLookupWrite(req proto.LookupReq, sp *telemetry.Span) (pro
 		Size:     fi.Size,
 		NodeAddr: h.addr,
 	}, nil
+}
+
+// dropMirror deletes file id's copy on mirror node h in the background.
+// The goroutine is the server's own: Close waits for it before it closes
+// the endpoint the round trip runs on.
+func (s *Server) dropMirror(h *nodeHandle, id int) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.roundTripCtx(h, proto.TNodeDeleteReq, proto.NodeDeleteReq{FileID: int64(id)}.Encode(), nil)
+	}()
 }
 
 // journalAccess folds one access to fi into its popularity slot and,
@@ -814,8 +808,7 @@ func (s *Server) handleDelete(req proto.DeleteReq, sp *telemetry.Span) error {
 	if ridx, hasReplica := fi.ReplicaNode(); hasReplica && ridx < len(s.nodes) {
 		// Drop the mirror copy too; best effort, the namespace entry is
 		// going away regardless.
-		go s.roundTrip(s.nodes[ridx], proto.TNodeDeleteReq,
-			proto.NodeDeleteReq{FileID: int64(fi.ID)}.Encode())
+		s.dropMirror(s.nodes[ridx], fi.ID)
 	}
 	s.meta.Delete(req.Name)
 	s.commit(proto.RepOp{Kind: proto.RepOpDelete, Name: req.Name}, sp)
@@ -863,12 +856,48 @@ func (s *Server) popularity() (counts []int, sizes []int64) {
 	return counts, sizes
 }
 
+// fanOut runs call(i, h) concurrently for every healthy node i that pick
+// selects (nil = every node) — each node's RPC rides its own multiplexed
+// endpoint, so a slow spindle on one node does not serialize the round —
+// and, once all have returned, reports the error of the lowest-indexed
+// node that failed, so the error a caller sees is deterministic. call
+// leaves its result in a slot of its own node. An unhealthy node is not
+// called, after skip (when not nil) has logged it: a degraded cluster
+// still does everywhere what it can.
+func (s *Server) fanOut(pick func(i int) bool, skip func(i int, h *nodeHandle), call func(i int, h *nodeHandle) error) error {
+	errs := make([]error, len(s.nodes))
+	var wg sync.WaitGroup
+	for i, h := range s.nodes {
+		if pick != nil && !pick(i) {
+			continue
+		}
+		if !h.healthy() {
+			if skip != nil {
+				skip(i, h)
+			}
+			continue
+		}
+		wg.Add(1)
+		go func(i int, h *nodeHandle) {
+			defer wg.Done()
+			errs[i] = call(i, h)
+		}(i, h)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // commandPrefetch groups the selected ids by owning node, commands each
 // node's staging concurrently, forwards access-pattern hints, and
 // mirrors when configured — the fan-out shared by client-issued and
 // adaptive re-prefetches.
 func (s *Server) commandPrefetch(ids []int, sp *telemetry.Span) (int64, error) {
-	perNode := make(map[int][]int64)
+	perNode := make([][]int64, len(s.nodes))
 	for _, id := range ids {
 		fi, ok := s.meta.LookupID(id)
 		if !ok {
@@ -877,83 +906,48 @@ func (s *Server) commandPrefetch(ids []int, sp *telemetry.Span) (int64, error) {
 		perNode[fi.Node] = append(perNode[fi.Node], int64(id))
 	}
 
-	// Fan the per-node prefetch commands out concurrently: each node's
-	// RPC rides its own multiplexed endpoint, so a slow spindle on one
-	// node no longer serializes the whole round. Results are folded in
-	// node order so the first error reported is deterministic.
-	type nodeResult struct {
-		count int64
-		err   error
-	}
-	results := make(map[int]nodeResult, len(perNode))
-	var (
-		resMu sync.Mutex
-		wg    sync.WaitGroup
-	)
-	for nodeIdx, fileIDs := range perNode {
-		h := s.nodes[nodeIdx]
-		if !h.healthy() {
-			s.logger.Printf("prefetch: skipping unhealthy node %s (%d files)",
-				h.addr, len(fileIDs))
-			continue
-		}
-		wg.Add(1)
-		go func(nodeIdx int, h *nodeHandle, fileIDs []int64) {
-			defer wg.Done()
-			var res nodeResult
+	counts := make([]int64, len(s.nodes))
+	err := s.fanOut(
+		func(i int) bool { return len(perNode[i]) > 0 },
+		func(i int, h *nodeHandle) {
+			s.logger.Printf("prefetch: skipping unhealthy node %s (%d files)", h.addr, len(perNode[i]))
+		},
+		func(i int, h *nodeHandle) error {
 			_, payload, err := s.roundTripCtx(h, proto.TNodePrefetchReq,
-				proto.NodePrefetchReq{FileIDs: fileIDs}.Encode(), sp)
+				proto.NodePrefetchReq{FileIDs: perNode[i]}.Encode(), sp)
 			if err != nil {
-				res.err = fmt.Errorf("fs: prefetch on node %d: %w", nodeIdx, err)
-			} else if resp, derr := proto.DecodePrefetchResp(payload); derr != nil {
-				res.err = derr
-			} else {
-				res.count = resp.Prefetched
+				return fmt.Errorf("fs: prefetch on node %d: %w", i, err)
 			}
-			resMu.Lock()
-			results[nodeIdx] = res
-			resMu.Unlock()
-		}(nodeIdx, h, fileIDs)
-	}
-	wg.Wait()
-
+			resp, err := proto.DecodePrefetchResp(payload)
+			if err != nil {
+				return err
+			}
+			counts[i] = resp.Prefetched
+			return nil
+		})
 	var total int64
-	var firstErr error
-	for nodeIdx := 0; nodeIdx < len(s.nodes); nodeIdx++ {
-		res, ok := results[nodeIdx]
-		if !ok {
-			continue
-		}
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
-		}
-		total += res.count
+	for _, c := range counts {
+		total += c
 	}
-	if firstErr != nil {
-		return total, firstErr
+	if err != nil {
+		return total, err
 	}
 
 	// Step 4 of the process flow: forward the observed access patterns as
-	// hints so the nodes can predict idle windows, again one concurrent
-	// RPC per node. Failures are logged, not fatal — hints are advisory
-	// ("EEVFS can operate without the application hints", Section IV-C).
-	for nodeIdx, hints := range s.hintsPerNode() {
-		if len(hints) == 0 || !s.nodes[nodeIdx].healthy() {
-			continue
-		}
-		wg.Add(1)
-		go func(nodeIdx int, hints []proto.FileHint) {
-			defer wg.Done()
-			if _, _, err := s.roundTripCtx(s.nodes[nodeIdx], proto.TNodeHintsReq,
-				proto.NodeHintsReq{Hints: hints}.Encode(), sp); err != nil {
-				s.logger.Printf("forwarding hints to node %d: %v", nodeIdx, err)
+	// hints so the nodes can predict idle windows. Failures are logged,
+	// not fatal — hints are advisory ("EEVFS can operate without the
+	// application hints", Section IV-C).
+	hints := s.hintsPerNode()
+	s.fanOut(
+		func(i int) bool { return len(hints[i]) > 0 },
+		nil,
+		func(i int, h *nodeHandle) error {
+			if _, _, err := s.roundTripCtx(h, proto.TNodeHintsReq,
+				proto.NodeHintsReq{Hints: hints[i]}.Encode(), sp); err != nil {
+				s.logger.Printf("forwarding hints to node %d: %v", i, err)
 			}
-		}(nodeIdx, hints)
-	}
-	wg.Wait()
+			return nil
+		})
 	if s.cfg.MirrorPrefetch {
 		s.mirrorFiles(ids, sp)
 	}
@@ -1072,47 +1066,28 @@ func (s *Server) hintsPerNode() map[int][]proto.FileHint {
 	return out
 }
 
-// handleStats gathers per-disk stats from every healthy node — one
-// concurrent RPC per node — prefixing disk names with the node index.
-// Results are folded in node order, so the response layout is identical
-// to the old sequential sweep. Unhealthy nodes are skipped so a
-// degraded cluster still reports what it can.
+// handleStats gathers per-disk stats from every healthy node (fanOut),
+// prefixing disk names with the node index and folding the results in
+// node order, so the response layout does not depend on which node
+// answered first.
 func (s *Server) handleStats(sp *telemetry.Span) (proto.StatsResp, error) {
-	perNode := make([]*proto.StatsResp, len(s.nodes))
-	errs := make([]error, len(s.nodes))
-	var wg sync.WaitGroup
-	for i, h := range s.nodes {
-		if !h.healthy() {
-			s.logger.Printf("stats: skipping unhealthy node %s", h.addr)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, h *nodeHandle) {
-			defer wg.Done()
+	perNode := make([]proto.StatsResp, len(s.nodes))
+	err := s.fanOut(nil,
+		func(_ int, h *nodeHandle) { s.logger.Printf("stats: skipping unhealthy node %s", h.addr) },
+		func(i int, h *nodeHandle) error {
 			_, payload, err := s.roundTripCtx(h, proto.TNodeStatsReq, nil, sp)
 			if err != nil {
-				errs[i] = fmt.Errorf("fs: stats from node %d: %w", i, err)
-				return
+				return fmt.Errorf("fs: stats from node %d: %w", i, err)
 			}
-			resp, err := proto.DecodeStatsResp(payload)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			perNode[i] = &resp
-		}(i, h)
+			perNode[i], err = proto.DecodeStatsResp(payload)
+			return err
+		})
+	if err != nil {
+		return proto.StatsResp{}, err
 	}
-	wg.Wait()
 
 	var out proto.StatsResp
-	for i := range s.nodes {
-		if errs[i] != nil {
-			return proto.StatsResp{}, errs[i]
-		}
-		resp := perNode[i]
-		if resp == nil {
-			continue
-		}
+	for i, resp := range perNode {
 		for _, ds := range resp.Disks {
 			ds.Name = fmt.Sprintf("node%d/%s", i, ds.Name)
 			out.Disks = append(out.Disks, ds)

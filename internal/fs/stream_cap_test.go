@@ -33,7 +33,7 @@ func TestStreamConnCapRejectedTyped(t *testing.T) {
 		}
 	}()
 	rejected := 0
-	for i := 0; i < defaultConnStreams+6; i++ {
+	for i := 0; i < connStreams+6; i++ {
 		r, err := cl.OpenRead("capped", opts)
 		if err != nil {
 			if !errors.Is(err, ErrNodeUnavailable) {
@@ -45,10 +45,10 @@ func TestStreamConnCapRejectedTyped(t *testing.T) {
 		open = append(open, r)
 	}
 	if rejected == 0 {
-		t.Fatalf("%d window-1 streams on one connection never hit the cap", defaultConnStreams+6)
+		t.Fatalf("%d window-1 streams on one connection never hit the cap", connStreams+6)
 	}
-	if len(open) != defaultConnStreams {
-		t.Fatalf("%d streams admitted, want %d", len(open), defaultConnStreams)
+	if len(open) != connStreams {
+		t.Fatalf("%d streams admitted, want %d", len(open), connStreams)
 	}
 
 	// The demux loop must still be feeding the admitted streams: drain

@@ -37,96 +37,6 @@ func (fi FileInfo) ReplicaNode() (int, bool) {
 	return fi.Replica - 1, true
 }
 
-// ServerMap is the storage server's metadata: name -> FileInfo. It is safe
-// for concurrent use (the real FS serves many clients at once).
-type ServerMap struct {
-	mu     sync.RWMutex
-	byName map[string]FileInfo
-	byID   map[int]FileInfo
-}
-
-// NewServerMap returns an empty server metadata map.
-func NewServerMap() *ServerMap {
-	return &ServerMap{
-		byName: make(map[string]FileInfo),
-		byID:   make(map[int]FileInfo),
-	}
-}
-
-// Put inserts or replaces a file record. Replacing a name with a different
-// id (or vice versa) removes the stale pairing.
-func (m *ServerMap) Put(fi FileInfo) error {
-	if fi.Name == "" {
-		return fmt.Errorf("metadata: empty file name")
-	}
-	if fi.Size <= 0 {
-		return fmt.Errorf("metadata: file %q has non-positive size %d", fi.Name, fi.Size)
-	}
-	if fi.Node < 0 {
-		return fmt.Errorf("metadata: file %q has negative node %d", fi.Name, fi.Node)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if old, ok := m.byName[fi.Name]; ok && old.ID != fi.ID {
-		delete(m.byID, old.ID)
-	}
-	if old, ok := m.byID[fi.ID]; ok && old.Name != fi.Name {
-		delete(m.byName, old.Name)
-	}
-	m.byName[fi.Name] = fi
-	m.byID[fi.ID] = fi
-	return nil
-}
-
-// LookupName returns the record for a file name.
-func (m *ServerMap) LookupName(name string) (FileInfo, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fi, ok := m.byName[name]
-	return fi, ok
-}
-
-// LookupID returns the record for a file id.
-func (m *ServerMap) LookupID(id int) (FileInfo, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fi, ok := m.byID[id]
-	return fi, ok
-}
-
-// Delete removes a file by name. Removing a missing file is a no-op that
-// returns false.
-func (m *ServerMap) Delete(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fi, ok := m.byName[name]
-	if !ok {
-		return false
-	}
-	delete(m.byName, name)
-	delete(m.byID, fi.ID)
-	return true
-}
-
-// Len returns the number of files.
-func (m *ServerMap) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.byName)
-}
-
-// Names returns all file names in sorted order (deterministic listing).
-func (m *ServerMap) Names() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.byName))
-	for n := range m.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // NodeEntry is a storage node's local record for one file. The JSON
 // form is how the node's manifest checkpoint stores it.
 type NodeEntry struct {

@@ -7,8 +7,11 @@ import (
 	"testing"
 )
 
+// The TestServerMap* cases state the contract of the storage server's map;
+// Sharded is the implementation the server runs.
+
 func TestServerMapPutLookup(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	fi := FileInfo{Name: "a.dat", ID: 7, Size: 100, Node: 2}
 	if err := m.Put(fi); err != nil {
 		t.Fatal(err)
@@ -27,7 +30,7 @@ func TestServerMapPutLookup(t *testing.T) {
 }
 
 func TestServerMapMissingLookups(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	if _, ok := m.LookupName("nope"); ok {
 		t.Error("missing name found")
 	}
@@ -37,7 +40,7 @@ func TestServerMapMissingLookups(t *testing.T) {
 }
 
 func TestServerMapPutValidation(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	if err := m.Put(FileInfo{Name: "", ID: 0, Size: 1}); err == nil {
 		t.Error("empty name accepted")
 	}
@@ -50,7 +53,7 @@ func TestServerMapPutValidation(t *testing.T) {
 }
 
 func TestServerMapReplaceKeepsIndexesConsistent(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -74,7 +77,7 @@ func TestServerMapReplaceKeepsIndexesConsistent(t *testing.T) {
 }
 
 func TestServerMapDelete(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	if m.Delete("ghost") {
 		t.Error("deleting missing file returned true")
 	}
@@ -90,7 +93,7 @@ func TestServerMapDelete(t *testing.T) {
 }
 
 func TestServerMapNamesSorted(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	for i, n := range []string{"zeta", "alpha", "mid"} {
 		if err := m.Put(FileInfo{Name: n, ID: i, Size: 1}); err != nil {
 			t.Fatal(err)
@@ -103,7 +106,7 @@ func TestServerMapNamesSorted(t *testing.T) {
 }
 
 func TestServerMapConcurrentAccess(t *testing.T) {
-	m := NewServerMap()
+	m := NewSharded()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -29,7 +29,8 @@ type idShard struct {
 // Sharded is a striped server metadata map: the name index and the id
 // index are each split over shardCount RWMutex-guarded stripes, so
 // lookups of different files proceed without contending on any shared
-// lock. It replaces ServerMap on the storage server's hot path.
+// lock. It is the map the storage server runs; the two plain maps it
+// replaced are kept beside the tests as its reference model (ServerMap).
 //
 // Lock ordering: no operation ever holds two shard locks at once — each
 // acquires a name stripe and an id stripe strictly in sequence — so the
@@ -66,8 +67,7 @@ func (s *Sharded) idShard(id int) *idShard {
 }
 
 // Put inserts or replaces a file record. Replacing a name with a
-// different id (or vice versa) removes the stale pairing, as ServerMap
-// does.
+// different id (or vice versa) removes the stale pairing.
 func (s *Sharded) Put(fi FileInfo) error {
 	if err := validate(fi); err != nil {
 		return err
@@ -222,7 +222,7 @@ func (s *Sharded) Clear() {
 	}
 }
 
-// validate mirrors ServerMap.Put's input checks.
+// validate is Put's input check.
 func validate(fi FileInfo) error {
 	if fi.Name == "" {
 		return fmt.Errorf("metadata: empty file name")

@@ -3,10 +3,89 @@ package metadata
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// ServerMap is the reference model TestShardedMatchesServerMap holds
+// Sharded to: the server's name -> FileInfo map as two plain maps, for one
+// goroutine.
+type ServerMap struct {
+	byName map[string]FileInfo
+	byID   map[int]FileInfo
+}
+
+// NewServerMap returns an empty server metadata map.
+func NewServerMap() *ServerMap {
+	return &ServerMap{
+		byName: make(map[string]FileInfo),
+		byID:   make(map[int]FileInfo),
+	}
+}
+
+// Put inserts or replaces a file record. Replacing a name with a different
+// id (or vice versa) removes the stale pairing.
+func (m *ServerMap) Put(fi FileInfo) error {
+	if fi.Name == "" {
+		return fmt.Errorf("metadata: empty file name")
+	}
+	if fi.Size <= 0 {
+		return fmt.Errorf("metadata: file %q has non-positive size %d", fi.Name, fi.Size)
+	}
+	if fi.Node < 0 {
+		return fmt.Errorf("metadata: file %q has negative node %d", fi.Name, fi.Node)
+	}
+	if old, ok := m.byName[fi.Name]; ok && old.ID != fi.ID {
+		delete(m.byID, old.ID)
+	}
+	if old, ok := m.byID[fi.ID]; ok && old.Name != fi.Name {
+		delete(m.byName, old.Name)
+	}
+	m.byName[fi.Name] = fi
+	m.byID[fi.ID] = fi
+	return nil
+}
+
+// LookupName returns the record for a file name.
+func (m *ServerMap) LookupName(name string) (FileInfo, bool) {
+	fi, ok := m.byName[name]
+	return fi, ok
+}
+
+// LookupID returns the record for a file id.
+func (m *ServerMap) LookupID(id int) (FileInfo, bool) {
+	fi, ok := m.byID[id]
+	return fi, ok
+}
+
+// Delete removes a file by name. Removing a missing file is a no-op that
+// returns false.
+func (m *ServerMap) Delete(name string) bool {
+	fi, ok := m.byName[name]
+	if !ok {
+		return false
+	}
+	delete(m.byName, name)
+	delete(m.byID, fi.ID)
+	return true
+}
+
+// Len returns the number of files.
+func (m *ServerMap) Len() int {
+	return len(m.byName)
+}
+
+// Names returns all file names in sorted order (deterministic listing).
+func (m *ServerMap) Names() []string {
+	names := make([]string, 0, len(m.byName))
+	for n := range m.byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
 
 func TestShardedBasicOps(t *testing.T) {
 	s := NewSharded()
@@ -51,6 +130,26 @@ func TestShardedMatchesServerMap(t *testing.T) {
 	// The striped map must be observationally identical to ServerMap on a
 	// sequential workload, including replacement semantics.
 	a, b := NewServerMap(), NewSharded()
+	compare := func() {
+		t.Helper()
+		if !reflect.DeepEqual(a.Names(), b.Names()) || a.Len() != b.Len() {
+			t.Fatalf("Names diverge: %v vs %v", a.Names(), b.Names())
+		}
+		for _, name := range []string{"x", "y", "z", "ghost"} {
+			fa, oka := a.LookupName(name)
+			fb, okb := b.LookupName(name)
+			if oka != okb || fa != fb {
+				t.Errorf("LookupName(%q): %+v,%v vs %+v,%v", name, fa, oka, fb, okb)
+			}
+		}
+		for id := -1; id < 4; id++ {
+			fa, oka := a.LookupID(id)
+			fb, okb := b.LookupID(id)
+			if oka != okb || fa != fb {
+				t.Errorf("LookupID(%d): %+v,%v vs %+v,%v", id, fa, oka, fb, okb)
+			}
+		}
+	}
 	ops := []FileInfo{
 		{Name: "x", ID: 0, Size: 10, Node: 0},
 		{Name: "y", ID: 1, Size: 20, Node: 1},
@@ -63,23 +162,13 @@ func TestShardedMatchesServerMap(t *testing.T) {
 			t.Fatalf("Put(%+v): ServerMap err %v vs Sharded err %v", fi, errA, errB)
 		}
 	}
-	if !reflect.DeepEqual(a.Names(), b.Names()) {
-		t.Fatalf("Names diverge: %v vs %v", a.Names(), b.Names())
-	}
-	for _, name := range []string{"x", "y", "z", "ghost"} {
-		fa, oka := a.LookupName(name)
-		fb, okb := b.LookupName(name)
-		if oka != okb || fa != fb {
-			t.Errorf("LookupName(%q): %+v,%v vs %+v,%v", name, fa, oka, fb, okb)
+	compare()
+	for _, name := range []string{"x", "ghost"} {
+		if da, db := a.Delete(name), b.Delete(name); da != db {
+			t.Fatalf("Delete(%q): %v vs %v", name, da, db)
 		}
 	}
-	for id := -1; id < 4; id++ {
-		fa, oka := a.LookupID(id)
-		fb, okb := b.LookupID(id)
-		if oka != okb || fa != fb {
-			t.Errorf("LookupID(%d): %+v,%v vs %+v,%v", id, fa, oka, fb, okb)
-		}
-	}
+	compare()
 }
 
 func TestShardedValidation(t *testing.T) {

@@ -238,57 +238,3 @@ func BusyFromAccesses(times []float64, service float64) []Interval {
 	}
 	return busy
 }
-
-// Plan is the complete per-node prefetch decision the storage server ships
-// to a storage node in step 3/4 of the process flow (Fig. 2).
-type Plan struct {
-	// FileIDs to copy into the buffer disk, most popular first.
-	FileIDs []int
-	// SleepWindows per data-disk index: the hint-driven standby schedule.
-	// Empty when hints are disabled (the node falls back to its idle
-	// threshold timer).
-	SleepWindows map[int][]Window
-}
-
-// Build assembles a Plan for one storage node.
-//
-//   - localFiles: ids resident on this node, with their data-disk index
-//   - globalTopK: the server's global prefetch selection; the node
-//     prefetches the intersection with its local files
-//   - pattern: per-file predicted access times (the forwarded trace split)
-//   - service: predicted per-access service time on a data disk
-//   - horizon: end of the prediction horizon (trace duration)
-//   - minGap: minimum idle window worth sleeping through
-func Build(localFiles map[int]int, globalTopK []int,
-	pattern map[int][]float64, service, horizon, minGap float64) Plan {
-
-	plan := Plan{SleepWindows: make(map[int][]Window)}
-
-	prefetched := make(Set)
-	for _, id := range globalTopK {
-		if _, local := localFiles[id]; local {
-			plan.FileIDs = append(plan.FileIDs, id)
-			prefetched[id] = true
-		}
-	}
-
-	// Predicted residual busy time per data disk: accesses to files that
-	// were NOT prefetched still hit the data disk.
-	busyPerDisk := make(map[int][]Interval)
-	for id, dsk := range localFiles {
-		if prefetched[id] {
-			continue
-		}
-		busyPerDisk[dsk] = append(busyPerDisk[dsk], BusyFromAccesses(pattern[id], service)...)
-	}
-
-	disks := make(map[int]bool)
-	for _, dsk := range localFiles {
-		disks[dsk] = true
-	}
-	for dsk := range disks {
-		windows := IdleWindows(busyPerDisk[dsk], horizon)
-		plan.SleepWindows[dsk] = PlanSleeps(windows, minGap)
-	}
-	return plan
-}

@@ -223,47 +223,6 @@ func TestBusyFromAccesses(t *testing.T) {
 	}
 }
 
-func TestBuildPlan(t *testing.T) {
-	localFiles := map[int]int{3: 0, 7: 1, 9: 0} // id -> disk
-	globalTopK := []int{7, 100, 3}              // 100 is on another node
-	pattern := map[int][]float64{
-		3: {10},
-		7: {1, 2, 3},
-		9: {50},
-	}
-	plan := Build(localFiles, globalTopK, pattern, 0.5, 100, 5)
-
-	if !reflect.DeepEqual(plan.FileIDs, []int{7, 3}) {
-		t.Errorf("FileIDs = %v, want [7 3] (local top-k, popularity order)", plan.FileIDs)
-	}
-	// Disk 0 holds files 3 (prefetched) and 9 (not). Residual busy on
-	// disk 0 is file 9's access at 50. Sleep windows: [0,50) and
-	// [50.5,100).
-	w0 := plan.SleepWindows[0]
-	if len(w0) != 2 || w0[0] != (Window{0, 50}) || w0[1] != (Window{50.5, 100}) {
-		t.Errorf("disk 0 windows = %v", w0)
-	}
-	// Disk 1 holds only file 7, prefetched: whole horizon is idle.
-	w1 := plan.SleepWindows[1]
-	if len(w1) != 1 || w1[0] != (Window{0, 100}) {
-		t.Errorf("disk 1 windows = %v", w1)
-	}
-}
-
-func TestBuildPlanNoPrefetch(t *testing.T) {
-	localFiles := map[int]int{0: 0}
-	pattern := map[int][]float64{0: {1, 2, 3}}
-	plan := Build(localFiles, nil, pattern, 0.5, 10, 2)
-	if len(plan.FileIDs) != 0 {
-		t.Errorf("FileIDs = %v, want empty", plan.FileIDs)
-	}
-	// Busy 1..3.5; windows [3.5,10) passes the 2 s gate, [0,1) does not.
-	w := plan.SleepWindows[0]
-	if len(w) != 1 || w[0] != (Window{3.5, 10}) {
-		t.Errorf("windows = %v", w)
-	}
-}
-
 // Property: idle windows and merged busy intervals exactly tile the
 // horizon — no overlap, no gap.
 func TestQuickWindowsTileHorizon(t *testing.T) {
@@ -361,22 +320,5 @@ func TestQuickSelectShape(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkBuildPlan(b *testing.B) {
-	localFiles := make(map[int]int)
-	pattern := make(map[int][]float64)
-	for i := 0; i < 125; i++ {
-		localFiles[i] = i % 2
-		pattern[i] = []float64{float64(i), float64(i) + 100}
-	}
-	topK := make([]int, 70)
-	for i := range topK {
-		topK[i] = i
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Build(localFiles, topK, pattern, 0.2, 700, 5)
 	}
 }

@@ -22,8 +22,8 @@ type logChunk struct {
 	ready [logChunkSize]atomic.Bool
 }
 
-// AtomicLog is a lock-free append-only request log: a concurrent
-// AccessLog (Section IV's append-only popularity journal). Appenders
+// AtomicLog is a lock-free append-only request log (Section IV's
+// append-only popularity journal). Appenders
 // reserve a slot with one atomic fetch-add and publish it with one
 // atomic flag store; readers walk the reserved prefix and skip the —
 // transiently — unpublished slots of in-flight appends. No program code

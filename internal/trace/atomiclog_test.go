@@ -6,9 +6,23 @@ import (
 	"testing"
 )
 
+// accessLog is the reference an AtomicLog is checked against: the
+// journal as a plain slice, counted by walking it.
+type accessLog []Record
+
+func (l accessLog) counts(numFiles int) []int {
+	counts := make([]int, numFiles)
+	for _, r := range l {
+		if r.FileID >= 0 && r.FileID < numFiles {
+			counts[r.FileID]++
+		}
+	}
+	return counts
+}
+
 func TestAtomicLogSequentialMatchesAccessLog(t *testing.T) {
 	var al AtomicLog
-	var ref AccessLog
+	var ref accessLog
 	for i := 0; i < 2500; i++ { // crosses a chunk boundary (1024)
 		r := Record{TimeS: float64(i), Op: Read, FileID: i % 7, Size: int64(i)}
 		seq := al.Append(r)
@@ -16,23 +30,22 @@ func TestAtomicLogSequentialMatchesAccessLog(t *testing.T) {
 			t.Fatalf("Append %d returned seq %d", i, seq)
 		}
 		r.Seq = int64(i)
-		ref.Append(r)
+		ref = append(ref, r)
 	}
-	if al.Len() != ref.Len() {
-		t.Fatalf("Len %d vs AccessLog %d", al.Len(), ref.Len())
+	if al.Len() != len(ref) {
+		t.Fatalf("Len %d vs reference %d", al.Len(), len(ref))
 	}
 	snap := al.Snapshot()
-	entries := ref.Entries()
-	if len(snap) != len(entries) {
-		t.Fatalf("Snapshot %d records vs %d", len(snap), len(entries))
+	if len(snap) != len(ref) {
+		t.Fatalf("Snapshot %d records vs %d", len(snap), len(ref))
 	}
 	for i := range snap {
-		if snap[i] != entries[i] {
-			t.Fatalf("record %d: %+v vs %+v", i, snap[i], entries[i])
+		if snap[i] != ref[i] {
+			t.Fatalf("record %d: %+v vs %+v", i, snap[i], ref[i])
 		}
 	}
 	for _, n := range []int{0, 3, 7, 20} {
-		a, b := al.Counts(n), ref.Counts(n)
+		a, b := al.Counts(n), ref.counts(n)
 		for id := range a {
 			if a[id] != b[id] {
 				t.Fatalf("Counts(%d)[%d] = %d vs %d", n, id, a[id], b[id])
@@ -158,48 +171,5 @@ func TestAtomicLogScanFrom(t *testing.T) {
 	l.ScanFrom(-5, func(Record) { n++ })
 	if n != 2500 {
 		t.Fatalf("negative mark visited %d, want all 2500", n)
-	}
-}
-
-// The epoch-flush access pattern: a periodic consumer wants the ~1k
-// records appended since its mark out of a journal holding 1M. The
-// original Snapshot()-then-filter walk re-copied the whole history every
-// tick; ScanFrom pays only for the tail.
-func benchTailLog(b *testing.B) *AtomicLog {
-	b.Helper()
-	var l AtomicLog
-	for i := 0; i < 1<<20; i++ {
-		l.Append(Record{FileID: i & 1023})
-	}
-	return &l
-}
-
-func BenchmarkAtomicLogSnapshotTail(b *testing.B) {
-	l := benchTailLog(b)
-	mark := int64(l.Len() - 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, r := range l.Snapshot() {
-			if r.Seq >= mark {
-				n++
-			}
-		}
-		if n != 1024 {
-			b.Fatal(n)
-		}
-	}
-}
-
-func BenchmarkAtomicLogScanFromTail(b *testing.B) {
-	l := benchTailLog(b)
-	mark := int64(l.Len() - 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		l.ScanFrom(mark, func(Record) { n++ })
-		if n != 1024 {
-			b.Fatal(n)
-		}
 	}
 }

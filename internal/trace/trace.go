@@ -241,49 +241,6 @@ func Parse(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// AccessLog is the append-only request log the storage server keeps
-// (Section IV: "an append-only log of requests to keep track of file
-// access patterns"). Popularity is derived from it.
-type AccessLog struct {
-	entries []Record
-}
-
-// Append records one request. Appending out of time order is allowed (the
-// log is a journal, not an index).
-func (l *AccessLog) Append(r Record) { l.entries = append(l.entries, r) }
-
-// Len returns the number of logged requests.
-func (l *AccessLog) Len() int { return len(l.entries) }
-
-// Entries returns the raw journal (shared backing array; callers must not
-// mutate).
-func (l *AccessLog) Entries() []Record { return l.entries }
-
-// Counts returns access counts per file id over the whole log. numFiles
-// bounds the id space; out-of-range ids are ignored.
-func (l *AccessLog) Counts(numFiles int) []int {
-	counts := make([]int, numFiles)
-	for _, r := range l.entries {
-		if r.FileID >= 0 && r.FileID < numFiles {
-			counts[r.FileID]++
-		}
-	}
-	return counts
-}
-
-// CountsSince returns access counts restricted to entries with
-// TimeS >= since — "popularity based on the number of accesses over a
-// given period of time" (Section IV-B).
-func (l *AccessLog) CountsSince(numFiles int, since float64) []int {
-	counts := make([]int, numFiles)
-	for _, r := range l.entries {
-		if r.TimeS >= since && r.FileID >= 0 && r.FileID < numFiles {
-			counts[r.FileID]++
-		}
-	}
-	return counts
-}
-
 // RankByCount orders file ids by descending access count, breaking ties by
 // ascending file id (deterministic). Files with zero accesses are
 // included, after all accessed files.

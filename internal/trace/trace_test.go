@@ -135,37 +135,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestAccessLogCounts(t *testing.T) {
-	var l AccessLog
-	for _, r := range sampleTrace().Records {
-		l.Append(r)
-	}
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", l.Len())
-	}
-	got := l.Counts(3)
-	if !reflect.DeepEqual(got, []int{2, 1, 1}) {
-		t.Errorf("Counts = %v", got)
-	}
-	// Out-of-range ids are ignored, not panicking.
-	l.Append(Record{FileID: 99})
-	l.Append(Record{FileID: -3})
-	if got := l.Counts(3); !reflect.DeepEqual(got, []int{2, 1, 1}) {
-		t.Errorf("Counts after junk = %v", got)
-	}
-}
-
-func TestAccessLogCountsSince(t *testing.T) {
-	var l AccessLog
-	for _, r := range sampleTrace().Records {
-		l.Append(r)
-	}
-	got := l.CountsSince(3, 1.0)
-	if !reflect.DeepEqual(got, []int{1, 1, 0}) {
-		t.Errorf("CountsSince = %v, want [1 1 0]", got)
-	}
-}
-
 func TestRankByCount(t *testing.T) {
 	ranks := RankByCount([]int{2, 5, 5, 0, 1})
 	want := []int{1, 2, 0, 4, 3} // ties broken by ascending id
