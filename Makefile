@@ -101,7 +101,7 @@ soak-drift:
 # detector (the chaos tests in internal/fs exercise real concurrency).
 verify: vet build race
 
-# Non-test Go lines per package and in total: the number ROADMAP item 5
+# Non-test Go lines per package and in total: the number ROADMAP item 8
 # ("delete what the system does not need") is judged by. CI prints it,
 # and on a pull request each package's delta against the base commit.
 loc:

@@ -136,10 +136,10 @@ func replay(encoded string) int {
 }
 
 // checkLiveTmp runs one live scenario in a throwaway scratch directory.
-func checkLiveTmp(ls simtest.LiveScenario) *simtest.LiveFailure {
+func checkLiveTmp(ls simtest.LiveScenario) *simtest.Failure {
 	dir, err := os.MkdirTemp("", "eevfssim-live-")
 	if err != nil {
-		return &simtest.LiveFailure{Oracle: "setup", Msg: err.Error()}
+		return &simtest.Failure{Oracle: "setup", Msg: err.Error()}
 	}
 	defer os.RemoveAll(dir)
 	return simtest.CheckLive(ls, dir)

@@ -191,19 +191,6 @@ func (c *Controller) Observe(i int, now float64) {
 	d.lastArrival = now
 }
 
-// EstimateGapSec returns the current inter-arrival estimate for disk i,
-// floored by the time already elapsed since its last arrival (the gap
-// in progress is by definition at least that long). Returns 0 before
-// any gap has been observed.
-func (c *Controller) EstimateGapSec(i int, now float64) float64 {
-	d := &c.disks[i]
-	est := d.ewmaGap
-	if d.seen && now-d.lastArrival > est {
-		est = now - d.lastArrival
-	}
-	return est
-}
-
 // ThresholdSec returns the adapted spin-down threshold for disk i: how
 // long the disk must sit idle before the controller sends it to
 // standby. idleThreshold is the configured policy floor and m the

@@ -76,21 +76,17 @@ func TestObserveEWMA(t *testing.T) {
 	p := Defaults()
 	p.Alpha = 0.5
 	c := NewController(p, 1)
-	if got := c.EstimateGapSec(0, 0); got != 0 {
+	if got := c.disks[0].ewmaGap; got != 0 {
 		t.Fatalf("estimate before any arrival = %g, want 0", got)
 	}
 	c.Observe(0, 10) // first arrival: no gap yet
 	c.Observe(0, 14) // gap 4 -> ewma 4
-	if got := c.EstimateGapSec(0, 14); !almost(got, 4) {
+	if got := c.disks[0].ewmaGap; !almost(got, 4) {
 		t.Fatalf("after one gap, estimate = %g, want 4", got)
 	}
 	c.Observe(0, 22) // gap 8 -> ewma 0.5*8 + 0.5*4 = 6
-	if got := c.EstimateGapSec(0, 22); !almost(got, 6) {
+	if got := c.disks[0].ewmaGap; !almost(got, 6) {
 		t.Fatalf("after two gaps, estimate = %g, want 6", got)
-	}
-	// The in-progress gap floors the estimate once it exceeds the EWMA.
-	if got := c.EstimateGapSec(0, 40); !almost(got, 18) {
-		t.Fatalf("in-progress gap of 18 not reflected: estimate = %g", got)
 	}
 }
 

@@ -23,7 +23,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/disk"
@@ -109,21 +108,6 @@ func RunAll(base cluster.Config, tr *trace.Trace) ([]Comparison, error) {
 		out = append(out, Comparison{Name: n, Result: res})
 	}
 	return out, nil
-}
-
-// RankByEnergy returns comparator names ordered from least to most total
-// energy.
-func RankByEnergy(comps []Comparison) []Name {
-	sorted := make([]Comparison, len(comps))
-	copy(sorted, comps)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Result.TotalEnergyJ < sorted[j].Result.TotalEnergyJ
-	})
-	names := make([]Name, len(sorted))
-	for i, c := range sorted {
-		names[i] = c.Name
-	}
-	return names
 }
 
 // Find returns the comparison with the given name, or false.

@@ -125,12 +125,17 @@ func TestEEVFSWinsOnSkewedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranking := RankByEnergy(comps)
-	if ranking[0] != EEVFS {
-		t.Errorf("energy ranking = %v, want EEVFS first", ranking)
+	least, most := comps[0], comps[0]
+	for _, c := range comps {
+		if c.Result.TotalEnergyJ < least.Result.TotalEnergyJ {
+			least = c
+		}
+		if c.Result.TotalEnergyJ > most.Result.TotalEnergyJ {
+			most = c
+		}
 	}
-	if ranking[len(ranking)-1] != AlwaysOn {
-		t.Errorf("energy ranking = %v, want AlwaysOn last", ranking)
+	if least.Name != EEVFS || most.Name != AlwaysOn {
+		t.Errorf("least energy %s, most %s; want EEVFS and AlwaysOn", least.Name, most.Name)
 	}
 }
 

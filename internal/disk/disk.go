@@ -301,9 +301,6 @@ func (d *Disk) CompleteSpinUp(now simtime.Time) {
 	d.transition(now, Idle)
 }
 
-// Spinning reports whether the platters are up (Idle or Active).
-func (d *Disk) Spinning() bool { return d.state == Idle || d.state == Active }
-
 // RatedStartStopCycles is a typical rated start/stop cycle count for a
 // desktop ATA drive of the paper's era (datasheets quote 40k-50k). The
 // paper's reliability concern — "this small amount of energy savings may

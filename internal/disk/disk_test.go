@@ -269,26 +269,6 @@ func TestNewRejectsInvalidModel(t *testing.T) {
 	New("bad", m)
 }
 
-func TestSpinning(t *testing.T) {
-	d := New("d", testModel())
-	if !d.Spinning() {
-		t.Error("fresh disk should be spinning")
-	}
-	d.BeginSpinDown(1)
-	if d.Spinning() {
-		t.Error("spinning-down disk reported as spinning")
-	}
-	d.CompleteSpinDown(2)
-	if d.Spinning() {
-		t.Error("standby disk reported as spinning")
-	}
-	d.BeginSpinUp(10)
-	d.CompleteSpinUp(12)
-	if !d.Spinning() {
-		t.Error("woken disk should be spinning")
-	}
-}
-
 // Property: energy integrated over any partition of an idle interval equals
 // the closed form PIdle * length, regardless of how Advance calls split it.
 func TestQuickEnergyPartitionInvariant(t *testing.T) {

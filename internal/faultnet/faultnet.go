@@ -170,12 +170,6 @@ func (nw *Network) Listen(addr string) (net.Listener, error) {
 	return &listener{Listener: ln, nw: nw}, nil
 }
 
-// WrapListener makes an existing listener inject the faults registered
-// for its address on every accepted connection.
-func (nw *Network) WrapListener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, nw: nw}
-}
-
 type listener struct {
 	net.Listener
 	nw *Network

@@ -119,7 +119,7 @@ func TestAdaptivePolicyValidation(t *testing.T) {
 		t.Fatal("invalid adaptive params accepted")
 	}
 	_, srv, _ := testCluster(t, 1, nil)
-	if srv.churn != nil {
+	if srv.policy != nil {
 		t.Fatal("static server built a churn detector")
 	}
 }

@@ -168,7 +168,7 @@ func TestChaosPartitionBoundedTypedError(t *testing.T) {
 		if err := cl.Create(name, []byte("degraded")); err != nil {
 			t.Fatalf("create %s during partition: %v", name, err)
 		}
-		fi, ok := srv.meta.LookupName(name)
+		fi, ok := srv.ns.meta.LookupName(name)
 		if !ok {
 			t.Fatalf("%s missing from metadata", name)
 		}

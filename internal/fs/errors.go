@@ -25,6 +25,14 @@ var ErrFileNotFound = errors.New("no such file")
 // there.
 var ErrNotPrimary = errors.New("not the primary metadata server")
 
+// Rejections one metadata server sends another (replog.go). Over the wire
+// they travel as proto.CodeStaleEpoch and proto.CodeLogGap and the sender
+// matches on the code; the text is for logs.
+var (
+	errStaleEpoch = errors.New("replication: stale epoch")
+	errLogGap     = errors.New("replication: log gap")
+)
+
 // notPrimaryError is the server-side carrier for ErrNotPrimary: it holds
 // the redirect hint that errorPayload puts on the wire.
 type notPrimaryError struct {
@@ -75,6 +83,10 @@ func errCode(err error) proto.Code {
 		return proto.CodeUnavailable
 	case errors.Is(err, ErrFileNotFound):
 		return proto.CodeNotFound
+	case errors.Is(err, errStaleEpoch):
+		return proto.CodeStaleEpoch
+	case errors.Is(err, errLogGap):
+		return proto.CodeLogGap
 	case errors.As(err, &re):
 		return re.Code // forwarded node error keeps its classification
 	default:

@@ -78,7 +78,7 @@ func TestCloseWaitsForMirrorDeletes(t *testing.T) {
 			if _, err := cl.Prefetch(1); err != nil {
 				t.Fatal(err)
 			}
-			fi, _ := srv.meta.LookupName("hot")
+			fi, _ := srv.ns.meta.LookupName("hot")
 			mirror, has := fi.ReplicaNode()
 			if !has {
 				t.Fatal("prefetch did not mirror the file")

@@ -225,117 +225,3 @@ func (n *Node) checkpointLocked() {
 	}
 	n.checkpointsC.Inc()
 }
-
-// Server persistence: the log is the replication op stream itself — the
-// ops this server sequenced as primary or applied as follower — and the
-// checkpoint is the replication snapshot, one frame. Popularity is not
-// persisted: access epochs keep their seq in the log (replay demands a
-// dense stream) but drop their records, and checkpoints carry no access
-// folds.
-
-// openState restores the server's metadata and opens its log; it is a
-// no-op when persistence is not configured.
-func (s *Server) openState() error {
-	if s.cfg.StateFile == "" {
-		return nil
-	}
-	l, err := wal.Open(s.cfg.StateFile, s.cfg.StateFile+".wal", s.loadCheckpoint, s.replayOp)
-	if err != nil {
-		return fmt.Errorf("fs: restoring server state: %w", err)
-	}
-	s.wal = l
-	s.repSeqA.Store(s.repSeq)
-	return nil
-}
-
-// loadCheckpoint installs a checkpoint: exactly one frame holding a
-// RepSnapshot.
-func (s *Server) loadCheckpoint(raw []byte) error {
-	payload, err := wal.Unframe(raw)
-	if err != nil {
-		return err
-	}
-	snap, err := proto.DecodeRepSnapshot(payload)
-	if err != nil {
-		return err
-	}
-	if snap.Epoch > 0 {
-		s.epoch.Store(snap.Epoch)
-	}
-	return s.installSnapshotLocked(snap)
-}
-
-// replayOp applies one logged op on top of the checkpoint. Ops the
-// checkpoint already reflects (a crash between installing it and
-// emptying the log leaves them behind) are skipped; a gap means records
-// were lost from the middle, which no torn tail explains.
-func (s *Server) replayOp(raw []byte) error {
-	op, err := proto.DecodeRepOp(raw)
-	if err != nil {
-		return err
-	}
-	if op.Seq <= s.repSeq {
-		return nil
-	}
-	if op.Seq != s.repSeq+1 {
-		return fmt.Errorf("%s: have %d, got %d", repMsgGap, s.repSeq, op.Seq)
-	}
-	if op.Kind == proto.RepOpCreate && (op.Node < 0 || int(op.Node) >= len(s.nodes)) {
-		return fmt.Errorf("fs: logged file %q on node %d, server has %d", op.Name, op.Node, len(s.nodes))
-	}
-	if err := s.applyOpLocked(op); err != nil {
-		return err
-	}
-	s.repSeq = op.Seq
-	return nil
-}
-
-// logOpsLocked appends sequenced ops to the log with one write and
-// checkpoints when the log has outgrown the last one. Callers hold
-// repMu. A failed append is logged, not fatal.
-func (s *Server) logOpsLocked(ops []proto.RepOp) {
-	if s.wal == nil || len(ops) == 0 {
-		return
-	}
-	recs := make([][]byte, len(ops))
-	for i, op := range ops {
-		if op.Kind == proto.RepOpAccess {
-			op.Records = nil
-		}
-		recs[i] = op.Encode()
-	}
-	before := s.wal.Size()
-	if err := s.wal.Append(recs...); err != nil {
-		s.logger.Printf("state log append failed: %v", err)
-		return
-	}
-	s.logBytesC.Add(s.wal.Size() - before)
-	if s.wal.NeedsCheckpoint() {
-		s.checkpointLocked()
-	}
-}
-
-// checkpointLocked writes the namespace as a snapshot frame at StateFile
-// and empties the log. Callers hold repMu.
-func (s *Server) checkpointLocked() {
-	if s.wal == nil {
-		return
-	}
-	if err := s.wal.Checkpoint(wal.AppendFrame(nil, s.namespaceLocked().Encode())); err != nil {
-		s.logger.Printf("state checkpoint failed: %v", err)
-		return
-	}
-	s.checkpointsC.Inc()
-}
-
-// closeState checkpoints and closes the log: a clean shutdown leaves an
-// empty log, so the next start replays nothing.
-func (s *Server) closeState() error {
-	if s.wal == nil {
-		return nil
-	}
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	s.checkpointLocked()
-	return s.wal.Close()
-}

@@ -49,11 +49,11 @@ func scaleServer(tb testing.TB, files int) *proto.Endpoint {
 	}
 	tb.Cleanup(func() { srv.Close() })
 	for id := 0; id < files; id++ {
-		if err := srv.meta.Put(metadata.FileInfo{Name: fmt.Sprintf("old-%06d", id), ID: id, Size: 4096}); err != nil {
+		if err := srv.ns.meta.Put(metadata.FileInfo{Name: fmt.Sprintf("old-%06d", id), ID: id, Size: 4096}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	srv.nextID.Store(int64(files))
+	srv.ns.nextID.Store(int64(files))
 	srv.checkpoint()
 	ep := proto.NewEndpoint(srv.Addr(), nil, proto.TransportConfig{})
 	tb.Cleanup(func() { ep.Close() })

@@ -102,9 +102,9 @@ func violations[S any](t *testing.T, cases []crashCase, states []S, recovery fun
 
 // checkpoint forces the checkpoint a full log would trigger.
 func (s *Server) checkpoint() {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	s.checkpointLocked()
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	s.log.checkpointLocked()
 }
 
 func (n *Node) checkpoint() {
@@ -181,7 +181,7 @@ func serverCrashHistory(t *testing.T) (checkpoint, oplog []byte, ends []int, sta
 			t.Fatal(err)
 		}
 		if states != nil {
-			ends = append(ends, int(srv.wal.Size()))
+			ends = append(ends, int(srv.log.wal.Size()))
 			states = append(states, srv.Files())
 		}
 	}
@@ -658,5 +658,37 @@ func TestLoadCheckpointRejectsExtraFrames(t *testing.T) {
 		if _, ok := recoverServer(t, crashCase{checkpoint: raw}); ok {
 			t.Errorf("server started from a checkpoint with %s", what)
 		}
+	}
+}
+
+// TestParentStateFileCompat: the on-disk bytes did not move. testdata
+// holds the StateFile + .wal pair the parent commit left after
+// serverCrashHistory's script and a kill -9, and the checkpoint it wrote
+// when it was restarted on them and closed. The same script must write
+// the same two files, and the pair must load and re-checkpoint to the
+// same third.
+func TestParentStateFileCompat(t *testing.T) {
+	checkpoint, oplog := mustRead(t, "testdata/parent.state"), mustRead(t, "testdata/parent.state.wal")
+	gotCheckpoint, gotLog, _, states := serverCrashHistory(t)
+	if !bytes.Equal(gotCheckpoint, checkpoint) || !bytes.Equal(gotLog, oplog) {
+		t.Fatalf("the script wrote a %d-byte checkpoint and a %d-byte log that differ from the parent's (%d, %d)",
+			len(gotCheckpoint), len(gotLog), len(checkpoint), len(oplog))
+	}
+	state := filepath.Join(t.TempDir(), "state")
+	mustWrite(t, state, checkpoint)
+	mustWrite(t, state+".wal", oplog)
+	srv, err := StartServer(ServerConfig{
+		Addr: "127.0.0.1:0", NodeAddrs: []string{"127.0.0.1:1"}, StateFile: state,
+		Logger: quietLog, Health: HealthConfig{ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Files(); !reflect.DeepEqual(got, states[len(states)-1]) {
+		t.Fatalf("loaded %v, want %v", got, states[len(states)-1])
+	}
+	srv.Close()
+	if !bytes.Equal(mustRead(t, state), mustRead(t, "testdata/parent.state.reopened")) || len(mustRead(t, state+".wal")) != 0 {
+		t.Fatal("re-checkpointing the parent's state did not write the parent's bytes")
 	}
 }

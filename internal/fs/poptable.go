@@ -36,7 +36,7 @@ type popSlot struct {
 	// rep is the part of the fold that is sequenced into the op log: on a
 	// primary what its epochs have shipped, on a follower what it has
 	// applied (and there the live fold is kept equal to it). FileID is
-	// unused. Guarded by repMu.
+	// unused. Guarded by the log lock (replog.mu).
 	rep proto.RepAccess
 }
 
@@ -71,7 +71,7 @@ func (s *popSlot) live() (count int64, first, last float64) {
 	return count, decodeTime(s.first.Load()), decodeTime(s.last.Load())
 }
 
-// foldRep folds a replicated delta into rep. Callers hold repMu.
+// foldRep folds a replicated delta into rep. Callers hold the log lock.
 func (s *popSlot) foldRep(d proto.RepAccess) {
 	if s.rep.Count == 0 {
 		s.rep.First, s.rep.Last = d.First, d.Last
@@ -83,7 +83,7 @@ func (s *popSlot) foldRep(d proto.RepAccess) {
 
 // publishRep makes the live fold equal to rep, which is how a server
 // that takes no lookups of its own follows the primary. Callers hold
-// repMu.
+// the log lock.
 func (s *popSlot) publishRep() {
 	s.first.Store(encodeTime(s.rep.First))
 	s.last.Store(encodeTime(s.rep.Last))

@@ -19,12 +19,12 @@ import (
 // horizon, with no node involved.
 func registerFiles(t *testing.T, srv *Server, ids []int) []metadata.FileInfo {
 	t.Helper()
-	srv.repMu.Lock()
-	defer srv.repMu.Unlock()
+	srv.log.mu.Lock()
+	defer srv.log.mu.Unlock()
 	fis := make([]metadata.FileInfo, len(ids))
 	for i, id := range ids {
-		fis[i] = metadata.FileInfo{Name: fmt.Sprintf("f%d", id), ID: id, Size: int64(100 + id), Node: id % len(srv.nodes)}
-		if err := srv.applyOpLocked(proto.RepOp{
+		fis[i] = metadata.FileInfo{Name: fmt.Sprintf("f%d", id), ID: id, Size: int64(100 + id), Node: id % len(srv.nodes.all)}
+		if err := srv.ns.apply(proto.RepOp{
 			Kind: proto.RepOpCreate, Name: fis[i].Name, ID: int64(id), Size: fis[i].Size, Node: int64(fis[i].Node),
 		}); err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 	fis := registerFiles(t, srv, ids)
 	deleted := map[int]bool{3: true, 1024: true, 2500: true}
 	for id := range deleted {
-		srv.meta.Delete(fmt.Sprintf("f%d", id))
+		srv.ns.meta.Delete(fmt.Sprintf("f%d", id))
 	}
 
 	rng := rand.New(rand.NewSource(16))
@@ -80,14 +80,14 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, r := range recs {
-				srv.pop.slot(int64(r.FileID)).note(r.TimeS)
+				srv.ns.pop.slot(int64(r.FileID)).note(r.TimeS)
 			}
 		}()
 	}
 	wg.Wait()
 
 	// The reference: what a walk of the whole log derives.
-	numFiles := int(srv.nextID.Load())
+	numFiles := int(srv.ns.nextID.Load())
 	refSizes := make([]int64, numFiles)
 	for _, fi := range fis {
 		refSizes[fi.ID] = fi.Size
@@ -113,7 +113,7 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 	if got := srv.AccessCount(); got != len(ref) {
 		t.Fatalf("table counted %d accesses, log holds %d", got, len(ref))
 	}
-	counts, sizes := srv.popularity()
+	counts, sizes := srv.ns.popularity()
 	for _, k := range []int{0, 1, 5, 20, numFiles} {
 		got, err := prefetch.Select(counts, sizes, k, 0)
 		want, werr := prefetch.Select(refCounts, refSizes, k, 0)
@@ -122,7 +122,7 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 		}
 	}
 	visited := 0
-	srv.pop.each(int64(numFiles), func(id int64, sl *popSlot) {
+	srv.ns.pop.each(int64(numFiles), func(id int64, sl *popSlot) {
 		visited++
 		count, first, last := sl.live()
 		if count != int64(refCounts[id]) || (count > 0 && (first != refFirst[int(id)] || last != refLast[int(id)])) {
@@ -133,7 +133,7 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 	if visited != numFiles {
 		t.Fatalf("walked %d slots of %d ids", visited, numFiles)
 	}
-	if got := srv.hintsPerNode(); !reflect.DeepEqual(got, refHints) {
+	if got := srv.ns.hintsPerNode(); !reflect.DeepEqual(got, refHints) {
 		t.Fatalf("hints diverge from the log walk:\n got %v\nwant %v", got, refHints)
 	}
 	if len(refHints[0])+len(refHints[1]) < 30 {
@@ -141,7 +141,7 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 	}
 	// A horizon below the populated ids must not visit them.
 	visited = 0
-	srv.pop.each(1, func(int64, *popSlot) { visited++ })
+	srv.ns.pop.each(1, func(int64, *popSlot) { visited++ })
 	if visited != 1 {
 		t.Fatalf("horizon 1 visited %d slots, want 1", visited)
 	}

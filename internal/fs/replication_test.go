@@ -8,7 +8,6 @@ import (
 	"log"
 	"net"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -369,9 +368,9 @@ func typedTestErr(err error) bool {
 
 // snapshotOf takes a server's snapshot under its own replication lock.
 func snapshotOf(s *Server) proto.RepSnapshot {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	return s.snapshotLocked()
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	return s.log.snapshotLocked(false)
 }
 
 // snapshotBytes is a server's state fingerprint: its snapshot with the
@@ -384,7 +383,7 @@ func snapshotBytes(s *Server) []byte {
 }
 
 // manualGroup is a 3-server group whose heartbeat is parked: the test
-// calls primaryDuties itself, so which follower learns what by epoch op
+// calls tick itself, so which follower learns what by epoch op
 // and what by snapshot is decided by the test, not by timing.
 func manualGroup(t *testing.T) (*testGroup, *Client) {
 	t.Helper()
@@ -401,9 +400,9 @@ func manualGroup(t *testing.T) (*testGroup, *Client) {
 // append would: its next contact is a snapshot.
 func (g *testGroup) desync(peer int) {
 	p := g.servers[0]
-	p.repMu.Lock()
-	p.peers[peer].synced = false
-	p.repMu.Unlock()
+	p.log.mu.Lock()
+	p.log.peers[peer].synced = false
+	p.log.mu.Unlock()
 }
 
 // lookups reads every name n times on the primary, without the network.
@@ -411,7 +410,7 @@ func (g *testGroup) lookups(names []string, n int) {
 	g.t.Helper()
 	for i := 0; i < n; i++ {
 		for _, name := range names {
-			if _, err := g.servers[0].handleLookup(proto.LookupReq{Name: name}); err != nil {
+			if _, err := g.servers[0].handleLookup(proto.LookupReq{Name: name}, false, nil); err != nil {
 				g.t.Fatal(err)
 			}
 		}
@@ -427,9 +426,9 @@ func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
 	t.Helper()
 	g, cl := manualGroup(t)
 	p := g.servers[0]
-	p.repMu.Lock()
-	p.plantReshipEpoch = plant
-	p.repMu.Unlock()
+	p.log.mu.Lock()
+	p.ns.plantReshipEpoch = plant
+	p.log.mu.Unlock()
 	names := []string{"a", "b", "c", "doomed"}
 	for _, name := range names {
 		if err := cl.Create(name, bytes.Repeat([]byte{'x'}, 64)); err != nil {
@@ -437,14 +436,14 @@ func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
 		}
 	}
 	g.lookups(names, 5)
-	p.primaryDuties() // epoch 1: an op to both followers
+	p.tick() // epoch 1: an op to both followers
 
 	g.desync(2)
 	g.lookups(names, 7)
 	if err := cl.Create("late", []byte("l")); err != nil { // op to 1, snapshot to 2
 		t.Fatal(err)
 	}
-	p.primaryDuties() // epoch 2: an op to both followers
+	p.tick() // epoch 2: an op to both followers
 
 	g.desync(2)
 	g.lookups(names[:2], 3)
@@ -452,7 +451,7 @@ func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
 		t.Fatal(err)
 	}
 	g.desync(2)
-	p.primaryDuties() // epoch 3: op to 1, snapshot to 2
+	p.tick() // epoch 3: op to 1, snapshot to 2
 	return g
 }
 
@@ -474,7 +473,7 @@ func TestSnapshotRepairCountsOnce(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("server %d replicated counts %v, want %v", i, got, want)
 		}
-		if live, _ := s.popularity(); !reflect.DeepEqual(live, []int{15, 15, 12, 12, 0}) {
+		if live, _ := s.ns.popularity(); !reflect.DeepEqual(live, []int{15, 15, 12, 12, 0}) {
 			t.Errorf("server %d ranks from counts %v", i, live)
 		}
 	}
@@ -504,7 +503,7 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 
 	// Hand-fed from here on; the group's primary is not used again.
 	f1, f2 := g.servers[1], g.servers[2]
-	base := f1.repSeqA.Load()
+	base := f1.log.seq.Load()
 	ops := []proto.RepOp{
 		{Kind: proto.RepOpCreate, Name: "x", ID: 10, Size: 100, Node: 0, Cursor: 9},
 		{Kind: proto.RepOpCreate, Name: "y", ID: 2000, Size: 200, Node: 1, Cursor: 10}, // a new chunk
@@ -523,7 +522,7 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	last := ops[len(ops)-1].Seq
 	req := proto.RepAppendReq{Epoch: 1, From: 0, Ops: ops}
 	for _, f := range []*Server{f1, f2} {
-		resp, err := f.handleRepAppend(req)
+		resp, err := f.log.handleAppend(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,11 +537,11 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	if !bytes.Equal(before, snapshotBytes(f2)) {
 		t.Fatal("same op log produced different snapshot bytes")
 	}
-	if count, first, last := f1.pop.slot(10).live(); count != 5 || first != 1 || last != 6 {
+	if count, first, last := f1.ns.pop.slot(10).live(); count != 5 || first != 1 || last != 6 {
 		t.Fatalf("two epochs folded to (%d, %g, %g), want (5, 1, 6)", count, first, last)
 	}
 	// Installing a server's own snapshot is the identity.
-	if err := f2.handleRepSnapshot(snapshotOf(f1)); err != nil {
+	if err := f2.log.handleSnapshot(snapshotOf(f1)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, snapshotBytes(f2)) {
@@ -550,7 +549,7 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	}
 
 	// Duplicate delivery: idempotent ack, state unchanged.
-	resp, err := f1.handleRepAppend(req)
+	resp, err := f1.log.handleAppend(req)
 	if err != nil || resp.LastSeq != last {
 		t.Fatalf("duplicate delivery: %+v, %v", resp, err)
 	}
@@ -562,17 +561,17 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	gap := proto.RepAppendReq{Epoch: 1, From: 0, Ops: []proto.RepOp{
 		{Seq: last + 3, Kind: proto.RepOpCreate, Name: "z", ID: 8, Size: 1, Node: 0},
 	}}
-	if _, err := f1.handleRepAppend(gap); err == nil || !strings.Contains(err.Error(), repMsgGap) {
-		t.Fatalf("gap delivery: %v, want %q", err, repMsgGap)
+	if _, err := f1.log.handleAppend(gap); err == nil || !errors.Is(err, errLogGap) {
+		t.Fatalf("gap delivery: %v, want %q", err, errLogGap)
 	}
-	if _, ok := f1.meta.LookupName("z"); ok {
+	if _, ok := f1.ns.meta.LookupName("z"); ok {
 		t.Fatal("gapped op was applied")
 	}
 
 	// Stale epoch: fenced.
 	stale := proto.RepAppendReq{Epoch: 0, From: 0, Ops: nil}
-	if _, err := f1.handleRepAppend(stale); err == nil || !strings.Contains(err.Error(), repMsgStaleEpoch) {
-		t.Fatalf("stale epoch: %v, want %q", err, repMsgStaleEpoch)
+	if _, err := f1.log.handleAppend(stale); err == nil || !errors.Is(err, errStaleEpoch) {
+		t.Fatalf("stale epoch: %v, want %q", err, errStaleEpoch)
 	}
 }
 
@@ -591,18 +590,18 @@ func TestSnapshotSizeIndependentOfLookups(t *testing.T) {
 		}
 	}
 	g.lookups(names, 20)
-	p.primaryDuties()
+	p.tick()
 	small := len(snapshotBytes(p))
 	g.lookups(names, 4000)
-	p.primaryDuties()
+	p.tick()
 	if big := len(snapshotBytes(p)); big != small {
 		t.Fatalf("snapshot grew from %d to %d bytes with the lookup count", small, big)
 	}
 	g.desync(1)
-	p.primaryDuties()
-	p.repMu.Lock()
-	synced := p.peers[1].synced
-	p.repMu.Unlock()
+	p.tick()
+	p.log.mu.Lock()
+	synced := p.log.peers[1].synced
+	p.log.mu.Unlock()
 	if !synced {
 		t.Fatal("out-of-sync follower not repaired by one tick")
 	}
@@ -680,7 +679,7 @@ func TestReplicaFallbackRead(t *testing.T) {
 	if _, err := cl.Prefetch(1); err != nil {
 		t.Fatal(err)
 	}
-	fi, ok := srv.meta.LookupName("hot")
+	fi, ok := srv.ns.meta.LookupName("hot")
 	if !ok {
 		t.Fatal("hot vanished")
 	}
@@ -717,7 +716,7 @@ func TestReplicaFallbackRead(t *testing.T) {
 	if _, err := cl.Write("hot", bytes.Repeat([]byte{'n'}, 64)); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
-	if fi, _ := srv.meta.LookupName("hot"); fi.Replica != 0 {
+	if fi, _ := srv.ns.meta.LookupName("hot"); fi.Replica != 0 {
 		t.Fatalf("write did not invalidate the mirror marker: %d", fi.Replica)
 	}
 	serverNet.Partition(ownerAddr)
@@ -763,5 +762,28 @@ func TestChaosSilentReplicationLoss(t *testing.T) {
 	}
 	if names["silent"] {
 		t.Fatal("injection had no effect: post-silence create replicated anyway")
+	}
+}
+
+// TestFollowerRefusesOutOfRangeNode: a create that places a file on a
+// node this server does not have is refused wherever it comes from — an
+// append, then the snapshot the primary falls back to — so no record can
+// ever index past the node set: a later lookup of the name is a typed
+// miss, not a panic.
+func TestFollowerRefusesOutOfRangeNode(t *testing.T) {
+	g, _ := manualGroup(t) // 2 nodes
+	f := g.servers[1]
+	ghost := proto.RepOp{Seq: f.log.seq.Load() + 1, Kind: proto.RepOpCreate, Name: "ghost", ID: 0, Size: 1, Node: 2}
+	if _, err := f.log.handleAppend(proto.RepAppendReq{Epoch: 1, From: 0, Ops: []proto.RepOp{ghost}}); err == nil {
+		t.Fatal("an append placing a file on node 2 of 2 was accepted")
+	}
+	snap := snapshotOf(g.servers[0])
+	snap.Files = append(snap.Files, proto.RepFile{Name: "ghost", ID: 0, Size: 1, Node: 2})
+	snap.NextID = 1
+	if err := f.log.handleSnapshot(snap); err == nil {
+		t.Fatal("a snapshot placing a file on node 2 of 2 was accepted")
+	}
+	if _, err := f.handleLookup(proto.LookupReq{Name: "ghost"}, false, nil); !errors.Is(err, ErrFileNotFound) {
+		t.Fatalf("lookup of the refused file: %v, want %v", err, ErrFileNotFound)
 	}
 }

@@ -44,7 +44,7 @@ func TestTelemetryAdminEndToEnd(t *testing.T) {
 		}
 	}
 
-	admin, err := telemetry.StartAdmin("127.0.0.1:0", reg, nil)
+	admin, err := telemetry.StartAdminConfig("127.0.0.1:0", telemetry.AdminConfig{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,20 +126,6 @@ func (m *NodeMap) Len() int {
 	return len(m.entries)
 }
 
-// PrefetchedIDs returns the ids with a buffer-disk copy, sorted.
-func (m *NodeMap) PrefetchedIDs() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var ids []int
-	for id, e := range m.entries {
-		if e.Prefetched {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // FilesOnDisk returns the ids stored on the given data disk, sorted.
 func (m *NodeMap) FilesOnDisk(disk int) []int {
 	m.mu.RLock()

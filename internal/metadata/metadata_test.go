@@ -172,15 +172,12 @@ func TestNodeMapPrefetchFlag(t *testing.T) {
 	}
 	m.SetPrefetched(1, true)
 	m.SetPrefetched(3, true)
-	if got := m.PrefetchedIDs(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Errorf("PrefetchedIDs = %v", got)
-	}
 	if got := m.PrefetchedBytes(); got != 20+40 {
 		t.Errorf("PrefetchedBytes = %d, want 60", got)
 	}
 	m.SetPrefetched(1, false)
-	if got := m.PrefetchedIDs(); !reflect.DeepEqual(got, []int{3}) {
-		t.Errorf("after clear PrefetchedIDs = %v", got)
+	if got := m.PrefetchedBytes(); got != 40 {
+		t.Errorf("after clear PrefetchedBytes = %d, want 40", got)
 	}
 	// The byte total is a running counter: it must follow a resize, a
 	// replaced entry and a delete, not only the flag.
@@ -246,7 +243,7 @@ func TestNodeMapConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if m.Len() != 1600 || len(m.PrefetchedIDs()) != 1600 {
-		t.Fatalf("Len = %d Prefetched = %d, want 1600", m.Len(), len(m.PrefetchedIDs()))
+	if m.Len() != 1600 || m.PrefetchedBytes() != 1600 {
+		t.Fatalf("Len = %d PrefetchedBytes = %d, want 1600", m.Len(), m.PrefetchedBytes())
 	}
 }

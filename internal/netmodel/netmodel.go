@@ -84,12 +84,3 @@ type Stats struct {
 func (l *Link) Stats() Stats {
 	return Stats{Name: l.name, Transfers: l.transfers, BytesMoved: l.bytesMoved, BusyTime: l.busyTime}
 }
-
-// Utilization returns busy-time divided by the observation span (0 when
-// the span is empty).
-func (l *Link) Utilization(span float64) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return l.busyTime / span
-}

@@ -75,12 +75,6 @@ func TestStatsAndUtilization(t *testing.T) {
 	if st.Transfers != 2 || st.BytesMoved != 250e6 {
 		t.Fatalf("Stats = %+v", st)
 	}
-	if got := l.Utilization(4); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Utilization = %g, want 0.5", got)
-	}
-	if l.Utilization(0) != 0 {
-		t.Fatal("Utilization over empty span should be 0")
-	}
 	if st.Name != "l" || l.Name() != "l" {
 		t.Fatal("name mismatch")
 	}

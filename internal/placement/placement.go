@@ -93,18 +93,6 @@ func Concentrate(ranks []int, numNodes, disksPerNode int) (Assignment, error) {
 	return a, nil
 }
 
-// FilesOnNode returns the file ids assigned to the given node, in file-id
-// order.
-func (a Assignment) FilesOnNode(node int) []int {
-	var files []int
-	for f, n := range a.Node {
-		if n == node {
-			files = append(files, f)
-		}
-	}
-	return files
-}
-
 // LoadStats summarizes how balanced an assignment is under a workload.
 type LoadStats struct {
 	RequestsPerNode []int

@@ -79,18 +79,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestFilesOnNode(t *testing.T) {
-	a, _ := RoundRobin(identityRanks(7), 3, 1)
-	got := a.FilesOnNode(0)
-	want := []int{0, 3, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("FilesOnNode(0) = %v, want %v", got, want)
-	}
-	if got := a.FilesOnNode(99); got != nil {
-		t.Errorf("FilesOnNode(99) = %v, want nil", got)
-	}
-}
-
 func TestLoadAndImbalance(t *testing.T) {
 	a, _ := RoundRobin(identityRanks(4), 2, 2)
 	counts := []int{10, 10, 10, 10}

@@ -23,6 +23,12 @@ const (
 	// accompanying redirect names the address it believes is primary and
 	// the client should retry there.
 	CodeNotPrimary
+	// CodeStaleEpoch rejects a replication frame from an epoch older than
+	// the receiver's: a newer primary exists and the sender steps down.
+	CodeStaleEpoch
+	// CodeLogGap rejects an append that skips sequence numbers: the
+	// sender resyncs the receiver with a snapshot.
+	CodeLogGap
 )
 
 // String names the code for logs and telemetry counter suffixes.
@@ -36,6 +42,10 @@ func (c Code) String() string {
 		return "unavailable"
 	case CodeNotPrimary:
 		return "not-primary"
+	case CodeStaleEpoch:
+		return "stale-epoch"
+	case CodeLogGap:
+		return "log-gap"
 	default:
 		return fmt.Sprintf("code-%d", uint32(c))
 	}

@@ -99,19 +99,6 @@ func (r *Source) ExpFloat64() float64 {
 	}
 }
 
-// NormFloat64 returns a standard normal variate using the Marsaglia polar
-// method (deterministic given the source stream).
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Poisson returns a Poisson(mu) variate. For small mu it uses Knuth's
 // product-of-uniforms method; for large mu it uses the PTRS transformed
 // rejection method of Hörmann (1993), which is exact and O(1).
@@ -220,17 +207,6 @@ func (z *Zipf) Sample() int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability mass of the given rank.
-func (z *Zipf) Prob(rank int) float64 {
-	if rank < 0 || rank >= len(z.cdf) {
-		return 0
-	}
-	if rank == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[rank] - z.cdf[rank-1]
 }
 
 // PoissonPMF returns the Poisson(mu) probability mass at k, computed in log

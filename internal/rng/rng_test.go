@@ -116,25 +116,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(19)
-	const draws = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %g, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %g, want ~1", variance)
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	for _, mu := range []float64{0.5, 1, 10, 100, 1000} {
 		r := New(23)
@@ -223,20 +204,6 @@ func TestZipfRanksSkewed(t *testing.T) {
 	if counts[0] <= counts[10] || counts[10] <= counts[50] {
 		t.Fatalf("Zipf counts not monotonically skewed: c0=%d c10=%d c50=%d",
 			counts[0], counts[10], counts[50])
-	}
-}
-
-func TestZipfProbSumsToOne(t *testing.T) {
-	z := NewZipf(New(1), 1000, 0.8)
-	sum := 0.0
-	for i := 0; i < z.N(); i++ {
-		sum += z.Prob(i)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("Zipf probs sum to %g", sum)
-	}
-	if z.Prob(-1) != 0 || z.Prob(z.N()) != 0 {
-		t.Fatal("Zipf.Prob out-of-range should be 0")
 	}
 }
 

@@ -48,20 +48,6 @@ type LiveScenario struct {
 	RestartServer bool
 }
 
-// LiveFailure is one live-oracle violation. Oracle names the invariant
-// that broke, so the shrinker can insist a smaller scenario still fails
-// the *same* way; Msg carries the specifics.
-type LiveFailure struct {
-	Oracle string
-	Msg    string
-}
-
-func (f *LiveFailure) Error() string { return f.Oracle + ": " + f.Msg }
-
-func liveFail(oracle, format string, args ...any) *LiveFailure {
-	return &LiveFailure{Oracle: oracle, Msg: fmt.Sprintf(format, args...)}
-}
-
 // GenerateLive derives a live scenario from a seed. Inject is never set
 // by generation: bug injection is a harness-testing knob, not a soak
 // dimension.
@@ -129,7 +115,7 @@ func typedError(err error) bool {
 // CheckLive runs one live scenario end to end and returns the first
 // invariant violation (nil: all held). It needs a scratch directory for
 // the node disk roots; the caller owns cleanup of tmpDir.
-func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
+func CheckLive(s LiveScenario, tmpDir string) *Failure {
 	quiet := log.New(io.Discard, "", 0)
 	serverNet := faultnet.New(int64(s.Seed))
 	clientNet := faultnet.New(int64(s.Seed) + 1)
@@ -160,11 +146,11 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	var addrs []string
 	for i := range nodes {
 		if err := os.MkdirAll(fmt.Sprintf("%s/n%d", tmpDir, i), 0o755); err != nil {
-			return liveFail("setup", "mkdir: %v", err)
+			return failf("setup", "mkdir: %v", err)
 		}
 		n, err := fs.StartNode(nodeCfg(i, "127.0.0.1:0"))
 		if err != nil {
-			return liveFail("setup", "start node %d: %v", i, err)
+			return failf("setup", "start node %d: %v", i, err)
 		}
 		nodes[i] = n
 		addrs = append(addrs, n.Addr())
@@ -221,7 +207,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	if numServers == 1 {
 		srv, err := fs.StartServer(srvCfg(0))
 		if err != nil {
-			return liveFail("setup", "start server: %v", err)
+			return failf("setup", "start server: %v", err)
 		}
 		srvs[0] = srv
 		srvAddrs = []string{srv.Addr()}
@@ -230,7 +216,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 		for i := range lns {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return liveFail("setup", "listen: %v", err)
+				return failf("setup", "listen: %v", err)
 			}
 			lns[i] = ln
 			srvAddrs = append(srvAddrs, ln.Addr().String())
@@ -243,7 +229,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 			}
 			srv, err := fs.StartServer(cfg)
 			if err != nil {
-				return liveFail("setup", "start server %d: %v", i, err)
+				return failf("setup", "start server %d: %v", i, err)
 			}
 			srvs[i] = srv
 		}
@@ -268,7 +254,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 
 	cl, err := fs.DialCluster(srvAddrs, fs.ClientConfig{Dialer: clientNet, Transport: liveTransport()})
 	if err != nil {
-		return liveFail("setup", "dial: %v", err)
+		return failf("setup", "dial: %v", err)
 	}
 	defer cl.Close()
 
@@ -287,14 +273,14 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 		// distinguishable from the right one.
 		data := append([]byte(name+":"), bytes.Repeat([]byte{byte('a' + i%26)}, 200+src.Intn(4000))...)
 		if err := cl.Create(name, data); err != nil {
-			return liveFail("create", "create %s on healthy cluster: %v", name, err)
+			return failf("create", "create %s on healthy cluster: %v", name, err)
 		}
 		acceptable[name] = [][]byte{data}
 		names = append(names, name)
 	}
 	if s.PrefetchK > 0 {
 		if _, err := cl.Prefetch(s.PrefetchK); err != nil {
-			return liveFail("prefetch", "prefetch on healthy cluster: %v", err)
+			return failf("prefetch", "prefetch on healthy cluster: %v", err)
 		}
 	}
 
@@ -347,7 +333,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 			srvs[0].Close()
 			restarted, err := restartSrv(0)
 			if err != nil {
-				return liveFail("restart", "restart the server from its state file: %v", err)
+				return failf("restart", "restart the server from its state file: %v", err)
 			}
 			srvs[0] = restarted
 		}
@@ -366,18 +352,18 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 				// stay legal. Anything in between would be torn.
 				acceptable[name] = append(acceptable[name], data)
 			default:
-				return liveFail("op-write", "write %s failed untyped: %v", name, err)
+				return failf("op-write", "write %s failed untyped: %v", name, err)
 			}
 		} else {
 			data, _, err := cl.Read(name)
 			switch {
 			case err == nil:
 				if !anyEqual(data, acceptable[name]) {
-					return liveFail("op-read", "read %s returned %d bytes matching no acceptable content (torn or corrupt copy)", name, len(data))
+					return failf("op-read", "read %s returned %d bytes matching no acceptable content (torn or corrupt copy)", name, len(data))
 				}
 			case typedError(err):
 			default:
-				return liveFail("op-read", "read %s failed untyped: %v", name, err)
+				return failf("op-read", "read %s failed untyped: %v", name, err)
 			}
 		}
 	}
@@ -394,7 +380,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 				break
 			}
 			if time.Now().After(deadline) {
-				return liveFail("failover", "no surviving server promoted itself within 10s of the primary kill")
+				return failf("failover", "no surviving server promoted itself within 10s of the primary kill")
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -407,7 +393,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	if killPrimaryAt >= 0 && s.RestartServer {
 		restarted, err := restartSrv(0)
 		if err != nil {
-			return liveFail("restart", "restart the killed primary from its state file: %v", err)
+			return failf("restart", "restart the killed primary from its state file: %v", err)
 		}
 		srvs[0], srvDown[0] = restarted, false
 	}
@@ -417,11 +403,11 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	if s.KillNode >= 0 && killAt >= 0 {
 		restarted, err := fs.StartNode(nodeCfg(s.KillNode, addrs[s.KillNode]))
 		if err != nil {
-			return liveFail("heal", "restart node %d: %v", s.KillNode, err)
+			return failf("heal", "restart node %d: %v", s.KillNode, err)
 		}
 		nodes[s.KillNode] = restarted
 		if err := waitHealthy(srv, s.KillNode, true, 10*time.Second); err != nil {
-			return liveFail("heal", "%v", err)
+			return failf("heal", "%v", err)
 		}
 	}
 
@@ -449,7 +435,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 				break
 			}
 			if time.Now().After(deadline) {
-				return liveFail("convergence", "surviving replicas never converged: %s", diverge)
+				return failf("convergence", "surviving replicas never converged: %s", diverge)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -464,7 +450,7 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	// size by design.
 	infos := srv.Files()
 	if len(infos) != len(names) {
-		return liveFail("metadata", "server metadata has %d files, created %d", len(infos), len(names))
+		return failf("metadata", "server metadata has %d files, created %d", len(infos), len(names))
 	}
 	nodeMeta := make([]map[int]int64, len(nodes))
 	for i, n := range nodes {
@@ -475,24 +461,24 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 	}
 	for _, fi := range infos {
 		if fi.Node < 0 || fi.Node >= len(nodes) {
-			return liveFail("metadata", "server places %s on node %d of %d", fi.Name, fi.Node, len(nodes))
+			return failf("metadata", "server places %s on node %d of %d", fi.Name, fi.Node, len(nodes))
 		}
 		size, ok := nodeMeta[fi.Node][fi.ID]
 		if !ok {
-			return liveFail("metadata", "server says %s (id %d) lives on node %d, but the node has no such entry", fi.Name, fi.ID, fi.Node)
+			return failf("metadata", "server says %s (id %d) lives on node %d, but the node has no such entry", fi.Name, fi.ID, fi.Node)
 		}
 		if !written[fi.Name] && size != fi.Size {
-			return liveFail("metadata", "never-written %s size disagrees: server %d, node %d", fi.Name, fi.Size, size)
+			return failf("metadata", "never-written %s size disagrees: server %d, node %d", fi.Name, fi.Size, size)
 		}
 		data, _, err := cl.Read(fi.Name)
 		if err != nil {
-			return liveFail("metadata", "read %s after heal: %v", fi.Name, err)
+			return failf("metadata", "read %s after heal: %v", fi.Name, err)
 		}
 		if int64(len(data)) != size {
-			return liveFail("metadata", "read %s returned %d bytes, node metadata says %d", fi.Name, len(data), size)
+			return failf("metadata", "read %s returned %d bytes, node metadata says %d", fi.Name, len(data), size)
 		}
 		if !anyEqual(data, acceptable[fi.Name]) {
-			return liveFail("metadata", "%s final content (%d bytes) matches no acceptable content", fi.Name, len(data))
+			return failf("metadata", "%s final content (%d bytes) matches no acceptable content", fi.Name, len(data))
 		}
 	}
 	return nil
@@ -502,9 +488,9 @@ func CheckLive(s LiveScenario, tmpDir string) *LiveFailure {
 // through one shared client and verifies each reader got its own file's
 // exact content. Run only while the cluster is healthy, so any error —
 // not just a content swap — is a violation.
-func checkCorrelation(cl *fs.Client, names []string, acceptable map[string][][]byte) *LiveFailure {
+func checkCorrelation(cl *fs.Client, names []string, acceptable map[string][][]byte) *Failure {
 	const rounds = 3
-	errCh := make(chan *LiveFailure, len(names))
+	errCh := make(chan *Failure, len(names))
 	var wg sync.WaitGroup
 	for _, name := range names {
 		wg.Add(1)
@@ -513,11 +499,11 @@ func checkCorrelation(cl *fs.Client, names []string, acceptable map[string][][]b
 			for r := 0; r < rounds; r++ {
 				data, _, err := cl.Read(name)
 				if err != nil {
-					errCh <- liveFail("correlation", "concurrent read %s on healthy cluster: %v", name, err)
+					errCh <- failf("correlation", "concurrent read %s on healthy cluster: %v", name, err)
 					return
 				}
 				if !bytes.Equal(data, acceptable[name][0]) {
-					errCh <- liveFail("correlation", "concurrent read %s returned %d bytes of someone else's content (crossed request ids)", name, len(data))
+					errCh <- failf("correlation", "concurrent read %s returned %d bytes of someone else's content (crossed request ids)", name, len(data))
 					return
 				}
 			}
@@ -537,9 +523,9 @@ func checkCorrelation(cl *fs.Client, names []string, acceptable map[string][][]b
 // file's exact bytes, while plain RPC reads run alongside on the same
 // sockets. Run only while the cluster is healthy, so any error is a
 // violation.
-func checkStreamIntegrity(cl *fs.Client, names []string, acceptable map[string][][]byte) *LiveFailure {
+func checkStreamIntegrity(cl *fs.Client, names []string, acceptable map[string][][]byte) *Failure {
 	const rounds = 2
-	errCh := make(chan *LiveFailure, 2*len(names))
+	errCh := make(chan *Failure, 2*len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
@@ -551,17 +537,17 @@ func checkStreamIntegrity(cl *fs.Client, names []string, acceptable map[string][
 			for r := 0; r < rounds; r++ {
 				rd, err := cl.OpenRead(name, opts)
 				if err != nil {
-					errCh <- liveFail("stream", "open stream %s on healthy cluster: %v", name, err)
+					errCh <- failf("stream", "open stream %s on healthy cluster: %v", name, err)
 					return
 				}
 				data, err := io.ReadAll(rd)
 				rd.Close()
 				if err != nil {
-					errCh <- liveFail("stream", "stream %s on healthy cluster: %v", name, err)
+					errCh <- failf("stream", "stream %s on healthy cluster: %v", name, err)
 					return
 				}
 				if !bytes.Equal(data, acceptable[name][0]) {
-					errCh <- liveFail("stream", "stream %s reassembled %d bytes of someone else's content (crossed stream ids)", name, len(data))
+					errCh <- failf("stream", "stream %s reassembled %d bytes of someone else's content (crossed stream ids)", name, len(data))
 					return
 				}
 			}
@@ -573,11 +559,11 @@ func checkStreamIntegrity(cl *fs.Client, names []string, acceptable map[string][
 				defer wg.Done()
 				data, _, err := cl.Read(name)
 				if err != nil {
-					errCh <- liveFail("stream", "rpc read %s beside streams: %v", name, err)
+					errCh <- failf("stream", "rpc read %s beside streams: %v", name, err)
 					return
 				}
 				if !bytes.Equal(data, acceptable[name][0]) {
-					errCh <- liveFail("stream", "rpc read %s beside streams returned crossed content", name)
+					errCh <- failf("stream", "rpc read %s beside streams returned crossed content", name)
 				}
 			}(name)
 		}

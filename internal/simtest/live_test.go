@@ -81,7 +81,7 @@ func TestLiveShrinkInjectedDivergence(t *testing.T) {
 	s.Servers = 2
 	s.KillPrimary = true
 	s.Inject = "silent-replication"
-	check := func(c LiveScenario) *LiveFailure {
+	check := func(c LiveScenario) *Failure {
 		dir, err := os.MkdirTemp("", "live-shrink-")
 		if err != nil {
 			t.Fatal(err)

@@ -411,11 +411,6 @@ func checkPFDominatesNPF(a *Artifacts) *Failure {
 	return nil
 }
 
-// DominanceEligible reports whether the scenario would exercise the
-// PF-dominates-NPF oracle (before knowing the miss count). The corpus
-// test uses it to assert the oracle is not vacuously green.
-func DominanceEligible(s Scenario) bool { return pfRegime(s) }
-
 // wakeSlackJ is the irreducible online penalty one sleep episode can
 // cost beyond the disk-level ledger: either edge of the transition (the
 // spin-down completing after the last request, or the spin-up a waiting

@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -11,83 +10,112 @@ import (
 // fails loudly instead of replaying the wrong scenario.
 const reproVersion = "v1"
 
-// fieldCodec binds one Scenario field to its repro key.
-type fieldCodec struct {
+// fieldCodec binds one field of a scenario type S to its repro key.
+type fieldCodec[S any] struct {
 	key string
-	get func(*Scenario) string
-	set func(*Scenario, string) error
+	get func(*S) string
+	set func(*S, string) error
 }
 
-func intField(key string, p func(*Scenario) *int) fieldCodec {
-	return fieldCodec{
+// parsedField builds the codec of a field of type T from its formatter
+// and parser.
+func parsedField[S any, T any](key string, p func(*S) *T, format func(T) string, parse func(string) (T, error)) fieldCodec[S] {
+	return fieldCodec[S]{
 		key: key,
-		get: func(s *Scenario) string { return strconv.Itoa(*p(s)) },
-		set: func(s *Scenario, v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			*p(s) = n
-			return nil
+		get: func(s *S) string { return format(*p(s)) },
+		set: func(s *S, v string) (err error) {
+			*p(s), err = parse(v)
+			return err
 		},
 	}
 }
 
-func boolField(key string, p func(*Scenario) *bool) fieldCodec {
-	return fieldCodec{
-		key: key,
-		get: func(s *Scenario) string {
-			if *p(s) {
+func intField[S any](key string, p func(*S) *int) fieldCodec[S] {
+	return parsedField(key, p, strconv.Itoa, strconv.Atoi)
+}
+
+func seedField[S any](p func(*S) *uint64) fieldCodec[S] {
+	return parsedField("seed", p,
+		func(n uint64) string { return strconv.FormatUint(n, 10) },
+		func(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) })
+}
+
+func stringField[S any](key string, p func(*S) *string) fieldCodec[S] {
+	return parsedField(key, p,
+		func(v string) string { return v },
+		func(v string) (string, error) { return v, nil })
+}
+
+func boolField[S any](key string, p func(*S) *bool) fieldCodec[S] {
+	return parsedField(key, p,
+		func(b bool) string {
+			if b {
 				return "1"
 			}
 			return "0"
 		},
-		set: func(s *Scenario, v string) error {
-			switch v {
-			case "0":
-				*p(s) = false
-			case "1":
-				*p(s) = true
-			default:
-				return fmt.Errorf("bad bool %q", v)
+		func(v string) (bool, error) {
+			if v != "0" && v != "1" {
+				return false, fmt.Errorf("bad bool %q", v)
 			}
-			return nil
-		},
-	}
+			return v == "1", nil
+		})
 }
 
-func floatField(key string, p func(*Scenario) *float64) fieldCodec {
-	return fieldCodec{
-		key: key,
+func floatField[S any](key string, p func(*S) *float64) fieldCodec[S] {
+	return parsedField(key, p,
 		// 'g'/-1 prints the shortest representation that parses back to
 		// the same float64, so encode/decode round-trips exactly.
-		get: func(s *Scenario) string { return strconv.FormatFloat(*p(s), 'g', -1, 64) },
-		set: func(s *Scenario, v string) error {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return err
-			}
-			*p(s) = f
-			return nil
-		},
+		func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) },
+		func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+}
+
+// encodeRepro serializes s as a compact, shell-safe string: the prefix,
+// then "key=value" for every field whose value is neither zero nor what
+// defaults holds.
+func encodeRepro[S any](prefix string, codecs []fieldCodec[S], defaults, s S) string {
+	parts := []string{prefix}
+	for _, c := range codecs {
+		if v := c.get(&s); v != "" && v != "0" && v != c.get(&defaults) {
+			parts = append(parts, c.key+"="+v)
+		}
 	}
+	return strings.Join(parts, ",")
+}
+
+// decodeRepro parses a string encodeRepro produced, starting from
+// defaults.
+func decodeRepro[S any](repro, prefix string, codecs []fieldCodec[S], defaults S) (S, error) {
+	var zero S
+	rest, ok := strings.CutPrefix(repro+",", prefix+",")
+	if !ok {
+		return zero, fmt.Errorf("simtest: repro string is not %s-versioned: %q", prefix, repro)
+	}
+	byKey := make(map[string]fieldCodec[S], len(codecs))
+	for _, c := range codecs {
+		byKey[c.key] = c
+	}
+	s := defaults
+	for _, p := range strings.Split(rest, ",") {
+		if p == "" {
+			continue
+		}
+		k, v, ok := strings.Cut(p, "=")
+		c, known := byKey[k]
+		if !ok || !known {
+			return zero, fmt.Errorf("simtest: bad repro field %q", p)
+		}
+		if err := c.set(&s, v); err != nil {
+			return zero, fmt.Errorf("simtest: repro field %q: %w", p, err)
+		}
+	}
+	return s, nil
 }
 
 // codecs lists every Scenario field in encoding order. Adding a field
 // here is all a new scenario dimension needs to become replayable.
-var codecs = []fieldCodec{
-	{
-		key: "seed",
-		get: func(s *Scenario) string { return strconv.FormatUint(s.Seed, 10) },
-		set: func(s *Scenario, v string) error {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return err
-			}
-			s.Seed = n
-			return nil
-		},
-	},
+var codecs = []fieldCodec[Scenario]{
+	seedField(func(s *Scenario) *uint64 { return &s.Seed }),
 	intField("nodes", func(s *Scenario) *int { return &s.NodeCount }),
 	intField("t2", func(s *Scenario) *int { return &s.Type2Count }),
 	intField("dd", func(s *Scenario) *int { return &s.DataDisks }),
@@ -117,63 +145,18 @@ var codecs = []fieldCodec{
 	intField("dphases", func(s *Scenario) *int { return &s.DriftPhases }),
 	intField("flash", func(s *Scenario) *int { return &s.FlashPct }),
 	intField("diurnal", func(s *Scenario) *int { return &s.DiurnalPct }),
-	{
-		key: "inject",
-		get: func(s *Scenario) string { return s.Inject },
-		set: func(s *Scenario, v string) error { s.Inject = v; return nil },
-	},
+	stringField("inject", func(s *Scenario) *string { return &s.Inject }),
 }
 
-// Encode serializes the scenario as a compact, shell-safe string:
-// "v1,seed=42,nodes=3,...". Zero-valued fields are elided.
-func (s Scenario) Encode() string {
-	parts := []string{reproVersion}
-	for _, c := range codecs {
-		if v := c.get(&s); v != "" && v != "0" {
-			parts = append(parts, c.key+"="+v)
-		}
-	}
-	return strings.Join(parts, ",")
-}
+// Encode serializes the scenario as "v1,seed=42,nodes=3,...".
+func (s Scenario) Encode() string { return encodeRepro(reproVersion, codecs, Scenario{}, s) }
 
 // DecodeScenario parses a string produced by Encode.
 func DecodeScenario(repro string) (Scenario, error) {
-	parts := strings.Split(repro, ",")
-	if len(parts) == 0 || parts[0] != reproVersion {
-		return Scenario{}, fmt.Errorf("simtest: repro string is not %s-versioned: %q", reproVersion, repro)
-	}
-	byKey := make(map[string]fieldCodec, len(codecs))
-	for _, c := range codecs {
-		byKey[c.key] = c
-	}
-	var s Scenario
-	for _, p := range parts[1:] {
-		if p == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(p, "=")
-		c, known := byKey[k]
-		if !ok || !known {
-			return Scenario{}, fmt.Errorf("simtest: bad repro field %q", p)
-		}
-		if err := c.set(&s, v); err != nil {
-			return Scenario{}, fmt.Errorf("simtest: repro field %q: %w", p, err)
-		}
-	}
-	return s, nil
+	return decodeRepro(repro, reproVersion, codecs, Scenario{})
 }
 
 // ReproCommand renders the one-line replay command printed on failures.
 func ReproCommand(s Scenario) string {
 	return fmt.Sprintf("eevfssim -seed=%d -repro='%s'", s.Seed, s.Encode())
-}
-
-// sortedKeys is shared test/debug plumbing: the known repro field keys.
-func sortedKeys() []string {
-	keys := make([]string, 0, len(codecs))
-	for _, c := range codecs {
-		keys = append(keys, c.key)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -67,14 +67,12 @@ func TestDecodeErrors(t *testing.T) {
 // TestReproKeysUnique guards the codec table against a copy-paste
 // duplicate key, which would make decoding silently last-writer-wins.
 func TestReproKeysUnique(t *testing.T) {
-	keys := sortedKeys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			t.Fatalf("duplicate repro key %q", keys[i])
+	seen := map[string]bool{}
+	for _, c := range codecs {
+		if seen[c.key] {
+			t.Fatalf("duplicate repro key %q", c.key)
 		}
-	}
-	if len(keys) != len(codecs) {
-		t.Fatalf("sortedKeys returned %d keys for %d codecs", len(keys), len(codecs))
+		seen[c.key] = true
 	}
 }
 

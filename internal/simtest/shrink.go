@@ -13,8 +13,8 @@ package simtest
 type CheckFn func(Scenario) *Failure
 
 // ShrinkResult reports what the shrinker found.
-type ShrinkResult struct {
-	Scenario Scenario // the minimal failing scenario
+type ShrinkResult[S any] struct {
+	Scenario S        // the minimal failing scenario
 	Failure  *Failure // its (matching-oracle) failure
 	Runs     int      // scenario evaluations spent
 }
@@ -29,13 +29,17 @@ const shrinkMaxRuns = 300
 // failure from the same oracle, so the shrinker cannot drift onto an
 // unrelated bug while simplifying. The returned scenario always fails
 // (it is the last accepted candidate, or the original).
-func Shrink(s Scenario, fail *Failure, check CheckFn) ShrinkResult {
-	res := ShrinkResult{Scenario: s, Failure: fail}
-	accept := func(cand Scenario) bool {
-		if res.Runs >= shrinkMaxRuns {
-			return false
-		}
-		if cand == res.Scenario || cand.Valid() != nil {
+func Shrink(s Scenario, fail *Failure, check CheckFn) ShrinkResult[Scenario] {
+	return shrink(s, fail, check, func(c Scenario) bool { return c.Valid() == nil }, reducers, shrinkMaxRuns)
+}
+
+// shrink is the search both scenario kinds share: valid filters the
+// proposals that cannot run, reducers propose them, maxRuns is the
+// budget of evaluations.
+func shrink[S comparable](s S, fail *Failure, check func(S) *Failure, valid func(S) bool, reducers []func(S) []S, maxRuns int) ShrinkResult[S] {
+	res := ShrinkResult[S]{Scenario: s, Failure: fail}
+	accept := func(cand S) bool {
+		if res.Runs >= maxRuns || cand == res.Scenario || !valid(cand) {
 			return false
 		}
 		res.Runs++
@@ -49,7 +53,7 @@ func Shrink(s Scenario, fail *Failure, check CheckFn) ShrinkResult {
 
 	// Each pass walks every reducer; repeat until a whole pass accepts
 	// nothing (fixed point) or the budget runs out.
-	for changed := true; changed && res.Runs < shrinkMaxRuns; {
+	for changed := true; changed && res.Runs < maxRuns; {
 		changed = false
 		for _, reduce := range reducers {
 			for _, cand := range reduce(res.Scenario) {
@@ -147,11 +151,11 @@ var reducers = []func(Scenario) []Scenario{
 
 // intLadder proposes floor, then successive halvings toward floor, then
 // the single-step decrement.
-func intLadder(s Scenario, cur, floor int, with func(Scenario, int) Scenario) []Scenario {
+func intLadder[S any](s S, cur, floor int, with func(S, int) S) []S {
 	if cur <= floor {
 		return nil
 	}
-	var out []Scenario
+	var out []S
 	seen := map[int]bool{cur: true}
 	propose := func(v int) {
 		if v < floor || seen[v] {

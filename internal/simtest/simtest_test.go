@@ -23,7 +23,7 @@ func TestCorpus(t *testing.T) {
 	for i := 0; i < corpusSize; i++ {
 		seed := corpusBase + uint64(i)
 		s := Generate(seed)
-		if DominanceEligible(s) {
+		if pfRegime(s) {
 			dominance++
 		}
 		if s.MAID {

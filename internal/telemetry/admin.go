@@ -35,12 +35,6 @@ type AdminConfig struct {
 	Energy   *EnergyLedger
 }
 
-// StartAdmin binds addr and serves the admin endpoints. health (optional)
-// supplies the /healthz payload; it must be JSON-marshalable.
-func StartAdmin(addr string, reg *Registry, health func() any) (*Admin, error) {
-	return StartAdminConfig(addr, AdminConfig{Registry: reg, Health: health})
-}
-
 // tracesPayload is the /traces JSON document: tracer activity counters,
 // the energy ledger snapshot, and every recorded span grouped by trace.
 type tracesPayload struct {

@@ -218,9 +218,9 @@ func TestAdminServesMetricsAndHealth(t *testing.T) {
 	leak.Check(t)
 	r := NewRegistry()
 	r.Counter("proto.calls").Add(3)
-	a, err := StartAdmin("127.0.0.1:0", r, func() any {
+	a, err := StartAdminConfig("127.0.0.1:0", AdminConfig{Registry: r, Health: func() any {
 		return map[string]bool{"serving": true}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,17 +99,6 @@ func (t *Trace) Counts() []int {
 	return counts
 }
 
-// ByFile splits the trace into per-file arrival-time lists, which is what
-// the storage server forwards to each storage node as the "file access
-// pattern" (Section III-B).
-func (t *Trace) ByFile() map[int][]float64 {
-	m := make(map[int][]float64)
-	for _, r := range t.Records {
-		m[r.FileID] = append(m[r.FileID], r.TimeS)
-	}
-	return m
-}
-
 // header tags the serialized format so stale files fail loudly.
 const header = "eevfs-trace/1"
 

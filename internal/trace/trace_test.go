@@ -65,16 +65,6 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-func TestByFile(t *testing.T) {
-	m := sampleTrace().ByFile()
-	if !reflect.DeepEqual(m[0], []float64{0, 2.1}) {
-		t.Errorf("file 0 pattern = %v", m[0])
-	}
-	if !reflect.DeepEqual(m[2], []float64{0.7}) {
-		t.Errorf("file 2 pattern = %v", m[2])
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
