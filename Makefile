@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz verify loc bench-pairs load-smoke cover soak soak-failover soak-drift
+.PHONY: build test race vet fuzz verify loc loc-delta bench-pairs load-smoke cover soak soak-failover soak-drift
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,8 @@ race:
 # faces untrusted peers), the fault-injected frame path, and what a
 # restart reads back from disk: the log framing, the node's log records
 # and its manifest checkpoint (the server's records and checkpoint are
-# the replication codecs, FuzzRepDecoders).
+# the replication codecs, FuzzRepDecoders), and the node's file table
+# against the fold of its own log.
 fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrameID -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzMessageDecoders -fuzztime=15s
@@ -30,6 +31,7 @@ fuzz:
 	$(GO) test ./internal/wal -run=^$$ -fuzz=FuzzWALReplay -fuzztime=15s
 	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeRecord -fuzztime=15s
 	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeManifest -fuzztime=15s
+	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzFileTableReplay -fuzztime=15s
 
 # The performance gate (DESIGN.md §16): N pairs of `go run ./bench
 # --workload W --trace 0` on BASE and on this tree, alternating which side
@@ -108,3 +110,18 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 != "total" { sub(/^\.\//, "", $$2); if (!sub(/\/[^\/]*$$/, "", $$2)) $$2 = "."; n[$$2] += $$1; t += $$1 } \
 		END { for (p in n) printf "%7d  %s\n", n[p], p; printf "%7d  total\n", t }' | sort -k2
+
+# `make loc` for BASE and for this tree side by side, with each package's
+# delta: the table CI prints on a pull request, and where the figures a
+# simplicity PR states in its description come from. BASE is exported with
+# `git archive` into a temporary directory; both sides are counted by this
+# tree's Makefile.
+loc-delta:
+	@test -n "$(BASE)" || { echo "usage: make loc-delta BASE=<rev>" >&2; exit 2; }
+	@export LC_ALL=C; tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && mkdir $$tmp/base && \
+	git archive $(BASE) | tar -x -C $$tmp/base && \
+	loc() { $(MAKE) -s -C $$1 -f $(CURDIR)/Makefile loc | awk '{ print $$2, $$1 }' | sort; } && \
+	loc $$tmp/base > $$tmp/base.txt && loc . > $$tmp/head.txt && \
+	join -a1 -a2 -e0 -o 0,1.2,2.2 $$tmp/base.txt $$tmp/head.txt | \
+	awk 'BEGIN { printf "%7s %7s %7s  %s\n", "base", "head", "delta", "package" } \
+	     { printf "%7d %7d %+7d  %s\n", $$2, $$3, $$3 - $$2, $$1 }'

@@ -89,39 +89,33 @@ type reading struct {
 // before any disk is charged. source counts the buffer hit or miss,
 // timestamps the access and charges the disks the range touches.
 func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) {
-	entry, ok := n.meta.Lookup(int(fileID))
+	_, file, ok := n.files.get(int(fileID), float64(n.clock.Now()))
 	if !ok {
 		return reading{}, fmt.Errorf("fs: read of unknown file %d", fileID)
 	}
 	if length == wholeFile {
-		off, length = 0, entry.Size
+		off, length = 0, file.Size
 	}
-	if off < 0 || length < 0 || off > entry.Size || length > entry.Size-off {
+	if off < 0 || length < 0 || off > file.Size || length > file.Size-off {
 		return reading{}, fmt.Errorf("fs: range [%d,+%d) outside file %d of %d bytes",
-			off, length, fileID, entry.Size)
+			off, length, fileID, file.Size)
 	}
-	n.noteAccess(entry.ID)
-	n.mu.Lock()
-	_, dirty := n.dirty[entry.ID]
-	n.mu.Unlock()
 	r := reading{off: off, length: length}
 	var err error
-	if entry.Prefetched || dirty {
-		r.exts = n.bufferExtent(entry.ID, entry.Size)
+	if file.inBuffer() {
+		r.exts = n.bufferExtent(file.ID, file.Size)
 		if r.first, err = os.Open(r.exts[0].path); err == nil {
 			r.fromBuffer = true
-			n.hits.Add(1)
 			n.hitsC.Inc()
 		} else {
 			n.logger.Printf("buffer copy of file %d unreadable, falling back: %v", fileID, err)
 		}
 	}
 	if !r.fromBuffer {
-		r.exts = n.dataExtents(entry)
+		r.exts = n.dataExtents(file.NodeEntry)
 		if r.first, err = os.Open(r.exts[0].path); err != nil {
 			return reading{}, err
 		}
-		n.misses.Add(1)
 		n.missesC.Inc()
 	}
 	n.charge(r.exts, off, length, false, ra)
@@ -129,28 +123,28 @@ func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) 
 }
 
 // sink resolves a write of size bytes to where it lands — the buffer
-// disk's log area when write buffering is on and it has room (the data
-// disks stay asleep; the flush is lazy), the data disks at the new size's
-// layout otherwise — timestamps the access and charges the disks. A
-// write that changes the size invalidates the old data layout, so the
-// writer takes it as prev — a buffered write too: when flushOne runs, the
-// entry has the new size and can no longer name the old extents.
+// disk's log area when write buffering is on and the table grants the
+// room (the data disks stay asleep; the flush is lazy), the data disks at
+// the new size's layout otherwise — timestamps the access and charges the
+// disks. A write that changes the size invalidates the old data layout, so
+// the writer takes it as prev — a buffered write too: when flushOne runs,
+// the entry has the new size and can no longer name the old extents.
 func (n *Node) sink(fileID, size int64, ra reqAttrib) (*extentWriter, error) {
-	entry, ok := n.meta.Lookup(int(fileID))
+	rec, file, ok := n.files.get(int(fileID), float64(n.clock.Now()))
 	if !ok {
 		return nil, fmt.Errorf("fs: write to unknown file %d", fileID)
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("fs: write of file %d with size %d", fileID, size)
 	}
-	n.noteAccess(entry.ID)
-	w := n.newWriter(nil, nil)
-	w.entry, w.size = entry, size
-	w.buffered = n.cfg.WriteBuffer && n.bufferHasRoom(size)
+	entry := file.NodeEntry
+	w := n.newWriter(rec, nil)
+	w.size = size
 	if size != entry.Size {
 		w.prev = n.dataExtents(entry)
 	}
-	if w.buffered {
+	if n.cfg.WriteBuffer && n.files.reserve(rec, size) {
+		w.buffered, w.reserved = true, size
 		w.exts = n.bufferExtent(entry.ID, size)
 	} else {
 		entry.Size = size
@@ -204,12 +198,14 @@ func (n *Node) chargeOn(nd *nodeDisk, exts []extent, off, length int64, write bo
 		sp.Annotate("disk", nd.label)
 		sp.Annotate("bytes", strconv.FormatInt(size, 10))
 		sp.Annotate("plane", ra.plane)
+		wantedAt, hinted := n.nextWanted(nd)
 		nd.mu.Lock()
 		// Every dwell the disk closes in a working state until the reset
 		// below is charged to ra's trace, file, and span.
 		nd.curTrace, nd.curFile, nd.curSpan = ra.trace, ra.file, sp
 		n.wakeLocked(nd, sp)
 		n.serviceLocked(nd, size, write && nd.isBuffer)
+		n.armTimerLocked(nd, wantedAt, hinted)
 		nd.curTrace, nd.curFile, nd.curSpan = 0, "", nil
 		nd.mu.Unlock()
 		sp.Finish()
@@ -250,26 +246,31 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 	return nil
 }
 
-// copyExtents moves a whole copy of size bytes from src to dst — a
-// prefetch (data disks to buffer) or a flush (buffer to data disks) —
-// through one pooled chunk, so tier movement costs O(chunk) memory at any
-// file size. Both sides are charged to ra.
-func (n *Node) copyExtents(src, dst []extent, size int64, ra reqAttrib) error {
+// copyExtents stages a whole copy of rec's file, as file found it, from
+// src as dst — a prefetch (data disks to buffer) or a flush (buffer to
+// data disks) — through one pooled chunk, so tier movement costs O(chunk)
+// memory at any file size. Both sides are charged to ra. The caller lands
+// the returned writer, which owns the reserved buffer-disk bytes from here
+// on: they are handed back on every failure too.
+func (n *Node) copyExtents(rec *fileRec, file fileRec, src, dst []extent, reserved int64, ra reqAttrib) (*extentWriter, error) {
+	size := file.Size
+	w := n.newWriter(rec, dst)
+	w.reserved, w.asOf = reserved, file.gen
 	first, err := os.Open(src[0].path)
 	if err != nil {
-		return err
+		w.abandon()
+		return nil, err
 	}
 	defer first.Close()
 	n.charge(src, 0, size, false, ra)
 	n.charge(dst, 0, size, true, ra)
-	w := n.newWriter(dst, nil)
 	buf := proto.GetChunk(proto.DefaultStreamChunk)
 	defer proto.PutChunk(buf)
 	if err := (reading{exts: src, first: first, length: size}).emit(buf, w.write); err != nil {
 		w.abandon()
-		return err
+		return nil, err
 	}
-	return w.commit()
+	return w, nil
 }
 
 // extentWriter lands a byte stream across the extents of a copy; nothing
@@ -286,15 +287,23 @@ type extentWriter struct {
 	f    *os.File
 	rem  int64 // bytes left in the current extent
 
-	// Set by sink for a client write, for commitWrite once the bytes land.
-	entry    metadata.NodeEntry // as it stood before the write
+	// The table's side of the operation: the record it started from, which
+	// land requires to still be the file's — and, for a tier movement, to
+	// be as it was when the copy was taken (asOf; 0: a client write, which
+	// supersedes whatever landed before it) — and the buffer-disk bytes
+	// reserved for it, handed back to files by land or abandon.
+	files    *fileTable
+	rec      *fileRec
+	asOf     uint64
+	reserved int64
+	// Set by sink for a client write.
 	size     int64
 	buffered bool
 }
 
-func (n *Node) newWriter(exts, prev []extent) *extentWriter {
+func (n *Node) newWriter(rec *fileRec, exts []extent) *extentWriter {
 	seq := n.partSeq.Add(1)
-	return &extentWriter{exts: exts, prev: prev, part: "." + strconv.FormatUint(seq, 10) + ".part"}
+	return &extentWriter{files: n.files, rec: rec, exts: exts, part: "." + strconv.FormatUint(seq, 10) + ".part"}
 }
 
 // write lands b, splitting across extent boundaries as needed. Callers
@@ -359,6 +368,42 @@ func (w *extentWriter) abandon() {
 	for _, e := range w.exts {
 		os.Remove(e.path + w.part)
 	}
+	w.unreserve()
+}
+
+func (w *extentWriter) unreserve() {
+	if w.reserved > 0 {
+		w.files.release(w.rec, w.reserved)
+		w.reserved = 0
+	}
+}
+
+// land ends a client write or a tier movement whose bytes w has staged:
+// one transition that, if the file w started from is still the node's,
+// renames the staged extents into place and applies and logs edit's
+// change to the file's record (edit reports whether there is one). If the
+// file was deleted meanwhile — the error then wraps ErrFileNotFound — or
+// a write landed after a tier movement took its copy, what was staged is
+// discarded.
+func (n *Node) land(w *extentWriter, edit func(r *nodeRecord) (moved bool)) error {
+	err := n.transition(w.rec.ID, func(rec *fileRec, r *nodeRecord) (bool, error) {
+		if rec != w.rec {
+			return false, fmt.Errorf("fs: file %d deleted under an operation in flight: %w", w.rec.ID, ErrFileNotFound)
+		}
+		if w.asOf != 0 && rec.gen != w.asOf {
+			return false, fmt.Errorf("fs: file %d changed under a tier movement", rec.ID)
+		}
+		if err := w.commit(); err != nil {
+			return false, err
+		}
+		return edit(r), nil
+	})
+	if err != nil {
+		w.abandon()
+		return err
+	}
+	w.unreserve()
+	return nil
 }
 
 // sweepParts removes the ".part" siblings a crash mid-write left in dir.

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"eevfs/internal/disk"
-	"eevfs/internal/proto"
 )
 
 // Tests of the node's storage engine (extent.go): whatever wire plane a
@@ -36,7 +35,7 @@ type planeState struct {
 
 func prefetchFile(t *testing.T, n *Node, id int64) {
 	t.Helper()
-	if got := n.handlePrefetch([]int64{id}, nil); got != 1 {
+	if got := n.prefetch(id); got != 1 {
 		t.Fatalf("prefetched %d of 1", got)
 	}
 }
@@ -428,10 +427,10 @@ func TestStartNodeSweepsPartFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.handleCreate(proto.NodeCreateReq{FileID: 1, Size: 5}); err != nil {
+	if err := n.create(1, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.handleWrite(proto.NodeWriteReq{FileID: 1, Data: []byte("hello")}, nil); err != nil {
+	if _, err := n.write(1, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	n.Close()
@@ -449,8 +448,8 @@ func TestStartNodeSweepsPartFiles(t *testing.T) {
 	if got, want := storedFiles(t, n), []string{"data0/f00000001.dat"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after restart the disks hold %v, want %v", got, want)
 	}
-	if data, _, err := n.handleRead(1, 0, wholeFile, nil); err != nil || string(data) != "hello" {
-		t.Fatalf("visible file after the sweep: %q, err=%v", data, err)
+	if r, err := n.handleRead(1, 0, wholeFile, nil); err != nil || string(r.Data) != "hello" {
+		t.Fatalf("visible file after the sweep: %q, err=%v", r.Data, err)
 	}
 }
 
@@ -465,11 +464,11 @@ func TestTierMovementIsChunkMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if err := n.handleCreate(proto.NodeCreateReq{FileID: 1, Size: size}); err != nil {
+	if err := n.create(1, size); err != nil {
 		t.Fatal(err)
 	}
 	content := bytes.Repeat([]byte("eevfs-32MiB-file"), size/16)
-	if buffered, err := n.handleWrite(proto.NodeWriteReq{FileID: 1, Data: content}, nil); err != nil || !buffered {
+	if buffered, err := n.write(1, content); err != nil || !buffered {
 		t.Fatalf("buffered=%v err=%v", buffered, err)
 	}
 
@@ -477,7 +476,7 @@ func TestTierMovementIsChunkMemory(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	n.flushOne(1)
-	prefetched := n.handlePrefetch([]int64{1}, nil)
+	prefetched := n.prefetch(1)
 	runtime.ReadMemStats(&after)
 
 	if prefetched != 1 {
@@ -486,11 +485,11 @@ func TestTierMovementIsChunkMemory(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("flushing and prefetching %d MiB allocated %d bytes, want < 1 MiB", size>>20, got)
 	}
-	if e, _ := n.meta.Lookup(1); !e.Prefetched {
+	if _, f, _ := n.files.get(1, 0); !f.Prefetched {
 		t.Fatal("file not marked prefetched")
 	}
-	data, fromBuffer, err := n.handleRead(1, 0, wholeFile, nil)
-	if err != nil || !fromBuffer || !bytes.Equal(data, content) {
-		t.Fatalf("read after tier movement: %d bytes fromBuffer=%v err=%v", len(data), fromBuffer, err)
+	r, err := n.handleRead(1, 0, wholeFile, nil)
+	if err != nil || !r.FromBuffer || !bytes.Equal(r.Data, content) {
+		t.Fatalf("read after tier movement: %d bytes fromBuffer=%v err=%v", len(r.Data), r.FromBuffer, err)
 	}
 }

@@ -1,0 +1,242 @@
+// The node's file table (DESIGN.md §8): the storage-node half of the
+// paper's two-level metadata — which disk a file is on, whether the buffer
+// disk holds a prefetched copy or an unflushed write of it, when it is
+// expected next. One record per file, one lock, and one writer of what is
+// persisted: apply, which a live mutation (Node.transition) and a restart
+// (load, replay) both go through, so the table is the fold of the log by
+// construction.
+package fs
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+
+	"eevfs/internal/metadata"
+	"eevfs/internal/proto"
+)
+
+// fileRec is everything a node knows about one of its files. The entry and
+// unflushed are persisted; the rest lives and dies with the process. ID
+// never changes and may be read without the table's lock.
+type fileRec struct {
+	metadata.NodeEntry
+	unflushed int64   // size of a buffered write not yet on the data disks; 0: clean
+	reserved  int64   // buffer-disk bytes promised to writes and prefetches in flight
+	hint      float64 // server-forwarded mean inter-arrival (model sec); 0: none
+	last      float64 // model time of the last request; 0: none since start
+	gen       uint64  // bumped by every apply: has the file moved since it was looked up?
+}
+
+// inBuffer reports whether the buffer disk holds the file's newest copy.
+func (f *fileRec) inBuffer() bool { return f.Prefetched || f.unflushed > 0 }
+
+// held is what the file occupies on the buffer disk, promises included.
+func (f *fileRec) held() int64 {
+	h := f.unflushed + f.reserved
+	if f.Prefetched {
+		h += f.Size
+	}
+	return h
+}
+
+type fileTable struct {
+	capacity int64 // the buffer disk's byte limit; 0: unbounded
+	// plantDropDirty is the replay oracles' planted bug: apply forgets a
+	// record's unflushed write. Tests only.
+	plantDropDirty bool
+
+	mu     sync.Mutex
+	files  map[int]*fileRec
+	used   int64 // buffer-disk occupancy: the sum of every record's held()
+	cursor int   // round-robin placement cursor for creates
+	// wanted[d] indexes the hinted files only data disk d can serve (no
+	// copy in the buffer): what the idle policy asks about when it decides
+	// whether d may sleep.
+	wanted []map[int]*fileRec
+}
+
+func newFileTable(dataDisks int, capacity int64) *fileTable {
+	t := &fileTable{capacity: capacity, files: make(map[int]*fileRec), wanted: make([]map[int]*fileRec, dataDisks)}
+	for d := range t.wanted {
+		t.wanted[d] = make(map[int]*fileRec)
+	}
+	return t
+}
+
+// apply installs r, the persisted post-state of one file id (or its
+// tombstone) and of the placement cursor. It is idempotent, and what the
+// process alone knows about a file that stays — hint, last access,
+// reservations — is kept.
+func (t *fileTable) apply(r nodeRecord) error {
+	if r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0 || r.Entry.Disk >= len(t.wanted)) {
+		return fmt.Errorf("fs: file %d of %d bytes on disk %d, node has %d",
+			r.Entry.ID, r.Entry.Size, r.Entry.Disk, len(t.wanted))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.cursor = r.NextDisk
+	rec := t.files[r.Entry.ID]
+	if rec != nil {
+		t.used -= rec.held()
+		delete(t.wanted[rec.Disk], rec.ID)
+	}
+	if !r.Present {
+		delete(t.files, r.Entry.ID)
+		return nil
+	}
+	if rec == nil {
+		rec = &fileRec{NodeEntry: metadata.NodeEntry{ID: r.Entry.ID}}
+		t.files[r.Entry.ID] = rec
+	}
+	rec.Size, rec.Disk, rec.Prefetched, rec.unflushed = r.Entry.Size, r.Entry.Disk, r.Entry.Prefetched, 0
+	rec.gen++
+	if r.Dirty && !t.plantDropDirty {
+		rec.unflushed = r.DirtySize
+	}
+	t.used += rec.held()
+	t.index(rec)
+	return nil
+}
+
+// index keeps rec's membership in wanted current. Callers hold mu.
+func (t *fileTable) index(rec *fileRec) {
+	if rec.hint > 0 && !rec.inBuffer() {
+		t.wanted[rec.Disk][rec.ID] = rec
+	} else {
+		delete(t.wanted[rec.Disk], rec.ID)
+	}
+}
+
+// record returns a file's record (nil: no such file) and its persisted
+// state the way the log writes it.
+func (t *fileTable) record(id int) (*fileRec, nodeRecord) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := nodeRecord{Entry: metadata.NodeEntry{ID: id}, NextDisk: t.cursor}
+	rec := t.files[id]
+	if rec != nil {
+		r.Entry, r.Present = rec.NodeEntry, true
+		r.Dirty, r.DirtySize = rec.unflushed > 0, rec.unflushed
+	}
+	return rec, r
+}
+
+// get looks a file up: rec is its identity, for a later transition to
+// check it is still the same file; was is a copy to read without the lock.
+// A positive now timestamps the access.
+func (t *fileTable) get(id int, now float64) (rec *fileRec, was fileRec, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rec = t.files[id]; rec == nil {
+		return nil, fileRec{}, false
+	}
+	if now > 0 {
+		rec.last = now
+	}
+	return rec, *rec, true
+}
+
+// reserve promises size bytes of the buffer disk to an operation on rec, if
+// the file is still there and they fit. The promise counts as occupancy
+// until release hands it back — after the transition that turned it into
+// an unflushed write or a prefetched copy, or when the operation gives up.
+func (t *fileTable) reserve(rec *fileRec, size int64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.files[rec.ID] != rec || (t.capacity > 0 && t.used+size > t.capacity) {
+		return false
+	}
+	rec.reserved += size
+	t.used += size
+	return true
+}
+
+func (t *fileTable) release(rec *fileRec, size int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec.reserved -= size
+	if t.files[rec.ID] == rec { // a deleted record took its promises with it
+		t.used -= size
+	}
+}
+
+// setHints installs server-forwarded access patterns; scale converts their
+// real seconds to model time. A non-positive interval clears a file's
+// hint, and a hint for a file the node does not hold is dropped.
+func (t *fileTable) setHints(hints []proto.FileHint, scale float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, h := range hints {
+		if rec := t.files[int(h.FileID)]; rec != nil {
+			rec.hint = max(h.MeanIntervalSec, 0) * scale
+			t.index(rec)
+		}
+	}
+}
+
+// nextWanted is the model time data disk d is next expected to be asked
+// for: the earliest hinted next access among the files only it can serve
+// (one not requested since start counts from now). ok is false when no
+// hint applies and the reactive threshold decides alone.
+func (t *fileTable) nextWanted(d int, now float64) (at float64, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, rec := range t.wanted[d] {
+		next := rec.last + rec.hint
+		if rec.last == 0 {
+			next = now + rec.hint
+		}
+		if !ok || next < at {
+			at, ok = next, true
+		}
+	}
+	return at, ok
+}
+
+// manifest snapshots what the table persists, in id order.
+func (t *fileTable) manifest() nodeManifest {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m := nodeManifest{Version: manifestVersion, NextDisk: t.cursor, Files: make([]metadata.NodeEntry, 0, len(t.files))}
+	for _, rec := range t.files {
+		m.Files = append(m.Files, rec.NodeEntry)
+		if rec.unflushed > 0 {
+			m.Dirty = append(m.Dirty, dirtyEntry{ID: rec.ID, Size: rec.unflushed})
+		}
+	}
+	sort.Slice(m.Files, func(i, j int) bool { return m.Files[i].ID < m.Files[j].ID })
+	sort.Slice(m.Dirty, func(i, j int) bool { return m.Dirty[i].ID < m.Dirty[j].ID })
+	return m
+}
+
+// load installs a checkpoint, one apply per file.
+func (t *fileTable) load(raw []byte) error {
+	m, err := decodeNodeManifest(raw)
+	if err != nil {
+		return err
+	}
+	unflushed := make(map[int]int64, len(m.Dirty))
+	for _, d := range m.Dirty {
+		unflushed[d.ID] = d.Size
+	}
+	for _, e := range m.Files {
+		size := unflushed[e.ID]
+		if err := t.apply(nodeRecord{Entry: e, Present: true, Dirty: size > 0, DirtySize: size, NextDisk: m.NextDisk}); err != nil {
+			return err
+		}
+	}
+	t.mu.Lock()
+	t.cursor = m.NextDisk // a checkpoint without files still carries the cursor
+	t.mu.Unlock()
+	return nil
+}
+
+// replay applies one log record on top of the checkpoint.
+func (t *fileTable) replay(raw []byte) error {
+	r, err := decodeNodeRecord(raw)
+	if err != nil {
+		return err
+	}
+	return t.apply(r)
+}

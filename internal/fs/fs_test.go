@@ -148,9 +148,9 @@ func TestRoundRobinPlacementAcrossNodes(t *testing.T) {
 		}
 	}
 	// Creation order alternates between the two nodes.
-	if nodes[0].meta.Len() != 2 || nodes[1].meta.Len() != 2 {
+	if len(nodes[0].Files()) != 2 || len(nodes[1].Files()) != 2 {
 		t.Fatalf("node file counts = %d/%d, want 2/2",
-			nodes[0].meta.Len(), nodes[1].meta.Len())
+			len(nodes[0].Files()), len(nodes[1].Files()))
 	}
 }
 
@@ -927,22 +927,23 @@ func TestHintsClearedByNonPositiveInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	node.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{
-		{FileID: 1, MeanIntervalSec: 2},
-	}})
-	node.mu.Lock()
-	v, ok := node.hints[1]
-	node.mu.Unlock()
-	if !ok || v != 2000 { // scaled by TimeScale
-		t.Fatalf("hint = %v, %v; want 2000 (scaled)", v, ok)
+	if err := node.create(1, 8); err != nil {
+		t.Fatal(err)
 	}
-	node.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{
-		{FileID: 1, MeanIntervalSec: 0},
-	}})
-	node.mu.Lock()
-	_, ok = node.hints[1]
-	node.mu.Unlock()
-	if ok {
+	hint := func(id int64, sec float64) {
+		node.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{{FileID: id, MeanIntervalSec: sec}}}, nil)
+	}
+	hint(1, 2)
+	// Not a file of this node: dropped.
+	hint(7, 2)
+	if _, f, _ := node.files.get(1, 0); f.hint != 2000 { // scaled by TimeScale
+		t.Fatalf("hint = %v; want 2000 (scaled)", f.hint)
+	}
+	if at, ok := node.files.nextWanted(0, 50); !ok || at != 2050 || len(node.files.wanted[0]) != 1 {
+		t.Fatalf("disk 0 next wanted at %v (hinted=%v), index %v; want 2050 from file 1 alone", at, ok, node.files.wanted[0])
+	}
+	hint(1, 0)
+	if _, f, _ := node.files.get(1, 0); f.hint != 0 || len(node.files.wanted[0]) != 0 {
 		t.Fatal("zero-interval hint not cleared")
 	}
 }

@@ -118,25 +118,17 @@ type nodeDisk struct {
 	curSpan  *telemetry.Span
 }
 
-// Node is a running storage-node daemon.
+// Node is a running storage-node daemon. Everything it knows about its
+// files is in the file table (filetable.go); locks nest persistMu, then
+// the table's, then a disk's, never the other way round.
 type Node struct {
 	cfg    NodeConfig
 	clock  *Clock
 	lis    listener
-	meta   *metadata.NodeMap
+	files  *fileTable
 	buffer *nodeDisk
 	data   []*nodeDisk
 	logger *log.Logger
-
-	mu         sync.Mutex
-	nextDisk   int             // round-robin cursor for file creation
-	dirty      map[int]int64   // fileID -> size awaiting flush to its data disk
-	dirtyBytes int64           // sum of dirty's values, kept by set/clearDirtyLocked
-	hints      map[int]float64 // fileID -> mean inter-arrival (model sec)
-	lastAccess map[int]float64 // fileID -> model time of the last request
-	hits       atomic.Int64
-	misses     atomic.Int64
-	bufWrites  int64
 
 	// partSeq numbers extentWriters, so concurrent writers of one file
 	// stage under different names (see extent.go).
@@ -145,14 +137,15 @@ type Node struct {
 	// the wire plane it names skip the disk charge. Tests only.
 	plantSkipCharge atomic.Value
 
-	// persistMu serializes log appends and checkpoints (see persist.go).
+	// persistMu serializes transitions and checkpoints (see persist.go).
 	persistMu sync.Mutex
 	wal       *wal.Log
 
-	// Pre-resolved telemetry handles (all no-ops with a nil registry);
-	// hitsC/missesC/bufWritesC mirror the counters above into the
-	// registry so the admin endpoint sees them live.
-	met           opMetrics
+	// Pre-resolved telemetry handles. The buffer counters are what
+	// Counters and TNodeStatsResp report, so they live in a registry the
+	// node always has: cfg.Metrics — shared counts, when nodes share it —
+	// or a private one. The rest are no-ops with a nil cfg.Metrics.
+	counters      *telemetry.Registry
 	hitsC         *telemetry.Counter
 	missesC       *telemetry.Counter
 	bufWritesC    *telemetry.Counter
@@ -176,16 +169,16 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cfg.WriteTimeout = 30 * time.Second
 	}
 	n := &Node{
-		cfg:        cfg,
-		clock:      NewClock(cfg.TimeScale),
-		meta:       metadata.NewNodeMap(),
-		logger:     cfg.Logger,
-		dirty:      make(map[int]int64),
-		hints:      make(map[int]float64),
-		lastAccess: make(map[int]float64),
+		cfg:      cfg,
+		clock:    NewClock(cfg.TimeScale),
+		files:    newFileTable(cfg.DataDisks, cfg.BufferCapacityBytes),
+		logger:   cfg.Logger,
+		counters: cfg.Metrics,
 	}
-
-	n.met = newOpMetrics(cfg.Metrics, "node", []proto.Type{
+	if n.counters == nil {
+		n.counters = telemetry.NewRegistry()
+	}
+	ops := newOpMetrics(cfg.Metrics, cfg.Tracer, "node", []proto.Type{
 		proto.TNodeCreateReq, proto.TNodeWriteReq, proto.TNodeReadReq,
 		proto.TNodeReadAtReq, proto.TNodeDeleteReq, proto.TNodePrefetchReq,
 		proto.TNodeHintsReq, proto.TNodeStatsReq,
@@ -193,9 +186,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	})
 	n.streamBytesC = cfg.Metrics.Counter("node.stream.bytes")
 	n.streamChunksC = cfg.Metrics.Counter("node.stream.chunks")
-	n.hitsC = cfg.Metrics.Counter("node.buffer.hits")
-	n.missesC = cfg.Metrics.Counter("node.buffer.misses")
-	n.bufWritesC = cfg.Metrics.Counter("node.buffer.writes")
+	n.hitsC = n.counters.Counter("node.buffer.hits")
+	n.missesC = n.counters.Counter("node.buffer.misses")
+	n.bufWritesC = n.counters.Counter("node.buffer.writes")
 	n.flushesC = cfg.Metrics.Counter("node.buffer.flushes")
 	n.logBytesC = cfg.Metrics.Counter("persist.log.bytes")
 	n.checkpointsC = cfg.Metrics.Counter("persist.checkpoints")
@@ -239,7 +232,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.lis.listen(ln, n.logger.Printf, func(conn net.Conn) {
-		serveFrames(conn, n.cfg.WriteTimeout, n.dispatch, n.dispatchStream)
+		serveFrames(conn, n.cfg.WriteTimeout, ops, n.dispatch, n.dispatchStream)
 	})
 	return n, nil
 }
@@ -250,16 +243,7 @@ func (n *Node) Addr() string { return n.lis.Addr() }
 // Files returns a snapshot of the node's local metadata, in id order.
 // The simulation-testing harness uses it to cross-check the server's
 // placement records against what each node actually holds.
-func (n *Node) Files() []metadata.NodeEntry {
-	ids := n.meta.IDs()
-	out := make([]metadata.NodeEntry, 0, len(ids))
-	for _, id := range ids {
-		if e, ok := n.meta.Lookup(id); ok {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+func (n *Node) Files() []metadata.NodeEntry { return n.files.manifest().Files }
 
 // Close stops the daemon, flushes the write buffer, and waits for
 // connections to drain.
@@ -270,6 +254,16 @@ func (n *Node) Close() error {
 	}
 	n.lis.wait()
 	n.flushAll()
+	// The flush's services re-armed the idle timers, and nothing may drive
+	// a disk of a closed node.
+	for _, nd := range n.data {
+		nd.mu.Lock()
+		if nd.timer != nil {
+			nd.timer.Stop()
+			nd.timer = nil
+		}
+		nd.mu.Unlock()
+	}
 	n.persistMu.Lock()
 	n.checkpointLocked()
 	n.persistMu.Unlock()
@@ -279,96 +273,42 @@ func (n *Node) Close() error {
 	return err
 }
 
-func (n *Node) dispatch(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error) {
-	start := time.Now()
-	sp := n.cfg.Tracer.StartRemote(sc, "node", "node."+opName(t))
-	rt, rp, err := n.dispatchInner(t, payload, sp)
-	n.met.observe(t, time.Since(start), err)
-	sp.End(err)
-	return rt, rp, err
+// pooledRead is a read response whose Data came from the chunk pool: the
+// bytes are dead once encoded, so Encode hands them back.
+type pooledRead proto.NodeReadResp
+
+func (r pooledRead) Encode() []byte {
+	defer proto.PutChunk(r.Data)
+	return proto.NodeReadResp(r).Encode()
 }
 
-func (n *Node) dispatchInner(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error) {
+func (n *Node) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error) {
 	switch t {
 	case proto.TNodeCreateReq:
-		req, err := proto.DecodeNodeCreateReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := n.handleCreate(req); err != nil {
-			return 0, nil, err
-		}
-		return proto.TNodeCreateResp, nil, nil
-
+		return answer(payload, sp, proto.DecodeNodeCreateReq, proto.TNodeCreateResp, n.handleCreate)
 	case proto.TNodeWriteReq:
-		req, err := proto.DecodeNodeWriteReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		buffered, err := n.handleWrite(req, sp)
-		if err != nil {
-			return 0, nil, err
-		}
-		return proto.TNodeWriteResp, proto.NodeWriteResp{Buffered: buffered}.Encode(), nil
-
+		return answer(payload, sp, proto.DecodeNodeWriteReq, proto.TNodeWriteResp, n.handleWrite)
 	case proto.TNodeReadReq:
-		req, err := proto.DecodeNodeReadReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		data, fromBuffer, err := n.handleRead(req.FileID, 0, wholeFile, sp)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer proto.PutChunk(data)
-		return proto.TNodeReadResp,
-			proto.NodeReadResp{FromBuffer: fromBuffer, Data: data}.Encode(), nil
-
-	case proto.TNodeDeleteReq:
-		req, err := proto.DecodeNodeDeleteReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := n.handleDelete(req.FileID); err != nil {
-			return 0, nil, err
-		}
-		return proto.TNodeDeleteResp, nil, nil
-
-	case proto.TNodePrefetchReq:
-		req, err := proto.DecodeNodePrefetchReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		count := n.handlePrefetch(req.FileIDs, sp)
-		return proto.TNodePrefetchResp, proto.PrefetchResp{Prefetched: count}.Encode(), nil
-
+		return answer(payload, sp, proto.DecodeNodeReadReq, proto.TNodeReadResp,
+			func(req proto.NodeReadReq, sp *telemetry.Span) (pooledRead, error) {
+				return n.handleRead(req.FileID, 0, wholeFile, sp)
+			})
 	case proto.TNodeReadAtReq:
-		req, err := proto.DecodeNodeReadAtReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if req.Length < 0 {
-			return 0, nil, fmt.Errorf("fs: ranged read of file %d with length %d", req.FileID, req.Length)
-		}
-		data, fromBuffer, err := n.handleRead(req.FileID, req.Offset, req.Length, sp)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer proto.PutChunk(data)
-		return proto.TNodeReadAtResp,
-			proto.NodeReadResp{FromBuffer: fromBuffer, Data: data}.Encode(), nil
-
+		return answer(payload, sp, proto.DecodeNodeReadAtReq, proto.TNodeReadAtResp,
+			func(req proto.NodeReadAtReq, sp *telemetry.Span) (pooledRead, error) {
+				if req.Length < 0 {
+					return pooledRead{}, fmt.Errorf("fs: ranged read of file %d with length %d", req.FileID, req.Length)
+				}
+				return n.handleRead(req.FileID, req.Offset, req.Length, sp)
+			})
+	case proto.TNodeDeleteReq:
+		return answer(payload, sp, proto.DecodeNodeDeleteReq, proto.TNodeDeleteResp, n.handleDelete)
+	case proto.TNodePrefetchReq:
+		return answer(payload, sp, proto.DecodeNodePrefetchReq, proto.TNodePrefetchResp, n.handlePrefetch)
 	case proto.TNodeHintsReq:
-		req, err := proto.DecodeNodeHintsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		n.handleHints(req)
-		return proto.TNodeHintsResp, nil, nil
-
+		return answer(payload, sp, proto.DecodeNodeHintsReq, proto.TNodeHintsResp, n.handleHints)
 	case proto.TNodeStatsReq:
 		return proto.TNodeStatsResp, n.statsResp().Encode(), nil
-
 	default:
 		return 0, nil, fmt.Errorf("fs: node got unexpected message type %d", t)
 	}
@@ -431,85 +371,65 @@ func (n *Node) diskObserver(nd *nodeDisk, base disk.Observer) disk.Observer {
 	}
 }
 
-func (n *Node) handleCreate(req proto.NodeCreateReq) error {
+func (n *Node) handleCreate(req proto.NodeCreateReq, _ *telemetry.Span) (noBody, error) {
 	if req.Size <= 0 {
-		return fmt.Errorf("fs: create file %d with size %d", req.FileID, req.Size)
+		return noBody{}, fmt.Errorf("fs: create file %d with size %d", req.FileID, req.Size)
 	}
-	n.mu.Lock()
-	diskIdx := n.nextDisk % len(n.data)
-	n.nextDisk++
-	n.mu.Unlock()
 	// Creation order is popularity order (Section IV-A): the round-robin
 	// cursor load-balances popular files across the node's data disks.
-	if err := n.meta.Put(metadata.NodeEntry{
-		ID:   int(req.FileID),
-		Size: req.Size,
-		Disk: diskIdx,
-	}); err != nil {
-		return err
-	}
-	n.logState(int(req.FileID))
-	return nil
+	return noBody{}, n.transition(int(req.FileID), func(_ *fileRec, r *nodeRecord) (bool, error) {
+		r.Entry = metadata.NodeEntry{ID: r.Entry.ID, Size: req.Size, Disk: r.NextDisk % len(n.data)}
+		r.Present = true
+		r.NextDisk++
+		return true, nil
+	})
 }
 
-// handleWrite replaces a file's content from one RPC payload. buffered
-// reports whether the buffer disk's log area absorbed it.
-func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (bool, error) {
+// handleWrite replaces a file's content from one RPC payload; the
+// response reports whether the buffer disk's log area absorbed it.
+func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (proto.NodeWriteResp, error) {
 	w, err := n.sink(req.FileID, int64(len(req.Data)), spanAttrib(sp, req.FileID, planeRPC))
 	if err != nil {
-		return false, err
+		return proto.NodeWriteResp{}, err
 	}
 	if err := w.write(req.Data); err != nil {
 		w.abandon()
-		return false, err
+		return proto.NodeWriteResp{}, err
 	}
-	if err := w.commit(); err != nil {
-		return false, err
-	}
-	n.commitWrite(w.entry, w.size, w.buffered)
-	return w.buffered, nil
+	return proto.NodeWriteResp{Buffered: w.buffered}, n.commitWrite(w)
 }
 
-// commitWrite applies the metadata transitions of a write whose bytes
-// have landed — shared by the RPC and streaming write paths — and logs
-// the file's new state if anything persistent changed.
-func (n *Node) commitWrite(entry metadata.NodeEntry, size int64, buffered bool) {
-	n.mu.Lock()
-	changed := buffered
-	if buffered {
-		n.setDirtyLocked(entry.ID, size)
-		n.bufWrites++
-	} else {
-		changed = n.clearDirtyLocked(entry.ID) || entry.Prefetched
-	}
-	n.mu.Unlock()
-	if buffered {
+// commitWrite lands a client write whose bytes are staged — shared by the
+// RPC and streaming write paths. A buffered write leaves the file
+// unflushed (and is logged even when the record reads as before); a
+// direct one supersedes any buffer-disk copy, so the stale prefetched
+// replica or unflushed write goes, and reads cannot see old content.
+func (n *Node) commitWrite(w *extentWriter) error {
+	err := n.land(w, func(r *nodeRecord) bool {
+		was := *r
+		r.Entry.Size = w.size
+		if w.buffered {
+			r.Dirty, r.DirtySize = true, w.size
+			return true
+		}
+		if r.Dirty || r.Entry.Prefetched {
+			removeExtents(n.bufferExtent(r.Entry.ID, 0))
+		}
+		r.Dirty, r.DirtySize, r.Entry.Prefetched = false, 0, false
+		return *r != was
+	})
+	if err == nil && w.buffered {
 		n.bufWritesC.Inc()
-	} else if changed {
-		// A direct write supersedes any buffer-disk copy: drop the stale
-		// prefetched replica or unflushed write so reads cannot see old
-		// content.
-		entry.Prefetched = false
-		n.meta.SetPrefetched(entry.ID, false)
-		removeExtents(n.bufferExtent(entry.ID, 0))
 	}
-	if size != entry.Size {
-		entry.Size = size
-		_ = n.meta.Put(entry) // valid when looked up; only the size moved
-		changed = true
-	}
-	if changed {
-		n.logState(entry.ID)
-	}
+	return err
 }
 
-// handleRead serves a byte range (or wholeFile) as one RPC payload. The
-// bytes are dead once the response is encoded, so they come from the
-// chunk pool: the caller hands them to proto.PutChunk when done.
-func (n *Node) handleRead(fileID, off, length int64, sp *telemetry.Span) ([]byte, bool, error) {
+// handleRead serves a byte range (or wholeFile) as one RPC payload, built
+// in a chunk from the pool.
+func (n *Node) handleRead(fileID, off, length int64, sp *telemetry.Span) (pooledRead, error) {
 	r, err := n.source(fileID, off, length, spanAttrib(sp, fileID, planeRPC))
 	if err != nil {
-		return nil, false, err
+		return pooledRead{}, err
 	}
 	defer r.first.Close()
 	data := proto.GetChunk(int(r.length))[:0]
@@ -519,200 +439,114 @@ func (n *Node) handleRead(fileID, off, length int64, sp *telemetry.Span) ([]byte
 		data = append(data, b...)
 		return nil
 	})
-	return data, r.fromBuffer, err
-}
-
-func (n *Node) handleDelete(fileID int64) error {
-	entry, ok := n.meta.Lookup(int(fileID))
-	if !ok {
-		return fmt.Errorf("fs: delete of unknown file %d", fileID)
+	if err != nil {
+		proto.PutChunk(data)
+		return pooledRead{}, err
 	}
-	n.mu.Lock()
-	n.clearDirtyLocked(int(fileID))
-	n.mu.Unlock()
-	removeExtents(n.bufferExtent(entry.ID, 0))
-	removeExtents(n.dataExtents(entry))
-	n.meta.Delete(int(fileID))
-	n.logState(int(fileID))
-	return nil
+	return pooledRead{FromBuffer: r.fromBuffer, Data: data}, nil
 }
 
-// setDirtyLocked and clearDirtyLocked are the only writers of the dirty
-// map, so dirtyBytes always equals the sum of its values. Callers hold
-// n.mu. clearDirtyLocked reports whether the id was dirty.
-func (n *Node) setDirtyLocked(id int, size int64) {
-	n.dirtyBytes += size - n.dirty[id]
-	n.dirty[id] = size
-}
-
-func (n *Node) clearDirtyLocked(id int) bool {
-	size, ok := n.dirty[id]
-	if ok {
-		n.dirtyBytes -= size
-		delete(n.dirty, id)
+func (n *Node) handleDelete(req proto.NodeDeleteReq, _ *telemetry.Span) (noBody, error) {
+	var gone metadata.NodeEntry
+	err := n.transition(int(req.FileID), func(rec *fileRec, r *nodeRecord) (bool, error) {
+		if rec == nil {
+			return false, fmt.Errorf("fs: delete of unknown file %d", req.FileID)
+		}
+		gone = r.Entry
+		*r = nodeRecord{Entry: metadata.NodeEntry{ID: gone.ID}, NextDisk: r.NextDisk}
+		return true, nil
+	})
+	if err == nil {
+		removeExtents(n.bufferExtent(gone.ID, 0))
+		removeExtents(n.dataExtents(gone))
 	}
-	return ok
-}
-
-// bufferHasRoom reports whether size more bytes fit in the buffer disk's
-// configured capacity (prefetched copies plus unflushed writes count
-// against it). Both terms are running counters: every write and every
-// prefetched file asks.
-func (n *Node) bufferHasRoom(size int64) bool {
-	if n.cfg.BufferCapacityBytes <= 0 {
-		return true
-	}
-	n.mu.Lock()
-	used := n.dirtyBytes
-	n.mu.Unlock()
-	return used+n.meta.PrefetchedBytes()+size <= n.cfg.BufferCapacityBytes
+	return noBody{}, err
 }
 
 // handlePrefetch copies each locally-known file from its data disk into
 // the buffer disk (step 3 of the process flow). Unknown ids are skipped —
-// the server's view may be slightly ahead of a node restart; files that
-// would overflow the buffer's capacity are skipped too (the greedy
-// popularity-order selection of Section IV-B).
-func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
-	var count int64
-	var staged []int
-	for _, id := range ids {
-		entry, ok := n.meta.Lookup(int(id))
+// the server's view may be slightly ahead of a node restart; files the
+// table grants no room are skipped too (the greedy popularity-order
+// selection of Section IV-B).
+func (n *Node) handlePrefetch(req proto.NodePrefetchReq, sp *telemetry.Span) (proto.PrefetchResp, error) {
+	var resp proto.PrefetchResp
+	for _, id := range req.FileIDs {
+		rec, file, ok := n.files.get(int(id), 0)
 		if !ok {
 			continue
 		}
-		if entry.Prefetched {
-			count++
+		if file.Prefetched {
+			resp.Prefetched++
 			continue
 		}
-		if !n.bufferHasRoom(entry.Size) {
+		room := file.Size
+		if !n.files.reserve(rec, room) {
 			continue
 		}
 		// An unflushed buffered write means the data disks do not hold
 		// the newest (or any) content yet; settle it first.
-		n.mu.Lock()
-		_, isDirty := n.dirty[int(id)]
-		n.mu.Unlock()
-		if isDirty {
-			n.flushOne(int(id))
-			if entry, ok = n.meta.Lookup(int(id)); !ok {
-				continue
+		if file.unflushed > 0 {
+			n.flushOne(file.ID)
+			if again, flushed, _ := n.files.get(file.ID, 0); again == rec {
+				file = flushed
 			}
 		}
-		err := n.copyExtents(n.dataExtents(entry), n.bufferExtent(entry.ID, entry.Size),
-			entry.Size, spanAttrib(sp, id, planeRPC))
+		w, err := n.copyExtents(rec, file, n.dataExtents(file.NodeEntry), n.bufferExtent(file.ID, file.Size),
+			room, spanAttrib(sp, id, planeRPC))
+		if err == nil {
+			err = n.land(w, func(r *nodeRecord) bool {
+				r.Entry.Prefetched = true
+				return true
+			})
+		}
 		if err != nil {
 			n.logger.Printf("prefetch of file %d failed: %v", id, err)
 			continue
 		}
-		n.meta.SetPrefetched(int(id), true)
-		staged = append(staged, int(id))
-		count++
+		resp.Prefetched++
 	}
-	if len(staged) > 0 {
-		n.logState(staged...)
-	}
-	return count
+	return resp, nil
 }
 
 // handleHints installs the server-forwarded access patterns
 // (Section IV-C). Intervals arrive in real (wall-clock) seconds — the
 // server observes real time — and are converted to this node's model
-// time. A non-positive interval clears a file's hint.
-func (n *Node) handleHints(req proto.NodeHintsReq) {
-	scale := n.clock.Scale()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, h := range req.Hints {
-		if h.MeanIntervalSec > 0 {
-			n.hints[int(h.FileID)] = h.MeanIntervalSec * scale
-		} else {
-			delete(n.hints, int(h.FileID))
-		}
-	}
+// time.
+func (n *Node) handleHints(req proto.NodeHintsReq, _ *telemetry.Span) (noBody, error) {
+	n.files.setHints(req.Hints, n.clock.Scale())
+	return noBody{}, nil
 }
 
-// noteAccess timestamps a file's most recent request (model time), the
-// anchor the idle-window predictor extrapolates from.
-func (n *Node) noteAccess(fileID int) {
-	now := float64(n.clock.Now())
-	n.mu.Lock()
-	n.lastAccess[fileID] = now
-	n.mu.Unlock()
-}
-
-// predictedGap estimates how long the given data disk will stay idle:
-// the time until the earliest hinted next access of any file that still
-// needs this disk (prefetched and dirty files are served by the buffer
-// disk, so they do not pin data disks awake). It returns ok=false when no
-// hints apply — the caller falls back to the reactive threshold.
-func (n *Node) predictedGap(diskIdx int) (float64, bool) {
-	now := float64(n.clock.Now())
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	next, have := 0.0, false
-	for _, id := range n.meta.FilesOnDisk(diskIdx) {
-		interval, hinted := n.hints[id]
-		if !hinted {
-			continue
-		}
-		if e, ok := n.meta.Lookup(id); ok && e.Prefetched {
-			continue
-		}
-		if _, dirtyHere := n.dirty[id]; dirtyHere {
-			continue
-		}
-		last, seen := n.lastAccess[id]
-		if !seen {
-			last = now
-		}
-		t := last + interval
-		if t < now {
-			t = now
-		}
-		if !have || t < next {
-			next, have = t, true
-		}
-	}
-	if !have {
-		return 0, false
-	}
-	return next - now, true
-}
-
-// flushAll copies every dirty buffered write to its data disk (runs on
-// shutdown).
+// flushAll copies every unflushed buffered write to its data disk (runs
+// on shutdown).
 func (n *Node) flushAll() {
-	n.mu.Lock()
-	ids := make([]int, 0, len(n.dirty))
-	for id := range n.dirty {
-		ids = append(ids, id)
-	}
-	n.mu.Unlock()
-	for _, id := range ids {
-		n.flushOne(id)
+	for _, d := range n.files.manifest().Dirty {
+		n.flushOne(d.ID)
 	}
 }
 
 func (n *Node) flushOne(id int) {
-	entry, ok := n.meta.Lookup(id)
-	if !ok {
+	rec, file, ok := n.files.get(id, 0)
+	if !ok || file.unflushed == 0 {
 		return
 	}
-	buf := n.bufferExtent(id, entry.Size)
-	if err := n.copyExtents(buf, n.dataExtents(entry), entry.Size, reqAttrib{}); err != nil {
+	buf := n.bufferExtent(id, file.Size)
+	w, err := n.copyExtents(rec, file, buf, n.dataExtents(file.NodeEntry), 0, reqAttrib{})
+	if err == nil {
+		err = n.land(w, func(r *nodeRecord) bool {
+			r.Dirty, r.DirtySize = false, 0
+			// Drop the buffer copy unless it doubles as a prefetched replica.
+			if !r.Entry.Prefetched {
+				removeExtents(buf)
+			}
+			return true
+		})
+	}
+	if err != nil {
 		n.logger.Printf("flush of file %d failed: %v", id, err)
 		return
 	}
-	n.mu.Lock()
-	n.clearDirtyLocked(id)
-	n.mu.Unlock()
 	n.flushesC.Inc()
-	// Drop the buffer copy unless it doubles as a prefetched replica.
-	if !entry.Prefetched {
-		removeExtents(buf)
-	}
-	n.logState(id)
 }
 
 // diskNow returns the current model time for one disk, floored at the
@@ -753,7 +587,7 @@ func (n *Node) elapse(start simtime.Time, dur float64) simtime.Time {
 	return max(n.clock.Now(), start+simtime.Time(dur))
 }
 
-// serviceLocked charges one service on the disk and rearms DPM.
+// serviceLocked charges one service on the disk.
 func (n *Node) serviceLocked(nd *nodeDisk, size int64, sequential bool) {
 	m := nd.d.Model()
 	dur := m.ServiceTime(size)
@@ -763,29 +597,42 @@ func (n *Node) serviceLocked(nd *nodeDisk, size int64, sequential bool) {
 	start := n.diskNow(nd)
 	nd.d.BeginService(start)
 	nd.d.EndService(n.elapse(start, dur), size)
-	n.armTimerLocked(nd)
 }
 
-// armTimerLocked schedules the spin-down decision for a data disk. With
-// server-forwarded hints predicting an idle window at least as long as
-// the threshold, the disk sleeps immediately (Section IV-C); otherwise
-// the reactive threshold timer applies.
-func (n *Node) armTimerLocked(nd *nodeDisk) {
-	if nd.isBuffer || n.cfg.IdleThresholdSec <= 0 {
-		return // the buffer disk must stay available (Section III-C)
+// managed reports whether nd is under dynamic power management: the data
+// disks, when a threshold is set. The buffer disk must stay available
+// (Section III-C).
+func (n *Node) managed(nd *nodeDisk) bool { return !nd.isBuffer && n.cfg.IdleThresholdSec > 0 }
+
+// nextWanted asks the file table when a managed disk is next expected to
+// be asked for. It takes the table's lock, so callers do not hold nd.mu.
+func (n *Node) nextWanted(nd *nodeDisk) (at float64, hinted bool) {
+	if !n.managed(nd) {
+		return 0, false
+	}
+	return n.files.nextWanted(nd.index, float64(n.clock.Now()))
+}
+
+// armTimerLocked schedules the spin-down decision for a data disk after a
+// service. With server-forwarded hints predicting an idle window at least
+// as long as the threshold, the disk sleeps immediately (Section IV-C);
+// otherwise the reactive threshold timer applies.
+func (n *Node) armTimerLocked(nd *nodeDisk, wantedAt float64, hinted bool) {
+	if !n.managed(nd) {
+		return
 	}
 	if nd.timer != nil {
 		nd.timer.Stop()
 	}
 	delay := n.cfg.IdleThresholdSec
-	if gap, ok := n.predictedGap(nd.index); ok && gap >= n.cfg.IdleThresholdSec {
+	if hinted && wantedAt-float64(n.clock.Now()) >= delay {
 		delay = 0.001 // effectively immediate, off the request path
 	}
 	nd.timer = time.AfterFunc(n.clock.RealDuration(delay), func() {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		if nd.d.State() != disk.Idle {
-			return
+		if nd.timer == nil || nd.d.State() != disk.Idle {
+			return // the node closed, or the disk is busy again
 		}
 		now := n.diskNow(nd)
 		nd.d.BeginSpinDown(now)
@@ -815,23 +662,13 @@ func (n *Node) statsResp() proto.StatsResp {
 	for _, nd := range n.data {
 		snapshot(nd)
 	}
-	if reg := n.cfg.Metrics; reg != nil {
-		// The registry already mirrors the buffer counters (and carries
-		// the per-op and disk-transition telemetry on top), so export it
-		// wholesale.
-		for _, name := range reg.CounterNames() {
-			resp.Counters = append(resp.Counters, proto.CounterStat{
-				Name:  name,
-				Value: reg.Counter(name).Value(),
-			})
-		}
-	} else {
-		hits, misses, bufWrites := n.Counters()
-		resp.Counters = []proto.CounterStat{
-			{Name: "node.buffer.hits", Value: hits},
-			{Name: "node.buffer.misses", Value: misses},
-			{Name: "node.buffer.writes", Value: bufWrites},
-		}
+	// With cfg.Metrics set this exports the whole registry: the per-op and
+	// disk-transition telemetry on top of the buffer counters.
+	for _, name := range n.counters.CounterNames() {
+		resp.Counters = append(resp.Counters, proto.CounterStat{
+			Name:  name,
+			Value: n.counters.Counter(name).Value(),
+		})
 	}
 	return resp
 }
@@ -839,7 +676,5 @@ func (n *Node) statsResp() proto.StatsResp {
 // Counters returns the node's hit/miss/buffered-write counters (primarily
 // for tests and the stats CLI).
 func (n *Node) Counters() (hits, misses, bufferedWrites int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.hits.Load(), n.misses.Load(), n.bufWrites
+	return n.hitsC.Value(), n.missesC.Value(), n.bufWritesC.Value()
 }

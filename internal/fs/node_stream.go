@@ -7,30 +7,18 @@ package fs
 
 import (
 	"fmt"
-	"time"
 
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
 )
 
-// dispatchStream serves one opened stream end to end. Every exit path
-// sends a terminal frame: End on success (inside the handlers), Abort
-// carrying the typed error otherwise — the client side relies on that
-// terminal frame to retire early-closed stream ids.
-func (n *Node) dispatchStream(t proto.Type, req proto.StreamOpenReq, sc telemetry.SpanContext, st *proto.Stream) {
-	start := time.Now()
-	sp := n.cfg.Tracer.StartRemote(sc, "node", "node."+opName(t))
-	var err error
+// dispatchStream serves one opened stream end to end: the handlers send
+// End on success, serveFrames the Abort carrying a returned error.
+func (n *Node) dispatchStream(t proto.Type, req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error {
 	if t == proto.TStreamReadReq {
-		err = n.handleStreamRead(req, sp, st)
-	} else {
-		err = n.handleStreamWrite(req, sp, st)
+		return n.handleStreamRead(req, sp, st)
 	}
-	if err != nil {
-		st.Abort(errorPayload(err))
-	}
-	n.met.observe(t, time.Since(start), err)
-	sp.End(err)
+	return n.handleStreamWrite(req, sp, st)
 }
 
 // handleStreamRead streams one file to the peer: open response first,
@@ -87,10 +75,9 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 		w.abandon()
 		return err
 	}
-	if err := w.commit(); err != nil {
+	if err := n.commitWrite(w); err != nil {
 		return err
 	}
-	n.commitWrite(w.entry, w.size, w.buffered)
 	sp.Annotate("stream.bytes", fmt.Sprint(req.Size))
 	return st.End(w.buffered)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"eevfs/internal/metadata"
 	"eevfs/internal/proto"
@@ -83,6 +82,9 @@ func decodeNodeRecord(b []byte) (nodeRecord, error) {
 		return nodeRecord{}, fmt.Errorf("fs: node record has %d trailing bytes", d.Remaining())
 	case r.Entry.ID < 0 || r.NextDisk < 0 || r.DirtySize < 0:
 		return nodeRecord{}, errors.New("fs: node record with a negative id, cursor or dirty size")
+	case r.Dirty != (r.DirtySize > 0):
+		return nodeRecord{}, fmt.Errorf("fs: node record for file %d has dirty=%v with %d unflushed bytes",
+			r.Entry.ID, r.Dirty, r.DirtySize)
 	case r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0):
 		return nodeRecord{}, fmt.Errorf("fs: node record for file %d has size %d on disk %d",
 			r.Entry.ID, r.Entry.Size, r.Entry.Disk)
@@ -92,11 +94,11 @@ func decodeNodeRecord(b []byte) (nodeRecord, error) {
 	return r, nil
 }
 
-// openManifest restores the node's metadata from a previous run and
+// openManifest restores the node's file table from a previous run and
 // opens the log for this one; nothing on disk means a fresh node.
 func (n *Node) openManifest() error {
 	l, err := wal.Open(n.manifestPath(), filepath.Join(n.cfg.RootDir, "manifest.wal"),
-		n.loadManifest, n.replayRecord)
+		n.files.load, n.files.replay)
 	if err != nil {
 		return fmt.Errorf("fs: restoring node metadata: %w", err)
 	}
@@ -105,7 +107,7 @@ func (n *Node) openManifest() error {
 }
 
 // decodeNodeManifest parses and version-checks a node manifest. Split
-// from loadManifest so the decode path is directly fuzzable.
+// from fileTable.load so the decode path is directly fuzzable.
 func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	var m nodeManifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -117,105 +119,42 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	return m, nil
 }
 
-// loadManifest installs a checkpoint.
-func (n *Node) loadManifest(raw []byte) error {
-	m, err := decodeNodeManifest(raw)
-	if err != nil {
-		return err
-	}
-	for _, e := range m.Files {
-		if err := n.putRestored(e); err != nil {
-			return err
-		}
-	}
-	n.mu.Lock()
-	n.nextDisk = m.NextDisk
-	for _, d := range m.Dirty {
-		n.setDirtyLocked(d.ID, d.Size)
-	}
-	n.mu.Unlock()
-	return nil
-}
-
-func (n *Node) putRestored(e metadata.NodeEntry) error {
-	if e.Disk >= n.cfg.DataDisks {
-		return fmt.Errorf("fs: persisted file %d on disk %d, node has %d", e.ID, e.Disk, n.cfg.DataDisks)
-	}
-	return n.meta.Put(e)
-}
-
-// replayRecord applies one log record on top of the checkpoint.
-func (n *Node) replayRecord(raw []byte) error {
-	r, err := decodeNodeRecord(raw)
-	if err != nil {
-		return err
-	}
-	if r.Present {
-		if err := n.putRestored(r.Entry); err != nil {
-			return err
-		}
-	} else {
-		n.meta.Delete(r.Entry.ID)
-	}
-	n.mu.Lock()
-	if r.Dirty {
-		n.setDirtyLocked(r.Entry.ID, r.DirtySize)
-	} else {
-		n.clearDirtyLocked(r.Entry.ID)
-	}
-	n.nextDisk = r.NextDisk
-	n.mu.Unlock()
-	return nil
-}
-
-// logState appends the current state of the touched ids as one log
-// write. Callers have already applied their mutation and must not hold
-// n.mu. The state is read under persistMu, so log order is the order of
-// those reads and an id's newest record is never older than an earlier
-// one. A failed append is logged, not fatal — as a failed manifest save
-// always was.
-func (n *Node) logState(ids ...int) {
+// transition is the one way a running node changes what it persists about
+// a file. step sees the file's record (nil: the node holds no such file)
+// and edits r, which arrives as the file's current persisted state; unless
+// step reports that nothing moved, r is applied to the table and those
+// same bytes are appended to the log, all inside persistMu — so nothing
+// persisted moves under step, which may therefore rename staged extents
+// into place, and an id's records reach the log in the order they were
+// applied. A failed append is logged, not fatal — as a failed manifest
+// save always was.
+func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) (moved bool, err error)) error {
 	n.persistMu.Lock()
 	defer n.persistMu.Unlock()
-	recs := make([][]byte, len(ids))
-	for i, id := range ids {
-		r := nodeRecord{Entry: metadata.NodeEntry{ID: id}}
-		if e, ok := n.meta.Lookup(id); ok {
-			r.Entry, r.Present = e, true
-		}
-		n.mu.Lock()
-		if size, ok := n.dirty[id]; ok && r.Present {
-			r.Dirty, r.DirtySize = true, size
-		}
-		r.NextDisk = n.nextDisk
-		n.mu.Unlock()
-		recs[i] = r.encode()
+	rec, r := n.files.record(id)
+	if moved, err := step(rec, &r); err != nil || !moved {
+		return err
+	}
+	if err := n.files.apply(r); err != nil {
+		return err
 	}
 	before := n.wal.Size()
-	if err := n.wal.Append(recs...); err != nil {
+	if err := n.wal.Append(r.encode()); err != nil {
 		n.logger.Printf("manifest log append failed: %v", err)
-		return
+		return nil
 	}
 	n.logBytesC.Add(n.wal.Size() - before)
 	if n.wal.NeedsCheckpoint() {
 		n.checkpointLocked()
 	}
+	return nil
 }
 
 // checkpointLocked writes the whole table as manifest.json and empties
-// the log. Callers hold persistMu, which keeps records out of the log
-// while the table is walked: a mutation racing the walk may or may not
-// be in the manifest, but its record lands in the fresh log either way.
+// the log. Callers hold persistMu, which keeps transitions out while the
+// table is walked.
 func (n *Node) checkpointLocked() {
-	n.mu.Lock()
-	m := nodeManifest{Version: manifestVersion, NextDisk: n.nextDisk}
-	for id, size := range n.dirty {
-		m.Dirty = append(m.Dirty, dirtyEntry{ID: id, Size: size})
-	}
-	n.mu.Unlock()
-	m.Files = n.Files() // id order
-	sort.Slice(m.Dirty, func(i, j int) bool { return m.Dirty[i].ID < m.Dirty[j].ID })
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.MarshalIndent(n.files.manifest(), "", "  ")
 	if err == nil {
 		err = n.wal.Checkpoint(data)
 	}

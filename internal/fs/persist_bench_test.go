@@ -25,7 +25,7 @@ func scaleNode(tb testing.TB, files int) *Node {
 	}
 	tb.Cleanup(func() { n.Close() })
 	for id := 0; id < files; id++ {
-		if err := n.meta.Put(metadata.NodeEntry{ID: id, Size: 4096, Disk: id % 2}); err != nil {
+		if err := n.files.apply(nodeRecord{Entry: metadata.NodeEntry{ID: id, Size: 4096, Disk: id % 2}, Present: true}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func serverCreates(tb testing.TB, ep *proto.Endpoint, from, to int) time.Duratio
 func nodeWrites(tb testing.TB, n *Node, data []byte, from, to int) time.Duration {
 	start := time.Now()
 	for i := from; i < to; i++ {
-		buffered, err := n.handleWrite(proto.NodeWriteReq{FileID: int64(i % 256), Data: data}, nil)
+		buffered, err := n.write(int64(i%256), data)
 		if err != nil || !buffered {
 			tb.Fatalf("write %d: buffered=%v err=%v", i, buffered, err)
 		}

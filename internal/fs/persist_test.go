@@ -255,14 +255,12 @@ type nodeState struct {
 	NextDisk int
 }
 
-func (n *Node) persistedState() nodeState {
-	st := nodeState{Files: n.Files(), Dirty: map[int]int64{}}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for id, size := range n.dirty {
-		st.Dirty[id] = size
+func (t *fileTable) persistedState() nodeState {
+	m := t.manifest()
+	st := nodeState{Files: m.Files, Dirty: map[int]int64{}, NextDisk: m.NextDisk}
+	for _, d := range m.Dirty {
+		st.Dirty[d.ID] = d.Size
 	}
-	st.NextDisk = n.nextDisk
 	return st
 }
 
@@ -275,26 +273,42 @@ func recoverNode(t *testing.T, c crashCase) (st nodeState, ok bool) {
 	if err != nil {
 		return nodeState{}, false
 	}
-	st = n.persistedState()
+	st = n.files.persistedState()
 	// Close would flush the dirty set and checkpoint; the state was
 	// captured first, and the directory is thrown away.
 	n.Close()
 	return st, true
 }
 
-func TestNodeCrashPrefixOracle(t *testing.T) {
-	root := t.TempDir()
-	n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
+// nodeHistory is what nodeCrashHistory's script left behind.
+type nodeHistory struct {
+	root       string // the node's RootDir, extents and all, as a kill -9 leaves it
+	checkpoint []byte // the mid-run manifest.json
+	log        []byte // manifest.wal: everything since
+	newer      []byte // the checkpoint a full log would have triggered after the last ack
+	ends       []int  // the log's length after every ack since the checkpoint
+	states     []nodeState
+}
+
+// nodeCrashHistory drives a scripted mutation sequence through a node's
+// handlers and returns what a kill -9 after the last ack leaves on disk.
+// plant runs it with the live table's apply dropping the dirty bit.
+func nodeCrashHistory(t *testing.T, plant bool) nodeHistory {
+	t.Helper()
+	live := t.TempDir()
+	n, err := StartNode(persistNodeConfig(live, "127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
+	n.files.plantDropDirty = plant
+	h := nodeHistory{root: t.TempDir()}
 	create := func(id, size int64) func() error {
-		return func() error { return n.handleCreate(proto.NodeCreateReq{FileID: id, Size: size}) }
+		return func() error { return n.create(id, size) }
 	}
 	write := func(id int64, data string) func() error {
 		return func() error {
-			_, err := n.handleWrite(proto.NodeWriteReq{FileID: id, Data: []byte(data)}, nil)
+			_, err := n.write(id, []byte(data))
 			return err
 		}
 	}
@@ -307,62 +321,77 @@ func TestNodeCrashPrefixOracle(t *testing.T) {
 		write(2, "two-but-longer"), // buffered: dirty + size change
 		func() error { n.flushOne(1); return nil },
 		func() error {
-			if got := n.handlePrefetch([]int64{1}, nil); got != 1 {
+			if got := n.prefetch(1); got != 1 && !plant {
 				return fmt.Errorf("prefetched %d of 1", got)
 			}
 			return nil
 		},
-		func() error { return n.handleDelete(0) },
+		func() error { return n.remove(0) },
 		write(2, "2"),
 		create(3, 9),
 	}
-	var ends []int
-	var states []nodeState
 	for _, op := range script {
 		if op == nil {
 			n.checkpoint()
-			ends, states = []int{0}, []nodeState{n.persistedState()}
+			h.ends, h.states = []int{0}, []nodeState{n.files.persistedState()}
 			continue
 		}
 		if err := op(); err != nil {
 			t.Fatal(err)
 		}
-		if states != nil {
-			ends = append(ends, int(n.wal.Size()))
-			states = append(states, n.persistedState())
+		if h.states != nil {
+			h.ends = append(h.ends, int(n.wal.Size()))
+			h.states = append(h.states, n.files.persistedState())
 		}
 	}
-	checkpoint := mustRead(t, filepath.Join(root, "manifest.json"))
-	oplog := mustRead(t, filepath.Join(root, "manifest.wal"))
-	if checkpoint == nil || ends[len(ends)-1] != len(oplog) {
-		t.Fatalf("history: checkpoint %d bytes, log %d bytes, ends %v", len(checkpoint), len(oplog), ends)
+	if err := os.CopyFS(h.root, os.DirFS(live)); err != nil {
+		t.Fatal(err)
+	}
+	h.checkpoint = mustRead(t, filepath.Join(h.root, "manifest.json"))
+	h.log = mustRead(t, filepath.Join(h.root, "manifest.wal"))
+	n.checkpoint()
+	h.newer = mustRead(t, filepath.Join(live, "manifest.json"))
+	return h
+}
+
+func TestNodeCrashPrefixOracle(t *testing.T) {
+	h := nodeCrashHistory(t, false)
+	if h.checkpoint == nil || len(h.ends) != 8 || h.ends[7] != len(h.log) {
+		t.Fatalf("history: checkpoint %d bytes, log %d bytes, ends %v", len(h.checkpoint), len(h.log), h.ends)
 	}
 
-	cases := crashCases(checkpoint, oplog, ends)
+	cases := crashCases(h.checkpoint, h.log, h.ends)
 	if testing.Short() {
 		cases = cases[:len(cases)/8]
 	}
-	if bad := violations(t, cases, states, recoverNode); bad != 0 {
+	if bad := violations(t, cases, h.states, recoverNode); bad != 0 {
 		t.Fatalf("%d of %d crash recoveries were not the longest acked prefix", bad, len(cases))
 	}
 
 	// Crash between checkpoint rename and log truncate: post-state
 	// records replayed over a checkpoint that already holds them.
-	n.checkpoint()
-	newer := mustRead(t, filepath.Join(root, "manifest.json"))
-	last := states[len(states)-1]
-	if got, ok := recoverNode(t, crashCase{checkpoint: newer, log: oplog}); !ok || !reflect.DeepEqual(got, last) {
+	last := h.states[len(h.states)-1]
+	if got, ok := recoverNode(t, crashCase{checkpoint: h.newer, log: h.log}); !ok || !reflect.DeepEqual(got, last) {
 		t.Fatalf("stale log over a newer checkpoint: started=%v, recovered %+v, want %+v", ok, got, last)
 	}
 
 	// Planted bug: one bit of the last record's size field, checksums
 	// laundered. The record still decodes; the state is one no prefix of
 	// the history produces.
-	damaged := bytes.Clone(oplog)
-	damaged[ends[len(ends)-2]+8+8+1+7] ^= 0x40 // frame header, id, present flag, then the size's low byte
-	planted := []crashCase{{"laundered size flip", checkpoint, launderCRC(damaged), len(states) - 2}}
-	if violations(t, planted, states, recoverNode) == 0 {
+	damaged := bytes.Clone(h.log)
+	damaged[h.ends[len(h.ends)-2]+8+8+1+7] ^= 0x40 // frame header, id, present flag, then the size's low byte
+	planted := []crashCase{{"laundered size flip", h.checkpoint, launderCRC(damaged), len(h.states) - 2}}
+	if violations(t, planted, h.states, recoverNode) == 0 {
 		t.Fatal("oracle passed a recovery of a corrupt record whose CRC check was defeated")
+	}
+
+	// Planted bug: the live table's apply drops the dirty bit. The log
+	// still says what the handlers decided, so what the node served from
+	// and what a restart recovers part ways — which only shows if live
+	// mutations install their state through that same apply.
+	p := nodeCrashHistory(t, true)
+	if violations(t, crashCases(p.checkpoint, p.log, p.ends)[:len(p.log)+1], p.states, recoverNode) == 0 {
+		t.Fatal("oracle passed a live table whose apply ignores the dirty bit")
 	}
 }
 
@@ -690,5 +719,32 @@ func TestParentStateFileCompat(t *testing.T) {
 	srv.Close()
 	if !bytes.Equal(mustRead(t, state), mustRead(t, "testdata/parent.state.reopened")) || len(mustRead(t, state+".wal")) != 0 {
 		t.Fatal("re-checkpointing the parent's state did not write the parent's bytes")
+	}
+}
+
+// TestParentNodeManifestCompat is TestParentStateFileCompat for the node:
+// testdata holds the manifest.json + manifest.wal pair the parent commit
+// left after nodeCrashHistory's script and a kill -9, and the manifest it
+// wrote when it was restarted on them and closed. The same script must
+// write the same two files, and a restart on them must arrive at the same
+// state and — flushing what the kill left unflushed — the same third.
+func TestParentNodeManifestCompat(t *testing.T) {
+	checkpoint, oplog := mustRead(t, "testdata/parent.manifest.json"), mustRead(t, "testdata/parent.manifest.wal")
+	h := nodeCrashHistory(t, false)
+	if !bytes.Equal(h.checkpoint, checkpoint) || !bytes.Equal(h.log, oplog) {
+		t.Fatalf("the script wrote a %d-byte checkpoint and a %d-byte log that differ from the parent's (%d, %d)",
+			len(h.checkpoint), len(h.log), len(checkpoint), len(oplog))
+	}
+	n, err := StartNode(persistNodeConfig(h.root, "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.files.persistedState(), h.states[len(h.states)-1]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
+	}
+	n.Close()
+	if !bytes.Equal(mustRead(t, n.manifestPath()), mustRead(t, "testdata/parent.manifest.reopened.json")) ||
+		len(mustRead(t, filepath.Join(h.root, "manifest.wal"))) != 0 {
+		t.Fatal("closing a node restarted on the parent's manifest did not write the parent's bytes")
 	}
 }

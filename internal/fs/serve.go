@@ -132,20 +132,19 @@ func (l *listener) shut() (first bool, err error) {
 
 func (l *listener) wait() { l.wg.Wait() }
 
-// handlerFunc handles one decoded request and returns the response
-// frame. sc is the trace context extracted from the frame (zero when
-// untraced). A returned error becomes a TError frame; the connection
-// stays up either way (malformed payloads answer with an error rather
-// than a hangup).
-type handlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error)
+// handlerFunc handles one request under its span and returns the response
+// frame. A returned error becomes a TError frame; the connection stays up
+// either way (malformed payloads answer with an error rather than a
+// hangup).
+type handlerFunc func(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error)
 
 // streamHandlerFunc serves one open stream (DESIGN.md §19): t is the
 // opening frame type (TStreamReadReq or TStreamWriteReq), req its body,
 // and st this side's end of the stream. The handler owns the stream until
-// it returns; every exit path must have sent a terminal frame (End or
-// Abort) unless the connection itself is dead — the dialing side retires
-// the stream id on that frame.
-type streamHandlerFunc func(t proto.Type, req proto.StreamOpenReq, sc telemetry.SpanContext, st *proto.Stream)
+// it returns, having sent End on success; a returned error is sent as the
+// Abort carrying it — the dialing side relies on that terminal frame to
+// retire the stream id.
+type streamHandlerFunc func(t proto.Type, req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error
 
 // errStreamConnDead reports that the connection under a stream died while
 // its handler was mid-transfer.
@@ -188,10 +187,10 @@ func (c *connWriter) Kill(error) { c.conn.Close() }
 // later frames of an open stream are delivered to it by id.
 //
 // writeTimeout bounds each response write so a stalled peer cannot pin
-// a handler goroutine. shandle may be nil: stream opens then answer with
-// a typed TError and the connection stays healthy (the metadata server
-// does not serve file bytes).
-func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, shandle streamHandlerFunc) {
+// a handler goroutine. Every handler runs between ops.begin and ops.end.
+// shandle may be nil: stream opens then answer with a typed TError and the
+// connection stays healthy (the metadata server does not serve file bytes).
+func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handle handlerFunc, shandle streamHandlerFunc) {
 	var preface [4]byte
 	if _, err := io.ReadFull(conn, preface[:]); err != nil || binary.BigEndian.Uint32(preface[:]) != proto.MagicV2 {
 		return
@@ -276,7 +275,12 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				shandle(t, req, sc, st)
+				sp, start := ops.begin(t, sc)
+				err := shandle(t, req, sp, st)
+				if err != nil {
+					st.Abort(errorPayload(err))
+				}
+				ops.end(t, sp, start, err)
 				smu.Lock()
 				delete(streams, id)
 				smu.Unlock()
@@ -296,7 +300,9 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, 
 				var rt proto.Type
 				var rp []byte
 				if herr == nil {
-					rt, rp, herr = handle(t, payload, sc)
+					sp, start := ops.begin(t, sc)
+					rt, rp, herr = handle(t, payload, sp)
+					ops.end(t, sp, start, herr)
 				}
 				if herr != nil {
 					rt, rp = proto.TError, errorPayload(herr)

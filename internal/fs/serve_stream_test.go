@@ -22,8 +22,8 @@ func servePipe(t *testing.T, shandle streamHandlerFunc) (client, server net.Conn
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		serveFrames(server, time.Second,
-			func(proto.Type, []byte, telemetry.SpanContext) (proto.Type, []byte, error) {
+		serveFrames(server, time.Second, opMetrics{},
+			func(proto.Type, []byte, *telemetry.Span) (proto.Type, []byte, error) {
 				return proto.TListResp, proto.ListResp{}.Encode(), nil
 			}, shandle)
 	}()
@@ -41,11 +41,12 @@ func servePipe(t *testing.T, shandle streamHandlerFunc) (client, server net.Conn
 func TestServeFramesCutsOffFloodAtWindow(t *testing.T) {
 	baseline := proto.ChunksInUse()
 	release := make(chan struct{})
-	client, _, served := servePipe(t, func(_ proto.Type, req proto.StreamOpenReq, _ telemetry.SpanContext, st *proto.Stream) {
+	client, _, served := servePipe(t, func(_ proto.Type, req proto.StreamOpenReq, _ *telemetry.Span, st *proto.Stream) error {
 		if err := st.Accept(proto.StreamOpenResp{Size: req.Size, ChunkSize: 1 << 10}); err != nil {
 			t.Error(err)
 		}
 		<-release // holds the stream open, consuming nothing
+		return nil
 	})
 	open := proto.StreamOpenReq{FileID: 1, Size: 1 << 30, ChunkSize: 1 << 10}
 	if err := proto.WriteFrameID(client, proto.TStreamWriteReq, 7, open.Encode()); err != nil {
@@ -103,7 +104,7 @@ func FuzzServeStreamFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		baseline := proto.ChunksInUse()
 		var crossed atomic.Bool
-		client, server, served := servePipe(t, func(ty proto.Type, req proto.StreamOpenReq, _ telemetry.SpanContext, st *proto.Stream) {
+		client, server, served := servePipe(t, func(ty proto.Type, req proto.StreamOpenReq, _ *telemetry.Span, st *proto.Stream) error {
 			err := st.Accept(proto.StreamOpenResp{Size: req.Size, ChunkSize: chunk})
 			if ty == proto.TStreamReadReq {
 				for i := int64(0); err == nil && i < req.Size; i += chunk {
@@ -123,10 +124,12 @@ func FuzzServeStreamFrames(f *testing.F) {
 				}
 			}
 			if err != nil {
-				st.Abort(errorPayload(err))
-			} else if err := st.End(false); err != nil {
+				return err // serveFrames sends the abort
+			}
+			if err := st.End(false); err != nil {
 				t.Log(err) // the peer may be gone
 			}
+			return nil
 		})
 		go io.Copy(io.Discard, client) // responses, credits; ends with the pipe
 

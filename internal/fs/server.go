@@ -131,7 +131,6 @@ type Server struct {
 	policy *reprefetcher // nil = static
 	peers  []link        // the other group members' endpoints (closed by Close)
 
-	met       opMetrics
 	accessCtr *telemetry.Counter
 
 	wg   sync.WaitGroup // the heartbeat, the policy loop, mirror deletes
@@ -167,15 +166,11 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:    cfg,
-		clock:  NewClock(1),
-		ns:     newNamespace(len(cfg.NodeAddrs)),
-		nodes:  newNodeSet(cfg),
-		policy: policy,
-		met: newOpMetrics(cfg.Metrics, "server", []proto.Type{
-			proto.TCreateReq, proto.TLookupReq, proto.TListReq, proto.TDeleteReq,
-			proto.TPrefetchReq, proto.TStatsReq,
-		}),
+		cfg:       cfg,
+		clock:     NewClock(1),
+		ns:        newNamespace(len(cfg.NodeAddrs)),
+		nodes:     newNodeSet(cfg),
+		policy:    policy,
 		accessCtr: cfg.Metrics.Counter("server.accesses"),
 		stop:      make(chan struct{}),
 	}
@@ -213,8 +208,12 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	// The metadata server has no data plane: nil stream handler, so
 	// stream opens are rejected with a typed error.
+	ops := newOpMetrics(cfg.Metrics, cfg.Tracer, "server", []proto.Type{
+		proto.TCreateReq, proto.TLookupReq, proto.TListReq, proto.TDeleteReq,
+		proto.TPrefetchReq, proto.TStatsReq,
+	})
 	s.lis.listen(ln, s.cfg.Logger.Printf, func(conn net.Conn) {
-		serveFrames(conn, s.cfg.WriteTimeout, s.dispatch, nil)
+		serveFrames(conn, s.cfg.WriteTimeout, ops, s.dispatch, nil)
 	})
 	if s.policy != nil {
 		s.policy.s = s
@@ -294,16 +293,7 @@ func (s *Server) Healthy() []bool {
 	return out
 }
 
-func (s *Server) dispatch(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error) {
-	start := time.Now()
-	sp := s.cfg.Tracer.StartRemote(sc, "server", "server."+opName(t))
-	rt, rp, err := s.dispatchInner(t, payload, sp)
-	s.met.observe(t, time.Since(start), err)
-	sp.End(err)
-	return rt, rp, err
-}
-
-func (s *Server) dispatchInner(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error) {
+func (s *Server) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error) {
 	switch t {
 	case proto.TRepStatusReq, proto.TRepAppendReq, proto.TRepSnapshotReq:
 		// Server-to-server frames are valid in every role; status must

@@ -50,16 +50,21 @@ func opName(t proto.Type) string {
 	}
 }
 
-// opMetrics pre-resolves one per-operation latency histogram and error
-// counter per request type, so the dispatch path never takes the
-// registry lock. All handles are nil (no-op) on a nil registry.
+// opMetrics is what a daemon's handled requests are accounted under: a
+// span per request and, pre-resolved so the dispatch path never takes the
+// registry lock, one latency histogram and error counter per request
+// type. serveFrames wraps every handler — RPC or stream, server or node —
+// in begin and end. All handles are no-ops on a nil registry or tracer.
 type opMetrics struct {
+	tracer  *telemetry.Tracer
+	prefix  string // "server" or "node"
 	seconds map[proto.Type]*telemetry.Histogram
 	errors  map[proto.Type]*telemetry.Counter
 }
 
-func newOpMetrics(reg *telemetry.Registry, prefix string, types []proto.Type) opMetrics {
+func newOpMetrics(reg *telemetry.Registry, tracer *telemetry.Tracer, prefix string, types []proto.Type) opMetrics {
 	m := opMetrics{
+		tracer: tracer, prefix: prefix,
 		seconds: make(map[proto.Type]*telemetry.Histogram, len(types)),
 		errors:  make(map[proto.Type]*telemetry.Counter, len(types)),
 	}
@@ -71,13 +76,20 @@ func newOpMetrics(reg *telemetry.Registry, prefix string, types []proto.Type) op
 	return m
 }
 
-// observe records one handled request. Unknown types (the "unexpected
-// message type" error path) are simply not recorded.
-func (m opMetrics) observe(t proto.Type, d time.Duration, err error) {
-	m.seconds[t].Observe(d.Seconds())
+// begin opens the span of one request, joined to the caller's trace when
+// the frame carried a context.
+func (m opMetrics) begin(t proto.Type, sc telemetry.SpanContext) (*telemetry.Span, time.Time) {
+	return m.tracer.StartRemote(sc, m.prefix, m.prefix+"."+opName(t)), time.Now()
+}
+
+// end records one handled request. Unknown types (the "unexpected message
+// type" error path) are simply not recorded.
+func (m opMetrics) end(t proto.Type, sp *telemetry.Span, start time.Time, err error) {
+	m.seconds[t].Observe(time.Since(start).Seconds())
 	if err != nil {
 		m.errors[t].Inc()
 	}
+	sp.End(err)
 }
 
 // transitionObserver returns a disk.Observer that counts spin-ups and
