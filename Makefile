@@ -14,15 +14,17 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the codecs (framing and messages), the stream
-# demux on the dialing side and on the accepting side (the one that
-# faces untrusted peers), the fault-injected frame path, and what a
+# Short fuzz pass over the codecs (framing and messages), the buffered
+# read half against the plain frame reader, the stream demux on the
+# dialing side and on the accepting side (the one that faces untrusted
+# peers), the fault-injected frame path, and what a
 # restart reads back from disk: the log framing, the node's log records
 # and its manifest checkpoint (the server's records and checkpoint are
 # the replication codecs, FuzzRepDecoders), and the node's file table
 # against the fold of its own log.
 fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrameID -fuzztime=15s
+	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzFrameReader -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzMessageDecoders -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzRepDecoders -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadStreamFrames -fuzztime=15s

@@ -2,9 +2,7 @@ package fs
 
 import (
 	"errors"
-	"net"
 	"strings"
-	"time"
 
 	"eevfs/internal/proto"
 )
@@ -123,20 +121,6 @@ type classifiedError struct {
 func (e *classifiedError) Error() string        { return e.err.Error() }
 func (e *classifiedError) Unwrap() error        { return e.err }
 func (e *classifiedError) Is(target error) bool { return target == e.is }
-
-// deadlineConn arms a write deadline before every Write, so responding to
-// a stalled or partitioned peer cannot hang a serving goroutine forever.
-type deadlineConn struct {
-	net.Conn
-	writeTimeout time.Duration
-}
-
-func (c *deadlineConn) Write(p []byte) (int, error) {
-	if c.writeTimeout > 0 {
-		c.Conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-	return c.Conn.Write(p)
-}
 
 // errorPayload builds the TError frame body for err. Remote-error text is
 // forwarded without re-prefixing ("remote: remote: ..." chains confuse

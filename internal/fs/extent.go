@@ -28,17 +28,22 @@ type extent struct {
 	size int64
 }
 
-// fileName is the on-disk name for a file id.
-func fileName(id int64) string { return fmt.Sprintf("f%08d.dat", id) }
-
-// chunkName is the on-disk name for one stripe chunk of a file.
-func chunkName(id int64, chunk int) string {
-	return fmt.Sprintf("f%08d.c%03d.dat", id, chunk)
+// extentPath is where nd keeps a file's bytes: dir/f<id>.dat for a whole
+// copy (chunk < 0), dir/f<id>.c<chunk>.dat for one stripe chunk. Every
+// read builds one, so it is assembled in a stack buffer, not by Sprintf
+// and Join.
+func extentPath(nd *nodeDisk, id int64, chunk int) string {
+	b := append(make([]byte, 0, 96), nd.dir...)
+	b = fmt.Appendf(append(b, os.PathSeparator), "f%08d", id)
+	if chunk >= 0 {
+		b = fmt.Appendf(b, ".c%03d", chunk)
+	}
+	return string(append(b, ".dat"...))
 }
 
 // bufferExtent is the buffer-disk copy of a file: always one extent.
 func (n *Node) bufferExtent(id int, size int64) []extent {
-	return []extent{{nd: n.buffer, path: filepath.Join(n.buffer.dir, fileName(int64(id))), size: size}}
+	return []extent{{nd: n.buffer, path: extentPath(n.buffer, int64(id), -1), size: size}}
 }
 
 // dataExtents lists the data-disk extents of entry in byte order: the
@@ -51,12 +56,12 @@ func (n *Node) dataExtents(entry metadata.NodeEntry) []extent {
 	stripe := n.cfg.StripeChunkBytes
 	if stripe <= 0 || entry.Size <= stripe || len(n.data) < 2 {
 		nd := n.data[entry.Disk]
-		return []extent{{nd: nd, path: filepath.Join(nd.dir, fileName(int64(entry.ID))), size: entry.Size}}
+		return []extent{{nd: nd, path: extentPath(nd, int64(entry.ID), -1), size: entry.Size}}
 	}
 	var exts []extent
 	for off := int64(0); off < entry.Size; off += stripe {
 		nd := n.data[(entry.Disk+len(exts))%len(n.data)]
-		exts = append(exts, extent{nd: nd, path: filepath.Join(nd.dir, chunkName(int64(entry.ID), len(exts))),
+		exts = append(exts, extent{nd: nd, path: extentPath(nd, int64(entry.ID), len(exts)),
 			size: min(stripe, entry.Size-off)})
 	}
 	return exts
@@ -195,9 +200,11 @@ func (n *Node) chargeOn(nd *nodeDisk, exts []extent, off, length int64, write bo
 			continue
 		}
 		sp := ra.span.Child(op)
-		sp.Annotate("disk", nd.label)
-		sp.Annotate("bytes", strconv.FormatInt(size, 10))
-		sp.Annotate("plane", ra.plane)
+		if sp != nil {
+			sp.Annotate("disk", nd.label)
+			sp.Annotate("bytes", strconv.FormatInt(size, 10))
+			sp.Annotate("plane", ra.plane)
+		}
 		wantedAt, hinted := n.nextWanted(nd)
 		nd.mu.Lock()
 		// Every dwell the disk closes in a working state until the reset
@@ -212,8 +219,9 @@ func (n *Node) chargeOn(nd *nodeDisk, exts []extent, off, length int64, write bo
 	}
 }
 
-// emit moves the reading's bytes to fn, at most len(buf) at a time
-// through buf.
+// emit moves the reading's bytes through buf, at most len(buf) at a time:
+// each piece is handed to fn before buf is filled again — or, with no fn,
+// stays, the next landing behind it, and buf ends up holding the range.
 func (r reading) emit(buf []byte, fn func([]byte) error) error {
 	pos := int64(0)
 	for i, e := range r.exts {
@@ -228,13 +236,16 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 				return err
 			}
 		}
-		for ; lo < hi && err == nil; lo += int64(len(buf)) {
+		for lo < hi && err == nil {
 			b := buf[:min(int64(len(buf)), hi-lo)]
 			if _, err = f.ReadAt(b, lo); err != nil {
 				err = fmt.Errorf("fs: %s truncated on disk: %w", filepath.Base(e.path), err)
-			} else {
+			} else if fn != nil {
 				err = fn(b)
+			} else {
+				buf = buf[len(b):]
 			}
+			lo += int64(len(b))
 		}
 		if i > 0 {
 			f.Close()

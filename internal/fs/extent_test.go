@@ -399,7 +399,7 @@ func TestFailedWriteLeavesOldContent(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := storedFiles(t, n)
-			squat := fmt.Sprintf("%s.%d.part", filepath.Join(n.data[1].dir, chunkName(0, 1)), n.partSeq.Load()+1)
+			squat := fmt.Sprintf("%s.%d.part", extentPath(n.data[1], 0, 1), n.partSeq.Load()+1)
 			if err := os.Mkdir(squat, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -448,7 +448,7 @@ func TestStartNodeSweepsPartFiles(t *testing.T) {
 	if got, want := storedFiles(t, n), []string{"data0/f00000001.dat"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after restart the disks hold %v, want %v", got, want)
 	}
-	if r, err := n.handleRead(1, 0, wholeFile, nil); err != nil || string(r.Data) != "hello" {
+	if r, err := n.read(1); err != nil || string(r.Data) != "hello" {
 		t.Fatalf("visible file after the sweep: %q, err=%v", r.Data, err)
 	}
 }
@@ -488,8 +488,26 @@ func TestTierMovementIsChunkMemory(t *testing.T) {
 	if _, f, _ := n.files.get(1, 0); !f.Prefetched {
 		t.Fatal("file not marked prefetched")
 	}
-	r, err := n.handleRead(1, 0, wholeFile, nil)
+	r, err := n.read(1)
 	if err != nil || !r.FromBuffer || !bytes.Equal(r.Data, content) {
 		t.Fatalf("read after tier movement: %d bytes fromBuffer=%v err=%v", len(r.Data), r.FromBuffer, err)
+	}
+}
+
+// TestExtentPathMatchesFmt: the hand-built path is byte for byte what
+// filepath.Join over fmt's %08d and %03d gave, so a node restarted on an
+// older root finds its files.
+func TestExtentPathMatchesFmt(t *testing.T) {
+	nd := &nodeDisk{dir: filepath.Join(t.TempDir(), "data0")}
+	for _, id := range []int64{0, 1, 42, 99999999, 100000000, math.MaxInt64, -1, -12345678, math.MinInt64} {
+		if got, want := extentPath(nd, id, -1), filepath.Join(nd.dir, fmt.Sprintf("f%08d.dat", id)); got != want {
+			t.Errorf("extentPath(%d) = %q, want %q", id, got, want)
+		}
+		for _, chunk := range []int{0, 7, 999, 1000} {
+			want := filepath.Join(nd.dir, fmt.Sprintf("f%08d.c%03d.dat", id, chunk))
+			if got := extentPath(nd, id, chunk); got != want {
+				t.Errorf("extentPath(%d, chunk %d) = %q, want %q", id, chunk, got, want)
+			}
+		}
 	}
 }

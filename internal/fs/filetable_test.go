@@ -29,6 +29,19 @@ func (n *Node) write(id int64, data []byte) (buffered bool, err error) {
 	return resp.Buffered, err
 }
 
+// read is a whole-file RPC read: the reply handleRead built in place,
+// decoded, and its chunk given back.
+func (n *Node) read(id int64) (proto.NodeReadResp, error) {
+	r, err := n.handleRead(proto.TNodeReadResp, id, 0, wholeFile, nil)
+	if err != nil {
+		return proto.NodeReadResp{}, err
+	}
+	defer proto.PutChunk(r.body)
+	resp, err := proto.DecodeNodeReadResp(r.body)
+	resp.Data = bytes.Clone(resp.Data)
+	return resp, err
+}
+
 func (n *Node) prefetch(ids ...int64) int64 {
 	resp, _ := n.handlePrefetch(proto.NodePrefetchReq{FileIDs: ids}, nil)
 	return resp.Prefetched
@@ -263,9 +276,7 @@ func TestFileTableConcurrent(t *testing.T) {
 				case 0:
 					n.write(id, bytes.Repeat([]byte{byte(g)}, 32+i%64))
 				case 1:
-					if r, err := n.handleRead(id, 0, wholeFile, nil); err == nil {
-						r.Encode()
-					}
+					n.read(id)
 				case 2:
 					n.prefetch(id, (id+1)%ids)
 				case 3:
@@ -292,7 +303,7 @@ func TestFileTableConcurrent(t *testing.T) {
 	}
 	held := make(map[string]bool)
 	for _, e := range n.Files() {
-		held[fileName(int64(e.ID))] = true
+		held[filepath.Base(extentPath(n.buffer, int64(e.ID), -1))] = true
 	}
 	for _, f := range storedFiles(t, n) {
 		if !held[filepath.Base(f)] {
@@ -408,11 +419,10 @@ func TestFileTableDiesWithItsFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{{FileID: id, MeanIntervalSec: 1}, {FileID: id + 1, MeanIntervalSec: 1}}}, nil)
-		r, err := n.handleRead(id, 0, wholeFile, nil)
+		_, err := n.read(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Encode()
 		if err := n.remove(id); err != nil {
 			t.Fatal(err)
 		}
@@ -562,11 +572,10 @@ func TestTierMovementYieldsToNewerWrite(t *testing.T) {
 	defer n.Close()
 	readBack := func(id int64, want string, fromBuffer bool) {
 		t.Helper()
-		r, err := n.handleRead(id, 0, wholeFile, nil)
+		r, err := n.read(id)
 		if err != nil || string(r.Data) != want || r.FromBuffer != fromBuffer {
 			t.Fatalf("file %d reads %q (fromBuffer=%v, err=%v), want %q (fromBuffer=%v)", id, r.Data, r.FromBuffer, err, want, fromBuffer)
 		}
-		r.Encode()
 	}
 	for id, first := range []string{"unflushed", "on the data disk"} {
 		if err := n.create(int64(id), int64(len(first))); err != nil {

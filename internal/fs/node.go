@@ -273,34 +273,27 @@ func (n *Node) Close() error {
 	return err
 }
 
-// pooledRead is a read response whose Data came from the chunk pool: the
-// bytes are dead once encoded, so Encode hands them back.
-type pooledRead proto.NodeReadResp
-
-func (r pooledRead) Encode() []byte {
-	defer proto.PutChunk(r.Data)
-	return proto.NodeReadResp(r).Encode()
-}
-
-func (n *Node) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error) {
+func (n *Node) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (reply, error) {
 	switch t {
 	case proto.TNodeCreateReq:
 		return answer(payload, sp, proto.DecodeNodeCreateReq, proto.TNodeCreateResp, n.handleCreate)
 	case proto.TNodeWriteReq:
 		return answer(payload, sp, proto.DecodeNodeWriteReq, proto.TNodeWriteResp, n.handleWrite)
 	case proto.TNodeReadReq:
-		return answer(payload, sp, proto.DecodeNodeReadReq, proto.TNodeReadResp,
-			func(req proto.NodeReadReq, sp *telemetry.Span) (pooledRead, error) {
-				return n.handleRead(req.FileID, 0, wholeFile, sp)
-			})
+		req, err := proto.DecodeNodeReadReq(payload)
+		if err != nil {
+			return reply{}, err
+		}
+		return n.handleRead(proto.TNodeReadResp, req.FileID, 0, wholeFile, sp)
 	case proto.TNodeReadAtReq:
-		return answer(payload, sp, proto.DecodeNodeReadAtReq, proto.TNodeReadAtResp,
-			func(req proto.NodeReadAtReq, sp *telemetry.Span) (pooledRead, error) {
-				if req.Length < 0 {
-					return pooledRead{}, fmt.Errorf("fs: ranged read of file %d with length %d", req.FileID, req.Length)
-				}
-				return n.handleRead(req.FileID, req.Offset, req.Length, sp)
-			})
+		req, err := proto.DecodeNodeReadAtReq(payload)
+		if err != nil {
+			return reply{}, err
+		}
+		if req.Length < 0 {
+			return reply{}, fmt.Errorf("fs: ranged read of file %d with length %d", req.FileID, req.Length)
+		}
+		return n.handleRead(proto.TNodeReadAtResp, req.FileID, req.Offset, req.Length, sp)
 	case proto.TNodeDeleteReq:
 		return answer(payload, sp, proto.DecodeNodeDeleteReq, proto.TNodeDeleteResp, n.handleDelete)
 	case proto.TNodePrefetchReq:
@@ -308,9 +301,9 @@ func (n *Node) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (proto
 	case proto.TNodeHintsReq:
 		return answer(payload, sp, proto.DecodeNodeHintsReq, proto.TNodeHintsResp, n.handleHints)
 	case proto.TNodeStatsReq:
-		return proto.TNodeStatsResp, n.statsResp().Encode(), nil
+		return reply{t: proto.TNodeStatsResp, body: n.statsResp().Encode()}, nil
 	default:
-		return 0, nil, fmt.Errorf("fs: node got unexpected message type %d", t)
+		return reply{}, fmt.Errorf("fs: node got unexpected message type %d", t)
 	}
 }
 
@@ -424,26 +417,22 @@ func (n *Node) commitWrite(w *extentWriter) error {
 	return err
 }
 
-// handleRead serves a byte range (or wholeFile) as one RPC payload, built
-// in a chunk from the pool.
-func (n *Node) handleRead(fileID, off, length int64, sp *telemetry.Span) (pooledRead, error) {
+// handleRead serves a byte range (or wholeFile) as one response of type
+// rt, built where it is sent from: the bytes are read off the disk into a
+// pooled chunk, behind room for the response's head; the chunk is the body.
+func (n *Node) handleRead(rt proto.Type, fileID, off, length int64, sp *telemetry.Span) (reply, error) {
 	r, err := n.source(fileID, off, length, spanAttrib(sp, fileID, planeRPC))
 	if err != nil {
-		return pooledRead{}, err
+		return reply{}, err
 	}
 	defer r.first.Close()
-	data := proto.GetChunk(int(r.length))[:0]
-	buf := proto.GetChunk(int(min(r.length, proto.DefaultStreamChunk)))
-	defer proto.PutChunk(buf)
-	err = r.emit(buf, func(b []byte) error {
-		data = append(data, b...)
-		return nil
-	})
-	if err != nil {
-		proto.PutChunk(data)
-		return pooledRead{}, err
+	body := proto.GetChunk(proto.NodeReadRespHead + int(r.length))
+	proto.PutNodeReadRespHead(body, r.fromBuffer, int(r.length))
+	if err := r.emit(body[proto.NodeReadRespHead:], nil); err != nil {
+		proto.PutChunk(body)
+		return reply{}, err
 	}
-	return pooledRead{FromBuffer: r.fromBuffer, Data: data}, nil
+	return reply{t: rt, body: body, pooled: true}, nil
 }
 
 func (n *Node) handleDelete(req proto.NodeDeleteReq, _ *telemetry.Span) (noBody, error) {

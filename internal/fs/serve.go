@@ -132,11 +132,19 @@ func (l *listener) shut() (first bool, err error) {
 
 func (l *listener) wait() { l.wg.Wait() }
 
+// reply is a handler's response frame. pooled marks a body built in a
+// chunk from the pool, which serveFrames gives back once it is sent.
+type reply struct {
+	t      proto.Type
+	body   []byte
+	pooled bool
+}
+
 // handlerFunc handles one request under its span and returns the response
 // frame. A returned error becomes a TError frame; the connection stays up
 // either way (malformed payloads answer with an error rather than a
 // hangup).
-type handlerFunc func(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error)
+type handlerFunc func(t proto.Type, payload []byte, sp *telemetry.Span) (reply, error)
 
 // streamHandlerFunc serves one open stream (DESIGN.md §19): t is the
 // opening frame type (TStreamReadReq or TStreamWriteReq), req its body,
@@ -150,73 +158,40 @@ type streamHandlerFunc func(t proto.Type, req proto.StreamOpenReq, sp *telemetry
 // its handler was mid-transfer.
 var errStreamConnDead = errors.New("fs: stream connection closed")
 
-// connWriter is the outbound side of one accepted connection, and with it
-// the accepting side's proto.StreamConn: a frame is written whole, from
-// the caller's buffer, under the connection's write mutex, and killing
-// the connection is closing the socket — the read loop then fails every
-// open stream on its way out.
-type connWriter struct {
-	conn net.Conn
-	mu   sync.Mutex
-	w    io.Writer // conn behind a per-write deadline
-}
-
-// SendFrame implements proto.StreamConn. A frame that cannot be written
-// leaves the peer's framing in doubt, so the connection goes with it.
-func (c *connWriter) SendFrame(t proto.Type, id uint32, payload []byte) error {
-	c.mu.Lock()
-	err := proto.WriteFrameID(c.w, t, id, payload)
-	c.mu.Unlock()
-	if err != nil {
-		c.conn.Close()
-	}
-	return err
-}
-
-// Kill implements proto.StreamConn.
-func (c *connWriter) Kill(error) { c.conn.Close() }
-
-// serveFrames drives one accepted connection until it dies. The peer
-// opens with the 4-byte EEV2 preface; a connection that opens with
-// anything else is closed. Requests are dispatched to a bounded pool of
-// worker goroutines, so many round trips from one peer are serviced
-// concurrently; responses carry the request's id and are written whole
-// under a per-connection mutex (ordered, never interleaved), in whatever
-// order the handlers finish. Stream opens spawn a dedicated handler
-// goroutine outside the worker pool (bounded by connStreams instead), and
-// later frames of an open stream are delivered to it by id.
+// serveFrames drives one accepted connection until it dies (DESIGN.md
+// §15). The peer opens with the 4-byte EEV2 preface; a connection that
+// opens with anything else is closed. Requests are dispatched to a bounded
+// pool of worker goroutines; responses carry the request's id and leave
+// through the connection's write half in whatever order the handlers
+// finish. Stream opens spawn a dedicated handler goroutine outside the
+// worker pool (bounded by connStreams instead), and later frames of an
+// open stream are delivered to it by id.
 //
-// writeTimeout bounds each response write so a stalled peer cannot pin
-// a handler goroutine. Every handler runs between ops.begin and ops.end.
-// shandle may be nil: stream opens then answer with a typed TError and the
-// connection stays healthy (the metadata server does not serve file bytes).
+// writeTimeout bounds each write so a stalled peer cannot pin a handler
+// goroutine; a failed write, like a stream's protocol violation, closes
+// the socket, and the read loop fails every open stream on its way out.
+// Every handler runs between ops.begin and ops.end. shandle may be nil:
+// stream opens then answer with a typed TError and the connection stays
+// healthy (the metadata server does not serve file bytes).
 func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handle handlerFunc, shandle streamHandlerFunc) {
+	in := proto.NewReadHalf(conn)
 	var preface [4]byte
-	if _, err := io.ReadFull(conn, preface[:]); err != nil || binary.BigEndian.Uint32(preface[:]) != proto.MagicV2 {
+	if _, err := io.ReadFull(in, preface[:]); err != nil || binary.BigEndian.Uint32(preface[:]) != proto.MagicV2 {
 		return
 	}
-	out := &connWriter{conn: conn, w: &deadlineConn{Conn: conn, writeTimeout: writeTimeout}}
+	out := proto.NewFrameWriter(conn, writeTimeout, ops.reg, func(error) { conn.Close() })
 	var (
 		wg sync.WaitGroup
 		// One handler goroutine per in-flight request, bounded by a slot
-		// semaphore. (A persistent worker pool was tried and measured
-		// ~20% slower on the load benchmarks: every hand-off through a
-		// shared channel pays a contended wake-up, while a fresh
-		// goroutine usually runs on the spawning P's runnext slot.)
+		// semaphore; not a persistent worker pool (DESIGN.md §21).
 		slots = make(chan struct{}, connWorkers)
 
 		smu     sync.Mutex
 		streams = make(map[uint32]*proto.Stream)
 	)
-	// refuse answers a request that gets no handler. The connection stays
-	// healthy, and so does every stream running on it (unless the answer
-	// cannot be written: SendFrame then closes it, ending the loop below).
-	refuse := func(id uint32, err error) {
-		_ = out.SendFrame(proto.TError, id, errorPayload(err))
-	}
 
 	for {
-		t, id, n, err := proto.ReadFrameHeader(conn)
+		t, id, n, err := proto.ReadFrameHeader(in)
 		if err != nil {
 			break
 		}
@@ -228,21 +203,24 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 			if st == nil {
 				// Late frame for a stream whose handler already finished
 				// (e.g. an abort racing our end): discard, keep framing.
-				_, err = io.CopyN(io.Discard, conn, int64(n))
+				_, err = io.CopyN(io.Discard, in, int64(n))
 			} else {
 				// An error here is the peer breaking the protocol — it
 				// flooded past the window it was granted, say — and the
 				// connection can no longer be trusted.
-				err = st.Deliver(base, n, conn)
+				err = st.Deliver(base, n, in)
 			}
 			if err != nil {
 				goto dead
 			}
+			continue
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(in, payload); err != nil {
+			break
+		}
+		switch t &^ proto.FlagTraced {
 		case proto.TStreamReadReq, proto.TStreamWriteReq:
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(conn, payload); err != nil {
-				goto dead
-			}
 			t, payload, sc, err := proto.ExtractContext(t, payload)
 			var req proto.StreamOpenReq
 			if err == nil && shandle == nil {
@@ -253,7 +231,9 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 				req, err = proto.DecodeStreamOpenReq(payload)
 			}
 			if err != nil {
-				refuse(id, err)
+				// No handler: the connection stays healthy, and so does
+				// every stream on it, unless the answer cannot be written.
+				_ = out.SendFrame(proto.TError, id, errorPayload(err))
 				continue
 			}
 			st := proto.NewStream(id, out, proto.StreamStallTimeout(writeTimeout), proto.ClampStreamWindow(req.Window))
@@ -269,7 +249,8 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 				goto dead
 			}
 			if full {
-				refuse(id, fmt.Errorf("%w: too many open streams on one connection", ErrNodeUnavailable))
+				err := fmt.Errorf("%w: too many open streams on one connection", ErrNodeUnavailable)
+				_ = out.SendFrame(proto.TError, id, errorPayload(err))
 				continue
 			}
 			wg.Add(1)
@@ -287,27 +268,25 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 				st.Release()
 			}()
 		default:
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(conn, payload); err != nil {
-				goto dead
-			}
 			slots <- struct{}{}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer func() { <-slots }()
 				t, payload, sc, herr := proto.ExtractContext(t, payload)
-				var rt proto.Type
-				var rp []byte
+				var r reply
 				if herr == nil {
 					sp, start := ops.begin(t, sc)
-					rt, rp, herr = handle(t, payload, sp)
+					r, herr = handle(t, payload, sp)
 					ops.end(t, sp, start, herr)
 				}
 				if herr != nil {
-					rt, rp = proto.TError, errorPayload(herr)
+					r = reply{t: proto.TError, body: errorPayload(herr)}
 				}
-				_ = out.SendFrame(rt, id, rp) // on failure the connection is closed, which ends the read loop too
+				_ = out.SendFrame(r.t, id, r.body) // on failure the connection is closed, which ends the read loop too
+				if r.pooled {
+					proto.PutChunk(r.body)
+				}
 			}()
 		}
 	}

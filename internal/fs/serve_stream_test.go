@@ -23,8 +23,8 @@ func servePipe(t *testing.T, shandle streamHandlerFunc) (client, server net.Conn
 	go func() {
 		defer close(done)
 		serveFrames(server, time.Second, opMetrics{},
-			func(proto.Type, []byte, *telemetry.Span) (proto.Type, []byte, error) {
-				return proto.TListResp, proto.ListResp{}.Encode(), nil
+			func(proto.Type, []byte, *telemetry.Span) (reply, error) {
+				return reply{t: proto.TListResp, body: proto.ListResp{}.Encode()}, nil
 			}, shandle)
 	}()
 	if err := proto.WritePreface(client); err != nil {
@@ -57,17 +57,17 @@ func TestServeFramesCutsOffFloodAtWindow(t *testing.T) {
 	if err != nil || derr != nil || ty != proto.TStreamOpenResp || resp.Window != proto.DefaultStreamWindow {
 		t.Fatalf("open answered with type %d %+v, err %v %v", ty, resp, err, derr)
 	}
-	// A pipe write returns once the server has read the frame whole, so
-	// the count of writes that succeed is the count of frames buffered.
-	in := 0
-	for chunk := make([]byte, 1<<10); in < 200; in++ {
-		if proto.WriteFrameID(client, proto.TDataFrame, 7, chunk) != nil {
-			break
-		}
+	// Every data frame the stream accepts sits in its queue in a chunk from
+	// the pool until the handler lets go, so the chunks out of the pool
+	// when the flood is cut off are the frames that got in. (How many
+	// writes returned says less: the connection's read buffer can absorb
+	// the frame that trips the violation.)
+	chunk := make([]byte, 1<<10)
+	for i := 0; i < 200 && proto.WriteFrameID(client, proto.TDataFrame, 7, chunk) == nil; i++ {
 	}
 	const slack = 8 // proto's control-frame allowance on top of the window
-	if want := proto.DefaultStreamWindow + slack; in != want {
-		t.Errorf("%d frames buffered before the connection was cut, want window + slack = %d", in, want)
+	if in, want := proto.ChunksInUse()-baseline, int64(proto.DefaultStreamWindow+slack); in != want {
+		t.Errorf("%d frames buffered when the connection was cut, want window + slack = %d", in, want)
 	}
 	close(release)
 	select {

@@ -293,19 +293,20 @@ func (s *Server) Healthy() []bool {
 	return out
 }
 
-func (s *Server) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (proto.Type, []byte, error) {
+func (s *Server) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (reply, error) {
 	switch t {
 	case proto.TRepStatusReq, proto.TRepAppendReq, proto.TRepSnapshotReq:
 		// Server-to-server frames are valid in every role; status must
 		// stay answerable even mid-election.
-		return s.log.serve(t, payload)
+		rt, body, err := s.log.serve(t, payload)
+		return reply{t: rt, body: body}, err
 	}
 
 	// Client operations only run on the primary: a follower serving even
 	// reads could hand out stale placement during a partition, so it
 	// redirects everything.
 	if !s.log.isPrimary() {
-		return 0, nil, s.log.notPrimaryErr()
+		return reply{}, s.log.notPrimaryErr()
 	}
 
 	switch t {
@@ -317,32 +318,32 @@ func (s *Server) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (pro
 				return s.handleLookup(req, t == proto.TLookupWriteReq, sp)
 			})
 	case proto.TListReq:
-		return proto.TListResp, proto.ListResp{Names: s.ns.meta.Names()}.Encode(), nil
+		return reply{t: proto.TListResp, body: proto.ListResp{Names: s.ns.meta.Names()}.Encode()}, nil
 	case proto.TDeleteReq:
 		return answer(payload, sp, proto.DecodeDeleteReq, proto.TDeleteResp, s.handleDelete)
 	case proto.TPrefetchReq:
 		return answer(payload, sp, proto.DecodePrefetchReq, proto.TPrefetchResp, s.handlePrefetch)
 	case proto.TStatsReq:
 		resp, err := s.handleStats(sp)
-		return proto.TStatsResp, resp.Encode(), err
+		return reply{t: proto.TStatsResp, body: resp.Encode()}, err
 	default:
-		return 0, nil, fmt.Errorf("fs: server got unexpected message type %d", t)
+		return reply{}, fmt.Errorf("fs: server got unexpected message type %d", t)
 	}
 }
 
 // answer is one request's way through its handler: decode the payload,
 // handle it under the request's span, encode the response as type rt.
 func answer[Q any, R interface{ Encode() []byte }](payload []byte, sp *telemetry.Span, decode func([]byte) (Q, error),
-	rt proto.Type, handle func(Q, *telemetry.Span) (R, error)) (proto.Type, []byte, error) {
+	rt proto.Type, handle func(Q, *telemetry.Span) (R, error)) (reply, error) {
 	req, err := decode(payload)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	resp, err := handle(req, sp)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
-	return rt, resp.Encode(), nil
+	return reply{t: rt, body: resp.Encode()}, nil
 }
 
 // noBody is the response of an op that answers with its type alone.

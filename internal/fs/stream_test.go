@@ -418,3 +418,48 @@ func TestStreamReadAllocsFlat(t *testing.T) {
 			smallAlloc, largeAlloc)
 	}
 }
+
+// TestReadAllocsPerOp is the RPC read path's allocation ratchet: a 16 KiB
+// Client.Read of a prefetched file against an in-process cluster — client, server and node all
+// counted — allocates the payload the caller gets to keep plus small
+// change. The node builds its reply in the pooled chunk it reads the disk
+// into and the connection's write half copies that once, into a buffer it
+// reuses, so a second payload-sized allocation per read (there were two
+// before: the encoder's, and a frame buffer's growth) trips this.
+func TestReadAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
+	}
+	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) {
+		cfg.InjectLatency = false
+	})
+	const size, reads = 16 << 10, 2000 // enough reads that a chunk-pool miss (256 KiB) is small change too
+	if err := cl.Create("hot.dat", patternedContent(13, size)); err != nil {
+		t.Fatal(err)
+	}
+	read := func(wantBuffer bool) {
+		if data, hit, err := cl.Read("hot.dat"); err != nil || len(data) != size || hit != wantBuffer {
+			t.Fatalf("read: %d bytes, from buffer %v, err %v", len(data), hit, err)
+		}
+	}
+	read(false)
+	if n, err := cl.Prefetch(1); err != nil || n != 1 {
+		t.Fatalf("prefetch: %d files, err %v", n, err)
+	}
+	for i := 0; i < 20; i++ { // warm the pools, the connections, the write halves' buffers
+		read(true)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read(true)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / reads
+	objs := (after.Mallocs - before.Mallocs) / reads
+	t.Logf("%d bytes in %d objects per 16 KiB read", perOp, objs)
+	if perOp > size+4<<10 {
+		t.Fatalf("a 16 KiB read allocates %d bytes, want at most the payload + 4 KiB", perOp)
+	}
+}

@@ -56,6 +56,7 @@ func opName(t proto.Type) string {
 // type. serveFrames wraps every handler — RPC or stream, server or node —
 // in begin and end. All handles are no-ops on a nil registry or tracer.
 type opMetrics struct {
+	reg     *telemetry.Registry // where each connection's write half counts
 	tracer  *telemetry.Tracer
 	prefix  string // "server" or "node"
 	seconds map[proto.Type]*telemetry.Histogram
@@ -64,7 +65,7 @@ type opMetrics struct {
 
 func newOpMetrics(reg *telemetry.Registry, tracer *telemetry.Tracer, prefix string, types []proto.Type) opMetrics {
 	m := opMetrics{
-		tracer: tracer, prefix: prefix,
+		reg: reg, tracer: tracer, prefix: prefix,
 		seconds: make(map[proto.Type]*telemetry.Histogram, len(types)),
 		errors:  make(map[proto.Type]*telemetry.Counter, len(types)),
 	}

@@ -119,3 +119,26 @@ func TestStatsCountersEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteHalfTelemetryOnDaemon: the accepting side's write half counts
+// on the daemon's registry under the names the dialing side uses, so
+// frames per flush reads the same on /metrics at either end.
+func TestWriteHalfTelemetryOnDaemon(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) { cfg.Metrics = reg })
+	if err := cl.Create("f", bytes.Repeat([]byte("z"), 700)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := cl.Read("f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	frames, flushes := snap.Histograms["proto.queue.depth"].Count, snap.Counters["proto.write.flushes"]
+	// The node answered one write and five reads at least (the server's
+	// probes and create come on top).
+	if frames < 6 || flushes < 1 || flushes > frames {
+		t.Fatalf("node registry: %d frames in %d flushes, want >= 6 frames and 1 <= flushes <= frames", frames, flushes)
+	}
+}

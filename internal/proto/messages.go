@@ -366,6 +366,16 @@ func (m NodeReadResp) Encode() []byte {
 	return e.Bool(m.FromBuffer).Blob(m.Data).Bytes()
 }
 
+// NodeReadRespHead is how many bytes of an encoded NodeReadResp precede
+// its Data.
+const NodeReadRespHead = 5
+
+// PutNodeReadRespHead encodes in place: b[NodeReadRespHead:] holds (or
+// will hold) the n bytes of Data, and b becomes what Encode would return.
+func PutNodeReadRespHead(b []byte, fromBuffer bool, n int) {
+	(&Encoder{buf: b[:0]}).Bool(fromBuffer).U32(uint32(n))
+}
+
 // DecodeNodeReadResp parses a NodeReadResp payload.
 func DecodeNodeReadResp(b []byte) (NodeReadResp, error) {
 	d := NewDecoder(b)

@@ -1,39 +1,20 @@
-// The multiplexing layer under Endpoint: one muxConn owns one live v2
-// connection generation. A writer goroutine drains an outbound frame
-// queue, a demux reader correlates response frames back to waiting
-// callers by request id, and any transport fault — read error, write
-// error, unknown id, per-request timeout — poisons the whole generation:
-// every outstanding request fails with the same typed error, the socket
-// is closed, and the next Call on the owning Endpoint dials a fresh
-// generation. That all-or-nothing failure rule is what keeps the
-// paper's "one persistent connection per peer" model sane under
-// pipelining: once a frame boundary is in doubt, no later response on
-// the stream can be trusted.
+// The multiplexing layer under Endpoint: one muxConn owns one live
+// connection generation. Callers put their request frames on the
+// connection's write half themselves (wire.go), a demux reader correlates
+// response frames back to waiting callers by request id, and any
+// transport fault — read error, write error, unknown id, per-request
+// timeout — poisons the whole generation (DESIGN.md §15): once a frame
+// boundary is in doubt, no later response on the stream can be trusted.
 package proto
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 )
-
-// muxWriteQueue bounds the outbound frame queue of one connection;
-// enqueueing callers beyond it block (backpressure), and the live depth
-// feeds the proto.queue.depth histogram.
-const muxWriteQueue = 64
-
-// wireFrame is one outbound request frame. pooled marks a payload
-// borrowed from the chunk pool; the write loop returns it after the
-// frame hits the socket.
-type wireFrame struct {
-	t       Type
-	id      uint32
-	payload []byte
-	pooled  bool
-}
 
 // wireResult is one demuxed response (or the poisoning error).
 type wireResult struct {
@@ -51,14 +32,14 @@ func (errRTTimeout) Error() string   { return "proto: round trip deadline exceed
 func (errRTTimeout) Timeout() bool   { return true }
 func (errRTTimeout) Temporary() bool { return true }
 
-// muxConn is one connection generation: socket + writer + demux reader +
-// the pending-request table. Once poisoned it never recovers; the
-// Endpoint replaces it wholesale.
+// muxConn is one connection generation: socket + write half + demux
+// reader + the pending-request table. Once poisoned it never recovers;
+// the Endpoint replaces it wholesale.
 type muxConn struct {
-	conn    net.Conn
-	met     epMetrics
-	writeCh chan wireFrame
-	done    chan struct{} // closed exactly once, on poison
+	conn net.Conn
+	met  epMetrics
+	w    *FrameWriter  // its fault hook is poison
+	done chan struct{} // closed exactly once, on poison
 
 	mu      sync.Mutex
 	pending map[uint32]chan wireResult
@@ -67,34 +48,27 @@ type muxConn struct {
 	err     error // the poisoning fault (nil while healthy)
 }
 
-// newMuxConn wraps an established socket and starts the writer and
-// demux reader. The v2 preface is the writer's first act, so Call never
-// blocks on a slow peer outside its own deadline.
-func newMuxConn(conn net.Conn, met epMetrics) *muxConn {
+// newMuxConn wraps an established socket and starts the demux reader.
+// The preface leaves with the first frame, every write under writeTimeout.
+func newMuxConn(conn net.Conn, met epMetrics, writeTimeout time.Duration) *muxConn {
 	m := &muxConn{
 		conn:    conn,
 		met:     met,
-		writeCh: make(chan wireFrame, muxWriteQueue),
 		done:    make(chan struct{}),
 		pending: make(map[uint32]chan wireResult),
 		streams: make(map[uint32]*Stream),
 	}
-	go m.writeLoop()
+	m.w = NewFrameWriter(conn, writeTimeout, met.reg, m.poison)
+	m.w.pend = binary.BigEndian.AppendUint32(nil, MagicV2) // dialing never waits on a write
 	go m.readLoop()
 	return m
 }
 
-// alive reports whether the generation can still carry requests.
-func (m *muxConn) alive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err == nil
-}
-
 // poison kills the generation: it records the fault, closes the socket
-// (unblocking both loops), and fails every outstanding request AND every
-// open stream with the same typed error — a corrupted or dead connection
-// invalidates all in-flight ids, not just the one that tripped over it.
+// (unblocking the reader and whoever is writing), and fails every
+// outstanding request AND every open stream with the same typed error — a
+// corrupted or dead connection invalidates all in-flight ids, not just
+// the one that tripped over it.
 func (m *muxConn) poison(err error) {
 	m.mu.Lock()
 	if m.err != nil {
@@ -109,54 +83,12 @@ func (m *muxConn) poison(err error) {
 	close(m.done)
 	m.mu.Unlock()
 	m.conn.Close()
+	m.w.Kill(err) // later sends fail with err; its call back here is a no-op
 	for _, ch := range orphans {
 		ch <- wireResult{err: err}
 	}
 	for _, st := range doomed {
 		st.Fail(err)
-	}
-}
-
-// Kill implements StreamConn: a stream's protocol violation or stall
-// poisons the generation.
-func (m *muxConn) Kill(err error) { m.poison(err) }
-
-// hasStreams reports whether the generation currently carries open
-// streams (so bulk data frames may be queued ahead of RPC responses).
-func (m *muxConn) hasStreams() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.streams) > 0
-}
-
-// fault returns the poisoning error (nil while healthy).
-func (m *muxConn) fault() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
-// writeLoop sends the preface and then drains the outbound queue. A
-// write error poisons the generation.
-func (m *muxConn) writeLoop() {
-	if err := WritePreface(m.conn); err != nil {
-		m.poison(err)
-		return
-	}
-	for {
-		select {
-		case f := <-m.writeCh:
-			err := WriteFrameID(m.conn, f.t, f.id, f.payload)
-			if f.pooled {
-				PutChunk(f.payload)
-			}
-			if err != nil {
-				m.poison(err)
-				return
-			}
-		case <-m.done:
-			return
-		}
 	}
 }
 
@@ -167,8 +99,9 @@ func (m *muxConn) writeLoop() {
 // an id with no owner — on a healthy connection every id has exactly one
 // owner, so an unknown id means the peer is lying.
 func (m *muxConn) readLoop() {
+	in := NewReadHalf(m.conn)
 	for {
-		t, id, n, err := ReadFrameHeader(m.conn)
+		t, id, n, err := ReadFrameHeader(in)
 		if err != nil {
 			m.poison(err)
 			return
@@ -185,7 +118,7 @@ func (m *muxConn) readLoop() {
 		}
 		m.mu.Unlock()
 		if isStream {
-			if err := st.Deliver(t, n, m.conn); err != nil {
+			if err := st.Deliver(t, n, in); err != nil {
 				m.poison(err)
 				return
 			}
@@ -197,7 +130,7 @@ func (m *muxConn) readLoop() {
 			continue
 		}
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(m.conn, payload); err != nil {
+		if _, err := io.ReadFull(in, payload); err != nil {
 			m.poison(err)
 			return
 		}
@@ -206,28 +139,6 @@ func (m *muxConn) readLoop() {
 			return
 		}
 		ch <- wireResult{t: t, payload: payload}
-	}
-}
-
-// SendFrame implements StreamConn, the dialing side's way: the frame is
-// queued for the writer goroutine, blocking on queue backpressure, a data
-// payload copied into a pooled chunk first (the write loop returns it
-// once the frame hits the socket). A poisoned generation returns its
-// fault instead.
-func (m *muxConn) SendFrame(t Type, id uint32, payload []byte) error {
-	f := wireFrame{t: t, id: id, payload: payload, pooled: t == TDataFrame}
-	if f.pooled {
-		f.payload = GetChunk(len(payload))
-		copy(f.payload, payload)
-	}
-	select {
-	case m.writeCh <- f:
-		return nil
-	case <-m.done:
-		if f.pooled {
-			PutChunk(f.payload)
-		}
-		return m.fault()
 	}
 }
 
@@ -240,68 +151,74 @@ func (m *muxConn) registerStream(window, limit int, stall time.Duration) (*Strea
 		return nil, m.err
 	}
 	m.nextID++
-	st := NewStream(m.nextID, m, stall, window)
+	st := NewStream(m.nextID, m.w, stall, window)
 	st.limit = limit
 	m.streams[st.id] = st
 	return st, nil
 }
 
-// register claims a fresh request id and its response channel. The
-// channel has capacity 1 and receives exactly one value: the demuxed
-// response, or the poisoning error.
-func (m *muxConn) register() (uint32, chan wireResult, error) {
+// call is one round trip's rendezvous, pooled: the channel takes exactly
+// one value per registration — the demuxed response, or the poisoning
+// error — and every way out of roundTrip has received it.
+type call struct {
+	ch    chan wireResult
+	timer *time.Timer
+}
+
+var callPool = sync.Pool{New: func() any {
+	return &call{ch: make(chan wireResult, 1), timer: time.NewTimer(time.Hour)} // roundTrip resets it
+}}
+
+// register claims a fresh request id answered on ch, and reports whether
+// the generation carries open streams.
+func (m *muxConn) register(ch chan wireResult) (id uint32, streams bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
-		return 0, nil, m.err
+		return 0, false, m.err
 	}
 	m.nextID++
-	id := m.nextID
-	ch := make(chan wireResult, 1)
-	m.pending[id] = ch
-	return id, ch, nil
+	m.pending[m.nextID] = ch
+	return m.nextID, len(m.streams) > 0, nil
 }
 
-// roundTrip runs one multiplexed request: register an id, enqueue the
-// frame, await the correlated response. The timeout poisons the whole
-// generation — a response that never arrived leaves the stream's frame
-// boundary in doubt.
+// roundTrip runs one multiplexed request: register an id, send the
+// frame, await the correlated response. The deadline starts before the
+// send, so time spent flushing other callers' frames counts against it;
+// on a generation carrying open streams it is the stream stall bound, as
+// the response legitimately queues behind their bulk data frames. The
+// timeout poisons the whole generation, healthy streams included — a
+// response that never arrived leaves the frame boundary in doubt.
 func (m *muxConn) roundTrip(t Type, payload []byte, timeout time.Duration) (Type, []byte, error) {
-	id, ch, err := m.register()
+	c := callPool.Get().(*call)
+	defer callPool.Put(c)
+	id, streams, err := m.register(c.ch)
 	if err != nil {
 		return 0, nil, err
 	}
+	if streams {
+		timeout = StreamStallTimeout(timeout)
+	}
 	m.met.inflight.Add(1)
 	defer m.met.inflight.Add(-1)
-	m.met.queueDepth.Observe(float64(len(m.writeCh)))
 
-	select {
-	case m.writeCh <- wireFrame{t: t, id: id, payload: payload}:
-	case <-m.done:
-		// poison already delivered the error to ch.
-		res := <-ch
-		return 0, nil, res.err
+	c.timer.Reset(timeout)
+	defer c.timer.Stop()
+	if err := m.w.SendFrame(t, id, payload); err != nil {
+		m.poison(err) // to no effect, unless the frame was refused unsent
 	}
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
-	case res := <-ch:
+	case res := <-c.ch:
 		if res.err != nil {
 			return 0, nil, res.err
 		}
-		if res.t == TError {
-			err := remoteError(res.payload)
-			var re *RemoteError
-			if !errors.As(err, &re) {
-				m.poison(err)
-			}
-			return 0, nil, err
+		if res.t == TError { // undecodable, it is a transport fault to attempt
+			return 0, nil, remoteError(res.payload)
 		}
 		return res.t, res.payload, nil
-	case <-timer.C:
+	case <-c.timer.C:
 		m.poison(errRTTimeout{})
-		<-ch // poison (or a photo-finish reader delivery) settles the channel
+		<-c.ch // poison (or a photo-finish reader delivery) settles the channel
 		return 0, nil, errRTTimeout{}
 	}
 }

@@ -357,4 +357,8 @@ func TestInflightAndQueueDepthTelemetry(t *testing.T) {
 	if got := snap.Histograms["proto.queue.depth"].Count; got != calls {
 		t.Fatalf("proto.queue.depth observations = %d, want %d", got, calls)
 	}
+	// Every frame left in some flush, and a flush carries at least one.
+	if got := snap.Counters["proto.write.flushes"]; got < 1 || got > calls {
+		t.Fatalf("proto.write.flushes = %d, want within [1, %d]", got, calls)
+	}
 }

@@ -113,32 +113,27 @@ var ErrShortV2Frame = errors.New("proto: frame shorter than its header")
 
 // WritePreface sends the magic; every connection starts with it.
 func WritePreface(w io.Writer) error {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], MagicV2)
-	_, err := w.Write(b[:])
+	_, err := w.Write(binary.BigEndian.AppendUint32(nil, MagicV2))
 	return err
 }
 
-// framePool recycles whole-frame encode buffers: a frame is built
-// (header + payload) in one pooled buffer and written with a single
-// Write call, so the per-RPC steady state allocates nothing and a frame
-// is never interleaved with another writer's bytes.
+// framePool recycles WriteFrameID's whole-frame encode buffers.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendFrameHeader appends the header of a frame with an n-byte payload.
+func appendFrameHeader(buf []byte, t Type, id uint32, n int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(v2HeaderLen+n))
+	buf = append(buf, byte(t))
+	return binary.BigEndian.AppendUint32(buf, id)
+}
 
 // appendFrameID appends one frame to buf.
 func appendFrameID(buf []byte, t Type, id uint32, payload []byte) []byte {
-	n := v2HeaderLen + len(payload)
-	var hdr [9]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = byte(t)
-	binary.BigEndian.PutUint32(hdr[5:], id)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return append(appendFrameHeader(buf, t, id, len(payload)), payload...)
 }
 
-// WriteFrameID sends one frame: [u32 length][u8 type][u32 id][payload].
-// The frame is assembled in a pooled buffer and written atomically with
-// respect to other WriteFrameID calls on a mutex-guarded writer.
+// WriteFrameID sends one frame, [u32 length][u8 type][u32 id][payload],
+// in a single Write: how a peer with no write half (a test's) sends.
 func WriteFrameID(w io.Writer, t Type, id uint32, payload []byte) error {
 	if v2HeaderLen+len(payload) > MaxFrame {
 		return ErrFrameTooLarge
@@ -157,7 +152,7 @@ func WriteFrameID(w io.Writer, t Type, id uint32, payload []byte) error {
 // stream demuxers route the payload into a pooled chunk buffer instead
 // of a fresh allocation per frame.
 func ReadFrameHeader(r io.Reader) (Type, uint32, int, error) {
-	var hdr [9]byte
+	var hdr [4 + v2HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, 0, err
 	}

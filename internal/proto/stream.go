@@ -229,13 +229,12 @@ func StreamStallTimeout(rt time.Duration) time.Duration {
 	return rt * streamStallFactor
 }
 
-// StreamConn is the connection under a Stream: the two things the
-// dialing side (muxConn) and the accepting side (fs.serveFrames) do
-// differently.
+// StreamConn is the connection under a Stream: on both sides its write
+// half, a *FrameWriter.
 type StreamConn interface {
-	// SendFrame puts one frame of stream id on the wire, or queues it for
-	// the connection's writer. A TDataFrame payload is the caller's again
-	// on return; a control payload is handed over.
+	// SendFrame puts one frame of stream id on the wire, or queues it
+	// behind the write in progress. The payload is the caller's again on
+	// return.
 	SendFrame(t Type, id uint32, payload []byte) error
 	// Kill tears the connection down — every stream and round trip on it
 	// fails — because of err.

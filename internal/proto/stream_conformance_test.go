@@ -429,7 +429,7 @@ func TestTerminalFrameIntoFullQueueFailsStream(t *testing.T) {
 	clientEnd, serverEnd := net.Pipe()
 	defer clientEnd.Close()
 	defer serverEnd.Close()
-	m := newMuxConn(clientEnd, newEpMetrics(nil))
+	m := newMuxConn(clientEnd, newEpMetrics(nil), time.Minute)
 	go io.Copy(io.Discard, serverEnd) // the preface
 	st, err := m.registerStream(confWindow, confChunk, time.Minute)
 	if err != nil {

@@ -5,8 +5,6 @@ package proto
 import (
 	"errors"
 	"io"
-	"net"
-	"time"
 
 	"eevfs/internal/telemetry"
 )
@@ -154,8 +152,7 @@ func (s *WriteStream) Close() error {
 // stream id, sends the open frame, and waits for the peer's verdict.
 // Opens are side-effect-free until data flows, so transport faults are
 // retried exactly like Call; a *RemoteError rejection is final.
-func (e *Endpoint) openStream(t Type, req StreamOpenReq, sc telemetry.SpanContext) (*Stream, StreamOpenResp, error) {
-	e.met.calls.Inc()
+func (e *Endpoint) openStream(t Type, req StreamOpenReq, sc telemetry.SpanContext) (st *Stream, resp StreamOpenResp, err error) {
 	req.Window = uint32(ClampStreamWindow(req.Window))
 	// The node answers with a chunk size of its own only when asked for
 	// none, and never above the protocol's bound.
@@ -166,49 +163,20 @@ func (e *Endpoint) openStream(t Type, req StreamOpenReq, sc telemetry.SpanContex
 	// the generation and takes healthy streams down with it.
 	stall := StreamStallTimeout(e.cfg.RTTimeout)
 	ft, payload := AttachContext(t, req.Encode(), sc)
-	var last error
-	attempts := 0
-	for attempt := 0; attempt <= e.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			e.met.retries.Inc()
-			time.Sleep(e.backoff(attempt))
-		}
-		attempts++
-		m, err := e.conn()
-		if err != nil {
-			if last = err; errors.Is(err, net.ErrClosed) {
-				break // the endpoint itself was closed: nothing to retry
-			}
-			continue
-		}
-		var resp StreamOpenResp
-		st, err := m.registerStream(int(req.Window), limit, stall)
-		if err == nil {
-			err = m.SendFrame(ft, st.id, payload)
+	err = e.attempt(func(m *muxConn) (err error) {
+		if st, err = m.registerStream(int(req.Window), limit, stall); err == nil {
+			err = m.w.SendFrame(ft, st.id, payload)
 		}
 		if err == nil {
 			resp, err = st.awaitOpen()
 		}
-		if err == nil {
-			e.met.streamOpens.Inc()
-			return st, resp, nil
-		}
-		var re *RemoteError
-		if errors.As(err, &re) {
-			e.met.remoteEs.Inc()
-			e.met.reg.Counter("proto.rt.errors.remote." + re.Code.String()).Inc()
-			return nil, StreamOpenResp{}, err
-		}
-		m.poison(err)
-		e.dropConn(m)
-		last = err
+		return err
+	})
+	if err != nil {
+		return nil, StreamOpenResp{}, err
 	}
-	terr := &TransportError{Addr: e.addr, Attempts: attempts, Err: last}
-	e.met.transportEs.Inc()
-	if terr.Timeout() {
-		e.met.timeouts.Inc()
-	}
-	return nil, StreamOpenResp{}, terr
+	e.met.streamOpens.Inc()
+	return st, resp, nil
 }
 
 // OpenReadStream opens a chunked read stream for req.FileID. The

@@ -27,7 +27,7 @@ func FuzzReadStreamFrames(f *testing.F) {
 		clientEnd, serverEnd := net.Pipe()
 		defer clientEnd.Close()
 		defer serverEnd.Close()
-		m := newMuxConn(clientEnd, newEpMetrics(nil))
+		m := newMuxConn(clientEnd, newEpMetrics(nil), time.Minute)
 
 		// Drain everything the client side emits (preface, credits).
 		go io.Copy(io.Discard, serverEnd)

@@ -135,7 +135,9 @@ func TestReadStreamDelivery(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := rs.st.conn.(*muxConn)
+	ep.mu.Lock()
+	m := ep.cur
+	ep.mu.Unlock()
 	m.mu.Lock()
 	open := len(m.streams)
 	m.mu.Unlock()

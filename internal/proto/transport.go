@@ -3,15 +3,12 @@
 // peer (server -> each storage node, client -> server and nodes); an
 // Endpoint owns such a connection and gives every round trip a connect
 // deadline, an overall round-trip deadline, and bounded retries with
-// jittered exponential backoff. The connection is multiplexed (v2
-// framing): any number of callers may have round trips in flight
-// concurrently, correlated by request id, so a storage server fanning
-// prefetch reads across nodes no longer pays head-of-line latency.
-// Transport failures discard the connection — a half-written request,
-// half-read response, or missing response poisons the stream, failing
-// every outstanding request — and surface as *TransportError; remote
-// application failures surface as *RemoteError, never retry, and leave
-// the connection (and its other in-flight requests) untouched.
+// jittered exponential backoff. The connection is multiplexed: any number
+// of callers may have round trips in flight, correlated by request id.
+// Transport failures poison the connection, failing every outstanding
+// request, and surface as *TransportError; remote application failures
+// surface as *RemoteError, never retry, and leave the connection (and its
+// other in-flight requests) untouched.
 package proto
 
 import (
@@ -133,7 +130,6 @@ type epMetrics struct {
 	remoteEs    *telemetry.Counter
 	latency     *telemetry.Histogram
 	inflight    *telemetry.Gauge
-	queueDepth  *telemetry.Histogram
 
 	streamOpens  *telemetry.Counter
 	streamBytes  *telemetry.Counter
@@ -150,7 +146,6 @@ func newEpMetrics(reg *telemetry.Registry) epMetrics {
 		remoteEs:    reg.Counter("proto.rt.errors.remote"),
 		latency:     reg.Histogram("proto.rt.seconds", nil),
 		inflight:    reg.Gauge("proto.inflight"),
-		queueDepth:  reg.Histogram("proto.queue.depth", nil),
 
 		streamOpens:  reg.Counter("proto.stream.opens"),
 		streamBytes:  reg.Counter("proto.stream.bytes"),
@@ -160,10 +155,8 @@ func newEpMetrics(reg *telemetry.Registry) epMetrics {
 
 // Endpoint is one peer's persistent multiplexed connection plus the
 // retry policy around it. Any number of goroutines may Call concurrently;
-// their round trips are pipelined on the single connection (the paper's
-// one persistent connection per storage node, now kept busy with
-// overlapped work instead of idle waits) and correlated back by request
-// id. The zero value is not usable; call NewEndpoint.
+// their round trips are pipelined on the single connection and correlated
+// back by request id. The zero value is not usable; call NewEndpoint.
 type Endpoint struct {
 	addr string
 	dial Dialer
@@ -224,25 +217,19 @@ func (e *Endpoint) conn() (*muxConn, error) {
 	if e.closed {
 		return nil, net.ErrClosed
 	}
-	if e.cur != nil && e.cur.alive() {
-		return e.cur, nil
+	if e.cur != nil {
+		select {
+		case <-e.cur.done: // poisoned: replaced below
+		default:
+			return e.cur, nil
+		}
 	}
 	c, err := e.dial.Dial(e.addr, e.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	e.cur = newMuxConn(c, e.met)
+	e.cur = newMuxConn(c, e.met, e.cfg.RTTimeout)
 	return e.cur, nil
-}
-
-// dropConn clears the current generation if it is still m; the poisoned
-// muxConn already closed its socket and failed its pending requests.
-func (e *Endpoint) dropConn(m *muxConn) {
-	e.mu.Lock()
-	if e.cur == m {
-		e.cur = nil
-	}
-	e.mu.Unlock()
 }
 
 // backoff returns the jittered delay before retry attempt n >= 1:
@@ -262,64 +249,64 @@ func (e *Endpoint) backoff(attempt int) time.Duration {
 	return d/2 + j
 }
 
-// Call performs one round trip with the configured deadlines and
-// retries. Remote application errors (*RemoteError) are final and leave
-// the connection cached; any transport error poisons the connection
-// generation (failing every other in-flight request on it) before the
-// next attempt — a dead stream must never leak into a later round trip.
-func (e *Endpoint) Call(t Type, payload []byte) (Type, []byte, error) {
+// attempt runs do on the live connection generation, with the configured
+// retries. Success and a remote application error (*RemoteError: the
+// peer's answer) are final and leave the connection cached; anything else
+// is a transport fault, which poisons the generation (failing every other
+// in-flight request on it) before the next attempt dials a fresh one — a
+// dead stream must never leak into a later round trip.
+func (e *Endpoint) attempt(do func(m *muxConn) error) error {
 	e.met.calls.Inc()
-	start := time.Now()
 	var last error
-	attempts := 0
-	for attempt := 0; attempt <= e.cfg.Retries; attempt++ {
-		if attempt > 0 {
+	tries := 0
+	for tries <= e.cfg.Retries {
+		if tries > 0 {
 			e.met.retries.Inc()
-			time.Sleep(e.backoff(attempt))
+			time.Sleep(e.backoff(tries))
 		}
-		attempts++
+		tries++
 		m, err := e.conn()
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				e.met.transportEs.Inc()
-				return 0, nil, &TransportError{Addr: e.addr, Attempts: attempts, Err: err}
+			if last = err; errors.Is(err, net.ErrClosed) {
+				break // the endpoint itself was closed: nothing to retry
 			}
-			last = err
 			continue
 		}
-		// On a generation carrying open streams the response legitimately
-		// queues behind their bulk data frames, so the round trip gets the
-		// stream stall bound instead of the bare deadline: a premature
-		// timeout here poisons the generation and takes every healthy
-		// stream down with it.
-		timeout := e.cfg.RTTimeout
-		if m.hasStreams() {
-			timeout = StreamStallTimeout(timeout)
-		}
-		rt, rp, err := m.roundTrip(t, payload, timeout)
-		if err == nil {
-			e.met.latency.Observe(time.Since(start).Seconds())
-			return rt, rp, nil
+		if err = do(m); err == nil {
+			return nil
 		}
 		var re *RemoteError
 		if errors.As(err, &re) {
-			// The peer answered; the round trip itself succeeded, so it
-			// counts toward latency, and the failure is classified by
-			// its wire code (cold path: registry lookup is fine here).
-			e.met.latency.Observe(time.Since(start).Seconds())
+			// Classified by its wire code (cold path: a lookup is fine).
 			e.met.remoteEs.Inc()
 			e.met.reg.Counter("proto.rt.errors.remote." + re.Code.String()).Inc()
-			return 0, nil, err
+			return err
 		}
-		e.dropConn(m)
+		m.poison(err)
 		last = err
 	}
-	terr := &TransportError{Addr: e.addr, Attempts: attempts, Err: last}
+	terr := &TransportError{Addr: e.addr, Attempts: tries, Err: last}
 	e.met.transportEs.Inc()
 	if terr.Timeout() {
 		e.met.timeouts.Inc()
 	}
-	return 0, nil, terr
+	return terr
+}
+
+// Call performs one round trip with the configured deadlines and retries
+// (see attempt for what is retried).
+func (e *Endpoint) Call(t Type, payload []byte) (rt Type, rp []byte, err error) {
+	start := time.Now()
+	err = e.attempt(func(m *muxConn) (err error) {
+		rt, rp, err = m.roundTrip(t, payload, e.cfg.RTTimeout)
+		return err
+	})
+	var re *RemoteError
+	if err == nil || errors.As(err, &re) {
+		// The peer answered: the round trip succeeded and counts as latency.
+		e.met.latency.Observe(time.Since(start).Seconds())
+	}
+	return rt, rp, err
 }
 
 // CallCtx is Call with a trace context attached to the request frame.
