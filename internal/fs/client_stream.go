@@ -182,14 +182,23 @@ func (c *Client) OpenWrite(name string, size int64, opts StreamOptions) (*FileWr
 	return &FileWriter{ws: ws, sp: sp, att: att}, nil
 }
 
-// WriteFrom streams size bytes from r into name: OpenWrite + io.Copy +
+// copyPooled is io.Copy through a pooled buffer: a streamed transfer
+// allocates no copy buffer of its own, which on small files was most of
+// what a transfer allocated.
+func copyPooled(w io.Writer, r io.Reader) (int64, error) {
+	buf := proto.GetChunk(32 << 10)
+	defer proto.PutChunk(buf)
+	return io.CopyBuffer(w, r, buf)
+}
+
+// WriteFrom streams size bytes from r into name: OpenWrite + copy +
 // Close. buffered reports whether the node's write-buffer absorbed it.
 func (c *Client) WriteFrom(name string, size int64, r io.Reader) (buffered bool, err error) {
 	w, err := c.OpenWrite(name, size, StreamOptions{})
 	if err != nil {
 		return false, err
 	}
-	if _, err := io.Copy(w, io.LimitReader(r, size)); err != nil {
+	if _, err := copyPooled(w, io.LimitReader(r, size)); err != nil {
 		w.Close()
 		return false, err
 	}
@@ -199,7 +208,7 @@ func (c *Client) WriteFrom(name string, size int64, r io.Reader) (buffered bool,
 	return w.Buffered(), nil
 }
 
-// ReadTo streams name's content into w: OpenRead + io.Copy + Close.
+// ReadTo streams name's content into w: OpenRead + copy + Close.
 // fromBuffer reports whether the node's buffer disk served it.
 func (c *Client) ReadTo(name string, w io.Writer) (n int64, fromBuffer bool, err error) {
 	r, err := c.OpenRead(name, StreamOptions{})
@@ -207,7 +216,7 @@ func (c *Client) ReadTo(name string, w io.Writer) (n int64, fromBuffer bool, err
 		return 0, false, err
 	}
 	defer r.Close()
-	n, err = io.Copy(w, r)
+	n, err = copyPooled(w, r)
 	if err != nil {
 		return n, r.FromBuffer(), err
 	}

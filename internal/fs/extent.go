@@ -391,23 +391,23 @@ func (w *extentWriter) unreserve() {
 
 // land ends a client write or a tier movement whose bytes w has staged:
 // one transition that, if the file w started from is still the node's,
-// renames the staged extents into place and applies and logs edit's
-// change to the file's record (edit reports whether there is one). If the
-// file was deleted meanwhile — the error then wraps ErrFileNotFound — or
-// a write landed after a tier movement took its copy, what was staged is
-// discarded.
-func (n *Node) land(w *extentWriter, edit func(r *nodeRecord) (moved bool)) error {
-	err := n.transition(w.rec.ID, func(rec *fileRec, r *nodeRecord) (bool, error) {
+// renames the staged extents into place and applies edit's change to the
+// file's record. If the file was deleted meanwhile — the error then wraps
+// ErrFileNotFound — or a write landed after a tier movement took its
+// copy, what was staged is discarded.
+func (n *Node) land(w *extentWriter, edit func(r *nodeRecord)) error {
+	err := n.transition(w.rec.ID, func(rec *fileRec, r *nodeRecord) error {
 		if rec != w.rec {
-			return false, fmt.Errorf("fs: file %d deleted under an operation in flight: %w", w.rec.ID, ErrFileNotFound)
+			return fmt.Errorf("fs: file %d deleted under an operation in flight: %w", w.rec.ID, ErrFileNotFound)
 		}
 		if w.asOf != 0 && rec.gen != w.asOf {
-			return false, fmt.Errorf("fs: file %d changed under a tier movement", rec.ID)
+			return fmt.Errorf("fs: file %d changed under a tier movement", rec.ID)
 		}
 		if err := w.commit(); err != nil {
-			return false, err
+			return err
 		}
-		return edit(r), nil
+		edit(r)
+		return nil
 	})
 	if err != nil {
 		w.abandon()

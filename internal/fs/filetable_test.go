@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"eevfs/internal/metadata"
 	"eevfs/internal/proto"
+	"eevfs/internal/telemetry"
 	"eevfs/internal/wal"
 )
 
@@ -563,8 +565,16 @@ func TestFileTableReplayPlantedBug(t *testing.T) {
 // every lock, so a client write can land between the copy and its
 // landing. The stale copy must then be discarded — landed, a flush would
 // drop the buffer's newer bytes and a prefetch would serve the old ones
-// from the buffer from then on.
+// from the buffer from then on. That holds for a write that leaves the
+// file's record as it was, too: a direct rewrite of a clean file at the
+// same size.
 func TestTierMovementYieldsToNewerWrite(t *testing.T) {
+	for _, direct := range []string{"direct", "ON THE DATA DISK"} {
+		t.Run(direct, func(t *testing.T) { tierMovementYieldsToNewerWrite(t, direct) })
+	}
+}
+
+func tierMovementYieldsToNewerWrite(t *testing.T, direct string) {
 	n, err := StartNode(persistNodeConfig(t.TempDir(), "127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
@@ -596,7 +606,7 @@ func TestTierMovementYieldsToNewerWrite(t *testing.T) {
 	if buffered, err := n.write(0, []byte("newer")); err != nil || !buffered {
 		t.Fatalf("buffered=%v err=%v", buffered, err)
 	}
-	if err := n.land(flush, func(r *nodeRecord) bool { r.Dirty, r.DirtySize = false, 0; return true }); err == nil {
+	if err := n.land(flush, func(r *nodeRecord) { r.Dirty, r.DirtySize = false, 0 }); err == nil {
 		t.Fatal("a flush landed a copy older than the file's last write")
 	}
 	readBack(0, "newer", true)
@@ -610,14 +620,55 @@ func TestTierMovementYieldsToNewerWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.cfg.WriteBuffer = false
-	if _, err := n.write(1, []byte("direct")); err != nil {
+	if _, err := n.write(1, []byte(direct)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.land(stage, func(r *nodeRecord) bool { r.Entry.Prefetched = true; return true }); err == nil {
+	if err := n.land(stage, func(r *nodeRecord) { r.Entry.Prefetched = true }); err == nil {
 		t.Fatal("a prefetch landed a copy older than the file's last write")
 	}
-	readBack(1, "direct", false)
+	readBack(1, direct, false)
 	if left := storedFiles(t, n); !reflect.DeepEqual(left, []string{"data0/f00000000.dat", "data1/f00000001.dat"}) {
 		t.Fatalf("the disks hold %v", left)
+	}
+}
+
+// TestSameSizeBufferedRewriteLogsNothing: rewriting an unflushed file at
+// its size leaves its persisted record as it was, so the log gains no
+// bytes; the newer content still survives a crash, read back from the
+// buffer disk after a restart on what the node left.
+func TestSameSizeBufferedRewriteLogsNothing(t *testing.T) {
+	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
+	cfg.Metrics = telemetry.NewRegistry()
+	n, err := StartNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	logBytes := cfg.Metrics.Counter("persist.log.bytes")
+	if err := n.create(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.write(0, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	before := logBytes.Value()
+	if buffered, err := n.write(0, []byte("again")); err != nil || !buffered {
+		t.Fatalf("buffered=%v err=%v", buffered, err)
+	}
+	if grew := logBytes.Value() - before; grew != 0 {
+		t.Fatalf("a same-size buffered rewrite appended %d log bytes", grew)
+	}
+
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(cfg.RootDir)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := StartNode(persistNodeConfig(crashed, "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if r, err := again.read(0); err != nil || string(r.Data) != "again" || !r.FromBuffer {
+		t.Fatalf("after a restart the file reads %q (fromBuffer=%v, err=%v), want the rewrite from the buffer", r.Data, r.FromBuffer, err)
 	}
 }

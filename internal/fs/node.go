@@ -370,11 +370,11 @@ func (n *Node) handleCreate(req proto.NodeCreateReq, _ *telemetry.Span) (noBody,
 	}
 	// Creation order is popularity order (Section IV-A): the round-robin
 	// cursor load-balances popular files across the node's data disks.
-	return noBody{}, n.transition(int(req.FileID), func(_ *fileRec, r *nodeRecord) (bool, error) {
+	return noBody{}, n.transition(int(req.FileID), func(_ *fileRec, r *nodeRecord) error {
 		r.Entry = metadata.NodeEntry{ID: r.Entry.ID, Size: req.Size, Disk: r.NextDisk % len(n.data)}
 		r.Present = true
 		r.NextDisk++
-		return true, nil
+		return nil
 	})
 }
 
@@ -394,22 +394,21 @@ func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (proto.No
 
 // commitWrite lands a client write whose bytes are staged — shared by the
 // RPC and streaming write paths. A buffered write leaves the file
-// unflushed (and is logged even when the record reads as before); a
-// direct one supersedes any buffer-disk copy, so the stale prefetched
-// replica or unflushed write goes, and reads cannot see old content.
+// unflushed; a direct one supersedes any buffer-disk copy, so the stale
+// prefetched replica or unflushed write goes, and reads cannot see old
+// content. Either way the file has moved, even where its record reads as
+// before.
 func (n *Node) commitWrite(w *extentWriter) error {
-	err := n.land(w, func(r *nodeRecord) bool {
-		was := *r
+	err := n.land(w, func(r *nodeRecord) {
 		r.Entry.Size = w.size
 		if w.buffered {
 			r.Dirty, r.DirtySize = true, w.size
-			return true
+			return
 		}
 		if r.Dirty || r.Entry.Prefetched {
 			removeExtents(n.bufferExtent(r.Entry.ID, 0))
 		}
 		r.Dirty, r.DirtySize, r.Entry.Prefetched = false, 0, false
-		return *r != was
 	})
 	if err == nil && w.buffered {
 		n.bufWritesC.Inc()
@@ -437,13 +436,13 @@ func (n *Node) handleRead(rt proto.Type, fileID, off, length int64, sp *telemetr
 
 func (n *Node) handleDelete(req proto.NodeDeleteReq, _ *telemetry.Span) (noBody, error) {
 	var gone metadata.NodeEntry
-	err := n.transition(int(req.FileID), func(rec *fileRec, r *nodeRecord) (bool, error) {
+	err := n.transition(int(req.FileID), func(rec *fileRec, r *nodeRecord) error {
 		if rec == nil {
-			return false, fmt.Errorf("fs: delete of unknown file %d", req.FileID)
+			return fmt.Errorf("fs: delete of unknown file %d", req.FileID)
 		}
 		gone = r.Entry
 		*r = nodeRecord{Entry: metadata.NodeEntry{ID: gone.ID}, NextDisk: r.NextDisk}
-		return true, nil
+		return nil
 	})
 	if err == nil {
 		removeExtents(n.bufferExtent(gone.ID, 0))
@@ -483,10 +482,7 @@ func (n *Node) handlePrefetch(req proto.NodePrefetchReq, sp *telemetry.Span) (pr
 		w, err := n.copyExtents(rec, file, n.dataExtents(file.NodeEntry), n.bufferExtent(file.ID, file.Size),
 			room, spanAttrib(sp, id, planeRPC))
 		if err == nil {
-			err = n.land(w, func(r *nodeRecord) bool {
-				r.Entry.Prefetched = true
-				return true
-			})
+			err = n.land(w, func(r *nodeRecord) { r.Entry.Prefetched = true })
 		}
 		if err != nil {
 			n.logger.Printf("prefetch of file %d failed: %v", id, err)
@@ -522,13 +518,12 @@ func (n *Node) flushOne(id int) {
 	buf := n.bufferExtent(id, file.Size)
 	w, err := n.copyExtents(rec, file, buf, n.dataExtents(file.NodeEntry), 0, reqAttrib{})
 	if err == nil {
-		err = n.land(w, func(r *nodeRecord) bool {
+		err = n.land(w, func(r *nodeRecord) {
 			r.Dirty, r.DirtySize = false, 0
 			// Drop the buffer copy unless it doubles as a prefetched replica.
 			if !r.Entry.Prefetched {
 				removeExtents(buf)
 			}
-			return true
 		})
 	}
 	if err != nil {

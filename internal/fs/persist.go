@@ -122,20 +122,22 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 // transition is the one way a running node changes what it persists about
 // a file. step sees the file's record (nil: the node holds no such file)
 // and edits r, which arrives as the file's current persisted state; unless
-// step reports that nothing moved, r is applied to the table and those
-// same bytes are appended to the log, all inside persistMu — so nothing
-// persisted moves under step, which may therefore rename staged extents
-// into place, and an id's records reach the log in the order they were
-// applied. A failed append is logged, not fatal — as a failed manifest
-// save always was.
-func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) (moved bool, err error)) error {
+// step fails, r is applied to the table — which advances the file's
+// generation, so a tier movement that copied it before cannot land — and,
+// if it differs from what was persisted, those same bytes are appended to
+// the log, all inside persistMu: nothing persisted moves under step, which
+// may therefore rename staged extents into place, and an id's records
+// reach the log in the order they were applied. A failed append is
+// logged, not fatal — as a failed manifest save always was.
+func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) error) error {
 	n.persistMu.Lock()
 	defer n.persistMu.Unlock()
 	rec, r := n.files.record(id)
-	if moved, err := step(rec, &r); err != nil || !moved {
+	was := r
+	if err := step(rec, &r); err != nil {
 		return err
 	}
-	if err := n.files.apply(r); err != nil {
+	if err := n.files.apply(r); err != nil || r == was {
 		return err
 	}
 	before := n.wal.Size()

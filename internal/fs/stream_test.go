@@ -423,9 +423,9 @@ func TestStreamReadAllocsFlat(t *testing.T) {
 // Client.Read of a prefetched file against an in-process cluster — client, server and node all
 // counted — allocates the payload the caller gets to keep plus small
 // change. The node builds its reply in the pooled chunk it reads the disk
-// into and the connection's write half copies that once, into a buffer it
-// reuses, so a second payload-sized allocation per read (there were two
-// before: the encoder's, and a frame buffer's growth) trips this.
+// into and the connection's write half sends that chunk in place, so a
+// second payload-sized allocation per read (there were two once: the
+// encoder's, and a frame buffer's growth) trips this.
 func TestReadAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
@@ -433,7 +433,7 @@ func TestReadAllocsPerOp(t *testing.T) {
 	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) {
 		cfg.InjectLatency = false
 	})
-	const size, reads = 16 << 10, 2000 // enough reads that a chunk-pool miss (256 KiB) is small change too
+	const size, reads = 16 << 10, 2000 // enough reads that a chunk-pool miss (a 32 KiB reply chunk) is small change too
 	if err := cl.Create("hot.dat", patternedContent(13, size)); err != nil {
 		t.Fatal(err)
 	}

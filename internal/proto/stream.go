@@ -28,14 +28,15 @@ package proto
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Stream chunk/window defaults and bounds. The chunk pool recycles
-// buffers of DefaultStreamChunk capacity, so negotiated chunk sizes at or
-// under it are allocation-free in steady state.
+// Stream chunk/window defaults and bounds. The chunk pools recycle
+// buffers of up to DefaultStreamChunk capacity, so negotiated chunk sizes
+// at or under it are allocation-free in steady state.
 const (
 	DefaultStreamChunk  = 256 << 10
 	MinStreamChunk      = 512
@@ -54,12 +55,17 @@ const (
 	maxStreamControl = 64 << 10
 )
 
-// chunkPool recycles stream chunk payload buffers (cf. the frame pool:
-// steady-state streaming allocates nothing per chunk).
-var chunkPool = sync.Pool{New: func() any {
-	b := make([]byte, DefaultStreamChunk)
-	return &b
-}}
+// chunkPools recycle stream chunks and read replies (steady-state
+// streaming allocates nothing per chunk), one pool per power-of-two
+// capacity class from MinStreamChunk to DefaultStreamChunk: a buffer pins
+// less than twice what it carries, so a 16 KiB reply waiting in a batch
+// holds 32 KiB, not a stream chunk's 256.
+var chunkPools = make([]sync.Pool, chunkClass(DefaultStreamChunk)+1)
+
+// chunkClass is the smallest class holding n bytes, n <= DefaultStreamChunk.
+func chunkClass(n int) int {
+	return bits.Len(uint(max(n, MinStreamChunk)-1)) - bits.Len(MinStreamChunk-1)
+}
 
 // chunksInUse counts pooled chunks handed out and not yet returned.
 var chunksInUse atomic.Int64
@@ -68,26 +74,30 @@ var chunksInUse atomic.Int64
 // how a test shows that a stream path gave back every one it took.
 func ChunksInUse() int64 { return chunksInUse.Load() }
 
-// GetChunk returns a length-n buffer, pooled when n fits the standard
-// chunk capacity. Pair with PutChunk.
+// GetChunk returns a length-n buffer, pooled in the smallest class that
+// holds it when n is at most DefaultStreamChunk. Pair with PutChunk.
 func GetChunk(n int) []byte {
-	if n <= DefaultStreamChunk {
-		chunksInUse.Add(1)
-		bp := chunkPool.Get().(*[]byte)
+	if n > DefaultStreamChunk {
+		return make([]byte, n)
+	}
+	chunksInUse.Add(1)
+	c := chunkClass(n)
+	if bp, ok := chunkPools[c].Get().(*[]byte); ok {
 		return (*bp)[:n]
 	}
-	return make([]byte, n)
+	return make([]byte, n, MinStreamChunk<<c)
 }
 
-// PutChunk returns a GetChunk buffer to the pool. Oversized buffers are
-// dropped for the GC.
+// PutChunk returns a GetChunk buffer to its class's pool. A buffer of any
+// other capacity — oversized, or not GetChunk's — is dropped for the GC.
 func PutChunk(b []byte) {
-	if cap(b) != DefaultStreamChunk {
+	c := chunkClass(cap(b))
+	if cap(b) > DefaultStreamChunk || cap(b) != MinStreamChunk<<c {
 		return
 	}
 	chunksInUse.Add(-1)
-	b = b[:DefaultStreamChunk]
-	chunkPool.Put(&b)
+	b = b[:cap(b)]
+	chunkPools[c].Put(&b)
 }
 
 // NegotiateChunk picks the effective chunk size for one stream: the

@@ -322,24 +322,46 @@ func TestWriteStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamChunkPool pins the pooled-buffer contract: standard-size
-// chunks round-trip through the pool, oversized ones fall to the GC.
+// TestStreamChunkPool pins the pooled-buffer contract: a chunk comes from
+// the smallest power-of-two class from MinStreamChunk that holds it and
+// goes back to that class; oversized and foreign buffers fall to the GC
+// without poisoning a pool or the in-use count.
 func TestStreamChunkPool(t *testing.T) {
-	b := GetChunk(1024)
-	if len(b) != 1024 || cap(b) != DefaultStreamChunk {
-		t.Fatalf("len=%d cap=%d", len(b), cap(b))
+	baseline := ChunksInUse()
+	var held [][]byte
+	for _, c := range []struct{ n, class int }{
+		{0, MinStreamChunk}, {64, MinStreamChunk}, {MinStreamChunk, MinStreamChunk},
+		{MinStreamChunk + 1, 2 * MinStreamChunk}, {1024, 1024},
+		{16<<10 + NodeReadRespHead, 32 << 10}, {DefaultStreamChunk, DefaultStreamChunk},
+	} {
+		b := GetChunk(c.n)
+		if len(b) != c.n || cap(b) != c.class {
+			t.Errorf("GetChunk(%d): len %d cap %d, want cap %d", c.n, len(b), cap(b), c.class)
+		}
+		held = append(held, b)
 	}
-	PutChunk(b)
+	if in := ChunksInUse() - baseline; in != int64(len(held)) {
+		t.Fatalf("%d chunks handed out, %d counted in use", len(held), in)
+	}
+	for _, b := range held {
+		PutChunk(b)
+	}
 	big := GetChunk(DefaultStreamChunk + 1)
 	if len(big) != DefaultStreamChunk+1 {
 		t.Fatalf("len=%d", len(big))
 	}
-	PutChunk(big) // must not poison the pool
-	again := GetChunk(64)
-	if cap(again) != DefaultStreamChunk {
-		t.Fatalf("pool returned cap %d", cap(again))
+	PutChunk(big)
+	PutChunk(make([]byte, 3000)) // not GetChunk's
+	if in := ChunksInUse(); in != baseline {
+		t.Fatalf("%d chunks in use after every one went back, want %d", in, baseline)
 	}
-	PutChunk(again)
+	for _, n := range []int{64, 3000, 20 << 10} {
+		again := GetChunk(n)
+		if cap(again) != MinStreamChunk<<chunkClass(n) {
+			t.Errorf("GetChunk(%d) after foreign puts: cap %d", n, cap(again))
+		}
+		PutChunk(again)
+	}
 }
 
 // TestNegotiateChunkClamps pins the chunk/window negotiation bounds.

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,7 @@ func frameWriterConformance(plant string) error {
 		{"concurrent senders", confConcurrentSenders},
 		{"write error", confWriteError},
 		{"stalled peer", confStalledPeer},
+		{"bulk both ways", confBulkBothWays},
 	} {
 		if err := sc.run(plant); err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
@@ -61,8 +63,8 @@ func frameWriterConformance(plant string) error {
 	return nil
 }
 
-// confConcurrentSenders: senders of random-sized frames — a few of them
-// long enough to go out direct — over a pipe read in 1-to-7-byte slices;
+// confConcurrentSenders: senders of random-sized frames — one in ten long
+// enough to go out in place — over a pipe read in 1-to-7-byte slices;
 // every frame arrives whole, each sender's in the order it sent them.
 func confConcurrentSenders(plant string) error {
 	const senders, frames = 8, 120
@@ -82,8 +84,8 @@ func confConcurrentSenders(plant string) error {
 			rng := rand.New(rand.NewSource(int64(s)))
 			for seq := 0; seq < frames; seq++ {
 				size := rng.Intn(600)
-				if s == 0 && seq%40 == 7 {
-					size = directPayload + rng.Intn(100)
+				if seq%10 == s%10 {
+					size = inPlacePayload + rng.Intn(100)
 				}
 				if err := w.SendFrame(TDataFrame, uint32(s), confPayload(s, seq, size)); err != nil {
 					sendErr <- fmt.Errorf("sender %d frame %d: %w", s, seq, err)
@@ -113,11 +115,11 @@ func confConcurrentSenders(plant string) error {
 			return fmt.Errorf("frame %d is nobody's: id %d, %d bytes", got, id, len(payload))
 		}
 		seq := int(binary.BigEndian.Uint32(payload))
+		if !bytes.Equal(payload, confPayload(int(id), seq, len(payload)-4)) {
+			return fmt.Errorf("sender %d's frame %d arrived torn", id, next[id])
+		}
 		if seq != next[id] {
 			return fmt.Errorf("sender %d's frame %d arrived where its frame %d belongs", id, seq, next[id])
-		}
-		if !bytes.Equal(payload, confPayload(int(id), seq, len(payload)-4)) {
-			return fmt.Errorf("sender %d's frame %d arrived torn", id, seq)
 		}
 		next[id]++
 	}
@@ -157,7 +159,7 @@ func confWriteError(string) error {
 			defer wg.Done()
 			size := 10
 			if i%4 == 0 {
-				size = directPayload
+				size = inPlacePayload
 			}
 			later[i] = w.SendFrame(TListReq, uint32(i), make([]byte, size))
 		}()
@@ -175,14 +177,17 @@ func confWriteError(string) error {
 }
 
 // confStalledPeer: a peer that stops reading holds the flusher in its
-// write only until the write deadline, which releases every sender; the
-// backlog behind the stuck write never passes its bound.
-func confStalledPeer(string) error {
+// write only until the write deadline, which releases every sender with
+// that fault — those of payloads in place too, whether their batch is the
+// stuck one or queued behind it; the bytes copied into the backlog behind
+// the stuck write never pass their bound.
+func confStalledPeer(plant string) error {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	var hook atomic.Int32
 	w := NewFrameWriter(a, 100*time.Millisecond, nil, func(error) { hook.Add(1) })
+	w.plant = plant
 
 	var deepest atomic.Int64
 	stop := make(chan struct{})
@@ -204,14 +209,21 @@ func confStalledPeer(string) error {
 		}
 	}()
 
-	const senders = 8
-	errs := make([]error, senders)
+	const copiedSenders, inPlaceSenders = 8, 3
+	errs := make([]error, copiedSenders+inPlaceSenders)
 	var wg sync.WaitGroup
 	for s := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			frame := make([]byte, 8<<10)
+			// Copied frames all of one length: the backlog only ever holds
+			// whole multiples of it, plus a header per payload in place,
+			// none of which lands within a header's length of the bound, so
+			// a bound that counts only headers overshoots it.
+			frame := make([]byte, 1<<10)
+			if s >= copiedSenders {
+				frame = make([]byte, inPlacePayload)
+			}
 			for errs[s] == nil {
 				errs[s] = w.SendFrame(TDataFrame, uint32(s), frame)
 			}
@@ -227,8 +239,8 @@ func confStalledPeer(string) error {
 	close(stop)
 	<-sampled
 	for s, err := range errs {
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			return fmt.Errorf("sender %d was released by %v, want the write deadline", s, err)
+		if !errors.Is(err, os.ErrDeadlineExceeded) || err != errs[0] {
+			return fmt.Errorf("sender %d was released by %v, want the write deadline %v", s, err, errs[0])
 		}
 	}
 	if d := deepest.Load(); d == 0 || d > writeBacklog {
@@ -236,6 +248,195 @@ func confStalledPeer(string) error {
 	}
 	if n := hook.Load(); n != 1 {
 		return fmt.Errorf("the fault hook ran %d times, want once", n)
+	}
+	return nil
+}
+
+// sockEnd is one end of a connection whose sending side absorbs a write
+// shorter than inPlacePayload at once, as a socket's buffer does, and
+// holds a longer one until the peer has read it — or until the write
+// deadline — as a socket does once that buffer is full. It counts the
+// long writes made from an answering reader's goroutine.
+type sockEnd struct {
+	net.Conn     // a net.Pipe end, written by the pump alone
+	q            chan sockWrite
+	closed       chan struct{}
+	bulkByReader atomic.Int32
+
+	mu       sync.Mutex
+	deadline time.Time
+}
+
+type sockWrite struct {
+	b    []byte
+	done chan struct{} // nil for an absorbed write
+}
+
+func newSockEnd(c net.Conn) *sockEnd {
+	// q holds more writes than a scenario makes: an absorbed write never
+	// blocks.
+	s := &sockEnd{Conn: c, q: make(chan sockWrite, 1<<12), closed: make(chan struct{})}
+	go func() {
+		for {
+			select {
+			case wr := <-s.q:
+				if _, err := c.Write(wr.b); err != nil {
+					return
+				}
+				if wr.done != nil {
+					close(wr.done)
+				}
+			case <-s.closed:
+				return
+			}
+		}
+	}()
+	return s
+}
+
+func (s *sockEnd) Close() error {
+	close(s.closed)
+	return s.Conn.Close()
+}
+
+func (s *sockEnd) Write(b []byte) (int, error) {
+	wr := sockWrite{b: bytes.Clone(b)}
+	if len(b) >= inPlacePayload {
+		if onAnsweringReader() {
+			s.bulkByReader.Add(1)
+		}
+		wr.done = make(chan struct{})
+	}
+	select {
+	case s.q <- wr:
+	case <-s.closed:
+		return 0, net.ErrClosed
+	}
+	if wr.done == nil {
+		return len(b), nil
+	}
+	s.mu.Lock()
+	timer := time.NewTimer(time.Until(s.deadline))
+	s.mu.Unlock()
+	defer timer.Stop()
+	select {
+	case <-wr.done:
+		return len(b), nil
+	case <-s.closed:
+		return 0, net.ErrClosed
+	case <-timer.C:
+		return 0, os.ErrDeadlineExceeded
+	}
+}
+
+func (s *sockEnd) SetWriteDeadline(t time.Time) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.deadline = t
+	return nil
+}
+
+// onAnsweringReader reports whether answerFrames is on the calling
+// goroutine's stack.
+func onAnsweringReader() bool {
+	buf := make([]byte, 16<<10)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte(".answerFrames("))
+}
+
+// answerFrames is a demux loop: it reads in's frames until in fails and
+// answers each on w with a small frame — a data frame with a credit, a
+// credit, once it has woken the worker it names, with an end — but not an
+// end.
+func answerFrames(in io.Reader, w *FrameWriter, credits []chan struct{}) {
+	for {
+		t, id, _, err := ReadFrameID(in)
+		if err != nil {
+			return
+		}
+		switch t {
+		case TDataFrame:
+			err = w.SendFrame(TStreamCredit, id, StreamCredit{N: 1}.Encode())
+		case TStreamCredit:
+			select {
+			case credits[id] <- struct{}{}:
+			default: // its worker gave up
+			}
+			err = w.SendFrame(TStreamEnd, id, StreamEnd{}.Encode())
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// confBulkBothWays: both ends of one connection send 64 KiB frames from
+// workers while each end's demux loop answers what it reads with small
+// frames on its own end's write half, as the demux loops send credits,
+// errors and aborts. Each worker sends its next frame once its last is
+// credited, like a stream sender with a window of one, so the loop's
+// answer to a credit often finds the worker it just woke queueing a
+// payload behind it. A demux loop that writes another sender's payload
+// stops reading until the peer has read it, and if the peer's does the
+// same both wait out the deadline; so a small frame's sender must never
+// make such a write, and every frame must be sent and answered without a
+// deadline expiring.
+func confBulkBothWays(plant string) error {
+	const workers, frames = 2, 40
+	a, b := net.Pipe()
+	ends := [2]*sockEnd{newSockEnd(a), newSockEnd(b)}
+	var wg sync.WaitGroup
+	sendErr := make(chan error, 2*workers)
+	stop := make(chan struct{})
+	for i, end := range ends {
+		w := NewFrameWriter(end, time.Second, nil, func(error) {})
+		w.plant = plant
+		credits := make([]chan struct{}, workers)
+		for k := range credits {
+			credits[k] = make(chan struct{}, 1)
+		}
+		go answerFrames(NewReadHalf(end), w, credits)
+		for k := range credits {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				payload := make([]byte, 64<<10)
+				for f := 0; f < frames; f++ {
+					err := w.SendFrame(TDataFrame, uint32(k), payload)
+					if err == nil {
+						select {
+						case <-credits[k]:
+						case <-stop:
+							return
+						case <-time.After(10 * time.Second):
+							err = errors.New("no answer in 10 s")
+						}
+					}
+					if err != nil {
+						sendErr <- fmt.Errorf("end %d worker %d frame %d: %w", i, k, f, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var err error
+	select {
+	case err = <-sendErr:
+	case <-done:
+	}
+	close(stop)
+	ends[0].Close()
+	ends[1].Close()
+	<-done
+	if err != nil {
+		return err
+	}
+	for i, end := range ends {
+		if n := end.bulkByReader.Load(); n != 0 {
+			return fmt.Errorf("end %d's demux loop wrote %d payloads of its workers", i, n)
+		}
 	}
 	return nil
 }
@@ -248,13 +449,19 @@ func TestFrameWriterConformance(t *testing.T) {
 	}
 }
 
-// TestFrameWriterConformancePlantedBug shows the suite fires: a flusher
-// that drops what was queued during its write loses frames, and the
-// concurrent-senders scenario says so.
+// TestFrameWriterConformancePlantedBug shows the suite fires on each
+// planted bug, in the scenario that guards against it.
 func TestFrameWriterConformancePlantedBug(t *testing.T) {
-	err := frameWriterConformance(plantDropQueued)
-	if err == nil || !strings.HasPrefix(err.Error(), "concurrent senders") {
-		t.Fatalf("planted %s: conformance reported %v, want a concurrent-senders failure", plantDropQueued, err)
+	for _, c := range []struct{ plant, scenario string }{
+		{plantDropQueued, "concurrent senders"},
+		{plantEarlyRelease, "concurrent senders"},
+		{plantCopiedUncounted, "stalled peer"},
+		{plantSmallWritesBulk, "bulk both ways"},
+	} {
+		err := frameWriterConformance(c.plant)
+		if err == nil || !strings.HasPrefix(err.Error(), c.scenario) {
+			t.Errorf("planted %s: conformance reported %v, want a %s failure", c.plant, err, c.scenario)
+		}
 	}
 }
 
