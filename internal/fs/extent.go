@@ -8,12 +8,10 @@
 package fs
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 
 	"eevfs/internal/metadata"
@@ -21,10 +19,14 @@ import (
 )
 
 // extent is one on-disk piece of a file copy: the disk it lives on (for
-// latency and energy charging), its path, and its length.
+// latency and energy charging), where its bytes are — a file of its own on
+// a data disk, a range of a segment of the buffer disk's log — and its
+// length.
 type extent struct {
 	nd   *nodeDisk
-	path string
+	path string   // a data disk's extent: its file
+	seg  *segment // the buffer disk's copy: the segment holding it, from off
+	off  int64
 	size int64
 }
 
@@ -39,11 +41,6 @@ func extentPath(nd *nodeDisk, id int64, chunk int) string {
 		b = fmt.Appendf(b, ".c%03d", chunk)
 	}
 	return string(append(b, ".dat"...))
-}
-
-// bufferExtent is the buffer-disk copy of a file: always one extent.
-func (n *Node) bufferExtent(id int, size int64) []extent {
-	return []extent{{nd: n.buffer, path: extentPath(n.buffer, int64(id), -1), size: size}}
 }
 
 // dataExtents lists the data-disk extents of entry in byte order: the
@@ -77,24 +74,43 @@ func removeExtents(exts []extent) {
 // wholeFile as a read length means "through the end of the file".
 const wholeFile = -1
 
-// reading is one read resolved by source: the open extents of the copy
-// that serves it and the byte range wanted from them.
+// reading is one read resolved by source: the extents of the copy that
+// serves it, the first one open, and the byte range wanted from them.
 type reading struct {
 	exts        []extent
-	first       *os.File // exts[0]; the caller closes it
+	first       *os.File // exts[0] when it is a file of its own; a segment is open already
 	off, length int64
-	fromBuffer  bool
+	fromBuffer  bool // source pinned exts[0].seg
+}
+
+// open opens the first extent if it is a file of its own: the existence
+// check before any disk is charged.
+func (r *reading) open() (err error) {
+	if r.exts[0].seg == nil {
+		r.first, err = os.Open(r.exts[0].path)
+	}
+	return err
+}
+
+// close releases what source took for the reading: the open first extent,
+// or the pin on the segment holding the buffer copy.
+func (r reading) close(t *fileTable) {
+	if r.first != nil {
+		r.first.Close()
+	}
+	if r.fromBuffer {
+		t.unpin(r.exts[0].seg)
+	}
 }
 
 // source resolves a read of bytes [off, off+length) of a file to its
 // newest copy: the buffer disk's when it holds one (a prefetched replica
-// or an unflushed buffered write), the data disks' otherwise. Opening
-// exts[0] is the existence check: a buffer copy that has gone missing
-// falls back to the data disks, a file with no bytes anywhere fails
-// before any disk is charged. source counts the buffer hit or miss,
-// timestamps the access and charges the disks the range touches.
+// or an unflushed buffered write), read where the log has it, the data
+// disks' otherwise. A file with no bytes anywhere fails before any disk is
+// charged. source counts the buffer hit or miss, timestamps the access and
+// charges the disks the range touches; the caller closes the reading.
 func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) {
-	_, file, ok := n.files.get(int(fileID), float64(n.clock.Now()))
+	_, file, seg, ok := n.files.getPinned(int(fileID), float64(n.clock.Now()))
 	if !ok {
 		return reading{}, fmt.Errorf("fs: read of unknown file %d", fileID)
 	}
@@ -102,23 +118,17 @@ func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) 
 		off, length = 0, file.Size
 	}
 	if off < 0 || length < 0 || off > file.Size || length > file.Size-off {
+		n.files.unpin(seg)
 		return reading{}, fmt.Errorf("fs: range [%d,+%d) outside file %d of %d bytes",
 			off, length, fileID, file.Size)
 	}
-	r := reading{off: off, length: length}
-	var err error
-	if file.inBuffer() {
-		r.exts = n.bufferExtent(file.ID, file.Size)
-		if r.first, err = os.Open(r.exts[0].path); err == nil {
-			r.fromBuffer = true
-			n.hitsC.Inc()
-		} else {
-			n.logger.Printf("buffer copy of file %d unreadable, falling back: %v", fileID, err)
-		}
-	}
-	if !r.fromBuffer {
+	r := reading{off: off, length: length, fromBuffer: seg != nil}
+	if r.fromBuffer {
+		r.exts = n.bufferExtent(seg, file)
+		n.hitsC.Inc()
+	} else {
 		r.exts = n.dataExtents(file.NodeEntry)
-		if r.first, err = os.Open(r.exts[0].path); err != nil {
+		if err := r.open(); err != nil {
 			return reading{}, err
 		}
 		n.missesC.Inc()
@@ -127,8 +137,8 @@ func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) 
 	return r, nil
 }
 
-// sink resolves a write of size bytes to where it lands — the buffer
-// disk's log area when write buffering is on and the table grants the
+// sink resolves a write of size bytes to where it lands — the tail of the
+// buffer disk's log when write buffering is on and the table grants the
 // room (the data disks stay asleep; the flush is lazy), the data disks at
 // the new size's layout otherwise — timestamps the access and charges the
 // disks. A write that changes the size invalidates the old data layout, so
@@ -142,18 +152,21 @@ func (n *Node) sink(fileID, size int64, ra reqAttrib) (*extentWriter, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("fs: write of file %d with size %d", fileID, size)
 	}
-	entry := file.NodeEntry
-	w := n.newWriter(rec, nil)
-	w.size = size
-	if size != entry.Size {
-		w.prev = n.dataExtents(entry)
-	}
+	var w *extentWriter
 	if n.cfg.WriteBuffer && n.files.reserve(rec, size) {
-		w.buffered, w.reserved = true, size
-		w.exts = n.bufferExtent(entry.ID, size)
+		var err error
+		if w, err = n.bufferWriter(rec, size, size); err != nil {
+			return nil, err
+		}
+		w.buffered = true
 	} else {
+		entry := file.NodeEntry
 		entry.Size = size
-		w.exts = n.dataExtents(entry)
+		w = n.newWriter(rec, n.dataExtents(entry))
+	}
+	w.size = size
+	if size != file.Size {
+		w.prev = n.dataExtents(file.NodeEntry)
 	}
 	n.charge(w.exts, 0, size, true, ra)
 	return w, nil
@@ -230,16 +243,19 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 		if lo >= hi {
 			continue
 		}
-		f, err := r.first, error(nil)
-		if i > 0 {
+		f, base, err := r.first, e.off, error(nil)
+		switch {
+		case e.seg != nil:
+			f = e.seg.f
+		case i > 0:
 			if f, err = os.Open(e.path); err != nil {
 				return err
 			}
 		}
 		for lo < hi && err == nil {
 			b := buf[:min(int64(len(buf)), hi-lo)]
-			if _, err = f.ReadAt(b, lo); err != nil {
-				err = fmt.Errorf("fs: %s truncated on disk: %w", filepath.Base(e.path), err)
+			if _, err = f.ReadAt(b, base+lo); err != nil {
+				err = fmt.Errorf("fs: %s truncated on disk: %w", filepath.Base(f.Name()), err)
 			} else if fn != nil {
 				err = fn(b)
 			} else {
@@ -247,7 +263,7 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 			}
 			lo += int64(len(b))
 		}
-		if i > 0 {
+		if e.seg == nil && i > 0 {
 			f.Close()
 		}
 		if err != nil {
@@ -257,56 +273,58 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 	return nil
 }
 
-// copyExtents stages a whole copy of rec's file, as file found it, from
-// src as dst — a prefetch (data disks to buffer) or a flush (buffer to
-// data disks) — through one pooled chunk, so tier movement costs O(chunk)
-// memory at any file size. Both sides are charged to ra. The caller lands
-// the returned writer, which owns the reserved buffer-disk bytes from here
-// on: they are handed back on every failure too.
-func (n *Node) copyExtents(rec *fileRec, file fileRec, src, dst []extent, reserved int64, ra reqAttrib) (*extentWriter, error) {
-	size := file.Size
-	w := n.newWriter(rec, dst)
-	w.reserved, w.asOf = reserved, file.gen
-	first, err := os.Open(src[0].path)
-	if err != nil {
+// copyInto stages a whole copy of a file, as file found it, from src
+// through w — a prefetch (data disks to buffer), a flush (buffer to data
+// disks) or a relocation within the log — through one pooled chunk, so
+// tier movement costs O(chunk) memory at any file size. Both sides are
+// charged to ra. The caller lands w; on failure it is abandoned here.
+func (n *Node) copyInto(w *extentWriter, file fileRec, src []extent, ra reqAttrib) error {
+	w.asOf = file.gen
+	r := reading{exts: src, length: file.Size}
+	if err := r.open(); err != nil {
 		w.abandon()
-		return nil, err
+		return err
 	}
-	defer first.Close()
-	n.charge(src, 0, size, false, ra)
-	n.charge(dst, 0, size, true, ra)
+	defer r.close(n.files)
+	n.charge(src, 0, file.Size, false, ra)
+	n.charge(w.exts, 0, file.Size, true, ra)
 	buf := proto.GetChunk(proto.DefaultStreamChunk)
 	defer proto.PutChunk(buf)
-	if err := (reading{exts: src, first: first, length: size}).emit(buf, w.write); err != nil {
+	if err := r.emit(buf, w.write); err != nil {
 		w.abandon()
-		return nil, err
+		return err
 	}
-	return w, nil
+	return nil
 }
 
 // extentWriter lands a byte stream across the extents of a copy; nothing
-// else creates files under buffer/ and data*/. Each extent is written as
-// a ".part" sibling that commit renames into place, so a failed write
-// leaves the previous content visible and intact. The per-writer sequence
-// number in the sibling's name keeps concurrent writers of one file out
-// of each other's bytes. StartNode sweeps the siblings a crash leaves.
+// else writes under buffer/ and data*/. A copy on the buffer disk is one
+// range of the log, filled with pwrite and pinned until land names it in
+// the file's record or abandon leaves it as garbage for the cleaner. A copy
+// on the data disks is written extent by extent as ".part" siblings that
+// commit renames into place, so a failed write leaves the previous content
+// visible and intact; the per-writer sequence number in the sibling's name
+// keeps concurrent writers of one file out of each other's bytes, and
+// StartNode sweeps the siblings a crash leaves.
 type extentWriter struct {
 	exts []extent
 	prev []extent // layout being replaced; commit removes what exts does not reuse
 	part string   // ".<seq>.part"
 	idx  int
+	pos  int64 // bytes written into exts[idx]
 	f    *os.File
-	rem  int64 // bytes left in the current extent
 
 	// The table's side of the operation: the record it started from, which
 	// land requires to still be the file's — and, for a tier movement, to
 	// be as it was when the copy was taken (asOf; 0: a client write, which
 	// supersedes whatever landed before it) — and the buffer-disk bytes
-	// reserved for it, handed back to files by land or abandon.
+	// reserved for it and the segment it is filling, both handed back to
+	// files by land or abandon.
 	files    *fileTable
 	rec      *fileRec
 	asOf     uint64
 	reserved int64
+	pinned   *segment
 	// Set by sink for a client write.
 	size     int64
 	buffered bool
@@ -322,25 +340,30 @@ func (n *Node) newWriter(rec *fileRec, exts []extent) *extentWriter {
 // the peer against the declared size).
 func (w *extentWriter) write(b []byte) error {
 	for len(b) > 0 {
-		if w.f == nil {
-			f, err := os.Create(w.exts[w.idx].path + w.part)
-			if err != nil {
-				return err
+		e := w.exts[w.idx]
+		m := min(int64(len(b)), e.size-w.pos)
+		var err error
+		if e.seg != nil {
+			_, err = e.seg.f.WriteAt(b[:m], e.off+w.pos)
+		} else {
+			if w.f == nil {
+				if w.f, err = os.Create(e.path + w.part); err != nil {
+					return err
+				}
 			}
-			w.f, w.rem = f, w.exts[w.idx].size
+			_, err = w.f.Write(b[:m])
 		}
-		m := min(int64(len(b)), w.rem)
-		if _, err := w.f.Write(b[:m]); err != nil {
+		if err != nil {
 			return err
 		}
 		b = b[m:]
-		w.rem -= m
-		if w.rem == 0 {
-			err := w.f.Close()
-			w.f = nil
-			w.idx++
-			if err != nil {
-				return err
+		if w.pos += m; w.pos == e.size {
+			w.idx, w.pos = w.idx+1, 0
+			if f := w.f; f != nil {
+				w.f = nil
+				if err := f.Close(); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -349,16 +372,17 @@ func (w *extentWriter) write(b []byte) error {
 
 // commit renames every completed sibling into place, then removes the
 // extents of the previous layout that the new one does not reuse. Names
-// are a function of (file, chunk index), so reuse is positional. On
-// failure the writer is abandoned.
+// are a function of (file, chunk index), so reuse is positional. A range
+// of the log is in place already.
 func (w *extentWriter) commit() error {
 	if w.f != nil || w.idx != len(w.exts) {
-		w.abandon()
 		return fmt.Errorf("fs: write ended short of declared size")
 	}
 	for _, e := range w.exts {
+		if e.seg != nil {
+			continue
+		}
 		if err := os.Rename(e.path+w.part, e.path); err != nil {
-			w.abandon()
 			return err
 		}
 	}
@@ -377,24 +401,31 @@ func (w *extentWriter) abandon() {
 		w.f = nil
 	}
 	for _, e := range w.exts {
-		os.Remove(e.path + w.part)
+		if e.seg == nil {
+			os.Remove(e.path + w.part)
+		}
 	}
-	w.unreserve()
+	w.release()
 }
 
-func (w *extentWriter) unreserve() {
+// release hands back what the writer holds of the buffer disk: its
+// reservation, and its pin on the segment it filled.
+func (w *extentWriter) release() {
 	if w.reserved > 0 {
 		w.files.release(w.rec, w.reserved)
 		w.reserved = 0
 	}
+	w.files.unpin(w.pinned)
+	w.pinned = nil
 }
 
 // land ends a client write or a tier movement whose bytes w has staged:
 // one transition that, if the file w started from is still the node's,
-// renames the staged extents into place and applies edit's change to the
-// file's record. If the file was deleted meanwhile — the error then wraps
-// ErrFileNotFound — or a write landed after a tier movement took its
-// copy, what was staged is discarded.
+// puts the staged extents in place, applies edit's change (nil: none) to
+// the file's record and, for a copy in the log, names its location there.
+// If the file was deleted meanwhile — the error then wraps ErrFileNotFound
+// — or a write landed after a tier movement took its copy, what was staged
+// is discarded.
 func (n *Node) land(w *extentWriter, edit func(r *nodeRecord)) error {
 	err := n.transition(w.rec.ID, func(rec *fileRec, r *nodeRecord) error {
 		if rec != w.rec {
@@ -406,25 +437,21 @@ func (n *Node) land(w *extentWriter, edit func(r *nodeRecord)) error {
 		if err := w.commit(); err != nil {
 			return err
 		}
-		edit(r)
+		if edit != nil {
+			edit(r)
+		}
+		if e := w.exts[0]; e.seg != nil {
+			r.Loc = segLoc{Seg: e.seg.id, Off: e.off}
+			if n.plantEarlyOffset && e.off > 0 {
+				r.Loc.Off--
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		w.abandon()
 		return err
 	}
-	w.unreserve()
+	w.release()
 	return nil
-}
-
-// sweepParts removes the ".part" siblings a crash mid-write left in dir.
-// Nothing references them: a write is acknowledged only after its rename.
-func sweepParts(dir string) error {
-	files, err := os.ReadDir(dir)
-	for _, f := range files {
-		if strings.HasSuffix(f.Name(), ".part") {
-			err = errors.Join(err, os.Remove(filepath.Join(dir, f.Name())))
-		}
-	}
-	return err
 }

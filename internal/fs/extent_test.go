@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"eevfs/internal/disk"
+	"eevfs/internal/proto"
 )
 
 // Tests of the node's storage engine (extent.go): whatever wire plane a
@@ -31,6 +33,9 @@ type planeState struct {
 	// straddle is the per-disk byte count [buffer, data0, data1] a read of
 	// bytes [900, 2100) must move.
 	straddle [3]int64
+	// broken: the copy a read must come from is not all there, so every
+	// read fails, the same way on both planes.
+	broken bool
 }
 
 func prefetchFile(t *testing.T, n *Node, id int64) {
@@ -45,11 +50,16 @@ var planeStates = []planeState{
 	{name: "striped", stripe: 1000, straddle: [3]int64{0, 200, 1000}},
 	{name: "prefetched", stripe: 1000, prepare: prefetchFile, straddle: [3]int64{1200, 0, 0}},
 	{name: "dirty-in-buffer", stripe: 1000, writeBuffer: true, straddle: [3]int64{1200, 0, 0}},
-	{name: "buffer-copy-deleted", stripe: 1000, straddle: [3]int64{0, 200, 1000},
+	{name: "buffer-copy-deleted", stripe: 1000, straddle: [3]int64{1200, 0, 0}, broken: true,
 		prepare: func(t *testing.T, n *Node, id int64) {
 			prefetchFile(t, n, id)
-			// Behind the node's back: the entry still says prefetched.
-			if err := os.Remove(n.bufferExtent(int(id), 0)[0].path); err != nil {
+			// Behind the node's back, half the copy goes: the segment is
+			// shorter than the record says. The data disks still hold the
+			// file, and a read must not fall back to them — for an
+			// unflushed write they would hold older bytes.
+			_, file, _ := n.files.get(int(id), 0)
+			path := filepath.Join(n.buffer.dir, segmentName(file.loc.Seg))
+			if err := os.Truncate(path, file.loc.Off+file.Size/2); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -64,6 +74,7 @@ var planeContent = bytes.Repeat([]byte("0123456789abcdefghijklmno"), 100)
 type planeObs struct {
 	Data      []byte // bytes read; after a write, the content read back
 	Flag      bool   // fromBuffer or buffered
+	Err       string // a failed read's code and message
 	Hits      int64
 	Misses    int64
 	BufWrites int64
@@ -230,10 +241,17 @@ func runPlaneOp(t *testing.T, st planeState, op planeOp, write bool, plant strin
 		r.n.plantSkipCharge.Store(plant)
 	}
 	data, flag, err := op.run(r)
-	if err != nil {
+	if err != nil && (write || !st.broken) {
 		t.Fatalf("%s/%s: %v", st.name, op.name, err)
 	}
 	o := r.observe(data, flag)
+	if err != nil {
+		var re *proto.RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s/%s: untyped error %v", st.name, op.name, err)
+		}
+		o.Flag, o.Err = false, fmt.Sprintf("%v: %s", re.Code, re.Msg)
+	}
 	if write {
 		o.Files = storedFiles(t, r.n)
 		if o.Data, _, err = r.cl.Read("f"); err != nil {
@@ -244,7 +262,8 @@ func runPlaneOp(t *testing.T, st planeState, op planeOp, write bool, plant strin
 }
 
 // TestPlanesAreEquivalent is the cross-plane oracle: in every state, the
-// RPC and the stream form of an operation return the same bytes and flag,
+// RPC and the stream form of an operation return the same bytes and flag —
+// or, where the copy is broken, the same typed error and no bytes at all —
 // move the hit/miss/buffered-write counters alike, and charge every disk
 // the same modeled busy time, joules, spin-ups, requests and bytes; a
 // write leaves the same files behind. A ranged read charges exactly the
@@ -252,12 +271,16 @@ func runPlaneOp(t *testing.T, st planeState, op planeOp, write bool, plant strin
 func TestPlanesAreEquivalent(t *testing.T) {
 	for _, st := range planeStates {
 		t.Run(st.name, func(t *testing.T) {
-			read := runPlaneOp(t, st, opRead, false, "")
-			if !bytes.Equal(read.Data, planeContent) {
-				t.Fatal("Read returned the wrong bytes")
+			whole, part, fromBuffer := planeContent, planeContent[900:2100], st.straddle[0] > 0
+			if st.broken {
+				whole, part, fromBuffer = nil, nil, false
 			}
-			if wantBuf := st.straddle[0] > 0; read.Flag != wantBuf || read.Hits == 0 == wantBuf {
-				t.Fatalf("Read: fromBuffer=%v hits=%d misses=%d, want buffer=%v", read.Flag, read.Hits, read.Misses, wantBuf)
+			read := runPlaneOp(t, st, opRead, false, "")
+			if !bytes.Equal(read.Data, whole) || (read.Err != "") != st.broken {
+				t.Fatalf("Read returned %d bytes and error %q", len(read.Data), read.Err)
+			}
+			if read.Flag != fromBuffer || read.Hits == 0 == (st.straddle[0] > 0) {
+				t.Fatalf("Read: fromBuffer=%v hits=%d misses=%d, want buffer=%v", read.Flag, read.Hits, read.Misses, fromBuffer)
 			}
 			for _, op := range []planeOp{opReadTo, opRead0} {
 				if err := samePlaneObs(read, runPlaneOp(t, st, op, false, "")); err != nil {
@@ -265,13 +288,13 @@ func TestPlanesAreEquivalent(t *testing.T) {
 				}
 			}
 
-			// A chunk-straddling range: same source and counters as the
-			// whole read, and only the overlapped bytes charged.
+			// A chunk-straddling range: same source, counters and outcome as
+			// the whole read, and only the overlapped bytes charged.
 			at := runPlaneOp(t, st, planeOp{"ReadAt", func(r *planeRig) ([]byte, bool, error) {
 				return r.cl.ReadAt("f", 900, 1200)
 			}}, false, "")
-			if !bytes.Equal(at.Data, planeContent[900:2100]) {
-				t.Error("ReadAt returned the wrong bytes")
+			if !bytes.Equal(at.Data, part) || at.Err != read.Err {
+				t.Errorf("ReadAt returned %d bytes and error %q", len(at.Data), at.Err)
 			}
 			if at.Flag != read.Flag || at.Hits != read.Hits || at.Misses != read.Misses {
 				t.Errorf("ReadAt: fromBuffer=%v hits=%d misses=%d; Read: %v %d %d",
@@ -325,9 +348,54 @@ func dataFiles(t *testing.T, n *Node) []string {
 	return out
 }
 
+// checkStorage holds a quiet node's disks to its table, once the log's
+// cleaner is done: the data disks hold extents of the node's files only;
+// no segment holds live bytes of a file the node does not have (the
+// table's check); and buffer/ holds exactly the segments records name,
+// plus the tail.
+func checkStorage(t *testing.T, n *Node) {
+	t.Helper()
+	n.cleanWG.Wait()
+	if err := n.files.check(true); err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[string]bool)
+	for _, e := range n.Files() {
+		for _, x := range n.dataExtents(e) {
+			held[filepath.Base(filepath.Dir(x.path))+"/"+filepath.Base(x.path)] = true
+		}
+	}
+	for _, f := range dataFiles(t, n) {
+		if !held[f] {
+			t.Errorf("%s lies on a data disk for a file the node does not hold", f)
+		}
+	}
+	want := make(map[string]bool)
+	n.files.mu.Lock()
+	for _, rec := range n.files.files {
+		if rec.loc.Seg != 0 {
+			want["buffer/"+segmentName(rec.loc.Seg)] = true
+		}
+	}
+	if tail := n.files.tail; tail != nil {
+		want["buffer/"+segmentName(tail.id)] = true
+	}
+	n.files.mu.Unlock()
+	got := make(map[string]bool)
+	for _, f := range storedFiles(t, n) {
+		if strings.HasPrefix(f, "buffer/") {
+			got[f] = true
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("buffer/ holds %v; the records name and the tail is %v", got, want)
+	}
+}
+
 // TestOverwriteLeavesNoStaleExtents: a file's data-disk extents are
 // exactly its current layout after every overwrite, and nothing after a
-// delete, on both planes and through the write buffer's lazy flush.
+// delete, on both planes and through the write buffer's lazy flush; and
+// the log keeps nothing of a deleted file.
 func TestOverwriteLeavesNoStaleExtents(t *testing.T) {
 	big, small := bytes.Repeat([]byte("x"), 2500), []byte("y")
 	for _, op := range []string{"Write", "WriteFrom", "buffered"} {
@@ -375,9 +443,10 @@ func TestOverwriteLeavesNoStaleExtents(t *testing.T) {
 			if err := cl.Delete("f"); err != nil {
 				t.Fatal(err)
 			}
-			if got := storedFiles(t, n); len(got) != 0 {
-				t.Fatalf("after delete the disks still hold %v", got)
+			if got := dataFiles(t, n); len(got) != 0 {
+				t.Fatalf("after delete the data disks still hold %v", got)
 			}
+			checkStorage(t, n)
 		})
 	}
 }

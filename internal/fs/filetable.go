@@ -1,10 +1,10 @@
 // The node's file table (DESIGN.md §8): the storage-node half of the
 // paper's two-level metadata — which disk a file is on, whether the buffer
-// disk holds a prefetched copy or an unflushed write of it, when it is
-// expected next. One record per file, one lock, and one writer of what is
-// persisted: apply, which a live mutation (Node.transition) and a restart
-// (load, replay) both go through, so the table is the fold of the log by
-// construction.
+// disk holds a prefetched copy or an unflushed write of it and where in its
+// log (segment.go), when it is expected next. One record per file, one
+// lock, and one writer of what is persisted: apply, which a live mutation
+// (Node.transition) and a restart (load, replay) both go through, so the
+// table is the fold of the log by construction.
 package fs
 
 import (
@@ -16,12 +16,13 @@ import (
 	"eevfs/internal/proto"
 )
 
-// fileRec is everything a node knows about one of its files. The entry and
-// unflushed are persisted; the rest lives and dies with the process. ID
-// never changes and may be read without the table's lock.
+// fileRec is everything a node knows about one of its files. The entry,
+// unflushed and loc are persisted; the rest lives and dies with the
+// process. ID never changes and may be read without the table's lock.
 type fileRec struct {
 	metadata.NodeEntry
 	unflushed int64   // size of a buffered write not yet on the data disks; 0: clean
+	loc       segLoc  // where the buffer disk's copy lies in its log
 	reserved  int64   // buffer-disk bytes promised to writes and prefetches in flight
 	hint      float64 // server-forwarded mean inter-arrival (model sec); 0: none
 	last      float64 // model time of the last request; 0: none since start
@@ -54,10 +55,17 @@ type fileTable struct {
 	// copy in the buffer): what the idle policy asks about when it decides
 	// whether d may sleep.
 	wanted []map[int]*fileRec
+	// The buffer disk's log (segment.go): its directory, its segments by
+	// id, the one new copies are appended to, and the next id to create.
+	dir     string
+	segs    map[uint64]*segment
+	tail    *segment
+	nextSeg uint64
 }
 
 func newFileTable(dataDisks int, capacity int64) *fileTable {
-	t := &fileTable{capacity: capacity, files: make(map[int]*fileRec), wanted: make([]map[int]*fileRec, dataDisks)}
+	t := &fileTable{capacity: capacity, files: make(map[int]*fileRec), wanted: make([]map[int]*fileRec, dataDisks),
+		segs: make(map[uint64]*segment), nextSeg: 1}
 	for d := range t.wanted {
 		t.wanted[d] = make(map[int]*fileRec)
 	}
@@ -65,13 +73,18 @@ func newFileTable(dataDisks int, capacity int64) *fileTable {
 }
 
 // apply installs r, the persisted post-state of one file id (or its
-// tombstone) and of the placement cursor. It is idempotent, and what the
-// process alone knows about a file that stays — hint, last access,
-// reservations — is kept.
+// tombstone) and of the placement cursor, and keeps every segment's live
+// bytes: the bytes of the buffer copy r names move in, those of the copy
+// the record named before move out. It is idempotent, and what the process
+// alone knows about a file that stays — hint, last access, reservations —
+// is kept.
 func (t *fileTable) apply(r nodeRecord) error {
-	if r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0 || r.Entry.Disk >= len(t.wanted)) {
+	switch {
+	case r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0 || r.Entry.Disk >= len(t.wanted)):
 		return fmt.Errorf("fs: file %d of %d bytes on disk %d, node has %d",
 			r.Entry.ID, r.Entry.Size, r.Entry.Disk, len(t.wanted))
+	case r.badLoc():
+		return fmt.Errorf("fs: file %d's buffer copy placed at %+v", r.Entry.ID, r.Loc)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -79,6 +92,7 @@ func (t *fileTable) apply(r nodeRecord) error {
 	rec := t.files[r.Entry.ID]
 	if rec != nil {
 		t.used -= rec.held()
+		t.addLive(rec.loc, -rec.Size)
 		delete(t.wanted[rec.Disk], rec.ID)
 	}
 	if !r.Present {
@@ -89,12 +103,13 @@ func (t *fileTable) apply(r nodeRecord) error {
 		rec = &fileRec{NodeEntry: metadata.NodeEntry{ID: r.Entry.ID}}
 		t.files[r.Entry.ID] = rec
 	}
-	rec.Size, rec.Disk, rec.Prefetched, rec.unflushed = r.Entry.Size, r.Entry.Disk, r.Entry.Prefetched, 0
+	rec.Size, rec.Disk, rec.Prefetched, rec.unflushed, rec.loc = r.Entry.Size, r.Entry.Disk, r.Entry.Prefetched, 0, r.Loc
 	rec.gen++
 	if r.Dirty && !t.plantDropDirty {
 		rec.unflushed = r.DirtySize
 	}
 	t.used += rec.held()
+	t.addLive(rec.loc, rec.Size)
 	t.index(rec)
 	return nil
 }
@@ -109,32 +124,56 @@ func (t *fileTable) index(rec *fileRec) {
 }
 
 // record returns a file's record (nil: no such file) and its persisted
-// state the way the log writes it.
-func (t *fileTable) record(id int) (*fileRec, nodeRecord) {
+// state the way the log writes it, and pins the segment holding the file's
+// buffer copy (nil: none) until the record that replaces this one is in
+// the log.
+func (t *fileTable) record(id int) (*fileRec, nodeRecord, *segment) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := nodeRecord{Entry: metadata.NodeEntry{ID: id}, NextDisk: t.cursor}
 	rec := t.files[id]
+	var s *segment
 	if rec != nil {
-		r.Entry, r.Present = rec.NodeEntry, true
+		r.Entry, r.Present, r.Loc = rec.NodeEntry, true, rec.loc
 		r.Dirty, r.DirtySize = rec.unflushed > 0, rec.unflushed
+		if s = t.segs[rec.loc.Seg]; s != nil {
+			s.pins++
+		}
 	}
-	return rec, r
+	return rec, r, s
 }
 
 // get looks a file up: rec is its identity, for a later transition to
 // check it is still the same file; was is a copy to read without the lock.
 // A positive now timestamps the access.
 func (t *fileTable) get(id int, now float64) (rec *fileRec, was fileRec, ok bool) {
+	rec, was, _, ok = t.lookup(id, now, false)
+	return rec, was, ok
+}
+
+// getPinned is get for an operation that reads the file's buffer copy: it
+// also pins the segment holding it (nil: the buffer disk holds none),
+// under the lock that reads its location, so the segment outlives the
+// read. The caller unpins it.
+func (t *fileTable) getPinned(id int, now float64) (*fileRec, fileRec, *segment, bool) {
+	return t.lookup(id, now, true)
+}
+
+func (t *fileTable) lookup(id int, now float64, pin bool) (rec *fileRec, was fileRec, s *segment, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if rec = t.files[id]; rec == nil {
-		return nil, fileRec{}, false
+		return nil, fileRec{}, nil, false
 	}
 	if now > 0 {
 		rec.last = now
 	}
-	return rec, *rec, true
+	if pin {
+		if s = t.segs[rec.loc.Seg]; s != nil {
+			s.pins++
+		}
+	}
+	return rec, *rec, s, true
 }
 
 // reserve promises size bytes of the buffer disk to an operation on rec, if
@@ -204,9 +243,13 @@ func (t *fileTable) manifest() nodeManifest {
 		if rec.unflushed > 0 {
 			m.Dirty = append(m.Dirty, dirtyEntry{ID: rec.ID, Size: rec.unflushed})
 		}
+		if rec.loc.Seg != 0 {
+			m.Buffer = append(m.Buffer, bufferEntry{ID: rec.ID, Segment: rec.loc.Seg, Offset: rec.loc.Off})
+		}
 	}
 	sort.Slice(m.Files, func(i, j int) bool { return m.Files[i].ID < m.Files[j].ID })
 	sort.Slice(m.Dirty, func(i, j int) bool { return m.Dirty[i].ID < m.Dirty[j].ID })
+	sort.Slice(m.Buffer, func(i, j int) bool { return m.Buffer[i].ID < m.Buffer[j].ID })
 	return m
 }
 
@@ -220,9 +263,14 @@ func (t *fileTable) load(raw []byte) error {
 	for _, d := range m.Dirty {
 		unflushed[d.ID] = d.Size
 	}
+	locs := make(map[int]segLoc, len(m.Buffer))
+	for _, b := range m.Buffer {
+		locs[b.ID] = segLoc{Seg: b.Segment, Off: b.Offset}
+	}
 	for _, e := range m.Files {
 		size := unflushed[e.ID]
-		if err := t.apply(nodeRecord{Entry: e, Present: true, Dirty: size > 0, DirtySize: size, NextDisk: m.NextDisk}); err != nil {
+		r := nodeRecord{Entry: e, Present: true, Dirty: size > 0, DirtySize: size, NextDisk: m.NextDisk, Loc: locs[e.ID]}
+		if err := t.apply(r); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"eevfs/internal/disk"
 	"eevfs/internal/metadata"
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
@@ -54,6 +55,17 @@ func (n *Node) remove(id int64) error {
 	return err
 }
 
+// move relocates a file's buffer copy to the log's tail, as the cleaner
+// does; a file with no copy in the buffer stays where it is.
+func (n *Node) move(id int64) error {
+	rec, file, src, ok := n.files.getPinned(int(id), 0)
+	defer n.files.unpin(src)
+	if !ok || src == nil {
+		return nil
+	}
+	return n.relocate(rec, file, n.bufferExtent(src, file))
+}
+
 // put applies a present record for e; unflushed > 0 makes it dirty.
 func (t *fileTable) put(e metadata.NodeEntry, unflushed int64) error {
 	return t.apply(nodeRecord{Entry: e, Present: true, Dirty: unflushed > 0, DirtySize: unflushed, NextDisk: t.cursor})
@@ -63,16 +75,21 @@ func (t *fileTable) tombstone(id int) error {
 	return t.apply(nodeRecord{Entry: metadata.NodeEntry{ID: id}, NextDisk: t.cursor})
 }
 
-// check recomputes what the table keeps running — occupancy and the
-// per-disk index — from its records. With quiet set nothing may be in
-// flight, so no reservation may be left either.
+// check recomputes what the table keeps running — occupancy, the per-disk
+// index and every segment's live bytes — from its records; a segment that
+// is done with must be gone. With quiet set nothing may be in flight, so no
+// reservation and no pin may be left either.
 func (t *fileTable) check(quiet bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var used int64
 	indexed := 0
+	live := make(map[uint64]int64)
 	for id, rec := range t.files {
 		used += rec.held()
+		if rec.loc.Seg != 0 {
+			live[rec.loc.Seg] += rec.Size
+		}
 		if quiet && rec.reserved != 0 {
 			return fmt.Errorf("file %d still has %d bytes reserved", id, rec.reserved)
 		}
@@ -89,6 +106,20 @@ func (t *fileTable) check(quiet bool) error {
 	}
 	if used != t.used || indexed != 0 {
 		return fmt.Errorf("occupancy %d, records sum to %d; %d index entries without a record", t.used, used, -indexed)
+	}
+	for id, s := range t.segs {
+		switch {
+		case s.live != live[id]:
+			return fmt.Errorf("segment %d holds %d live bytes, its records name %d", id, s.live, live[id])
+		case quiet && s.pins != 0:
+			return fmt.Errorf("segment %d still pinned %d times", id, s.pins)
+		case s.sealed && s.live == 0 && s.pins == 0:
+			return fmt.Errorf("segment %d is done with and still there", id)
+		}
+		delete(live, id)
+	}
+	if len(live) != 0 {
+		return fmt.Errorf("records name segments the table does not have: %v", live)
 	}
 	return nil
 }
@@ -247,10 +278,11 @@ func TestFileTableDelete(t *testing.T) {
 }
 
 // TestFileTableConcurrent is the -race stress: reads, writes on both
-// planes' commit path, deletes, re-creates, prefetches and hints on 64 ids
-// of one node at once. Whatever interleaving ran, the table's running
-// totals must equal what its records say, nothing may stay reserved, and
-// the disks hold bytes only for files the table has.
+// planes' commit path, deletes, re-creates, prefetches, relocations in the
+// log and hints on 64 ids of one node at once. Whatever interleaving ran,
+// the table's running totals must equal what its records say, nothing may
+// stay reserved or pinned, and the disks hold bytes only for files the
+// table has.
 func TestFileTableConcurrent(t *testing.T) {
 	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
 	cfg.BufferCapacityBytes = 2048
@@ -283,6 +315,7 @@ func TestFileTableConcurrent(t *testing.T) {
 					n.prefetch(id, (id+1)%ids)
 				case 3:
 					n.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{{FileID: id, MeanIntervalSec: float64(i % 3)}}}, nil)
+					n.move(id)
 				default:
 					id = int64(g + workers*(i%(ids/workers)))
 					if gone[id] {
@@ -300,23 +333,13 @@ func TestFileTableConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := n.files.check(true); err != nil {
-		t.Fatal(err)
-	}
-	held := make(map[string]bool)
-	for _, e := range n.Files() {
-		held[filepath.Base(extentPath(n.buffer, int64(e.ID), -1))] = true
-	}
-	for _, f := range storedFiles(t, n) {
-		if !held[filepath.Base(f)] {
-			t.Errorf("%s lies on disk for a file the node does not hold", f)
-		}
-	}
+	checkStorage(t, n)
 }
 
 // TestDeleteDuringStreamWrite: a delete that lands between a write's open
 // and its end must win — the write fails typed, and nothing of the file
-// comes back: no entry, no bytes on any disk, no buffer occupancy.
+// comes back: no entry, no bytes on a data disk, no live bytes in the log,
+// no buffer occupancy.
 func TestDeleteDuringStreamWrite(t *testing.T) {
 	for _, buffered := range []bool{true, false} {
 		t.Run(fmt.Sprintf("buffered=%v", buffered), func(t *testing.T) {
@@ -347,11 +370,12 @@ func TestDeleteDuringStreamWrite(t *testing.T) {
 			if files := n.Files(); len(files) != 0 {
 				t.Fatalf("the deleted file is back: %+v", files)
 			}
-			if left := storedFiles(t, n); len(left) != 0 {
-				t.Fatalf("the disks still hold %v", left)
+			if left := dataFiles(t, n); len(left) != 0 {
+				t.Fatalf("the data disks still hold %v", left)
 			}
-			if err := n.files.check(true); err != nil || n.files.used != 0 {
-				t.Fatalf("buffer occupancy %d after the delete (check: %v)", n.files.used, err)
+			checkStorage(t, n)
+			if n.files.used != 0 {
+				t.Fatalf("buffer occupancy %d after the delete", n.files.used)
 			}
 		})
 	}
@@ -469,12 +493,49 @@ func TestCloseStopsIdleTimers(t *testing.T) {
 	}
 }
 
-// tableScript runs a script of create / write / flush / prefetch / delete
-// / checkpoint steps on a live node, two bytes a step, then builds a
-// second table from nothing but the bytes that reached manifest.json and
-// manifest.wal. Table == fold of the log: the two must agree on the files,
-// the dirty set, the cursor and the buffer occupancy. plant runs the
-// second table with apply dropping the dirty bit.
+// TestStaleIdleTimerDoesNotSpinDown: an idle timer that fires while a
+// request holds its disk can no longer be stopped by the re-arm at the end
+// of that request's service. Once it gets the disk it must see that it was
+// replaced and leave the disk spinning until the new threshold runs out.
+func TestStaleIdleTimerDoesNotSpinDown(t *testing.T) {
+	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
+	cfg.IdleThresholdSec = 20
+	cfg.TimeScale = 100 // the threshold is 200 ms
+	n, err := StartNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	nd := n.data[0]
+	state := func() disk.PowerState {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		return nd.d.State()
+	}
+	nd.mu.Lock()
+	n.armTimerLocked(nd, 0, false)
+	time.Sleep(300 * time.Millisecond) // the timer fires and waits for the disk
+	n.armTimerLocked(nd, 0, false)     // the service holding the disk ends
+	armed := time.Now()
+	nd.mu.Unlock()
+	time.Sleep(50 * time.Millisecond) // the stale timer gets the disk
+	if s := state(); s != disk.Idle && time.Since(armed) < 150*time.Millisecond {
+		t.Fatalf("%v after %v of a 200 ms threshold", s, time.Since(armed))
+	}
+	for deadline := time.Now().Add(5 * time.Second); state() != disk.Standby; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the re-armed timer never spun the disk down")
+		}
+	}
+}
+
+// tableScript runs a script of create / write / relocate / flush /
+// prefetch / delete / checkpoint steps on a live node, two bytes a step,
+// then builds a second table from nothing but the bytes that reached
+// manifest.json and manifest.wal. Table == fold of the log: the two must
+// agree on the files, the dirty set, the buffer copies' locations, the
+// cursor and the buffer occupancy. plant runs the second table with apply
+// dropping the dirty bit.
 func tableScript(t *testing.T, script []byte, plant bool) error {
 	t.Helper()
 	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
@@ -489,8 +550,10 @@ func tableScript(t *testing.T, script []byte, plant bool) error {
 		switch script[i] % 8 {
 		case 0:
 			n.create(id, int64(1+arg))
-		case 1, 2: // buffered while the 96 bytes last
+		case 1: // buffered while the 96 bytes last
 			n.write(id, bytes.Repeat([]byte{script[i]}, 1+arg))
+		case 2:
+			n.move(id)
 		case 3: // straight to the data disks
 			n.cfg.WriteBuffer = false
 			n.write(id, bytes.Repeat([]byte{script[i]}, 1+arg))
@@ -537,6 +600,8 @@ func FuzzFileTableReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 7, 0, 3, 0, 5, 0, 6, 0})               // checkpoint mid-life, then direct write, prefetch, delete
 	f.Add([]byte{0, 90<<1 | 1, 1, 255, 0, 2, 1, 250, 1, 255, 4, 1}) // the cap turns buffered writes away
 	f.Add([]byte(nil))
+	// relocations of a dirty and a prefetched copy, on both sides of a checkpoint
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 1, 4, 1, 5, 1, 2, 0, 2, 1, 7, 0, 2, 0, 1, 1, 2, 1, 4, 1, 6, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if err := tableScript(t, script, false); err != nil {
 			t.Fatal(err)
@@ -561,13 +626,14 @@ func TestFileTableReplayPlantedBug(t *testing.T) {
 	}
 }
 
-// TestTierMovementYieldsToNewerWrite: a flush or a prefetch copies outside
-// every lock, so a client write can land between the copy and its
-// landing. The stale copy must then be discarded — landed, a flush would
-// drop the buffer's newer bytes and a prefetch would serve the old ones
-// from the buffer from then on. That holds for a write that leaves the
-// file's record as it was, too: a direct rewrite of a clean file at the
-// same size.
+// TestTierMovementYieldsToNewerWrite: a flush, a relocation in the log or
+// a prefetch copies outside every lock, so a client write can land between
+// the copy and its landing. The stale copy must then be discarded —
+// landed, a flush would drop the buffer's newer bytes, a relocation would
+// point the file back at its old ones, and a prefetch would serve the old
+// ones from the buffer from then on. That holds for a write that leaves
+// the file's record as it was, too: a direct rewrite of a clean file at
+// the same size.
 func TestTierMovementYieldsToNewerWrite(t *testing.T) {
 	for _, direct := range []string{"direct", "ON THE DATA DISK"} {
 		t.Run(direct, func(t *testing.T) { tierMovementYieldsToNewerWrite(t, direct) })
@@ -596,26 +662,56 @@ func tierMovementYieldsToNewerWrite(t *testing.T, direct string) {
 		}
 	}
 	n.flushOne(1)
+	// copyOut stages a copy of file 0's buffer copy through w.
+	copyOut := func(w func(rec *fileRec, file fileRec) *extentWriter) *extentWriter {
+		t.Helper()
+		rec, file, src, _ := n.files.getPinned(0, 0)
+		defer n.files.unpin(src)
+		staged := w(rec, file)
+		if err := n.copyInto(staged, file, n.bufferExtent(src, file), reqAttrib{}); err != nil {
+			t.Fatal(err)
+		}
+		return staged
+	}
+	overtake := func(data string) {
+		t.Helper()
+		if buffered, err := n.write(0, []byte(data)); err != nil || !buffered {
+			t.Fatalf("buffered=%v err=%v", buffered, err)
+		}
+	}
 
 	// A flush of file 0 takes its copy; a second buffered write lands.
-	rec, file, _ := n.files.get(0, 0)
-	flush, err := n.copyExtents(rec, file, n.bufferExtent(0, file.Size), n.dataExtents(file.NodeEntry), 0, reqAttrib{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buffered, err := n.write(0, []byte("newer")); err != nil || !buffered {
-		t.Fatalf("buffered=%v err=%v", buffered, err)
-	}
-	if err := n.land(flush, func(r *nodeRecord) { r.Dirty, r.DirtySize = false, 0 }); err == nil {
+	flush := copyOut(func(rec *fileRec, file fileRec) *extentWriter {
+		return n.newWriter(rec, n.dataExtents(file.NodeEntry))
+	})
+	overtake("newer")
+	if err := n.land(flush, func(r *nodeRecord) { r.Dirty, r.DirtySize, r.Loc = false, 0, segLoc{} }); err == nil {
 		t.Fatal("a flush landed a copy older than the file's last write")
 	}
 	readBack(0, "newer", true)
+
+	// A relocation of file 0's copy in the log; a third buffered write lands.
+	move := copyOut(func(rec *fileRec, file fileRec) *extentWriter {
+		w, err := n.bufferWriter(rec, file.Size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	})
+	overtake("newest")
+	if err := n.land(move, nil); err == nil {
+		t.Fatal("a relocation landed a copy older than the file's last write")
+	}
+	readBack(0, "newest", true)
 	n.flushOne(0)
-	readBack(0, "newer", false)
+	readBack(0, "newest", false)
 
 	// A prefetch of file 1 takes its copy; a direct write lands.
-	rec, file, _ = n.files.get(1, 0)
-	stage, err := n.copyExtents(rec, file, n.dataExtents(file.NodeEntry), n.bufferExtent(1, file.Size), 0, reqAttrib{})
+	rec, file, _ := n.files.get(1, 0)
+	stage, err := n.bufferWriter(rec, file.Size, 0)
+	if err == nil {
+		err = n.copyInto(stage, file, n.dataExtents(file.NodeEntry), reqAttrib{})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,16 +723,18 @@ func tierMovementYieldsToNewerWrite(t *testing.T, direct string) {
 		t.Fatal("a prefetch landed a copy older than the file's last write")
 	}
 	readBack(1, direct, false)
-	if left := storedFiles(t, n); !reflect.DeepEqual(left, []string{"data0/f00000000.dat", "data1/f00000001.dat"}) {
-		t.Fatalf("the disks hold %v", left)
+	if left := dataFiles(t, n); !reflect.DeepEqual(left, []string{"data0/f00000000.dat", "data1/f00000001.dat"}) {
+		t.Fatalf("the data disks hold %v", left)
 	}
+	checkStorage(t, n)
 }
 
-// TestSameSizeBufferedRewriteLogsNothing: rewriting an unflushed file at
-// its size leaves its persisted record as it was, so the log gains no
-// bytes; the newer content still survives a crash, read back from the
-// buffer disk after a restart on what the node left.
-func TestSameSizeBufferedRewriteLogsNothing(t *testing.T) {
+// TestBufferedWriteLogsOneRecord: a buffered write appends exactly one
+// record — its file's new place in the log — even at the size the file
+// had, and a write that leaves the record as it was appends none: a direct
+// rewrite of a clean file at its size. The rewrite survives a crash, read
+// back from the buffer disk after a restart on what the node left.
+func TestBufferedWriteLogsOneRecord(t *testing.T) {
 	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
 	cfg.Metrics = telemetry.NewRegistry()
 	n, err := StartNode(cfg)
@@ -645,18 +743,36 @@ func TestSameSizeBufferedRewriteLogsNothing(t *testing.T) {
 	}
 	defer n.Close()
 	logBytes := cfg.Metrics.Counter("persist.log.bytes")
-	if err := n.create(0, 5); err != nil {
-		t.Fatal(err)
+	for id := int64(0); id < 2; id++ {
+		if err := n.create(id, 5); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := n.write(0, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
+	_, was, _ := n.files.get(0, 0)
 	before := logBytes.Value()
 	if buffered, err := n.write(0, []byte("again")); err != nil || !buffered {
 		t.Fatalf("buffered=%v err=%v", buffered, err)
 	}
+	_, r, s := n.files.record(0)
+	n.files.unpin(s)
+	if grew, want := logBytes.Value()-before, int64(len(wal.AppendFrame(nil, r.encode()))); grew != want || r.Loc == was.loc {
+		t.Fatalf("a same-size buffered rewrite appended %d log bytes for a record at %+v (was %+v); want one record of %d bytes at a new place",
+			grew, r.Loc, was.loc, want)
+	}
+
+	n.cfg.WriteBuffer = false
+	if _, err := n.write(1, []byte("clean")); err != nil {
+		t.Fatal(err)
+	}
+	before = logBytes.Value()
+	if _, err := n.write(1, []byte("CLEAN")); err != nil {
+		t.Fatal(err)
+	}
 	if grew := logBytes.Value() - before; grew != 0 {
-		t.Fatalf("a same-size buffered rewrite appended %d log bytes", grew)
+		t.Fatalf("a direct same-size rewrite of a clean file appended %d log bytes", grew)
 	}
 
 	crashed := t.TempDir()
@@ -669,6 +785,9 @@ func TestSameSizeBufferedRewriteLogsNothing(t *testing.T) {
 	}
 	defer again.Close()
 	if r, err := again.read(0); err != nil || string(r.Data) != "again" || !r.FromBuffer {
-		t.Fatalf("after a restart the file reads %q (fromBuffer=%v, err=%v), want the rewrite from the buffer", r.Data, r.FromBuffer, err)
+		t.Fatalf("after a restart file 0 reads %q (fromBuffer=%v, err=%v), want the rewrite from the buffer", r.Data, r.FromBuffer, err)
+	}
+	if r, err := again.read(1); err != nil || string(r.Data) != "CLEAN" {
+		t.Fatalf("after a restart file 1 reads %q (err=%v), want the direct rewrite", r.Data, err)
 	}
 }

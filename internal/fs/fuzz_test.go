@@ -23,7 +23,8 @@ func FuzzDecodeNodeManifest(f *testing.F) {
 			{ID: 0, Size: 1e6, Disk: 0, Prefetched: true},
 			{ID: 1, Size: 5e8, Disk: 1},
 		},
-		Dirty: []dirtyEntry{{ID: 1, Size: 5e8}},
+		Dirty:  []dirtyEntry{{ID: 1, Size: 5e8}},
+		Buffer: []bufferEntry{{ID: 0, Segment: 3, Offset: 1 << 20}, {ID: 1, Segment: 12, Offset: 0}},
 	}
 	raw, err := json.MarshalIndent(seed, "", "  ")
 	if err != nil {
@@ -37,6 +38,7 @@ func FuzzDecodeNodeManifest(f *testing.F) {
 	f.Add([]byte(`{"version":1,"files":[],"dirty":[]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(nil))
+	f.Add([]byte(`{"version":2,"files":[{"id":4,"size":9,"disk":0}],"dirty":[{"id":4,"size":9}],"buffer":[{"id":4,"segment":0,"offset":-1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeNodeManifest(data)
@@ -69,13 +71,16 @@ func FuzzDecodeNodeRecord(f *testing.F) {
 	f.Add(nodeRecord{Entry: metadata.NodeEntry{ID: 3}, NextDisk: 4}.encode()) // tombstone
 	f.Add([]byte(nil))
 	f.Add(bytes.Repeat([]byte{0xFF}, 43))
+	f.Add(nodeRecord{Entry: metadata.NodeEntry{ID: 5, Size: 16, Disk: 0}, Present: true, Dirty: true, DirtySize: 16,
+		NextDisk: 6, Loc: segLoc{Seg: 2, Off: 4096}}.encode()) // a copy in the log
+	f.Add(bytes.Repeat([]byte{0xFF}, 59))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := decodeNodeRecord(data)
 		if err != nil {
 			return
 		}
-		if r.Entry.ID < 0 || r.NextDisk < 0 || (r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0)) {
+		if r.Entry.ID < 0 || r.NextDisk < 0 || (r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0)) || r.badLoc() {
 			t.Fatalf("decoder accepted a record no node writes: %+v", r)
 		}
 		again, err := decodeNodeRecord(r.encode())

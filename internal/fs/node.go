@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,6 +137,15 @@ type Node struct {
 	// plantSkipCharge is the equivalence oracle's planted bug: requests of
 	// the wire plane it names skip the disk charge. Tests only.
 	plantSkipCharge atomic.Value
+	// plantEarlyOffset is the crash-prefix oracle's planted bug: land
+	// records a copy in the log one byte before where it was written. Tests
+	// only.
+	plantEarlyOffset bool
+
+	// The log's cleaner (segment.go): one pass at a time, and what Close
+	// waits on.
+	cleanMu sync.Mutex
+	cleanWG sync.WaitGroup
 
 	// persistMu serializes transitions and checkpoints (see persist.go).
 	persistMu sync.Mutex
@@ -218,17 +228,29 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.data = append(n.data, nd)
 	}
 
-	for _, nd := range append([]*nodeDisk{n.buffer}, n.data...) {
-		if err := sweepParts(nd.dir); err != nil {
+	// The ".part" siblings a crash mid-write left: nothing references them,
+	// a write is acknowledged only after its rename.
+	for _, nd := range n.data {
+		if err := sweep(nd.dir, func(name string) bool { return strings.HasSuffix(name, ".part") }); err != nil {
 			return nil, err
 		}
 	}
-	if err := n.openManifest(); err != nil {
+	if err := n.files.openSegments(bufDir); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	if err := n.openManifest(); err != nil {
+		n.files.closeSegments()
+		return nil, err
+	}
+	err := n.restore()
+	var ln net.Listener
+	if err == nil {
+		ln, err = net.Listen("tcp", cfg.Addr)
+	}
 	if err != nil {
+		n.cleanWG.Wait()
 		n.wal.Close()
+		n.files.closeSegments()
 		return nil, err
 	}
 	n.lis.listen(ln, n.logger.Printf, func(conn net.Conn) {
@@ -246,13 +268,14 @@ func (n *Node) Addr() string { return n.lis.Addr() }
 func (n *Node) Files() []metadata.NodeEntry { return n.files.manifest().Files }
 
 // Close stops the daemon, flushes the write buffer, and waits for
-// connections to drain.
+// connections and the log's cleaner to drain.
 func (n *Node) Close() error {
 	first, err := n.lis.shut()
 	if !first {
 		return nil
 	}
 	n.lis.wait()
+	n.cleanWG.Wait()
 	n.flushAll()
 	// The flush's services re-armed the idle timers, and nothing may drive
 	// a disk of a closed node.
@@ -270,6 +293,7 @@ func (n *Node) Close() error {
 	if cerr := n.wal.Close(); err == nil {
 		err = cerr
 	}
+	n.files.closeSegments()
 	return err
 }
 
@@ -394,10 +418,10 @@ func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (proto.No
 
 // commitWrite lands a client write whose bytes are staged — shared by the
 // RPC and streaming write paths. A buffered write leaves the file
-// unflushed; a direct one supersedes any buffer-disk copy, so the stale
-// prefetched replica or unflushed write goes, and reads cannot see old
-// content. Either way the file has moved, even where its record reads as
-// before.
+// unflushed, its record naming the new copy in the log; a direct one
+// supersedes any buffer-disk copy, so the record names none and reads
+// cannot see old content. Either way the file has moved, even where its
+// record reads as before.
 func (n *Node) commitWrite(w *extentWriter) error {
 	err := n.land(w, func(r *nodeRecord) {
 		r.Entry.Size = w.size
@@ -405,10 +429,7 @@ func (n *Node) commitWrite(w *extentWriter) error {
 			r.Dirty, r.DirtySize = true, w.size
 			return
 		}
-		if r.Dirty || r.Entry.Prefetched {
-			removeExtents(n.bufferExtent(r.Entry.ID, 0))
-		}
-		r.Dirty, r.DirtySize, r.Entry.Prefetched = false, 0, false
+		r.Dirty, r.DirtySize, r.Entry.Prefetched, r.Loc = false, 0, false, segLoc{}
 	})
 	if err == nil && w.buffered {
 		n.bufWritesC.Inc()
@@ -424,7 +445,7 @@ func (n *Node) handleRead(rt proto.Type, fileID, off, length int64, sp *telemetr
 	if err != nil {
 		return reply{}, err
 	}
-	defer r.first.Close()
+	defer r.close(n.files)
 	body := proto.GetChunk(proto.NodeReadRespHead + int(r.length))
 	proto.PutNodeReadRespHead(body, r.fromBuffer, int(r.length))
 	if err := r.emit(body[proto.NodeReadRespHead:], nil); err != nil {
@@ -445,7 +466,6 @@ func (n *Node) handleDelete(req proto.NodeDeleteReq, _ *telemetry.Span) (noBody,
 		return nil
 	})
 	if err == nil {
-		removeExtents(n.bufferExtent(gone.ID, 0))
 		removeExtents(n.dataExtents(gone))
 	}
 	return noBody{}, err
@@ -479,8 +499,10 @@ func (n *Node) handlePrefetch(req proto.NodePrefetchReq, sp *telemetry.Span) (pr
 				file = flushed
 			}
 		}
-		w, err := n.copyExtents(rec, file, n.dataExtents(file.NodeEntry), n.bufferExtent(file.ID, file.Size),
-			room, spanAttrib(sp, id, planeRPC))
+		w, err := n.bufferWriter(rec, file.Size, room)
+		if err == nil {
+			err = n.copyInto(w, file, n.dataExtents(file.NodeEntry), spanAttrib(sp, id, planeRPC))
+		}
 		if err == nil {
 			err = n.land(w, func(r *nodeRecord) { r.Entry.Prefetched = true })
 		}
@@ -511,18 +533,19 @@ func (n *Node) flushAll() {
 }
 
 func (n *Node) flushOne(id int) {
-	rec, file, ok := n.files.get(id, 0)
+	rec, file, src, ok := n.files.getPinned(id, 0)
+	defer n.files.unpin(src)
 	if !ok || file.unflushed == 0 {
 		return
 	}
-	buf := n.bufferExtent(id, file.Size)
-	w, err := n.copyExtents(rec, file, buf, n.dataExtents(file.NodeEntry), 0, reqAttrib{})
+	w := n.newWriter(rec, n.dataExtents(file.NodeEntry))
+	err := n.copyInto(w, file, n.bufferExtent(src, file), reqAttrib{})
 	if err == nil {
 		err = n.land(w, func(r *nodeRecord) {
 			r.Dirty, r.DirtySize = false, 0
 			// Drop the buffer copy unless it doubles as a prefetched replica.
 			if !r.Entry.Prefetched {
-				removeExtents(buf)
+				r.Loc = segLoc{}
 			}
 		})
 	}
@@ -612,16 +635,20 @@ func (n *Node) armTimerLocked(nd *nodeDisk, wantedAt float64, hinted bool) {
 	if hinted && wantedAt-float64(n.clock.Now()) >= delay {
 		delay = 0.001 // effectively immediate, off the request path
 	}
-	nd.timer = time.AfterFunc(n.clock.RealDuration(delay), func() {
+	// A timer that fired while a request held nd.mu cannot be stopped any
+	// more: once it gets the lock it must see that it has been replaced.
+	var timer *time.Timer
+	timer = time.AfterFunc(n.clock.RealDuration(delay), func() {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		if nd.timer == nil || nd.d.State() != disk.Idle {
-			return // the node closed, or the disk is busy again
+		if nd.timer != timer || nd.d.State() != disk.Idle {
+			return // re-armed, the node closed, or the disk is busy again
 		}
 		now := n.diskNow(nd)
 		nd.d.BeginSpinDown(now)
 		nd.d.CompleteSpinDown(n.elapse(now, nd.d.Model().SpinDownSec))
 	})
+	nd.timer = timer
 }
 
 // statsResp snapshots every disk's accounting.

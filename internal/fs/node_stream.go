@@ -30,7 +30,7 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 	if err != nil {
 		return err
 	}
-	defer r.first.Close()
+	defer r.close(n.files)
 
 	chunk := proto.NegotiateChunk(req.ChunkSize, n.cfg.StreamChunkBytes)
 	if err := st.Accept(proto.StreamOpenResp{FromBuffer: r.fromBuffer, Size: r.length, ChunkSize: uint32(chunk)}); err != nil {

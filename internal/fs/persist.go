@@ -26,6 +26,7 @@ type nodeManifest struct {
 	NextDisk int                  `json:"next_disk"`
 	Files    []metadata.NodeEntry `json:"files"`
 	Dirty    []dirtyEntry         `json:"dirty,omitempty"`
+	Buffer   []bufferEntry        `json:"buffer,omitempty"`
 }
 
 type dirtyEntry struct {
@@ -33,7 +34,22 @@ type dirtyEntry struct {
 	Size int64 `json:"size"`
 }
 
-const manifestVersion = 1
+// bufferEntry is where a file's buffer-disk copy lies in the log.
+type bufferEntry struct {
+	ID      int    `json:"id"`
+	Segment uint64 `json:"segment"`
+	Offset  int64  `json:"offset"`
+}
+
+// manifestVersion 2 places buffer copies in the log. A version 1
+// checkpoint, like a log record without a location, is from a node that
+// kept each copy as a file, buffer/f<id>.dat; the restart moves those
+// copies into the log (Node.restore), and a version 1 node refuses the
+// checkpoint that follows.
+const (
+	manifestVersion       = 2
+	legacyManifestVersion = 1
+)
 
 func (n *Node) manifestPath() string {
 	return filepath.Join(n.cfg.RootDir, "manifest.json")
@@ -41,8 +57,8 @@ func (n *Node) manifestPath() string {
 
 // nodeRecord is one record of the node's log: the complete persisted
 // state of one file id — its entry or a tombstone, its unflushed
-// buffered-write size — plus the placement cursor, all as they stood
-// after the mutation. Carrying post-state instead of the operation makes
+// buffered-write size, where its buffer-disk copy lies — plus the
+// placement cursor, all as they stood after the mutation. Carrying post-state instead of the operation makes
 // replay idempotent and order-safe: applying a record twice, or over a
 // checkpoint that already reflects it, lands in the same state, and the
 // last record of an id always wins.
@@ -52,13 +68,25 @@ type nodeRecord struct {
 	Dirty     bool
 	DirtySize int64
 	NextDisk  int
+	Loc       segLoc // the buffer copy's; zero: none, or one kept as a file before the log
 }
 
+// encode writes the location only when there is one, so a record without
+// is byte for byte what a node from before the log wrote.
 func (r nodeRecord) encode() []byte {
 	var e proto.Encoder
 	e.I64(int64(r.Entry.ID)).Bool(r.Present).I64(r.Entry.Size).I64(int64(r.Entry.Disk))
 	e.Bool(r.Entry.Prefetched).Bool(r.Dirty).I64(r.DirtySize).I64(int64(r.NextDisk))
+	if r.Loc.Seg != 0 {
+		e.U64(r.Loc.Seg).I64(r.Loc.Off)
+	}
 	return e.Bytes()
+}
+
+// badLoc reports a location no node writes: one that is not a range of a
+// segment, or that places a copy of a file the buffer disk does not hold.
+func (r nodeRecord) badLoc() bool {
+	return r.Loc != (segLoc{}) && (r.Loc.Seg == 0 || r.Loc.Off < 0 || !r.Present || !r.Entry.Prefetched && !r.Dirty)
 }
 
 // decodeNodeRecord parses one log record, rejecting trailing bytes and
@@ -75,6 +103,10 @@ func decodeNodeRecord(b []byte) (nodeRecord, error) {
 	r.Dirty = d.Bool()
 	r.DirtySize = d.I64()
 	r.NextDisk = int(d.I64())
+	located := d.Remaining() > 0
+	if located {
+		r.Loc = segLoc{Seg: d.U64(), Off: d.I64()}
+	}
 	switch {
 	case d.Err() != nil:
 		return nodeRecord{}, d.Err()
@@ -90,6 +122,8 @@ func decodeNodeRecord(b []byte) (nodeRecord, error) {
 			r.Entry.ID, r.Entry.Size, r.Entry.Disk)
 	case !r.Present && r.Dirty:
 		return nodeRecord{}, fmt.Errorf("fs: node record marks deleted file %d dirty", r.Entry.ID)
+	case r.badLoc() || located && r.Loc.Seg == 0:
+		return nodeRecord{}, fmt.Errorf("fs: node record places file %d's buffer copy at %+v", r.Entry.ID, r.Loc)
 	}
 	return r, nil
 }
@@ -113,7 +147,7 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nodeManifest{}, err
 	}
-	if m.Version != manifestVersion {
+	if m.Version != manifestVersion && m.Version != legacyManifestVersion {
 		return nodeManifest{}, fmt.Errorf("fs: manifest version %d unsupported", m.Version)
 	}
 	return m, nil
@@ -127,12 +161,15 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 // if it differs from what was persisted, those same bytes are appended to
 // the log, all inside persistMu: nothing persisted moves under step, which
 // may therefore rename staged extents into place, and an id's records
-// reach the log in the order they were applied. A failed append is
-// logged, not fatal — as a failed manifest save always was.
+// reach the log in the order they were applied. The segment holding the
+// buffer copy the old record names stays pinned until then, so it cannot
+// go while the log still names it. A failed append is logged, not fatal —
+// as a failed manifest save always was.
 func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) error) error {
 	n.persistMu.Lock()
 	defer n.persistMu.Unlock()
-	rec, r := n.files.record(id)
+	rec, r, held := n.files.record(id)
+	defer n.files.unpin(held)
 	was := r
 	if err := step(rec, &r); err != nil {
 		return err

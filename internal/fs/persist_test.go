@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"os"
 	"os/exec"
@@ -248,41 +249,43 @@ func TestServerCrashPrefixOracle(t *testing.T) {
 	}
 }
 
-// nodeState is everything a node persists.
+// nodeState is everything a node persists, and — when a node or a
+// history fills it in — each file's content as read back.
 type nodeState struct {
 	Files    []metadata.NodeEntry
 	Dirty    map[int]int64
+	Buffer   map[int]segLoc
 	NextDisk int
+	Read     map[int]string
 }
 
 func (t *fileTable) persistedState() nodeState {
 	m := t.manifest()
-	st := nodeState{Files: m.Files, Dirty: map[int]int64{}, NextDisk: m.NextDisk}
+	st := nodeState{Files: m.Files, Dirty: map[int]int64{}, Buffer: map[int]segLoc{}, NextDisk: m.NextDisk}
 	for _, d := range m.Dirty {
 		st.Dirty[d.ID] = d.Size
+	}
+	for _, b := range m.Buffer {
+		st.Buffer[b.ID] = segLoc{Seg: b.Segment, Off: b.Offset}
 	}
 	return st
 }
 
-func recoverNode(t *testing.T, c crashCase) (st nodeState, ok bool) {
-	t.Helper()
-	root := t.TempDir()
-	mustWrite(t, filepath.Join(root, "manifest.json"), c.checkpoint)
-	mustWrite(t, filepath.Join(root, "manifest.wal"), c.log)
-	n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
-	if err != nil {
-		return nodeState{}, false
+// readState is persistedState plus every file that reads back, as read.
+func (n *Node) readState() nodeState {
+	st := n.files.persistedState()
+	st.Read = map[int]string{}
+	for _, e := range st.Files {
+		if r, err := n.read(int64(e.ID)); err == nil {
+			st.Read[e.ID] = string(r.Data)
+		}
 	}
-	st = n.files.persistedState()
-	// Close would flush the dirty set and checkpoint; the state was
-	// captured first, and the directory is thrown away.
-	n.Close()
-	return st, true
+	return st
 }
 
 // nodeHistory is what nodeCrashHistory's script left behind.
 type nodeHistory struct {
-	root       string // the node's RootDir, extents and all, as a kill -9 leaves it
+	root       string // the node's RootDir, segments and extents, as a kill -9 leaves it
 	checkpoint []byte // the mid-run manifest.json
 	log        []byte // manifest.wal: everything since
 	newer      []byte // the checkpoint a full log would have triggered after the last ack
@@ -290,10 +293,34 @@ type nodeHistory struct {
 	states     []nodeState
 }
 
+// recover restarts a node on the disks the history left, with c's
+// checkpoint and log in place of its own, and returns what it recovered
+// and read back; ok is false when it refused to start.
+func (h nodeHistory) recover(t *testing.T, c crashCase) (st nodeState, ok bool) {
+	t.Helper()
+	root := t.TempDir()
+	if err := os.CopyFS(root, os.DirFS(h.root)); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, filepath.Join(root, "manifest.json"), c.checkpoint)
+	mustWrite(t, filepath.Join(root, "manifest.wal"), c.log)
+	n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
+	if err != nil {
+		return nodeState{}, false
+	}
+	st = n.readState()
+	// Close would flush the dirty set and checkpoint; the state was
+	// captured first, and the directory is thrown away.
+	n.Close()
+	return st, true
+}
+
 // nodeCrashHistory drives a scripted mutation sequence through a node's
 // handlers and returns what a kill -9 after the last ack leaves on disk.
-// plant runs it with the live table's apply dropping the dirty bit.
-func nodeCrashHistory(t *testing.T, plant bool) nodeHistory {
+// Each state carries the content every written file was last acked with,
+// which a restart on it must read back. plant, when set, plants a bug in
+// the live node.
+func nodeCrashHistory(t *testing.T, plant func(*Node)) nodeHistory {
 	t.Helper()
 	live := t.TempDir()
 	n, err := StartNode(persistNodeConfig(live, "127.0.0.1:0"))
@@ -301,13 +328,17 @@ func nodeCrashHistory(t *testing.T, plant bool) nodeHistory {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.files.plantDropDirty = plant
+	if plant != nil {
+		plant(n)
+	}
 	h := nodeHistory{root: t.TempDir()}
+	acked := map[int]string{}
 	create := func(id, size int64) func() error {
-		return func() error { return n.create(id, size) }
+		return func() error { delete(acked, int(id)); return n.create(id, size) }
 	}
 	write := func(id int64, data string) func() error {
 		return func() error {
+			acked[int(id)] = data
 			_, err := n.write(id, []byte(data))
 			return err
 		}
@@ -321,19 +352,24 @@ func nodeCrashHistory(t *testing.T, plant bool) nodeHistory {
 		write(2, "two-but-longer"), // buffered: dirty + size change
 		func() error { n.flushOne(1); return nil },
 		func() error {
-			if got := n.prefetch(1); got != 1 && !plant {
+			if got := n.prefetch(1); got != 1 && plant == nil {
 				return fmt.Errorf("prefetched %d of 1", got)
 			}
 			return nil
 		},
-		func() error { return n.remove(0) },
+		func() error { delete(acked, 0); return n.remove(0) },
 		write(2, "2"),
 		create(3, 9),
+	}
+	state := func() nodeState {
+		st := n.files.persistedState()
+		st.Read = maps.Clone(acked)
+		return st
 	}
 	for _, op := range script {
 		if op == nil {
 			n.checkpoint()
-			h.ends, h.states = []int{0}, []nodeState{n.files.persistedState()}
+			h.ends, h.states = []int{0}, []nodeState{state()}
 			continue
 		}
 		if err := op(); err != nil {
@@ -341,7 +377,7 @@ func nodeCrashHistory(t *testing.T, plant bool) nodeHistory {
 		}
 		if h.states != nil {
 			h.ends = append(h.ends, int(n.wal.Size()))
-			h.states = append(h.states, n.files.persistedState())
+			h.states = append(h.states, state())
 		}
 	}
 	if err := os.CopyFS(h.root, os.DirFS(live)); err != nil {
@@ -354,8 +390,12 @@ func nodeCrashHistory(t *testing.T, plant bool) nodeHistory {
 	return h
 }
 
+// TestNodeCrashPrefixOracle runs the crash-prefix battery over the log
+// and the segments together: every restart must land on the longest acked
+// prefix of the history and read back each file's last acked bytes from
+// the segments and extents the kill left.
 func TestNodeCrashPrefixOracle(t *testing.T) {
-	h := nodeCrashHistory(t, false)
+	h := nodeCrashHistory(t, nil)
 	if h.checkpoint == nil || len(h.ends) != 8 || h.ends[7] != len(h.log) {
 		t.Fatalf("history: checkpoint %d bytes, log %d bytes, ends %v", len(h.checkpoint), len(h.log), h.ends)
 	}
@@ -364,14 +404,14 @@ func TestNodeCrashPrefixOracle(t *testing.T) {
 	if testing.Short() {
 		cases = cases[:len(cases)/8]
 	}
-	if bad := violations(t, cases, h.states, recoverNode); bad != 0 {
+	if bad := violations(t, cases, h.states, h.recover); bad != 0 {
 		t.Fatalf("%d of %d crash recoveries were not the longest acked prefix", bad, len(cases))
 	}
 
 	// Crash between checkpoint rename and log truncate: post-state
 	// records replayed over a checkpoint that already holds them.
 	last := h.states[len(h.states)-1]
-	if got, ok := recoverNode(t, crashCase{checkpoint: h.newer, log: h.log}); !ok || !reflect.DeepEqual(got, last) {
+	if got, ok := h.recover(t, crashCase{checkpoint: h.newer, log: h.log}); !ok || !reflect.DeepEqual(got, last) {
 		t.Fatalf("stale log over a newer checkpoint: started=%v, recovered %+v, want %+v", ok, got, last)
 	}
 
@@ -381,17 +421,104 @@ func TestNodeCrashPrefixOracle(t *testing.T) {
 	damaged := bytes.Clone(h.log)
 	damaged[h.ends[len(h.ends)-2]+8+8+1+7] ^= 0x40 // frame header, id, present flag, then the size's low byte
 	planted := []crashCase{{"laundered size flip", h.checkpoint, launderCRC(damaged), len(h.states) - 2}}
-	if violations(t, planted, h.states, recoverNode) == 0 {
+	if violations(t, planted, h.states, h.recover) == 0 {
 		t.Fatal("oracle passed a recovery of a corrupt record whose CRC check was defeated")
 	}
 
-	// Planted bug: the live table's apply drops the dirty bit. The log
-	// still says what the handlers decided, so what the node served from
-	// and what a restart recovers part ways — which only shows if live
-	// mutations install their state through that same apply.
-	p := nodeCrashHistory(t, true)
-	if violations(t, crashCases(p.checkpoint, p.log, p.ends)[:len(p.log)+1], p.states, recoverNode) == 0 {
-		t.Fatal("oracle passed a live table whose apply ignores the dirty bit")
+	// Planted bug: a record that reached the log before its copy's bytes
+	// reached the segment — a crash between the two leaves the segment
+	// cut at the copy the last write placed.
+	cut := nodeHistory{root: t.TempDir(), states: h.states}
+	if err := os.CopyFS(cut.root, os.DirFS(h.root)); err != nil {
+		t.Fatal(err)
+	}
+	two := last.Buffer[2]
+	if err := os.Truncate(filepath.Join(cut.root, "buffer", segmentName(two.Seg)), two.Off); err != nil {
+		t.Fatal(err)
+	}
+	whole := []crashCase{{"record before its bytes", h.checkpoint, h.log, len(h.states) - 1}}
+	if violations(t, whole, h.states, cut.recover) == 0 {
+		t.Fatal("oracle passed a recovery whose last write's bytes never reached the segment")
+	}
+
+	// Planted bugs in the live node, which the log faithfully records, so
+	// what the node served from and what a restart recovers part ways.
+	// Apply drops the dirty bit: that only shows if live mutations install
+	// their state through that same apply. Land records each copy one byte
+	// before where it was written: the recovered state is the history's,
+	// and only reading the bytes back shows it.
+	for what, plant := range map[string]func(*Node){
+		"a live table whose apply ignores the dirty bit": func(n *Node) { n.files.plantDropDirty = true },
+		"a node that records copies one byte early":      func(n *Node) { n.plantEarlyOffset = true },
+	} {
+		p := nodeCrashHistory(t, plant)
+		if violations(t, crashCases(p.checkpoint, p.log, p.ends)[:len(p.log)+1], p.states, p.recover) == 0 {
+			t.Errorf("oracle passed %s", what)
+		}
+	}
+}
+
+// TestSegmentCrashBeforeLand: a copy appended to the log whose record
+// never made it — a buffered write killed between its pwrite and its
+// landing — changes nothing a restart shows: the files read back their
+// last acked bytes. And a segment no record names does not survive a
+// restart.
+func TestSegmentCrashBeforeLand(t *testing.T) {
+	cfg := persistNodeConfig(t.TempDir(), "127.0.0.1:0")
+	n, err := StartNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for id, data := range []string{"zero", "one"} {
+		if err := n.create(int64(id), int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.write(int64(id), []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked := n.readState()
+	w, err := n.sink(1, 7, reqAttrib{})
+	if err != nil || !w.buffered {
+		t.Fatalf("buffered=%v err=%v", w != nil && w.buffered, err)
+	}
+	if err := w.write([]byte("torn!!!")); err != nil {
+		t.Fatal(err)
+	}
+	crash := func() string {
+		t.Helper()
+		root := t.TempDir()
+		if err := os.CopyFS(root, os.DirFS(cfg.RootDir)); err != nil {
+			t.Fatal(err)
+		}
+		return root
+	}
+	root := crash()
+	w.abandon()
+
+	again, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.readState(); !reflect.DeepEqual(got, acked) {
+		t.Fatalf("after a crash mid-write the node recovered %+v, want %+v", got, acked)
+	}
+	checkStorage(t, again)
+	again.Close()
+
+	// Every file gone: the segment that held them has nothing left to name.
+	for id := int64(0); id < 2; id++ {
+		if err := n.remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, err = StartNode(persistNodeConfig(crash(), "127.0.0.1:0")); err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if left, err := os.ReadDir(again.buffer.dir); err != nil || len(left) != 0 {
+		t.Fatalf("after a restart with no file in the buffer, buffer/ holds %v (err=%v)", left, err)
 	}
 }
 
@@ -722,29 +849,87 @@ func TestParentStateFileCompat(t *testing.T) {
 	}
 }
 
-// TestParentNodeManifestCompat is TestParentStateFileCompat for the node:
-// testdata holds the manifest.json + manifest.wal pair the parent commit
-// left after nodeCrashHistory's script and a kill -9, and the manifest it
-// wrote when it was restarted on them and closed. The same script must
-// write the same two files, and a restart on them must arrive at the same
-// state and — flushing what the kill left unflushed — the same third.
-func TestParentNodeManifestCompat(t *testing.T) {
-	checkpoint, oplog := mustRead(t, "testdata/parent.manifest.json"), mustRead(t, "testdata/parent.manifest.wal")
-	h := nodeCrashHistory(t, false)
+// TestNodeManifestGolden is TestParentStateFileCompat for the node:
+// testdata holds the manifest.json + manifest.wal pair nodeCrashHistory's
+// script leaves after a kill -9, and the manifest a node restarted on them
+// writes when it is closed. The same script must write the same two files,
+// and a restart on them must arrive at the same state and — flushing what
+// the kill left unflushed — the same third.
+func TestNodeManifestGolden(t *testing.T) {
+	checkpoint, oplog := mustRead(t, "testdata/node.manifest.json"), mustRead(t, "testdata/node.manifest.wal")
+	h := nodeCrashHistory(t, nil)
 	if !bytes.Equal(h.checkpoint, checkpoint) || !bytes.Equal(h.log, oplog) {
-		t.Fatalf("the script wrote a %d-byte checkpoint and a %d-byte log that differ from the parent's (%d, %d)",
+		t.Fatalf("the script wrote a %d-byte checkpoint and a %d-byte log that differ from the golden ones (%d, %d)",
 			len(h.checkpoint), len(h.log), len(checkpoint), len(oplog))
 	}
 	n, err := StartNode(persistNodeConfig(h.root, "127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := n.files.persistedState(), h.states[len(h.states)-1]; !reflect.DeepEqual(got, want) {
+	if got, want := n.readState(), h.states[len(h.states)-1]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("loaded %+v, want %+v", got, want)
 	}
 	n.Close()
-	if !bytes.Equal(mustRead(t, n.manifestPath()), mustRead(t, "testdata/parent.manifest.reopened.json")) ||
+	if !bytes.Equal(mustRead(t, n.manifestPath()), mustRead(t, "testdata/node.manifest.reopened.json")) ||
 		len(mustRead(t, filepath.Join(h.root, "manifest.wal"))) != 0 {
-		t.Fatal("closing a node restarted on the parent's manifest did not write the parent's bytes")
+		t.Fatal("closing a node restarted on the golden manifest did not write the golden bytes")
+	}
+}
+
+// TestParentNodeManifestCompat: a node from before the log kept each
+// buffer copy as a file, buffer/f<id>.dat. testdata holds the
+// manifest.json + manifest.wal pair such a node left after
+// nodeCrashHistory's script and a kill -9; its buffer and data files are
+// written here. A node started on them comes up with the same files, each
+// reading back its bytes, with every copy moved into the log: nothing but
+// segments is left under buffer/, and a second restart changes nothing.
+func TestParentNodeManifestCompat(t *testing.T) {
+	checkpoint, oplog := mustRead(t, "testdata/parent.manifest.json"), mustRead(t, "testdata/parent.manifest.wal")
+	parent := newFileTable(2, 0)
+	if err := parent.load(checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Replay(oplog, parent.replay); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	for path, data := range map[string]string{
+		"manifest.json":               string(checkpoint),
+		"manifest.wal":                string(oplog),
+		"buffer/f00000001.dat":        "one", // prefetched
+		"buffer/f00000002.dat":        "2",   // unflushed
+		"buffer/f00000002.dat.7.part": "torn",
+		"data1/f00000001.dat":         "one",
+	} {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, filepath.Join(root, path), []byte(data))
+	}
+	want := map[int]string{1: "one", 2: "2"}
+	for restart := 0; restart < 2; restart++ {
+		n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := n.readState()
+		was := parent.persistedState()
+		if !reflect.DeepEqual(got.Files, was.Files) || !reflect.DeepEqual(got.Dirty, was.Dirty) || got.NextDisk != was.NextDisk ||
+			len(got.Buffer) != 2 || !reflect.DeepEqual(got.Read, want) {
+			t.Fatalf("restart %d: came up with %+v; want the parent's %+v, in the log, reading back %v", restart, got, was, want)
+		}
+		if r, err := n.read(2); err != nil || !r.FromBuffer {
+			t.Fatalf("restart %d: the unflushed file does not read from the buffer (err=%v)", restart, err)
+		}
+		checkStorage(t, n)
+		if left := storedFiles(t, n); len(left) != 2 || left[0] != "buffer/"+segmentName(1) {
+			t.Fatalf("restart %d: the disks hold %v; want one segment and the data extent", restart, left)
+		}
+		crashed := t.TempDir()
+		if err := os.CopyFS(crashed, os.DirFS(root)); err != nil {
+			t.Fatal(err)
+		}
+		n.Close()
+		root = crashed // kill -9: the next restart has no clean close behind it
 	}
 }
