@@ -13,23 +13,19 @@
 //	eevfsbench -list               # list experiment ids
 //	eevfsbench -trace t.txt        # PF vs NPF on an external trace file
 //	eevfsbench -chrome-trace o.json  # export one PF run's timeline for Perfetto
-//	eevfsbench -stream             # live streaming data-plane throughput (1KB/1MB/64MB)
+//
+// The live stack's throughput is the benchmark's, not this command's:
+// `go run ./bench --workload stream-large` measures the streaming plane.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
-	"log"
 	"os"
 	"strings"
-	"time"
 
 	"eevfs/internal/cluster"
-	"eevfs/internal/disk"
 	"eevfs/internal/experiments"
-	"eevfs/internal/fs"
 	"eevfs/internal/telemetry"
 	"eevfs/internal/trace"
 	"eevfs/internal/workload"
@@ -70,7 +66,7 @@ func runTraceFile(path string) error {
 // an external trace file or the default synthetic workload — with the
 // event journal attached, and writes the timeline as Chrome trace-event
 // JSON loadable in ui.perfetto.dev or chrome://tracing.
-func exportChromeTrace(out, traceIn string, requests int, seed uint64, traceSample float64, journalCap int) error {
+func exportChromeTrace(out, traceIn string, requests int, seed uint64) error {
 	var tr *trace.Trace
 	var err error
 	if traceIn != "" {
@@ -99,20 +95,6 @@ func exportChromeTrace(out, traceIn string, requests int, seed uint64, traceSamp
 
 	cfg := cluster.DefaultTestbed()
 	jour := &telemetry.Journal{}
-	if traceSample > 0 && traceSample < 1 {
-		// Thin only the per-request slices; state and service events are
-		// never sampled away (the journal's invariant checks replay them).
-		jour.SetRequestSampling(traceSample, 1)
-	}
-	// The registry mirrors the ring-cap eviction count (journal.evicted),
-	// matching what the daemons surface on /metrics.prom, and the summary
-	// line below reports it so a truncated timeline is never mistaken for
-	// a complete one.
-	reg := telemetry.NewRegistry()
-	jour.BindRegistry(reg)
-	if journalCap > 0 {
-		jour.SetLimit(journalCap)
-	}
 	cfg.Journal = jour
 	res, err := cluster.Run(cfg, tr)
 	if err != nil {
@@ -132,92 +114,6 @@ func exportChromeTrace(out, traceIn string, requests int, seed uint64, traceSamp
 	}
 	fmt.Printf("wrote %d journal events (%d power transitions, %.0f s makespan) to %s\n",
 		jour.Len(), res.Transitions, res.MakespanSec, out)
-	if n := jour.Evicted(); n > 0 {
-		fmt.Printf("journal ring cap %d evicted %d events (timeline is truncated)\n", journalCap, n)
-	}
-	return nil
-}
-
-// runStreamWorkload spins up an in-process live cluster (one storage
-// node, the metadata server, a real TCP data path) with latency
-// injection off and measures the streaming data plane end to end: for
-// each payload size it streams a write and a read through the chunked
-// v2 plane and prints the throughput, plus the whole-payload RPC read
-// as the comparison row.
-func runStreamWorkload() error {
-	quiet := log.New(io.Discard, "", 0)
-	node, err := fs.StartNode(fs.NodeConfig{
-		Addr:             "127.0.0.1:0",
-		RootDir:          os.TempDir() + "/eevfsbench-stream",
-		DataDisks:        2,
-		DataModel:        disk.ModelType1,
-		BufferModel:      disk.ModelType1,
-		IdleThresholdSec: 5,
-		TimeScale:        2000,
-		InjectLatency:    false,
-		Logger:           quiet,
-	})
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-	defer os.RemoveAll(os.TempDir() + "/eevfsbench-stream")
-	srv, err := fs.StartServer(fs.ServerConfig{
-		Addr:      "127.0.0.1:0",
-		NodeAddrs: []string{node.Addr()},
-		Logger:    quiet,
-		Health:    fs.HealthConfig{ProbeInterval: -1},
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	cl, err := fs.Dial(srv.Addr())
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	mbps := func(n int64, d time.Duration) float64 {
-		return float64(n) / (1 << 20) / d.Seconds()
-	}
-	fmt.Printf("%-8s %18s %18s %18s\n", "size", "stream write MB/s", "stream read MB/s", "rpc read MB/s")
-	for _, sz := range []int{1 << 10, 1 << 20, 64 << 20} {
-		name := fmt.Sprintf("s%d.dat", sz)
-		content := bytes.Repeat([]byte("streaming-plane-"), (sz+15)/16)[:sz]
-		if err := cl.Create(name, []byte("seed")); err != nil {
-			return err
-		}
-		start := time.Now()
-		if _, err := cl.WriteFrom(name, int64(sz), bytes.NewReader(content)); err != nil {
-			return err
-		}
-		wDur := time.Since(start)
-		start = time.Now()
-		n, _, err := cl.ReadTo(name, io.Discard)
-		if err != nil {
-			return err
-		}
-		if n != int64(sz) {
-			return fmt.Errorf("stream read returned %d of %d bytes", n, sz)
-		}
-		rDur := time.Since(start)
-		start = time.Now()
-		got, _, err := cl.Read(name)
-		if err != nil {
-			return err
-		}
-		if len(got) != sz {
-			return fmt.Errorf("rpc read returned %d of %d bytes", len(got), sz)
-		}
-		rpcDur := time.Since(start)
-		label := fmt.Sprintf("%dKB", sz>>10)
-		if sz >= 1<<20 {
-			label = fmt.Sprintf("%dMB", sz>>20)
-		}
-		fmt.Printf("%-8s %18.1f %18.1f %18.1f\n",
-			label, mbps(int64(sz), wDur), mbps(int64(sz), rDur), mbps(int64(sz), rpcDur))
-	}
 	return nil
 }
 
@@ -232,22 +128,11 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		traceIn  = flag.String("trace", "", "run PF vs NPF on a trace file (eevfs-trace/1 format) and exit")
 		chromeO  = flag.String("chrome-trace", "", "simulate one PF run and write its timeline as Chrome trace-event JSON to this file")
-		traceSmp = flag.Float64("trace-sample", 1, "fraction of per-request journal events kept in the exported timeline (state transitions are always kept)")
-		jourCap  = flag.Int("journal-cap", 0, "cap the event journal at this many entries (ring eviction, oldest first; 0 = unbounded); evictions are counted and reported")
-		stream   = flag.Bool("stream", false, "measure the live streaming data plane (in-process cluster, 1KB/1MB/64MB) and exit")
 	)
 	flag.Parse()
 
-	if *stream {
-		if err := runStreamWorkload(); err != nil {
-			fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *chromeO != "" {
-		if err := exportChromeTrace(*chromeO, *traceIn, *requests, *seed, *traceSmp, *jourCap); err != nil {
+		if err := exportChromeTrace(*chromeO, *traceIn, *requests, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -38,11 +38,11 @@ func TestRunTraceFile(t *testing.T) {
 	}
 }
 
-// TestExportChromeTrace drives the timeline export with request sampling
-// and a tight journal ring cap, so the eviction accounting path runs.
+// TestExportChromeTrace drives the timeline export from the synthetic
+// default and from a trace file.
 func TestExportChromeTrace(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "timeline.json")
-	if err := exportChromeTrace(out, "", 200, 7, 0.5, 64); err != nil {
+	if err := exportChromeTrace(out, "", 200, 7); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(out)
@@ -54,20 +54,7 @@ func TestExportChromeTrace(t *testing.T) {
 	}
 	// Same export fed from a trace file instead of the synthetic default.
 	out2 := filepath.Join(t.TempDir(), "timeline2.json")
-	if err := exportChromeTrace(out2, writeTestTrace(t), 0, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunStreamWorkload runs the -stream mode end to end: a live
-// in-process cluster, the 1KB/1MB/64MB streamed transfers, and the RPC
-// comparison row. It doubles as a smoke test that the streaming plane
-// sustains a 64MB file outside the unit-test harness.
-func TestRunStreamWorkload(t *testing.T) {
-	if testing.Short() {
-		t.Skip("moves 64MB through a live TCP cluster")
-	}
-	if err := runStreamWorkload(); err != nil {
+	if err := exportChromeTrace(out2, writeTestTrace(t), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }

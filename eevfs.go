@@ -69,9 +69,6 @@ type (
 	SyntheticConfig = workload.SyntheticConfig
 	// BerkeleyWebConfig parameterizes the Fig. 6 web-trace equivalent.
 	BerkeleyWebConfig = workload.BerkeleyWebConfig
-	// DriftingConfig parameterizes a workload whose hot set moves over
-	// time (the ext-dynamic experiment).
-	DriftingConfig = workload.DriftingConfig
 	// DriftConfig parameterizes the composable drift workload — phase
 	// rotation, flash crowds, and diurnal load — behind the adaptive
 	// policy experiments.
@@ -95,13 +92,6 @@ func DefaultBerkeleyWebConfig() BerkeleyWebConfig { return workload.DefaultBerke
 
 // BerkeleyWebWorkload generates the web-trace-equivalent workload.
 func BerkeleyWebWorkload(cfg BerkeleyWebConfig) (*Trace, error) { return workload.BerkeleyWeb(cfg) }
-
-// DefaultDriftingConfig returns the 10-phase drifting workload used by
-// the dynamic re-prefetching experiment.
-func DefaultDriftingConfig() DriftingConfig { return workload.DefaultDrifting() }
-
-// DriftingWorkload generates a phase-shifting hot-set trace.
-func DriftingWorkload(cfg DriftingConfig) (*Trace, error) { return workload.Drifting(cfg) }
 
 // DefaultDriftConfig returns the strong-drift workload point of the
 // ext-adaptive experiments (16 phase hot sets over 1600 files).

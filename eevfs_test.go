@@ -80,11 +80,10 @@ func TestPublicAdaptiveArm(t *testing.T) {
 			res.TotalEnergyJ, npf.TotalEnergyJ)
 	}
 
-	// The legacy drifting generator stays reachable through the facade.
-	oc := eevfs.DefaultDriftingConfig()
-	oc.NumFiles, oc.NumRequests = 100, 50
-	if _, err := eevfs.DriftingWorkload(oc); err != nil {
-		t.Fatal(err)
+	// ext-dynamic's phase rotation, flash and diurnal off, is a DriftConfig.
+	oc := eevfs.DriftConfig{NumFiles: 100, NumRequests: 50, MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: 1}
+	if tr, err := eevfs.DriftWorkload(oc); err != nil || len(tr.Records) != oc.NumRequests {
+		t.Fatalf("ten-phase drift: %v", err)
 	}
 }
 

@@ -346,10 +346,9 @@ func extStripe(o Options) (Table, error) {
 // extDynamic contrasts the paper's one-shot prefetch with PRE-BUD-style
 // dynamic re-prefetching on a workload whose hot set drifts.
 func extDynamic(o Options) (Table, error) {
-	w := workload.DefaultDrifting()
-	w.NumRequests = o.requests()
-	w.Seed = o.seed()
-	tr, err := workload.Drifting(w)
+	// Ten disjoint ~30-file hot sets: a one-shot top-70 prefetch covers a couple.
+	w := workload.DriftConfig{NumFiles: 1000, NumRequests: o.requests(), MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: o.seed()}
+	tr, err := workload.Drift(w)
 	if err != nil {
 		return Table{}, err
 	}

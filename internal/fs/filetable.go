@@ -72,13 +72,9 @@ func newFileTable(dataDisks int, capacity int64) *fileTable {
 	return t
 }
 
-// apply installs r, the persisted post-state of one file id (or its
-// tombstone) and of the placement cursor, and keeps every segment's live
-// bytes: the bytes of the buffer copy r names move in, those of the copy
-// the record named before move out. It is idempotent, and what the process
-// alone knows about a file that stays — hint, last access, reservations —
-// is kept.
-func (t *fileTable) apply(r nodeRecord) error {
+// validate is what a record passes before it is logged or installed: a
+// file has a size and a data disk the node has, a location a copy.
+func (t *fileTable) validate(r nodeRecord) error {
 	switch {
 	case r.Present && (r.Entry.Size <= 0 || r.Entry.Disk < 0 || r.Entry.Disk >= len(t.wanted)):
 		return fmt.Errorf("fs: file %d of %d bytes on disk %d, node has %d",
@@ -86,11 +82,33 @@ func (t *fileTable) apply(r nodeRecord) error {
 	case r.badLoc():
 		return fmt.Errorf("fs: file %d's buffer copy placed at %+v", r.Entry.ID, r.Loc)
 	}
+	return nil
+}
+
+// apply installs r, the persisted post-state of one file id (or its
+// tombstone) and of the placement cursor, and keeps every segment's live
+// bytes: the bytes of the buffer copy r names move in, those of the copy
+// the record named before move out — and a sealed segment left with none
+// that nothing pins goes. It is idempotent, and what the process alone
+// knows about a file that stays — hint, last access, reservations — is
+// kept.
+func (t *fileTable) apply(r nodeRecord) error {
+	if err := t.validate(r); err != nil {
+		return err
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	var was *segment // the one the old record names
+	defer func() {
+		gone := was != nil && t.reapLocked(was)
+		t.mu.Unlock()
+		if gone {
+			was.remove()
+		}
+	}()
 	t.cursor = r.NextDisk
 	rec := t.files[r.Entry.ID]
 	if rec != nil {
+		was = t.segs[rec.loc.Seg]
 		t.used -= rec.held()
 		t.addLive(rec.loc, -rec.Size)
 		delete(t.wanted[rec.Disk], rec.ID)
@@ -124,23 +142,17 @@ func (t *fileTable) index(rec *fileRec) {
 }
 
 // record returns a file's record (nil: no such file) and its persisted
-// state the way the log writes it, and pins the segment holding the file's
-// buffer copy (nil: none) until the record that replaces this one is in
-// the log.
-func (t *fileTable) record(id int) (*fileRec, nodeRecord, *segment) {
+// state the way the log writes it.
+func (t *fileTable) record(id int) (*fileRec, nodeRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := nodeRecord{Entry: metadata.NodeEntry{ID: id}, NextDisk: t.cursor}
 	rec := t.files[id]
-	var s *segment
 	if rec != nil {
 		r.Entry, r.Present, r.Loc = rec.NodeEntry, true, rec.loc
 		r.Dirty, r.DirtySize = rec.unflushed > 0, rec.unflushed
-		if s = t.segs[rec.loc.Seg]; s != nil {
-			s.pins++
-		}
 	}
-	return rec, r, s
+	return rec, r
 }
 
 // get looks a file up: rec is its identity, for a later transition to

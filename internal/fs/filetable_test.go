@@ -756,8 +756,7 @@ func TestBufferedWriteLogsOneRecord(t *testing.T) {
 	if buffered, err := n.write(0, []byte("again")); err != nil || !buffered {
 		t.Fatalf("buffered=%v err=%v", buffered, err)
 	}
-	_, r, s := n.files.record(0)
-	n.files.unpin(s)
+	_, r := n.files.record(0)
 	if grew, want := logBytes.Value()-before, int64(len(wal.AppendFrame(nil, r.encode()))); grew != want || r.Loc == was.loc {
 		t.Fatalf("a same-size buffered rewrite appended %d log bytes for a record at %+v (was %+v); want one record of %d bytes at a new place",
 			grew, r.Loc, was.loc, want)

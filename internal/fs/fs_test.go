@@ -745,7 +745,7 @@ func TestNodeRejectsCorruptManifest(t *testing.T) {
 func TestNodeRejectsManifestDiskOverflow(t *testing.T) {
 	quiet := log.New(io.Discard, "", 0)
 	root := t.TempDir()
-	manifest := `{"version":1,"next_disk":0,"files":[{"id":0,"size":10,"disk":5}]}`
+	manifest := `{"version":2,"next_disk":0,"files":[{"id":0,"size":10,"disk":5}]}`
 	if err := os.WriteFile(root+"/manifest.json", []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}

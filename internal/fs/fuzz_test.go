@@ -34,8 +34,8 @@ func FuzzDecodeNodeManifest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":99,"files":[{"id":-1}]}`))
-	f.Add([]byte(`{"version":1,"files":[{"id":1,"size":-5,"disk":1e9}]}`))
-	f.Add([]byte(`{"version":1,"files":[],"dirty":[]}`))
+	f.Add([]byte(`{"version":2,"files":[{"id":1,"size":-5,"disk":1e9}]}`))
+	f.Add([]byte(`{"version":2,"files":[],"dirty":[]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(nil))
 	f.Add([]byte(`{"version":2,"files":[{"id":4,"size":9,"disk":0}],"dirty":[{"id":4,"size":9}],"buffer":[{"id":4,"segment":0,"offset":-1}]}`))

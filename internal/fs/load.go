@@ -169,8 +169,8 @@ type LoadResult struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// LoadReport is one live reporting tick: windowed (recent, not
-// cumulative) latency per op class plus cumulative accounting.
+// LoadReport is one live reporting tick: latency per op class over the
+// last loadWindow ticks plus cumulative accounting.
 type LoadReport struct {
 	Elapsed    time.Duration
 	Issued     int64
@@ -208,10 +208,25 @@ func classifyLoadErr(err error) string {
 
 // loadClass holds one op class's instrumentation.
 type loadClass struct {
-	hist   *telemetry.Histogram
-	window *telemetry.Windowed
-	count  *telemetry.Counter
-	errs   *telemetry.Counter
+	hist  *telemetry.Histogram
+	count *telemetry.Counter
+	errs  *telemetry.Counter
+	past  []telemetry.HistogramSnapshot // hist at the last loadWindow reporting ticks, oldest first
+}
+
+// loadWindow is how many reporting ticks a LoadReport's latencies span.
+const loadWindow = 5
+
+// window, called by the reporter once a tick, is the class's histogram now
+// less what it held loadWindow ticks ago (nothing, before then).
+func (c *loadClass) window() telemetry.HistogramSnapshot {
+	now := c.hist.Snapshot()
+	var old telemetry.HistogramSnapshot
+	if len(c.past) == loadWindow {
+		old, c.past = c.past[0], c.past[1:]
+	}
+	c.past = append(c.past, now)
+	return now.Sub(old)
 }
 
 // RunLoad executes one load run against a live cluster and blocks until
@@ -261,10 +276,9 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	classes := map[string]*loadClass{}
 	for _, name := range []string{LoadOpRead, LoadOpWrite, LoadOpStream} {
 		classes[name] = &loadClass{
-			hist:   reg.Histogram("load.lat."+name, loadBuckets),
-			window: telemetry.NewWindowed(5, loadBuckets),
-			count:  reg.Counter("load.ops." + name),
-			errs:   reg.Counter("load.errors.ops." + name),
+			hist:  reg.Histogram("load.lat."+name, loadBuckets),
+			count: reg.Counter("load.ops." + name),
+			errs:  reg.Counter("load.errors.ops." + name),
 		}
 	}
 	var (
@@ -306,8 +320,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 				}
 				win := make(map[string]telemetry.HistogramSnapshot, len(classes))
 				for name, c := range classes {
-					win[name] = c.window.Snapshot()
-					c.window.Advance()
+					win[name] = c.window()
 				}
 				done := completed.Load()
 				cfg.OnReport(LoadReport{
@@ -397,7 +410,6 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 				c := classes[class]
 				c.count.Inc()
 				c.hist.Observe(lat)
-				c.window.Observe(lat)
 				if err != nil {
 					failed.Add(1)
 					c.errs.Inc()

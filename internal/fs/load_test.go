@@ -245,3 +245,26 @@ func TestClassifyLoadErr(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadWindowAgesOut: a report's window spans exactly loadWindow ticks
+// — a slow tick shows in the window of each of the next loadWindow-1 ticks
+// and is gone from the one after.
+func TestLoadWindowAgesOut(t *testing.T) {
+	c := &loadClass{hist: telemetry.NewRegistry().Histogram("load.lat.test", loadBuckets)}
+	for i := 0; i < 1000; i++ {
+		c.hist.Observe(10) // slow tick: 10s observations
+	}
+	for tick := 1; tick <= loadWindow+1; tick++ {
+		win := c.window()
+		switch slow := tick <= loadWindow; {
+		case slow && win.P99 < 5:
+			t.Fatalf("tick %d: p99 %g does not reflect the slow tick", tick, win.P99)
+		case !slow && (win.Count != loadWindow*1000 || win.P99 > 0.01):
+			t.Fatalf("tick %d: %d observations with p99 %g; want the %d fast ones alone",
+				tick, win.Count, win.P99, loadWindow*1000)
+		}
+		for i := 0; i < 1000; i++ {
+			c.hist.Observe(0.001)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,6 +140,8 @@ type Node struct {
 	// records a copy in the log one byte before where it was written. Tests
 	// only.
 	plantEarlyOffset bool
+	// plantAppendErr fails every append to the log. Tests only; set under persistMu.
+	plantAppendErr error
 
 	// The log's cleaner (segment.go): one pass at a time, and what Close
 	// waits on.
@@ -228,13 +229,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.data = append(n.data, nd)
 	}
 
-	// The ".part" siblings a crash mid-write left: nothing references them,
-	// a write is acknowledged only after its rename.
-	for _, nd := range n.data {
-		if err := sweep(nd.dir, func(name string) bool { return strings.HasSuffix(name, ".part") }); err != nil {
-			return nil, err
-		}
-	}
 	if err := n.files.openSegments(bufDir); err != nil {
 		return nil, err
 	}
@@ -242,7 +236,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.files.closeSegments()
 		return nil, err
 	}
-	err := n.restore()
+	err := n.files.restored()
+	for _, nd := range append([]*nodeDisk{n.buffer}, n.data...) {
+		if err == nil {
+			err = sweep(nd.dir)
+		}
+	}
 	var ln net.Listener
 	if err == nil {
 		ln, err = net.Listen("tcp", cfg.Addr)

@@ -41,15 +41,12 @@ type bufferEntry struct {
 	Offset  int64  `json:"offset"`
 }
 
-// manifestVersion 2 places buffer copies in the log. A version 1
-// checkpoint, like a log record without a location, is from a node that
-// kept each copy as a file, buffer/f<id>.dat; the restart moves those
-// copies into the log (Node.restore), and a version 1 node refuses the
-// checkpoint that follows.
-const (
-	manifestVersion       = 2
-	legacyManifestVersion = 1
-)
+// manifestVersion 2 places buffer copies in the log.
+const manifestVersion = 2
+
+// errPreLog refuses, untouched, a root from before the log (a version 1
+// manifest), which kept each buffer copy as a file.
+var errPreLog = errors.New("fs: the root keeps buffer copies as files (buffer/f<id>.dat), the layout from before the buffer disk's log; open it once with a release that moves them into the log")
 
 func (n *Node) manifestPath() string {
 	return filepath.Join(n.cfg.RootDir, "manifest.json")
@@ -68,7 +65,7 @@ type nodeRecord struct {
 	Dirty     bool
 	DirtySize int64
 	NextDisk  int
-	Loc       segLoc // the buffer copy's; zero: none, or one kept as a file before the log
+	Loc       segLoc // the buffer copy's; zero: none (or, from before the log, one kept as a file)
 }
 
 // encode writes the location only when there is one, so a record without
@@ -147,42 +144,49 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nodeManifest{}, err
 	}
-	if m.Version != manifestVersion && m.Version != legacyManifestVersion {
-		return nodeManifest{}, fmt.Errorf("fs: manifest version %d unsupported", m.Version)
+	switch m.Version {
+	case manifestVersion:
+		return m, nil
+	case 1:
+		return nodeManifest{}, errPreLog
 	}
-	return m, nil
+	return nodeManifest{}, fmt.Errorf("fs: manifest version %d unsupported", m.Version)
 }
 
 // transition is the one way a running node changes what it persists about
 // a file. step sees the file's record (nil: the node holds no such file)
-// and edits r, which arrives as the file's current persisted state; unless
-// step fails, r is applied to the table — which advances the file's
-// generation, so a tier movement that copied it before cannot land — and,
-// if it differs from what was persisted, those same bytes are appended to
-// the log, all inside persistMu: nothing persisted moves under step, which
-// may therefore rename staged extents into place, and an id's records
-// reach the log in the order they were applied. The segment holding the
-// buffer copy the old record names stays pinned until then, so it cannot
-// go while the log still names it. A failed append is logged, not fatal —
-// as a failed manifest save always was.
+// and edits r, which arrives as the file's current persisted state. Unless
+// step fails, r is validated, appended to the log if it differs from what
+// was persisted, and only then applied — which advances the file's
+// generation, so a tier movement that copied it before cannot land. A
+// failed append fails the operation and leaves the table as it was, and
+// apply, the one place a segment loses live bytes, never frees one the log
+// still names. All of it happens inside persistMu: nothing persisted moves
+// under step, which may therefore rename staged extents into place, and an
+// id's records reach the log in the order they are applied.
 func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) error) error {
 	n.persistMu.Lock()
 	defer n.persistMu.Unlock()
-	rec, r, held := n.files.record(id)
-	defer n.files.unpin(held)
+	rec, r := n.files.record(id)
 	was := r
 	if err := step(rec, &r); err != nil {
 		return err
 	}
-	if err := n.files.apply(r); err != nil || r == was {
+	if err := n.files.validate(r); err != nil {
 		return err
 	}
-	before := n.wal.Size()
-	if err := n.wal.Append(r.encode()); err != nil {
-		n.logger.Printf("manifest log append failed: %v", err)
-		return nil
+	if r != was {
+		before := n.wal.Size()
+		err := n.plantAppendErr
+		if err == nil {
+			err = n.wal.Append(r.encode())
+		}
+		if err != nil {
+			return err
+		}
+		n.logBytesC.Add(n.wal.Size() - before)
 	}
-	n.logBytesC.Add(n.wal.Size() - before)
+	_ = n.files.apply(r) // validated above: it cannot fail
 	if n.wal.NeedsCheckpoint() {
 		n.checkpointLocked()
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -879,57 +880,153 @@ func TestNodeManifestGolden(t *testing.T) {
 // TestParentNodeManifestCompat: a node from before the log kept each
 // buffer copy as a file, buffer/f<id>.dat. testdata holds the
 // manifest.json + manifest.wal pair such a node left after
-// nodeCrashHistory's script and a kill -9; its buffer and data files are
-// written here. A node started on them comes up with the same files, each
-// reading back its bytes, with every copy moved into the log: nothing but
-// segments is left under buffer/, and a second restart changes nothing.
+// nodeCrashHistory's script and a kill -9; its buffer and data files, and a
+// staged write's debris, are written here. StartNode refuses the root with
+// errPreLog and leaves it byte for byte as it was — its version 1
+// checkpoint, and its log alone, whose replay ends with copies that have no
+// place in the log. The same log followed by records that move those
+// copies into the log — a root moved into it and killed before its next
+// checkpoint — starts and reads back.
 func TestParentNodeManifestCompat(t *testing.T) {
 	checkpoint, oplog := mustRead(t, "testdata/parent.manifest.json"), mustRead(t, "testdata/parent.manifest.wal")
 	parent := newFileTable(2, 0)
-	if err := parent.load(checkpoint); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := wal.Replay(oplog, parent.replay); err != nil {
 		t.Fatal(err)
 	}
-	root := t.TempDir()
-	for path, data := range map[string]string{
-		"manifest.json":               string(checkpoint),
+	moved := bytes.Clone(oplog)
+	for id, off := range map[int]int64{1: 0, 2: 3} {
+		_, r := parent.record(id)
+		r.Loc = segLoc{Seg: 1, Off: off}
+		moved = wal.AppendFrame(moved, r.encode())
+	}
+	layout := func(files map[string]string) string {
+		t.Helper()
+		root := t.TempDir()
+		for _, dir := range []string{"buffer", "data0", "data1"} {
+			if err := os.Mkdir(filepath.Join(root, dir), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, data := range files {
+			mustWrite(t, filepath.Join(root, path), []byte(data))
+		}
+		return root
+	}
+	tree := func(root string) map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				var b []byte
+				b, err = os.ReadFile(path)
+				out[path] = string(b)
+			} else if err == nil {
+				out[path] = "/"
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	parentFiles := map[string]string{
 		"manifest.wal":                string(oplog),
 		"buffer/f00000001.dat":        "one", // prefetched
 		"buffer/f00000002.dat":        "2",   // unflushed
 		"buffer/f00000002.dat.7.part": "torn",
+		"data0/f00000000.dat.3.part":  "torn",
 		"data1/f00000001.dat":         "one",
-	} {
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, path)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		mustWrite(t, filepath.Join(root, path), []byte(data))
 	}
-	want := map[int]string{1: "one", 2: "2"}
-	for restart := 0; restart < 2; restart++ {
-		n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0"))
-		if err != nil {
-			t.Fatal(err)
+	withCheckpoint := maps.Clone(parentFiles)
+	withCheckpoint["manifest.json"] = string(checkpoint)
+	for what, files := range map[string]map[string]string{"checkpoint and log": withCheckpoint, "log alone": parentFiles} {
+		root := layout(files)
+		was := tree(root)
+		if n, err := StartNode(persistNodeConfig(root, "127.0.0.1:0")); !errors.Is(err, errPreLog) {
+			if err == nil {
+				n.Close()
+			}
+			t.Fatalf("%s: StartNode on a root from before the log returned %v, want %v", what, err, errPreLog)
 		}
-		got := n.readState()
-		was := parent.persistedState()
-		if !reflect.DeepEqual(got.Files, was.Files) || !reflect.DeepEqual(got.Dirty, was.Dirty) || got.NextDisk != was.NextDisk ||
-			len(got.Buffer) != 2 || !reflect.DeepEqual(got.Read, want) {
-			t.Fatalf("restart %d: came up with %+v; want the parent's %+v, in the log, reading back %v", restart, got, was, want)
+		if now := tree(root); !reflect.DeepEqual(now, was) {
+			t.Fatalf("%s: refusing the root changed it from %v to %v", what, was, now)
 		}
-		if r, err := n.read(2); err != nil || !r.FromBuffer {
-			t.Fatalf("restart %d: the unflushed file does not read from the buffer (err=%v)", restart, err)
-		}
-		checkStorage(t, n)
-		if left := storedFiles(t, n); len(left) != 2 || left[0] != "buffer/"+segmentName(1) {
-			t.Fatalf("restart %d: the disks hold %v; want one segment and the data extent", restart, left)
-		}
-		crashed := t.TempDir()
-		if err := os.CopyFS(crashed, os.DirFS(root)); err != nil {
-			t.Fatal(err)
-		}
-		n.Close()
-		root = crashed // kill -9: the next restart has no clean close behind it
+	}
+
+	n, err := StartNode(persistNodeConfig(layout(map[string]string{
+		"manifest.wal":        string(moved),
+		"buffer/00000001.seg": "one2",
+		"data1/f00000001.dat": "one",
+	}), "127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("a log that moves every copy into the log was refused: %v", err)
+	}
+	defer n.Close()
+	if got := n.readState().Read; !reflect.DeepEqual(got, map[int]string{1: "one", 2: "2"}) {
+		t.Fatalf("the moved root reads back %v", got)
+	}
+}
+
+// TestFailedAppendFailsTheWrite: a record is applied only once it is in the
+// log. With every append to the log failing, a buffered write through the
+// client fails; the file keeps its acked content, read from the segment
+// that holds it — sealed, and named only by the record the failed write
+// would have replaced, yet still on disk — and a restart on what the node
+// left reads that content back. Once appends succeed again, so do writes.
+func TestFailedAppendFailsTheWrite(t *testing.T) {
+	cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) { c.WriteBuffer, c.InjectLatency = true, false })
+	n := nodes[0]
+	if err := cl.Create("f", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if buffered, err := cl.Write("f", []byte("acked")); err != nil || !buffered {
+		t.Fatalf("buffered=%v err=%v", buffered, err)
+	}
+	id := n.Files()[0].ID
+	// Roll the log's tail, as a copy that does not fit would: the segment
+	// holding the acked copy is sealed, and goes once nothing names it.
+	tail, _, rolled, err := n.files.alloc(segmentBytes)
+	if err != nil || !rolled {
+		t.Fatalf("rolled=%v err=%v", rolled, err)
+	}
+	n.files.unpin(tail)
+	_, file, _ := n.files.get(id, 0)
+	old := filepath.Join(n.buffer.dir, segmentName(file.loc.Seg))
+
+	planted := errors.New("planted: the log's disk is full")
+	n.persistMu.Lock()
+	n.plantAppendErr = planted
+	n.persistMu.Unlock()
+	if _, err := cl.Write("f", []byte("never")); err == nil {
+		t.Fatal("a buffered write was acked while its record could not be logged")
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("the segment holding the acked copy went while the log still names it: %v", err)
+	}
+	if data, fromBuffer, err := cl.Read("f"); err != nil || string(data) != "acked" || !fromBuffer {
+		t.Fatalf("after a failed write f reads %q (fromBuffer=%v, err=%v), want the acked copy", data, fromBuffer, err)
+	}
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(n.cfg.RootDir)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := StartNode(persistNodeConfig(crashed, "127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("a restart after a failed write: %v", err)
+	}
+	defer again.Close()
+	if r, err := again.read(int64(id)); err != nil || string(r.Data) != "acked" {
+		t.Fatalf("after a restart f reads %q (err=%v), want the acked copy", r.Data, err)
+	}
+
+	n.persistMu.Lock()
+	n.plantAppendErr = nil
+	n.persistMu.Unlock()
+	if _, err := cl.Write("f", []byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, err := cl.Read("f"); err != nil || string(data) != "later" {
+		t.Fatalf("f reads %q (err=%v), want the write after the log recovered", data, err)
 	}
 }

@@ -37,9 +37,7 @@ type segLoc struct {
 // segment is one file of the log. Its counters belong to the file table
 // and are kept under the table's lock; they decide when it goes. A segment
 // is unlinked once it is sealed, no record names a byte of it, and nothing
-// pins it: no writer filling a range of it, no reader reading one, no
-// transition replacing a record that names it (until that record is in the
-// log — so a restart never finds the segment its log names gone).
+// pins it: no writer filling a range of it, no reader reading one.
 type segment struct {
 	id uint64
 	f  *os.File // nil: named by a replayed record, but not on disk
@@ -67,9 +65,9 @@ func (s *segment) remove() {
 	os.Remove(s.f.Name())
 }
 
-// openSegments installs the segments under dir — every one sealed, so new
-// copies go to a fresh tail — before the checkpoint and log that name them
-// are read.
+// openSegments installs the segments under dir before the checkpoint and
+// log that name them are read, unsealed — so none goes while replay moves
+// live bytes — until restored seals the ones it keeps.
 func (t *fileTable) openSegments(dir string) error {
 	t.dir = dir
 	entries, err := os.ReadDir(dir)
@@ -90,7 +88,7 @@ func (t *fileTable) openSegments(dir string) error {
 			t.closeSegments()
 			return fmt.Errorf("fs: opening buffer-disk segment: %w", err)
 		}
-		t.segs[id] = &segment{id: id, f: f, length: info.Size(), sealed: true}
+		t.segs[id] = &segment{id: id, f: f, length: info.Size()}
 		t.nextSeg = max(t.nextSeg, id+1)
 	}
 	return nil
@@ -181,7 +179,7 @@ func (t *fileTable) createLocked() (*segment, error) {
 	return s, nil
 }
 
-// unpin releases a pin taken by alloc, getPinned or record; the last pin on
+// unpin releases a pin taken by alloc or getPinned; the last pin on
 // a segment that is done with removes it. A nil s is no pin.
 func (t *fileTable) unpin(s *segment) {
 	if s == nil {
@@ -217,12 +215,19 @@ func (t *fileTable) stranded() []fileRec {
 // restored ends the load and replay of a restart. Bytes that passed their
 // checksum and still make no sense refuse the start (DESIGN.md §8): a
 // record whose copy lies past the end of its segment, or in a segment that
-// is not on disk. Then every segment no record names goes.
+// is not on disk; and a copy with no place in the log (errPreLog), judged
+// on what replay ends with, since a root moved into the log and killed
+// before its next checkpoint replays such records first. Nothing on disk
+// has changed by then. Then every segment no record names goes, and the
+// rest are sealed: new copies go to a fresh tail.
 func (t *fileTable) restored() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, rec := range t.files {
 		if rec.loc.Seg == 0 {
+			if rec.inBuffer() {
+				return fmt.Errorf("file %d: %w", rec.ID, errPreLog)
+			}
 			continue
 		}
 		switch s := t.segs[rec.loc.Seg]; {
@@ -234,6 +239,7 @@ func (t *fileTable) restored() error {
 		}
 	}
 	for id, s := range t.segs {
+		s.sealed = true
 		if s.live == 0 {
 			delete(t.segs, id)
 			if s.f != nil {
@@ -242,21 +248,6 @@ func (t *fileTable) restored() error {
 		}
 	}
 	return nil
-}
-
-// legacy lists the files whose buffer copy has no location: copies kept
-// as files, buffer/f<id>.dat, by a node from before the log.
-func (t *fileTable) legacy() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ids []int
-	for id, rec := range t.files {
-		if rec.inBuffer() && rec.loc.Seg == 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // bufferExtent is a file's copy in the log, in segment s.
@@ -281,27 +272,6 @@ func (n *Node) bufferWriter(rec *fileRec, size, reserved int64) (*extentWriter, 
 	}
 	return &extentWriter{files: n.files, rec: rec, reserved: reserved, pinned: s,
 		exts: []extent{{nd: n.buffer, seg: s, off: off, size: size}}}, nil
-}
-
-// restore ends a restart on the buffer disk: the records must agree with
-// the segments on disk, the segments nothing names go, copies a node from
-// before the log kept as files move into it, and then nothing but
-// segments is left under buffer/.
-func (n *Node) restore() error {
-	if err := n.files.restored(); err != nil {
-		return err
-	}
-	for _, id := range n.files.legacy() {
-		rec, file, _ := n.files.get(id, 0)
-		kept := []extent{{nd: n.buffer, path: extentPath(n.buffer, int64(id), -1), size: file.Size}}
-		if err := n.relocate(rec, file, kept); err != nil {
-			return fmt.Errorf("fs: moving file %d's buffer copy into the log: %w", id, err)
-		}
-	}
-	return sweep(n.buffer.dir, func(name string) bool {
-		_, ok := segmentID(name)
-		return !ok
-	})
 }
 
 // relocate moves a file's buffer copy, read from src, to the log's tail: a
@@ -347,12 +317,12 @@ func (n *Node) clean() {
 	}
 }
 
-// sweep removes the entries of dir that debris picks: what a crash left
-// of a staged write, or of an older layout.
-func sweep(dir string, debris func(name string) bool) error {
+// sweep removes the ".part" siblings a crash mid-write left in dir:
+// nothing references them, a write is acknowledged only after its rename.
+func sweep(dir string) error {
 	files, err := os.ReadDir(dir)
 	for _, f := range files {
-		if debris(f.Name()) {
+		if strings.HasSuffix(f.Name(), ".part") {
 			err = errors.Join(err, os.Remove(filepath.Join(dir, f.Name())))
 		}
 	}

@@ -88,82 +88,6 @@ func TestNilEnergyLedgerIsNoOp(t *testing.T) {
 	_ = l.Snapshot()
 }
 
-func TestJournalRingCapAndEvictionCounter(t *testing.T) {
-	c := &Counter{}
-	j := &Journal{}
-	j.SetEvictionCounter(c)
-	j.SetLimit(3)
-	for i := 0; i < 5; i++ {
-		j.Append(Event{TimeS: float64(i), Kind: KindState, Subject: "d0", Detail: fmt.Sprintf("s%d", i)})
-	}
-	evs := j.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(evs))
-	}
-	for i, e := range evs {
-		if want := fmt.Sprintf("s%d", i+2); e.Detail != want {
-			t.Fatalf("ring[%d] = %s, want %s (oldest-first)", i, e.Detail, want)
-		}
-	}
-	if j.Evicted() != 2 || c.Value() != 2 {
-		t.Fatalf("evicted = %d, counter = %d", j.Evicted(), c.Value())
-	}
-	if j.Len() != 3 {
-		t.Fatalf("Len = %d", j.Len())
-	}
-}
-
-func TestJournalSetLimitShrinksExisting(t *testing.T) {
-	j := &Journal{}
-	for i := 0; i < 6; i++ {
-		j.Append(Event{TimeS: float64(i), Detail: fmt.Sprintf("e%d", i)})
-	}
-	j.SetLimit(2)
-	evs := j.Events()
-	if len(evs) != 2 || evs[0].Detail != "e4" || evs[1].Detail != "e5" {
-		t.Fatalf("after shrink: %+v", evs)
-	}
-	if j.Evicted() != 4 {
-		t.Fatalf("evicted = %d", j.Evicted())
-	}
-	// Limit 0 returns to unbounded growth.
-	j.SetLimit(0)
-	for i := 0; i < 10; i++ {
-		j.Append(Event{Detail: "x"})
-	}
-	if j.Len() != 12 {
-		t.Fatalf("unbounded Len = %d", j.Len())
-	}
-}
-
-func TestJournalRequestSampling(t *testing.T) {
-	j := &Journal{}
-	j.SetRequestSampling(0.5, 1)
-	const n = 2000
-	for i := 0; i < n; i++ {
-		j.Append(Event{Kind: KindRequest, Detail: "read"})
-		// State and service events must never be sampled away — the
-		// simulation oracles replay them.
-		j.Append(Event{Kind: KindState, Detail: "idle"})
-	}
-	var reqs, states int
-	for _, e := range j.Events() {
-		switch e.Kind {
-		case KindRequest:
-			reqs++
-		case KindState:
-			states++
-		}
-	}
-	if states != n {
-		t.Fatalf("state events sampled: %d of %d", states, n)
-	}
-	frac := float64(reqs) / n
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("request sample fraction %.3f far from 0.5", frac)
-	}
-}
-
 func TestWritePromFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("proto.calls").Add(7)

@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Event kinds journaled by the simulator (and anything else that wants a
 // structured timeline).
@@ -33,109 +36,11 @@ type Event struct {
 // Journal is an append-only structured event log. A nil *Journal is a
 // no-op, so callers instrument unconditionally. The mutex makes it safe
 // for concurrent appenders; the single-threaded simulator pays one
-// uncontended lock per event.
-//
-// By default the journal grows without bound — the deterministic
-// simulator depends on seeing every event. Long-lived processes (soaks,
-// the nightly job) call SetLimit to cap it as a ring buffer: the oldest
-// events are evicted first and counted, optionally into a registry
-// counter for admin visibility. SetRequestSampling additionally thins
-// KindRequest events deterministically for huge timelines.
+// uncontended lock per event. It keeps every event: the deterministic
+// simulator's oracles replay them all.
 type Journal struct {
 	mu     sync.Mutex
 	events []Event
-	limit  int // 0 = unbounded
-	start  int // ring head when len(events) == limit
-
-	evicted  int64
-	evictedC *Counter
-
-	reqRate float64 // 0 or >=1 keeps every request event
-	reqSeed uint64
-	reqSeen uint64
-}
-
-// SetLimit caps the journal at n events with ring (oldest-first)
-// eviction; n <= 0 restores unbounded growth. If more than n events are
-// already journaled, the oldest are evicted immediately.
-func (j *Journal) SetLimit(n int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = j.linearizeLocked()
-	j.start = 0
-	if n <= 0 {
-		j.limit = 0
-		return
-	}
-	j.limit = n
-	if drop := len(j.events) - n; drop > 0 {
-		kept := make([]Event, n)
-		copy(kept, j.events[drop:])
-		j.events = kept
-		j.evicted += int64(drop)
-		j.evictedC.Add(int64(drop))
-	}
-}
-
-// SetEvictionCounter mirrors future evictions into c (e.g. a registry
-// counter named journal.evicted), for the admin endpoint.
-func (j *Journal) SetEvictionCounter(c *Counter) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.evictedC = c
-	j.mu.Unlock()
-}
-
-// BindRegistry surfaces the ring-cap eviction count as the registry's
-// journal.evicted counter, so a capped journal's drops show up in
-// /metrics and /metrics.prom instead of vanishing silently.
-func (j *Journal) BindRegistry(reg *Registry) {
-	if j == nil || reg == nil {
-		return
-	}
-	j.SetEvictionCounter(reg.Counter("journal.evicted"))
-}
-
-// Evicted returns how many events have been dropped by the ring cap.
-func (j *Journal) Evicted() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.evicted
-}
-
-// SetRequestSampling keeps only rate of KindRequest events (state and
-// service events are never sampled — the power-state oracles need them
-// all). The decision is a deterministic hash of the seed and a request
-// counter, so the same run always keeps the same events. rate <= 0 or
-// >= 1 disables sampling.
-func (j *Journal) SetRequestSampling(rate float64, seed uint64) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.reqRate = rate
-	j.reqSeed = seed
-	j.reqSeen = 0
-	j.mu.Unlock()
-}
-
-// linearizeLocked returns the events in append order (callers hold mu).
-func (j *Journal) linearizeLocked() []Event {
-	if j.start == 0 {
-		return j.events
-	}
-	out := make([]Event, 0, len(j.events))
-	out = append(out, j.events[j.start:]...)
-	out = append(out, j.events[:j.start]...)
-	return out
 }
 
 // Append records one event.
@@ -144,22 +49,6 @@ func (j *Journal) Append(e Event) {
 		return
 	}
 	j.mu.Lock()
-	if e.Kind == KindRequest && j.reqRate > 0 && j.reqRate < 1 {
-		j.reqSeen++
-		if float64(splitmix64(j.reqSeed^j.reqSeen)>>11)/(1<<53) >= j.reqRate {
-			j.mu.Unlock()
-			return
-		}
-	}
-	if j.limit > 0 && len(j.events) >= j.limit {
-		j.events[j.start] = e
-		j.start = (j.start + 1) % len(j.events)
-		j.evicted++
-		c := j.evictedC
-		j.mu.Unlock()
-		c.Inc()
-		return
-	}
 	j.events = append(j.events, e)
 	j.mu.Unlock()
 }
@@ -171,9 +60,7 @@ func (j *Journal) Events() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, len(j.events))
-	copy(out, j.linearizeLocked())
-	return out
+	return slices.Clone(j.events)
 }
 
 // Len returns the number of journaled events.

@@ -12,6 +12,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -178,6 +179,19 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
+// Sub is what s, a snapshot of a histogram, holds beyond old, an earlier
+// snapshot of the same one (or the zero snapshot): the observations made
+// between the two, with their quantiles recomputed.
+func (s HistogramSnapshot) Sub(old HistogramSnapshot) HistogramSnapshot {
+	out := HistogramSnapshot{Count: s.Count - old.Count, Sum: s.Sum - old.Sum, Overflow: s.Overflow - old.Overflow,
+		Buckets: slices.Clone(s.Buckets)}
+	for i := range old.Buckets {
+		out.Buckets[i].N -= old.Buckets[i].N
+	}
+	out.P50, out.P99, out.P999 = out.Quantile(0.5), out.Quantile(0.99), out.Quantile(0.999)
+	return out
+}
+
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
 // interpolation within the containing bucket (the first bucket
 // interpolates from 0, overflow clamps to the last bound).
@@ -203,7 +217,8 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Buckets[len(s.Buckets)-1].Le
 }
 
-func (h *Histogram) snapshot() HistogramSnapshot {
+// Snapshot freezes the histogram as it stands.
+func (h *Histogram) Snapshot() HistogramSnapshot {
 	out := HistogramSnapshot{
 		Count:   h.count.Load(),
 		Sum:     math.Float64frombits(h.sum.Load()),
@@ -317,7 +332,7 @@ func (r *Registry) Snapshot() Snapshot {
 		out.Gauges[name] = g.Value()
 	}
 	for name, h := range r.histograms {
-		out.Histograms[name] = h.snapshot()
+		out.Histograms[name] = h.Snapshot()
 	}
 	return out
 }

@@ -77,7 +77,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	h.Observe(math.Nextafter(0.1, 0))  // just below second bound
 	h.Observe(math.Inf(1))             // +Inf -> overflow
 
-	snap := h.snapshot()
+	snap := h.Snapshot()
 	wantBuckets := []int64{2, 3, 1}
 	for i, want := range wantBuckets {
 		if snap.Buckets[i].N != want {
@@ -101,7 +101,7 @@ func TestHistogramSumAndMean(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-8) > 1e-12 {
 		t.Fatalf("sum = %g, want 8", got)
 	}
-	if got := h.snapshot().Mean(); math.Abs(got-2) > 1e-12 {
+	if got := h.Snapshot().Mean(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("mean = %g, want 2", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.5) // all in the first bucket
 	}
-	snap := h.snapshot()
+	snap := h.Snapshot()
 	if q := snap.Quantile(0.5); q <= 0 || q > 1 {
 		t.Fatalf("p50 = %g, want within (0, 1]", q)
 	}

@@ -3,10 +3,14 @@ package telemetry
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"eevfs/internal/rng"
 )
+
+// Tests of windowed snapshots: what a histogram saw between two of its
+// snapshots, HistogramSnapshot.Sub — the live load reporter's window.
 
 // bucketFor returns the snapshot bucket bounds around v: the largest
 // bound <= v (0 below the first) and the smallest bound >= v.
@@ -21,40 +25,43 @@ func bucketFor(bounds []float64, v float64) (lo, hi float64) {
 	return lo, math.Inf(1)
 }
 
-// TestWindowedQuantilesVsSortedReference: the interpolated window
-// quantiles must land in the same bucket as the exact quantile of a
-// sorted copy of the observations — the bucket resolution is the
-// histogram's precision contract.
+// TestWindowedQuantilesVsSortedReference: the interpolated quantiles of a
+// window land in the same bucket as the exact quantile of a sorted copy of
+// the observations it covers — the bucket resolution is the histogram's
+// precision contract — and what came before the window is not in it.
 func TestWindowedQuantilesVsSortedReference(t *testing.T) {
 	src := rng.New(7)
-	w := NewWindowed(4, DefBuckets)
+	h := newHistogram(DefBuckets)
+	for i := 0; i < 5000; i++ {
+		h.Observe(30) // before the window
+	}
+	start := h.Snapshot()
 	var all []float64
-	// Log-uniform latencies over 200µs..2s, spread across 3 slots —
-	// within one window, so the reference sees every observation.
-	for slot := 0; slot < 3; slot++ {
+	// Log-uniform latencies over 200µs..2s, across 3 ticks.
+	for tick := 0; tick < 3; tick++ {
 		for i := 0; i < 20000; i++ {
 			v := 0.0002 * math.Pow(10, 4*src.Float64())
-			w.Observe(v)
+			h.Observe(v)
 			all = append(all, v)
 		}
-		w.Advance()
 	}
 	sort.Float64s(all)
-	snap := w.Snapshot()
-	if snap.Count != int64(len(all)) {
-		t.Fatalf("window lost observations: %d vs %d", snap.Count, len(all))
+	win := h.Snapshot().Sub(start)
+	if win.Count != int64(len(all)) {
+		t.Fatalf("window holds %d observations, want %d", win.Count, len(all))
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		exact := all[int(q*float64(len(all)-1))]
 		lo, hi := bucketFor(DefBuckets, exact)
-		got := snap.Quantile(q)
-		if got < lo || got > hi {
-			t.Errorf("q=%g: interpolated %g outside exact value's bucket [%g, %g] (exact %g)",
-				q, got, lo, hi, exact)
+		if got := win.Quantile(q); got < lo || got > hi {
+			t.Errorf("q=%g: interpolated %g outside exact value's bucket [%g, %g] (exact %g)", q, got, lo, hi, exact)
 		}
 	}
-	if sum := snap.Sum; math.Abs(sum-sumOf(all)) > 1e-6*sumOf(all) {
-		t.Errorf("merged sum %g, want %g", sum, sumOf(all))
+	if win.P50 != win.Quantile(0.5) || win.P99 != win.Quantile(0.99) || win.P999 != win.Quantile(0.999) {
+		t.Errorf("precomputed quantiles %g/%g/%g are not the window's", win.P50, win.P99, win.P999)
+	}
+	if sum := sumOf(all); math.Abs(win.Sum-sum) > 1e-6*sum {
+		t.Errorf("window sum %g, want %g", win.Sum, sum)
 	}
 }
 
@@ -66,82 +73,56 @@ func sumOf(v []float64) float64 {
 	return s
 }
 
-// TestWindowedAgesOut: observations older than the window must vanish
-// from the snapshot — the property that keeps a live p99 honest after
-// the workload changes.
+// TestWindowedAgesOut: observations from before a window's start vanish
+// from it — the property that keeps a live p99 honest after the workload
+// changes — overflow included.
 func TestWindowedAgesOut(t *testing.T) {
-	w := NewWindowed(3, DefBuckets)
+	h := newHistogram(DefBuckets)
+	var zero HistogramSnapshot
 	for i := 0; i < 1000; i++ {
-		w.Observe(10) // slow epoch: 10s observations
+		h.Observe(100) // slow epoch, past the last bound
 	}
-	if p99 := w.Snapshot().P99; p99 < 5 {
+	if p99 := h.Snapshot().Sub(zero).P99; p99 < 30 {
 		t.Fatalf("p99 %g does not reflect the slow epoch", p99)
 	}
-	// Three advances push the slow slot out of a 3-slot window.
-	for i := 0; i < 3; i++ {
-		w.Advance()
-		for j := 0; j < 1000; j++ {
-			w.Observe(0.001)
-		}
+	start := h.Snapshot()
+	for i := 0; i < 3000; i++ {
+		h.Observe(0.001)
 	}
-	snap := w.Snapshot()
-	if snap.Count != 3000 {
-		t.Fatalf("stale observations survived: count %d, want 3000", snap.Count)
+	win := h.Snapshot().Sub(start)
+	if win.Count != 3000 || win.Overflow != 0 {
+		t.Fatalf("stale observations survived: count %d, overflow %d; want 3000 and 0", win.Count, win.Overflow)
 	}
-	if p99 := snap.P99; p99 > 0.01 {
-		t.Fatalf("p99 %g still polluted by the aged-out slow epoch", p99)
+	if win.P99 > 0.01 {
+		t.Fatalf("p99 %g still polluted by the slow epoch", win.P99)
 	}
 }
 
-// TestWindowedConcurrentObserve: concurrent observers racing Advance must
-// never lose an observation (it lands in the retired or the fresh slot,
-// both inside the window).
+// TestWindowedConcurrentObserve: observers racing the snapshots lose
+// nothing — an observation lands before a snapshot or after it — so the
+// window from a snapshot taken mid-race to one taken once they are done
+// holds exactly what the first had not seen.
 func TestWindowedConcurrentObserve(t *testing.T) {
-	w := NewWindowed(8, DefBuckets)
-	const (
-		workers = 8
-		perW    = 5000
-	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			w.Advance()
-		}
-	}()
-	var wg chan struct{} = make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
+	h := newHistogram(DefBuckets)
+	const workers, perWorker = 8, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			for j := 0; j < perW; j++ {
-				w.Observe(0.005)
+			defer wg.Done()
+			for j := 0; j < perWorker; j++ {
+				h.Observe(0.005)
 			}
-			wg <- struct{}{}
 		}()
 	}
-	for i := 0; i < workers; i++ {
-		<-wg
+	var mid HistogramSnapshot
+	for i := 0; i < 50; i++ {
+		mid = h.Snapshot()
 	}
-	<-done
-	// Only 50 advances happened against an 8-slot window, so some early
-	// observations have aged out; but after the observers finish, a full
-	// window with no further advances must hold everything still inside.
-	// Instead assert the stronger invariant on a quiet window:
-	w2 := NewWindowed(4, nil)
-	for i := 0; i < 1000; i++ {
-		w2.Observe(1)
-	}
-	w2.Advance()
-	for i := 0; i < 500; i++ {
-		w2.Observe(1)
-	}
-	if got := w2.Snapshot().Count; got != 1500 {
-		t.Fatalf("quiet window count %d, want 1500", got)
-	}
-	// And nil-safety, matching the package contract.
-	var nilW *Windowed
-	nilW.Observe(1)
-	nilW.Advance()
-	if nilW.Snapshot().Count != 0 {
-		t.Fatal("nil Windowed snapshot not zero")
+	wg.Wait()
+	win := h.Snapshot().Sub(mid)
+	if seen := mid.Buckets[5].N; win.Buckets[5].N != workers*perWorker-seen {
+		t.Fatalf("window counts %d in the 5ms bucket; %d were made and the mid-race snapshot saw %d",
+			win.Buckets[5].N, workers*perWorker, seen)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // DriftConfig composes the three drift mechanisms the adaptive-policy
 // evaluation exercises, each independently switchable (zero value = off):
 //
-//   - Phase rotation: the trace is split into Phases equal epochs and the
-//     hot set's center moves NumFiles/Phases ids each epoch, exactly like
-//     DriftingConfig. Phases=1 keeps the hot set stationary.
+//   - Phase rotation: the trace is split into Phases equal epochs, and in
+//     epoch p the requested id is (p*NumFiles/Phases + Poisson(MU)) mod
+//     NumFiles, so the hot set's center moves NumFiles/Phases ids each
+//     epoch. Phases=1 keeps the hot set stationary.
 //   - Flash crowd: during the window [FlashStartFrac, FlashStartFrac +
 //     FlashDurFrac) of the request stream, each request is redirected
 //     with probability FlashBoost to a small set of FlashFiles files at

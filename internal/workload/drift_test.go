@@ -34,6 +34,49 @@ func TestDriftDeterministic(t *testing.T) {
 	}
 }
 
+// phaseRotation is the phase rotation alone, flash and diurnal off, over
+// ext-dynamic's 1000 files: Poisson(20) hot sets, phases of them.
+func phaseRotation(phases int) DriftConfig {
+	return DriftConfig{NumFiles: 1000, NumRequests: 1000, MeanSize: 10 * 1e6, MU: 20, Phases: phases, InterArrival: 0.7, Seed: 1}
+}
+
+// TestDriftingHotSetMoves: with more than one phase the hot set's center
+// is carried up the id space — the last quarter's mean id well above the
+// first quarter's — in a valid trace of NumRequests records.
+func TestDriftingHotSetMoves(t *testing.T) {
+	for _, phases := range []int{4, 10} {
+		cfg := phaseRotation(phases)
+		tr, err := Drift(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Validate(); err != nil || len(tr.Records) != cfg.NumRequests {
+			t.Fatalf("%d phases: %d records (err=%v), want %d", phases, len(tr.Records), err, cfg.NumRequests)
+		}
+		quarter := len(tr.Records) / 4
+		meanID := func(from int) float64 {
+			sum := 0
+			for _, r := range tr.Records[from : from+quarter] {
+				sum += r.FileID
+			}
+			return float64(sum) / float64(quarter)
+		}
+		if first, last := meanID(0), meanID(3*quarter); last-first < 400 {
+			t.Errorf("%d phases: hot set barely moved: first-quarter mean id %.0f, last %.0f", phases, first, last)
+		}
+	}
+}
+
+// TestDriftingSinglePhaseMatchesStationary: one phase keeps every id near
+// Poisson(MU) around 0.
+func TestDriftingSinglePhaseMatchesStationary(t *testing.T) {
+	for _, fid := range driftFIDs(t, phaseRotation(1)) {
+		if fid > 100 {
+			t.Fatalf("single-phase drift produced far id %d", fid)
+		}
+	}
+}
+
 // perEpochCounts tallies per-file access counts for each epoch, using
 // the generator's own PhaseOf split.
 func perEpochCounts(cfg DriftConfig, fids []int) []map[int]int {

@@ -261,86 +261,3 @@ func BerkeleyWeb(cfg BerkeleyWebConfig) (*trace.Trace, error) {
 	}
 	return tr, nil
 }
-
-// DriftingConfig parameterizes a workload whose hot set moves over time:
-// the trace is split into equal phases, and in phase p the requested file
-// id is (p*NumFiles/Phases + Poisson(MU)) mod NumFiles. A one-shot
-// prefetch (the paper's prototype) covers only the first phase; the
-// dynamic re-prefetcher (PRE-BUD's "dynamically fetch the most popular
-// data") can follow the drift. Used by the ext-dynamic experiment.
-type DriftingConfig struct {
-	NumFiles     int
-	NumRequests  int
-	MeanSize     int64
-	MU           float64 // popularity spread within a phase
-	Phases       int     // number of popularity epochs (>= 1)
-	InterArrival float64 // seconds between requests
-	Seed         uint64
-}
-
-// DefaultDrifting returns a 10-phase drifting workload over the standard
-// 1000-file system: each phase's hot set is ~30 files wide (Poisson(20))
-// and the phases do not overlap, so a one-shot top-70 prefetch can cover
-// at most a couple of phases.
-func DefaultDrifting() DriftingConfig {
-	return DriftingConfig{
-		NumFiles:     1000,
-		NumRequests:  1000,
-		MeanSize:     10 * 1e6,
-		MU:           20,
-		Phases:       10,
-		InterArrival: 0.7,
-		Seed:         1,
-	}
-}
-
-// Validate reports the first problem with the configuration.
-func (c DriftingConfig) Validate() error {
-	switch {
-	case c.NumFiles <= 0:
-		return fmt.Errorf("workload: NumFiles must be positive, got %d", c.NumFiles)
-	case c.NumRequests < 0:
-		return fmt.Errorf("workload: NumRequests must be non-negative, got %d", c.NumRequests)
-	case c.MeanSize <= 0:
-		return fmt.Errorf("workload: MeanSize must be positive, got %d", c.MeanSize)
-	case c.MU < 0:
-		return fmt.Errorf("workload: MU must be non-negative, got %g", c.MU)
-	case c.Phases <= 0:
-		return fmt.Errorf("workload: Phases must be positive, got %d", c.Phases)
-	case c.InterArrival < 0:
-		return fmt.Errorf("workload: InterArrival must be non-negative, got %g", c.InterArrival)
-	}
-	return nil
-}
-
-// Drifting generates the phase-shifting trace.
-func Drifting(cfg DriftingConfig) (*trace.Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	src := rng.New(cfg.Seed)
-	sizes := make([]int64, cfg.NumFiles)
-	for i := range sizes {
-		sizes[i] = cfg.MeanSize
-	}
-	tr := &trace.Trace{FileSizes: sizes}
-	perPhase := cfg.NumRequests/cfg.Phases + 1
-	now := 0.0
-	for i := 0; i < cfg.NumRequests; i++ {
-		phase := i / perPhase
-		center := phase * cfg.NumFiles / cfg.Phases
-		fid := (center + src.Poisson(cfg.MU)) % cfg.NumFiles
-		tr.Records = append(tr.Records, trace.Record{
-			Seq:    int64(i),
-			TimeS:  now,
-			Op:     trace.Read,
-			FileID: fid,
-			Size:   sizes[fid],
-		})
-		now += cfg.InterArrival
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: generated invalid trace: %w", err)
-	}
-	return tr, nil
-}

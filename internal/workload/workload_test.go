@@ -356,73 +356,3 @@ func BenchmarkBerkeleyWeb(b *testing.B) {
 		}
 	}
 }
-
-func TestDriftingDefaults(t *testing.T) {
-	tr, err := Drifting(DefaultDrifting())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) != 1000 {
-		t.Fatalf("records = %d", len(tr.Records))
-	}
-}
-
-func TestDriftingHotSetMoves(t *testing.T) {
-	cfg := DefaultDrifting()
-	cfg.Phases = 4
-	tr, err := Drifting(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean file id of the first quarter should be far below the last
-	// quarter's (the hot center moves 0 -> 750).
-	quarter := len(tr.Records) / 4
-	meanOf := func(recs []trace.Record) float64 {
-		sum := 0.0
-		for _, r := range recs {
-			sum += float64(r.FileID)
-		}
-		return sum / float64(len(recs))
-	}
-	first := meanOf(tr.Records[:quarter])
-	last := meanOf(tr.Records[3*quarter:])
-	if last-first < 400 {
-		t.Fatalf("hot set barely moved: first-quarter mean %0.f, last %0.f", first, last)
-	}
-}
-
-func TestDriftingSinglePhaseMatchesStationary(t *testing.T) {
-	cfg := DefaultDrifting()
-	cfg.Phases = 1
-	tr, err := Drifting(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One phase: all ids near Poisson(MU) around 0.
-	for _, r := range tr.Records {
-		if r.FileID > 100 {
-			t.Fatalf("single-phase drift produced far id %d", r.FileID)
-		}
-	}
-}
-
-func TestDriftingValidation(t *testing.T) {
-	bad := []func(*DriftingConfig){
-		func(c *DriftingConfig) { c.NumFiles = 0 },
-		func(c *DriftingConfig) { c.NumRequests = -1 },
-		func(c *DriftingConfig) { c.MeanSize = 0 },
-		func(c *DriftingConfig) { c.MU = -1 },
-		func(c *DriftingConfig) { c.Phases = 0 },
-		func(c *DriftingConfig) { c.InterArrival = -1 },
-	}
-	for i, mod := range bad {
-		cfg := DefaultDrifting()
-		mod(&cfg)
-		if _, err := Drifting(cfg); err == nil {
-			t.Errorf("case %d: bad config accepted", i)
-		}
-	}
-}
