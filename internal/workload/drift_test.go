@@ -40,30 +40,40 @@ func phaseRotation(phases int) DriftConfig {
 	return DriftConfig{NumFiles: 1000, NumRequests: 1000, MeanSize: 10 * 1e6, MU: 20, Phases: phases, InterArrival: 0.7, Seed: 1}
 }
 
-// TestDriftingHotSetMoves: with more than one phase the hot set's center
-// is carried up the id space — the last quarter's mean id well above the
-// first quarter's — in a valid trace of NumRequests records.
+// TestDriftingDefaults: ext-dynamic's ten-phase rotation generates a
+// valid trace of NumRequests records.
+func TestDriftingDefaults(t *testing.T) {
+	cfg := phaseRotation(10)
+	tr, err := Drift(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) != cfg.NumRequests {
+		t.Fatalf("records = %d, want %d", len(tr.Records), cfg.NumRequests)
+	}
+}
+
+// TestDriftingHotSetMoves: with four phases the hot set's center is
+// carried up the id space (0 -> 750), so the last quarter's mean id sits
+// well above the first quarter's.
 func TestDriftingHotSetMoves(t *testing.T) {
-	for _, phases := range []int{4, 10} {
-		cfg := phaseRotation(phases)
-		tr, err := Drift(cfg)
-		if err != nil {
-			t.Fatal(err)
+	tr, err := Drift(phaseRotation(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarter := len(tr.Records) / 4
+	meanID := func(from int) float64 {
+		sum := 0
+		for _, r := range tr.Records[from : from+quarter] {
+			sum += r.FileID
 		}
-		if err := tr.Validate(); err != nil || len(tr.Records) != cfg.NumRequests {
-			t.Fatalf("%d phases: %d records (err=%v), want %d", phases, len(tr.Records), err, cfg.NumRequests)
-		}
-		quarter := len(tr.Records) / 4
-		meanID := func(from int) float64 {
-			sum := 0
-			for _, r := range tr.Records[from : from+quarter] {
-				sum += r.FileID
-			}
-			return float64(sum) / float64(quarter)
-		}
-		if first, last := meanID(0), meanID(3*quarter); last-first < 400 {
-			t.Errorf("%d phases: hot set barely moved: first-quarter mean id %.0f, last %.0f", phases, first, last)
-		}
+		return float64(sum) / float64(quarter)
+	}
+	if first, last := meanID(0), meanID(3*quarter); last-first < 400 {
+		t.Fatalf("hot set barely moved: first-quarter mean id %.0f, last %.0f", first, last)
 	}
 }
 
@@ -73,6 +83,26 @@ func TestDriftingSinglePhaseMatchesStationary(t *testing.T) {
 	for _, fid := range driftFIDs(t, phaseRotation(1)) {
 		if fid > 100 {
 			t.Fatalf("single-phase drift produced far id %d", fid)
+		}
+	}
+}
+
+// TestDriftingValidation: Drift itself refuses a phase-rotation config
+// with any of the base fields out of range, and generates nothing.
+func TestDriftingValidation(t *testing.T) {
+	bad := []func(*DriftConfig){
+		func(c *DriftConfig) { c.NumFiles = 0 },
+		func(c *DriftConfig) { c.NumRequests = -1 },
+		func(c *DriftConfig) { c.MeanSize = 0 },
+		func(c *DriftConfig) { c.MU = -1 },
+		func(c *DriftConfig) { c.Phases = 0 },
+		func(c *DriftConfig) { c.InterArrival = -1 },
+	}
+	for i, mod := range bad {
+		cfg := phaseRotation(10)
+		mod(&cfg)
+		if tr, err := Drift(cfg); err == nil || tr != nil {
+			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
 }
