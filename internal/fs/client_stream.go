@@ -28,11 +28,10 @@ type StreamOptions struct {
 // content. Errors surface typed (fs sentinels / *proto.TransportError);
 // Close before EOF aborts the transfer upstream.
 type FileReader struct {
-	rs    *proto.ReadStream
-	sp    *telemetry.Span // root client.stream.read span
-	att   *telemetry.Span // node round-trip child span
-	fin   bool
-	final error
+	rs  *proto.ReadStream
+	sp  *telemetry.Span // root client.stream.read span
+	att *telemetry.Span // node round-trip child span
+	fin bool
 }
 
 // Size returns the total byte count the stream delivers.
@@ -45,6 +44,23 @@ func (r *FileReader) FromBuffer() bool { return r.rs.FromBuffer() }
 // Read implements io.Reader.
 func (r *FileReader) Read(p []byte) (int, error) {
 	n, err := r.rs.Read(p)
+	return n, r.settle(err)
+}
+
+// WriteTo implements io.WriterTo: each chunk the node sends goes to w
+// whole. It returns nil at the stream's clean end.
+func (r *FileReader) WriteTo(w io.Writer) (int64, error) {
+	n, err := r.rs.WriteTo(w)
+	if err == nil {
+		r.settle(io.EOF) // the clean end
+		return n, nil
+	}
+	return n, r.settle(err)
+}
+
+// settle maps a stream error to the typed surface and, at the stream's
+// first end — io.EOF or a failure — ends its spans.
+func (r *FileReader) settle(err error) error {
 	if err != nil && err != io.EOF {
 		err = mapRemote(err)
 	}
@@ -54,12 +70,11 @@ func (r *FileReader) Read(p []byte) (int, error) {
 			r.att.Finish()
 			r.sp.Finish()
 		} else {
-			r.final = err
 			r.att.End(err)
 			r.sp.End(err)
 		}
 	}
-	return n, err
+	return err
 }
 
 // Close releases the stream; closing before EOF aborts the transfer.
@@ -138,6 +153,17 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// ReadFrom implements io.ReaderFrom: r's bytes go out in whole chunks,
+// however little each Read returns. A failing r fails the write, which
+// Close then aborts.
+func (w *FileWriter) ReadFrom(r io.Reader) (int64, error) {
+	n, err := w.ws.ReadFrom(r)
+	if err != nil {
+		err = mapRemote(err)
+	}
+	return n, err
+}
+
 // Close commits the write (the node acknowledges after landing all
 // bytes) and ends the stream's spans.
 func (w *FileWriter) Close() error {
@@ -182,15 +208,6 @@ func (c *Client) OpenWrite(name string, size int64, opts StreamOptions) (*FileWr
 	return &FileWriter{ws: ws, sp: sp, att: att}, nil
 }
 
-// copyPooled is io.Copy through a pooled buffer: a streamed transfer
-// allocates no copy buffer of its own, which on small files was most of
-// what a transfer allocated.
-func copyPooled(w io.Writer, r io.Reader) (int64, error) {
-	buf := proto.GetChunk(32 << 10)
-	defer proto.PutChunk(buf)
-	return io.CopyBuffer(w, r, buf)
-}
-
 // WriteFrom streams size bytes from r into name: OpenWrite + copy +
 // Close. buffered reports whether the node's write-buffer absorbed it.
 func (c *Client) WriteFrom(name string, size int64, r io.Reader) (buffered bool, err error) {
@@ -198,7 +215,7 @@ func (c *Client) WriteFrom(name string, size int64, r io.Reader) (buffered bool,
 	if err != nil {
 		return false, err
 	}
-	if _, err := copyPooled(w, io.LimitReader(r, size)); err != nil {
+	if _, err := io.Copy(w, io.LimitReader(r, size)); err != nil {
 		w.Close()
 		return false, err
 	}
@@ -216,9 +233,6 @@ func (c *Client) ReadTo(name string, w io.Writer) (n int64, fromBuffer bool, err
 		return 0, false, err
 	}
 	defer r.Close()
-	n, err = copyPooled(w, r)
-	if err != nil {
-		return n, r.FromBuffer(), err
-	}
-	return n, r.FromBuffer(), nil
+	n, err = io.Copy(w, r)
+	return n, r.FromBuffer(), err
 }

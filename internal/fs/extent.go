@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -79,24 +80,33 @@ const wholeFile = -1
 type reading struct {
 	exts        []extent
 	first       *os.File // exts[0] when it is a file of its own; a segment is open already
+	rec         *fileRec // the file read: while first is open, one of its readers
 	off, length int64
 	fromBuffer  bool // source pinned exts[0].seg
 }
 
 // open opens the first extent if it is a file of its own: the existence
-// check before any disk is charged.
-func (r *reading) open() (err error) {
-	if r.exts[0].seg == nil {
-		r.first, err = os.Open(r.exts[0].path)
+// check before any disk is charged. It counts itself among the file's
+// readers first, so that no commit recycles an inode it may have open
+// (extentWriter.commit).
+func (r *reading) open(t *fileTable) (err error) {
+	if r.exts[0].seg != nil {
+		return nil
+	}
+	t.addReader(r.rec, 1)
+	if r.first, err = os.Open(r.exts[0].path); err != nil {
+		t.addReader(r.rec, -1)
 	}
 	return err
 }
 
-// close releases what source took for the reading: the open first extent,
-// or the pin on the segment holding the buffer copy.
+// close releases what source took for the reading: the open first extent
+// and its place among the file's readers, or the pin on the segment
+// holding the buffer copy.
 func (r reading) close(t *fileTable) {
 	if r.first != nil {
 		r.first.Close()
+		t.addReader(r.rec, -1)
 	}
 	if r.fromBuffer {
 		t.unpin(r.exts[0].seg)
@@ -110,7 +120,7 @@ func (r reading) close(t *fileTable) {
 // charged. source counts the buffer hit or miss, timestamps the access and
 // charges the disks the range touches; the caller closes the reading.
 func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) {
-	_, file, seg, ok := n.files.getPinned(int(fileID), float64(n.clock.Now()))
+	rec, file, seg, ok := n.files.getPinned(int(fileID), float64(n.clock.Now()))
 	if !ok {
 		return reading{}, fmt.Errorf("fs: read of unknown file %d", fileID)
 	}
@@ -122,13 +132,13 @@ func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) 
 		return reading{}, fmt.Errorf("fs: range [%d,+%d) outside file %d of %d bytes",
 			off, length, fileID, file.Size)
 	}
-	r := reading{off: off, length: length, fromBuffer: seg != nil}
+	r := reading{rec: rec, off: off, length: length, fromBuffer: seg != nil}
 	if r.fromBuffer {
 		r.exts = n.bufferExtent(seg, file)
 		n.hitsC.Inc()
 	} else {
 		r.exts = n.dataExtents(file.NodeEntry)
-		if err := r.open(); err != nil {
+		if err := r.open(n.files); err != nil {
 			return reading{}, err
 		}
 		n.missesC.Inc()
@@ -280,8 +290,8 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 // charged to ra. The caller lands w; on failure it is abandoned here.
 func (n *Node) copyInto(w *extentWriter, file fileRec, src []extent, ra reqAttrib) error {
 	w.asOf = file.gen
-	r := reading{exts: src, length: file.Size}
-	if err := r.open(); err != nil {
+	r := reading{exts: src, rec: w.rec, length: file.Size}
+	if err := r.open(n.files); err != nil {
 		w.abandon()
 		return err
 	}
@@ -297,6 +307,13 @@ func (n *Node) copyInto(w *extentWriter, file fileRec, src []extent, ra reqAttri
 	return nil
 }
 
+// recycleBytes is the smallest data-disk extent that reuses storage: its
+// writer overwrites the disk's spare instead of allocating a new inode,
+// and its commit keeps the inode it replaces as the next spare. A smaller
+// extent is created fresh, as it always was, so small files' writes make
+// no extra calls and leave no spare behind.
+const recycleBytes = proto.DefaultStreamChunk
+
 // extentWriter lands a byte stream across the extents of a copy; nothing
 // else writes under buffer/ and data*/. A copy on the buffer disk is one
 // range of the log, filled with pwrite and pinned until land names it in
@@ -305,7 +322,8 @@ func (n *Node) copyInto(w *extentWriter, file fileRec, src []extent, ra reqAttri
 // commit renames into place, so a failed write leaves the previous content
 // visible and intact; the per-writer sequence number in the sibling's name
 // keeps concurrent writers of one file out of each other's bytes, and
-// StartNode sweeps the siblings a crash leaves.
+// StartNode sweeps the siblings a crash leaves — spares included, which
+// are ".part" files too.
 type extentWriter struct {
 	exts []extent
 	prev []extent // layout being replaced; commit removes what exts does not reuse
@@ -347,7 +365,7 @@ func (w *extentWriter) write(b []byte) error {
 			_, err = e.seg.f.WriteAt(b[:m], e.off+w.pos)
 		} else {
 			if w.f == nil {
-				if w.f, err = os.Create(e.path + w.part); err != nil {
+				if w.f, err = w.stage(e); err != nil {
 					return err
 				}
 			}
@@ -361,7 +379,13 @@ func (w *extentWriter) write(b []byte) error {
 			w.idx, w.pos = w.idx+1, 0
 			if f := w.f; f != nil {
 				w.f = nil
-				if err := f.Close(); err != nil {
+				if e.size >= recycleBytes { // it may be a longer spare
+					err = f.Truncate(e.size)
+				}
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -370,17 +394,63 @@ func (w *extentWriter) write(b []byte) error {
 	return nil
 }
 
+// stage creates e's staging sibling. An extent of recycleBytes or more
+// takes its disk's spare instead, renamed to the sibling's name and opened
+// without truncation: the pages are overwritten, not allocated anew, and
+// write truncates the file to the extent's size once it is full.
+func (w *extentWriter) stage(e extent) (*os.File, error) {
+	name := e.path + w.part
+	if e.size >= recycleBytes {
+		if spare := e.nd.spare.Swap(nil); spare != nil {
+			if err := os.Rename(*spare, name); err != nil {
+				os.Remove(*spare) // a spare that cannot be taken is dropped, not leaked
+			} else if f, err := os.OpenFile(name, os.O_WRONLY, 0); err == nil {
+				return f, nil
+			}
+		}
+	}
+	return os.Create(name)
+}
+
+// spareName is the name the inode w's commit replaces on nd keeps as a
+// spare: "spare.<seq>.part".
+func (w *extentWriter) spareName(nd *nodeDisk) string {
+	return filepath.Join(nd.dir, "spare"+w.part)
+}
+
 // commit renames every completed sibling into place, then removes the
 // extents of the previous layout that the new one does not reuse. Names
 // are a function of (file, chunk index), so reuse is positional. A range
 // of the log is in place already.
-func (w *extentWriter) commit() error {
+//
+// An extent of recycleBytes or more first gets a second name for the inode
+// it replaces, link(cur, spare); the rename then switches readers from old
+// to new in one step as before, and the old inode lives on under the spare
+// name only — kept as its disk's spare, one per disk, when no reading of
+// the file's data-disk copy is open once the renames are done. A reading
+// counts itself before it opens, so one that could hold the old inode is
+// seen here, and one that is not seen opens the new one. Otherwise the
+// spare is unlinked.
+func (w *extentWriter) commit() (err error) {
 	if w.f != nil || w.idx != len(w.exts) {
 		return fmt.Errorf("fs: write ended short of declared size")
 	}
+	var retired []*nodeDisk // disks holding a replaced inode under spareName
+	defer func() {
+		keep := err == nil && len(retired) > 0 && !w.files.isRead(w.rec)
+		for _, nd := range retired {
+			if name := w.spareName(nd); !keep || !nd.spare.CompareAndSwap(nil, &name) {
+				os.Remove(name)
+			}
+		}
+	}()
 	for _, e := range w.exts {
 		if e.seg != nil {
 			continue
+		}
+		if e.size >= recycleBytes && e.nd.spare.Load() == nil && !slices.Contains(retired, e.nd) &&
+			os.Link(e.path, w.spareName(e.nd)) == nil {
+			retired = append(retired, e.nd)
 		}
 		if err := os.Rename(e.path+w.part, e.path); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"eevfs/internal/disk"
@@ -349,10 +351,11 @@ func dataFiles(t *testing.T, n *Node) []string {
 }
 
 // checkStorage holds a quiet node's disks to its table, once the log's
-// cleaner is done: the data disks hold extents of the node's files only;
-// no segment holds live bytes of a file the node does not have (the
-// table's check); and buffer/ holds exactly the segments records name,
-// plus the tail.
+// cleaner is done: the data disks hold extents of the node's files only,
+// plus at most one spare each — the one the disk names, which exists; no
+// segment holds live bytes of a file the node does not have (the table's
+// check); and buffer/ holds exactly the segments records name, plus the
+// tail.
 func checkStorage(t *testing.T, n *Node) {
 	t.Helper()
 	n.cleanWG.Wait()
@@ -365,9 +368,17 @@ func checkStorage(t *testing.T, n *Node) {
 			held[filepath.Base(filepath.Dir(x.path))+"/"+filepath.Base(x.path)] = true
 		}
 	}
+	for _, nd := range n.data {
+		if spare := nd.spare.Load(); spare != nil {
+			if _, err := os.Stat(*spare); err != nil {
+				t.Errorf("%s names a spare it does not hold: %v", nd.label, err)
+			}
+			held[filepath.Base(nd.dir)+"/"+filepath.Base(*spare)] = true
+		}
+	}
 	for _, f := range dataFiles(t, n) {
 		if !held[f] {
-			t.Errorf("%s lies on a data disk for a file the node does not hold", f)
+			t.Errorf("%s lies on a data disk for a file the node does not hold, and is not its spare", f)
 		}
 	}
 	want := make(map[string]bool)
@@ -451,75 +462,281 @@ func TestOverwriteLeavesNoStaleExtents(t *testing.T) {
 	}
 }
 
+// withoutSpares drops the data disks' spares from a storedFiles list.
+func withoutSpares(files []string) []string {
+	return slices.DeleteFunc(slices.Clone(files), func(f string) bool {
+		return strings.HasPrefix(filepath.Base(f), "spare.")
+	})
+}
+
+// writeF replaces file f's content on one wire plane.
+var writeF = map[string]func(cl *Client, data []byte) error{
+	"Write": func(cl *Client, data []byte) error { _, err := cl.Write("f", data); return err },
+	"WriteFrom": func(cl *Client, data []byte) error {
+		_, err := cl.WriteFrom("f", int64(len(data)), bytes.NewReader(data))
+		return err
+	},
+}
+
 // TestFailedWriteLeavesOldContent: a write that fails after part of it
 // has landed leaves the previous content readable byte for byte and no
 // debris, on both planes. The fault is a directory squatting on the
 // staging name of the second stripe chunk, so chunk 0 lands and chunk 1's
-// create fails.
+// create fails. The -spare arms do it with extents large enough to
+// recycle and a spare on each disk, which the failed write uses up: its
+// staging files are spares, and the spare it cannot rename goes too.
 func TestFailedWriteLeavesOldContent(t *testing.T) {
-	for _, op := range []planeOp{opWrite, opWriteFrom} {
-		t.Run(op.name, func(t *testing.T) {
-			cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) {
-				c.InjectLatency = false
-				c.StripeChunkBytes = 1000
+	for _, arm := range []struct {
+		suffix   string
+		stripe   int64
+		old, new []byte
+	}{
+		{"", 1000, planeContent, newPlaneContent},
+		{"-spare", recycleBytes, patternedContent(41, 3*recycleBytes), patternedContent(42, 3*recycleBytes)},
+	} {
+		for _, plane := range []string{"Write", "WriteFrom"} {
+			t.Run(plane+arm.suffix, func(t *testing.T) {
+				cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) {
+					c.InjectLatency = false
+					c.StripeChunkBytes = arm.stripe
+				})
+				n := nodes[0]
+				if err := cl.Create("f", arm.old); err != nil {
+					t.Fatal(err)
+				}
+				if arm.suffix != "" { // rewrite once, which leaves a spare on each disk
+					if err := writeF[plane](cl, arm.old); err != nil {
+						t.Fatal(err)
+					}
+					for _, nd := range n.data {
+						if nd.spare.Load() == nil {
+							t.Fatalf("%s holds no spare after a rewrite of %d-byte extents", nd.label, arm.stripe)
+						}
+					}
+				}
+				before := storedFiles(t, n)
+				squat := fmt.Sprintf("%s.%d.part", extentPath(n.data[1], 0, 1), n.partSeq.Load()+1)
+				if err := os.Mkdir(squat, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := writeF[plane](cl, arm.new); err == nil {
+					t.Fatal("write succeeded although chunk 1 could not be staged")
+				}
+				got, _, err := cl.Read("f")
+				if err != nil || !bytes.Equal(got, arm.old) {
+					t.Fatalf("after the failed write: read %d bytes, err=%v; want the old %d bytes", len(got), err, len(arm.old))
+				}
+				if after, want := storedFiles(t, n), withoutSpares(before); !reflect.DeepEqual(after, want) {
+					t.Fatalf("failed write left debris: %v, want %v", after, want)
+				}
+				checkStorage(t, n)
 			})
-			n := nodes[0]
-			if err := cl.Create("f", planeContent); err != nil {
+		}
+	}
+}
+
+// TestStartNodeSweepsPartFiles: staging files a crash mid-write left
+// behind are removed before the node serves, and so is a spare; visible
+// files are untouched. The 1 MiB arm rewrites the file once first, so
+// the node stops with a spare on disk.
+func TestStartNodeSweepsPartFiles(t *testing.T) {
+	for _, size := range []int{5, 1 << 20} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			root := t.TempDir()
+			cfg := persistNodeConfig(root, "127.0.0.1:0")
+			cfg.WriteBuffer = false
+			n, err := StartNode(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			before := storedFiles(t, n)
-			squat := fmt.Sprintf("%s.%d.part", extentPath(n.data[1], 0, 1), n.partSeq.Load()+1)
-			if err := os.Mkdir(squat, 0o755); err != nil {
+			content := patternedContent(43, size)
+			if err := n.create(1, int64(size)); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := op.run(&planeRig{cl: cl, n: n}); err == nil {
-				t.Fatal("write succeeded although chunk 1 could not be staged")
+			for i := 0; i < 1+min(size/recycleBytes, 1); i++ {
+				if _, err := n.write(1, content); err != nil {
+					t.Fatal(err)
+				}
 			}
-			got, _, err := cl.Read("f")
-			if err != nil || !bytes.Equal(got, planeContent) {
-				t.Fatalf("after the failed write: read %d bytes, err=%v; want the old %d bytes", len(got), err, len(planeContent))
+			if spare := n.data[0].spare.Load(); (spare != nil) != (size >= recycleBytes) {
+				t.Fatalf("data0's spare before the restart: %v", spare)
 			}
-			if after := storedFiles(t, n); !reflect.DeepEqual(after, before) {
-				t.Fatalf("failed write left debris: %v, want %v", after, before)
+			n.Close()
+			for _, orphan := range []string{"data0/f00000001.dat.7.part", "data1/f00000009.c001.dat.3.part", "buffer/f00000001.dat.8.part"} {
+				if err := os.WriteFile(filepath.Join(root, orphan), []byte("torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			n, err = StartNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if got, want := storedFiles(t, n), []string{"data0/f00000001.dat"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("after restart the disks hold %v, want %v", got, want)
+			}
+			if r, err := n.read(1); err != nil || !bytes.Equal(r.Data, content) {
+				t.Fatalf("visible file after the sweep: %d bytes, err=%v", len(r.Data), err)
 			}
 		})
 	}
 }
 
-// TestStartNodeSweepsPartFiles: staging files a crash mid-write left
-// behind are removed before the node serves; visible files are untouched.
-func TestStartNodeSweepsPartFiles(t *testing.T) {
-	root := t.TempDir()
-	cfg := persistNodeConfig(root, "127.0.0.1:0")
-	cfg.WriteBuffer = false
-	n, err := StartNode(cfg)
+// rewriteUnderReader opens a read stream of a 1 MiB file, takes one
+// 512-byte chunk of it — the node, granted a window of one, then waits
+// with the file open — rewrites the file twice through WriteFrom, and
+// returns what the stream delivered in all, with the old content. plant
+// sets plantRecycleUnderReader.
+func rewriteUnderReader(t *testing.T, plant bool) (got, old []byte) {
+	t.Helper()
+	cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) { c.InjectLatency = false })
+	nodes[0].files.plantRecycleUnderReader = plant
+	const size = 1 << 20
+	old = patternedContent(44, size)
+	if err := cl.Create("f", old); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.OpenRead("f", StreamOptions{ChunkBytes: proto.MinStreamChunk, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.create(1, 5); err != nil {
+	defer r.Close()
+	got = make([]byte, proto.MinStreamChunk)
+	if _, err := io.ReadFull(r, got); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.write(1, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	n.Close()
-	for _, orphan := range []string{"data0/f00000001.dat.7.part", "data1/f00000009.c001.dat.3.part", "buffer/f00000001.dat.8.part"} {
-		if err := os.WriteFile(filepath.Join(root, orphan), []byte("torn"), 0o644); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := writeF["WriteFrom"](cl, patternedContent(int64(45+i), size)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	n, err = StartNode(cfg)
+	rest, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	if got, want := storedFiles(t, n), []string{"data0/f00000001.dat"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("after restart the disks hold %v, want %v", got, want)
+	return append(got, rest...), old
+}
+
+// TestRecycleSparesNothingUnderAReader: a reading that has the file's
+// data-disk extent open keeps reading the bytes it opened, though two
+// rewrites commit meanwhile — the first retires the inode the reading
+// holds, and the second would overwrite it if it were kept as the spare.
+// The planted commit that ignores the reader must fail the same check.
+func TestRecycleSparesNothingUnderAReader(t *testing.T) {
+	if got, old := rewriteUnderReader(t, false); !bytes.Equal(got, old) {
+		t.Fatalf("a reading open across two rewrites delivered %d bytes, not the %d it opened", len(got), len(old))
 	}
-	if r, err := n.read(1); err != nil || string(r.Data) != "hello" {
-		t.Fatalf("visible file after the sweep: %q, err=%v", r.Data, err)
+	if got, old := rewriteUnderReader(t, true); bytes.Equal(got, old) {
+		t.Fatal("oracle passed a commit that recycles an extent a reading has open")
 	}
+}
+
+// TestRecycleReusesTheRetiredExtent: twenty rewrites of a 1 MiB file keep
+// at most one spare per data disk, and once warm they allocate no inode:
+// each commit keeps the extent it retires as the spare, and the next
+// rewrite stages into that very inode.
+func TestRecycleReusesTheRetiredExtent(t *testing.T) {
+	cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) { c.InjectLatency = false })
+	n := nodes[0]
+	const size = 1 << 20
+	if err := cl.Create("f", patternedContent(50, size)); err != nil {
+		t.Fatal(err)
+	}
+	path := n.dataExtents(n.Files()[0])[0].path
+	stat := func(p string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	var retired os.FileInfo // the extent the previous rewrite replaced
+	for i := 1; i <= 20; i++ {
+		cur := stat(path)
+		content := patternedContent(int64(50+i), size)
+		if err := writeF["WriteFrom"](cl, content); err != nil {
+			t.Fatal(err)
+		}
+		if retired != nil && !os.SameFile(stat(path), retired) {
+			t.Fatalf("rewrite %d staged a new inode, not the spare rewrite %d retired", i, i-1)
+		}
+		spares := 0
+		for _, f := range dataFiles(t, n) {
+			if strings.HasPrefix(filepath.Base(f), "spare.") {
+				spares++
+			}
+		}
+		spare := n.data[n.Files()[0].Disk].spare.Load()
+		if spares != 1 || spare == nil || !os.SameFile(stat(*spare), cur) {
+			t.Fatalf("after rewrite %d: %d spares on the data disks; want one, the extent it replaced", i, spares)
+		}
+		retired = cur
+		if got, _, err := cl.Read("f"); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("read after rewrite %d: %d bytes, err=%v", i, len(got), err)
+		}
+	}
+	checkStorage(t, n)
+}
+
+// TestRecycleConcurrentReadsSeeWholeVersions: writers rewriting files of
+// recyclable size on shared data disks, with readers on both planes
+// reading them meanwhile, never let a read see anything but one whole
+// version of its file — no reading has an inode recycled under it, and
+// no two writers stage into one spare.
+func TestRecycleConcurrentReadsSeeWholeVersions(t *testing.T) {
+	const files, versions, size = 3, 8, 2 * recycleBytes
+	cl, _, nodes := testCluster(t, 1, func(c *NodeConfig) { c.InjectLatency = false })
+	content := func(f, v int) []byte { return patternedContent(int64(100*f+v), size) }
+	all := make([][][]byte, files)
+	for f := range all {
+		for v := 0; v <= versions; v++ {
+			all[f] = append(all[f], content(f, v))
+		}
+		if err := cl.Create(fmt.Sprint(f), all[f][0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for f := 0; f < files; f++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for v := 1; v <= versions; v++ {
+				if _, err := cl.WriteFrom(fmt.Sprint(f), size, bytes.NewReader(all[f][v])); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2*versions; i++ {
+				var got []byte
+				var err error
+				if i%2 == 0 { // a slow reading, open across rewrites
+					var r *FileReader
+					if r, err = cl.OpenRead(fmt.Sprint((f+1)%files), StreamOptions{ChunkBytes: 4 << 10, Window: 1}); err == nil {
+						got, err = io.ReadAll(r)
+						r.Close()
+					}
+				} else {
+					got, _, err = cl.Read(fmt.Sprint((f + 1) % files))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.ContainsFunc(all[(f+1)%files], func(v []byte) bool { return bytes.Equal(got, v) }) {
+					t.Errorf("a read of file %d returned %d bytes that are no version of it", (f+1)%files, len(got))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkStorage(t, nodes[0])
 }
 
 // TestTierMovementIsChunkMemory: prefetch and flush move a file between

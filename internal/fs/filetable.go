@@ -27,6 +27,7 @@ type fileRec struct {
 	hint      float64 // server-forwarded mean inter-arrival (model sec); 0: none
 	last      float64 // model time of the last request; 0: none since start
 	gen       uint64  // bumped by every apply: has the file moved since it was looked up?
+	readers   int     // readings of the data-disk copy open (extent.go): no commit recycles under them
 }
 
 // inBuffer reports whether the buffer disk holds the file's newest copy.
@@ -46,6 +47,10 @@ type fileTable struct {
 	// plantDropDirty is the replay oracles' planted bug: apply forgets a
 	// record's unflushed write. Tests only.
 	plantDropDirty bool
+	// plantRecycleUnderReader is the recycling oracle's planted bug: isRead
+	// reports no reader, so a commit keeps a spare a reading has open.
+	// Tests only.
+	plantRecycleUnderReader bool
 
 	mu     sync.Mutex
 	files  map[int]*fileRec
@@ -201,6 +206,21 @@ func (t *fileTable) reserve(rec *fileRec, size int64) bool {
 	rec.reserved += size
 	t.used += size
 	return true
+}
+
+// addReader counts a reading of rec's data-disk copy in (d = 1) or out
+// (d = -1).
+func (t *fileTable) addReader(rec *fileRec, d int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec.readers += d
+}
+
+// isRead reports whether a reading of rec's data-disk copy is open.
+func (t *fileTable) isRead(rec *fileRec) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return rec.readers > 0 && !t.plantRecycleUnderReader
 }
 
 func (t *fileTable) release(rec *fileRec, size int64) {

@@ -116,6 +116,11 @@ type nodeDisk struct {
 	curTrace uint64
 	curFile  string
 	curSpan  *telemetry.Span
+
+	// spare names a data disk's one retired extent, an inode a commit
+	// replaced, kept for the next large writer to overwrite (extent.go);
+	// nil: none.
+	spare atomic.Pointer[string]
 }
 
 // Node is a running storage-node daemon. Everything it knows about its

@@ -102,18 +102,18 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 }
 
 // TestWriteFromSourceFailureLeavesFileIntact pins WriteFrom's failure
-// path: the source reader dying mid-copy surfaces its error and the
-// file's previous content stays visible (the .part protocol never
-// exposes the partial write).
+// path: the source reader dying mid-copy, after a whole chunk has left,
+// surfaces its own error and the file's previous content stays visible
+// (the .part protocol never exposes the partial write).
 func TestWriteFromSourceFailureLeavesFileIntact(t *testing.T) {
 	cl, _, _ := testCluster(t, 1, nil)
 	old := patternedContent(7, 4<<10)
 	if err := cl.Create("wf.dat", old); err != nil {
 		t.Fatal(err)
 	}
-	_, err := cl.WriteFrom("wf.dat", 256<<10, &errAfterReader{n: 8 << 10})
-	if err == nil {
-		t.Fatal("WriteFrom with a dying source reported success")
+	_, err := cl.WriteFrom("wf.dat", 1<<20, &errAfterReader{n: 300 << 10})
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("WriteFrom with a dying source: err = %v, want the source's own", err)
 	}
 	got, _, err := cl.Read("wf.dat")
 	if err != nil {

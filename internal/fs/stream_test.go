@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -278,7 +280,19 @@ func TestStreamWriteSizeMismatchRejected(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Fatal("short streamed write committed")
 	}
-	// The placeholder content must have survived the aborted write.
+	// A source that runs past the declared size fails the copy before the
+	// extra bytes leave, and the close aborts instead of committing.
+	w, err = cl.OpenWrite("short.dat", 1000, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(w, struct{ io.Reader }{bytes.NewReader(make([]byte, 1500))}); err == nil {
+		t.Fatal("copying 1500 bytes into a 1000-byte stream succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("overrun streamed write committed")
+	}
+	// The placeholder content must have survived the aborted writes.
 	got, _, err := cl.Read("short.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -416,6 +430,102 @@ func TestStreamReadAllocsFlat(t *testing.T) {
 	if largeAlloc > smallAlloc+8<<20 {
 		t.Fatalf("streaming allocations scale with file size: 1MB=%d, 16MB=%d",
 			smallAlloc, largeAlloc)
+	}
+}
+
+// TestStreamReadAllocsFlatAtLargeChunks: the chunk pools hold every
+// negotiable chunk size, so on a node that streams 1 MiB chunks a 16 MiB
+// ReadTo allocates no more than a 1 MiB one does — on the client, which
+// fills a pooled chunk per inbound frame, as on the node, which reads the
+// disk into one per stream. Each size counts its least of three reads, and
+// the bound allows one chunk: a pool miss, when a goroutine gets a chunk
+// on another P than the one that put it back.
+func TestStreamReadAllocsFlatAtLargeChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
+	}
+	const chunk = 1 << 20
+	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) {
+		cfg.InjectLatency = false
+		cfg.StreamChunkBytes = chunk
+	})
+	measure := func(name string, size int) uint64 {
+		if err := cl.Create(name, patternedContent(14, size)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.ReadTo(name, io.Discard); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if n, _, err := cl.ReadTo(name, io.Discard); err != nil || n != int64(size) {
+				t.Fatalf("ReadTo %s: n=%d err=%v", name, n, err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := measure("small.dat", 1<<20), measure("large.dat", 16<<20)
+	t.Logf("alloc at %d-byte chunks: 1 MiB=%d bytes, 16 MiB=%d bytes", chunk, small, large)
+	if large > small+chunk {
+		t.Fatalf("a 16 MiB ReadTo allocates %d bytes, a 1 MiB one %d: chunks of %d bytes are not pooled", large, small, chunk)
+	}
+}
+
+// trickleReader hands out at most 1000 bytes per Read, as a pipe or a
+// slow producer does.
+type trickleReader struct{ r io.Reader }
+
+func (t trickleReader) Read(p []byte) (int, error) { return t.r.Read(p[:min(len(p), 1000)]) }
+
+// writeSizes records the length of every Write it is handed.
+type writeSizes struct {
+	sizes []int
+	buf   bytes.Buffer
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.buf.Write(p)
+}
+
+// TestStreamsMoveWholeChunks: both directions of a stream move whole
+// negotiated chunks, whatever the caller's reader or writer. WriteFrom
+// gathers a source that trickles 1000 bytes per Read into 256 KiB data
+// frames — exactly size/chunk of them reach the node — and ReadTo hands
+// the caller's writer each received chunk whole, in one Write.
+func TestStreamsMoveWholeChunks(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) {
+		cfg.InjectLatency = false
+		cfg.Metrics = reg
+	})
+	const size, chunk = 8 << 20, proto.DefaultStreamChunk
+	content := patternedContent(15, size)
+	if err := cl.Create("w.dat", []byte("seed")); err != nil {
+		t.Fatal(err)
+	}
+	frames := reg.Counter("node.stream.chunks")
+	before := frames.Value()
+	if _, err := cl.WriteFrom("w.dat", size, trickleReader{bytes.NewReader(content)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := frames.Value() - before; got != size/chunk {
+		t.Errorf("an %d-byte WriteFrom reached the node as %d data frames, want %d", size, got, size/chunk)
+	}
+	var w writeSizes
+	if _, _, err := cl.ReadTo("w.dat", &w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.buf.Bytes(), content) {
+		t.Fatalf("ReadTo delivered %d bytes that differ from the %d written", w.buf.Len(), size)
+	}
+	if len(w.sizes) != size/chunk || slices.ContainsFunc(w.sizes, func(n int) bool { return n != chunk }) {
+		t.Errorf("ReadTo called Write %d times (sizes %v), want %d calls of %d bytes", len(w.sizes), w.sizes[:min(len(w.sizes), 8)], size/chunk, chunk)
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 )
 
 // Stream chunk/window defaults and bounds. The chunk pools recycle
-// buffers of up to DefaultStreamChunk capacity, so negotiated chunk sizes
-// at or under it are allocation-free in steady state.
+// buffers of up to MaxStreamChunk capacity, so every negotiable chunk
+// size is allocation-free in steady state.
 const (
 	DefaultStreamChunk  = 256 << 10
 	MinStreamChunk      = 512
@@ -57,12 +57,12 @@ const (
 
 // chunkPools recycle stream chunks and read replies (steady-state
 // streaming allocates nothing per chunk), one pool per power-of-two
-// capacity class from MinStreamChunk to DefaultStreamChunk: a buffer pins
+// capacity class from MinStreamChunk to MaxStreamChunk: a buffer pins
 // less than twice what it carries, so a 16 KiB reply waiting in a batch
 // holds 32 KiB, not a stream chunk's 256.
-var chunkPools = make([]sync.Pool, chunkClass(DefaultStreamChunk)+1)
+var chunkPools = make([]sync.Pool, chunkClass(MaxStreamChunk)+1)
 
-// chunkClass is the smallest class holding n bytes, n <= DefaultStreamChunk.
+// chunkClass is the smallest class holding n bytes, n <= MaxStreamChunk.
 func chunkClass(n int) int {
 	return bits.Len(uint(max(n, MinStreamChunk)-1)) - bits.Len(MinStreamChunk-1)
 }
@@ -75,9 +75,9 @@ var chunksInUse atomic.Int64
 func ChunksInUse() int64 { return chunksInUse.Load() }
 
 // GetChunk returns a length-n buffer, pooled in the smallest class that
-// holds it when n is at most DefaultStreamChunk. Pair with PutChunk.
+// holds it when n is at most MaxStreamChunk. Pair with PutChunk.
 func GetChunk(n int) []byte {
-	if n > DefaultStreamChunk {
+	if n > MaxStreamChunk {
 		return make([]byte, n)
 	}
 	chunksInUse.Add(1)
@@ -92,7 +92,7 @@ func GetChunk(n int) []byte {
 // other capacity — oversized, or not GetChunk's — is dropped for the GC.
 func PutChunk(b []byte) {
 	c := chunkClass(cap(b))
-	if cap(b) > DefaultStreamChunk || cap(b) != MinStreamChunk<<c {
+	if cap(b) > MaxStreamChunk || cap(b) != MinStreamChunk<<c {
 		return
 	}
 	chunksInUse.Add(-1)

@@ -12,6 +12,10 @@ import (
 // errStreamClosed reports use of a stream after its owner closed it.
 var errStreamClosed = errors.New("proto: stream closed")
 
+// errSourceOverrun reports a WriteStream.ReadFrom source that holds more
+// than the stream declared.
+var errSourceOverrun = errors.New("proto: write stream source holds more than the declared size")
+
 // streamErr types a mid-stream fault the way Call does, so
 // errors.As(err, **TransportError) works identically for streams: a peer
 // abort stays the *RemoteError it is, anything else failed below the
@@ -50,9 +54,44 @@ func (s *ReadStream) Size() int64 { return s.resp.Size }
 // connection faults and for a stream that does not carry exactly Size
 // bytes.
 func (s *ReadStream) Read(p []byte) (int, error) {
+	if !s.fill() {
+		return 0, s.err
+	}
+	n := copy(p, s.cur)
+	s.cur = s.cur[n:]
+	return n, nil
+}
+
+// WriteTo implements io.WriterTo: each received chunk goes to w whole,
+// straight from the buffer it arrived in. It returns nil once the stream
+// has delivered exactly Size bytes, w's error if w fails, and the
+// stream's typed error (as Read does) otherwise.
+func (s *ReadStream) WriteTo(w io.Writer) (n int64, err error) {
+	for s.fill() {
+		var m int
+		m, err = w.Write(s.cur)
+		s.cur = s.cur[m:]
+		n += int64(m)
+		if err == nil && len(s.cur) > 0 {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	if s.err == io.EOF {
+		return n, nil
+	}
+	return n, s.err
+}
+
+// fill makes the current chunk non-empty, receiving the next one if it
+// has to. false means the stream is done: s.err says why, io.EOF for the
+// clean end.
+func (s *ReadStream) fill() bool {
 	for len(s.cur) == 0 {
 		if s.err != nil {
-			return 0, s.err
+			return false
 		}
 		b, err := s.st.RecvChunk()
 		switch {
@@ -66,9 +105,7 @@ func (s *ReadStream) Read(p []byte) (int, error) {
 			s.ep.met.streamBytes.Add(int64(len(b)))
 		}
 	}
-	n := copy(p, s.cur)
-	s.cur = s.cur[n:]
-	return n, nil
+	return true
 }
 
 // Close releases the stream. Closing before the terminal frame aborts
@@ -95,6 +132,7 @@ type WriteStream struct {
 	ep    *Endpoint
 	st    *Stream
 	chunk int
+	left  int64 // declared bytes not yet sent
 
 	buffered bool
 	err      error
@@ -109,16 +147,57 @@ func (s *WriteStream) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 && s.err == nil {
 		n := min(len(p), s.chunk)
-		if err := s.st.SendChunk(p[:n]); err != nil {
-			s.err = s.ep.streamErr(err)
+		if !s.send(p[:n]) {
 			break
 		}
 		p = p[n:]
 		total += n
-		s.ep.met.streamChunks.Inc()
-		s.ep.met.streamBytes.Add(int64(n))
 	}
 	return total, s.err
+}
+
+// ReadFrom implements io.ReaderFrom: it fills one pooled chunk at a time
+// from r, never past the bytes still declared, and sends it in place, so
+// every data frame but the last is a whole chunk however little r returns
+// per Read. A source that holds more than the declared size, or fails, is
+// an error that also fails the stream: Close then aborts it instead of
+// committing a part.
+func (s *WriteStream) ReadFrom(r io.Reader) (n int64, err error) {
+	if s.closed {
+		return 0, errStreamClosed
+	}
+	buf := GetChunk(int(max(min(int64(s.chunk), s.left), 1)))
+	defer PutChunk(buf)
+	for s.err == nil {
+		// With nothing left to send, one byte more is an overrun.
+		b := buf[:max(min(int64(len(buf)), s.left), 1)]
+		m, rerr := io.ReadFull(r, b)
+		if m > 0 && s.left <= 0 {
+			s.err = errSourceOverrun
+		} else if m > 0 && s.send(b[:m]) {
+			n += int64(m)
+		}
+		switch {
+		case rerr == io.EOF || rerr == io.ErrUnexpectedEOF:
+			return n, s.err
+		case rerr != nil && s.err == nil:
+			s.err = rerr
+		}
+	}
+	return n, s.err
+}
+
+// send sends b as one data frame; false means the stream failed, s.err
+// saying why.
+func (s *WriteStream) send(b []byte) bool {
+	if err := s.st.SendChunk(b); err != nil {
+		s.err = s.ep.streamErr(err)
+		return false
+	}
+	s.left -= int64(len(b))
+	s.ep.met.streamChunks.Inc()
+	s.ep.met.streamBytes.Add(int64(len(b)))
+	return true
 }
 
 // Buffered reports whether the node's write-buffer area absorbed the
@@ -200,5 +279,5 @@ func (e *Endpoint) OpenWriteStream(req StreamOpenReq, sc telemetry.SpanContext) 
 	if err != nil {
 		return nil, err
 	}
-	return &WriteStream{ep: e, st: st, chunk: NegotiateChunk(resp.ChunkSize, 0)}, nil
+	return &WriteStream{ep: e, st: st, chunk: NegotiateChunk(resp.ChunkSize, 0), left: req.Size}, nil
 }

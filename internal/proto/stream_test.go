@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"eevfs/internal/telemetry"
@@ -53,9 +54,22 @@ func testTransport() TransportConfig {
 	}
 }
 
-// TestReadStreamDelivery runs one complete streamed read: open, chunked
+// chunkWriter records every Write it is handed.
+type chunkWriter struct {
+	sizes []int
+	buf   bytes.Buffer
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.buf.Write(p)
+}
+
+// TestReadStreamDelivery runs complete streamed reads: open, chunked
 // data within the credit window, clean end — and checks the reassembled
-// bytes, the stream metadata, and that the stream id is retired.
+// bytes, the stream metadata, and that the stream id is retired. The
+// first read goes through Read, the second through WriteTo, which must
+// hand the writer each chunk whole.
 func TestReadStreamDelivery(t *testing.T) {
 	content := bytes.Repeat([]byte("stream-me!"), 2000) // 20 KB
 	const chunk = 1024
@@ -118,31 +132,42 @@ func TestReadStreamDelivery(t *testing.T) {
 
 	ep := NewEndpoint(addr, nil, testTransport())
 	defer ep.Close()
-	rs, err := ep.OpenReadStream(StreamOpenReq{FileID: 7}, telemetry.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.FromBuffer() || rs.Size() != int64(len(content)) {
-		t.Fatalf("FromBuffer=%v Size=%d", rs.FromBuffer(), rs.Size())
-	}
-	got, err := io.ReadAll(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatalf("content mismatch: got %d bytes", len(got))
-	}
-	if err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ep.mu.Lock()
-	m := ep.cur
-	ep.mu.Unlock()
-	m.mu.Lock()
-	open := len(m.streams)
-	m.mu.Unlock()
-	if open != 0 {
-		t.Fatalf("%d stream ids still registered after a settled read", open)
+	for _, viaWriteTo := range []bool{false, true} {
+		rs, err := ep.OpenReadStream(StreamOpenReq{FileID: 7}, telemetry.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rs.FromBuffer() || rs.Size() != int64(len(content)) {
+			t.Fatalf("FromBuffer=%v Size=%d", rs.FromBuffer(), rs.Size())
+		}
+		var got []byte
+		if viaWriteTo {
+			var w chunkWriter
+			if n, err := rs.WriteTo(&w); err != nil || n != int64(len(content)) {
+				t.Fatalf("WriteTo: n=%d err=%v", n, err)
+			}
+			if want := (len(content) + chunk - 1) / chunk; len(w.sizes) != want || w.sizes[0] != chunk {
+				t.Fatalf("WriteTo made %d writes (first %d bytes), want %d of the %d-byte chunks", len(w.sizes), w.sizes[0], want, chunk)
+			}
+			got = w.buf.Bytes()
+		} else if got, err = io.ReadAll(rs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, content) {
+			t.Fatalf("content mismatch: got %d bytes", len(got))
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ep.mu.Lock()
+		m := ep.cur
+		ep.mu.Unlock()
+		m.mu.Lock()
+		open := len(m.streams)
+		m.mu.Unlock()
+		if open != 0 {
+			t.Fatalf("%d stream ids still registered after a settled read", open)
+		}
 	}
 }
 
@@ -262,63 +287,73 @@ func TestPoisonFailsAllStreams(t *testing.T) {
 // scripted peer that verifies chunking stays inside the granted window.
 func TestWriteStreamRoundTrip(t *testing.T) {
 	content := bytes.Repeat([]byte("write-path"), 5000) // 50 KB
-	const window = 4
-	var mu sync.Mutex
-	var received []byte
-	addr := streamTestServer(t, func(conn net.Conn, ty Type, id uint32, payload []byte) bool {
-		switch ty {
-		case TStreamWriteReq:
-			req, err := DecodeStreamOpenReq(payload)
-			if err != nil || req.Size != int64(len(content)) {
-				t.Errorf("open: err=%v size=%d", err, req.Size)
-				return false
+	const window, chunk = 4, 2048
+	for _, viaReadFrom := range []bool{false, true} {
+		var mu sync.Mutex
+		var received []byte
+		var frames []int
+		addr := streamTestServer(t, func(conn net.Conn, ty Type, id uint32, payload []byte) bool {
+			switch ty {
+			case TStreamWriteReq:
+				req, err := DecodeStreamOpenReq(payload)
+				if err != nil || req.Size != int64(len(content)) {
+					t.Errorf("open: err=%v size=%d", err, req.Size)
+					return false
+				}
+				resp := StreamOpenResp{Size: req.Size, ChunkSize: chunk, Window: window}
+				return WriteFrameID(conn, TStreamOpenResp, id, resp.Encode()) == nil
+			case TDataFrame:
+				mu.Lock()
+				received = append(received, payload...)
+				frames = append(frames, len(payload))
+				mu.Unlock()
+				if len(payload) > chunk {
+					t.Errorf("chunk of %d bytes exceeds granted size", len(payload))
+					return false
+				}
+				// Replenish one credit per chunk consumed.
+				return WriteFrameID(conn, TStreamCredit, id, StreamCredit{N: 1}.Encode()) == nil
+			case TStreamEnd:
+				mu.Lock()
+				ok := bytes.Equal(received, content)
+				mu.Unlock()
+				if !ok {
+					t.Error("server received wrong bytes")
+					return false
+				}
+				return WriteFrameID(conn, TStreamEnd, id, StreamEnd{Buffered: true}.Encode()) == nil
 			}
-			resp := StreamOpenResp{Size: req.Size, ChunkSize: 2048, Window: window}
-			return WriteFrameID(conn, TStreamOpenResp, id, resp.Encode()) == nil
-		case TDataFrame:
-			mu.Lock()
-			received = append(received, payload...)
-			n := len(received)
-			mu.Unlock()
-			if len(payload) > 2048 {
-				t.Errorf("chunk of %d bytes exceeds granted size", len(payload))
-				return false
-			}
-			// Replenish one credit per chunk consumed.
-			if err := WriteFrameID(conn, TStreamCredit, id, StreamCredit{N: 1}.Encode()); err != nil {
-				return false
-			}
-			_ = n
-			return true
-		case TStreamEnd:
-			mu.Lock()
-			ok := bytes.Equal(received, content)
-			mu.Unlock()
-			if !ok {
-				t.Error("server received wrong bytes")
-				return false
-			}
-			return WriteFrameID(conn, TStreamEnd, id, StreamEnd{Buffered: true}.Encode()) == nil
-		}
-		t.Errorf("server got frame type %d", ty)
-		return false
-	})
+			t.Errorf("server got frame type %d", ty)
+			return false
+		})
 
-	ep := NewEndpoint(addr, nil, testTransport())
-	defer ep.Close()
-	ws, err := ep.OpenWriteStream(StreamOpenReq{FileID: 3, Size: int64(len(content)), Window: window},
-		telemetry.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(ws, bytes.NewReader(content)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !ws.Buffered() {
-		t.Fatal("Buffered() = false, want true from the server's end frame")
+		ep := NewEndpoint(addr, nil, testTransport())
+		defer ep.Close()
+		ws, err := ep.OpenWriteStream(StreamOpenReq{FileID: 3, Size: int64(len(content)), Window: window},
+			telemetry.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A bytes.Reader copies itself into Write; a reader that returns
+		// one byte a Read is gathered by ReadFrom into whole chunks.
+		var src io.Reader = bytes.NewReader(content)
+		if viaReadFrom {
+			src = iotest.OneByteReader(src)
+		}
+		if _, err := io.Copy(ws, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !ws.Buffered() {
+			t.Fatal("Buffered() = false, want true from the server's end frame")
+		}
+		mu.Lock()
+		if want := (len(content) + chunk - 1) / chunk; viaReadFrom && (len(frames) != want || frames[0] != chunk) {
+			t.Errorf("ReadFrom sent %d data frames (first %d bytes), want %d of the %d-byte chunk", len(frames), frames[0], want, chunk)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -333,6 +368,7 @@ func TestStreamChunkPool(t *testing.T) {
 		{0, MinStreamChunk}, {64, MinStreamChunk}, {MinStreamChunk, MinStreamChunk},
 		{MinStreamChunk + 1, 2 * MinStreamChunk}, {1024, 1024},
 		{16<<10 + NodeReadRespHead, 32 << 10}, {DefaultStreamChunk, DefaultStreamChunk},
+		{DefaultStreamChunk + 1, 2 * DefaultStreamChunk}, {MaxStreamChunk, MaxStreamChunk},
 	} {
 		b := GetChunk(c.n)
 		if len(b) != c.n || cap(b) != c.class {
@@ -346,8 +382,8 @@ func TestStreamChunkPool(t *testing.T) {
 	for _, b := range held {
 		PutChunk(b)
 	}
-	big := GetChunk(DefaultStreamChunk + 1)
-	if len(big) != DefaultStreamChunk+1 {
+	big := GetChunk(MaxStreamChunk + 1)
+	if len(big) != MaxStreamChunk+1 {
 		t.Fatalf("len=%d", len(big))
 	}
 	PutChunk(big)
