@@ -37,14 +37,6 @@ func (c *Clock) Now() simtime.Time {
 	return simtime.Time(time.Since(c.start).Seconds() * c.scale)
 }
 
-// Sleep blocks for the given number of model seconds.
-func (c *Clock) Sleep(modelSec float64) {
-	if modelSec <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(modelSec / c.scale * float64(time.Second)))
-}
-
 // Scale returns the model-seconds-per-real-second factor.
 func (c *Clock) Scale() float64 { return c.scale }
 

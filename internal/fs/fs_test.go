@@ -516,16 +516,20 @@ func TestNodeValidation(t *testing.T) {
 
 func TestClockScaling(t *testing.T) {
 	c := NewClock(100)
+	if got := c.RealDuration(0.1); got != time.Millisecond {
+		t.Fatalf("0.1 model sec takes %v real, want 1ms", got)
+	}
 	start := c.Now()
-	c.Sleep(0.1) // 0.1 model sec = 1 ms real
-	if elapsed := float64(c.Now() - start); elapsed < 0.1 {
-		t.Fatalf("model elapsed %g, want >= 0.1", elapsed)
+	time.Sleep(c.RealDuration(0.1))
+	// The upper bound leaves 9 ms real for a late wake-up, and catches a
+	// clock that runs the model at any other rate by a factor of 10.
+	if elapsed := float64(c.Now() - start); elapsed < 0.1 || elapsed > 1 {
+		t.Fatalf("model elapsed %g, want in [0.1, 1]", elapsed)
 	}
 	// Zero scale defaults to 1.
-	if NewClock(0) == nil {
-		t.Fatal("nil clock")
+	if s := NewClock(0).Scale(); s != 1 {
+		t.Fatalf("zero scale gives %g, want 1", s)
 	}
-	c.Sleep(-1) // no-op, must not panic
 }
 
 // Thin indirections so the flush test reads naturally.

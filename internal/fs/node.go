@@ -108,6 +108,10 @@ type nodeDisk struct {
 	isBuffer bool
 	index    int // data-disk index; -1 for the buffer disk
 	timer    *time.Timer
+	// alarm wakes the runtime's poller at the end of each injected wait
+	// (elapse); owned by the mu holder. The zero alarm (no latency
+	// injected, or a closed node) arms nothing.
+	alarm alarm
 
 	// Current request attribution, owned by the mu holder: the trace,
 	// file, and span this disk is working for right now. The transition
@@ -170,7 +174,12 @@ type Node struct {
 	checkpointsC  *telemetry.Counter
 	streamBytesC  *telemetry.Counter
 	streamChunksC *telemetry.Counter
+	waitLateH     *telemetry.Histogram
 }
+
+// waitLateBuckets bound node.disk.wait_late_us: how many real µs an
+// injected wait ended after its deadline.
+var waitLateBuckets = []float64{5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // StartNode creates the disk directories, binds the listener, and starts
 // serving.
@@ -208,6 +217,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.flushesC = cfg.Metrics.Counter("node.buffer.flushes")
 	n.logBytesC = cfg.Metrics.Counter("persist.log.bytes")
 	n.checkpointsC = cfg.Metrics.Counter("persist.checkpoints")
+	n.waitLateH = cfg.Metrics.Histogram("node.disk.wait_late_us", waitLateBuckets)
 	diskObs := transitionObserver(cfg.Metrics, "node")
 
 	bufDir := filepath.Join(cfg.RootDir, "buffer")
@@ -257,6 +267,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.files.closeSegments()
 		return nil, err
 	}
+	if cfg.InjectLatency {
+		for _, nd := range append([]*nodeDisk{n.buffer}, n.data...) {
+			nd.alarm = newAlarm()
+		}
+	}
 	n.lis.listen(ln, n.logger.Printf, func(conn net.Conn) {
 		serveFrames(conn, n.cfg.WriteTimeout, ops, n.dispatch, n.dispatchStream)
 	})
@@ -282,13 +297,15 @@ func (n *Node) Close() error {
 	n.cleanWG.Wait()
 	n.flushAll()
 	// The flush's services re-armed the idle timers, and nothing may drive
-	// a disk of a closed node.
-	for _, nd := range n.data {
+	// a disk of a closed node: the timers stop and the alarms close.
+	for _, nd := range append([]*nodeDisk{n.buffer}, n.data...) {
 		nd.mu.Lock()
 		if nd.timer != nil {
 			nd.timer.Stop()
 			nd.timer = nil
 		}
+		nd.alarm.close()
+		nd.alarm = alarm{}
 		nd.mu.Unlock()
 	}
 	n.persistMu.Lock()
@@ -561,10 +578,10 @@ func (n *Node) flushOne(id int) {
 }
 
 // diskNow returns the current model time for one disk, floored at the
-// disk's accounting point: with latency injection off the previous
-// operation pushes the disk's clock ahead of real time (EndService is
-// charged at start + modeled duration), and handing the state machine an
-// earlier instant panics.
+// disk's accounting point: the previous operation may have pushed the
+// disk's clock ahead of real time (elapse charges it to start + modeled
+// duration, which with latency injection off is not slept at all), and
+// handing the state machine an earlier instant panics.
 func (n *Node) diskNow(nd *nodeDisk) simtime.Time {
 	now := n.clock.Now()
 	if ss := nd.d.StateSince(); now < ss {
@@ -584,18 +601,31 @@ func (n *Node) wakeLocked(nd *nodeDisk, sp *telemetry.Span) {
 	wsp.Annotate("disk", nd.label)
 	now := n.diskNow(nd)
 	nd.d.BeginSpinUp(now)
-	nd.d.CompleteSpinUp(n.elapse(now, nd.d.Model().SpinUpSec))
+	nd.d.CompleteSpinUp(n.elapse(nd, now, nd.d.Model().SpinUpSec))
 	wsp.Finish()
 }
 
-// elapse lets dur model seconds pass from start — slept for real when
-// latency is injected — and returns the instant they end: never earlier
-// than start+dur, the real clock if that has run further.
-func (n *Node) elapse(start simtime.Time, dur float64) simtime.Time {
-	if n.cfg.InjectLatency {
-		n.clock.Sleep(dur)
+// elapse lets dur model seconds pass on nd from start and returns the
+// instant they end; the caller holds nd.mu. With latency injected they
+// pass for real: nd's alarm is armed at the deadline and the goroutine
+// sleeps until then, so the wait ends on time even on an idle process
+// (DESIGN.md §8). The disk is charged the modelled instant, start+dur: a
+// late wake-up is time the disk spent idle. Without injection nothing
+// sleeps, and the instant is start+dur or the real clock if that has run
+// further.
+func (n *Node) elapse(nd *nodeDisk, start simtime.Time, dur float64) simtime.Time {
+	end := start + simtime.Time(dur)
+	if !n.cfg.InjectLatency {
+		return max(n.clock.Now(), end)
 	}
-	return max(n.clock.Now(), start+simtime.Time(dur))
+	d := n.clock.RealDuration(dur)
+	deadline := time.Now().Add(d)
+	// The sleep runs to the deadline, not for d: arming took some of d,
+	// and the alarm must not go off before the sleep's timer is due.
+	nd.alarm.arm(d)
+	time.Sleep(time.Until(deadline))
+	n.waitLateH.Observe(float64(time.Since(deadline)) / float64(time.Microsecond))
+	return end
 }
 
 // serviceLocked charges one service on the disk.
@@ -607,7 +637,7 @@ func (n *Node) serviceLocked(nd *nodeDisk, size int64, sequential bool) {
 	}
 	start := n.diskNow(nd)
 	nd.d.BeginService(start)
-	nd.d.EndService(n.elapse(start, dur), size)
+	nd.d.EndService(n.elapse(nd, start, dur), size)
 }
 
 // managed reports whether nd is under dynamic power management: the data
@@ -650,7 +680,7 @@ func (n *Node) armTimerLocked(nd *nodeDisk, wantedAt float64, hinted bool) {
 		}
 		now := n.diskNow(nd)
 		nd.d.BeginSpinDown(now)
-		nd.d.CompleteSpinDown(n.elapse(now, nd.d.Model().SpinDownSec))
+		nd.d.CompleteSpinDown(n.elapse(nd, now, nd.d.Model().SpinDownSec))
 	})
 	nd.timer = timer
 }
