@@ -47,9 +47,20 @@ type (
 	SimConfig = cluster.Config
 	// SimNodeConfig describes one simulated storage node.
 	SimNodeConfig = cluster.NodeConfig
+	// SimPolicy is the power-management arm of a run (SimConfig.Policy).
+	SimPolicy = cluster.Policy
 	// SimResult carries one run's measurements: energy, transitions,
 	// response times, hit ratios.
 	SimResult = cluster.Result
+)
+
+// The simulated policy arms; the zero value is the paper's NPF.
+const (
+	SimAlwaysOn     = cluster.AlwaysOn
+	SimThresholdDPM = cluster.ThresholdDPM
+	SimPrefetch     = cluster.Prefetch
+	SimMAID         = cluster.MAID
+	SimAdaptive     = cluster.Adaptive
 )
 
 // DefaultTestbed returns the simulated equivalent of the paper's Table I

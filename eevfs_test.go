@@ -66,6 +66,9 @@ func TestPublicAdaptiveArm(t *testing.T) {
 	params := eevfs.DefaultAdaptivePolicyParams()
 	params.ChurnWindow, params.ChurnCooldown = 24, 3
 	cfg := eevfs.DefaultTestbed().AdaptiveArm()
+	if cfg.Policy != eevfs.SimAdaptive || eevfs.DefaultTestbed().Policy != eevfs.SimPrefetch {
+		t.Fatalf("AdaptiveArm policy %v, testbed policy %v", cfg.Policy, eevfs.DefaultTestbed().Policy)
+	}
 	cfg.AdaptiveParams = &params
 	res, err := eevfs.Simulate(cfg, tr)
 	if err != nil {

@@ -54,16 +54,16 @@ func Configure(base cluster.Config, n Name) (cluster.Config, error) {
 		return base.NPF(), nil
 	case ThresholdDPM:
 		c := base.NPF()
-		c.DPMWithoutPrefetch = true
+		c.Policy = cluster.ThresholdDPM
 		return c, nil
 	case MAID:
 		c := base.NPF()
-		c.MAID = true
+		c.Policy = cluster.MAID
 		return c, nil
 	case PDC:
 		c := base.NPF()
 		c.Concentrate = true
-		c.DPMWithoutPrefetch = true
+		c.Policy = cluster.ThresholdDPM
 		return c, nil
 	case LowPower:
 		c := base.NPF()
@@ -74,8 +74,7 @@ func Configure(base cluster.Config, n Name) (cluster.Config, error) {
 		return c, nil
 	case EEVFS:
 		c := base
-		c.Prefetch = true
-		c.MAID = false
+		c.Policy = cluster.Prefetch
 		c.Concentrate = false
 		if c.PrefetchCount == 0 {
 			c.PrefetchCount = 70

@@ -41,34 +41,23 @@ func TestConfigureUnknown(t *testing.T) {
 func TestConfigureProperties(t *testing.T) {
 	base := cluster.DefaultTestbed()
 
-	ao, _ := Configure(base, AlwaysOn)
-	if ao.Prefetch || ao.MAID || ao.DPMWithoutPrefetch {
-		t.Error("AlwaysOn should disable every policy")
-	}
-
-	dpm, _ := Configure(base, ThresholdDPM)
-	if !dpm.DPMWithoutPrefetch || dpm.Prefetch {
-		t.Error("ThresholdDPM misconfigured")
-	}
-
-	maid, _ := Configure(base, MAID)
-	if !maid.MAID || maid.Prefetch {
-		t.Error("MAID misconfigured")
-	}
-
-	pdc, _ := Configure(base, PDC)
-	if !pdc.Concentrate || !pdc.DPMWithoutPrefetch || pdc.Prefetch {
-		t.Error("PDC misconfigured")
-	}
-
-	ee, _ := Configure(base, EEVFS)
-	if !ee.Prefetch || ee.MAID || ee.Concentrate {
-		t.Error("EEVFS misconfigured")
+	for n, want := range map[Name]cluster.Policy{
+		AlwaysOn:     cluster.AlwaysOn,
+		ThresholdDPM: cluster.ThresholdDPM,
+		MAID:         cluster.MAID,
+		PDC:          cluster.ThresholdDPM,
+		LowPower:     cluster.AlwaysOn,
+		EEVFS:        cluster.Prefetch,
+	} {
+		c, _ := Configure(base, n)
+		if c.Policy != want || c.Concentrate != (n == PDC) {
+			t.Errorf("%s: policy %v concentrate %v, want %v and %v", n, c.Policy, c.Concentrate, want, n == PDC)
+		}
 	}
 
 	// EEVFS from a base with K=0 gets the paper default.
 	base.PrefetchCount = 0
-	ee, _ = Configure(base, EEVFS)
+	ee, _ := Configure(base, EEVFS)
 	if ee.PrefetchCount != 70 {
 		t.Errorf("EEVFS K = %d, want default 70", ee.PrefetchCount)
 	}

@@ -6,7 +6,7 @@ import (
 	"eevfs/internal/simtime"
 )
 
-// adaptiveState carries one run's online-policy state (Config.Adaptive).
+// adaptiveState carries one run's online-policy state (the Adaptive policy).
 //
 // The arm starts exactly like NPF — cold buffers, no prefetch phase, no
 // future knowledge — and earns its way into power management: per-disk
@@ -110,11 +110,11 @@ func (s *sim) adaptiveSettle(d *simDisk, now simtime.Time) {
 // adaptiveNoteRead feeds the churn detector with one read's buffer
 // outcome and runs the re-prefetch when the hot set has drifted away
 // from the buffered set.
-func (s *sim) adaptiveNoteRead(fid int, hit bool, now simtime.Time) {
+func (s *sim) adaptiveNoteRead(fid int, now simtime.Time) {
 	if s.adapt == nil {
 		return
 	}
-	if s.adapt.churn.Observe(fid, hit) {
+	if s.adapt.churn.Observe(fid, s.prefetched[fid]) {
 		s.adaptiveReprefetch(now)
 	}
 }
@@ -170,21 +170,9 @@ func (s *sim) adaptiveReprefetch(now simtime.Time) {
 		if s.adapt.bankJ < p.FetchSafety*fee {
 			continue
 		}
-		_, bi := n.bufferFor(fid)
-		for !n.bufferFits(fid, size) {
-			if !s.evictColdest(n, bi, want) {
-				break
-			}
+		if s.admitFetch(n, fid, want, fee, now) {
+			fetched++
 		}
-		if !n.bufferFits(fid, size) {
-			continue
-		}
-		s.adapt.bankJ -= fee
-		n.bufferReserve(fid, size)
-		s.fetching[fid] = true
-		s.addWork(1)
-		s.fanToDataDisks(n, s.newOp(opPrefRead, fid, size, now), now)
-		fetched++
 	}
 	s.res.AdaptiveReprefetches++
 	s.met.adaptiveReprefetches.Inc()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"eevfs/internal/adaptive"
 	"eevfs/internal/disk"
 	"eevfs/internal/trace"
 	"eevfs/internal/workload"
@@ -24,7 +25,7 @@ func tinyConfig() Config {
 		}},
 		NodeBasePowerW:   70,
 		IdleThresholdSec: 5,
-		Prefetch:         true,
+		Policy:           Prefetch,
 		PrefetchCount:    70,
 		Hints:            true,
 		RouteLatencySec:  0.001,
@@ -57,6 +58,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PrefetchCount = -1 },
 		func(c *Config) { c.BufferCapacityBytes = -1 },
 		func(c *Config) { c.RouteLatencySec = -1 },
+		func(c *Config) { c.Policy = Adaptive + 1 },
+		func(c *Config) { c.Policy = MAID; c.WriteBuffer = true },
+		func(c *Config) { c.Policy = Adaptive },                   // Hints still on
+		func(c *Config) { c.AdaptiveParams = &adaptive.Params{} }, // not Adaptive
 	}
 	for i, mod := range bad {
 		cfg := DefaultTestbed()
@@ -68,9 +73,22 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNPFHelper(t *testing.T) {
-	cfg := DefaultTestbed().NPF()
-	if cfg.Prefetch || cfg.Hints || cfg.Prewake || cfg.DPMWithoutPrefetch {
-		t.Fatal("NPF() left a policy enabled")
+	base := DefaultTestbed()
+	base.Prewake = true
+	base.Concentrate = true
+	cfg := base.NPF()
+	if cfg.Policy != AlwaysOn || cfg.Hints || cfg.Prewake || cfg.Concentrate {
+		t.Fatalf("NPF() left a policy option on: %+v", cfg)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ad := base.AdaptiveArm()
+	if ad.Policy != Adaptive {
+		t.Fatalf("AdaptiveArm() policy %v", ad.Policy)
+	}
+	if err := ad.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -245,7 +263,7 @@ func TestThresholdModeSleeps(t *testing.T) {
 
 func TestDPMWithoutPrefetchBaseline(t *testing.T) {
 	cfg := DefaultTestbed().NPF()
-	cfg.DPMWithoutPrefetch = true
+	cfg.Policy = ThresholdDPM
 	wcfg := workload.DefaultSynthetic()
 	wcfg.NumRequests = 200
 	tr, _ := workload.Synthetic(wcfg)
@@ -490,7 +508,7 @@ func BenchmarkRunDefaultTestbed(b *testing.B) {
 
 func TestMAIDEvictionUnderTightCapacity(t *testing.T) {
 	cfg := tinyConfig().NPF()
-	cfg.MAID = true
+	cfg.Policy = MAID
 	cfg.BufferCapacityBytes = 1e6 // room for exactly one 1 MB file
 	size := int64(1e6)
 	tr := &trace.Trace{
@@ -511,18 +529,10 @@ func TestMAIDEvictionUnderTightCapacity(t *testing.T) {
 	}
 }
 
-func TestMAIDMutuallyExclusiveWithPrefetch(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.MAID = true // Prefetch still true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("MAID+Prefetch accepted")
-	}
-}
-
 func TestConcentratePlacementRuns(t *testing.T) {
 	cfg := DefaultTestbed().NPF()
 	cfg.Concentrate = true
-	cfg.DPMWithoutPrefetch = true
+	cfg.Policy = ThresholdDPM
 	wcfg := workload.DefaultSynthetic()
 	wcfg.MU = 10 // tight hot set: concentration lets cold disks sleep
 	tr, _ := workload.Synthetic(wcfg)
@@ -735,7 +745,7 @@ func TestQuickSimulationConservation(t *testing.T) {
 			cfg.WriteBuffer = true
 		case 4:
 			cfg = cfg.NPF()
-			cfg.MAID = true
+			cfg.Policy = MAID
 		}
 		res, err := Run(cfg, tr)
 		if err != nil {

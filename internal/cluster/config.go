@@ -39,8 +39,42 @@ type NodeConfig struct {
 	BufferDisks int
 }
 
+// Policy is the power-management arm a simulated run applies. Exactly
+// one arm runs; the zero value is the paper's NPF baseline.
+type Policy uint8
+
+const (
+	// AlwaysOn is the paper's NPF: no buffer-disk copies, no sleeps.
+	AlwaysOn Policy = iota
+	// ThresholdDPM is classic DPM (Section II): no copies, and a data
+	// disk idle for IdleThresholdSec spins down.
+	ThresholdDPM
+	// Prefetch is EEVFS: the popular files are copied to the buffer
+	// disks up front, and data disks sleep on the hinted plan (Hints) or
+	// on the idle-threshold timer.
+	Prefetch
+	// MAID is cache-on-access (Colarelli & Grunwald, Section II): the
+	// buffer disk caches files in LRU order after each miss, and data
+	// disks sleep on the idle-threshold timer.
+	MAID
+	// Adaptive is the online arm: it starts exactly like NPF, adapts
+	// each data disk's spin-down threshold under a hard per-window
+	// transition budget, and re-prefetches when the hot set churns.
+	Adaptive
+)
+
+var policyNames = [...]string{AlwaysOn: "npf", ThresholdDPM: "dpm", Prefetch: "pf", MAID: "maid", Adaptive: "adaptive"}
+
+// String returns the policy's short name, as repro strings spell it.
+func (p Policy) String() string {
+	if int(p) < len(policyNames) {
+		return policyNames[p]
+	}
+	return fmt.Sprintf("Policy(%d)", uint8(p))
+}
+
 // Config describes a full simulated deployment plus the EEVFS policy
-// switches under test.
+// under test.
 type Config struct {
 	Nodes []NodeConfig
 
@@ -60,11 +94,10 @@ type Config struct {
 	// disk's break-even time guarantees every sleep saves energy.
 	MinSleepGapSec float64
 
-	// Prefetch enables the buffer-disk prefetching mechanism (PF vs NPF
-	// in the figures). Without it the node never copies data and — unless
-	// DPMWithoutPrefetch is set — never sleeps disks, which is the
-	// paper's NPF baseline (no transitions, no response penalty).
-	Prefetch bool
+	// Policy is the power-management arm under test: PF against NPF in
+	// the figures, and the baselines next to them. The zero value,
+	// AlwaysOn, is the paper's NPF.
+	Policy Policy
 
 	// PrefetchCount is Table II's "Number of Files to Prefetch" (K),
 	// a global budget taken from the top of the popularity ranking.
@@ -83,11 +116,6 @@ type Config struct {
 	// X2 ablation.
 	Prewake bool
 
-	// DPMWithoutPrefetch applies the idle-threshold timer even when
-	// Prefetch is off (a classic DPM baseline, used by the baseline
-	// comparison experiments; the paper's NPF keeps disks spinning).
-	DPMWithoutPrefetch bool
-
 	// WriteBuffer uses free buffer-disk space as a write buffer for the
 	// data disks (Section III-C). Writes are acknowledged after the
 	// sequential log append and flushed to their data disk lazily.
@@ -102,17 +130,10 @@ type Config struct {
 	// latency per request (metadata lookup plus two small messages).
 	RouteLatencySec float64
 
-	// MAID replaces EEVFS's popularity prefetch with MAID-style
-	// cache-on-access (Colarelli & Grunwald, Section II): the buffer disk
-	// caches files in LRU order after each miss, and data disks sleep on
-	// the reactive idle-threshold timer (MAID has no future knowledge).
-	// Mutually exclusive with Prefetch.
-	MAID bool
-
 	// Concentrate replaces the popularity round-robin with PDC-style
 	// placement (Pinheiro & Bianchini, Section II): the most popular
 	// files concentrated on the first disks so the remaining disks can
-	// sleep. Usually combined with DPMWithoutPrefetch.
+	// sleep. Usually combined with ThresholdDPM.
 	Concentrate bool
 
 	// StripeChunkBytes stripes every file across the node's data disks in
@@ -128,20 +149,11 @@ type Config struct {
 	// requests, using the accesses observed so far, and refreshes the
 	// buffer-disk contents (PRE-BUD's "dynamically fetch the most
 	// popular data"). Zero keeps the single up-front prefetch the
-	// paper's prototype used. Only meaningful with Prefetch; ignored by
+	// paper's prototype used. Requires the Prefetch policy; ignored by
 	// the hint planner (hints assume the static plan).
 	ReprefetchEvery int
 
-	// Adaptive enables the online adaptive policy arm (the third arm next
-	// to PF and NPF): no up-front prefetch phase, per-disk inter-arrival
-	// estimators that adapt each data disk's spin-down threshold under a
-	// hard per-window transition budget, and churn-triggered background
-	// re-prefetching into the buffer disks. Mutually exclusive with every
-	// static policy switch — the arm starts exactly like NPF and only
-	// ever acts on what it has observed.
-	Adaptive bool
-
-	// AdaptiveParams tunes the adaptive arm; nil means adaptive.Defaults.
+	// AdaptiveParams tunes the Adaptive policy; nil means adaptive.Defaults.
 	AdaptiveParams *adaptive.Params
 
 	// DownNodes lists node indices that are out of service for the whole
@@ -204,25 +216,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative BufferCapacityBytes")
 	case c.RouteLatencySec < 0:
 		return fmt.Errorf("cluster: negative RouteLatencySec")
-	case c.MAID && c.Prefetch:
-		return fmt.Errorf("cluster: MAID and Prefetch are mutually exclusive")
-	case c.MAID && c.WriteBuffer:
+	case c.Policy > Adaptive:
+		return fmt.Errorf("cluster: unknown policy %v", c.Policy)
+	case c.Policy == MAID && c.WriteBuffer:
 		return fmt.Errorf("cluster: MAID does not implement the write buffer")
 	case c.StripeChunkBytes < 0:
 		return fmt.Errorf("cluster: negative StripeChunkBytes")
 	case c.ReprefetchEvery < 0:
 		return fmt.Errorf("cluster: negative ReprefetchEvery")
-	case c.ReprefetchEvery > 0 && !c.Prefetch:
+	case c.ReprefetchEvery > 0 && c.Policy != Prefetch:
 		return fmt.Errorf("cluster: ReprefetchEvery requires Prefetch")
 	case c.ReprefetchEvery > 0 && c.Hints:
 		return fmt.Errorf("cluster: ReprefetchEvery is incompatible with static Hints plans; disable Hints")
-	case c.Adaptive && (c.Prefetch || c.Hints || c.Prewake || c.MAID ||
-		c.Concentrate || c.DPMWithoutPrefetch || c.WriteBuffer || c.ReprefetchEvery > 0):
-		return fmt.Errorf("cluster: Adaptive is a standalone policy arm; disable the static policy switches")
-	case c.AdaptiveParams != nil && !c.Adaptive:
-		return fmt.Errorf("cluster: AdaptiveParams set without Adaptive")
+	case c.Policy == Adaptive && (c.Hints || c.Prewake || c.Concentrate || c.WriteBuffer):
+		return fmt.Errorf("cluster: the Adaptive policy takes no Hints, Prewake, Concentrate or WriteBuffer")
+	case c.AdaptiveParams != nil && c.Policy != Adaptive:
+		return fmt.Errorf("cluster: AdaptiveParams set without the Adaptive policy")
 	}
-	if c.Adaptive && c.AdaptiveParams != nil {
+	if c.AdaptiveParams != nil {
 		if err := c.AdaptiveParams.Validate(); err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
@@ -296,7 +307,7 @@ func DefaultTestbed() Config {
 		Nodes:            nodes,
 		NodeBasePowerW:   55,
 		IdleThresholdSec: 5,
-		Prefetch:         true,
+		Policy:           Prefetch,
 		PrefetchCount:    70,
 		Hints:            true,
 		RouteLatencySec:  0.001,
@@ -304,26 +315,20 @@ func DefaultTestbed() Config {
 }
 
 // NPF returns a copy of the configuration with prefetching (and therefore
-// power management) disabled — the paper's NPF comparison arm.
+// power management) disabled — the paper's NPF comparison arm. The options
+// of other arms go too: Concentrate would change the run, and the rest
+// would fail validation here or in AdaptiveArm.
 func (c Config) NPF() Config {
-	c.Prefetch = false
-	c.Hints = false
-	c.Prewake = false
-	c.DPMWithoutPrefetch = false
-	c.MAID = false
-	c.Concentrate = false
-	// Dynamic reprefetching rides on Prefetch; leaving it set would make
-	// the NPF arm fail validation (ReprefetchEvery requires Prefetch).
-	c.ReprefetchEvery = 0
-	c.Adaptive = false
-	c.AdaptiveParams = nil
+	c.Policy = AlwaysOn
+	c.Hints, c.Prewake, c.Concentrate = false, false, false
+	c.ReprefetchEvery, c.AdaptiveParams = 0, nil
 	return c
 }
 
 // AdaptiveArm returns a copy of the configuration running the online
-// adaptive policy: every static policy switch cleared, Adaptive set.
+// adaptive policy.
 func (c Config) AdaptiveArm() Config {
 	c = c.NPF()
-	c.Adaptive = true
+	c.Policy = Adaptive
 	return c
 }

@@ -144,7 +144,7 @@ type sim struct {
 	observedCounts []int
 	fetching       map[int]bool
 
-	// Online adaptive policy state (Config.Adaptive); nil otherwise.
+	// Online adaptive policy state (the Adaptive policy); nil otherwise.
 	adapt *adaptiveState
 
 	// outstanding counts unfinished work items (unarrived or in-flight
@@ -278,7 +278,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 		s.observedCounts = make([]int, tr.NumFiles())
 	}
 	s.buildNodes()
-	if cfg.Adaptive {
+	if cfg.Policy == Adaptive {
 		s.adapt = s.newAdaptiveState()
 	}
 
@@ -294,7 +294,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	}
 	s.assign = assign
 
-	if cfg.Prefetch {
+	if cfg.Policy == Prefetch {
 		ids, err := prefetch.Select(counts, tr.FileSizes, cfg.PrefetchCount, s.globalBufferCap())
 		if err != nil {
 			return Result{}, err
@@ -305,7 +305,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 		s.prefetched = prefetch.NewSet(nil)
 	}
 
-	if cfg.Prefetch && cfg.Hints {
+	if cfg.Policy == Prefetch && cfg.Hints {
 		s.buildPredictions()
 	}
 
@@ -373,7 +373,7 @@ func (s *sim) buildNodes() {
 		if n.bufCap == 0 {
 			n.bufCap = int64(nc.BufferModel.CapacityGB * 1e9)
 		}
-		if s.cfg.MAID {
+		if s.cfg.Policy == MAID {
 			n.cache = make(map[int]*list.Element)
 			n.cacheLRU = list.New()
 		}
@@ -526,12 +526,9 @@ func (s *sim) nodeArrival(now simtime.Time, i int) {
 	switch rec.Op {
 	case trace.Read:
 		switch {
-		case (s.cfg.Prefetch || s.cfg.Adaptive) && s.prefetched[rec.FileID]:
-			s.res.BufferHits++
-			s.met.bufferHits.Inc()
-			buf, _ := n.bufferFor(rec.FileID)
-			s.enqueue(buf, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
-		case s.cfg.MAID && s.maidHit(n, rec.FileID):
+		// A hit is a copy the Prefetch or Adaptive policy fetched, or a
+		// file in MAID's cache.
+		case s.prefetched[rec.FileID], s.cfg.Policy == MAID && s.maidHit(n, rec.FileID):
 			s.res.BufferHits++
 			s.met.bufferHits.Inc()
 			buf, _ := n.bufferFor(rec.FileID)
@@ -541,12 +538,10 @@ func (s *sim) nodeArrival(now simtime.Time, i int) {
 			s.met.bufferMisses.Inc()
 			s.fanToDataDisks(n, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
 		}
-		// The churn detector sees every read's buffer outcome; it runs
-		// after the enqueue so a triggered re-prefetch never queues a
-		// speculative fetch ahead of the demand read itself.
-		if s.cfg.Adaptive {
-			s.adaptiveNoteRead(rec.FileID, s.prefetched[rec.FileID], now)
-		}
+		// The adaptive arm's churn detector sees every read's buffer
+		// outcome; it runs after the enqueue so a triggered re-prefetch
+		// never queues a speculative fetch ahead of the demand read itself.
+		s.adaptiveNoteRead(rec.FileID, now)
 
 	case trace.Write:
 		// Inbound data transfer over the node NIC, then the disk write.
@@ -591,7 +586,7 @@ func (s *sim) fanToDataDisks(n *simNode, op *request, now simtime.Time) {
 func (s *sim) writeArrived(now simtime.Time, arg any) {
 	r := arg.(*request)
 	n := s.nodes[s.assign.Node[r.fileID]]
-	if s.cfg.Prefetch && s.cfg.WriteBuffer && n.bufferFits(r.fileID, r.size) {
+	if s.cfg.Policy == Prefetch && s.cfg.WriteBuffer && n.bufferFits(r.fileID, r.size) {
 		n.bufferReserve(r.fileID, r.size)
 		buf, bi := n.bufferFor(r.fileID)
 		// The eventual flush lands on the same disks a direct write
@@ -735,7 +730,7 @@ func (s *sim) diskDone(now simtime.Time, arg any) {
 
 	// MAID: a miss serviced by data disks is copied into the buffer
 	// disk's cache in LRU order (once, when the whole file is in).
-	if s.cfg.MAID && !d.isBuffer && r.kind == opRead && whole {
+	if s.cfg.Policy == MAID && !d.isBuffer && r.kind == opRead && whole {
 		s.maidInsert(d.node, op.fileID, op.size, now)
 	}
 	if r != op {
@@ -780,22 +775,31 @@ func (s *sim) reprefetch(now simtime.Time) {
 		if s.prefetched[fid] || s.fetching[fid] {
 			continue
 		}
-		n := s.nodes[s.assign.Node[fid]]
-		size := s.tr.FileSizes[fid]
-		_, bi := n.bufferFor(fid)
-		for !n.bufferFits(fid, size) {
-			if !s.evictColdest(n, bi, want) {
-				break
-			}
-		}
-		if !n.bufferFits(fid, size) {
-			continue
-		}
-		n.bufferReserve(fid, size)
-		s.fetching[fid] = true
-		s.addWork(1)
-		s.fanToDataDisks(n, s.newOp(opPrefRead, fid, size, now), now)
+		s.admitFetch(s.nodes[s.assign.Node[fid]], fid, want, 0, now)
 	}
+}
+
+// admitFetch starts the background fetch of file fid into its buffer
+// disk: it evicts the coldest unwanted copies until the file fits, debits
+// feeJ from the adaptive arm's savings bank, reserves the space and fans
+// the fetch read out to the data disks. It reports false, and does
+// nothing past the evictions, when the file cannot be made to fit.
+func (s *sim) admitFetch(n *simNode, fid int, want prefetch.Set, feeJ float64, now simtime.Time) bool {
+	size := s.tr.FileSizes[fid]
+	_, bi := n.bufferFor(fid)
+	for !n.bufferFits(fid, size) {
+		if !s.evictColdest(n, bi, want) {
+			return false
+		}
+	}
+	if s.adapt != nil {
+		s.adapt.bankJ -= feeJ
+	}
+	n.bufferReserve(fid, size)
+	s.fetching[fid] = true
+	s.addWork(1)
+	s.fanToDataDisks(n, s.newOp(opPrefRead, fid, size, now), now)
+	return true
 }
 
 // evictColdest drops one prefetched file on the node's given buffer disk
@@ -891,12 +895,12 @@ func (s *sim) onIdle(now simtime.Time, arg any) {
 		return
 	}
 
-	switch {
-	case s.cfg.Adaptive:
+	switch p := s.cfg.Policy; {
+	case p == Adaptive:
 		s.adaptiveArm(d, now)
-	case s.cfg.Prefetch && s.cfg.Hints:
+	case p == Prefetch && s.cfg.Hints:
 		s.hintSleep(d, now)
-	case (s.cfg.Prefetch && !s.cfg.Hints) || s.cfg.DPMWithoutPrefetch || s.cfg.MAID:
+	case p == Prefetch || p == ThresholdDPM || p == MAID:
 		// The reactive threshold policy: a disk still idle when the timer
 		// fires spins down.
 		s.eng.Arm(&d.idleTimer, now+simtime.Time(s.cfg.IdleThresholdSec), s.on.idleTimeout, d)

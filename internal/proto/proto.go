@@ -207,7 +207,7 @@ func (e *Encoder) I64(v int64) *Encoder { return e.U64(uint64(v)) }
 
 // F64 appends a float64 (IEEE 754 bits).
 func (e *Encoder) F64(v float64) *Encoder {
-	return e.U64(mathFloat64bits(v))
+	return e.U64(math.Float64bits(v))
 }
 
 // Bool appends a byte 0/1.
@@ -285,7 +285,7 @@ func (d *Decoder) U64() uint64 {
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a float64.
-func (d *Decoder) F64() float64 { return mathFloat64frombits(d.U64()) }
+func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Bool reads a byte as bool.
 func (d *Decoder) Bool() bool {
@@ -319,8 +319,3 @@ func (d *Decoder) Blob() []byte {
 	}
 	return d.take(int(n))
 }
-
-// mathFloat64bits and mathFloat64frombits are aliases of the math package
-// helpers, named so the Encoder methods read naturally.
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"eevfs/internal/adaptive"
+	"eevfs/internal/cluster"
 	"eevfs/internal/disk"
 	"eevfs/internal/telemetry"
 	"eevfs/internal/trace"
@@ -287,13 +288,13 @@ func checkRequestAccounting(a *Artifacts) *Failure {
 		return failf("request-accounting", "journal has %d request events for %d requests", nreq, r.Requests)
 	}
 	s := a.Scenario
-	if !s.Prefetch && !s.Adaptive && r.PrefetchedFiles != 0 {
-		return failf("request-accounting", "PrefetchedFiles=%d without Prefetch", r.PrefetchedFiles)
+	if s.Policy != cluster.Prefetch && s.Policy != cluster.Adaptive && r.PrefetchedFiles != 0 {
+		return failf("request-accounting", "PrefetchedFiles=%d under the %v policy", r.PrefetchedFiles, s.Policy)
 	}
-	if s.Prefetch && s.ReprefetchEvery == 0 && r.PrefetchedFiles > s.PrefetchCount {
+	if s.Policy == cluster.Prefetch && s.ReprefetchEvery == 0 && r.PrefetchedFiles > s.PrefetchCount {
 		return failf("request-accounting", "PrefetchedFiles=%d exceeds budget K=%d", r.PrefetchedFiles, s.PrefetchCount)
 	}
-	if !s.Adaptive && (r.AdaptiveReprefetches != 0 || r.AdaptiveBudgetVetoes != 0) {
+	if s.Policy != cluster.Adaptive && (r.AdaptiveReprefetches != 0 || r.AdaptiveBudgetVetoes != 0) {
 		return failf("request-accounting", "adaptive counters (%d reprefetches, %d vetoes) on a non-adaptive arm",
 			r.AdaptiveReprefetches, r.AdaptiveBudgetVetoes)
 	}
@@ -348,7 +349,7 @@ func checkCausality(a *Artifacts) *Failure {
 // "all data disks sleep through the entire trace".
 func checkCoveredQuiesce(a *Artifacts) *Failure {
 	s, r := a.Scenario, a.Result
-	if !s.Prefetch || s.MAID || s.ReprefetchEvery != 0 || r.BufferMisses != 0 {
+	if s.Policy != cluster.Prefetch || s.ReprefetchEvery != 0 || r.BufferMisses != 0 {
 		return nil
 	}
 	for _, rec := range a.Trace.Records {
@@ -390,7 +391,7 @@ func checkNPFStatic(a *Artifacts) *Failure {
 // prefetch phase stays cheap. The generator steers ~20 % of scenarios
 // into this regime so the oracle keeps earning its place in the corpus.
 func pfRegime(s Scenario) bool {
-	return s.Prefetch && !s.MAID && s.ReprefetchEvery == 0 &&
+	return s.Policy == cluster.Prefetch && s.ReprefetchEvery == 0 &&
 		s.WritePct == 0 && s.InterArrivalMS >= 500 &&
 		s.Requests >= 150 && s.MeanSizeKB <= 2048
 }
@@ -454,7 +455,7 @@ func wakeSlackJ(s Scenario) float64 {
 // bookkeeping.
 func checkAdaptiveDominatesNPF(a *Artifacts) *Failure {
 	s, r := a.Scenario, a.Result
-	if !s.Adaptive || s.Inject == InjectBadEstimator {
+	if s.Policy != cluster.Adaptive || s.Inject == InjectBadEstimator {
 		return nil
 	}
 	if r.SpinDowns == 0 && r.PrefetchedFiles == 0 {
@@ -481,7 +482,7 @@ func checkAdaptiveDominatesNPF(a *Artifacts) *Failure {
 // especially) under the bad-estimator injection.
 func checkAdaptiveTransitionBudget(a *Artifacts) *Failure {
 	s := a.Scenario
-	if !s.Adaptive {
+	if s.Policy != cluster.Adaptive {
 		return nil
 	}
 	p := adaptive.Defaults()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"eevfs/internal/cluster"
 )
 
 // reproVersion tags the textual scenario encoding so a stale repro string
@@ -60,6 +62,19 @@ func boolField[S any](key string, p func(*S) *bool) fieldCodec[S] {
 			}
 			return v == "1", nil
 		})
+}
+
+// policyField encodes a policy by its short name; AlwaysOn, the zero
+// value, is elided like every other zero.
+func policyField[S any](key string, p func(*S) *cluster.Policy) fieldCodec[S] {
+	return parsedField(key, p, cluster.Policy.String, func(v string) (cluster.Policy, error) {
+		for q := cluster.ThresholdDPM; q <= cluster.Adaptive; q++ {
+			if v == q.String() {
+				return q, nil
+			}
+		}
+		return 0, fmt.Errorf("bad policy %q", v)
+	})
 }
 
 func floatField[S any](key string, p func(*S) *float64) fieldCodec[S] {
@@ -121,13 +136,11 @@ var codecs = []fieldCodec[Scenario]{
 	intField("dd", func(s *Scenario) *int { return &s.DataDisks }),
 	intField("bd", func(s *Scenario) *int { return &s.BufferDisks }),
 	intField("down", func(s *Scenario) *int { return &s.DownNodes }),
-	boolField("pf", func(s *Scenario) *bool { return &s.Prefetch }),
+	policyField("policy", func(s *Scenario) *cluster.Policy { return &s.Policy }),
 	intField("k", func(s *Scenario) *int { return &s.PrefetchCount }),
 	boolField("hints", func(s *Scenario) *bool { return &s.Hints }),
 	boolField("prewake", func(s *Scenario) *bool { return &s.Prewake }),
-	boolField("dpm", func(s *Scenario) *bool { return &s.DPMWithoutPrefetch }),
 	boolField("wb", func(s *Scenario) *bool { return &s.WriteBuffer }),
-	boolField("maid", func(s *Scenario) *bool { return &s.MAID }),
 	boolField("pdc", func(s *Scenario) *bool { return &s.Concentrate }),
 	intField("stripekb", func(s *Scenario) *int { return &s.StripeChunkKB }),
 	intField("repref", func(s *Scenario) *int { return &s.ReprefetchEvery }),
@@ -141,7 +154,6 @@ var codecs = []fieldCodec[Scenario]{
 	floatField("mu", func(s *Scenario) *float64 { return &s.MU }),
 	floatField("delayms", func(s *Scenario) *float64 { return &s.InterArrivalMS }),
 	intField("writes", func(s *Scenario) *int { return &s.WritePct }),
-	boolField("adaptive", func(s *Scenario) *bool { return &s.Adaptive }),
 	intField("dphases", func(s *Scenario) *int { return &s.DriftPhases }),
 	intField("flash", func(s *Scenario) *int { return &s.FlashPct }),
 	intField("diurnal", func(s *Scenario) *int { return &s.DiurnalPct }),

@@ -45,24 +45,18 @@ type Scenario struct {
 	BufferDisks int // buffer disks per node
 	DownNodes   int // leading nodes marked out of service for the run
 
-	// Policy switches (cluster.Config mirror).
-	Prefetch           bool
-	PrefetchCount      int
-	Hints              bool
-	Prewake            bool
-	DPMWithoutPrefetch bool
-	WriteBuffer        bool
-	MAID               bool
-	Concentrate        bool
-	StripeChunkKB      int
-	ReprefetchEvery    int
-	IdleThresholdSec   float64
-	BufferCapMB        int // 0 = drive-capacity bound
-	RouteLatencyMS     float64
-
-	// Adaptive selects the online power-management arm (mutually
-	// exclusive with every other policy switch, like cluster.Config).
-	Adaptive bool
+	// Policy and its options (cluster.Config mirror).
+	Policy           cluster.Policy
+	PrefetchCount    int
+	Hints            bool
+	Prewake          bool
+	WriteBuffer      bool
+	Concentrate      bool
+	StripeChunkKB    int
+	ReprefetchEvery  int
+	IdleThresholdSec float64
+	BufferCapMB      int // 0 = drive-capacity bound
+	RouteLatencyMS   float64
 
 	// Workload (workload.SyntheticConfig mirror).
 	Files          int
@@ -105,10 +99,10 @@ const (
 )
 
 // Generate derives a scenario from a seed. Every generated scenario is
-// valid by construction (Valid() == nil): the generator owns the
-// mutual-exclusion rules of cluster.Config (MAID vs Prefetch, reprefetch
-// vs hints, ...) so the random walk never wanders outside the legal
-// configuration space.
+// valid by construction (Valid() == nil): the generator draws one policy
+// and then only the options cluster.Config accepts with it (no
+// reprefetch with hints, nothing but the policy itself on the adaptive
+// arm), so the random walk never leaves the legal configuration space.
 func Generate(seed uint64) Scenario {
 	src := rng.New(seed)
 	s := Scenario{Seed: seed}
@@ -129,15 +123,15 @@ func Generate(seed uint64) Scenario {
 	// adaptive arm, MAID, and the DPM/NPF baselines mixed in.
 	switch p := src.Float64(); {
 	case p < 0.55:
-		s.Prefetch = true
+		s.Policy = cluster.Prefetch
 	case p < 0.65:
-		s.MAID = true
+		s.Policy = cluster.MAID
 	case p < 0.90:
-		s.Adaptive = true
-	default:
-		s.DPMWithoutPrefetch = src.Float64() < 0.5
+		s.Policy = cluster.Adaptive
+	case src.Float64() < 0.5: // drawn only when no case above matched
+		s.Policy = cluster.ThresholdDPM
 	}
-	if s.Adaptive {
+	if s.Policy == cluster.Adaptive {
 		// Drift dimensions: phase rotation most of the time, flash
 		// crowds and diurnal load each mixed into a slice of the space.
 		if src.Float64() < 0.8 {
@@ -150,7 +144,7 @@ func Generate(seed uint64) Scenario {
 			s.DiurnalPct = 20 + src.Intn(61)
 		}
 	}
-	if s.Prefetch {
+	if s.Policy == cluster.Prefetch {
 		s.PrefetchCount = 1 + src.Intn(120)
 		if src.Float64() < 0.25 {
 			s.ReprefetchEvery = 10 + src.Intn(60)
@@ -188,16 +182,15 @@ func Generate(seed uint64) Scenario {
 	// A slice of the space is steered into the paper's fully-covered
 	// regime (low MU, long delays, read-only, small files) so the
 	// PF-dominates-NPF oracle is exercised rather than always gated off.
-	if s.Prefetch && src.Float64() < 0.3 {
+	if s.Policy == cluster.Prefetch && src.Float64() < 0.3 {
 		s.WritePct = 0
-		s.MAID = false
 		s.MeanSizeKB = 256 + src.Intn(1793) // <= ~2 MB
 		s.MU = 1 + float64(src.Intn(10))
 		s.InterArrivalMS = float64(500 + src.Intn(501))
 		s.Requests = 150 + src.Intn(151)
 		s.PrefetchCount = 40 + src.Intn(81)
 	}
-	if s.Adaptive {
+	if s.Policy == cluster.Adaptive {
 		// The adaptive arm is standalone (cluster.Config.Validate) and
 		// its drift workload is read-only.
 		s.Concentrate = false
@@ -213,17 +206,9 @@ func Generate(seed uint64) Scenario {
 // of the ~25 % of Generate's space that lands on the adaptive branch.
 func GenerateDrift(seed uint64) Scenario {
 	s := Generate(seed)
-	s.Prefetch = false
-	s.PrefetchCount = 0
-	s.Hints = false
-	s.Prewake = false
-	s.DPMWithoutPrefetch = false
-	s.WriteBuffer = false
-	s.MAID = false
-	s.Concentrate = false
-	s.ReprefetchEvery = 0
-	s.Adaptive = true
-	s.WritePct = 0
+	s.Policy = cluster.Adaptive
+	s.PrefetchCount, s.ReprefetchEvery, s.WritePct = 0, 0, 0
+	s.Hints, s.Prewake, s.WriteBuffer, s.Concentrate = false, false, false, false
 	// Re-draw the drift dimensions from a derived stream so they are
 	// present regardless of which policy branch Generate took.
 	src := rng.New(seed ^ 0x9E3779B97F4A7C15)
@@ -277,21 +262,18 @@ func (s Scenario) ClusterConfig() cluster.Config {
 		Nodes:               s.nodeConfigs(),
 		NodeBasePowerW:      55,
 		IdleThresholdSec:    s.IdleThresholdSec,
-		Prefetch:            s.Prefetch,
+		Policy:              s.Policy,
 		PrefetchCount:       s.PrefetchCount,
 		Hints:               s.Hints,
 		Prewake:             s.Prewake,
-		DPMWithoutPrefetch:  s.DPMWithoutPrefetch,
 		WriteBuffer:         s.WriteBuffer,
-		MAID:                s.MAID,
 		Concentrate:         s.Concentrate,
 		StripeChunkBytes:    int64(s.StripeChunkKB) * 1024,
 		ReprefetchEvery:     s.ReprefetchEvery,
 		BufferCapacityBytes: int64(s.BufferCapMB) * 1e6,
 		RouteLatencySec:     s.RouteLatencyMS / 1000,
-		Adaptive:            s.Adaptive,
 	}
-	if s.Adaptive && s.Inject == InjectBadEstimator {
+	if s.Policy == cluster.Adaptive && s.Inject == InjectBadEstimator {
 		// The bad-estimator injection is pre-run (it breaks the policy,
 		// not the artifacts): the controller claims every gap profits
 		// and ignores its transition budget.
@@ -308,7 +290,7 @@ func (s Scenario) ClusterConfig() cluster.Config {
 // UsesDrift reports whether the scenario's workload comes from the
 // composable drift generator rather than the plain synthetic one.
 func (s Scenario) UsesDrift() bool {
-	return s.Adaptive || s.DriftPhases > 0 || s.FlashPct > 0 || s.DiurnalPct > 0
+	return s.Policy == cluster.Adaptive || s.DriftPhases > 0 || s.FlashPct > 0 || s.DiurnalPct > 0
 }
 
 // DriftWorkloadConfig expands the scenario into the drift-trace

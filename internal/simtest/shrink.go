@@ -1,5 +1,7 @@
 package simtest
 
+import "eevfs/internal/cluster"
+
 // The shrinker: given a failing scenario, search for a smaller scenario
 // that fails the *same* oracle, and keep reducing until a fixed point.
 // Smaller means fewer requests and files first (they dominate repro
@@ -95,8 +97,11 @@ var reducers = []func(Scenario) []Scenario{
 			func(s *Scenario) { s.Hints = false },
 			func(s *Scenario) { s.WriteBuffer = false },
 			func(s *Scenario) { s.Concentrate = false },
-			func(s *Scenario) { s.MAID = false },
-			func(s *Scenario) { s.DPMWithoutPrefetch = false },
+			func(s *Scenario) {
+				if s.Policy == cluster.MAID || s.Policy == cluster.ThresholdDPM {
+					s.Policy = cluster.AlwaysOn
+				}
+			},
 			func(s *Scenario) { s.BufferCapMB = 0 },
 			func(s *Scenario) { s.InterArrivalMS = 0 },
 		} {

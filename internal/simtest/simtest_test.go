@@ -3,6 +3,8 @@ package simtest
 import (
 	"strings"
 	"testing"
+
+	"eevfs/internal/cluster"
 )
 
 // corpusSize is the fixed-seed corpus checked on every `go test -short`
@@ -26,7 +28,7 @@ func TestCorpus(t *testing.T) {
 		if pfRegime(s) {
 			dominance++
 		}
-		if s.MAID {
+		if s.Policy == cluster.MAID {
 			maid++
 		}
 		if s.WritePct > 0 {
@@ -35,7 +37,7 @@ func TestCorpus(t *testing.T) {
 		if s.DownNodes > 0 {
 			down++
 		}
-		if s.Adaptive {
+		if s.Policy == cluster.Adaptive {
 			adaptive++
 		}
 		if s.DriftPhases > 1 {
@@ -89,10 +91,10 @@ func TestGenerateDrift(t *testing.T) {
 		if b := GenerateDrift(seed); s != b {
 			t.Fatalf("seed %d: GenerateDrift is not deterministic", seed)
 		}
-		if !s.Adaptive || !s.UsesDrift() {
+		if s.Policy != cluster.Adaptive || !s.UsesDrift() {
 			t.Fatalf("seed %d: drift generator produced a non-adaptive scenario: %+v", seed, s)
 		}
-		if s.Prefetch || s.MAID || s.DPMWithoutPrefetch || s.WriteBuffer || s.WritePct != 0 {
+		if s.Hints || s.Prewake || s.Concentrate || s.WriteBuffer || s.WritePct != 0 {
 			t.Fatalf("seed %d: adaptive arm is not standalone: %+v", seed, s)
 		}
 		if err := s.Valid(); err != nil {
@@ -223,7 +225,7 @@ func TestInjectedBadEstimatorCaughtAndShrunk(t *testing.T) {
 	if min.Scenario.Inject != InjectBadEstimator {
 		t.Error("shrinker dropped the injection, which is what makes the scenario fail")
 	}
-	if !min.Scenario.Adaptive {
+	if min.Scenario.Policy != cluster.Adaptive {
 		t.Error("shrinker dropped the adaptive arm, which is what the oracle checks")
 	}
 	// Six spin-downs inside one budget window need ~100 one-second
@@ -271,13 +273,10 @@ func TestInjectedEnergySkewCaught(t *testing.T) {
 // and prefetching stripped.
 func TestRunArtifacts(t *testing.T) {
 	s := Generate(corpusBase + 2)
-	s.Prefetch = true
+	s.Policy = cluster.Prefetch
 	if s.PrefetchCount == 0 {
 		s.PrefetchCount = 10
 	}
-	s.MAID = false
-	s.DPMWithoutPrefetch = false
-	s.Adaptive = false
 	s.DriftPhases, s.FlashPct, s.DiurnalPct = 0, 0, 0
 	if err := s.Valid(); err != nil {
 		t.Fatalf("steered scenario invalid: %v", err)
