@@ -33,15 +33,32 @@ type extent struct {
 
 // extentPath is where nd keeps a file's bytes: dir/f<id>.dat for a whole
 // copy (chunk < 0), dir/f<id>.c<chunk>.dat for one stripe chunk. Every
-// read builds one, so it is assembled in a stack buffer, not by Sprintf
-// and Join.
+// read builds one, so it is assembled in a stack buffer with strconv, not
+// by fmt (whose padding grew the handler goroutines' stacks) and Join.
 func extentPath(nd *nodeDisk, id int64, chunk int) string {
 	b := append(make([]byte, 0, 96), nd.dir...)
-	b = fmt.Appendf(append(b, os.PathSeparator), "f%08d", id)
+	b = appendZeroPadded(append(b, os.PathSeparator, 'f'), id, 8)
 	if chunk >= 0 {
-		b = fmt.Appendf(b, ".c%03d", chunk)
+		b = appendZeroPadded(append(b, ".c"...), int64(chunk), 3)
 	}
 	return string(append(b, ".dat"...))
+}
+
+// appendZeroPadded appends v in decimal, zero-padded to width bytes
+// including any sign: the bytes fmt's %0<width>d gives.
+func appendZeroPadded(b []byte, v int64, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b, u, width = append(b, '-'), -u, width-1
+	}
+	digits := 1
+	for x := u; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, u, 10)
 }
 
 // dataExtents lists the data-disk extents of entry in byte order: the

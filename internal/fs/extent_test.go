@@ -785,11 +785,11 @@ func TestTierMovementIsChunkMemory(t *testing.T) {
 // older root finds its files.
 func TestExtentPathMatchesFmt(t *testing.T) {
 	nd := &nodeDisk{dir: filepath.Join(t.TempDir(), "data0")}
-	for _, id := range []int64{0, 1, 42, 99999999, 100000000, math.MaxInt64, -1, -12345678, math.MinInt64} {
+	for _, id := range []int64{0, 1, 42, 99999999, 100000000, 123456789012, math.MaxInt64, -1, -1234567, -12345678, math.MinInt64} {
 		if got, want := extentPath(nd, id, -1), filepath.Join(nd.dir, fmt.Sprintf("f%08d.dat", id)); got != want {
 			t.Errorf("extentPath(%d) = %q, want %q", id, got, want)
 		}
-		for _, chunk := range []int{0, 7, 999, 1000} {
+		for _, chunk := range []int{0, 7, 99, 999, 1000, 123456} {
 			want := filepath.Join(nd.dir, fmt.Sprintf("f%08d.c%03d.dat", id, chunk))
 			if got := extentPath(nd, id, chunk); got != want {
 				t.Errorf("extentPath(%d, chunk %d) = %q, want %q", id, chunk, got, want)

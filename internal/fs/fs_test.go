@@ -235,24 +235,26 @@ func TestIdleThresholdSpinsDiskDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Model threshold is 5 s at scale 2000 => 2.5 ms real. Wait well past
-	// threshold + spin-down.
+	// threshold + spin-down for the disk holding f: the other one, which
+	// nothing touched, sleeps from boot.
+	holder := fmt.Sprintf("node0/data%d", nodes[0].Files()[0].Disk)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		stats, err := cl.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		asleep := 0
+		asleep := false
 		for _, ds := range stats.Disks {
-			if ds.State == "standby" {
-				asleep++
+			if ds.Name == holder && ds.State == "standby" {
+				asleep = true
 			}
 		}
-		if asleep >= 1 {
+		if asleep {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no disk reached standby; stats: %+v", stats.Disks)
+			t.Fatalf("%s never reached standby; stats: %+v", holder, stats.Disks)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -272,6 +272,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			nd.alarm = newAlarm()
 		}
 	}
+	// The idle clock starts at boot, as the simulator's starts at replay
+	// start: a data disk no request asks for sleeps once the threshold runs
+	// out instead of idling until its first service. No hints are
+	// installed yet, so the reactive threshold applies.
+	for _, nd := range n.data {
+		nd.mu.Lock()
+		n.armTimerLocked(nd, 0, false)
+		nd.mu.Unlock()
+	}
 	n.lis.listen(ln, n.logger.Printf, func(conn net.Conn) {
 		serveFrames(conn, n.cfg.WriteTimeout, ops, n.dispatch, n.dispatchStream)
 	})
@@ -654,10 +663,11 @@ func (n *Node) nextWanted(nd *nodeDisk) (at float64, hinted bool) {
 	return n.files.nextWanted(nd.index, float64(n.clock.Now()))
 }
 
-// armTimerLocked schedules the spin-down decision for a data disk after a
-// service. With server-forwarded hints predicting an idle window at least
-// as long as the threshold, the disk sleeps immediately (Section IV-C);
-// otherwise the reactive threshold timer applies.
+// armTimerLocked schedules the spin-down decision for a data disk: at
+// StartNode, and again after every service. With server-forwarded hints
+// predicting an idle window at least as long as the threshold, the disk
+// sleeps immediately (Section IV-C); otherwise the reactive threshold
+// timer applies.
 func (n *Node) armTimerLocked(nd *nodeDisk, wantedAt float64, hinted bool) {
 	if !n.managed(nd) {
 		return
