@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz verify loc loc-delta bench-pairs load-smoke cover soak soak-failover soak-drift
+.PHONY: build test race vet fuzz verify loc loc-delta bench-pairs load-smoke cover soak soak-failover soak-drift experiments-md
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,15 @@ soak-failover:
 # one-line repro.
 soak-drift:
 	$(GO) run -race ./cmd/eevfssim -seed $(SOAK_SEED) -drift 200
+
+# Regenerate EXPERIMENTS.md's appendix in place: the text up to and
+# including the marker line stays, and `eevfsbench -markdown` replaces
+# everything after it. cmd/eevfsbench's TestExperimentsAppendixCurrent
+# fails while the appendix is stale.
+experiments-md:
+	@tmp=$$(mktemp) && trap 'rm -f $$tmp' EXIT && \
+	sed -n '1,/^<!-- appendix generated by: go run .\/cmd\/eevfsbench -markdown -->$$/p' EXPERIMENTS.md > $$tmp && \
+	$(GO) run ./cmd/eevfsbench -markdown >> $$tmp && cat $$tmp > EXPERIMENTS.md
 
 # The full pre-merge gate: vet + build + the whole suite under the race
 # detector (the chaos tests in internal/fs exercise real concurrency).

@@ -11,7 +11,7 @@
 //	eevfsbench -plot               # ASCII bar charts for the figures
 //	eevfsbench -requests 200       # shrink traces for a quick pass
 //	eevfsbench -list               # list experiment ids
-//	eevfsbench -trace t.txt        # PF vs NPF on an external trace file
+//	eevfsbench -trace t.txt        # Fig. 6's PF-vs-NPF table on an external trace file
 //	eevfsbench -chrome-trace o.json  # export one PF run's timeline for Perfetto
 //
 // The live stack's throughput is the benchmark's, not this command's:
@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -31,34 +32,60 @@ import (
 	"eevfs/internal/workload"
 )
 
-// runTraceFile simulates an external trace under PF and NPF on the
-// default testbed and prints the headline comparison.
-func runTraceFile(path string) error {
+// readTrace parses an eevfs-trace/1 file.
+func readTrace(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.Parse(f)
+	return trace.Parse(f)
+}
+
+// runTraceFile simulates an external trace under PF and NPF on the
+// default testbed and writes the comparison as Fig. 6 renders it.
+func runTraceFile(w io.Writer, path string, markdown bool) error {
+	tr, err := readTrace(path)
 	if err != nil {
 		return err
 	}
-	cfg := cluster.DefaultTestbed()
-	pf, err := cluster.Run(cfg, tr)
+	t, err := experiments.CompareArms(experiments.Options{}, "trace", "PF vs NPF on "+path, tr,
+		func(pf, npf cluster.Result) []string {
+			return []string{
+				fmt.Sprintf("trace: %d files, %d requests, %.0f s span", tr.NumFiles(), len(tr.Records), tr.Duration()),
+				fmt.Sprintf("savings: %.1f%%", pf.EnergySavingsVs(npf)),
+				fmt.Sprintf("response penalty: %.1f%%", pf.ResponsePenaltyVs(npf)),
+			}
+		})
 	if err != nil {
 		return err
 	}
-	npf, err := cluster.Run(cfg.NPF(), tr)
+	if markdown {
+		return t.Markdown(w)
+	}
+	return t.Render(w)
+}
+
+// writeTables runs the experiments — RunMany fans them over opts.Workers
+// and returns the tables in id order, so the output is identical
+// regardless of -parallel — and writes them as aligned text, each
+// followed by a blank line, or as markdown sections.
+func writeTables(w io.Writer, ids []string, opts experiments.Options, markdown bool) error {
+	tables, err := experiments.RunMany(ids, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace: %d files, %d requests, %.0f s span\n",
-		tr.NumFiles(), len(tr.Records), tr.Duration())
-	fmt.Printf("%-8s %14s %12s %14s %12s\n", "", "energy (J)", "transitions", "mean resp (s)", "hit ratio")
-	fmt.Printf("%-8s %14.0f %12d %14.3f %11.1f%%\n", "PF", pf.TotalEnergyJ, pf.Transitions, pf.Response.Mean, 100*pf.HitRatio())
-	fmt.Printf("%-8s %14.0f %12d %14.3f %11.1f%%\n", "NPF", npf.TotalEnergyJ, npf.Transitions, npf.Response.Mean, 100*npf.HitRatio())
-	fmt.Printf("savings: %.1f%%   response penalty: %.1f%%\n",
-		pf.EnergySavingsVs(npf), pf.ResponsePenaltyVs(npf))
+	for _, t := range tables {
+		if markdown {
+			err = t.Markdown(w)
+		} else {
+			err = t.Render(w)
+			fmt.Fprintln(w)
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -70,13 +97,7 @@ func exportChromeTrace(out, traceIn string, requests int, seed uint64) error {
 	var tr *trace.Trace
 	var err error
 	if traceIn != "" {
-		f, err := os.Open(traceIn)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err = trace.Parse(f)
-		if err != nil {
+		if tr, err = readTrace(traceIn); err != nil {
 			return err
 		}
 	} else {
@@ -118,6 +139,13 @@ func exportChromeTrace(out, traceIn string, requests int, seed uint64) error {
 }
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
 		exp      = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		markdown = flag.Bool("markdown", false, "emit markdown instead of aligned text")
@@ -131,27 +159,16 @@ func main() {
 	)
 	flag.Parse()
 
-	if *chromeO != "" {
-		if err := exportChromeTrace(*chromeO, *traceIn, *requests, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *traceIn != "" {
-		if err := runTraceFile(*traceIn); err != nil {
-			fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
+	switch {
+	case *chromeO != "":
+		return exportChromeTrace(*chromeO, *traceIn, *requests, *seed)
+	case *traceIn != "":
+		return runTraceFile(os.Stdout, *traceIn, *markdown)
+	case *list:
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
+		return nil
 	}
 
 	ids := experiments.IDs()
@@ -162,43 +179,18 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 	opts := experiments.Options{Requests: *requests, Seed: *seed, Workers: *parallel}
-
-	if *plot {
-		for _, id := range ids {
-			id = strings.TrimSpace(id)
-			chart, err := experiments.Plot(id, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := chart.Render(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println()
-		}
-		return
+	if !*plot {
+		return writeTables(os.Stdout, ids, opts, *markdown)
 	}
-
-	// RunMany fans the experiments over opts.Workers (sequentially for
-	// the default Workers=0) and returns the tables in id order, so the
-	// printed output is identical regardless of -parallel.
-	tables, err := experiments.RunMany(ids, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "eevfsbench: %v\n", err)
-		os.Exit(1)
-	}
-	for i, t := range tables {
-		var renderErr error
-		if *markdown {
-			renderErr = t.Markdown(os.Stdout)
-		} else {
-			renderErr = t.Render(os.Stdout)
-			fmt.Println()
+	for _, id := range ids {
+		chart, err := experiments.Plot(strings.TrimSpace(id), opts)
+		if err != nil {
+			return err
 		}
-		if renderErr != nil {
-			fmt.Fprintf(os.Stderr, "eevfsbench: rendering %s: %v\n", strings.TrimSpace(ids[i]), renderErr)
-			os.Exit(1)
+		if err := chart.Render(os.Stdout); err != nil {
+			return err
 		}
+		fmt.Println()
 	}
+	return nil
 }

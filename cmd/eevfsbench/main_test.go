@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"eevfs/internal/experiments"
 	"eevfs/internal/workload"
 )
 
@@ -32,9 +35,46 @@ func writeTestTrace(t *testing.T) string {
 	return path
 }
 
+// TestRunTraceFile renders the trace-file comparison both ways: each
+// carries one PF row and one NPF row.
 func TestRunTraceFile(t *testing.T) {
-	if err := runTraceFile(writeTestTrace(t)); err != nil {
+	path := writeTestTrace(t)
+	for _, c := range []struct {
+		markdown bool
+		pf, npf  string
+	}{
+		{false, "\nPF ", "\nNPF "},
+		{true, "\n| PF |", "\n| NPF |"},
+	} {
+		var buf bytes.Buffer
+		if err := runTraceFile(&buf, path, c.markdown); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if strings.Count(out, c.pf) != 1 || strings.Count(out, c.npf) != 1 {
+			t.Errorf("markdown=%v: want one PF row and one NPF row:\n%s", c.markdown, out)
+		}
+	}
+}
+
+// TestExperimentsAppendixCurrent holds EXPERIMENTS.md's appendix to what
+// `eevfsbench -markdown` prints today.
+func TestExperimentsAppendixCurrent(t *testing.T) {
+	const marker = "<!-- appendix generated by: go run ./cmd/eevfsbench -markdown -->\n"
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
 		t.Fatal(err)
+	}
+	_, appendix, ok := bytes.Cut(doc, []byte(marker))
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no line %q", marker)
+	}
+	var want bytes.Buffer
+	if err := writeTables(&want, experiments.IDs(), experiments.Options{}, true); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(appendix, want.Bytes()) {
+		t.Errorf("EXPERIMENTS.md's appendix differs from `eevfsbench -markdown`; regenerate it with `make experiments-md`")
 	}
 }
 

@@ -54,7 +54,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Nodes[0].BufferModel.PIdle = 0 },
 		func(c *Config) { c.NodeBasePowerW = -1 },
 		func(c *Config) { c.IdleThresholdSec = 0 },
-		func(c *Config) { c.MinSleepGapSec = -1 },
 		func(c *Config) { c.PrefetchCount = -1 },
 		func(c *Config) { c.BufferCapacityBytes = -1 },
 		func(c *Config) { c.RouteLatencySec = -1 },

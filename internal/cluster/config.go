@@ -89,11 +89,6 @@ type Config struct {
 	// standby. The paper fixes it at 5 s.
 	IdleThresholdSec float64
 
-	// MinSleepGapSec overrides the predictive-sleep gate. Zero means
-	// "use IdleThresholdSec", the paper's policy. Setting it to the
-	// disk's break-even time guarantees every sleep saves energy.
-	MinSleepGapSec float64
-
 	// Policy is the power-management arm under test: PF against NPF in
 	// the figures, and the baselines next to them. The zero value,
 	// AlwaysOn, is the paper's NPF.
@@ -208,8 +203,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative node base power")
 	case c.IdleThresholdSec <= 0:
 		return fmt.Errorf("cluster: idle threshold must be positive")
-	case c.MinSleepGapSec < 0:
-		return fmt.Errorf("cluster: negative MinSleepGapSec")
 	case c.PrefetchCount < 0:
 		return fmt.Errorf("cluster: negative PrefetchCount")
 	case c.BufferCapacityBytes < 0:

@@ -857,19 +857,11 @@ func (s *sim) quiesce() {
 	}
 }
 
-// minSleepGap returns the configured sleep gate.
-func (s *sim) minSleepGap() float64 {
-	if s.cfg.MinSleepGapSec > 0 {
-		return s.cfg.MinSleepGapSec
-	}
-	return s.cfg.IdleThresholdSec
-}
-
 // hintGate returns the effective predictive-sleep gate for a disk: the
-// configured gate, floored at the physical sleep/wake cycle time — a
+// idle threshold, floored at the physical sleep/wake cycle time — a
 // window shorter than the two transitions cannot be slept at all.
 func (s *sim) hintGate(m disk.Model) float64 {
-	gate := s.minSleepGap()
+	gate := s.cfg.IdleThresholdSec
 	if cycle := m.SpinDownSec + m.SpinUpSec; gate < cycle {
 		gate = cycle
 	}

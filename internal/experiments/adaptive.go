@@ -26,36 +26,33 @@ func driftAdaptiveParams(w workload.DriftConfig) *adaptive.Params {
 	return &p
 }
 
-// adaptiveArms runs npf / static-prefetch / adaptive on one trace and
-// appends a row per arm: the three-way comparison every adaptive
-// experiment is built from. Static prefetching keeps its offline
-// whole-trace popularity ranking and threshold sleeping (hints off) so
-// the contrast isolates the online policy.
-func adaptiveArms(t *Table, o Options, w workload.DriftConfig, row func(label string, r cluster.Result) []string) error {
+// adaptiveTable runs npf / static-prefetch / adaptive on one drift
+// workload and renders a row per arm: the three-way comparison the drift
+// and flash experiments are built from. Static prefetching keeps its
+// offline whole-trace popularity ranking and threshold sleeping (hints
+// off) so the contrast isolates the online policy.
+func adaptiveTable(o Options, w workload.DriftConfig, id, title string, notes ...string) (Table, error) {
 	tr, err := workload.Drift(w)
 	if err != nil {
-		return err
+		return Table{}, err
 	}
-	run := func(label string, mod func(*cluster.Config)) error {
-		cfg := o.testbed()
-		cfg.Hints = false
-		mod(&cfg)
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return err
-		}
-		t.AddRow(row(label, res)...)
-		return nil
+	static := cluster.DefaultTestbed()
+	static.Hints = false
+	online := static.AdaptiveArm()
+	online.AdaptiveParams = driftAdaptiveParams(w)
+	t := Table{
+		ID:    id,
+		Title: title,
+		Columns: []string{
+			"policy", "energy (J)", "hit ratio", "transitions",
+			"reprefetches", "mean resp (s)",
+		},
+		Notes: notes,
 	}
-	if err := run("npf", func(c *cluster.Config) { *c = c.NPF() }); err != nil {
-		return err
-	}
-	if err := run("static-prefetch", func(c *cluster.Config) {}); err != nil {
-		return err
-	}
-	return run("adaptive", func(c *cluster.Config) {
-		*c = c.AdaptiveArm()
-		c.AdaptiveParams = driftAdaptiveParams(w)
+	runs := []run{{"npf", static.NPF(), tr}, {"static-prefetch", static, tr}, {"adaptive", online, tr}}
+	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+		return []string{fmtJ(r.TotalEnergyJ), fmtPct(100 * r.HitRatio()), fmt.Sprint(r.Transitions),
+			fmt.Sprint(r.AdaptiveReprefetches), fmtS(r.Response.Mean)}
 	})
 }
 
@@ -68,29 +65,12 @@ func adaptiveArms(t *Table, o Options, w workload.DriftConfig, row func(label st
 func extAdaptiveDrift(o Options) (Table, error) {
 	w := workload.DefaultDrift()
 	w.Seed = o.seed()
-	t := Table{
-		ID:    "ext-adaptive-drift",
-		Title: "Online adaptive policy under popularity drift",
-		Columns: []string{
-			"policy", "energy (J)", "hit ratio", "transitions",
-			"reprefetches", "mean resp (s)",
-		},
-		Notes: []string{
-			fmt.Sprintf("drift workload: %d phases over %d files, Poisson(%g) hot sets, %d requests (fixed scale)",
-				w.Phases, w.NumFiles, w.MU, w.NumRequests),
-			"adaptive = EWMA-adapted spin-down thresholds + churn-triggered reprefetch, no future knowledge",
-			"static-prefetch ranks by offline whole-trace counts; with 16 disjoint hot sets its top-70 spreads thin",
-		},
-	}
-	err := adaptiveArms(&t, o, w, func(label string, r cluster.Result) []string {
-		return []string{label, fmtJ(r.TotalEnergyJ), fmtPct(100 * r.HitRatio()),
-			fmt.Sprintf("%d", r.Transitions),
-			fmt.Sprintf("%d", r.AdaptiveReprefetches), fmtS(r.Response.Mean)}
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return t, nil
+	return adaptiveTable(o, w, "ext-adaptive-drift", "Online adaptive policy under popularity drift",
+		fmt.Sprintf("drift workload: %d phases over %d files, Poisson(%g) hot sets, %d requests (fixed scale)",
+			w.Phases, w.NumFiles, w.MU, w.NumRequests),
+		"adaptive = EWMA-adapted spin-down thresholds + churn-triggered reprefetch, no future knowledge",
+		"static-prefetch ranks by offline whole-trace counts; with 16 disjoint hot sets its top-70 spreads thin",
+	)
 }
 
 // extAdaptiveFlash adds a flash crowd to the drift workload: midway
@@ -105,28 +85,11 @@ func extAdaptiveFlash(o Options) (Table, error) {
 	w.FlashDurFrac = 0.2
 	w.FlashBoost = 0.5
 	w.FlashFiles = 8
-	t := Table{
-		ID:    "ext-adaptive-flash",
-		Title: "Flash crowd atop popularity drift",
-		Columns: []string{
-			"policy", "energy (J)", "hit ratio", "transitions",
-			"reprefetches", "mean resp (s)",
-		},
-		Notes: []string{
-			fmt.Sprintf("flash window [%.0f%%, %.0f%%) of the trace redirects %.0f%% of requests to %d files",
-				100*w.FlashStartFrac, 100*(w.FlashStartFrac+w.FlashDurFrac), 100*w.FlashBoost, w.FlashFiles),
-			"static-prefetch's offline counts include the flash (oracle advantage); adaptive reacts online",
-		},
-	}
-	err := adaptiveArms(&t, o, w, func(label string, r cluster.Result) []string {
-		return []string{label, fmtJ(r.TotalEnergyJ), fmtPct(100 * r.HitRatio()),
-			fmt.Sprintf("%d", r.Transitions),
-			fmt.Sprintf("%d", r.AdaptiveReprefetches), fmtS(r.Response.Mean)}
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return t, nil
+	return adaptiveTable(o, w, "ext-adaptive-flash", "Flash crowd atop popularity drift",
+		fmt.Sprintf("flash window [%.0f%%, %.0f%%) of the trace redirects %.0f%% of requests to %d files",
+			100*w.FlashStartFrac, 100*(w.FlashStartFrac+w.FlashDurFrac), 100*w.FlashBoost, w.FlashFiles),
+		"static-prefetch's offline counts include the flash (oracle advantage); adaptive reacts online",
+	)
 }
 
 // extAdaptiveChurn sweeps the churn detector's miss-fraction trigger on
@@ -139,7 +102,14 @@ func extAdaptiveChurn(o Options) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	npf, err := cluster.Run(o.testbed().NPF(), tr)
+	runs := []run{{"npf", cluster.DefaultTestbed().NPF(), tr}}
+	for _, th := range []float64{0.1, 0.2, 0.3, 0.5, 0.8} {
+		cfg := cluster.DefaultTestbed().AdaptiveArm()
+		cfg.AdaptiveParams = driftAdaptiveParams(w)
+		cfg.AdaptiveParams.ChurnThreshold = th
+		runs = append(runs, run{fmt.Sprintf("%.1f", th), cfg, tr})
+	}
+	res, err := simulate(o, runs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -155,19 +125,9 @@ func extAdaptiveChurn(o Options) (Table, error) {
 			"each re-prefetch is bank-gated: it spends only energy the sleeps already saved",
 		},
 	}
-	for _, th := range []float64{0.1, 0.2, 0.3, 0.5, 0.8} {
-		cfg := o.testbed().AdaptiveArm()
-		p := driftAdaptiveParams(w)
-		p.ChurnThreshold = th
-		cfg.AdaptiveParams = p
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return Table{}, err
-		}
-		t.AddRow(fmt.Sprintf("%.1f", th), fmtJ(res.TotalEnergyJ),
-			fmtPct(res.EnergySavingsVs(npf)), fmtPct(100*res.HitRatio()),
-			fmt.Sprintf("%d", res.AdaptiveReprefetches),
-			fmt.Sprintf("%d", res.PrefetchedFiles))
+	for i, r := range res[1:] {
+		t.AddRow(runs[i+1].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(res[0])),
+			fmtPct(100*r.HitRatio()), fmt.Sprint(r.AdaptiveReprefetches), fmt.Sprint(r.PrefetchedFiles))
 	}
 	return t, nil
 }

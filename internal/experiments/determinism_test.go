@@ -3,68 +3,61 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"eevfs/internal/cluster"
 	"eevfs/internal/telemetry"
 	"eevfs/internal/workload"
 )
 
-// The parallel engine's contract (ISSUE 3): fanning simulations over a
+// The parallel engine's contract: fanning simulations over a
 // worker pool must be invisible in the results. These tests run every
-// registered experiment and every sweep both ways and require deep
+// registered experiment and every sweep axis both ways and require deep
 // equality — under -race they also prove the fan-out itself is clean.
 
 func TestParallelByteIdenticalAllExperiments(t *testing.T) {
 	seq := Options{Requests: 120}
-	par := Options{Requests: 120, Workers: 4}
 	for _, id := range IDs() {
 		a, err := Run(id, seq)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", id, err)
 		}
-		b, err := Run(id, par)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", id, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: parallel table differs from sequential\nseq: %+v\npar: %+v", id, a, b)
+		for _, workers := range []int{2, -1} {
+			par := Options{Requests: 120, Workers: workers}
+			b, err := Run(id, par)
+			if err != nil {
+				t.Fatalf("%s with %d workers: %v", id, workers, err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: table with %d workers differs from sequential\nseq: %+v\npar: %+v", id, workers, a, b)
+			}
 		}
 	}
 }
 
 func TestParallelByteIdenticalSweeps(t *testing.T) {
-	sweeps := []struct {
-		name string
-		fn   func(Options) (Sweep, error)
-	}{
-		{"data-size", DataSizeSweep},
-		{"mu", MUSweep},
-		{"delay", DelaySweep},
-		{"prefetch-count", PrefetchCountSweep},
-		{"berkeley-web", BerkeleyWebSweep},
-		{"disks-per-node", DisksPerNodeSweep},
-	}
-	for _, sw := range sweeps {
-		a, err := sw.fn(Options{Requests: 150})
+	for _, a := range []axis{dataSize, popularity, delay, prefetchCount, disksPerNode, clusterSize} {
+		seq, err := a.sweep(Options{Requests: 150})
 		if err != nil {
-			t.Fatalf("%s sequential: %v", sw.name, err)
+			t.Fatalf("%s sequential: %v", a.param, err)
 		}
-		b, err := sw.fn(Options{Requests: 150, Workers: -1})
+		par, err := a.sweep(Options{Requests: 150, Workers: -1})
 		if err != nil {
-			t.Fatalf("%s parallel: %v", sw.name, err)
+			t.Fatalf("%s parallel: %v", a.param, err)
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: parallel sweep differs from sequential", sw.name)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("%s: parallel sweep differs from sequential", a.param)
 		}
 	}
 }
 
-// TestParallelJournalsIdentical attaches an event journal to every job
+// TestParallelJournalsIdentical attaches an event journal to every run
 // and requires the full event timelines — not just the Result summaries
 // — to match between the sequential and the pooled run.
 func TestParallelJournalsIdentical(t *testing.T) {
-	build := func() ([]pointJob, []*telemetry.Journal) {
-		var jobs []pointJob
+	build := func() ([]run, []*telemetry.Journal) {
+		var runs []run
 		var journals []*telemetry.Journal
 		for _, mu := range []float64{10, 1000} {
 			w := Options{Requests: 100}.synthetic()
@@ -73,37 +66,55 @@ func TestParallelJournalsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Options{}.testbed()
-			j := &telemetry.Journal{}
-			cfg.Journal = j
-			jobs = append(jobs, pointJob{
-				Label: fmt.Sprintf("mu=%.0f", mu), Value: mu, Cfg: cfg, Trace: tr,
-			})
-			journals = append(journals, j)
+			for _, cfg := range []cluster.Config{cluster.DefaultTestbed(), cluster.DefaultTestbed().NPF()} {
+				j := &telemetry.Journal{}
+				cfg.Journal = j
+				runs = append(runs, run{fmt.Sprintf("mu=%.0f", mu), cfg, tr})
+				journals = append(journals, j)
+			}
 		}
-		return jobs, journals
+		return runs, journals
 	}
 
-	jobsSeq, jSeq := build()
-	ptsSeq, err := runPoints(Options{}, jobsSeq)
+	runsSeq, jSeq := build()
+	resSeq, err := simulate(Options{}, runsSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobsPar, jPar := build()
-	ptsPar, err := runPoints(Options{Workers: 4}, jobsPar)
+	runsPar, jPar := build()
+	resPar, err := simulate(Options{Workers: 4}, runsPar)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(ptsSeq, ptsPar) {
-		t.Error("parallel Points differ from sequential")
+	if !reflect.DeepEqual(resSeq, resPar) {
+		t.Error("parallel results differ from sequential")
 	}
 	for i := range jSeq {
 		if jSeq[i].Len() == 0 {
-			t.Fatalf("job %d: empty journal (instrumentation lost?)", i)
+			t.Fatalf("run %d: empty journal (instrumentation lost?)", i)
 		}
 		if !reflect.DeepEqual(jSeq[i].Events(), jPar[i].Events()) {
-			t.Errorf("job %d: parallel journal differs from sequential", i)
+			t.Errorf("run %d: parallel journal differs from sequential", i)
+		}
+	}
+}
+
+// TestSimulateFirstErrorInRunOrder pins simulate's error contract: with
+// several failing runs, the pool reports the first in run order, named by
+// its label, whichever worker finished first.
+func TestSimulateFirstErrorInRunOrder(t *testing.T) {
+	tr, err := workload.Synthetic(Options{Requests: 50}.synthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cluster.DefaultTestbed()
+	bad.IdleThresholdSec = 0
+	runs := []run{{"ok", cluster.DefaultTestbed(), tr}, {"first", bad, tr}, {"second", bad, tr}}
+	for _, workers := range []int{0, 3} {
+		_, err := simulate(Options{Workers: workers}, runs)
+		if err == nil || !strings.HasPrefix(err.Error(), "experiments: first: ") {
+			t.Errorf("%d workers: err = %v, want the run labelled first", workers, err)
 		}
 	}
 }
@@ -129,22 +140,6 @@ func TestRunManyMatchesRunLoop(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("RunMany tables differ from sequential Run loop")
-	}
-}
-
-// TestRunnerProgressTelemetry checks the worker pool reports its
-// progress: total and done counters must land at the job count.
-func TestRunnerProgressTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	o := Options{Requests: 100, Workers: 2, Metrics: reg}
-	if _, err := MUSweep(o); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("experiments.points.total").Value(); got != 4 {
-		t.Errorf("points.total = %d, want 4", got)
-	}
-	if got := reg.Counter("experiments.points.done").Value(); got != 4 {
-		t.Errorf("points.done = %d, want 4", got)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"eevfs/internal/cluster"
 )
 
 // The tests below are the repository's paper-vs-measured gate: each pins a
@@ -13,45 +15,49 @@ import (
 // workloads (1000 requests) — the simulator finishes each sweep in tens of
 // milliseconds.
 
-func TestFig3aShapePFWinsAtEverySize(t *testing.T) {
-	s, err := DataSizeSweep(Options{})
+// sweep simulates one axis at the paper's parameters.
+func sweep(t *testing.T, a axis) []point {
+	t.Helper()
+	pts, err := a.sweep(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range s.Points {
-		savings := p.PF.EnergySavingsVs(p.NPF)
+	return pts
+}
+
+func TestFig3aShapePFWinsAtEverySize(t *testing.T) {
+	pts := sweep(t, dataSize)
+	for _, p := range pts {
+		savings := p.pf.EnergySavingsVs(p.npf)
 		if savings <= 5 {
-			t.Errorf("size %s: savings %.1f%%, want > 5%%", p.Label, savings)
+			t.Errorf("size %s: savings %.1f%%, want > 5%%", p.label, savings)
 		}
 		if savings > 30 {
-			t.Errorf("size %s: savings %.1f%% implausibly high", p.Label, savings)
+			t.Errorf("size %s: savings %.1f%% implausibly high", p.label, savings)
 		}
 	}
 	// 50 MB inflates the total energy (longer makespan from queueing).
-	first, last := s.Points[0], s.Points[len(s.Points)-1]
-	if last.NPF.TotalEnergyJ <= first.NPF.TotalEnergyJ {
+	first, last := pts[0], pts[len(pts)-1]
+	if last.npf.TotalEnergyJ <= first.npf.TotalEnergyJ {
 		t.Errorf("NPF energy at 50MB (%.3g) not above 1MB (%.3g)",
-			last.NPF.TotalEnergyJ, first.NPF.TotalEnergyJ)
+			last.npf.TotalEnergyJ, first.npf.TotalEnergyJ)
 	}
 }
 
 func TestFig3bShapeMUCrossover(t *testing.T) {
-	s, err := MUSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, popularity)
 	// PF energy essentially identical for MU in {1, 10, 100} (all data
 	// covered; disks sleep the whole trace) ...
-	e1, e10, e100, e1000 := s.Points[0].PF.TotalEnergyJ, s.Points[1].PF.TotalEnergyJ,
-		s.Points[2].PF.TotalEnergyJ, s.Points[3].PF.TotalEnergyJ
+	e1, e10, e100, e1000 := pts[0].pf.TotalEnergyJ, pts[1].pf.TotalEnergyJ,
+		pts[2].pf.TotalEnergyJ, pts[3].pf.TotalEnergyJ
 	for _, pair := range [][2]float64{{e1, e10}, {e10, e100}} {
 		if math.Abs(pair[0]-pair[1])/pair[0] > 0.02 {
 			t.Errorf("PF energies for small MU differ: %g vs %g", pair[0], pair[1])
 		}
 	}
 	// ... while MU=1000 loses part of the gain.
-	s1000 := s.Points[3].PF.EnergySavingsVs(s.Points[3].NPF)
-	s100 := s.Points[2].PF.EnergySavingsVs(s.Points[2].NPF)
+	s1000 := pts[3].pf.EnergySavingsVs(pts[3].npf)
+	s100 := pts[2].pf.EnergySavingsVs(pts[2].npf)
 	if s1000 >= s100 {
 		t.Errorf("MU=1000 savings %.1f%% not below MU=100 savings %.1f%%", s1000, s100)
 	}
@@ -61,15 +67,12 @@ func TestFig3bShapeMUCrossover(t *testing.T) {
 }
 
 func TestFig3cShapeSavingsGrowWithDelayThenLevel(t *testing.T) {
-	s, err := DelaySweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	save := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		save[i] = p.PF.EnergySavingsVs(p.NPF)
+	pts := sweep(t, delay)
+	save := make([]float64, len(pts))
+	for i, p := range pts {
+		save[i] = p.pf.EnergySavingsVs(p.npf)
 		if save[i] <= 0 {
-			t.Errorf("delay %s: non-positive savings %.1f%%", p.Label, save[i])
+			t.Errorf("delay %s: non-positive savings %.1f%%", p.label, save[i])
 		}
 	}
 	// The 700 ms and 1000 ms points beat the 350 ms point; the curve
@@ -83,136 +86,122 @@ func TestFig3cShapeSavingsGrowWithDelayThenLevel(t *testing.T) {
 }
 
 func TestFig3dShapeSavingsGrowWithK(t *testing.T) {
-	s, err := PrefetchCountSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, prefetchCount)
 	prev := -1.0
-	for _, p := range s.Points {
-		sv := p.PF.EnergySavingsVs(p.NPF)
+	for _, p := range pts {
+		sv := p.pf.EnergySavingsVs(p.npf)
 		if sv < prev {
-			t.Errorf("savings not monotone in K at %s: %.1f%% < %.1f%%", p.Label, sv, prev)
+			t.Errorf("savings not monotone in K at %s: %.1f%% < %.1f%%", p.label, sv, prev)
 		}
 		prev = sv
 	}
-	k10 := s.Points[0].PF.EnergySavingsVs(s.Points[0].NPF)
-	k100 := s.Points[3].PF.EnergySavingsVs(s.Points[3].NPF)
+	k10 := pts[0].pf.EnergySavingsVs(pts[0].npf)
+	k100 := pts[3].pf.EnergySavingsVs(pts[3].npf)
 	if k100-k10 < 2 {
 		t.Errorf("K=100 savings %.1f%% not clearly above K=10 %.1f%%", k100, k10)
 	}
 }
 
 func TestFig4bShapeTransitionCrossover(t *testing.T) {
-	s, err := MUSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, popularity)
 	nDataDisks := 16 // default testbed: 8 nodes x 2 data disks
-	for _, p := range s.Points[:3] {
+	for _, p := range pts[:3] {
 		// MU <= 100: each data disk sleeps once at the start and stays
 		// asleep: exactly one spin-down per disk, no spin-ups.
-		if p.PF.Transitions != nDataDisks {
+		if p.pf.Transitions != nDataDisks {
 			t.Errorf("MU=%s transitions = %d, want %d (one sleep per disk)",
-				p.Label, p.PF.Transitions, nDataDisks)
+				p.label, p.pf.Transitions, nDataDisks)
 		}
-		if p.PF.SpinUps != 0 {
-			t.Errorf("MU=%s spin-ups = %d, want 0", p.Label, p.PF.SpinUps)
+		if p.pf.SpinUps != 0 {
+			t.Errorf("MU=%s spin-ups = %d, want 0", p.label, p.pf.SpinUps)
 		}
 	}
 	// MU=1000: hundreds of transitions (paper's log-scale jump).
-	if tr := s.Points[3].PF.Transitions; tr < 100 {
+	if tr := pts[3].pf.Transitions; tr < 100 {
 		t.Errorf("MU=1000 transitions = %d, want hundreds", tr)
 	}
 }
 
 func TestFig4dShapeK10MaximizesTransitions(t *testing.T) {
-	s, err := PrefetchCountSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, prefetchCount)
 	prev := math.MaxInt
-	for _, p := range s.Points {
-		if p.PF.Transitions > prev {
+	for _, p := range pts {
+		if p.pf.Transitions > prev {
 			t.Errorf("transitions not decreasing in K at %s: %d > %d",
-				p.Label, p.PF.Transitions, prev)
+				p.label, p.pf.Transitions, prev)
 		}
-		prev = p.PF.Transitions
+		prev = p.pf.Transitions
 	}
-	if s.Points[0].PF.Transitions < 3*s.Points[3].PF.Transitions {
+	if pts[0].pf.Transitions < 3*pts[3].pf.Transitions {
 		t.Errorf("K=10 transitions (%d) not dominating K=100 (%d)",
-			s.Points[0].PF.Transitions, s.Points[3].PF.Transitions)
+			pts[0].pf.Transitions, pts[3].pf.Transitions)
 	}
 }
 
 func TestFig5aShapePenaltyShrinksWithSize(t *testing.T) {
-	s, err := DataSizeSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, dataSize)
 	prev := math.Inf(1)
-	for _, p := range s.Points {
-		pen := p.PF.ResponsePenaltyVs(p.NPF)
+	for _, p := range pts {
+		pen := p.pf.ResponsePenaltyVs(p.npf)
 		if pen >= prev {
-			t.Errorf("penalty not shrinking at %s: %.1f%% >= %.1f%%", p.Label, pen, prev)
+			t.Errorf("penalty not shrinking at %s: %.1f%% >= %.1f%%", p.label, pen, prev)
 		}
 		prev = pen
 	}
 	// Large relative penalty at 1 MB (paper: 121%), tolerable at 25 MB
 	// (paper: 4%).
-	if pen := s.Points[0].PF.ResponsePenaltyVs(s.Points[0].NPF); pen < 50 {
+	if pen := pts[0].pf.ResponsePenaltyVs(pts[0].npf); pen < 50 {
 		t.Errorf("1MB penalty %.1f%%, want the paper's 'large at small sizes' regime", pen)
 	}
-	if pen := s.Points[2].PF.ResponsePenaltyVs(s.Points[2].NPF); pen > 50 {
+	if pen := pts[2].pf.ResponsePenaltyVs(pts[2].npf); pen > 50 {
 		t.Errorf("25MB penalty %.1f%%, want tolerable (<50%%)", pen)
 	}
 }
 
 func TestFig5bShapeNoPenaltyWhenDisksSleepWholeTrace(t *testing.T) {
-	s, err := MUSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range s.Points[:3] {
-		if pen := math.Abs(p.PF.ResponsePenaltyVs(p.NPF)); pen > 2 {
-			t.Errorf("MU=%s penalty %.1f%%, want ~0", p.Label, pen)
+	pts := sweep(t, popularity)
+	for _, p := range pts[:3] {
+		if pen := math.Abs(p.pf.ResponsePenaltyVs(p.npf)); pen > 2 {
+			t.Errorf("MU=%s penalty %.1f%%, want ~0", p.label, pen)
 		}
 	}
-	if pen := s.Points[3].PF.ResponsePenaltyVs(s.Points[3].NPF); pen < 10 {
+	if pen := pts[3].pf.ResponsePenaltyVs(pts[3].npf); pen < 10 {
 		t.Errorf("MU=1000 penalty %.1f%%, want visible", pen)
 	}
 }
 
 func TestFig6ShapeWebTrace(t *testing.T) {
-	s, err := BerkeleyWebSweep(Options{})
+	tr, err := webTrace(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.Points[0]
-	savings := p.PF.EnergySavingsVs(p.NPF)
+	res, err := simulate(Options{}, arms("web", cluster.DefaultTestbed(), tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := point{"web", res[0], res[1]}
+	savings := p.pf.EnergySavingsVs(p.npf)
 	// Paper: ~17%; our calibrated testbed lands ~15%. Accept 12..20.
 	if savings < 12 || savings > 20 {
 		t.Errorf("web-trace savings %.1f%%, want ~15%% (paper: 17%%)", savings)
 	}
 	// All data disks stayed in standby for the entire trace.
-	if p.PF.SpinUps != 0 {
-		t.Errorf("spin-ups = %d, want 0 (disks standby for whole trace)", p.PF.SpinUps)
+	if p.pf.SpinUps != 0 {
+		t.Errorf("spin-ups = %d, want 0 (disks standby for whole trace)", p.pf.SpinUps)
 	}
-	if p.PF.HitRatio() != 1 {
-		t.Errorf("hit ratio %.3f, want 1.0", p.PF.HitRatio())
+	if p.pf.HitRatio() != 1 {
+		t.Errorf("hit ratio %.3f, want 1.0", p.pf.HitRatio())
 	}
 }
 
 func TestExtDisksShapeSavingsGrowWithDisks(t *testing.T) {
-	s, err := DisksPerNodeSweep(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(t, disksPerNode)
 	prev := -1.0
-	for _, p := range s.Points {
-		sv := p.PF.EnergySavingsVs(p.NPF)
+	for _, p := range pts {
+		sv := p.pf.EnergySavingsVs(p.npf)
 		if sv <= prev {
 			t.Errorf("savings not growing with disks at %s: %.1f%% <= %.1f%%",
-				p.Label, sv, prev)
+				p.label, sv, prev)
 		}
 		prev = sv
 	}
@@ -288,14 +277,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.requests() != 1000 || o.seed() != 1 {
 		t.Errorf("defaults: requests=%d seed=%d", o.requests(), o.seed())
 	}
-	if err := o.testbed().Validate(); err != nil {
-		t.Errorf("default testbed invalid: %v", err)
-	}
 }
 
 func BenchmarkFig3bSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := MUSweep(Options{}); err != nil {
+		if _, err := popularity.sweep(Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,24 +10,41 @@ import (
 	"eevfs/internal/trace"
 )
 
-// Parallel sweep engine. Every sweep point and every registered
-// experiment is an independent pure function of (config, trace), and
-// cluster.Run is fully deterministic, so fanning the simulations out
-// over a worker pool cannot change any result — provided each job owns
-// its config, traces are only ever read, and results are collected in
-// job order rather than completion order. runPoints and RunMany encode
-// exactly those rules; the determinism property test holds them to
-// byte-identity with the sequential path.
+// The experiment engine. Every simulation is an independent pure function
+// of (config, trace), and cluster.Run is fully deterministic, so fanning
+// the simulations out over a worker pool cannot change any result —
+// provided no config is written once built, traces are only ever read,
+// and results are collected in run order rather than completion order.
+// simulate and RunMany encode exactly those rules; the determinism tests
+// hold them to byte-identity with the sequential path.
 
-// pointJob is one unit of sweep work: a fully-built workload/config pair
-// whose simulation is independent of every other job. Jobs are built
-// sequentially — trace generation is cheap and keeps the per-run RNG
-// seeding deterministic — and only the cluster.Run invocations fan out.
-type pointJob struct {
-	Label string
-	Value float64
-	Cfg   cluster.Config
-	Trace *trace.Trace
+// run is one simulation: a row label, a fully built config and the trace
+// it replays. Runs are built sequentially — trace generation is cheap and
+// keeps the per-run RNG seeding deterministic — and only the simulations
+// fan out.
+type run struct {
+	label string
+	cfg   cluster.Config
+	trace *trace.Trace
+}
+
+// arms is the paper's comparison at one point: PF, then NPF, on one trace.
+func arms(label string, cfg cluster.Config, tr *trace.Trace) []run {
+	return []run{{label + " PF", cfg, tr}, {label + " NPF", cfg.NPF(), tr}}
+}
+
+// simulate runs the simulations — across a worker pool when
+// Options.Workers asks for one — and returns their results in run order,
+// or the first error in run order, naming its run. It is the package's
+// only caller of cluster.Run.
+func simulate(o Options, runs []run) ([]cluster.Result, error) {
+	return fanOut(o.workers(), len(runs), func(i int) (cluster.Result, error) {
+		res, err := cluster.Run(runs[i].cfg, runs[i].trace)
+		if err != nil {
+			return res, fmt.Errorf("experiments: %s: %w", runs[i].label, err)
+		}
+		return res, nil
+	})
 }
 
 // workers resolves Options.Workers: 0 and 1 mean sequential, n > 1 means
@@ -41,49 +59,21 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// runPoints executes the jobs — across a worker pool when Options.Workers
-// asks for one — and collects the Points in job order. On failure the
-// first error in job order is returned, matching what the sequential
-// loop would have reported.
-func runPoints(o Options, jobs []pointJob) ([]Point, error) {
-	o.Metrics.Counter("experiments.points.total").Add(int64(len(jobs)))
-	done := o.Metrics.Counter("experiments.points.done")
-	pts := make([]Point, len(jobs))
-	errs := make([]error, len(jobs))
-	run := func(i int) {
-		pts[i], errs[i] = runPoint(jobs[i].Label, jobs[i].Value, jobs[i].Cfg, jobs[i].Trace)
-		done.Inc()
-	}
-	forEach(o.workers(), len(jobs), run)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pts, nil
-}
-
-// forEach runs fn(0..n-1), either inline (workers <= 1) or on a pool of
-// worker goroutines fed from a shared index channel. fn must write only
-// to its own index's slots.
-func forEach(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+// fanOut calls fn(0..n-1) on a pool of worker goroutines fed from a
+// shared index channel — one worker calls them in order — and returns the
+// results in index order, or the first error in index order: what the
+// sequential loop would have returned.
+func fanOut[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				fn(i)
+				out[i], errs[i] = fn(i)
 			}
 		}()
 	}
@@ -92,25 +82,19 @@ func forEach(workers, n int, fn func(int)) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// RunMany executes several registered experiments, fanning them out over
-// Options.Workers workers, and returns their tables in the order the ids
-// were given — byte-identical to calling Run in a loop. Progress is
-// reported through Options.Metrics (experiments.runs.total/done).
-func RunMany(ids []string, o Options) ([]Table, error) {
-	o.Metrics.Counter("experiments.runs.total").Add(int64(len(ids)))
-	done := o.Metrics.Counter("experiments.runs.done")
-	tables := make([]Table, len(ids))
-	errs := make([]error, len(ids))
-	forEach(o.workers(), len(ids), func(i int) {
-		tables[i], errs[i] = Run(strings.TrimSpace(ids[i]), o)
-		done.Inc()
-	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return tables, nil
+	return out, nil
+}
+
+// RunMany executes several registered experiments, fanning them out over
+// Options.Workers workers, and returns their tables in the order the ids
+// were given — byte-identical to calling Run in a loop.
+func RunMany(ids []string, o Options) ([]Table, error) {
+	return fanOut(o.workers(), len(ids), func(i int) (Table, error) {
+		return Run(strings.TrimSpace(ids[i]), o)
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"eevfs/internal/cluster"
 )
 
 // ASCII bar charts for the figure experiments, so `eevfsbench -plot`
@@ -88,94 +90,56 @@ func (c Chart) Render(w io.Writer) error {
 	return err
 }
 
-// EnergyChart builds the Fig. 3-style grouped chart from a sweep.
-func (s Sweep) EnergyChart(title string) Chart {
-	c := Chart{Title: title, Unit: "J"}
-	pf := Series{Name: "PF"}
-	npf := Series{Name: "NPF"}
-	for _, p := range s.Points {
-		c.XLabels = append(c.XLabels, p.Label)
-		pf.Values = append(pf.Values, p.PF.TotalEnergyJ)
-		npf.Values = append(npf.Values, p.NPF.TotalEnergyJ)
+// chart plots a sweep as a figure panel's grouped bars.
+func (m metric) chart(title string, pts []point) Chart {
+	c := Chart{Title: title, Unit: m.unit}
+	pf, npf := Series{Name: "PF"}, Series{Name: "NPF"}
+	for _, p := range pts {
+		c.XLabels = append(c.XLabels, p.label)
+		pf.Values = append(pf.Values, m.value(p.pf))
+		npf.Values = append(npf.Values, m.value(p.npf))
 	}
 	c.Series = []Series{pf, npf}
-	return c
-}
-
-// TransitionsChart builds the Fig. 4-style chart from a sweep.
-func (s Sweep) TransitionsChart(title string) Chart {
-	c := Chart{Title: title, Unit: "transitions"}
-	pf := Series{Name: "PF"}
-	for _, p := range s.Points {
-		c.XLabels = append(c.XLabels, p.Label)
-		pf.Values = append(pf.Values, float64(p.PF.Transitions))
+	if m.pfOnly {
+		c.Series = c.Series[:1]
 	}
-	c.Series = []Series{pf}
 	return c
 }
 
-// ResponseChart builds the Fig. 5-style grouped chart from a sweep.
-func (s Sweep) ResponseChart(title string) Chart {
-	c := Chart{Title: title, Unit: "s"}
-	pf := Series{Name: "PF"}
-	npf := Series{Name: "NPF"}
-	for _, p := range s.Points {
-		c.XLabels = append(c.XLabels, p.Label)
-		pf.Values = append(pf.Values, p.PF.Response.Mean)
-		npf.Values = append(npf.Values, p.NPF.Response.Mean)
-	}
-	c.Series = []Series{pf, npf}
-	return c
-}
-
-// figureCharts maps plottable experiment ids to chart builders over their
-// sweep.
-var figureCharts = map[string]func(Sweep) Chart{
-	"fig3a": func(s Sweep) Chart { return s.EnergyChart("Fig. 3(a) energy vs data size") },
-	"fig3b": func(s Sweep) Chart { return s.EnergyChart("Fig. 3(b) energy vs MU") },
-	"fig3c": func(s Sweep) Chart { return s.EnergyChart("Fig. 3(c) energy vs inter-arrival delay") },
-	"fig3d": func(s Sweep) Chart { return s.EnergyChart("Fig. 3(d) energy vs prefetch count") },
-	"fig4a": func(s Sweep) Chart { return s.TransitionsChart("Fig. 4(a) transitions vs data size") },
-	"fig4b": func(s Sweep) Chart { return s.TransitionsChart("Fig. 4(b) transitions vs MU") },
-	"fig4c": func(s Sweep) Chart { return s.TransitionsChart("Fig. 4(c) transitions vs inter-arrival delay") },
-	"fig4d": func(s Sweep) Chart { return s.TransitionsChart("Fig. 4(d) transitions vs prefetch count") },
-	"fig5a": func(s Sweep) Chart { return s.ResponseChart("Fig. 5(a) response vs data size") },
-	"fig5b": func(s Sweep) Chart { return s.ResponseChart("Fig. 5(b) response vs MU") },
-	"fig5c": func(s Sweep) Chart { return s.ResponseChart("Fig. 5(c) response vs inter-arrival delay") },
-	"fig5d": func(s Sweep) Chart { return s.ResponseChart("Fig. 5(d) response vs prefetch count") },
-	"fig6":  func(s Sweep) Chart { return s.EnergyChart("Fig. 6 energy, Berkeley-web-equivalent trace") },
-}
-
-// figureSweeps maps plottable experiment ids to their sweep runners.
-var figureSweeps = map[string]func(Options) (Sweep, error){
-	"fig3a": DataSizeSweep, "fig4a": DataSizeSweep, "fig5a": DataSizeSweep,
-	"fig3b": MUSweep, "fig4b": MUSweep, "fig5b": MUSweep,
-	"fig3c": DelaySweep, "fig4c": DelaySweep, "fig5c": DelaySweep,
-	"fig3d": PrefetchCountSweep, "fig4d": PrefetchCountSweep, "fig5d": PrefetchCountSweep,
-	"fig6": BerkeleyWebSweep,
-}
-
-// PlottableIDs lists experiments that can render as charts, in id order.
+// PlottableIDs lists experiments that can render as charts, in id order:
+// figures lists its panels in paper order, and fig6 follows them.
 func PlottableIDs() []string {
 	var ids []string
-	for _, id := range IDs() {
-		if _, ok := figureSweeps[id]; ok {
-			ids = append(ids, id)
+	for _, f := range figures {
+		if f.chart != "" {
+			ids = append(ids, f.id)
 		}
 	}
-	return ids
+	return append(ids, "fig6")
 }
 
-// Plot runs the experiment's sweep and returns its chart. Unknown or
-// non-plottable ids error.
+// Plot runs the experiment's simulations and returns its chart. Unknown
+// or non-plottable ids error.
 func Plot(id string, o Options) (Chart, error) {
-	sweepFn, ok := figureSweeps[id]
-	if !ok {
-		return Chart{}, fmt.Errorf("experiments: %q is not plottable", id)
+	if id == "fig6" {
+		tr, err := webTrace(o)
+		if err != nil {
+			return Chart{}, err
+		}
+		res, err := simulate(o, arms("web", cluster.DefaultTestbed(), tr))
+		if err != nil {
+			return Chart{}, err
+		}
+		return energy.chart("Fig. 6 energy, Berkeley-web-equivalent trace", []point{{"web", res[0], res[1]}}), nil
 	}
-	sweep, err := sweepFn(o)
-	if err != nil {
-		return Chart{}, err
+	for _, f := range figures {
+		if f.id == id && f.chart != "" {
+			pts, err := f.axis.sweep(o)
+			if err != nil {
+				return Chart{}, err
+			}
+			return f.metric.chart(f.chart, pts), nil
+		}
 	}
-	return figureCharts[id](sweep), nil
+	return Chart{}, fmt.Errorf("experiments: %q is not plottable", id)
 }

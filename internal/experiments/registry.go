@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"eevfs/internal/baseline"
 	"eevfs/internal/cluster"
-	"eevfs/internal/disk"
+	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
 
@@ -15,12 +15,12 @@ import (
 type Runner func(Options) (Table, error)
 
 // Registry maps experiment ids (the per-experiment index in DESIGN.md) to
-// their runners; fig3a to fig5d are added from the figures table.
+// their runners; fig3a to fig5d and ext-disks are added from the figures
+// table.
 var Registry = map[string]Runner{
 	"tableI":             TableI,
 	"tableII":            TableII,
 	"fig6":               fig6,
-	"ext-disks":          extDisks,
 	"ext-hints":          extHints,
 	"ext-baselines":      extBaselines,
 	"ext-writes":         extWrites,
@@ -70,8 +70,8 @@ func Run(id string, o Options) (Table, error) {
 
 // TableI renders the simulated testbed configuration (the stand-in for the
 // paper's Table I).
-func TableI(o Options) (Table, error) {
-	cfg := o.testbed()
+func TableI(Options) (Table, error) {
+	cfg := cluster.DefaultTestbed()
 	t := Table{
 		ID:    "tableI",
 		Title: "Configuration of the simulated cluster storage system",
@@ -85,97 +85,95 @@ func TableI(o Options) (Table, error) {
 			fmt.Sprintf("disk idle threshold %.0f s (Table II)", cfg.IdleThresholdSec),
 		},
 	}
-	type key struct {
-		link  float64
-		model string
-		disks int
-	}
-	counts := map[key]int{}
-	var order []key
+	counts := map[cluster.NodeConfig]int{}
+	var types []cluster.NodeConfig
 	for _, n := range cfg.Nodes {
-		k := key{n.LinkMbps, n.DataModel.Name, n.DataDisks}
-		if counts[k] == 0 {
-			order = append(order, k)
+		if counts[n] == 0 {
+			types = append(types, n)
 		}
-		counts[k]++
+		counts[n]++
 	}
-	for i, k := range order {
-		m := disk.Catalog[k.model]
+	for i, n := range types {
 		t.AddRow(
 			fmt.Sprintf("type %d", i+1),
-			fmt.Sprintf("%d", counts[k]),
-			fmt.Sprintf("%.0f", k.link),
-			k.model,
-			fmt.Sprintf("%.0f", m.BandwidthMBps),
-			fmt.Sprintf("%d", k.disks),
-			"1",
+			fmt.Sprintf("%d", counts[n]),
+			fmt.Sprintf("%.0f", n.LinkMbps),
+			n.DataModel.Name,
+			fmt.Sprintf("%.0f", n.DataModel.BandwidthMBps),
+			fmt.Sprintf("%d", n.DataDisks),
+			fmt.Sprintf("%d", max(n.BufferDisks, 1)),
 		)
 	}
 	return t, nil
 }
 
 // TableII renders the system and workload parameter space (the paper's
-// Table II).
+// Table II): the four swept axes, then the parameters the evaluation
+// holds fixed, each with its default.
 func TableII(Options) (Table, error) {
+	w, c := workload.DefaultSynthetic(), cluster.DefaultTestbed()
 	t := Table{
 		ID:      "tableII",
 		Title:   "System and workload parameters",
 		Columns: []string{"parameter", "values", "default"},
 	}
-	t.AddRow("Data Size (MB)", "1, 10, 25, 50", "10")
-	t.AddRow("File Popularity Rate (MU)", "1, 10, 100, 1000", "1000")
-	t.AddRow("Inter-arrival Delay (ms)", "0, 350, 700, 1000", "700")
-	t.AddRow("Number of Files to Prefetch", "10, 40, 70, 100", "70")
-	t.AddRow("Disk Idle Threshold (s)", "5", "5")
-	t.AddRow("Total files", "1000", "1000")
-	t.AddRow("Requests per trace", "1000", "1000")
+	t.AddRow(dataSize.name, dataSize.list(), fmt.Sprint(float64(w.MeanSize)/1e6))
+	t.AddRow(popularity.name, popularity.list(), fmt.Sprint(w.MU))
+	t.AddRow(delay.name, delay.list(), fmt.Sprint(w.InterArrival*1000))
+	t.AddRow(prefetchCount.name, prefetchCount.list(), fmt.Sprint(c.PrefetchCount))
+	t.AddRow("Disk Idle Threshold (s)", fmt.Sprint(c.IdleThresholdSec), fmt.Sprint(c.IdleThresholdSec))
+	t.AddRow("Total files", fmt.Sprint(w.NumFiles), fmt.Sprint(w.NumFiles))
+	t.AddRow("Requests per trace", fmt.Sprint(w.NumRequests), fmt.Sprint(w.NumRequests))
 	return t, nil
 }
 
-// figure is one panel of the paper's Figures 3 to 5: one of the four
-// parameter sweeps rendered as one of the three PF-vs-NPF tables.
+// figure is one table of PF-vs-NPF results over an axis: a panel of the
+// paper's Figures 3 to 5, or ext-disks, which has no chart.
 type figure struct {
-	id    string
-	sweep func(Options) (Sweep, error)
-	table func(s Sweep, id, title string, notes ...string) Table
-	title string
-	notes []string
+	id     string
+	axis   axis
+	metric metric
+	title  string // the table's
+	chart  string // the chart's title; empty for a table without one
+	notes  []string
 }
 
 var figures = []figure{
-	{"fig3a", DataSizeSweep, Sweep.EnergyTable, "Energy vs data size (PF vs NPF)", []string{
+	{"fig3a", dataSize, energy, "Energy vs data size (PF vs NPF)", "Fig. 3(a) energy vs data size", []string{
 		"paper shape: PF wins at every size; reported gains 11% (1 MB) to 15% (50 MB); 50 MB inflates totals via queueing"}},
-	{"fig3b", MUSweep, Sweep.EnergyTable, "Energy vs popularity rate MU (PF vs NPF)", []string{
+	{"fig3b", popularity, energy, "Energy vs popularity rate MU (PF vs NPF)", "Fig. 3(b) energy vs MU", []string{
 		"paper shape: identical PF energy for MU <= 100 (K=70 covers everything, disks sleep whole trace); smaller gain at MU=1000"}},
-	{"fig3c", DelaySweep, Sweep.EnergyTable, "Energy vs inter-arrival delay (PF vs NPF)", []string{
+	{"fig3c", delay, energy, "Energy vs inter-arrival delay (PF vs NPF)", "Fig. 3(c) energy vs inter-arrival delay", []string{
 		"paper shape: savings grow with delay and level off near 700 ms",
 		"absolute energy scales with the run's makespan; the paper's testbed replayed traces of similar wall-clock length across delays"}},
-	{"fig3d", PrefetchCountSweep, Sweep.EnergyTable, "Energy vs number of files to prefetch (PF vs NPF)", []string{
+	{"fig3d", prefetchCount, energy, "Energy vs number of files to prefetch (PF vs NPF)", "Fig. 3(d) energy vs prefetch count", []string{
 		"paper shape: K=10 yields only ~3% savings; K >= 40 yields significant savings"}},
-	{"fig4a", DataSizeSweep, Sweep.TransitionsTable, "Power-state transitions vs data size", []string{
+	{"fig4a", dataSize, transitions, "Power-state transitions vs data size", "Fig. 4(a) transitions vs data size", []string{
 		"paper shape: transitions decrease as data size increases"}},
-	{"fig4b", MUSweep, Sweep.TransitionsTable, "Power-state transitions vs MU", []string{
+	{"fig4b", popularity, transitions, "Power-state transitions vs MU", "Fig. 4(b) transitions vs MU", []string{
 		"paper shape: near-minimum transitions for MU <= 100 (one sleep per disk), hundreds at MU=1000"}},
-	{"fig4c", DelaySweep, Sweep.TransitionsTable, "Power-state transitions vs inter-arrival delay", []string{
+	{"fig4c", delay, transitions, "Power-state transitions vs inter-arrival delay", "Fig. 4(c) transitions vs inter-arrival delay", []string{
 		"paper shape: transitions decrease as the delay increases (lighter load, longer windows)"}},
-	{"fig4d", PrefetchCountSweep, Sweep.TransitionsTable, "Power-state transitions vs number of files to prefetch", []string{
+	{"fig4d", prefetchCount, transitions, "Power-state transitions vs number of files to prefetch", "Fig. 4(d) transitions vs prefetch count", []string{
 		"paper shape: K=10 produces the most transitions of all tests (paper: 447) for the least savings"}},
-	{"fig5a", DataSizeSweep, Sweep.ResponseTable, "Response time vs data size (PF vs NPF)", []string{
+	{"fig5a", dataSize, response, "Response time vs data size (PF vs NPF)", "Fig. 5(a) response vs data size", []string{
 		"paper shape: penalty shrinks with size (121% at 1 MB, 4% at 25 MB); the paper omits the 50 MB point due to server queueing"}},
-	{"fig5b", MUSweep, Sweep.ResponseTable, "Response time vs MU (PF vs NPF)", []string{
+	{"fig5b", popularity, response, "Response time vs MU (PF vs NPF)", "Fig. 5(b) response vs MU", []string{
 		"paper shape: virtually no penalty when disks sleep the whole trace (MU <= 100)"}},
-	{"fig5c", DelaySweep, Sweep.ResponseTable, "Response time vs inter-arrival delay (PF vs NPF)", []string{
+	{"fig5c", delay, response, "Response time vs inter-arrival delay (PF vs NPF)", "Fig. 5(c) response vs inter-arrival delay", []string{
 		"paper shape: penalty between ~16% and ~37% across delays, tracking the transition counts"}},
-	{"fig5d", PrefetchCountSweep, Sweep.ResponseTable, "Response time vs number of files to prefetch (PF vs NPF)", []string{
+	{"fig5d", prefetchCount, response, "Response time vs number of files to prefetch (PF vs NPF)", "Fig. 5(d) response vs prefetch count", []string{
 		"paper shape: penalty falls as K grows (fewer misses, fewer wake-ups)"}},
+	{"ext-disks", disksPerNode, energy, "Energy savings vs data disks per node (Section VII claim)", "", []string{
+		"paper claim: savings grow as more disks are added to each storage node"}},
 }
 
 func (f figure) run(o Options) (Table, error) {
-	s, err := f.sweep(o)
+	pts, err := f.axis.sweep(o)
 	if err != nil {
 		return Table{}, err
 	}
-	return f.table(s, f.id, f.title, f.notes...), nil
+	return f.metric.table(f.id, f.title, f.axis.param, pts, f.notes), nil
 }
 
 func init() {
@@ -184,40 +182,61 @@ func init() {
 	}
 }
 
+// webTrace is the Berkeley-web-equivalent workload (10 MB data size) of
+// Fig. 6 and the baseline comparison.
+func webTrace(o Options) (*trace.Trace, error) {
+	w := workload.DefaultBerkeleyWeb()
+	w.NumRequests = o.requests()
+	w.Seed = o.seed()
+	return workload.BerkeleyWeb(w)
+}
+
 func fig6(o Options) (Table, error) {
-	s, err := BerkeleyWebSweep(o)
+	tr, err := webTrace(o)
+	if err != nil {
+		return Table{}, err
+	}
+	return CompareArms(o, "fig6", "Energy on the Berkeley-web-equivalent trace (PF vs NPF)", tr,
+		func(pf, npf cluster.Result) []string {
+			return []string{
+				"paper: 17% energy savings; all data disks stayed in standby for the whole trace",
+				"workload substitution: Zipf-skewed hot set sized under K (see DESIGN.md)",
+				fmt.Sprintf("measured savings: %s", fmtPct(pf.EnergySavingsVs(npf))),
+			}
+		})
+}
+
+// CompareArms replays tr under PF and NPF on the default testbed and
+// renders one row per arm, followed by notes(pf, npf): Fig. 6's table,
+// and eevfsbench's on an external trace.
+func CompareArms(o Options, id, title string, tr *trace.Trace, notes func(pf, npf cluster.Result) []string) (Table, error) {
+	res, err := simulate(o, arms(id, cluster.DefaultTestbed(), tr))
 	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
-		ID:    "fig6",
-		Title: "Energy on the Berkeley-web-equivalent trace (PF vs NPF)",
-		Columns: []string{
-			"arm", "energy (J)", "transitions", "hit ratio", "resp (s)",
-		},
-		Notes: []string{
-			"paper: 17% energy savings; all data disks stayed in standby for the whole trace",
-			"workload substitution: Zipf-skewed hot set sized under K (see DESIGN.md)",
-		},
+		ID:      id,
+		Title:   title,
+		Columns: []string{"arm", "energy (J)", "transitions", "hit ratio", "resp (s)"},
+		Notes:   notes(res[0], res[1]),
 	}
-	p := s.Points[0]
-	t.AddRow("PF", fmtJ(p.PF.TotalEnergyJ), fmt.Sprintf("%d", p.PF.Transitions),
-		fmtPct(100*p.PF.HitRatio()), fmtS(p.PF.Response.Mean))
-	t.AddRow("NPF", fmtJ(p.NPF.TotalEnergyJ), fmt.Sprintf("%d", p.NPF.Transitions),
-		fmtPct(100*p.NPF.HitRatio()), fmtS(p.NPF.Response.Mean))
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("measured savings: %s", fmtPct(p.PF.EnergySavingsVs(p.NPF))))
+	for i, arm := range []string{"PF", "NPF"} {
+		t.AddRow(arm, fmtJ(res[i].TotalEnergyJ), fmt.Sprint(res[i].Transitions),
+			fmtPct(100*res[i].HitRatio()), fmtS(res[i].Response.Mean))
+	}
 	return t, nil
 }
 
-func extDisks(o Options) (Table, error) {
-	s, err := DisksPerNodeSweep(o)
+// simulateRows simulates the runs and adds one row per result: the run's
+// label, then cells(result).
+func (t Table) simulateRows(o Options, runs []run, cells func(cluster.Result) []string) (Table, error) {
+	res, err := simulate(o, runs)
 	if err != nil {
 		return Table{}, err
 	}
-	t := s.EnergyTable("ext-disks", "Energy savings vs data disks per node (Section VII claim)",
-		"paper claim: savings grow as more disks are added to each storage node",
-	)
+	for i, r := range res {
+		t.AddRow(append([]string{runs[i].label}, cells(r)...)...)
+	}
 	return t, nil
 }
 
@@ -225,11 +244,14 @@ func extDisks(o Options) (Table, error) {
 // threshold timer only, hint-driven sleeps (paper default), and hints plus
 // predictive prewake.
 func extHints(o Options) (Table, error) {
-	w := o.synthetic()
-	tr, err := workload.Synthetic(w)
+	tr, err := workload.Synthetic(o.synthetic())
 	if err != nil {
 		return Table{}, err
 	}
+	hints := cluster.DefaultTestbed()
+	threshold, prewake := hints, hints
+	threshold.Hints = false
+	prewake.Prewake = true
 	t := Table{
 		ID:    "ext-hints",
 		Title: "Ablation: application hints and prewake (Section IV-C)",
@@ -240,43 +262,38 @@ func extHints(o Options) (Table, error) {
 			"hints sleep disks proactively at predicted window starts; prewake additionally hides the spin-up latency",
 		},
 	}
-	run := func(label string, mod func(*cluster.Config)) error {
-		cfg := o.testbed()
-		mod(&cfg)
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return err
-		}
-		t.AddRow(label, fmtJ(res.TotalEnergyJ), fmt.Sprintf("%d", res.Transitions),
-			fmtS(res.Response.Mean), fmtS(res.Response.P95))
-		return nil
+	runs := []run{
+		{"threshold-only", threshold, tr}, {"hints", hints, tr},
+		{"hints+prewake", prewake, tr}, {"npf", hints.NPF(), tr},
 	}
-	if err := run("threshold-only", func(c *cluster.Config) { c.Hints = false }); err != nil {
-		return Table{}, err
-	}
-	if err := run("hints", func(c *cluster.Config) {}); err != nil {
-		return Table{}, err
-	}
-	if err := run("hints+prewake", func(c *cluster.Config) { c.Prewake = true }); err != nil {
-		return Table{}, err
-	}
-	if err := run("npf", func(c *cluster.Config) { *c = c.NPF() }); err != nil {
-		return Table{}, err
-	}
-	return t, nil
+	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+		return []string{fmtJ(r.TotalEnergyJ), fmt.Sprint(r.Transitions), fmtS(r.Response.Mean), fmtS(r.Response.P95)}
+	})
 }
 
 // extBaselines compares EEVFS against the Section II comparator systems on
 // the web-equivalent trace.
 func extBaselines(o Options) (Table, error) {
-	w := workload.DefaultBerkeleyWeb()
-	w.NumRequests = o.requests()
-	w.Seed = o.seed()
-	tr, err := workload.BerkeleyWeb(w)
+	tr, err := webTrace(o)
 	if err != nil {
 		return Table{}, err
 	}
-	comps, err := baseline.RunAll(o.testbed(), tr)
+	base := cluster.DefaultTestbed()
+	var runs []run
+	for _, n := range baseline.All {
+		cfg, err := baseline.Configure(base, n)
+		if err != nil {
+			return Table{}, err
+		}
+		// Configure may write into base's node array (lowpower-disks
+		// rewrites its disk models), and a built config must not change:
+		// each run keeps the array as it stood when configured. The
+		// comparators configured after lowpower-disks inherit its disks,
+		// as under baseline.RunAll.
+		cfg.Nodes = slices.Clone(cfg.Nodes)
+		runs = append(runs, run{string(n), cfg, tr})
+	}
+	res, err := simulate(o, runs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -288,13 +305,10 @@ func extBaselines(o Options) (Table, error) {
 			"hit ratio", "mean resp (s)",
 		},
 	}
-	ao, _ := baseline.Find(comps, baseline.AlwaysOn)
-	for _, c := range comps {
-		t.AddRow(string(c.Name), fmtJ(c.Result.TotalEnergyJ),
-			fmtPct(c.Result.EnergySavingsVs(ao.Result)),
-			fmt.Sprintf("%d", c.Result.Transitions),
-			fmtPct(100*c.Result.HitRatio()),
-			fmtS(c.Result.Response.Mean))
+	alwaysOn := res[slices.Index(baseline.All, baseline.AlwaysOn)]
+	for i, r := range res {
+		t.AddRow(runs[i].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(alwaysOn)),
+			fmt.Sprint(r.Transitions), fmtPct(100*r.HitRatio()), fmtS(r.Response.Mean))
 	}
 	return t, nil
 }
@@ -306,6 +320,22 @@ func extStripe(o Options) (Table, error) {
 	w := o.synthetic()
 	w.MeanSize = 25e6
 	tr, err := workload.Synthetic(w)
+	if err != nil {
+		return Table{}, err
+	}
+	var labels []string
+	var runs []run
+	for _, chunk := range []int64{0, 10e6, 5e6, 2e6} {
+		cfg := cluster.DefaultTestbed()
+		cfg.StripeChunkBytes = chunk
+		label := "off"
+		if chunk > 0 {
+			label = fmt.Sprintf("%.0fMB", float64(chunk)/1e6)
+		}
+		labels = append(labels, label)
+		runs = append(runs, arms(label, cfg, tr)...)
+	}
+	res, err := simulate(o, runs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -321,24 +351,11 @@ func extStripe(o Options) (Table, error) {
 			"striping parallelizes miss reads (lower response) but spreads residual load over more spindles",
 		},
 	}
-	for _, chunk := range []int64{0, 10e6, 5e6, 2e6} {
-		cfg := o.testbed()
-		cfg.StripeChunkBytes = chunk
-		pf, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return Table{}, err
-		}
-		npf, err := cluster.Run(cfg.NPF(), tr)
-		if err != nil {
-			return Table{}, err
-		}
-		label := "off"
-		if chunk > 0 {
-			label = fmt.Sprintf("%.0fMB", float64(chunk)/1e6)
-		}
+	for i, label := range labels {
+		pf, npf := res[2*i], res[2*i+1]
 		t.AddRow(label, fmtJ(pf.TotalEnergyJ), fmtS(pf.Response.Mean),
 			fmtJ(npf.TotalEnergyJ), fmtS(npf.Response.Mean),
-			fmtPct(pf.EnergySavingsVs(npf)), fmt.Sprintf("%d", pf.Transitions))
+			fmtPct(pf.EnergySavingsVs(npf)), fmt.Sprint(pf.Transitions))
 	}
 	return t, nil
 }
@@ -352,6 +369,10 @@ func extDynamic(o Options) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	static := cluster.DefaultTestbed()
+	static.Hints = false // threshold sleeping for a like-for-like contrast
+	dynamic := static
+	dynamic.ReprefetchEvery = 25
 	t := Table{
 		ID:    "ext-dynamic",
 		Title: "Dynamic re-prefetching under popularity drift (PRE-BUD)",
@@ -364,28 +385,10 @@ func extDynamic(o Options) (Table, error) {
 			"dynamic = popularity recomputed from a sliding window every 25 requests, buffer refreshed in the background",
 		},
 	}
-	run := func(label string, mod func(*cluster.Config)) error {
-		cfg := o.testbed()
-		cfg.Hints = false // threshold sleeping for a like-for-like contrast
-		mod(&cfg)
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return err
-		}
-		t.AddRow(label, fmtJ(res.TotalEnergyJ), fmtPct(100*res.HitRatio()),
-			fmt.Sprintf("%d", res.Transitions), fmtS(res.Response.Mean))
-		return nil
-	}
-	if err := run("npf", func(c *cluster.Config) { *c = c.NPF() }); err != nil {
-		return Table{}, err
-	}
-	if err := run("static-prefetch", func(c *cluster.Config) {}); err != nil {
-		return Table{}, err
-	}
-	if err := run("dynamic-prefetch", func(c *cluster.Config) { c.ReprefetchEvery = 25 }); err != nil {
-		return Table{}, err
-	}
-	return t, nil
+	runs := []run{{"npf", static.NPF(), tr}, {"static-prefetch", static, tr}, {"dynamic-prefetch", dynamic, tr}}
+	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+		return []string{fmtJ(r.TotalEnergyJ), fmtPct(100 * r.HitRatio()), fmt.Sprint(r.Transitions), fmtS(r.Response.Mean)}
+	})
 }
 
 // extWrites exercises the write-buffer area (Section III-C) on a mixed
@@ -398,6 +401,9 @@ func extWrites(o Options) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	through := cluster.DefaultTestbed() // the default writes through
+	buffered := through
+	buffered.WriteBuffer = true
 	t := Table{
 		ID:    "ext-writes",
 		Title: "Write buffering in buffer-disk free space (Section III-C)",
@@ -409,27 +415,12 @@ func extWrites(o Options) (Table, error) {
 			"30% writes, MU=100; buffered writes are acknowledged after the buffer-disk log append",
 		},
 	}
-	run := func(label string, wb bool) error {
-		cfg := o.testbed()
-		cfg.WriteBuffer = wb
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return err
-		}
-		t.AddRow(label, fmtJ(res.TotalEnergyJ), fmt.Sprintf("%d", res.Transitions),
-			fmtS(res.WriteResponse.Mean),
-			fmt.Sprintf("%d", res.BufferedWrites),
-			fmt.Sprintf("%d", res.DirectWrites),
-			fmt.Sprintf("%.0f", float64(res.FlushedBytes)/1e6))
-		return nil
-	}
-	if err := run("write-buffer", true); err != nil {
-		return Table{}, err
-	}
-	if err := run("write-through", false); err != nil {
-		return Table{}, err
-	}
-	return t, nil
+	runs := []run{{"write-buffer", buffered, tr}, {"write-through", through, tr}}
+	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+		return []string{fmtJ(r.TotalEnergyJ), fmt.Sprint(r.Transitions), fmtS(r.WriteResponse.Mean),
+			fmt.Sprint(r.BufferedWrites), fmt.Sprint(r.DirectWrites),
+			fmt.Sprintf("%.0f", float64(r.FlushedBytes)/1e6)}
+	})
 }
 
 // extThreshold sweeps the disk idle threshold (Table II fixes it at 5 s;
@@ -438,6 +429,17 @@ func extWrites(o Options) (Table, error) {
 // actually the active policy.
 func extThreshold(o Options) (Table, error) {
 	tr, err := workload.Synthetic(o.synthetic())
+	if err != nil {
+		return Table{}, err
+	}
+	runs := []run{{"npf", cluster.DefaultTestbed().NPF(), tr}}
+	for _, th := range []float64{1, 2, 5, 10, 20, 60} {
+		cfg := cluster.DefaultTestbed()
+		cfg.Hints = false
+		cfg.IdleThresholdSec = th
+		runs = append(runs, run{fmt.Sprintf("%.0f", th), cfg, tr})
+	}
+	res, err := simulate(o, runs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -453,37 +455,34 @@ func extThreshold(o Options) (Table, error) {
 			"shorter thresholds capture more idle time (this workload's residual gaps are long) at the cost of more transitions; very long thresholds give up most of the savings",
 		},
 	}
-	npf, err := cluster.Run(o.testbed().NPF(), tr)
-	if err != nil {
-		return Table{}, err
-	}
-	for _, th := range []float64{1, 2, 5, 10, 20, 60} {
-		cfg := o.testbed()
-		cfg.Hints = false
-		cfg.IdleThresholdSec = th
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return Table{}, err
-		}
-		wear := res.WorstWearYears(disk.RatedStartStopCycles)
-		wearStr := "inf"
-		if !math.IsInf(wear, 1) {
-			wearStr = fmt.Sprintf("%.2f", wear)
-		}
-		t.AddRow(fmt.Sprintf("%.0f", th), fmtJ(res.TotalEnergyJ),
-			fmtPct(res.EnergySavingsVs(npf)),
-			fmt.Sprintf("%d", res.Transitions), wearStr, fmtS(res.Response.Mean))
+	for i, r := range res[1:] {
+		t.AddRow(runs[i+1].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(res[0])),
+			fmt.Sprint(r.Transitions), fmtWear(r, 2), fmtS(r.Response.Mean))
 	}
 	return t, nil
 }
 
-// extScale grows the cluster (the paper's Section I scalability claim:
-// EEVFS "can provide significant energy savings ... with high I/O
-// performance" as node counts grow) while holding the workload fixed.
+// clusterSize grows the cluster (the paper's Section I scalability
+// claim: EEVFS "can provide significant energy savings ... with high I/O
+// performance" as node counts grow), half Type 1 and half Type 2 nodes,
+// on one fixed MU=100 workload.
+var clusterSize = axis{
+	param: "nodes", values: []float64{2, 4, 8, 16, 32}, label: "%.0f",
+	workload: func(w *workload.SyntheticConfig, _ float64) { w.MU = 100 },
+	config: func(c *cluster.Config, v float64) {
+		n, types := int(v), c.Nodes
+		c.Nodes = make([]cluster.NodeConfig, n)
+		for i := range c.Nodes {
+			c.Nodes[i] = types[0] // Type 1 template
+			if i >= n/2 {
+				c.Nodes[i] = types[len(types)-1] // Type 2 template
+			}
+		}
+	},
+}
+
 func extScale(o Options) (Table, error) {
-	w := o.synthetic()
-	w.MU = 100
-	tr, err := workload.Synthetic(w)
+	pts, err := clusterSize.sweep(o)
 	if err != nil {
 		return Table{}, err
 	}
@@ -499,26 +498,9 @@ func extScale(o Options) (Table, error) {
 			"relative savings hold as the cluster grows; response improves with more spindles",
 		},
 	}
-	base := o.testbed()
-	for _, nodes := range []int{2, 4, 8, 16, 32} {
-		cfg := base
-		cfg.Nodes = make([]cluster.NodeConfig, nodes)
-		for i := range cfg.Nodes {
-			cfg.Nodes[i] = base.Nodes[0] // Type 1 template
-			if i >= nodes/2 {
-				cfg.Nodes[i] = base.Nodes[len(base.Nodes)-1] // Type 2 template
-			}
-		}
-		pf, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return Table{}, err
-		}
-		npf, err := cluster.Run(cfg.NPF(), tr)
-		if err != nil {
-			return Table{}, err
-		}
-		t.AddRow(fmt.Sprintf("%d", nodes), fmtJ(pf.TotalEnergyJ), fmtJ(npf.TotalEnergyJ),
-			fmtPct(pf.EnergySavingsVs(npf)), fmtS(pf.Response.Mean), fmtS(npf.Response.Mean))
+	for _, p := range pts {
+		t.AddRow(p.label, fmtJ(p.pf.TotalEnergyJ), fmtJ(p.npf.TotalEnergyJ),
+			fmtPct(p.pf.EnergySavingsVs(p.npf)), fmtS(p.pf.Response.Mean), fmtS(p.npf.Response.Mean))
 	}
 	return t, nil
 }
@@ -530,6 +512,34 @@ func extScale(o Options) (Table, error) {
 // need many data disks to amortize the energy cost of adding an extra
 // disk", seen from the m side.
 func extBuffers(o Options) (Table, error) {
+	loads := []struct {
+		name  string
+		delay float64
+	}{{"paced", 0.7}, {"burst", 0}}
+	ms := []int{1, 2, 4}
+	// Per load: the m=1 NPF baseline, then one run per m.
+	var runs []run
+	for _, load := range loads {
+		w := o.synthetic()
+		w.MU = 100
+		w.InterArrival = load.delay
+		tr, err := workload.Synthetic(w)
+		if err != nil {
+			return Table{}, err
+		}
+		runs = append(runs, run{load.name + " npf", cluster.DefaultTestbed().NPF(), tr})
+		for _, m := range ms {
+			cfg := cluster.DefaultTestbed()
+			for i := range cfg.Nodes {
+				cfg.Nodes[i].BufferDisks = m
+			}
+			runs = append(runs, run{fmt.Sprintf("%s m=%d", load.name, m), cfg, tr})
+		}
+	}
+	res, err := simulate(o, runs)
+	if err != nil {
+		return Table{}, err
+	}
 	t := Table{
 		ID:    "ext-buffers",
 		Title: "Buffer disks per node (the BUD architecture's m, Section I)",
@@ -541,33 +551,12 @@ func extBuffers(o Options) (Table, error) {
 			"savings are vs the m=1 NPF cluster: extra buffer spindles are pure idle draw unless the load is buffer-bound",
 		},
 	}
-	for _, load := range []struct {
-		name  string
-		delay float64
-	}{{"paced", 0.7}, {"burst", 0}} {
-		w := o.synthetic()
-		w.MU = 100
-		w.InterArrival = load.delay
-		tr, err := workload.Synthetic(w)
-		if err != nil {
-			return Table{}, err
-		}
-		npf, err := cluster.Run(o.testbed().NPF(), tr)
-		if err != nil {
-			return Table{}, err
-		}
-		for _, m := range []int{1, 2, 4} {
-			cfg := o.testbed()
-			for i := range cfg.Nodes {
-				cfg.Nodes[i].BufferDisks = m
-			}
-			res, err := cluster.Run(cfg, tr)
-			if err != nil {
-				return Table{}, err
-			}
-			t.AddRow(fmt.Sprintf("%d", m), load.name, fmtJ(res.TotalEnergyJ),
-				fmtPct(res.EnergySavingsVs(npf)), fmtS(res.Response.Mean),
-				fmtS(res.Response.P95))
+	for l, load := range loads {
+		group := res[l*(len(ms)+1):]
+		for i, m := range ms {
+			r := group[i+1]
+			t.AddRow(fmt.Sprint(m), load.name, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(group[0])),
+				fmtS(r.Response.Mean), fmtS(r.Response.P95))
 		}
 	}
 	return t, nil

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/disk"
-	"eevfs/internal/telemetry"
 	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
@@ -18,16 +18,11 @@ type Options struct {
 	Requests int
 	// Seed overrides the workload seed (default 1).
 	Seed uint64
-	// Testbed overrides the cluster shape; nil fields fall back to
-	// cluster.DefaultTestbed().
-	Testbed *cluster.Config
 	// Workers sets the simulation concurrency: 0 or 1 runs sequentially,
-	// n > 1 fans cluster.Run invocations over n workers, negative means
-	// GOMAXPROCS. Results are byte-identical either way (see parallel.go).
+	// n > 1 fans the experiments and their simulations over n workers,
+	// negative means GOMAXPROCS. Results are byte-identical either way
+	// (see parallel.go).
 	Workers int
-	// Metrics, when set, receives runner progress telemetry
-	// (experiments.points.* and experiments.runs.* counters).
-	Metrics *telemetry.Registry
 }
 
 func (o Options) requests() int {
@@ -44,18 +39,6 @@ func (o Options) seed() uint64 {
 	return 1
 }
 
-// testbed returns a config with its own Nodes backing array: sweep jobs
-// mutate per-node fields after building their config, and parallel jobs
-// must never alias each other's (or the caller's) node slice.
-func (o Options) testbed() cluster.Config {
-	cfg := cluster.DefaultTestbed()
-	if o.Testbed != nil {
-		cfg = *o.Testbed
-		cfg.Nodes = append([]cluster.NodeConfig(nil), cfg.Nodes...)
-	}
-	return cfg
-}
-
 func (o Options) synthetic() workload.SyntheticConfig {
 	cfg := workload.DefaultSynthetic()
 	cfg.NumRequests = o.requests()
@@ -63,218 +46,154 @@ func (o Options) synthetic() workload.SyntheticConfig {
 	return cfg
 }
 
-// Point is one sweep position with both comparison arms.
-type Point struct {
-	Label string
-	Value float64
-	PF    cluster.Result
-	NPF   cluster.Result
+// axis is one swept parameter, compared PF against NPF at every value.
+// A value changes the default synthetic workload, the default testbed, or
+// both; consecutive values whose workloads are equal replay one trace.
+type axis struct {
+	name     string // the parameter as Table II names it, if it does
+	param    string // column header for the swept value
+	values   []float64
+	label    string // row label format for one value
+	workload func(w *workload.SyntheticConfig, v float64)
+	config   func(c *cluster.Config, v float64)
 }
 
-// Sweep is one experiment axis (Figs. 3/4/5 share one sweep per axis).
-type Sweep struct {
-	Name   string // "data-size", "mu", "delay", "prefetch-count", ...
-	Param  string // column header for the swept value
-	Points []Point
-}
-
-// runPoint simulates both arms for one workload/config pair.
-func runPoint(label string, value float64, cfg cluster.Config, tr *trace.Trace) (Point, error) {
-	pf, err := cluster.Run(cfg, tr)
-	if err != nil {
-		return Point{}, fmt.Errorf("experiments: %s PF: %w", label, err)
+// The four axes of Table II, each swept with the others at their
+// defaults (Figs. 3, 4 and 5 share one axis per panel letter), and
+// extension X1: the paper's Section VII claim that savings grow as more
+// data disks are added per storage node, on the fully-covered MU=100
+// workload.
+var (
+	dataSize = axis{
+		name: "Data Size (MB)", param: "size", values: []float64{1, 10, 25, 50}, label: "%.0fMB",
+		workload: func(w *workload.SyntheticConfig, mb float64) { w.MeanSize = int64(mb) * 1e6 },
 	}
-	npf, err := cluster.Run(cfg.NPF(), tr)
-	if err != nil {
-		return Point{}, fmt.Errorf("experiments: %s NPF: %w", label, err)
+	popularity = axis{
+		name: "File Popularity Rate (MU)", param: "MU", values: []float64{1, 10, 100, 1000}, label: "%.0f",
+		workload: func(w *workload.SyntheticConfig, mu float64) { w.MU = mu },
 	}
-	return Point{Label: label, Value: value, PF: pf, NPF: npf}, nil
+	delay = axis{
+		name: "Inter-arrival Delay (ms)", param: "delay", values: []float64{0, 350, 700, 1000}, label: "%.0fms",
+		workload: func(w *workload.SyntheticConfig, ms float64) { w.InterArrival = ms / 1000 },
+	}
+	prefetchCount = axis{
+		name: "Number of Files to Prefetch", param: "K", values: []float64{10, 40, 70, 100}, label: "%.0f",
+		config: func(c *cluster.Config, k float64) { c.PrefetchCount = int(k) },
+	}
+	disksPerNode = axis{
+		param: "data disks", values: []float64{1, 2, 4, 8}, label: "%.0f",
+		workload: func(w *workload.SyntheticConfig, _ float64) { w.MU = 100 },
+		config: func(c *cluster.Config, nd float64) {
+			for i := range c.Nodes {
+				c.Nodes[i].DataDisks = int(nd)
+			}
+		},
+	}
+)
+
+// list renders the axis values as Table II's "values" cell.
+func (a axis) list() string {
+	s := make([]string, len(a.values))
+	for i, v := range a.values {
+		s[i] = fmt.Sprint(v)
+	}
+	return strings.Join(s, ", ")
 }
 
-// DataSizeSweep is the Figs. 3(a)/4(a)/5(a) axis: mean data size in
-// {1, 10, 25, 50} MB with MU=1000, K=70, 700 ms inter-arrival.
-func DataSizeSweep(o Options) (Sweep, error) {
-	var jobs []pointJob
-	for _, mb := range []int{1, 10, 25, 50} {
-		w := o.synthetic()
-		w.MeanSize = int64(mb) * 1e6
-		tr, err := workload.Synthetic(w)
-		if err != nil {
-			return Sweep{}, err
+// point is one axis value with both comparison arms.
+type point struct {
+	label   string
+	pf, npf cluster.Result
+}
+
+// sweep simulates PF and NPF at every value of the axis.
+func (a axis) sweep(o Options) ([]point, error) {
+	var runs []run
+	var w0 workload.SyntheticConfig
+	var tr *trace.Trace
+	for _, v := range a.values {
+		w, cfg := o.synthetic(), cluster.DefaultTestbed()
+		if a.workload != nil {
+			a.workload(&w, v)
 		}
-		jobs = append(jobs, pointJob{
-			Label: fmt.Sprintf("%dMB", mb), Value: float64(mb),
-			Cfg: o.testbed(), Trace: tr,
-		})
-	}
-	pts, err := runPoints(o, jobs)
-	if err != nil {
-		return Sweep{}, err
-	}
-	return Sweep{Name: "data-size", Param: "size", Points: pts}, nil
-}
-
-// MUSweep is the Figs. 3(b)/4(b)/5(b) axis: MU in {1, 10, 100, 1000} with
-// 10 MB files, K=70, 700 ms inter-arrival.
-func MUSweep(o Options) (Sweep, error) {
-	var jobs []pointJob
-	for _, mu := range []float64{1, 10, 100, 1000} {
-		w := o.synthetic()
-		w.MU = mu
-		tr, err := workload.Synthetic(w)
-		if err != nil {
-			return Sweep{}, err
+		if a.config != nil {
+			a.config(&cfg, v)
 		}
-		jobs = append(jobs, pointJob{
-			Label: fmt.Sprintf("%.0f", mu), Value: mu,
-			Cfg: o.testbed(), Trace: tr,
-		})
-	}
-	pts, err := runPoints(o, jobs)
-	if err != nil {
-		return Sweep{}, err
-	}
-	return Sweep{Name: "mu", Param: "MU", Points: pts}, nil
-}
-
-// DelaySweep is the Figs. 3(c)/4(c)/5(c) axis: inter-arrival delay in
-// {0, 350, 700, 1000} ms with 10 MB files, MU=1000, K=70.
-func DelaySweep(o Options) (Sweep, error) {
-	var jobs []pointJob
-	for _, ms := range []float64{0, 350, 700, 1000} {
-		w := o.synthetic()
-		w.InterArrival = ms / 1000
-		tr, err := workload.Synthetic(w)
-		if err != nil {
-			return Sweep{}, err
+		if tr == nil || w != w0 {
+			var err error
+			if tr, err = workload.Synthetic(w); err != nil {
+				return nil, err
+			}
+			w0 = w
 		}
-		jobs = append(jobs, pointJob{
-			Label: fmt.Sprintf("%.0fms", ms), Value: ms,
-			Cfg: o.testbed(), Trace: tr,
-		})
+		runs = append(runs, arms(fmt.Sprintf(a.label, v), cfg, tr)...)
 	}
-	pts, err := runPoints(o, jobs)
+	res, err := simulate(o, runs)
 	if err != nil {
-		return Sweep{}, err
+		return nil, err
 	}
-	return Sweep{Name: "delay", Param: "delay", Points: pts}, nil
+	pts := make([]point, len(a.values))
+	for i, v := range a.values {
+		pts[i] = point{fmt.Sprintf(a.label, v), res[2*i], res[2*i+1]}
+	}
+	return pts, nil
 }
 
-// PrefetchCountSweep is the Figs. 3(d)/4(d)/5(d) axis: K in
-// {10, 40, 70, 100} with 10 MB files, MU=1000, 700 ms inter-arrival.
-func PrefetchCountSweep(o Options) (Sweep, error) {
-	tr, err := workload.Synthetic(o.synthetic())
-	if err != nil {
-		return Sweep{}, err
-	}
-	var jobs []pointJob
-	for _, k := range []int{10, 40, 70, 100} {
-		cfg := o.testbed()
-		cfg.PrefetchCount = k
-		jobs = append(jobs, pointJob{
-			Label: fmt.Sprintf("%d", k), Value: float64(k), Cfg: cfg, Trace: tr,
-		})
-	}
-	pts, err := runPoints(o, jobs)
-	if err != nil {
-		return Sweep{}, err
-	}
-	return Sweep{Name: "prefetch-count", Param: "K", Points: pts}, nil
+// metric is what a figure panel measures over an axis: Fig. 3 energy,
+// Fig. 4 power-state transitions or Fig. 5 response time.
+type metric struct {
+	columns []string // the table's columns after the axis column
+	cells   func(pf, npf cluster.Result) []string
+	unit    string                       // the chart's unit
+	value   func(cluster.Result) float64 // the charted quantity
+	pfOnly  bool                         // chart the PF arm alone
 }
 
-// BerkeleyWebSweep is the Fig. 6 experiment: the web-trace-equivalent
-// workload (10 MB data size, K=70).
-func BerkeleyWebSweep(o Options) (Sweep, error) {
-	w := workload.DefaultBerkeleyWeb()
-	w.NumRequests = o.requests()
-	w.Seed = o.seed()
-	tr, err := workload.BerkeleyWeb(w)
-	if err != nil {
-		return Sweep{}, err
+var (
+	energy = metric{
+		columns: []string{"PF energy (J)", "NPF energy (J)", "savings"},
+		cells: func(pf, npf cluster.Result) []string {
+			return []string{fmtJ(pf.TotalEnergyJ), fmtJ(npf.TotalEnergyJ), fmtPct(pf.EnergySavingsVs(npf))}
+		},
+		unit:  "J",
+		value: func(r cluster.Result) float64 { return r.TotalEnergyJ },
 	}
-	pts, err := runPoints(o, []pointJob{{Label: "web", Cfg: o.testbed(), Trace: tr}})
-	if err != nil {
-		return Sweep{}, err
+	// transitions reports the PF arm only: NPF never sleeps. The wear
+	// column is the paper's Section VI-B reliability concern (fmtWear).
+	transitions = metric{
+		columns: []string{"transitions", "spin-ups", "spin-downs", "worst wear (yr)"},
+		cells: func(pf, _ cluster.Result) []string {
+			return []string{fmt.Sprint(pf.Transitions), fmt.Sprint(pf.SpinUps), fmt.Sprint(pf.SpinDowns), fmtWear(pf, 1)}
+		},
+		unit:   "transitions",
+		value:  func(r cluster.Result) float64 { return float64(r.Transitions) },
+		pfOnly: true,
 	}
-	return Sweep{Name: "berkeley-web", Param: "trace", Points: pts}, nil
-}
+	response = metric{
+		columns: []string{"PF resp (s)", "NPF resp (s)", "penalty"},
+		cells: func(pf, npf cluster.Result) []string {
+			return []string{fmtS(pf.Response.Mean), fmtS(npf.Response.Mean), fmtPct(pf.ResponsePenaltyVs(npf))}
+		},
+		unit:  "s",
+		value: func(r cluster.Result) float64 { return r.Response.Mean },
+	}
+)
 
-// DisksPerNodeSweep is extension X1 (the paper's Section VII claim that
-// savings grow as more data disks are added per storage node): data disks
-// per node in {1, 2, 4, 8} on the fully-covered MU=100 workload.
-func DisksPerNodeSweep(o Options) (Sweep, error) {
-	w := o.synthetic()
-	w.MU = 100
-	tr, err := workload.Synthetic(w)
-	if err != nil {
-		return Sweep{}, err
-	}
-	var jobs []pointJob
-	for _, nd := range []int{1, 2, 4, 8} {
-		cfg := o.testbed() // own Nodes array per job: see Options.testbed
-		for i := range cfg.Nodes {
-			cfg.Nodes[i].DataDisks = nd
-		}
-		jobs = append(jobs, pointJob{
-			Label: fmt.Sprintf("%d", nd), Value: float64(nd), Cfg: cfg, Trace: tr,
-		})
-	}
-	pts, err := runPoints(o, jobs)
-	if err != nil {
-		return Sweep{}, err
-	}
-	return Sweep{Name: "disks-per-node", Param: "data disks", Points: pts}, nil
-}
-
-// EnergyTable renders the sweep as a Fig. 3-style energy table.
-func (s Sweep) EnergyTable(id, title string, notes ...string) Table {
-	t := Table{
-		ID: id, Title: title,
-		Columns: []string{s.Param, "PF energy (J)", "NPF energy (J)", "savings"},
-		Notes:   notes,
-	}
-	for _, p := range s.Points {
-		t.AddRow(p.Label, fmtJ(p.PF.TotalEnergyJ), fmtJ(p.NPF.TotalEnergyJ),
-			fmtPct(p.PF.EnergySavingsVs(p.NPF)))
+// table renders a sweep as a figure panel's table.
+func (m metric) table(id, title, param string, pts []point, notes []string) Table {
+	t := Table{ID: id, Title: title, Columns: append([]string{param}, m.columns...), Notes: notes}
+	for _, p := range pts {
+		t.AddRow(append([]string{p.label}, m.cells(p.pf, p.npf)...)...)
 	}
 	return t
 }
 
-// TransitionsTable renders the sweep as a Fig. 4-style transitions table.
-// The wear column extrapolates the worst disk's sleep-cycle rate to the
-// years it would take to exhaust a 50k start/stop rating (the paper's
-// Section VI-B reliability concern).
-func (s Sweep) TransitionsTable(id, title string, notes ...string) Table {
-	t := Table{
-		ID: id, Title: title,
-		Columns: []string{s.Param, "transitions", "spin-ups", "spin-downs", "worst wear (yr)"},
-		Notes:   notes,
+// fmtWear extrapolates the worst disk's sleep-cycle rate to the years it
+// would take to exhaust the drive's rated start/stop cycles.
+func fmtWear(r cluster.Result, prec int) string {
+	wear := r.WorstWearYears(disk.RatedStartStopCycles)
+	if math.IsInf(wear, 1) {
+		return "inf"
 	}
-	for _, p := range s.Points {
-		wear := p.PF.WorstWearYears(disk.RatedStartStopCycles)
-		wearStr := "inf"
-		if !math.IsInf(wear, 1) {
-			wearStr = fmt.Sprintf("%.1f", wear)
-		}
-		t.AddRow(p.Label,
-			fmt.Sprintf("%d", p.PF.Transitions),
-			fmt.Sprintf("%d", p.PF.SpinUps),
-			fmt.Sprintf("%d", p.PF.SpinDowns),
-			wearStr)
-	}
-	return t
-}
-
-// ResponseTable renders the sweep as a Fig. 5-style response-time table.
-func (s Sweep) ResponseTable(id, title string, notes ...string) Table {
-	t := Table{
-		ID: id, Title: title,
-		Columns: []string{s.Param, "PF resp (s)", "NPF resp (s)", "penalty"},
-		Notes:   notes,
-	}
-	for _, p := range s.Points {
-		t.AddRow(p.Label, fmtS(p.PF.Response.Mean), fmtS(p.NPF.Response.Mean),
-			fmtPct(p.PF.ResponsePenaltyVs(p.NPF)))
-	}
-	return t
+	return fmt.Sprintf("%.*f", prec, wear)
 }
