@@ -114,7 +114,7 @@ experiments-md:
 # detector (the chaos tests in internal/fs exercise real concurrency).
 verify: vet build race
 
-# Non-test Go lines per package and in total: the number ROADMAP item 8
+# Non-test Go lines per package and in total: the number ROADMAP item 9
 # ("delete what the system does not need") is judged by. CI prints it,
 # and on a pull request each package's delta against the base commit.
 loc:

@@ -1,6 +1,7 @@
-// Command eevfsbench regenerates the paper's tables and figures from the
-// EEVFS cluster simulator. With no flags it runs every experiment in
-// DESIGN.md's per-experiment index and prints aligned text tables.
+// Command eevfsbench regenerates the paper's tables, and its figures as
+// tables, from the EEVFS cluster simulator. With no flags it runs every
+// experiment in DESIGN.md's per-experiment index and prints aligned text
+// tables.
 //
 // Usage:
 //
@@ -8,7 +9,6 @@
 //	eevfsbench -exp fig3a          # one experiment
 //	eevfsbench -exp fig3a,fig4a    # several
 //	eevfsbench -markdown           # markdown output (EXPERIMENTS.md body)
-//	eevfsbench -plot               # ASCII bar charts for the figures
 //	eevfsbench -requests 200       # shrink traces for a quick pass
 //	eevfsbench -list               # list experiment ids
 //	eevfsbench -trace t.txt        # Fig. 6's PF-vs-NPF table on an external trace file
@@ -149,7 +149,6 @@ func run() error {
 	var (
 		exp      = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		markdown = flag.Bool("markdown", false, "emit markdown instead of aligned text")
-		plot     = flag.Bool("plot", false, "render the figures as ASCII bar charts")
 		requests = flag.Int("requests", 0, "override trace length (default 1000)")
 		seed     = flag.Uint64("seed", 0, "override workload seed (default 1)")
 		parallel = flag.Int("parallel", 0, "simulation workers: 0 sequential, -1 GOMAXPROCS, n>1 a fixed pool (results are byte-identical)")
@@ -172,25 +171,9 @@ func run() error {
 	}
 
 	ids := experiments.IDs()
-	if *plot && *exp == "" {
-		ids = experiments.PlottableIDs()
-	}
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
 	opts := experiments.Options{Requests: *requests, Seed: *seed, Workers: *parallel}
-	if !*plot {
-		return writeTables(os.Stdout, ids, opts, *markdown)
-	}
-	for _, id := range ids {
-		chart, err := experiments.Plot(strings.TrimSpace(id), opts)
-		if err != nil {
-			return err
-		}
-		if err := chart.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
+	return writeTables(os.Stdout, ids, opts, *markdown)
 }

@@ -76,14 +76,12 @@ type (
 	Trace = trace.Trace
 	// TraceRecord is one request in a Trace.
 	TraceRecord = trace.Record
-	// SyntheticConfig parameterizes the Table II synthetic workloads.
+	// SyntheticConfig parameterizes the Table II synthetic workloads and
+	// their drift — phase rotation, flash crowds, and diurnal load —
+	// behind the adaptive policy experiments.
 	SyntheticConfig = workload.SyntheticConfig
 	// BerkeleyWebConfig parameterizes the Fig. 6 web-trace equivalent.
 	BerkeleyWebConfig = workload.BerkeleyWebConfig
-	// DriftConfig parameterizes the composable drift workload — phase
-	// rotation, flash crowds, and diurnal load — behind the adaptive
-	// policy experiments.
-	DriftConfig = workload.DriftConfig
 	// AdaptivePolicyParams tunes the online adaptive power-management
 	// arm (SimConfig.AdaptiveArm): EWMA gap estimation, adapted
 	// spin-down thresholds, transition budget, and churn-triggered
@@ -95,7 +93,7 @@ type (
 // (1000 files, 1000 requests, 10 MB, MU=1000, 700 ms inter-arrival).
 func DefaultSyntheticConfig() SyntheticConfig { return workload.DefaultSynthetic() }
 
-// SyntheticWorkload generates a Table II synthetic trace.
+// SyntheticWorkload generates a synthetic trace, drifting or not.
 func SyntheticWorkload(cfg SyntheticConfig) (*Trace, error) { return workload.Synthetic(cfg) }
 
 // DefaultBerkeleyWebConfig returns the Fig. 6 workload configuration.
@@ -106,10 +104,7 @@ func BerkeleyWebWorkload(cfg BerkeleyWebConfig) (*Trace, error) { return workloa
 
 // DefaultDriftConfig returns the strong-drift workload point of the
 // ext-adaptive experiments (16 phase hot sets over 1600 files).
-func DefaultDriftConfig() DriftConfig { return workload.DefaultDrift() }
-
-// DriftWorkload generates a composable drift trace.
-func DriftWorkload(cfg DriftConfig) (*Trace, error) { return workload.Drift(cfg) }
+func DefaultDriftConfig() SyntheticConfig { return workload.DefaultDrift() }
 
 // DefaultAdaptivePolicyParams returns the tuned production parameter set
 // for the adaptive policy arm.

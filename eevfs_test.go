@@ -56,7 +56,7 @@ func TestPublicExperiments(t *testing.T) {
 func TestPublicAdaptiveArm(t *testing.T) {
 	dc := eevfs.DefaultDriftConfig()
 	dc.NumFiles, dc.NumRequests, dc.Phases = 200, 200, 4
-	tr, err := eevfs.DriftWorkload(dc)
+	tr, err := eevfs.SyntheticWorkload(dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,9 @@ func TestPublicAdaptiveArm(t *testing.T) {
 			res.TotalEnergyJ, npf.TotalEnergyJ)
 	}
 
-	// ext-dynamic's phase rotation, flash and diurnal off, is a DriftConfig.
-	oc := eevfs.DriftConfig{NumFiles: 100, NumRequests: 50, MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: 1}
-	if tr, err := eevfs.DriftWorkload(oc); err != nil || len(tr.Records) != oc.NumRequests {
+	// ext-dynamic's phase rotation, flash and diurnal off, is a SyntheticConfig.
+	oc := eevfs.SyntheticConfig{NumFiles: 100, NumRequests: 50, MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: 1}
+	if tr, err := eevfs.SyntheticWorkload(oc); err != nil || len(tr.Records) != oc.NumRequests {
 		t.Fatalf("ten-phase drift: %v", err)
 	}
 }

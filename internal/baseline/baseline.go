@@ -23,6 +23,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/disk"
@@ -67,6 +68,7 @@ func Configure(base cluster.Config, n Name) (cluster.Config, error) {
 		return c, nil
 	case LowPower:
 		c := base.NPF()
+		c.Nodes = slices.Clone(c.Nodes) // base's array is the caller's
 		for i := range c.Nodes {
 			c.Nodes[i].DataModel = disk.ModelLowPower
 			c.Nodes[i].BufferModel = disk.ModelLowPower

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"eevfs/internal/cluster"
@@ -28,6 +29,20 @@ func TestConfigureAllComparators(t *testing.T) {
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: invalid config: %v", n, err)
+		}
+	}
+}
+
+// TestConfigureLeavesBaseUnchanged: a comparator's config shares nothing
+// it writes with its base, so configuring one never changes the next.
+func TestConfigureLeavesBaseUnchanged(t *testing.T) {
+	base := cluster.DefaultTestbed()
+	for _, n := range All {
+		if _, err := Configure(base, n); err != nil {
+			t.Fatalf("%s: %v", n, err)
+		}
+		if !reflect.DeepEqual(base, cluster.DefaultTestbed()) {
+			t.Fatalf("Configure(base, %s) changed its base: %+v", n, base.Nodes)
 		}
 	}
 }

@@ -641,11 +641,11 @@ func TestStripedDirectWriteSingleResponse(t *testing.T) {
 
 // tenPhases is ext-dynamic's drifting workload: ten disjoint phase hot
 // sets over 1000 files.
-var tenPhases = workload.DriftConfig{NumFiles: 1000, NumRequests: 1000, MeanSize: 10 * 1e6,
+var tenPhases = workload.SyntheticConfig{NumFiles: 1000, NumRequests: 1000, MeanSize: 10 * 1e6,
 	MU: 20, Phases: 10, InterArrival: 0.7, Seed: 1}
 
 func TestReprefetchFollowsDrift(t *testing.T) {
-	tr, err := workload.Drift(tenPhases)
+	tr, err := workload.Synthetic(tenPhases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +695,7 @@ func TestReprefetchValidation(t *testing.T) {
 }
 
 func TestReprefetchDeterministic(t *testing.T) {
-	tr, _ := workload.Drift(tenPhases)
+	tr, _ := workload.Synthetic(tenPhases)
 	cfg := DefaultTestbed()
 	cfg.Hints = false
 	cfg.ReprefetchEvery = 25

@@ -12,7 +12,7 @@ import (
 // the access window spans half a popularity phase (so a phase change
 // floods the window with misses quickly) and the cooldown an eighth of
 // the window. Every other knob keeps its production default.
-func driftAdaptiveParams(w workload.DriftConfig) *adaptive.Params {
+func driftAdaptiveParams(w workload.SyntheticConfig) *adaptive.Params {
 	p := adaptive.Defaults()
 	if w.Phases > 0 {
 		if half := w.NumRequests / w.Phases / 2; half < p.ChurnWindow {
@@ -31,8 +31,8 @@ func driftAdaptiveParams(w workload.DriftConfig) *adaptive.Params {
 // and flash experiments are built from. Static prefetching keeps its
 // offline whole-trace popularity ranking and threshold sleeping (hints
 // off) so the contrast isolates the online policy.
-func adaptiveTable(o Options, w workload.DriftConfig, id, title string, notes ...string) (Table, error) {
-	tr, err := workload.Drift(w)
+func adaptiveTable(o Options, w workload.SyntheticConfig, id, title string, notes ...string) (Table, error) {
+	tr, err := workload.Synthetic(w)
 	if err != nil {
 		return Table{}, err
 	}
@@ -98,7 +98,7 @@ func extAdaptiveFlash(o Options) (Table, error) {
 func extAdaptiveChurn(o Options) (Table, error) {
 	w := workload.DefaultDrift()
 	w.Seed = o.seed()
-	tr, err := workload.Drift(w)
+	tr, err := workload.Synthetic(w)
 	if err != nil {
 		return Table{}, err
 	}

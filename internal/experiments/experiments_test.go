@@ -194,6 +194,29 @@ func TestFig6ShapeWebTrace(t *testing.T) {
 	}
 }
 
+// TestExtBaselinesEEVFSIsFig6PF: ext-baselines' eevfs-prefetch row is
+// the paper's system on the paper's disks, so its cells are fig6's PF
+// cells on the same trace and testbed.
+func TestExtBaselinesEEVFSIsFig6PF(t *testing.T) {
+	base, err := Run("ext-baselines", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	web, err := Run("fig6", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ee, pf := base.Rows[len(base.Rows)-1], web.Rows[0]
+	if ee[0] != "eevfs-prefetch" || pf[0] != "PF" {
+		t.Fatalf("rows %q and %q are not eevfs-prefetch and PF", ee[0], pf[0])
+	}
+	for _, c := range [][2]int{{1, 1}, {5, 4}} { // energy, mean response
+		if ee[c[0]] != pf[c[1]] {
+			t.Errorf("%s: eevfs-prefetch %s, fig6 PF %s", base.Columns[c[0]], ee[c[0]], pf[c[1]])
+		}
+	}
+}
+
 func TestExtDisksShapeSavingsGrowWithDisks(t *testing.T) {
 	pts := sweep(t, disksPerNode)
 	prev := -1.0

@@ -128,43 +128,42 @@ func TableII(Options) (Table, error) {
 }
 
 // figure is one table of PF-vs-NPF results over an axis: a panel of the
-// paper's Figures 3 to 5, or ext-disks, which has no chart.
+// paper's Figures 3 to 5, or ext-disks.
 type figure struct {
 	id     string
 	axis   axis
 	metric metric
-	title  string // the table's
-	chart  string // the chart's title; empty for a table without one
+	title  string
 	notes  []string
 }
 
 var figures = []figure{
-	{"fig3a", dataSize, energy, "Energy vs data size (PF vs NPF)", "Fig. 3(a) energy vs data size", []string{
+	{"fig3a", dataSize, energy, "Energy vs data size (PF vs NPF)", []string{
 		"paper shape: PF wins at every size; reported gains 11% (1 MB) to 15% (50 MB); 50 MB inflates totals via queueing"}},
-	{"fig3b", popularity, energy, "Energy vs popularity rate MU (PF vs NPF)", "Fig. 3(b) energy vs MU", []string{
+	{"fig3b", popularity, energy, "Energy vs popularity rate MU (PF vs NPF)", []string{
 		"paper shape: identical PF energy for MU <= 100 (K=70 covers everything, disks sleep whole trace); smaller gain at MU=1000"}},
-	{"fig3c", delay, energy, "Energy vs inter-arrival delay (PF vs NPF)", "Fig. 3(c) energy vs inter-arrival delay", []string{
+	{"fig3c", delay, energy, "Energy vs inter-arrival delay (PF vs NPF)", []string{
 		"paper shape: savings grow with delay and level off near 700 ms",
 		"absolute energy scales with the run's makespan; the paper's testbed replayed traces of similar wall-clock length across delays"}},
-	{"fig3d", prefetchCount, energy, "Energy vs number of files to prefetch (PF vs NPF)", "Fig. 3(d) energy vs prefetch count", []string{
+	{"fig3d", prefetchCount, energy, "Energy vs number of files to prefetch (PF vs NPF)", []string{
 		"paper shape: K=10 yields only ~3% savings; K >= 40 yields significant savings"}},
-	{"fig4a", dataSize, transitions, "Power-state transitions vs data size", "Fig. 4(a) transitions vs data size", []string{
+	{"fig4a", dataSize, transitions, "Power-state transitions vs data size", []string{
 		"paper shape: transitions decrease as data size increases"}},
-	{"fig4b", popularity, transitions, "Power-state transitions vs MU", "Fig. 4(b) transitions vs MU", []string{
+	{"fig4b", popularity, transitions, "Power-state transitions vs MU", []string{
 		"paper shape: near-minimum transitions for MU <= 100 (one sleep per disk), hundreds at MU=1000"}},
-	{"fig4c", delay, transitions, "Power-state transitions vs inter-arrival delay", "Fig. 4(c) transitions vs inter-arrival delay", []string{
+	{"fig4c", delay, transitions, "Power-state transitions vs inter-arrival delay", []string{
 		"paper shape: transitions decrease as the delay increases (lighter load, longer windows)"}},
-	{"fig4d", prefetchCount, transitions, "Power-state transitions vs number of files to prefetch", "Fig. 4(d) transitions vs prefetch count", []string{
+	{"fig4d", prefetchCount, transitions, "Power-state transitions vs number of files to prefetch", []string{
 		"paper shape: K=10 produces the most transitions of all tests (paper: 447) for the least savings"}},
-	{"fig5a", dataSize, response, "Response time vs data size (PF vs NPF)", "Fig. 5(a) response vs data size", []string{
+	{"fig5a", dataSize, response, "Response time vs data size (PF vs NPF)", []string{
 		"paper shape: penalty shrinks with size (121% at 1 MB, 4% at 25 MB); the paper omits the 50 MB point due to server queueing"}},
-	{"fig5b", popularity, response, "Response time vs MU (PF vs NPF)", "Fig. 5(b) response vs MU", []string{
+	{"fig5b", popularity, response, "Response time vs MU (PF vs NPF)", []string{
 		"paper shape: virtually no penalty when disks sleep the whole trace (MU <= 100)"}},
-	{"fig5c", delay, response, "Response time vs inter-arrival delay (PF vs NPF)", "Fig. 5(c) response vs inter-arrival delay", []string{
+	{"fig5c", delay, response, "Response time vs inter-arrival delay (PF vs NPF)", []string{
 		"paper shape: penalty between ~16% and ~37% across delays, tracking the transition counts"}},
-	{"fig5d", prefetchCount, response, "Response time vs number of files to prefetch (PF vs NPF)", "Fig. 5(d) response vs prefetch count", []string{
+	{"fig5d", prefetchCount, response, "Response time vs number of files to prefetch (PF vs NPF)", []string{
 		"paper shape: penalty falls as K grows (fewer misses, fewer wake-ups)"}},
-	{"ext-disks", disksPerNode, energy, "Energy savings vs data disks per node (Section VII claim)", "", []string{
+	{"ext-disks", disksPerNode, energy, "Energy savings vs data disks per node (Section VII claim)", []string{
 		"paper claim: savings grow as more disks are added to each storage node"}},
 }
 
@@ -285,12 +284,6 @@ func extBaselines(o Options) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		// Configure may write into base's node array (lowpower-disks
-		// rewrites its disk models), and a built config must not change:
-		// each run keeps the array as it stood when configured. The
-		// comparators configured after lowpower-disks inherit its disks,
-		// as under baseline.RunAll.
-		cfg.Nodes = slices.Clone(cfg.Nodes)
 		runs = append(runs, run{string(n), cfg, tr})
 	}
 	res, err := simulate(o, runs)
@@ -364,8 +357,8 @@ func extStripe(o Options) (Table, error) {
 // dynamic re-prefetching on a workload whose hot set drifts.
 func extDynamic(o Options) (Table, error) {
 	// Ten disjoint ~30-file hot sets: a one-shot top-70 prefetch covers a couple.
-	w := workload.DriftConfig{NumFiles: 1000, NumRequests: o.requests(), MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: o.seed()}
-	tr, err := workload.Drift(w)
+	w := workload.SyntheticConfig{NumFiles: 1000, NumRequests: o.requests(), MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: o.seed()}
+	tr, err := workload.Synthetic(w)
 	if err != nil {
 		return Table{}, err
 	}

@@ -144,9 +144,6 @@ func (a axis) sweep(o Options) ([]point, error) {
 type metric struct {
 	columns []string // the table's columns after the axis column
 	cells   func(pf, npf cluster.Result) []string
-	unit    string                       // the chart's unit
-	value   func(cluster.Result) float64 // the charted quantity
-	pfOnly  bool                         // chart the PF arm alone
 }
 
 var (
@@ -155,8 +152,6 @@ var (
 		cells: func(pf, npf cluster.Result) []string {
 			return []string{fmtJ(pf.TotalEnergyJ), fmtJ(npf.TotalEnergyJ), fmtPct(pf.EnergySavingsVs(npf))}
 		},
-		unit:  "J",
-		value: func(r cluster.Result) float64 { return r.TotalEnergyJ },
 	}
 	// transitions reports the PF arm only: NPF never sleeps. The wear
 	// column is the paper's Section VI-B reliability concern (fmtWear).
@@ -165,17 +160,12 @@ var (
 		cells: func(pf, _ cluster.Result) []string {
 			return []string{fmt.Sprint(pf.Transitions), fmt.Sprint(pf.SpinUps), fmt.Sprint(pf.SpinDowns), fmtWear(pf, 1)}
 		},
-		unit:   "transitions",
-		value:  func(r cluster.Result) float64 { return float64(r.Transitions) },
-		pfOnly: true,
 	}
 	response = metric{
 		columns: []string{"PF resp (s)", "NPF resp (s)", "penalty"},
 		cells: func(pf, npf cluster.Result) []string {
 			return []string{fmtS(pf.Response.Mean), fmtS(npf.Response.Mean), fmtPct(pf.ResponsePenaltyVs(npf))}
 		},
-		unit:  "s",
-		value: func(r cluster.Result) float64 { return r.Response.Mean },
 	}
 )
 

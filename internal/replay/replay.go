@@ -26,8 +26,6 @@ type Options struct {
 	// be replayed against directories without writing gigabytes. <= 0
 	// defaults to 1. Sizes are floored at 1 byte.
 	SizeScale int64
-	// NamePrefix prefixes generated file names ("replay-" by default).
-	NamePrefix string
 }
 
 func (o Options) sizeScale() int64 {
@@ -37,16 +35,9 @@ func (o Options) sizeScale() int64 {
 	return o.SizeScale
 }
 
-func (o Options) prefix() string {
-	if o.NamePrefix == "" {
-		return "replay-"
-	}
-	return o.NamePrefix
-}
-
 // FileName returns the cluster file name used for a trace file id.
 func (o Options) FileName(id int) string {
-	return fmt.Sprintf("%sf%06d.dat", o.prefix(), id)
+	return fmt.Sprintf("replay-f%06d.dat", id)
 }
 
 // scaledSize returns the on-cluster size for a trace file.

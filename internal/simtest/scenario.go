@@ -67,9 +67,9 @@ type Scenario struct {
 	InterArrivalMS float64
 	WritePct       int
 
-	// Drift dimensions (workload.DriftConfig mirror; all zero = the
-	// plain synthetic workload). Adaptive scenarios always use the drift
-	// generator, with DriftPhases=0 meaning one stationary phase.
+	// Drift dimensions (workload.SyntheticConfig's drift mechanisms; all
+	// zero = a stationary workload). Adaptive scenarios always drift,
+	// with DriftPhases=0 meaning one stationary phase.
 	DriftPhases int // popularity epochs
 	FlashPct    int // flash-crowd redirect probability, percent (0 = off)
 	DiurnalPct  int // diurnal inter-arrival amplitude, percent (0 = off)
@@ -287,63 +287,49 @@ func (s Scenario) ClusterConfig() cluster.Config {
 	return cfg
 }
 
-// UsesDrift reports whether the scenario's workload comes from the
-// composable drift generator rather than the plain synthetic one.
+// UsesDrift reports whether the scenario's workload is a drifting one.
+// Adaptive scenarios always drift, with DriftPhases=0 meaning one
+// stationary phase.
 func (s Scenario) UsesDrift() bool {
 	return s.Policy == cluster.Adaptive || s.DriftPhases > 0 || s.FlashPct > 0 || s.DiurnalPct > 0
 }
 
-// DriftWorkloadConfig expands the scenario into the drift-trace
-// generator configuration (only meaningful when UsesDrift()).
-func (s Scenario) DriftWorkloadConfig() workload.DriftConfig {
-	phases := s.DriftPhases
-	if phases < 1 {
-		phases = 1
-	}
-	dc := workload.DriftConfig{
-		NumFiles:     s.Files,
-		NumRequests:  s.Requests,
-		MeanSize:     int64(s.MeanSizeKB) * 1000,
-		MU:           s.MU,
-		Phases:       phases,
-		InterArrival: s.InterArrivalMS / 1000,
-		Seed:         s.Seed,
-	}
-	if s.FlashPct > 0 {
-		dc.FlashStartFrac = 0.4
-		dc.FlashDurFrac = 0.25
-		dc.FlashBoost = float64(s.FlashPct) / 100
-		dc.FlashFiles = 8
-	}
-	if s.DiurnalPct > 0 {
-		dc.DiurnalPeriodSec = 60
-		dc.DiurnalAmplitude = float64(s.DiurnalPct) / 100
-	}
-	return dc
-}
-
-// BuildTrace generates the scenario's workload trace, dispatching on the
-// workload family.
+// BuildTrace generates the scenario's workload trace.
 func (s Scenario) BuildTrace() (*trace.Trace, error) {
-	if s.UsesDrift() {
-		return workload.Drift(s.DriftWorkloadConfig())
-	}
 	return workload.Synthetic(s.WorkloadConfig())
 }
 
 // WorkloadConfig expands the scenario into the synthetic-trace generator
-// configuration. The workload shares the scenario seed.
+// configuration. The workload shares the scenario seed. A drifting
+// workload has fixed sizes and no writes, whatever SizeSpreadPct and
+// WritePct say, so every repro string keeps replaying the trace it was
+// recorded with.
 func (s Scenario) WorkloadConfig() workload.SyntheticConfig {
-	return workload.SyntheticConfig{
+	w := workload.SyntheticConfig{
 		NumFiles:      s.Files,
 		NumRequests:   s.Requests,
 		MeanSize:      int64(s.MeanSizeKB) * 1000,
 		SizeSpread:    float64(s.SizeSpreadPct) / 100,
 		MU:            s.MU,
+		Phases:        s.DriftPhases,
 		InterArrival:  s.InterArrivalMS / 1000,
 		WriteFraction: float64(s.WritePct) / 100,
 		Seed:          s.Seed,
 	}
+	if s.UsesDrift() {
+		w.SizeSpread, w.WriteFraction = 0, 0
+	}
+	if s.FlashPct > 0 {
+		w.FlashStartFrac = 0.4
+		w.FlashDurFrac = 0.25
+		w.FlashBoost = float64(s.FlashPct) / 100
+		w.FlashFiles = 8
+	}
+	if s.DiurnalPct > 0 {
+		w.DiurnalPeriodSec = 60
+		w.DiurnalAmplitude = float64(s.DiurnalPct) / 100
+	}
+	return w
 }
 
 // Valid reports whether the scenario expands to configurations the
@@ -353,9 +339,6 @@ func (s Scenario) WorkloadConfig() workload.SyntheticConfig {
 func (s Scenario) Valid() error {
 	if err := s.ClusterConfig().Validate(); err != nil {
 		return err
-	}
-	if s.UsesDrift() {
-		return s.DriftWorkloadConfig().Validate()
 	}
 	return s.WorkloadConfig().Validate()
 }

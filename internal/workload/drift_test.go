@@ -15,11 +15,11 @@ func TestDriftDeterministic(t *testing.T) {
 		cfg.Seed = seed
 		cfg.FlashStartFrac, cfg.FlashDurFrac, cfg.FlashBoost = 0.4, 0.3, 0.5
 		cfg.DiurnalPeriodSec, cfg.DiurnalAmplitude = 90, 0.4
-		a, err := Drift(cfg)
+		a, err := Synthetic(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Drift(cfg)
+		b, err := Synthetic(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,15 +36,15 @@ func TestDriftDeterministic(t *testing.T) {
 
 // phaseRotation is the phase rotation alone, flash and diurnal off, over
 // ext-dynamic's 1000 files: Poisson(20) hot sets, phases of them.
-func phaseRotation(phases int) DriftConfig {
-	return DriftConfig{NumFiles: 1000, NumRequests: 1000, MeanSize: 10 * 1e6, MU: 20, Phases: phases, InterArrival: 0.7, Seed: 1}
+func phaseRotation(phases int) SyntheticConfig {
+	return SyntheticConfig{NumFiles: 1000, NumRequests: 1000, MeanSize: 10 * 1e6, MU: 20, Phases: phases, InterArrival: 0.7, Seed: 1}
 }
 
 // TestDriftingDefaults: ext-dynamic's ten-phase rotation generates a
 // valid trace of NumRequests records.
 func TestDriftingDefaults(t *testing.T) {
 	cfg := phaseRotation(10)
-	tr, err := Drift(cfg)
+	tr, err := Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDriftingDefaults(t *testing.T) {
 // carried up the id space (0 -> 750), so the last quarter's mean id sits
 // well above the first quarter's.
 func TestDriftingHotSetMoves(t *testing.T) {
-	tr, err := Drift(phaseRotation(4))
+	tr, err := Synthetic(phaseRotation(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,30 +78,34 @@ func TestDriftingHotSetMoves(t *testing.T) {
 }
 
 // TestDriftingSinglePhaseMatchesStationary: one phase keeps every id near
-// Poisson(MU) around 0.
+// Poisson(MU) around 0, and draws exactly the ids Phases = 0 draws.
 func TestDriftingSinglePhaseMatchesStationary(t *testing.T) {
-	for _, fid := range driftFIDs(t, phaseRotation(1)) {
+	one, zero := driftFIDs(t, phaseRotation(1)), driftFIDs(t, phaseRotation(0))
+	for i, fid := range one {
 		if fid > 100 {
 			t.Fatalf("single-phase drift produced far id %d", fid)
+		}
+		if fid != zero[i] {
+			t.Fatalf("request %d: Phases=1 drew id %d, Phases=0 drew %d", i, fid, zero[i])
 		}
 	}
 }
 
-// TestDriftingValidation: Drift itself refuses a phase-rotation config
+// TestDriftingValidation: Synthetic refuses a phase-rotation config
 // with any of the base fields out of range, and generates nothing.
 func TestDriftingValidation(t *testing.T) {
-	bad := []func(*DriftConfig){
-		func(c *DriftConfig) { c.NumFiles = 0 },
-		func(c *DriftConfig) { c.NumRequests = -1 },
-		func(c *DriftConfig) { c.MeanSize = 0 },
-		func(c *DriftConfig) { c.MU = -1 },
-		func(c *DriftConfig) { c.Phases = 0 },
-		func(c *DriftConfig) { c.InterArrival = -1 },
+	bad := []func(*SyntheticConfig){
+		func(c *SyntheticConfig) { c.NumFiles = 0 },
+		func(c *SyntheticConfig) { c.NumRequests = -1 },
+		func(c *SyntheticConfig) { c.MeanSize = 0 },
+		func(c *SyntheticConfig) { c.MU = -1 },
+		func(c *SyntheticConfig) { c.Phases = -1 },
+		func(c *SyntheticConfig) { c.InterArrival = -1 },
 	}
 	for i, mod := range bad {
 		cfg := phaseRotation(10)
 		mod(&cfg)
-		if tr, err := Drift(cfg); err == nil || tr != nil {
+		if tr, err := Synthetic(cfg); err == nil || tr != nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
@@ -109,7 +113,7 @@ func TestDriftingValidation(t *testing.T) {
 
 // perEpochCounts tallies per-file access counts for each epoch, using
 // the generator's own PhaseOf split.
-func perEpochCounts(cfg DriftConfig, fids []int) []map[int]int {
+func perEpochCounts(cfg SyntheticConfig, fids []int) []map[int]int {
 	out := make([]map[int]int, cfg.Phases)
 	for i := range out {
 		out[i] = map[int]int{}
@@ -124,9 +128,9 @@ func perEpochCounts(cfg DriftConfig, fids []int) []map[int]int {
 	return out
 }
 
-func driftFIDs(t *testing.T, cfg DriftConfig) []int {
+func driftFIDs(t *testing.T, cfg SyntheticConfig) []int {
 	t.Helper()
-	tr, err := Drift(cfg)
+	tr, err := Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestDriftDiurnalModulation(t *testing.T) {
 	cfg := DefaultDrift()
 	cfg.DiurnalPeriodSec = 100
 	cfg.DiurnalAmplitude = 0.5
-	tr, err := Drift(cfg)
+	tr, err := Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,20 +301,20 @@ func TestDriftDiurnalModulation(t *testing.T) {
 
 // TestDriftValidateRejects walks the invalid corners of the config space.
 func TestDriftValidateRejects(t *testing.T) {
-	mods := map[string]func(*DriftConfig){
-		"zero files":          func(c *DriftConfig) { c.NumFiles = 0 },
-		"negative requests":   func(c *DriftConfig) { c.NumRequests = -1 },
-		"zero mean size":      func(c *DriftConfig) { c.MeanSize = 0 },
-		"negative mu":         func(c *DriftConfig) { c.MU = -1 },
-		"zero phases":         func(c *DriftConfig) { c.Phases = 0 },
-		"negative arrival":    func(c *DriftConfig) { c.InterArrival = -0.1 },
-		"flash start 1":       func(c *DriftConfig) { c.FlashStartFrac = 1 },
-		"flash dur 2":         func(c *DriftConfig) { c.FlashDurFrac = 2 },
-		"flash boost -1":      func(c *DriftConfig) { c.FlashBoost = -1 },
-		"flash files over":    func(c *DriftConfig) { c.FlashFiles = c.NumFiles + 1 },
-		"negative period":     func(c *DriftConfig) { c.DiurnalPeriodSec = -1 },
-		"amplitude 1":         func(c *DriftConfig) { c.DiurnalAmplitude = 1 },
-		"amplitude no period": func(c *DriftConfig) { c.DiurnalAmplitude = 0.5; c.DiurnalPeriodSec = 0 },
+	mods := map[string]func(*SyntheticConfig){
+		"zero files":          func(c *SyntheticConfig) { c.NumFiles = 0 },
+		"negative requests":   func(c *SyntheticConfig) { c.NumRequests = -1 },
+		"zero mean size":      func(c *SyntheticConfig) { c.MeanSize = 0 },
+		"negative mu":         func(c *SyntheticConfig) { c.MU = -1 },
+		"negative phases":     func(c *SyntheticConfig) { c.Phases = -1 },
+		"negative arrival":    func(c *SyntheticConfig) { c.InterArrival = -0.1 },
+		"flash start 1":       func(c *SyntheticConfig) { c.FlashStartFrac = 1 },
+		"flash dur 2":         func(c *SyntheticConfig) { c.FlashDurFrac = 2 },
+		"flash boost -1":      func(c *SyntheticConfig) { c.FlashBoost = -1 },
+		"flash files over":    func(c *SyntheticConfig) { c.FlashFiles = c.NumFiles + 1 },
+		"negative period":     func(c *SyntheticConfig) { c.DiurnalPeriodSec = -1 },
+		"amplitude 1":         func(c *SyntheticConfig) { c.DiurnalAmplitude = 1 },
+		"amplitude no period": func(c *SyntheticConfig) { c.DiurnalAmplitude = 0.5; c.DiurnalPeriodSec = 0 },
 	}
 	for name, mod := range mods {
 		cfg := DefaultDrift()

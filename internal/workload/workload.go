@@ -21,13 +21,32 @@ import (
 	"eevfs/internal/trace"
 )
 
-// SyntheticConfig describes one synthetic workload (Table II parameters).
+// SyntheticConfig describes one synthetic workload: Table II's
+// parameters, plus three drift mechanisms that are off at their zero
+// values and compose when on, so the online adaptive arm can be judged on
+// moving popularity:
+//
+//   - Phase rotation: the trace is split into Phases equal epochs, and in
+//     epoch p the requested id is (p*NumFiles/Phases + Poisson(MU)) mod
+//     NumFiles, so the hot set's center moves NumFiles/Phases ids each
+//     epoch. Phases 0 and 1 keep the hot set stationary.
+//   - Flash crowd: during the window [FlashStartFrac, FlashStartFrac +
+//     FlashDurFrac) of the request stream, each request is redirected
+//     with probability FlashBoost to a small set of FlashFiles files at
+//     the top of the id space — a sudden popularity spike no offline
+//     ranking can have seen coming.
+//   - Diurnal load: the inter-arrival gap is modulated sinusoidally with
+//     period DiurnalPeriodSec and relative amplitude DiurnalAmplitude,
+//     so the request rate swells and ebbs the way day/night traffic
+//     does. This changes per-disk gap lengths without moving the hot
+//     set: the inter-arrival estimator's regime, not the prefetcher's.
 type SyntheticConfig struct {
 	NumFiles    int     // total files in the file system (paper: 1000)
 	NumRequests int     // requests in the trace (paper: 1000)
 	MeanSize    int64   // mean file size in bytes (paper: 1..50 MB)
 	SizeSpread  float64 // sizes uniform in mean*(1±spread); 0 = fixed (paper)
 	MU          float64 // Poisson popularity parameter (paper: 1..1000)
+	Phases      int     // popularity epochs (0 or 1 = stationary)
 	// InterArrival is the delay in seconds inserted between consecutive
 	// requests (paper: 0..1000 ms, default 700 ms).
 	InterArrival float64
@@ -35,7 +54,18 @@ type SyntheticConfig struct {
 	// synthetic traces are read-only; the write path is exercised by the
 	// X4 extension experiment).
 	WriteFraction float64
-	Seed          uint64
+
+	// Flash crowd (FlashDurFrac = 0 disables it).
+	FlashStartFrac float64 // window start, as a fraction of the trace [0,1)
+	FlashDurFrac   float64 // window length, as a fraction of the trace [0,1]
+	FlashBoost     float64 // in-window redirect probability [0,1]
+	FlashFiles     int     // width of the flash set (0 defaults to 8)
+
+	// Diurnal modulation (DiurnalPeriodSec = 0 disables it).
+	DiurnalPeriodSec float64 // seconds per full swell/ebb cycle
+	DiurnalAmplitude float64 // relative amplitude [0,1)
+
+	Seed uint64
 }
 
 // Validate reports the first problem with the configuration.
@@ -51,10 +81,26 @@ func (c SyntheticConfig) Validate() error {
 		return fmt.Errorf("workload: SizeSpread must be in [0,1), got %g", c.SizeSpread)
 	case c.MU < 0:
 		return fmt.Errorf("workload: MU must be non-negative, got %g", c.MU)
+	case c.Phases < 0:
+		return fmt.Errorf("workload: Phases must be non-negative, got %d", c.Phases)
 	case c.InterArrival < 0:
 		return fmt.Errorf("workload: InterArrival must be non-negative, got %g", c.InterArrival)
 	case c.WriteFraction < 0 || c.WriteFraction > 1:
 		return fmt.Errorf("workload: WriteFraction must be in [0,1], got %g", c.WriteFraction)
+	case c.FlashStartFrac < 0 || c.FlashStartFrac >= 1:
+		return fmt.Errorf("workload: FlashStartFrac must be in [0,1), got %g", c.FlashStartFrac)
+	case c.FlashDurFrac < 0 || c.FlashDurFrac > 1:
+		return fmt.Errorf("workload: FlashDurFrac must be in [0,1], got %g", c.FlashDurFrac)
+	case c.FlashBoost < 0 || c.FlashBoost > 1:
+		return fmt.Errorf("workload: FlashBoost must be in [0,1], got %g", c.FlashBoost)
+	case c.FlashFiles < 0 || c.FlashFiles > c.NumFiles:
+		return fmt.Errorf("workload: FlashFiles %d out of range (0..%d)", c.FlashFiles, c.NumFiles)
+	case c.DiurnalPeriodSec < 0:
+		return fmt.Errorf("workload: DiurnalPeriodSec must be non-negative, got %g", c.DiurnalPeriodSec)
+	case c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1:
+		return fmt.Errorf("workload: DiurnalAmplitude must be in [0,1), got %g", c.DiurnalAmplitude)
+	case c.DiurnalAmplitude > 0 && c.DiurnalPeriodSec == 0:
+		return fmt.Errorf("workload: DiurnalAmplitude requires DiurnalPeriodSec")
 	}
 	return nil
 }
@@ -72,7 +118,60 @@ func DefaultSynthetic() SyntheticConfig {
 	}
 }
 
-// Synthetic generates a trace from the configuration.
+// DefaultDrift returns the strong-drift point the adaptive-vs-static
+// golden experiment uses: 16 disjoint phase hot sets over 1600 files,
+// each ~25 files wide, so a one-shot top-K prefetch is spread across
+// sixteen regimes while an online policy only ever needs to track one.
+func DefaultDrift() SyntheticConfig {
+	return SyntheticConfig{
+		NumFiles:     1600,
+		NumRequests:  1000,
+		MeanSize:     10 * 1e6,
+		MU:           10,
+		Phases:       16,
+		InterArrival: 0.7,
+		Seed:         1,
+	}
+}
+
+// PhaseOf returns the popularity epoch request index i belongs to, using
+// the same equal split as the generator. Tests use it to reconstruct
+// per-epoch hot sets without duplicating the arithmetic.
+func (c SyntheticConfig) PhaseOf(i int) int {
+	if c.NumRequests == 0 || c.Phases <= 1 {
+		return 0
+	}
+	perPhase := c.NumRequests/c.Phases + 1
+	return i / perPhase
+}
+
+// flashSet returns the [lo, hi) file-id range of the flash-crowd set.
+func (c SyntheticConfig) flashSet() (lo, hi int) {
+	w := c.FlashFiles
+	if w == 0 {
+		w = 8
+	}
+	if w > c.NumFiles {
+		w = c.NumFiles
+	}
+	return c.NumFiles - w, c.NumFiles
+}
+
+// inFlash reports whether request index i falls in the flash window.
+func (c SyntheticConfig) inFlash(i int) bool {
+	if c.FlashDurFrac == 0 || c.FlashBoost == 0 || c.NumRequests == 0 {
+		return false
+	}
+	frac := float64(i) / float64(c.NumRequests)
+	return frac >= c.FlashStartFrac && frac < c.FlashStartFrac+c.FlashDurFrac
+}
+
+// Synthetic generates a trace from the configuration. Its draws from the
+// seed come in a fixed order: every file size (only when SizeSpread > 0),
+// then per request the flash redirect (inside the window) or the
+// phase-centred Poisson id, then the write coin (only when WriteFraction
+// > 0). The diurnal gap draws nothing, so a mechanism left off never
+// shifts the draws of the others.
 func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,9 +184,17 @@ func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 	}
 
 	tr := &trace.Trace{FileSizes: sizes}
+	phases := max(cfg.Phases, 1)
+	flashLo, flashHi := cfg.flashSet()
 	now := 0.0
 	for i := 0; i < cfg.NumRequests; i++ {
-		fid := src.Poisson(cfg.MU) % cfg.NumFiles
+		var fid int
+		if cfg.inFlash(i) && src.Float64() < cfg.FlashBoost {
+			fid = flashLo + src.Intn(flashHi-flashLo)
+		} else {
+			center := cfg.PhaseOf(i) * cfg.NumFiles / phases
+			fid = (center + src.Poisson(cfg.MU)) % cfg.NumFiles
+		}
 		op := trace.Read
 		if cfg.WriteFraction > 0 && src.Float64() < cfg.WriteFraction {
 			op = trace.Write
@@ -99,7 +206,11 @@ func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 			FileID: fid,
 			Size:   sizes[fid],
 		})
-		now += cfg.InterArrival
+		gap := cfg.InterArrival
+		if cfg.DiurnalPeriodSec > 0 && cfg.DiurnalAmplitude > 0 {
+			gap *= 1 + cfg.DiurnalAmplitude*math.Sin(2*math.Pi*now/cfg.DiurnalPeriodSec)
+		}
+		now += gap
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generated invalid trace: %w", err)
