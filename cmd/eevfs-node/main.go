@@ -34,7 +34,6 @@ func main() {
 		noLatency   = flag.Bool("no-latency", false, "disable modeled latency injection")
 		writeBuffer = flag.Bool("write-buffer", false, "buffer writes on the buffer disk (Section III-C)")
 		stripe      = flag.Int64("stripe", 0, "stripe chunk size in bytes (0 = whole-file placement)")
-		streamChunk = flag.Int64("stream-chunk", 0, "preferred streaming data-frame size in bytes (0 = protocol default; a client's explicit request wins)")
 		adminAddr   = flag.String("admin-addr", "",
 			"admin HTTP listen address serving /metrics, /healthz and /debug/pprof (empty = disabled)")
 		traceSample = flag.Float64("trace-sample", 0,
@@ -85,7 +84,6 @@ func main() {
 		InjectLatency:    !*noLatency,
 		WriteBuffer:      *writeBuffer,
 		StripeChunkBytes: *stripe,
-		StreamChunkBytes: *streamChunk,
 		Tracer:           tracer,
 		Energy:           energy,
 	})

@@ -25,14 +25,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"eevfs/internal/disk"
 	"eevfs/internal/fs"
 )
 
@@ -156,81 +154,26 @@ func main() {
 }
 
 // clusterAddrs resolves the target cluster: parse -addr, or boot a
-// replicated group plus nodes in-process and return their addresses.
+// replicated group plus nodes in-process (fs.StartLocal) and return the
+// servers' addresses.
 func clusterAddrs(attach string, servers, nodes int, policy string, injectLat bool, logger *log.Logger) ([]string, func(), error) {
 	if attach != "" {
 		return strings.Split(attach, ","), func() {}, nil
 	}
-	if servers < 1 || nodes < 1 {
-		return nil, nil, fmt.Errorf("need at least 1 server and 1 node, got %d/%d", servers, nodes)
+	dir, err := os.MkdirTemp("", "eevfsload-")
+	if err != nil {
+		return nil, nil, err
 	}
-	var closers []func()
-	cleanup := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
+	local, err := fs.StartLocal(fs.LocalConfig{
+		Nodes: nodes, Servers: servers, Dir: dir,
+		Node:   func(_ int, c *fs.NodeConfig) { c.InjectLatency, c.Logger = injectLat, logger },
+		Server: func(_ int, c *fs.ServerConfig) { c.Policy, c.Logger = policy, logger },
+	})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
 	}
-
-	var nodeAddrs []string
-	for i := 0; i < nodes; i++ {
-		dir, err := os.MkdirTemp("", "eevfsload-node-")
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		closers = append(closers, func() { os.RemoveAll(dir) })
-		n, err := fs.StartNode(fs.NodeConfig{
-			Addr:             "127.0.0.1:0",
-			RootDir:          dir,
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 5,
-			TimeScale:        2000,
-			InjectLatency:    injectLat,
-			Logger:           logger,
-		})
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		closers = append(closers, func() { n.Close() })
-		nodeAddrs = append(nodeAddrs, n.Addr())
-	}
-
-	// Pre-bind the server listeners so every group member knows the full
-	// peer list before any member starts (the replication bootstrap).
-	lns := make([]net.Listener, servers)
-	addrs := make([]string, servers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	peers := addrs
-	if servers == 1 {
-		peers = nil // standalone: no replication plane
-	}
-	for i := 0; i < servers; i++ {
-		srv, err := fs.StartServer(fs.ServerConfig{
-			NodeAddrs: nodeAddrs,
-			Logger:    logger,
-			Peers:     peers,
-			Self:      i,
-			Listener:  lns[i],
-			Policy:    policy,
-		})
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		closers = append(closers, func() { srv.Close() })
-	}
-	return addrs, cleanup, nil
+	return local.Addrs, func() { local.Close(); os.RemoveAll(dir) }, nil
 }
 
 // printReport renders one live tick: cumulative accounting plus the

@@ -12,6 +12,9 @@ import (
 	"eevfs/internal/fs"
 )
 
+// TestClusterAddrsAttachAndValidation: -addr is split into the server
+// list and nothing is booted. (StartLocal's own tests reject 0 nodes or
+// servers.)
 func TestClusterAddrsAttachAndValidation(t *testing.T) {
 	addrs, cleanup, err := clusterAddrs("10.0.0.1:7000,10.0.0.2:7000", 3, 3, "static", false, nil)
 	if err != nil {
@@ -20,12 +23,6 @@ func TestClusterAddrsAttachAndValidation(t *testing.T) {
 	cleanup()
 	if len(addrs) != 2 || addrs[0] != "10.0.0.1:7000" {
 		t.Fatalf("attach parsed %v", addrs)
-	}
-	if _, _, err := clusterAddrs("", 0, 3, "static", false, nil); err == nil {
-		t.Fatal("0 servers accepted")
-	}
-	if _, _, err := clusterAddrs("", 1, 0, "static", false, nil); err == nil {
-		t.Fatal("0 nodes accepted")
 	}
 }
 

@@ -52,58 +52,84 @@ func main() {
 			os.Exit(2)
 		}
 		outFile = f
-		defer outFile.Close()
 	}
 
-	if *failover > 0 {
-		os.Exit(failoverBattery(*seed, *failover, *verbose, outFile))
+	kind, count := "", *n
+	switch {
+	case *failover > 0:
+		kind, count = "failover", *failover
+	case *drift > 0:
+		kind, count = "drift", *drift
 	}
-	if *drift > 0 {
-		os.Exit(driftBattery(*seed, *drift, *verbose, outFile))
-	}
-
 	// The soak loop itself may use wall time (-duration is an operator
 	// budget, not part of any scenario); each scenario's behavior depends
-	// only on its seed.
+	// only on its seed. The two batteries run their count.
 	deadline := time.Time{}
-	if *duration > 0 {
+	if *duration > 0 && kind == "" {
 		deadline = time.Now().Add(*duration)
 	}
-	failures := 0
-	ran := 0
+	code := soak(kind, *seed, count, deadline, *live, *verbose, outFile)
+	if outFile != nil {
+		outFile.Close()
+	}
+	os.Exit(code)
+}
+
+// soak is the one seed loop. Iteration i checks the scenario of kind
+// drawn from seed+i: for "" (the general soak) a simulator scenario and,
+// every live-th iteration, a live TCP-stack one too; for "failover" a
+// live replicated group whose primary is killed mid-run; for "drift" an
+// adaptive-arm drift scenario, held to the adaptive oracles. It runs n
+// iterations, or until deadline when that is set, prints one summary,
+// and returns the exit status: 1 on any failure.
+func soak(kind string, seed uint64, n int, deadline time.Time, live int, verbose bool, outFile *os.File) int {
+	failures, ran := 0, 0
 	start := time.Now()
 	for i := 0; ; i++ {
-		if deadline.IsZero() {
-			if i >= *n {
-				break
-			}
-		} else if time.Now().After(deadline) {
+		if deadline.IsZero() && i >= n || !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
-		s := simtest.Generate(*seed + uint64(i))
 		ran++
-		if *verbose {
-			fmt.Printf("run  seed=%d %s\n", s.Seed, s.Encode())
-		}
-		if f := simtest.Check(s); f != nil {
-			failures++
-			report(s, f, outFile)
-		}
-		if *live > 0 && i%*live == 0 {
-			ls := simtest.GenerateLive(*seed + uint64(i))
-			if *verbose {
-				fmt.Printf("live seed=%d nodes=%d ops=%d kill=%d srv=%d kp=%v rs=%v\n",
-					ls.Seed, ls.Nodes, ls.Ops, ls.KillNode, ls.Servers, ls.KillPrimary, ls.RestartServer)
+		s := seed + uint64(i)
+		switch kind {
+		case "failover":
+			ls := simtest.GenerateLive(s)
+			ls.Servers = 2 + i%2 // alternate 2- and 3-member groups
+			ls.KillPrimary = true
+			if verbose {
+				fmt.Printf("failover seed=%d nodes=%d ops=%d srv=%d rs=%v\n", ls.Seed, ls.Nodes, ls.Ops, ls.Servers, ls.RestartServer)
 			}
 			if !runLive(ls, outFile) {
 				failures++
 			}
+		case "drift":
+			if !runSim("drift", simtest.GenerateDrift(s), verbose, outFile) {
+				failures++
+			}
+		default:
+			if !runSim("run ", simtest.Generate(s), verbose, outFile) {
+				failures++
+			}
+			if live > 0 && i%live == 0 {
+				ls := simtest.GenerateLive(s)
+				if verbose {
+					fmt.Printf("live seed=%d nodes=%d ops=%d kill=%d srv=%d kp=%v rs=%v\n",
+						ls.Seed, ls.Nodes, ls.Ops, ls.KillNode, ls.Servers, ls.KillPrimary, ls.RestartServer)
+				}
+				if !runLive(ls, outFile) {
+					failures++
+				}
+			}
 		}
 	}
-	fmt.Printf("eevfssim: %d scenarios, %d failures, %s\n", ran, failures, time.Since(start).Round(time.Millisecond))
-	if failures > 0 {
-		os.Exit(1)
+	if kind != "" {
+		kind += " "
 	}
+	fmt.Printf("eevfssim: %d %sscenarios, %d failures, %s\n", ran, kind, failures, time.Since(start).Round(time.Millisecond))
+	if failures > 0 {
+		return 1
+	}
+	return 0
 }
 
 // replay decodes and re-checks one scenario — simulator or live,
@@ -164,57 +190,17 @@ func runLive(ls simtest.LiveScenario, outFile *os.File) bool {
 	return false
 }
 
-// failoverBattery runs n live scenarios that each boot a replicated
-// server group and kill the primary mid-run — the soak-scale proof
-// behind the failover test battery.
-func failoverBattery(seed uint64, n int, verbose bool, outFile *os.File) int {
-	failures := 0
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		ls := simtest.GenerateLive(seed + uint64(i))
-		ls.Servers = 2 + i%2 // alternate 2- and 3-member groups
-		ls.KillPrimary = true
-		if verbose {
-			fmt.Printf("failover seed=%d nodes=%d ops=%d srv=%d rs=%v\n", ls.Seed, ls.Nodes, ls.Ops, ls.Servers, ls.RestartServer)
-		}
-		if !runLive(ls, outFile) {
-			failures++
-		}
+// runSim checks one simulator scenario and, on failure, shrinks it to a
+// minimal same-oracle reproducer before printing the one-line repro. It
+// reports whether the scenario passed.
+func runSim(label string, s simtest.Scenario, verbose bool, outFile *os.File) bool {
+	if verbose {
+		fmt.Printf("%s seed=%d %s\n", label, s.Seed, s.Encode())
 	}
-	fmt.Printf("eevfssim: %d failover scenarios, %d failures, %s\n", n, failures, time.Since(start).Round(time.Millisecond))
-	if failures > 0 {
-		return 1
+	f := simtest.Check(s)
+	if f == nil {
+		return true
 	}
-	return 0
-}
-
-// driftBattery runs n adaptive-arm drift scenarios: every iteration puts
-// the online policy on a drifting workload and holds it to the
-// adaptive-dominates-npf and transition-budget oracles (plus the whole
-// base catalogue), instead of the ~quarter of the general soak space
-// that lands on the adaptive branch.
-func driftBattery(seed uint64, n int, verbose bool, outFile *os.File) int {
-	failures := 0
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		s := simtest.GenerateDrift(seed + uint64(i))
-		if verbose {
-			fmt.Printf("drift seed=%d %s\n", s.Seed, s.Encode())
-		}
-		if f := simtest.Check(s); f != nil {
-			failures++
-			report(s, f, outFile)
-		}
-	}
-	fmt.Printf("eevfssim: %d drift scenarios, %d failures, %s\n", n, failures, time.Since(start).Round(time.Millisecond))
-	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-// report shrinks a failing scenario and prints the one-line repro.
-func report(s simtest.Scenario, f *simtest.Failure, outFile *os.File) {
 	min := simtest.Shrink(s, f, simtest.Check)
 	line := fmt.Sprintf("FAIL oracle=%s seed=%d (shrunk %d->%d requests in %d runs): %s\n  repro: %s",
 		min.Failure.Oracle, s.Seed, s.Requests, min.Scenario.Requests, min.Runs,
@@ -223,4 +209,5 @@ func report(s simtest.Scenario, f *simtest.Failure, outFile *os.File) {
 	if outFile != nil {
 		fmt.Fprintln(outFile, line)
 	}
+	return false
 }

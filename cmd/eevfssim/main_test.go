@@ -1,12 +1,16 @@
 package main
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
-// TestDriftBatterySmoke runs a handful of drift-battery iterations in
-// process: the adaptive-arm generator, the full oracle catalogue, and
-// the exit-code plumbing that CI's soak-drift job depends on.
+// TestDriftBatterySmoke runs a handful of drift-battery iterations of the
+// seed loop in process: the adaptive-arm generator, the full oracle
+// catalogue, and the exit-code plumbing that CI's soak-drift job depends
+// on.
 func TestDriftBatterySmoke(t *testing.T) {
-	if code := driftBattery(1, 5, true, nil); code != 0 {
+	if code := soak("drift", 1, 5, time.Time{}, 0, true, nil); code != 0 {
 		t.Fatalf("drift battery failed with exit code %d", code)
 	}
 }

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"eevfs/internal/disk"
 	"eevfs/internal/faultnet"
 	"eevfs/internal/proto"
 	"eevfs/internal/simtest/leak"
@@ -42,58 +39,17 @@ func chaosCluster(t *testing.T, numNodes int) (cl *Client, srv *Server, nodes []
 	// goroutines; the Close paths must join them all, even after forced
 	// failures. Registered first so it runs after the other cleanups.
 	leak.Check(t)
-	quiet := log.New(io.Discard, "", 0)
 	serverNet = faultnet.New(1)
 	clientNet = faultnet.New(2)
-
-	var addrs []string
-	for i := 0; i < numNodes; i++ {
-		n, err := StartNode(NodeConfig{
-			Addr:             "127.0.0.1:0",
-			RootDir:          t.TempDir(),
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 5,
-			TimeScale:        2000,
-			InjectLatency:    true,
-			WriteTimeout:     time.Second,
-			Logger:           quiet,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		nodes = append(nodes, n)
-		addrs = append(addrs, n.Addr())
-	}
-
-	srv, err := StartServer(ServerConfig{
-		Addr:      "127.0.0.1:0",
-		NodeAddrs: addrs,
-		Logger:    quiet,
-		Dialer:    serverNet,
-		Transport: chaosTransport(),
-		Health: HealthConfig{
-			FailThreshold: 2,
-			ProbeInterval: 20 * time.Millisecond,
+	l := startLocal(t, LocalConfig{Nodes: numNodes, Servers: 1,
+		Node: func(_ int, c *NodeConfig) { c.InjectLatency, c.WriteTimeout = true, time.Second },
+		Server: func(_ int, c *ServerConfig) {
+			chaosServer(c)
+			c.Dialer = serverNet
 		},
-		WriteTimeout: time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	cl, err = DialConfig(srv.Addr(), ClientConfig{
-		Dialer:    clientNet,
-		Transport: chaosTransport(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl, srv, nodes, serverNet, clientNet
+	cl = dialLocal(t, l, ClientConfig{Dialer: clientNet, Transport: chaosTransport()})
+	return cl, l.Servers[0], l.Nodes, serverNet, clientNet
 }
 
 // waitHealthy polls the server's health view until node idx reaches the
@@ -329,15 +285,14 @@ func TestChaosCorruptionPoisonsAllOutstanding(t *testing.T) {
 // report unavailable, and after a restart on the same address the prober
 // readmits it with content intact.
 func TestChaosNodeRestartRecovery(t *testing.T) {
-	quiet := log.New(io.Discard, "", 0)
 	cl, srv, nodes, _, _ := chaosCluster(t, 2)
 	content := bytes.Repeat([]byte("r"), 1500)
 	if err := cl.Create("f0", content); err != nil { // node 0
 		t.Fatal(err)
 	}
 
-	addr := nodes[0].Addr()
-	rootDir := nodes[0].cfg.RootDir
+	cfg := nodes[0].cfg
+	cfg.Addr = nodes[0].Addr()
 	nodes[0].Close() // crash
 
 	waitHealthy(t, srv, 0, false)
@@ -345,18 +300,7 @@ func TestChaosNodeRestartRecovery(t *testing.T) {
 		t.Fatalf("read from crashed node = %v, want ErrNodeUnavailable", err)
 	}
 
-	restarted, err := StartNode(NodeConfig{
-		Addr:             addr,
-		RootDir:          rootDir,
-		DataDisks:        2,
-		DataModel:        disk.ModelType1,
-		BufferModel:      disk.ModelType1,
-		IdleThresholdSec: 5,
-		TimeScale:        2000,
-		InjectLatency:    true,
-		WriteTimeout:     time.Second,
-		Logger:           quiet,
-	})
+	restarted, err := StartNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

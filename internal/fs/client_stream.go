@@ -13,11 +13,11 @@ import (
 	"eevfs/internal/telemetry"
 )
 
-// StreamOptions tunes one streamed transfer. The zero value asks for the
-// node's preferred chunk size and the default flow-control window.
+// StreamOptions tunes one streamed transfer. The zero value asks for
+// proto.DefaultStreamChunk and the default flow-control window.
 type StreamOptions struct {
 	// ChunkBytes requests a specific data-frame size (clamped to
-	// [proto.MinStreamChunk, proto.MaxStreamChunk]; 0 = node preference).
+	// [proto.MinStreamChunk, proto.MaxStreamChunk]; 0 = proto.DefaultStreamChunk).
 	ChunkBytes int
 	// Window requests a flow-control credit window (clamped to
 	// proto.MaxStreamWindow; 0 = proto.DefaultStreamWindow).

@@ -16,8 +16,9 @@ import (
 	"eevfs/internal/proto"
 )
 
-// testCluster spins up a server plus nodes on loopback with a fast model
-// clock, returning a connected client.
+// testCluster boots one server over numNodes latency-injecting nodes on
+// the harness's fast model clock (5 s model = 2.5 ms real) and returns a
+// connected client; mod, when set, adjusts each node.
 func testCluster(t *testing.T, numNodes int, mod func(*NodeConfig)) (*Client, *Server, []*Node) {
 	t.Helper()
 	return testClusterSrv(t, numNodes, mod, nil)
@@ -26,47 +27,20 @@ func testCluster(t *testing.T, numNodes int, mod func(*NodeConfig)) (*Client, *S
 // testClusterSrv is testCluster with a server-config hook too.
 func testClusterSrv(t *testing.T, numNodes int, mod func(*NodeConfig), srvMod func(*ServerConfig)) (*Client, *Server, []*Node) {
 	t.Helper()
-	quiet := log.New(io.Discard, "", 0)
-	var nodes []*Node
-	var addrs []string
-	for i := 0; i < numNodes; i++ {
-		cfg := NodeConfig{
-			Addr:             "127.0.0.1:0",
-			RootDir:          t.TempDir(),
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 5,
-			TimeScale:        2000, // 5 s model = 2.5 ms real
-			InjectLatency:    true,
-			Logger:           quiet,
-		}
-		if mod != nil {
-			mod(&cfg)
-		}
-		n, err := StartNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		nodes = append(nodes, n)
-		addrs = append(addrs, n.Addr())
-	}
-	scfg := ServerConfig{Addr: "127.0.0.1:0", NodeAddrs: addrs, Logger: quiet}
-	if srvMod != nil {
-		srvMod(&scfg)
-	}
-	srv, err := StartServer(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl, srv, nodes
+	l := startLocal(t, LocalConfig{Nodes: numNodes, Servers: 1,
+		Node: func(_ int, c *NodeConfig) {
+			c.InjectLatency = true
+			if mod != nil {
+				mod(c)
+			}
+		},
+		Server: func(_ int, c *ServerConfig) {
+			if srvMod != nil {
+				srvMod(c)
+			}
+		},
+	})
+	return dialLocal(t, l, ClientConfig{}), l.Servers[0], l.Nodes
 }
 
 func TestCreateReadRoundTrip(t *testing.T) {
@@ -323,34 +297,20 @@ func TestWriteBufferAbsorbsWrites(t *testing.T) {
 }
 
 func TestWriteBufferFlushOnClose(t *testing.T) {
-	quiet := log.New(io.Discard, "", 0)
-	root := t.TempDir()
-	node, err := StartNode(NodeConfig{
-		Addr: "127.0.0.1:0", RootDir: root, DataDisks: 1,
-		DataModel: disk.ModelType1, BufferModel: disk.ModelType1,
-		TimeScale: 2000, InjectLatency: true, WriteBuffer: true, Logger: quiet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := StartServer(ServerConfig{Addr: "127.0.0.1:0", NodeAddrs: []string{node.Addr()}, Logger: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := startLocal(t, LocalConfig{Nodes: 1, Servers: 1, Node: func(_ int, c *NodeConfig) {
+		c.DataDisks, c.IdleThresholdSec, c.InjectLatency, c.WriteBuffer = 1, 0, true, true
+	}})
+	cl := dialLocal(t, l, ClientConfig{})
 	if err := cl.Create("f", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
-	srv.Close()
-	if err := node.Close(); err != nil {
+	l.Servers[0].Close()
+	if err := l.Nodes[0].Close(); err != nil {
 		t.Fatal(err)
 	}
 	// After shutdown the data disk directory must hold the flushed copy.
-	data, err := readFileInDir(root, "data0")
+	data, err := readFileInDir(l.Nodes[0].cfg.RootDir, "data0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,29 +610,12 @@ func TestSmallFilesNotStriped(t *testing.T) {
 }
 
 func TestNodeRestartKeepsFiles(t *testing.T) {
-	quiet := log.New(io.Discard, "", 0)
-	root := t.TempDir()
-	state := root + "/server-state.json"
-	nodeCfg := NodeConfig{
-		Addr: "127.0.0.1:0", RootDir: root + "/n0", DataDisks: 2,
-		DataModel: disk.ModelType1, BufferModel: disk.ModelType1,
-		IdleThresholdSec: 5, TimeScale: 2000, InjectLatency: true, Logger: quiet,
-	}
-	node, err := StartNode(nodeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := StartServer(ServerConfig{
-		Addr: "127.0.0.1:0", NodeAddrs: []string{node.Addr()},
-		StateFile: state, Logger: quiet,
+	state := t.TempDir() + "/server-state.json"
+	l := startLocal(t, LocalConfig{Nodes: 1, Servers: 1,
+		Node:   func(_ int, c *NodeConfig) { c.InjectLatency = true },
+		Server: func(_ int, c *ServerConfig) { c.StateFile = state },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := dialLocal(t, l, ClientConfig{})
 	if err := cl.Create("persist.dat", []byte("survives restarts")); err != nil {
 		t.Fatal(err)
 	}
@@ -685,32 +628,17 @@ func TestNodeRestartKeepsFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Full restart of node and server (node must come back on the same
-	// address for the persisted server state to resolve).
-	nodeAddr := node.Addr()
+	// Full restart of node and server (the node comes back on the same
+	// address, so the persisted server state resolves).
 	cl.Close()
-	srv.Close()
-	node.Close()
-
-	nodeCfg.Addr = nodeAddr
-	node2, err := StartNode(nodeCfg)
-	if err != nil {
+	l.Servers[0].Close()
+	if err := l.RestartNode(0); err != nil {
 		t.Fatal(err)
 	}
-	defer node2.Close()
-	srv2, err := StartServer(ServerConfig{
-		Addr: "127.0.0.1:0", NodeAddrs: []string{node2.Addr()},
-		StateFile: state, Logger: quiet,
-	})
-	if err != nil {
+	if err := l.RestartServer(0); err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Close()
-	cl2, err := Dial(srv2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
+	cl2 := dialLocal(t, l, ClientConfig{})
 
 	got, fromBuffer, err := cl2.Read("persist.dat")
 	if err != nil {

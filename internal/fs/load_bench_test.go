@@ -1,12 +1,8 @@
 package fs
 
 import (
-	"io"
-	"log"
 	"testing"
 	"time"
-
-	"eevfs/internal/disk"
 )
 
 // Hand-run load benchmarks for the two shapes `go run ./bench` does not
@@ -19,35 +15,10 @@ import (
 // latency injection off, probes off, DPM off.
 func benchLoadCluster(b *testing.B) *Server {
 	b.Helper()
-	quiet := log.New(io.Discard, "", 0)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		n, err := StartNode(NodeConfig{
-			Addr:        "127.0.0.1:0",
-			RootDir:     b.TempDir(),
-			DataDisks:   2,
-			DataModel:   disk.ModelType1,
-			BufferModel: disk.ModelType1,
-			TimeScale:   2000,
-			Logger:      quiet,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { n.Close() })
-		addrs = append(addrs, n.Addr())
-	}
-	srv, err := StartServer(ServerConfig{
-		Addr:      "127.0.0.1:0",
-		NodeAddrs: addrs,
-		Logger:    quiet,
-		Health:    HealthConfig{ProbeInterval: -1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { srv.Close() })
-	return srv
+	return startLocal(b, LocalConfig{Nodes: 2, Servers: 1,
+		Node:   func(_ int, c *NodeConfig) { c.IdleThresholdSec = 0 },
+		Server: func(_ int, c *ServerConfig) { c.Health.ProbeInterval = -1 },
+	}).Servers[0]
 }
 
 func runLoadBench(b *testing.B, cfg LoadConfig) {

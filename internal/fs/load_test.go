@@ -12,27 +12,15 @@ import (
 	"eevfs/internal/telemetry"
 )
 
-// loadTestAddrs boots a cluster shaped for load runs (latency injection
-// off: the harness measures the stack, not the disk model) and returns
+// loadTestAddrs boots a cluster shaped for load runs — latency injection
+// and DPM off, since the harness measures the stack and not the disk
+// model, and the production transport and health policy — and returns
 // the server addresses to aim RunLoad at.
 func loadTestAddrs(t *testing.T, servers, nodes int) []string {
 	t.Helper()
-	if servers <= 1 {
-		_, srv, _ := testCluster(t, nodes, func(c *NodeConfig) {
-			c.InjectLatency = false
-			c.IdleThresholdSec = 0
-		})
-		return []string{srv.Addr()}
-	}
-	// The chaos-test transport the group helper defaults to (250ms
-	// timeouts, 2-strike health) declares nodes dead under a CPU storm;
-	// load runs want the production defaults.
-	g := startGroup(t, servers, nodes, func(_ int, c *ServerConfig) {
-		c.Transport = proto.TransportConfig{}
-		c.Health = HealthConfig{FailThreshold: 3, ProbeInterval: time.Second}
-		c.WriteTimeout = 30 * time.Second
-	})
-	return g.addrs
+	return startLocal(t, LocalConfig{Nodes: nodes, Servers: servers,
+		Node: func(_ int, c *NodeConfig) { c.IdleThresholdSec = 0 },
+	}).Addrs
 }
 
 // TestLoadSmokeAccounting: a tiny in-process load run must complete with

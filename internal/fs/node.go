@@ -53,10 +53,6 @@ type NodeConfig struct {
 	// Chunk reads and writes proceed in parallel across the spindles.
 	// Zero stores each file whole on one data disk.
 	StripeChunkBytes int64
-	// StreamChunkBytes is the node's preferred data-frame size for the
-	// streaming read/write path (DESIGN.md §19); a client's explicit
-	// chunk-size request wins. Zero means proto.DefaultStreamChunk.
-	StreamChunkBytes int64
 	// WriteTimeout bounds writing one response frame, so a stalled or
 	// partitioned peer cannot pin a serving goroutine (default 30s).
 	WriteTimeout time.Duration

@@ -32,7 +32,7 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 	}
 	defer r.close(n.files)
 
-	chunk := proto.NegotiateChunk(req.ChunkSize, n.cfg.StreamChunkBytes)
+	chunk := proto.NegotiateChunk(req.ChunkSize)
 	if err := st.Accept(proto.StreamOpenResp{FromBuffer: r.fromBuffer, Size: r.length, ChunkSize: uint32(chunk)}); err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 	if err != nil {
 		return err
 	}
-	chunk := proto.NegotiateChunk(req.ChunkSize, n.cfg.StreamChunkBytes)
+	chunk := proto.NegotiateChunk(req.ChunkSize)
 	err = st.Accept(proto.StreamOpenResp{FromBuffer: w.buffered, Size: req.Size, ChunkSize: uint32(chunk)})
 	for err == nil {
 		var b []byte

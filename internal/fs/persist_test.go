@@ -708,36 +708,10 @@ func TestKill9Child(t *testing.T) {
 // for a running primary, and a peer whose listener is bound but not yet
 // serving used to cost the full 10 s round-trip timeout.
 func TestGroupBootsWithoutProbeStall(t *testing.T) {
-	node, err := StartNode(persistNodeConfig(t.TempDir(), "127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	lns := make([]net.Listener, 3)
-	addrs := make([]string, 3)
-	for i := range lns {
-		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = lns[i].Addr().String()
-	}
 	start := time.Now()
-	for i := range lns {
-		// Default transport: the production 5 s dial / 10 s round trip.
-		srv, err := StartServer(ServerConfig{
-			NodeAddrs: []string{node.Addr()}, Logger: quietLog,
-			Peers: addrs, Self: i, Listener: lns[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-	}
-	cl, err := DialCluster(addrs, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	// Default transport: the production 5 s dial / 10 s round trip.
+	l := startLocal(t, LocalConfig{Nodes: 1, Servers: 3})
+	cl := dialLocal(t, l, ClientConfig{})
 	if err := cl.Create("first", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -758,7 +732,7 @@ func TestGroupCommitBatches(t *testing.T) {
 			c.Metrics = reg
 		}
 	})
-	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
+	cl, err := DialCluster(g.Addrs, ClientConfig{Transport: chaosTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,13 +763,13 @@ func TestGroupCommitBatches(t *testing.T) {
 	if reg.Counter("persist.log.bytes").Value() == 0 {
 		t.Fatal("persist.log.bytes never moved")
 	}
-	if err := g.waitConverged(5 * time.Second); err != nil {
+	if err := g.Converged(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	want := g.servers[0].Files()
-	for i := range g.servers {
+	want := g.Servers[0].Files()
+	for i := range g.Servers {
 		// What each member wrote — no clean close — must recover alone.
-		state := g.servers[i].cfg.StateFile
+		state := g.Servers[i].cfg.StateFile
 		got, ok := recoverServer(t, crashCase{checkpoint: mustRead(t, state), log: mustRead(t, state+".wal")})
 		if !ok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("member %d recovers %d files from its own log (started=%v), the group holds %d", i, len(got), ok, len(want))

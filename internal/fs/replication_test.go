@@ -4,157 +4,31 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"log"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"eevfs/internal/disk"
 	"eevfs/internal/faultnet"
 	"eevfs/internal/proto"
 	"eevfs/internal/simtest/leak"
 )
 
 // startGroup boots numServers metadata servers over numNodes storage
-// nodes. Listeners are pre-bound so every member knows the full peer
-// list before any member starts; server 0 boots as primary. Individual
-// servers are killed through the returned group (Close is idempotent).
-type testGroup struct {
-	t       *testing.T
-	servers []*Server
-	addrs   []string // server client addresses
-	nodes   []*Node
-	closed  []bool
-}
-
-func startGroup(t *testing.T, numServers, numNodes int, tweak func(int, *ServerConfig)) *testGroup {
+// nodes through the harness, on the chaos tests' policy; server 0 boots
+// as primary, and tweak, when set, adjusts each server.
+func startGroup(t *testing.T, numServers, numNodes int, tweak func(int, *ServerConfig)) *Local {
 	t.Helper()
 	leak.Check(t)
-	quiet := log.New(io.Discard, "", 0)
-
-	g := &testGroup{t: t, closed: make([]bool, numServers)}
-	var nodeAddrs []string
-	for i := 0; i < numNodes; i++ {
-		n, err := StartNode(NodeConfig{
-			Addr:             "127.0.0.1:0",
-			RootDir:          t.TempDir(),
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 5,
-			TimeScale:        2000,
-			WriteTimeout:     time.Second,
-			Logger:           quiet,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		g.nodes = append(g.nodes, n)
-		nodeAddrs = append(nodeAddrs, n.Addr())
-	}
-
-	lns := make([]net.Listener, numServers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		g.addrs = append(g.addrs, ln.Addr().String())
-	}
-	for i := 0; i < numServers; i++ {
-		cfg := ServerConfig{
-			NodeAddrs: nodeAddrs,
-			Logger:    quiet,
-			Transport: chaosTransport(),
-			Health: HealthConfig{
-				FailThreshold: 2,
-				ProbeInterval: 20 * time.Millisecond,
-			},
-			WriteTimeout: time.Second,
-			Peers:        g.addrs,
-			Self:         i,
-			Listener:     lns[i],
-		}
-		if tweak != nil {
-			tweak(i, &cfg)
-		}
-		srv, err := StartServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := i
-		t.Cleanup(func() { g.kill(idx) })
-		g.servers = append(g.servers, srv)
-	}
-	return g
-}
-
-func (g *testGroup) kill(i int) {
-	if g.closed[i] {
-		return
-	}
-	g.closed[i] = true
-	g.servers[i].Close()
-}
-
-// currentPrimary polls the surviving servers until exactly one claims
-// primary, and returns its index.
-func (g *testGroup) currentPrimary(timeout time.Duration) (int, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		idx := -1
-		count := 0
-		for i, srv := range g.servers {
-			if g.closed[i] {
-				continue
+	return startLocal(t, LocalConfig{Nodes: numNodes, Servers: numServers,
+		Node: func(_ int, c *NodeConfig) { c.WriteTimeout = time.Second },
+		Server: func(i int, c *ServerConfig) {
+			chaosServer(c)
+			if tweak != nil {
+				tweak(i, c)
 			}
-			if srv.IsPrimary() {
-				idx = i
-				count++
-			}
-		}
-		if count == 1 {
-			return idx, nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return -1, errors.New("no unique primary emerged")
-}
-
-// waitConverged polls until every surviving server reports the same
-// file set as the primary.
-func (g *testGroup) waitConverged(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var last string
-	for time.Now().Before(deadline) {
-		pi, err := g.currentPrimary(timeout)
-		if err != nil {
-			return err
-		}
-		want := g.servers[pi].Files()
-		ok := true
-		for i, srv := range g.servers {
-			if g.closed[i] || i == pi {
-				continue
-			}
-			got := srv.Files()
-			if !reflect.DeepEqual(got, want) {
-				ok = false
-				last = fmt.Sprintf("server %d has %d files, primary %d has %d", i, len(got), pi, len(want))
-				break
-			}
-		}
-		if ok {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("replicas never converged: %s", last)
+		},
+	})
 }
 
 // TestReplicatedGroupServes: a 3-server group behaves like one server —
@@ -164,7 +38,7 @@ func TestReplicatedGroupServes(t *testing.T) {
 
 	// Dialing a follower first must work: the redirect points the client
 	// at the primary.
-	cl, err := DialCluster([]string{g.addrs[2], g.addrs[1], g.addrs[0]}, ClientConfig{
+	cl, err := DialCluster([]string{g.Addrs[2], g.Addrs[1], g.Addrs[0]}, ClientConfig{
 		Transport: chaosTransport(),
 	})
 	if err != nil {
@@ -193,18 +67,18 @@ func TestReplicatedGroupServes(t *testing.T) {
 	if err := cl.Delete("rep-0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.waitConverged(5 * time.Second); err != nil {
+	if err := g.Converged(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Followers hold the same namespace but refuse to serve it.
-	follower := g.servers[1]
+	follower := g.Servers[1]
 	if follower.IsPrimary() {
 		t.Fatal("server 1 should be a follower")
 	}
 	if got := len(follower.Files()); got != 5 {
 		t.Fatalf("follower has %d files, want 5", got)
 	}
-	fcl, err := DialConfig(g.addrs[1], ClientConfig{
+	fcl, err := DialConfig(g.Addrs[1], ClientConfig{
 		Transport:       chaosTransport(),
 		FailoverRetries: -1, // do not follow the redirect: we want the raw rejection
 	})
@@ -216,8 +90,8 @@ func TestReplicatedGroupServes(t *testing.T) {
 	if !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("follower read = %v, want ErrNotPrimary", err)
 	}
-	if hint := redirectHint(err); hint != g.addrs[0] {
-		t.Fatalf("redirect hint %q, want %q", hint, g.addrs[0])
+	if hint := redirectHint(err); hint != g.Addrs[0] {
+		t.Fatalf("redirect hint %q, want %q", hint, g.Addrs[0])
 	}
 }
 
@@ -225,7 +99,7 @@ func TestReplicatedGroupServes(t *testing.T) {
 // re-registers the nodes, and the same client keeps working.
 func TestFailoverPromotesAndServes(t *testing.T) {
 	g := startGroup(t, 3, 2, nil)
-	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
+	cl, err := DialCluster(g.Addrs, ClientConfig{Transport: chaosTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +108,8 @@ func TestFailoverPromotesAndServes(t *testing.T) {
 	if err := cl.Create("before", bytes.Repeat([]byte{'x'}, 256)); err != nil {
 		t.Fatal(err)
 	}
-	g.kill(0)
-	pi, err := g.currentPrimary(10 * time.Second)
+	g.Servers[0].Close()
+	pi, err := g.Primary(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,25 +124,25 @@ func TestFailoverPromotesAndServes(t *testing.T) {
 	if err := cl.Create("after", bytes.Repeat([]byte{'y'}, 128)); err != nil {
 		t.Fatalf("create after failover: %v", err)
 	}
-	if err := g.waitConverged(5 * time.Second); err != nil {
+	if err := g.Converged(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Node re-registration: the new primary owns a fresh health view.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		all := true
-		for _, h := range g.servers[pi].Healthy() {
+		for _, h := range g.Servers[pi].Healthy() {
 			all = all && h
 		}
 		if all {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("new primary never saw all nodes healthy: %v", g.servers[pi].Healthy())
+			t.Fatalf("new primary never saw all nodes healthy: %v", g.Servers[pi].Healthy())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	_, epoch, _ := g.servers[pi].ReplStatus()
+	_, epoch, _ := g.Servers[pi].ReplStatus()
 	if epoch < 2 {
 		t.Fatalf("promotion did not bump the epoch: %d", epoch)
 	}
@@ -292,7 +166,7 @@ func TestChaosFailoverPipelined(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl, err := DialCluster(g.addrs, ClientConfig{
+			cl, err := DialCluster(g.Addrs, ClientConfig{
 				Transport:       chaosTransport(),
 				FailoverRetries: 20,
 				FailoverBackoff: 10 * time.Millisecond,
@@ -322,25 +196,25 @@ func TestChaosFailoverPipelined(t *testing.T) {
 	}
 	// Let the workers build up traffic, then kill the primary under them.
 	time.Sleep(50 * time.Millisecond)
-	g.kill(0)
+	g.Servers[0].Close()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
 	}
 
-	pi, err := g.currentPrimary(10 * time.Second)
+	pi, err := g.Primary(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Redirect must eventually land on the new primary and serve.
-	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
+	cl, err := DialCluster(g.Addrs, ClientConfig{Transport: chaosTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	have := map[string]bool{}
-	for _, fi := range g.servers[pi].Files() {
+	for _, fi := range g.Servers[pi].Files() {
 		have[fi.Name] = true
 	}
 	mu.Lock()
@@ -385,10 +259,10 @@ func snapshotBytes(s *Server) []byte {
 // manualGroup is a 3-server group whose heartbeat is parked: the test
 // calls tick itself, so which follower learns what by epoch op
 // and what by snapshot is decided by the test, not by timing.
-func manualGroup(t *testing.T) (*testGroup, *Client) {
+func manualGroup(t *testing.T) (*Local, *Client) {
 	t.Helper()
 	g := startGroup(t, 3, 2, func(_ int, cfg *ServerConfig) { cfg.Health.ProbeInterval = time.Hour })
-	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
+	cl, err := DialCluster(g.Addrs, ClientConfig{Transport: chaosTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,20 +272,19 @@ func manualGroup(t *testing.T) (*testGroup, *Client) {
 
 // desync makes the primary treat a follower as out of sync, as a failed
 // append would: its next contact is a snapshot.
-func (g *testGroup) desync(peer int) {
-	p := g.servers[0]
+func desync(p *Server, peer int) {
 	p.log.mu.Lock()
 	p.log.peers[peer].synced = false
 	p.log.mu.Unlock()
 }
 
-// lookups reads every name n times on the primary, without the network.
-func (g *testGroup) lookups(names []string, n int) {
-	g.t.Helper()
+// lookups reads every name n times on primary p, without the network.
+func lookups(t *testing.T, p *Server, names []string, n int) {
+	t.Helper()
 	for i := 0; i < n; i++ {
 		for _, name := range names {
-			if _, err := g.servers[0].handleLookup(proto.LookupReq{Name: name}, false, nil); err != nil {
-				g.t.Fatal(err)
+			if _, err := p.handleLookup(proto.LookupReq{Name: name}, false, nil); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -422,10 +295,10 @@ func (g *testGroup) lookups(names []string, n int) {
 // follower 2 pushed out of sync twice, so it is built from snapshots:
 // one taken by a commit in the middle of an epoch, one by an epoch's own
 // fan-out. plant arms the primary's reship bug.
-func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
+func epochsAndSnapshots(t *testing.T, plant bool) *Local {
 	t.Helper()
 	g, cl := manualGroup(t)
-	p := g.servers[0]
+	p := g.Servers[0]
 	p.log.mu.Lock()
 	p.ns.plantReshipEpoch = plant
 	p.log.mu.Unlock()
@@ -435,22 +308,22 @@ func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
 			t.Fatal(err)
 		}
 	}
-	g.lookups(names, 5)
+	lookups(t, g.Servers[0], names, 5)
 	p.tick() // epoch 1: an op to both followers
 
-	g.desync(2)
-	g.lookups(names, 7)
+	desync(g.Servers[0], 2)
+	lookups(t, g.Servers[0], names, 7)
 	if err := cl.Create("late", []byte("l")); err != nil { // op to 1, snapshot to 2
 		t.Fatal(err)
 	}
 	p.tick() // epoch 2: an op to both followers
 
-	g.desync(2)
-	g.lookups(names[:2], 3)
+	desync(g.Servers[0], 2)
+	lookups(t, g.Servers[0], names[:2], 3)
 	if err := cl.Delete("doomed"); err != nil { // op to 1, snapshot to 2
 		t.Fatal(err)
 	}
-	g.desync(2)
+	desync(g.Servers[0], 2)
 	p.tick() // epoch 3: op to 1, snapshot to 2
 	return g
 }
@@ -461,7 +334,7 @@ func epochsAndSnapshots(t *testing.T, plant bool) *testGroup {
 func TestSnapshotRepairCountsOnce(t *testing.T) {
 	g := epochsAndSnapshots(t, false)
 	want := map[int64]int64{0: 15, 1: 15, 2: 12, 3: 12}
-	for i, s := range g.servers {
+	for i, s := range g.Servers {
 		snap, err := proto.DecodeRepSnapshot(snapshotBytes(s))
 		if err != nil {
 			t.Fatal(err)
@@ -488,21 +361,21 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 	// subtest, so the planted group is gone before the real one starts.)
 	t.Run("planted reship", func(t *testing.T) {
 		g := epochsAndSnapshots(t, true)
-		if bytes.Equal(snapshotBytes(g.servers[1]), snapshotBytes(g.servers[2])) {
+		if bytes.Equal(snapshotBytes(g.Servers[1]), snapshotBytes(g.Servers[2])) {
 			t.Fatal("oracle blind: a reshipped epoch left both followers byte-identical")
 		}
 	})
 	g := epochsAndSnapshots(t, false)
-	want := snapshotBytes(g.servers[0])
-	if !bytes.Equal(want, snapshotBytes(g.servers[1])) {
+	want := snapshotBytes(g.Servers[0])
+	if !bytes.Equal(want, snapshotBytes(g.Servers[1])) {
 		t.Fatal("follower built from ops differs from the primary's snapshot")
 	}
-	if !bytes.Equal(want, snapshotBytes(g.servers[2])) {
+	if !bytes.Equal(want, snapshotBytes(g.Servers[2])) {
 		t.Fatal("follower built from snapshots differs from the primary's snapshot")
 	}
 
 	// Hand-fed from here on; the group's primary is not used again.
-	f1, f2 := g.servers[1], g.servers[2]
+	f1, f2 := g.Servers[1], g.Servers[2]
 	base := f1.log.seq.Load()
 	ops := []proto.RepOp{
 		{Kind: proto.RepOpCreate, Name: "x", ID: 10, Size: 100, Node: 0, Cursor: 9},
@@ -581,7 +454,7 @@ func TestOpLogReplayDeterminism(t *testing.T) {
 // sync after all of them is whole again one tick later.
 func TestSnapshotSizeIndependentOfLookups(t *testing.T) {
 	g, cl := manualGroup(t)
-	p := g.servers[0]
+	p := g.Servers[0]
 	var names []string
 	for i := 0; i < 50; i++ {
 		names = append(names, fmt.Sprintf("n%02d", i))
@@ -589,15 +462,15 @@ func TestSnapshotSizeIndependentOfLookups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.lookups(names, 20)
+	lookups(t, g.Servers[0], names, 20)
 	p.tick()
 	small := len(snapshotBytes(p))
-	g.lookups(names, 4000)
+	lookups(t, g.Servers[0], names, 4000)
 	p.tick()
 	if big := len(snapshotBytes(p)); big != small {
 		t.Fatalf("snapshot grew from %d to %d bytes with the lookup count", small, big)
 	}
-	g.desync(1)
+	desync(g.Servers[0], 1)
 	p.tick()
 	p.log.mu.Lock()
 	synced := p.log.peers[1].synced
@@ -605,10 +478,10 @@ func TestSnapshotSizeIndependentOfLookups(t *testing.T) {
 	if !synced {
 		t.Fatal("out-of-sync follower not repaired by one tick")
 	}
-	if !bytes.Equal(snapshotBytes(p), snapshotBytes(g.servers[1])) {
+	if !bytes.Equal(snapshotBytes(p), snapshotBytes(g.Servers[1])) {
 		t.Fatal("repaired follower differs from the primary")
 	}
-	if got := g.servers[1].AccessCount(); got != 50*4020 {
+	if got := g.Servers[1].AccessCount(); got != 50*4020 {
 		t.Fatalf("repaired follower counts %d accesses, want %d", got, 50*4020)
 	}
 }
@@ -618,53 +491,17 @@ func TestSnapshotSizeIndependentOfLookups(t *testing.T) {
 // can ever be served.
 func TestReplicaFallbackRead(t *testing.T) {
 	leak.Check(t)
-	quiet := log.New(io.Discard, "", 0)
 	serverNet := faultnet.New(1)
 	clientNet := faultnet.New(2)
-	var nodeAddrs []string
-	for i := 0; i < 2; i++ {
-		n, err := StartNode(NodeConfig{
-			Addr:             "127.0.0.1:0",
-			RootDir:          t.TempDir(),
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 5,
-			TimeScale:        2000,
-			WriteTimeout:     time.Second,
-			Logger:           quiet,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		nodeAddrs = append(nodeAddrs, n.Addr())
-	}
-	srv, err := StartServer(ServerConfig{
-		Addr:           "127.0.0.1:0",
-		NodeAddrs:      nodeAddrs,
-		Logger:         quiet,
-		Dialer:         serverNet,
-		Transport:      chaosTransport(),
-		MirrorPrefetch: true,
-		Health: HealthConfig{
-			FailThreshold: 2,
-			ProbeInterval: 20 * time.Millisecond,
+	l := startLocal(t, LocalConfig{Nodes: 2, Servers: 1,
+		Node: func(_ int, c *NodeConfig) { c.WriteTimeout = time.Second },
+		Server: func(_ int, c *ServerConfig) {
+			chaosServer(c)
+			c.Dialer, c.MirrorPrefetch = serverNet, true
 		},
-		WriteTimeout: time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := DialConfig(srv.Addr(), ClientConfig{
-		Dialer:    clientNet,
-		Transport: chaosTransport(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	srv := l.Servers[0]
+	cl := dialLocal(t, l, ClientConfig{Dialer: clientNet, Transport: chaosTransport()})
 
 	data := bytes.Repeat([]byte{'m'}, 2048)
 	if err := cl.Create("hot", data); err != nil {
@@ -737,7 +574,7 @@ func TestChaosSilentReplicationLoss(t *testing.T) {
 			cfg.ReplChaosSilentAfter = 1
 		}
 	})
-	cl, err := DialCluster(g.addrs, ClientConfig{Transport: chaosTransport()})
+	cl, err := DialCluster(g.Addrs, ClientConfig{Transport: chaosTransport()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,13 +585,13 @@ func TestChaosSilentReplicationLoss(t *testing.T) {
 	if err := cl.Create("silent", bytes.Repeat([]byte{'s'}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	g.kill(0)
-	pi, err := g.currentPrimary(10 * time.Second)
+	g.Servers[0].Close()
+	pi, err := g.Primary(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
-	for _, fi := range g.servers[pi].Files() {
+	for _, fi := range g.Servers[pi].Files() {
 		names[fi.Name] = true
 	}
 	if !names["replicated"] {
@@ -772,12 +609,12 @@ func TestChaosSilentReplicationLoss(t *testing.T) {
 // miss, not a panic.
 func TestFollowerRefusesOutOfRangeNode(t *testing.T) {
 	g, _ := manualGroup(t) // 2 nodes
-	f := g.servers[1]
+	f := g.Servers[1]
 	ghost := proto.RepOp{Seq: f.log.seq.Load() + 1, Kind: proto.RepOpCreate, Name: "ghost", ID: 0, Size: 1, Node: 2}
 	if _, err := f.log.handleAppend(proto.RepAppendReq{Epoch: 1, From: 0, Ops: []proto.RepOp{ghost}}); err == nil {
 		t.Fatal("an append placing a file on node 2 of 2 was accepted")
 	}
-	snap := snapshotOf(g.servers[0])
+	snap := snapshotOf(g.Servers[0])
 	snap.Files = append(snap.Files, proto.RepFile{Name: "ghost", ID: 0, Size: 1, Node: 2})
 	snap.NextID = 1
 	if err := f.log.handleSnapshot(snap); err == nil {

@@ -132,6 +132,13 @@ func (l *listener) shut() (first bool, err error) {
 
 func (l *listener) wait() { l.wg.Wait() }
 
+// closed reports whether shut has been called.
+func (l *listener) closed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closing
+}
+
 // reply is a handler's response frame. pooled marks a body built in a
 // chunk from the pool, which serveFrames gives back once it is sent.
 type reply struct {

@@ -70,10 +70,6 @@ type ServerConfig struct {
 	// a cold start; any server follows an already-running primary it
 	// discovers at startup.
 	Self int
-	// Listener, when set, is used instead of listening on Addr. Tests
-	// pre-bind ephemeral ports with it so a replicated group can know
-	// every member's address before any member starts.
-	Listener net.Listener
 	// MirrorPrefetch copies each prefetched file to a second node's
 	// buffer disk and records the replica, so reads survive the owning
 	// node's death (pre-work for full data replication).
@@ -109,6 +105,10 @@ type ServerConfig struct {
 	// client's trace when the frame carried a context) plus child spans
 	// for node fan-out and replication appends. Nil disables tracing.
 	Tracer *telemetry.Tracer
+
+	// listener, when set, is used instead of listening on Addr: StartLocal
+	// binds every member's before any member starts.
+	listener net.Listener
 }
 
 // Server is a running storage-server daemon: the listener, the dispatch
@@ -199,7 +199,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	s.log.onPromote = s.nodes.probeAll // re-register the nodes: a fresh health view before the first client lands
 	s.log.boot(boot)
 
-	ln := cfg.Listener
+	ln := cfg.listener
 	if ln == nil {
 		if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
 			s.log.close()

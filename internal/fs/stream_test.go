@@ -434,8 +434,8 @@ func TestStreamReadAllocsFlat(t *testing.T) {
 }
 
 // TestStreamReadAllocsFlatAtLargeChunks: the chunk pools hold every
-// negotiable chunk size, so on a node that streams 1 MiB chunks a 16 MiB
-// ReadTo allocates no more than a 1 MiB one does — on the client, which
+// negotiable chunk size, so in 1 MiB chunks a 16 MiB streamed read
+// allocates no more than a 1 MiB one does — on the client, which
 // fills a pooled chunk per inbound frame, as on the node, which reads the
 // disk into one per stream. Each size counts its least of three reads, and
 // the bound allows one chunk: a pool miss, when a goroutine gets a chunk
@@ -445,15 +445,20 @@ func TestStreamReadAllocsFlatAtLargeChunks(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
 	}
 	const chunk = 1 << 20
-	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) {
-		cfg.InjectLatency = false
-		cfg.StreamChunkBytes = chunk
-	})
+	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) { cfg.InjectLatency = false })
+	readTo := func(name string) (int64, error) { // ReadTo, asking for 1 MiB chunks
+		r, err := cl.OpenRead(name, StreamOptions{ChunkBytes: chunk})
+		if err != nil {
+			return 0, err
+		}
+		defer r.Close()
+		return io.Copy(io.Discard, r)
+	}
 	measure := func(name string, size int) uint64 {
 		if err := cl.Create(name, patternedContent(14, size)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cl.ReadTo(name, io.Discard); err != nil { // warm the pools
+		if _, err := readTo(name); err != nil { // warm the pools
 			t.Fatal(err)
 		}
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -461,8 +466,8 @@ func TestStreamReadAllocsFlatAtLargeChunks(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if n, _, err := cl.ReadTo(name, io.Discard); err != nil || n != int64(size) {
-				t.Fatalf("ReadTo %s: n=%d err=%v", name, n, err)
+			if n, err := readTo(name); err != nil || n != int64(size) {
+				t.Fatalf("streamed read of %s: n=%d err=%v", name, n, err)
 			}
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)

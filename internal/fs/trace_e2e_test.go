@@ -1,10 +1,7 @@
 package fs
 
 import (
-	"io"
-	"log"
 	"math"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -19,81 +16,35 @@ import (
 // the complete cross-process span tree of a request and join it against
 // the per-request joule attribution.
 type tracedGroup struct {
-	*testGroup
+	*Local
 	tracer *telemetry.Tracer
 	energy *telemetry.EnergyLedger
 }
 
-// startTracedGroup mirrors startGroup but threads a shared Tracer into
-// every server and a shared Tracer+EnergyLedger into every node. Nodes
-// run without latency injection and with a short idle threshold at
-// TimeScale 100, so data disks reach standby ~10ms (real) after their
-// last request and modeled durations (spin-up, service) are exact — the
-// property the energy assertions lean on.
+// startTracedGroup boots a group as startGroup does but threads a shared
+// Tracer into every server and a shared Tracer+EnergyLedger into every
+// node. Nodes run without latency injection and with a short idle
+// threshold at TimeScale 100, so data disks reach standby ~10ms (real)
+// after their last request and modeled durations (spin-up, service) are
+// exact — the property the energy assertions lean on.
 func startTracedGroup(t *testing.T, numServers, numNodes int, mirror bool) *tracedGroup {
 	t.Helper()
 	leak.Check(t)
-	quiet := log.New(io.Discard, "", 0)
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{Capacity: 1 << 16})
-	energy := telemetry.NewEnergyLedger(0)
-
-	g := &testGroup{t: t, closed: make([]bool, numServers)}
-	var nodeAddrs []string
-	for i := 0; i < numNodes; i++ {
-		n, err := StartNode(NodeConfig{
-			Addr:             "127.0.0.1:0",
-			RootDir:          t.TempDir(),
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 1,
-			TimeScale:        100,
-			WriteTimeout:     time.Second,
-			Logger:           quiet,
-			Tracer:           tracer,
-			Energy:           energy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		g.nodes = append(g.nodes, n)
-		nodeAddrs = append(nodeAddrs, n.Addr())
+	g := &tracedGroup{
+		tracer: telemetry.NewTracer(telemetry.TracerConfig{Capacity: 1 << 16}),
+		energy: telemetry.NewEnergyLedger(0),
 	}
-
-	lns := make([]net.Listener, numServers)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		g.addrs = append(g.addrs, ln.Addr().String())
-	}
-	for i := 0; i < numServers; i++ {
-		srv, err := StartServer(ServerConfig{
-			NodeAddrs: nodeAddrs,
-			Logger:    quiet,
-			Transport: chaosTransport(),
-			Health: HealthConfig{
-				FailThreshold: 2,
-				ProbeInterval: 20 * time.Millisecond,
-			},
-			WriteTimeout:   time.Second,
-			Peers:          g.addrs,
-			Self:           i,
-			Listener:       lns[i],
-			MirrorPrefetch: mirror,
-			Tracer:         tracer,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := i
-		t.Cleanup(func() { g.kill(idx) })
-		g.servers = append(g.servers, srv)
-	}
-	return &tracedGroup{testGroup: g, tracer: tracer, energy: energy}
+	g.Local = startLocal(t, LocalConfig{Nodes: numNodes, Servers: numServers,
+		Node: func(_ int, c *NodeConfig) {
+			c.IdleThresholdSec, c.TimeScale, c.WriteTimeout = 1, 100, time.Second
+			c.Tracer, c.Energy = g.tracer, g.energy
+		},
+		Server: func(_ int, c *ServerConfig) {
+			chaosServer(c)
+			c.MirrorPrefetch, c.Tracer = mirror, g.tracer
+		},
+	})
+	return g
 }
 
 // waitDiskState polls one node disk until it reaches the wanted power
@@ -171,13 +122,13 @@ func attrVal(d telemetry.SpanData, key string) string {
 // (spin-up + active service) to the read that woke the disk.
 func TestTraceE2EReplicatedRead(t *testing.T) {
 	g := startTracedGroup(t, 3, 2, true)
-	if _, err := g.currentPrimary(5 * time.Second); err != nil {
+	if _, err := g.Primary(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	// Seed two files through a primary-first client: one per node via
 	// round-robin placement.
-	seedCl, err := DialCluster(g.addrs, ClientConfig{
+	seedCl, err := DialCluster(g.Addrs, ClientConfig{
 		Transport: chaosTransport(), Tracer: g.tracer,
 	})
 	if err != nil {
@@ -196,7 +147,7 @@ func TestTraceE2EReplicatedRead(t *testing.T) {
 	}
 
 	// Let every serviced data disk spin down to standby.
-	for _, n := range g.nodes {
+	for _, n := range g.Nodes {
 		for _, nd := range n.data {
 			nd.mu.Lock()
 			serviced := nd.d.Stats().Requests > 0
@@ -211,7 +162,7 @@ func TestTraceE2EReplicatedRead(t *testing.T) {
 	// a not-primary redirect before reaching the primary, and the read
 	// lands on a standby disk — retry, redirect, spin-up, and service all
 	// in one trace.
-	followerFirst := []string{g.addrs[1], g.addrs[0], g.addrs[2]}
+	followerFirst := []string{g.Addrs[1], g.Addrs[0], g.Addrs[2]}
 	cl, err := DialCluster(followerFirst, ClientConfig{
 		Transport: chaosTransport(), Tracer: g.tracer,
 	})
@@ -306,7 +257,7 @@ func TestTraceE2EReplicatedRead(t *testing.T) {
 	// Node fault: kill the home node of "hot" and keep reading until the
 	// prober notices and the lookup falls back to the mirrored replica on
 	// the surviving node.
-	for _, n := range g.nodes {
+	for _, n := range g.Nodes {
 		if n.Addr() == homeAddr {
 			n.Close()
 		}
@@ -360,11 +311,11 @@ func TestTraceE2EReplicatedRead(t *testing.T) {
 // must still close into their trees.
 func TestTraceTreeSurvivesPrimaryKill(t *testing.T) {
 	g := startTracedGroup(t, 3, 1, false)
-	pi, err := g.currentPrimary(5 * time.Second)
+	pi, err := g.Primary(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := DialCluster(g.addrs, ClientConfig{
+	cl, err := DialCluster(g.Addrs, ClientConfig{
 		Transport: chaosTransport(), Tracer: g.tracer,
 	})
 	if err != nil {
@@ -383,7 +334,7 @@ func TestTraceTreeSurvivesPrimaryKill(t *testing.T) {
 
 	// Kill the primary and keep the workload going until the client has
 	// redialed onto the new primary and succeeded repeatedly.
-	g.kill(pi)
+	g.Servers[pi].Close()
 	deadline := time.Now().Add(10 * time.Second)
 	succeeded := 0
 	sawFailure := false

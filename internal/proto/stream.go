@@ -101,24 +101,13 @@ func PutChunk(b []byte) {
 }
 
 // NegotiateChunk picks the effective chunk size for one stream: the
-// requester's ask, falling back to the serving side's preference, falling
-// back to the default — always clamped to the protocol bounds.
-func NegotiateChunk(requested uint32, preferred int64) int {
-	c := int(requested)
-	if c == 0 {
-		if preferred > 0 {
-			c = int(preferred)
-		} else {
-			c = DefaultStreamChunk
-		}
+// requester's ask, or the default when it asked for none — always clamped
+// to the protocol bounds.
+func NegotiateChunk(requested uint32) int {
+	if requested == 0 {
+		return DefaultStreamChunk
 	}
-	if c < MinStreamChunk {
-		c = MinStreamChunk
-	}
-	if c > MaxStreamChunk {
-		c = MaxStreamChunk
-	}
-	return c
+	return min(max(int(requested), MinStreamChunk), MaxStreamChunk)
 }
 
 // ClampStreamWindow bounds a requested credit window (0 = default).

@@ -233,9 +233,12 @@ func (s *WriteStream) Close() error {
 // retried exactly like Call; a *RemoteError rejection is final.
 func (e *Endpoint) openStream(t Type, req StreamOpenReq, sc telemetry.SpanContext) (st *Stream, resp StreamOpenResp, err error) {
 	req.Window = uint32(ClampStreamWindow(req.Window))
-	// The node answers with a chunk size of its own only when asked for
+	// The peer answers with a chunk size of its own only when asked for
 	// none, and never above the protocol's bound.
-	limit := NegotiateChunk(req.ChunkSize, MaxStreamChunk)
+	limit := MaxStreamChunk
+	if req.ChunkSize != 0 {
+		limit = NegotiateChunk(req.ChunkSize)
+	}
 	// The open response queues behind other streams' data frames on the
 	// shared connection, so it gets the stall bound like every later
 	// frame, not the bare RPC deadline — a premature timeout here poisons
@@ -279,5 +282,5 @@ func (e *Endpoint) OpenWriteStream(req StreamOpenReq, sc telemetry.SpanContext) 
 	if err != nil {
 		return nil, err
 	}
-	return &WriteStream{ep: e, st: st, chunk: NegotiateChunk(resp.ChunkSize, 0), left: req.Size}, nil
+	return &WriteStream{ep: e, st: st, chunk: NegotiateChunk(resp.ChunkSize), left: req.Size}, nil
 }

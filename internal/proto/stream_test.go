@@ -404,18 +404,16 @@ func TestStreamChunkPool(t *testing.T) {
 func TestNegotiateChunkClamps(t *testing.T) {
 	cases := []struct {
 		req  uint32
-		pref int64
 		want int
 	}{
-		{0, 0, DefaultStreamChunk},
-		{0, 8192, 8192},
-		{100, 0, MinStreamChunk},
-		{1 << 30, 0, MaxStreamChunk},
-		{4096, 8192, 4096},
+		{0, DefaultStreamChunk},
+		{100, MinStreamChunk},
+		{4096, 4096},
+		{1 << 30, MaxStreamChunk},
 	}
 	for _, c := range cases {
-		if got := NegotiateChunk(c.req, c.pref); got != c.want {
-			t.Errorf("NegotiateChunk(%d,%d) = %d, want %d", c.req, c.pref, got, c.want)
+		if got := NegotiateChunk(c.req); got != c.want {
+			t.Errorf("NegotiateChunk(%d) = %d, want %d", c.req, got, c.want)
 		}
 	}
 	if got := ClampStreamWindow(0); got != DefaultStreamWindow {

@@ -1,8 +1,6 @@
 package replay
 
 import (
-	"io"
-	"log"
 	"strings"
 	"testing"
 	"time"
@@ -65,27 +63,9 @@ func TestUntouchedDataDisksSleepInBothWorlds(t *testing.T) {
 	}
 
 	// The live world.
-	quiet := log.New(io.Discard, "", 0)
-	node, err := fs.StartNode(fs.NodeConfig{
-		Addr: "127.0.0.1:0", RootDir: t.TempDir(), DataDisks: 2,
-		DataModel: disk.ModelType1, BufferModel: disk.ModelType1,
-		IdleThresholdSec: threshold, TimeScale: timeScale, InjectLatency: true,
-		WriteBuffer: true, Logger: quiet,
+	cl := liveCluster(t, 1, func(c *fs.NodeConfig) {
+		c.IdleThresholdSec, c.TimeScale, c.WriteBuffer = threshold, timeScale, true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	srv, err := fs.StartServer(fs.ServerConfig{Addr: "127.0.0.1:0", NodeAddrs: []string{node.Addr()}, Logger: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := fs.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	opts := Options{TimeScale: timeScale}
 	if err := Populate(cl, tr, opts); err != nil {
 		t.Fatal(err)

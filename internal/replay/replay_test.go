@@ -1,38 +1,31 @@
 package replay
 
 import (
-	"io"
-	"log"
 	"testing"
 
-	"eevfs/internal/disk"
 	"eevfs/internal/fs"
 	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
 
-func liveCluster(t *testing.T) *fs.Client {
+// liveCluster boots one server over nodes latency-injecting nodes at
+// 5000x model time, adjusted by node when it is set, and returns a client
+// to it; all of it closes when t ends.
+func liveCluster(t *testing.T, nodes int, node func(c *fs.NodeConfig)) *fs.Client {
 	t.Helper()
-	quiet := log.New(io.Discard, "", 0)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		node, err := fs.StartNode(fs.NodeConfig{
-			Addr: "127.0.0.1:0", RootDir: t.TempDir(), DataDisks: 2,
-			DataModel: disk.ModelType1, BufferModel: disk.ModelType1,
-			IdleThresholdSec: 5, TimeScale: 5000, InjectLatency: true, Logger: quiet,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		addrs = append(addrs, node.Addr())
-	}
-	srv, err := fs.StartServer(fs.ServerConfig{Addr: "127.0.0.1:0", NodeAddrs: addrs, Logger: quiet})
+	l, err := fs.StartLocal(fs.LocalConfig{Nodes: nodes, Servers: 1, Dir: t.TempDir(),
+		Node: func(_ int, c *fs.NodeConfig) {
+			c.TimeScale, c.InjectLatency = 5000, true
+			if node != nil {
+				node(c)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := fs.Dial(srv.Addr())
+	t.Cleanup(l.Close)
+	cl, err := fs.DialCluster(l.Addrs, fs.ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +84,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestPopulateAndReplayEndToEnd(t *testing.T) {
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	tr := smallWebTrace(t)
 	opts := Options{SizeScale: 1}
 
@@ -127,7 +120,7 @@ func TestPopulateAndReplayEndToEnd(t *testing.T) {
 }
 
 func TestPopulateByPopularityOrders(t *testing.T) {
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	tr := smallWebTrace(t)
 	opts := Options{}
 	if err := PopulateByPopularity(cl, tr, opts); err != nil {
@@ -144,7 +137,7 @@ func TestPopulateByPopularityOrders(t *testing.T) {
 }
 
 func TestReplayWithWrites(t *testing.T) {
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	tr, err := workload.Synthetic(workload.SyntheticConfig{
 		NumFiles: 10, NumRequests: 30, MeanSize: 10_000,
 		MU: 3, InterArrival: 0, WriteFraction: 0.4, Seed: 3,
@@ -172,7 +165,7 @@ func TestReplayWithWrites(t *testing.T) {
 }
 
 func TestReplayPacing(t *testing.T) {
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	tr, err := workload.Synthetic(workload.SyntheticConfig{
 		NumFiles: 2, NumRequests: 5, MeanSize: 1000,
 		MU: 0, InterArrival: 1.0, Seed: 1, // 4 s of trace time
@@ -197,7 +190,7 @@ func TestReplayPacing(t *testing.T) {
 }
 
 func TestReplayCountsErrorsForMissingFiles(t *testing.T) {
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	tr := smallWebTrace(t)
 	// No Populate: every read fails, but Replay completes.
 	res, err := Replay(cl, tr, Options{})
@@ -210,7 +203,7 @@ func TestReplayCountsErrorsForMissingFiles(t *testing.T) {
 }
 
 func TestReplayRejectsInvalidTrace(t *testing.T) {
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	bad := &trace.Trace{
 		FileSizes: []int64{10},
 		Records:   []trace.Record{{Seq: 5, FileID: 0, Size: 10}},

@@ -40,7 +40,7 @@ func TestBerkeleyTraceFileEndToEnd(t *testing.T) {
 			len(tr.Records), len(orig.Records), len(tr.FileSizes), len(orig.FileSizes))
 	}
 
-	cl := liveCluster(t)
+	cl := liveCluster(t, 2, nil)
 	opts := Options{}
 	if err := PopulateByPopularity(cl, tr, opts); err != nil {
 		t.Fatal(err)

@@ -14,14 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
-	"net"
-	"os"
-	"reflect"
 	"sync"
 	"time"
 
-	"eevfs/internal/disk"
 	"eevfs/internal/faultnet"
 	"eevfs/internal/fs"
 	"eevfs/internal/proto"
@@ -116,143 +111,41 @@ func typedError(err error) bool {
 // invariant violation (nil: all held). It needs a scratch directory for
 // the node disk roots; the caller owns cleanup of tmpDir.
 func CheckLive(s LiveScenario, tmpDir string) *Failure {
-	quiet := log.New(io.Discard, "", 0)
 	serverNet := faultnet.New(int64(s.Seed))
 	clientNet := faultnet.New(int64(s.Seed) + 1)
 	src := rng.New(s.Seed)
-	numServers := s.Servers
-	if numServers < 1 {
-		numServers = 1
-	}
+	numServers := max(s.Servers, 1)
 
-	nodeCfg := func(i int, addr string) fs.NodeConfig {
-		root := fmt.Sprintf("%s/n%d", tmpDir, i)
-		return fs.NodeConfig{
-			Addr:             addr,
-			RootDir:          root,
-			DataDisks:        2,
-			DataModel:        disk.ModelType1,
-			BufferModel:      disk.ModelType1,
-			IdleThresholdSec: 5,
-			TimeScale:        2000,
-			InjectLatency:    true,
-			WriteBuffer:      s.WritePct > 0,
-			WriteTimeout:     time.Second,
-			Logger:           quiet,
-		}
-	}
-
-	nodes := make([]*fs.Node, s.Nodes)
-	var addrs []string
-	for i := range nodes {
-		if err := os.MkdirAll(fmt.Sprintf("%s/n%d", tmpDir, i), 0o755); err != nil {
-			return failf("setup", "mkdir: %v", err)
-		}
-		n, err := fs.StartNode(nodeCfg(i, "127.0.0.1:0"))
-		if err != nil {
-			return failf("setup", "start node %d: %v", i, err)
-		}
-		nodes[i] = n
-		addrs = append(addrs, n.Addr())
-	}
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
+	// A standalone server or a replicated group whose server 0 boots as
+	// primary; the injected replication bug, when asked for, arms on it.
+	local, err := fs.StartLocal(fs.LocalConfig{
+		Nodes: s.Nodes, Servers: numServers, Dir: tmpDir,
+		Node: func(_ int, c *fs.NodeConfig) {
+			c.InjectLatency, c.WriteBuffer, c.WriteTimeout = true, s.WritePct > 0, time.Second
+		},
+		Server: func(i int, c *fs.ServerConfig) {
+			c.StateFile = fmt.Sprintf("%s/server%d.state", tmpDir, i)
+			c.Dialer, c.Transport, c.WriteTimeout = serverNet, liveTransport(), time.Second
+			c.Health = fs.HealthConfig{FailThreshold: 2, ProbeInterval: 20 * time.Millisecond}
+			if i == 0 && s.Inject == "silent-replication" {
+				c.ReplChaosSilentAfter = 1
 			}
-		}
-	}()
+		},
+	})
+	if err != nil {
+		return failf("setup", "start cluster: %v", err)
+	}
+	defer local.Close()
 
 	if s.LatencyMS > 0 {
-		for _, a := range addrs {
+		for _, n := range local.Nodes {
 			f := faultnet.Fault{Latency: time.Duration(s.LatencyMS) * time.Millisecond}
-			serverNet.SetFault(a, f)
-			clientNet.SetFault(a, f)
+			serverNet.SetFault(n.Addr(), f)
+			clientNet.SetFault(n.Addr(), f)
 		}
 	}
 
-	// Server plane: a standalone server, or a replicated group with
-	// pre-bound listeners (every member must know the full peer list
-	// before any member starts). Server 0 boots as primary; the injected
-	// replication bug, when asked for, arms on it.
-	var srvAddrs []string
-	srvCfg := func(i int) fs.ServerConfig {
-		cfg := fs.ServerConfig{
-			Addr:      "127.0.0.1:0",
-			NodeAddrs: addrs,
-			StateFile: fmt.Sprintf("%s/server%d.state", tmpDir, i),
-			Logger:    quiet,
-			Dialer:    serverNet,
-			Transport: liveTransport(),
-			Health: fs.HealthConfig{
-				FailThreshold: 2,
-				ProbeInterval: 20 * time.Millisecond,
-			},
-			WriteTimeout: time.Second,
-		}
-		if numServers > 1 {
-			cfg.Peers, cfg.Self = srvAddrs, i
-		}
-		return cfg
-	}
-	// restartSrv brings server i back on its old address from its state
-	// file.
-	restartSrv := func(i int) (*fs.Server, error) {
-		cfg := srvCfg(i)
-		cfg.Addr = srvAddrs[i]
-		return fs.StartServer(cfg)
-	}
-	srvs := make([]*fs.Server, numServers)
-	srvDown := make([]bool, numServers)
-	if numServers == 1 {
-		srv, err := fs.StartServer(srvCfg(0))
-		if err != nil {
-			return failf("setup", "start server: %v", err)
-		}
-		srvs[0] = srv
-		srvAddrs = []string{srv.Addr()}
-	} else {
-		lns := make([]net.Listener, numServers)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return failf("setup", "listen: %v", err)
-			}
-			lns[i] = ln
-			srvAddrs = append(srvAddrs, ln.Addr().String())
-		}
-		for i := 0; i < numServers; i++ {
-			cfg := srvCfg(i)
-			cfg.Listener = lns[i]
-			if i == 0 && s.Inject == "silent-replication" {
-				cfg.ReplChaosSilentAfter = 1
-			}
-			srv, err := fs.StartServer(cfg)
-			if err != nil {
-				return failf("setup", "start server %d: %v", i, err)
-			}
-			srvs[i] = srv
-		}
-	}
-	defer func() {
-		for _, sv := range srvs {
-			if sv != nil {
-				sv.Close()
-			}
-		}
-	}()
-	// primarySrv returns the surviving server currently claiming primary
-	// (nil during an election window).
-	primarySrv := func() *fs.Server {
-		for i, sv := range srvs {
-			if !srvDown[i] && sv.IsPrimary() {
-				return sv
-			}
-		}
-		return nil
-	}
-
-	cl, err := fs.DialCluster(srvAddrs, fs.ClientConfig{Dialer: clientNet, Transport: liveTransport()})
+	cl, err := fs.DialCluster(local.Addrs, fs.ClientConfig{Dialer: clientNet, Transport: liveTransport()})
 	if err != nil {
 		return failf("setup", "dial: %v", err)
 	}
@@ -321,21 +214,17 @@ func CheckLive(s LiveScenario, tmpDir string) *Failure {
 	}
 	for op := 0; op < s.Ops; op++ {
 		if op == killAt {
-			nodes[s.KillNode].Close()
+			local.Nodes[s.KillNode].Close()
 		}
 		if op == killPrimaryAt {
-			srvs[0].Close()
-			srvDown[0] = true
+			local.Servers[0].Close()
 		}
 		if op == restartAt {
 			// Same address, same StateFile: the client's next operation
 			// reconnects to a server that must know everything it acked.
-			srvs[0].Close()
-			restarted, err := restartSrv(0)
-			if err != nil {
+			if err := local.RestartServer(0); err != nil {
 				return failf("restart", "restart the server from its state file: %v", err)
 			}
-			srvs[0] = restarted
 		}
 		name := names[src.Intn(len(names))]
 		if s.WritePct > 0 && int(src.Intn(100)) < s.WritePct {
@@ -371,41 +260,28 @@ func CheckLive(s LiveScenario, tmpDir string) *Failure {
 	// Phase 3a: failover quiesce. After a primary kill, exactly one
 	// surviving follower must promote itself; all client traffic from
 	// here on lands on it via redirects.
-	srv := srvs[0]
-	if killPrimaryAt >= 0 {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if p := primarySrv(); p != nil {
-				srv = p
-				break
-			}
-			if time.Now().After(deadline) {
-				return failf("failover", "no surviving server promoted itself within 10s of the primary kill")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	pi, err := local.Primary(10 * time.Second)
+	if err != nil {
+		return failf("failover", "no surviving server claimed primary within 10s: %v", err)
 	}
+	srv := local.Servers[pi]
 
 	// Phase 3a': the killed primary comes back from its state file. It
 	// must find the new primary, step in as a follower, and — checked by
 	// the convergence oracle below — end up with the group's namespace,
 	// not the one it crashed with.
 	if killPrimaryAt >= 0 && s.RestartServer {
-		restarted, err := restartSrv(0)
-		if err != nil {
+		if err := local.RestartServer(0); err != nil {
 			return failf("restart", "restart the killed primary from its state file: %v", err)
 		}
-		srvs[0], srvDown[0] = restarted, false
 	}
 
 	// Phase 3b: heal (restart the crashed node on its old address with
 	// its old disk roots) and wait for the prober to readmit it.
 	if s.KillNode >= 0 && killAt >= 0 {
-		restarted, err := fs.StartNode(nodeCfg(s.KillNode, addrs[s.KillNode]))
-		if err != nil {
+		if err := local.RestartNode(s.KillNode); err != nil {
 			return failf("heal", "restart node %d: %v", s.KillNode, err)
 		}
-		nodes[s.KillNode] = restarted
 		if err := waitHealthy(srv, s.KillNode, true, 10*time.Second); err != nil {
 			return failf("heal", "%v", err)
 		}
@@ -416,29 +292,8 @@ func CheckLive(s LiveScenario, tmpDir string) *Failure {
 	// replica that silently missed an acked mutation diverges here (or,
 	// if all survivors missed it together, against the ground truth
 	// below).
-	if numServers > 1 {
-		deadline := time.Now().Add(10 * time.Second)
-		var diverge string
-		for {
-			want := srv.Files()
-			diverge = ""
-			for i, sv := range srvs {
-				if srvDown[i] || sv == srv {
-					continue
-				}
-				if got := sv.Files(); !reflect.DeepEqual(got, want) {
-					diverge = fmt.Sprintf("server %d reports %d files, primary reports %d", i, len(got), len(want))
-					break
-				}
-			}
-			if diverge == "" {
-				break
-			}
-			if time.Now().After(deadline) {
-				return failf("convergence", "surviving replicas never converged: %s", diverge)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	if err := local.Converged(10 * time.Second); err != nil {
+		return failf("convergence", "surviving replicas never converged: %v", err)
 	}
 
 	// Oracle: metadata consistency. Every file the server's sharded map
@@ -452,6 +307,7 @@ func CheckLive(s LiveScenario, tmpDir string) *Failure {
 	if len(infos) != len(names) {
 		return failf("metadata", "server metadata has %d files, created %d", len(infos), len(names))
 	}
+	nodes := local.Nodes
 	nodeMeta := make([]map[int]int64, len(nodes))
 	for i, n := range nodes {
 		nodeMeta[i] = make(map[int]int64)
