@@ -66,7 +66,6 @@ func (s *sim) adaptiveArm(d *simDisk, now simtime.Time) {
 		return
 	}
 	th := s.adapt.ctl.ThresholdSec(d.adIdx, s.cfg.IdleThresholdSec, d.d.Model())
-	s.met.adaptiveThreshold.Observe(th)
 	s.eng.Arm(&d.idleTimer, now+simtime.Time(th), s.on.adaptiveMaybeSleep, d)
 }
 
@@ -175,7 +174,6 @@ func (s *sim) adaptiveReprefetch(now simtime.Time) {
 		}
 	}
 	s.res.AdaptiveReprefetches++
-	s.met.adaptiveReprefetches.Inc()
 	// Reset starts the cooldown but deliberately keeps the window's miss
 	// labels (no Rescore): a recompute here may fetch only part of what
 	// it wants — the cap, the bank, and the never-wake-a-disk gate all

@@ -61,6 +61,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Policy = MAID; c.WriteBuffer = true },
 		func(c *Config) { c.Policy = Adaptive },                   // Hints still on
 		func(c *Config) { c.AdaptiveParams = &adaptive.Params{} }, // not Adaptive
+		func(c *Config) { c.Prewake, c.Hints = true, false },      // nothing to pre-wake for
+		func(c *Config) { c.Prewake, c.Hints, c.Policy = true, false, ThresholdDPM },
 	}
 	for i, mod := range bad {
 		cfg := DefaultTestbed()
@@ -946,66 +948,5 @@ func TestBufferDisksValidation(t *testing.T) {
 	cfg.Nodes[0].BufferDisks = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative BufferDisks accepted")
-	}
-}
-
-func TestDownNodesValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.DownNodes = []int{-1} },
-		func(c *Config) { c.DownNodes = []int{8} },
-		func(c *Config) { c.DownNodes = []int{2, 2} },
-		func(c *Config) { c.DownNodes = []int{0, 1, 2, 3, 4, 5, 6, 7} },
-	}
-	for i, mod := range bad {
-		cfg := DefaultTestbed()
-		mod(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid DownNodes accepted", i)
-		}
-	}
-	cfg := DefaultTestbed()
-	cfg.DownNodes = []int{7, 0}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid DownNodes rejected: %v", err)
-	}
-}
-
-// TestDownNodesEquivalentToSmallerCluster: marking the Type 2 half of the
-// testbed down must behave exactly like a cluster that never had those
-// nodes — placement skips them, and they draw no power.
-func TestDownNodesEquivalentToSmallerCluster(t *testing.T) {
-	tr, err := workload.Synthetic(workload.DefaultSynthetic())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	degraded := DefaultTestbed()
-	degraded.DownNodes = []int{4, 5, 6, 7}
-	got, err := Run(degraded, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	small := DefaultTestbed()
-	small.Nodes = small.Nodes[:4]
-	want, err := Run(small, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.TotalEnergyJ != want.TotalEnergyJ ||
-		got.MakespanSec != want.MakespanSec ||
-		got.Transitions != want.Transitions ||
-		got.Response.Mean != want.Response.Mean {
-		t.Fatalf("degraded run differs from 4-node run:\n got %+v\nwant %+v", got, want)
-	}
-
-	full, err := Run(DefaultTestbed(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.BaseEnergyJ >= full.BaseEnergyJ {
-		t.Fatalf("down nodes still drawing power: degraded base %g >= full base %g",
-			got.BaseEnergyJ, full.BaseEnergyJ)
 	}
 }

@@ -108,7 +108,8 @@ type Config struct {
 	// next predicted access, hiding the wake latency from clients. The
 	// paper's prototype woke disks on demand (its measured response-time
 	// penalties come from spin-ups), so this defaults to off; it is the
-	// X2 ablation.
+	// X2 ablation. Only the hint plan predicts an access, so Prewake
+	// requires the Prefetch policy with Hints.
 	Prewake bool
 
 	// WriteBuffer uses free buffer-disk space as a write buffer for the
@@ -150,19 +151,6 @@ type Config struct {
 
 	// AdaptiveParams tunes the Adaptive policy; nil means adaptive.Defaults.
 	AdaptiveParams *adaptive.Params
-
-	// DownNodes lists node indices that are out of service for the whole
-	// run: the simulated mirror of the prototype server's degraded-mode
-	// placement, where files land only on healthy nodes. Down nodes
-	// receive no files and contribute no power draw. At least one node
-	// must stay up.
-	DownNodes []int
-
-	// Metrics, when non-nil, receives live counters and histograms from
-	// the run (request counts, buffer hits/misses, response-time and
-	// queue-wait histograms, spin-up/spin-down counts). Nil disables
-	// metric collection with no hot-path overhead.
-	Metrics *telemetry.Registry
 
 	// Journal, when non-nil, receives the structured event timeline of
 	// the run: every disk power-state transition, every disk service
@@ -223,6 +211,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: ReprefetchEvery is incompatible with static Hints plans; disable Hints")
 	case c.Policy == Adaptive && (c.Hints || c.Prewake || c.Concentrate || c.WriteBuffer):
 		return fmt.Errorf("cluster: the Adaptive policy takes no Hints, Prewake, Concentrate or WriteBuffer")
+	case c.Prewake && (c.Policy != Prefetch || !c.Hints):
+		return fmt.Errorf("cluster: Prewake acts only on the Prefetch policy's Hints plan")
 	case c.AdaptiveParams != nil && c.Policy != Adaptive:
 		return fmt.Errorf("cluster: AdaptiveParams set without the Adaptive policy")
 	}
@@ -231,38 +221,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
-	down := make(map[int]bool, len(c.DownNodes))
-	for _, idx := range c.DownNodes {
-		if idx < 0 || idx >= len(c.Nodes) {
-			return fmt.Errorf("cluster: DownNodes index %d out of range [0,%d)", idx, len(c.Nodes))
-		}
-		if down[idx] {
-			return fmt.Errorf("cluster: DownNodes lists node %d twice", idx)
-		}
-		down[idx] = true
-	}
-	if len(down) == len(c.Nodes) {
-		return fmt.Errorf("cluster: all %d nodes down", len(c.Nodes))
-	}
 	return nil
-}
-
-// upNodes returns the configs of the nodes still in service, in order.
-func (c Config) upNodes() []NodeConfig {
-	if len(c.DownNodes) == 0 {
-		return c.Nodes
-	}
-	down := make(map[int]bool, len(c.DownNodes))
-	for _, idx := range c.DownNodes {
-		down[idx] = true
-	}
-	up := make([]NodeConfig, 0, len(c.Nodes))
-	for i, n := range c.Nodes {
-		if !down[i] {
-			up = append(up, n)
-		}
-	}
-	return up
 }
 
 // DataDisksPerNode returns the uniform per-node data-disk count.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"eevfs/internal/telemetry"
 	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
@@ -51,15 +50,14 @@ func TestRunAllocationsPerRequest(t *testing.T) {
 // arrival put it above the trace length (5 000+ here).
 func TestEngineQueueHoldsOnlyWorkInFlight(t *testing.T) {
 	tr := fiveThousand(t)
-	cfg := DefaultTestbed()
-	cfg.Metrics = telemetry.NewRegistry()
-	if _, err := Run(cfg, tr); err != nil {
+	res, err := Run(DefaultTestbed(), tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hw := cfg.Metrics.Snapshot().Gauges["sim.engine.queue.max"]
-	t.Logf("engine queue high-water %g for %d requests", hw, len(tr.Records))
+	hw := res.EventQueueMax
+	t.Logf("engine queue high-water %d for %d requests", hw, len(tr.Records))
 	if hw < 1 || hw > 64 {
-		t.Errorf("engine queue high-water %g on the default PF run, want 1..64", hw)
+		t.Errorf("engine queue high-water %d on the default PF run, want 1..64", hw)
 	}
 }
 

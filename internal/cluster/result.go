@@ -6,7 +6,6 @@ import (
 
 	"eevfs/internal/disk"
 	"eevfs/internal/metrics"
-	"eevfs/internal/netmodel"
 )
 
 // Result is everything one simulated run measures.
@@ -67,17 +66,14 @@ type Result struct {
 	// Requests is the number of trace records replayed.
 	Requests int
 
-	// UpNodes is the number of in-service storage nodes the run actually
-	// simulated (Nodes minus DownNodes). BaseEnergyJ integrates the node
-	// base power over exactly these nodes, so invariant checkers can
-	// verify the energy accounting without re-deriving degraded placement.
-	UpNodes int
+	// EventQueueMax is the event engine's queue high-water mark: the
+	// most work in flight at once, independent of trace length
+	// (DESIGN.md §7).
+	EventQueueMax int
 
 	// PerDisk carries each disk's final accounting ("node<i>/data<j>" and
 	// "node<i>/buffer" names).
 	PerDisk []disk.Stats
-	// PerLink carries each node NIC's usage.
-	PerLink []netmodel.Stats
 }
 
 // EnergySavingsVs returns the paper's "energy efficiency gain" of this

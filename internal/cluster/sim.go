@@ -159,9 +159,7 @@ type sim struct {
 	writeResp metrics.Sampler
 	res       Result
 
-	// Telemetry sinks (both optional): pre-resolved metric handles and
-	// the structured event journal.
-	met  simMetrics
+	// jour is the optional structured event journal.
 	jour *telemetry.Journal
 
 	// The allocation-light hot path. on holds the event callbacks as
@@ -260,19 +258,11 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	if err := tr.Validate(); err != nil {
 		return Result{}, err
 	}
-	// Degraded-mode placement: drop out-of-service nodes before building
-	// anything, so files land (and power is drawn) only where the cluster
-	// is actually serving — mirroring the prototype server, which skips
-	// unhealthy nodes in its placement round-robin.
-	cfg.Nodes = cfg.upNodes()
-	cfg.DownNodes = nil
-
 	s := &sim{cfg: cfg, tr: tr, eng: &simtime.Engine{}, fetching: make(map[int]bool)}
 	s.on.writeArrived, s.on.diskDone, s.on.respond = s.writeArrived, s.diskDone, s.respond
 	s.on.spinUpDone, s.on.spinDownDone, s.on.onIdle = s.spinUpDone, s.spinDownDone, s.onIdle
 	s.on.idleTimeout, s.on.adaptiveMaybeSleep = s.idleTimeout, s.adaptiveMaybeSleep
 	s.on.prewake, s.on.flushNow = s.prewakeDue, s.flushNow
-	s.met = newSimMetrics(cfg.Metrics)
 	s.jour = cfg.Journal
 	if cfg.ReprefetchEvery > 0 {
 		s.observedCounts = make([]int, tr.NumFiles())
@@ -530,12 +520,10 @@ func (s *sim) nodeArrival(now simtime.Time, i int) {
 		// file in MAID's cache.
 		case s.prefetched[rec.FileID], s.cfg.Policy == MAID && s.maidHit(n, rec.FileID):
 			s.res.BufferHits++
-			s.met.bufferHits.Inc()
 			buf, _ := n.bufferFor(rec.FileID)
 			s.enqueue(buf, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
 		default:
 			s.res.BufferMisses++
-			s.met.bufferMisses.Inc()
 			s.fanToDataDisks(n, s.newOp(opRead, rec.FileID, rec.Size, sentAt), now)
 		}
 		// The adaptive arm's churn detector sees every read's buffer
@@ -600,12 +588,10 @@ func (s *sim) writeArrived(now simtime.Time, arg any) {
 			dd.pendingPerBuffer[bi] += ch.bytes
 		}
 		s.res.BufferedWrites++
-		s.met.bufferedWrites.Inc()
 		s.enqueue(buf, r, now)
 		return
 	}
 	s.res.DirectWrites++
-	s.met.directWrites.Inc()
 	s.fanToDataDisks(n, r, now)
 }
 
@@ -1061,7 +1047,7 @@ func (s *sim) flushNow(now simtime.Time, arg any) {
 // finalize integrates all remaining dwell energy and assembles the Result.
 func (s *sim) finalize() {
 	makespan := s.eng.Now()
-	s.met.queueMax.Set(float64(s.eng.MaxQueueLen()))
+	s.res.EventQueueMax = s.eng.MaxQueueLen()
 	s.res.MakespanSec = float64(makespan)
 	s.res.Requests = len(s.tr.Records)
 
@@ -1074,10 +1060,8 @@ func (s *sim) finalize() {
 			d.d.Advance(makespan)
 			s.addDisk(d.d.Stats())
 		}
-		s.res.PerLink = append(s.res.PerLink, n.link.Stats())
 	}
 
-	s.res.UpNodes = len(s.nodes)
 	s.res.BaseEnergyJ = s.cfg.NodeBasePowerW * float64(makespan) * float64(len(s.nodes))
 	s.res.TotalEnergyJ = s.res.BaseEnergyJ + s.res.DiskEnergyJ
 	s.res.Response = s.resp.Summarize()

@@ -21,17 +21,16 @@ func benchRun(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkRunTelemetryOff is the disabled-mode baseline: nil sinks, so
-// every metric update is a single nil check and no observer is installed.
+// BenchmarkRunTelemetryOff is the disabled-mode baseline: no journal, so
+// no observer is installed.
 func BenchmarkRunTelemetryOff(b *testing.B) {
 	benchRun(b, DefaultTestbed())
 }
 
-// BenchmarkRunTelemetryOn measures the full-instrumentation cost:
-// registry counters/histograms plus the structured event journal.
+// BenchmarkRunTelemetryOn measures the cost of the structured event
+// journal.
 func BenchmarkRunTelemetryOn(b *testing.B) {
 	cfg := DefaultTestbed()
-	cfg.Metrics = telemetry.NewRegistry()
 	cfg.Journal = &telemetry.Journal{}
 	benchRun(b, cfg)
 }

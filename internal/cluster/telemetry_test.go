@@ -12,8 +12,8 @@ import (
 
 // TestTelemetryMatchesResultAndExport is the simulator acceptance
 // scenario: on a workload where disks actually sleep and wake, the event
-// journal and the metric counters agree exactly with Result, attaching
-// telemetry does not perturb the simulation, and the exported Chrome
+// journal agrees exactly with Result, attaching it does not perturb the
+// simulation, and the exported Chrome
 // trace carries one transition slice per counted power-state transition.
 func TestTelemetryMatchesResultAndExport(t *testing.T) {
 	wcfg := workload.DefaultSynthetic()
@@ -29,18 +29,16 @@ func TestTelemetryMatchesResultAndExport(t *testing.T) {
 	}
 
 	cfg := DefaultTestbed()
-	reg := telemetry.NewRegistry()
 	jour := &telemetry.Journal{}
-	cfg.Metrics = reg
 	cfg.Journal = jour
 	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Telemetry must be a pure observer: bit-identical Result.
+	// The journal must be a pure observer: bit-identical Result.
 	if !reflect.DeepEqual(plain, res) {
-		t.Fatal("attaching telemetry changed the simulation result")
+		t.Fatal("attaching a journal changed the simulation result")
 	}
 	if res.Transitions == 0 {
 		t.Fatal("workload produced no transitions; the test needs sleeping disks")
@@ -49,26 +47,6 @@ func TestTelemetryMatchesResultAndExport(t *testing.T) {
 	// Journal agrees with the paper's transition count.
 	if got := jour.CountStates("spinning-up", "spinning-down"); got != res.Transitions {
 		t.Errorf("journaled transitions = %d, Result.Transitions = %d", got, res.Transitions)
-	}
-
-	// Metrics agree with Result.
-	snap := reg.Snapshot()
-	spins := snap.Counters["sim.disk.spinups"] + snap.Counters["sim.disk.spindowns"]
-	if int(spins) != res.Transitions {
-		t.Errorf("metric transitions = %d, Result.Transitions = %d", spins, res.Transitions)
-	}
-	if got := snap.Counters["sim.requests"]; got != int64(res.Requests) {
-		t.Errorf("sim.requests = %d, Result.Requests = %d", got, res.Requests)
-	}
-	if got := snap.Counters["sim.buffer.hits"]; got != res.BufferHits {
-		t.Errorf("sim.buffer.hits = %d, Result.BufferHits = %d", got, res.BufferHits)
-	}
-	if got := snap.Counters["sim.buffer.misses"]; got != res.BufferMisses {
-		t.Errorf("sim.buffer.misses = %d, Result.BufferMisses = %d", got, res.BufferMisses)
-	}
-	h, ok := snap.Histograms["sim.response.seconds"]
-	if !ok || h.Count != int64(res.Response.N) {
-		t.Errorf("sim.response.seconds count = %d, Result.Response.N = %d", h.Count, res.Response.N)
 	}
 
 	// The Chrome export carries exactly one slice per transition.

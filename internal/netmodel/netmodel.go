@@ -17,13 +17,10 @@ import (
 // Link is a serialized FIFO network link. Not safe for concurrent use;
 // the simulator is single-threaded per run.
 type Link struct {
-	name       string
-	mbps       float64 // megabits per second
-	latency    float64 // per-transfer latency in seconds
-	busyUntil  simtime.Time
-	transfers  int64
-	bytesMoved int64
-	busyTime   float64
+	name      string  // for panic messages
+	mbps      float64 // megabits per second
+	latency   float64 // per-transfer latency in seconds
+	busyUntil simtime.Time
 }
 
 // NewLink creates a link with the given capacity in Mb/s and per-transfer
@@ -38,9 +35,6 @@ func NewLink(name string, mbps, latencySec float64) *Link {
 	}
 	return &Link{name: name, mbps: mbps, latency: latencySec}
 }
-
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
 
 // TransferTime returns the wire time for size bytes, excluding queueing
 // and latency.
@@ -66,21 +60,5 @@ func (l *Link) Reserve(now simtime.Time, size int64) (start, end simtime.Time) {
 	dur := l.latency + l.TransferTime(size)
 	end = start + simtime.Time(dur)
 	l.busyUntil = end
-	l.transfers++
-	l.bytesMoved += size
-	l.busyTime += dur
 	return start, end
-}
-
-// Stats is a snapshot of link usage.
-type Stats struct {
-	Name       string
-	Transfers  int64
-	BytesMoved int64
-	BusyTime   float64
-}
-
-// Stats returns accumulated usage counters.
-func (l *Link) Stats() Stats {
-	return Stats{Name: l.name, Transfers: l.transfers, BytesMoved: l.bytesMoved, BusyTime: l.busyTime}
 }

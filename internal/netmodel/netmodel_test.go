@@ -67,19 +67,6 @@ func TestReserveZeroBytes(t *testing.T) {
 	}
 }
 
-func TestStatsAndUtilization(t *testing.T) {
-	l := NewLink("l", 1000, 0)
-	l.Reserve(0, 125e6)
-	l.Reserve(0, 125e6)
-	st := l.Stats()
-	if st.Transfers != 2 || st.BytesMoved != 250e6 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	if st.Name != "l" || l.Name() != "l" {
-		t.Fatal("name mismatch")
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewLink("bad", 0, 0) },

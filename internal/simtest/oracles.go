@@ -206,9 +206,6 @@ func diskModel(s Scenario, name string) (disk.Model, error) {
 func checkEnergyConservation(a *Artifacts) *Failure {
 	s, r := a.Scenario, a.Result
 	upCount := len(s.UpNodeConfigs())
-	if r.UpNodes != upCount {
-		return failf("energy-conservation", "Result.UpNodes=%d, scenario has %d in service", r.UpNodes, upCount)
-	}
 	wantDisks := upCount * (s.DataDisks + s.BufferDisks)
 	if len(r.PerDisk) != wantDisks {
 		return failf("energy-conservation", "PerDisk has %d disks, want %d", len(r.PerDisk), wantDisks)

@@ -18,6 +18,7 @@
 package simtest
 
 import (
+	"fmt"
 	"math"
 
 	"eevfs/internal/adaptive"
@@ -226,11 +227,14 @@ func GenerateDrift(seed uint64) Scenario {
 	return s
 }
 
-// nodeConfigs expands the scenario shape into per-node configs (before
-// the DownNodes prefix is dropped).
-func (s Scenario) nodeConfigs() []cluster.NodeConfig {
-	nodes := make([]cluster.NodeConfig, s.NodeCount)
-	for i := range nodes {
+// UpNodeConfigs returns the configs of the nodes that stay in service
+// (the DownNodes prefix dropped): the nodes ClusterConfig simulates. Index
+// i here matches the "node<i>/..." disk names in the run's journal and
+// Result.PerDisk, which the oracles rely on to find each disk's power
+// model.
+func (s Scenario) UpNodeConfigs() []cluster.NodeConfig {
+	var nodes []cluster.NodeConfig
+	for i := s.DownNodes; i < s.NodeCount; i++ {
 		nc := cluster.NodeConfig{
 			LinkMbps:    1000,
 			DataModel:   disk.ModelType1,
@@ -243,23 +247,15 @@ func (s Scenario) nodeConfigs() []cluster.NodeConfig {
 			nc.DataModel = disk.ModelType2
 			nc.BufferModel = disk.ModelType2
 		}
-		nodes[i] = nc
+		nodes = append(nodes, nc)
 	}
 	return nodes
-}
-
-// UpNodeConfigs returns the configs of the nodes that stay in service —
-// index i here matches the "node<i>/..." disk names in the run's journal
-// and Result.PerDisk, which the oracles rely on to find each disk's
-// power model.
-func (s Scenario) UpNodeConfigs() []cluster.NodeConfig {
-	return s.nodeConfigs()[s.DownNodes:]
 }
 
 // ClusterConfig expands the scenario into the simulator configuration.
 func (s Scenario) ClusterConfig() cluster.Config {
 	cfg := cluster.Config{
-		Nodes:               s.nodeConfigs(),
+		Nodes:               s.UpNodeConfigs(),
 		NodeBasePowerW:      55,
 		IdleThresholdSec:    s.IdleThresholdSec,
 		Policy:              s.Policy,
@@ -280,9 +276,6 @@ func (s Scenario) ClusterConfig() cluster.Config {
 		p := adaptive.Defaults()
 		p.Mispredict = true
 		cfg.AdaptiveParams = &p
-	}
-	for i := 0; i < s.DownNodes; i++ {
-		cfg.DownNodes = append(cfg.DownNodes, i)
 	}
 	return cfg
 }
@@ -337,6 +330,9 @@ func (s Scenario) WorkloadConfig() workload.SyntheticConfig {
 // shrinker uses Valid to discard reduction candidates that would leave
 // the legal space.
 func (s Scenario) Valid() error {
+	if s.DownNodes < 0 {
+		return fmt.Errorf("simtest: negative DownNodes %d", s.DownNodes)
+	}
 	if err := s.ClusterConfig().Validate(); err != nil {
 		return err
 	}

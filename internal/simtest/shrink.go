@@ -94,7 +94,7 @@ var reducers = []func(Scenario) []Scenario{
 			func(s *Scenario) { s.StripeChunkKB = 0 },
 			func(s *Scenario) { s.ReprefetchEvery = 0 },
 			func(s *Scenario) { s.Prewake = false },
-			func(s *Scenario) { s.Hints = false },
+			func(s *Scenario) { s.Hints, s.Prewake = false, false },
 			func(s *Scenario) { s.WriteBuffer = false },
 			func(s *Scenario) { s.Concentrate = false },
 			func(s *Scenario) {

@@ -295,3 +295,16 @@ func TestRunArtifacts(t *testing.T) {
 		t.Errorf("arms served different request counts: %d vs %d", a.Result.Requests, a.NPF.Requests)
 	}
 }
+
+// TestValidRejectsOutOfRangeDownNodes: a repro string can carry any down=
+// value; one that leaves no node in service, or one below zero, must be
+// reported invalid rather than run a cluster of another size.
+func TestValidRejectsOutOfRangeDownNodes(t *testing.T) {
+	for _, down := range []int{-1, 3} {
+		s := Generate(16)
+		s.NodeCount, s.DownNodes = 3, down
+		if f := Check(s); f == nil || f.Oracle != "valid" {
+			t.Errorf("down=%d of 3 nodes: Check = %v, want a valid failure", down, f)
+		}
+	}
+}
