@@ -65,7 +65,7 @@ func (s *sim) adaptiveArm(d *simDisk, now simtime.Time) {
 	if !d.idle() {
 		return
 	}
-	th := s.adapt.ctl.ThresholdSec(d.adIdx, s.cfg.IdleThresholdSec, d.d.Model())
+	th := s.adapt.ctl.ThresholdSec(d.adIdx, s.cfg.IdleThresholdSec, *d.d.Model())
 	s.eng.Arm(&d.idleTimer, now+simtime.Time(th), s.on.adaptiveMaybeSleep, d)
 }
 

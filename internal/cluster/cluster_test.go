@@ -59,10 +59,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RouteLatencySec = -1 },
 		func(c *Config) { c.Policy = Adaptive + 1 },
 		func(c *Config) { c.Policy = MAID; c.WriteBuffer = true },
-		func(c *Config) { c.Policy = Adaptive },                   // Hints still on
 		func(c *Config) { c.AdaptiveParams = &adaptive.Params{} }, // not Adaptive
 		func(c *Config) { c.Prewake, c.Hints = true, false },      // nothing to pre-wake for
 		func(c *Config) { c.Prewake, c.Hints, c.Policy = true, false, ThresholdDPM },
+		func(c *Config) { c.Policy, c.Hints = Adaptive, false; c.WriteBuffer = true },
+		// Hints is the Prefetch policy's plan; every other policy rejects it.
+		func(c *Config) { c.Policy = AlwaysOn },
+		func(c *Config) { c.Policy = ThresholdDPM },
+		func(c *Config) { c.Policy = MAID },
+		func(c *Config) { c.Policy = Adaptive },
 	}
 	for i, mod := range bad {
 		cfg := DefaultTestbed()

@@ -101,7 +101,8 @@ type Config struct {
 	// Hints enables application hints (Section IV-C): the storage nodes
 	// receive the predicted access pattern and sleep disks proactively at
 	// the start of each predicted idle window. Without hints the node
-	// falls back to the reactive idle-threshold timer.
+	// falls back to the reactive idle-threshold timer. Only the Prefetch
+	// policy has a plan to hint, so Validate rejects Hints under any other.
 	Hints bool
 
 	// Prewake additionally schedules disk spin-up SpinUpSec before the
@@ -207,12 +208,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative ReprefetchEvery")
 	case c.ReprefetchEvery > 0 && c.Policy != Prefetch:
 		return fmt.Errorf("cluster: ReprefetchEvery requires Prefetch")
+	case c.Hints && c.Policy != Prefetch:
+		return fmt.Errorf("cluster: Hints acts only on the Prefetch policy, not %v", c.Policy)
 	case c.ReprefetchEvery > 0 && c.Hints:
 		return fmt.Errorf("cluster: ReprefetchEvery is incompatible with static Hints plans; disable Hints")
-	case c.Policy == Adaptive && (c.Hints || c.Prewake || c.Concentrate || c.WriteBuffer):
-		return fmt.Errorf("cluster: the Adaptive policy takes no Hints, Prewake, Concentrate or WriteBuffer")
-	case c.Prewake && (c.Policy != Prefetch || !c.Hints):
+	case c.Prewake && !c.Hints:
 		return fmt.Errorf("cluster: Prewake acts only on the Prefetch policy's Hints plan")
+	case c.Policy == Adaptive && (c.Concentrate || c.WriteBuffer):
+		return fmt.Errorf("cluster: the Adaptive policy takes no Concentrate or WriteBuffer")
 	case c.AdaptiveParams != nil && c.Policy != Adaptive:
 		return fmt.Errorf("cluster: AdaptiveParams set without the Adaptive policy")
 	}

@@ -131,18 +131,21 @@ type simNode struct {
 
 // sim carries one run's state.
 type sim struct {
-	cfg        Config
-	tr         *trace.Trace
-	eng        *simtime.Engine
-	nodes      []*simNode
-	assign     placement.Assignment
-	prefetched prefetch.Set
-	offset     simtime.Time
+	cfg    Config
+	tr     *trace.Trace
+	eng    *simtime.Engine
+	nodes  []*simNode
+	assign placement.Assignment
+	offset simtime.Time
+
+	// The buffered copies, indexed by file id: prefetched holds the files
+	// a read finds on the buffer disk, fetching those whose background
+	// fetch is still in flight.
+	prefetched, fetching []bool
 
 	// Dynamic re-prefetching state (ReprefetchEvery > 0).
 	replayed       int
 	observedCounts []int
-	fetching       map[int]bool
 
 	// Online adaptive policy state (the Adaptive policy); nil otherwise.
 	adapt *adaptiveState
@@ -157,6 +160,7 @@ type sim struct {
 	resp      metrics.Sampler
 	readResp  metrics.Sampler
 	writeResp metrics.Sampler
+	writes    int // write records in the trace
 	res       Result
 
 	// jour is the optional structured event journal.
@@ -258,7 +262,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	if err := tr.Validate(); err != nil {
 		return Result{}, err
 	}
-	s := &sim{cfg: cfg, tr: tr, eng: &simtime.Engine{}, fetching: make(map[int]bool)}
+	s := &sim{cfg: cfg, tr: tr, eng: &simtime.Engine{}}
 	s.on.writeArrived, s.on.diskDone, s.on.respond = s.writeArrived, s.diskDone, s.respond
 	s.on.spinUpDone, s.on.spinDownDone, s.on.onIdle = s.spinUpDone, s.spinDownDone, s.onIdle
 	s.on.idleTimeout, s.on.adaptiveMaybeSleep = s.idleTimeout, s.adaptiveMaybeSleep
@@ -267,6 +271,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	if cfg.ReprefetchEvery > 0 {
 		s.observedCounts = make([]int, tr.NumFiles())
 	}
+	s.prefetched, s.fetching = make([]bool, tr.NumFiles()), make([]bool, tr.NumFiles())
 	s.buildNodes()
 	if cfg.Policy == Adaptive {
 		s.adapt = s.newAdaptiveState()
@@ -289,10 +294,10 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		s.prefetched = prefetch.NewSet(ids)
+		for _, fid := range ids {
+			s.prefetched[fid] = true
+		}
 		s.runPrefetchPhase(ids)
-	} else {
-		s.prefetched = prefetch.NewSet(nil)
 	}
 
 	if cfg.Policy == Prefetch && cfg.Hints {
@@ -305,8 +310,19 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	arrivals := make([]simtime.Time, len(tr.Records))
 	for i, rec := range tr.Records {
 		arrivals[i] = s.offset + simtime.Time(rec.TimeS) + simtime.Time(cfg.RouteLatencySec)
+		if rec.Op == trace.Write {
+			s.writes++
+		}
 	}
 	s.eng.ScheduleAll(arrivals, s.nodeArrival)
+	// Every record answers once, so the response samplers are sized here.
+	// A write-free run fills only resp: the read sampler would hold the
+	// same samples in the same order (finalize).
+	s.resp.Grow(len(tr.Records))
+	if s.writes > 0 {
+		s.readResp.Grow(len(tr.Records) - s.writes)
+		s.writeResp.Grow(s.writes)
+	}
 
 	// Initial power-management pass at replay start: disks left idle
 	// after the prefetch phase may already face a long predicted gap.
@@ -399,7 +415,7 @@ func (s *sim) runPrefetchPhase(ids []int) {
 		n := s.nodes[ni]
 		size := s.tr.FileSizes[fid]
 		if !n.bufferFits(fid, size) {
-			delete(s.prefetched, fid)
+			s.prefetched[fid] = false
 			continue
 		}
 
@@ -461,21 +477,33 @@ func (s *sim) runPrefetchPhase(ids []int) {
 // Only residual traffic — files not prefetched, or writes that will reach
 // the data disk — is included.
 func (s *sim) buildPredictions() {
-	for _, rec := range s.tr.Records {
-		hitsBuffer := false
-		switch rec.Op {
-		case trace.Read:
-			hitsBuffer = s.prefetched[rec.FileID]
-		case trace.Write:
-			hitsBuffer = s.cfg.WriteBuffer
+	// The first pass counts each data disk's predicted accesses, so that
+	// one array, carved per disk, holds every list the second pass fills.
+	per := s.cfg.DataDisksPerNode()
+	counts, total := make([]int, len(s.nodes)*per), 0
+	for i := range s.tr.Records {
+		if rec := &s.tr.Records[i]; s.reachesDataDisk(rec) {
+			ni := s.assign.Node[rec.FileID]
+			for _, ch := range s.chunksOf(rec.FileID) {
+				counts[ni*per+ch.disk]++
+				total++
+			}
 		}
-		if hitsBuffer {
-			continue
+	}
+	all, off := make([]float64, total), 0
+	for ni, n := range s.nodes {
+		for j, d := range n.data {
+			c := counts[ni*per+j]
+			d.predicted, off = all[off:off:off+c], off+c
 		}
-		n := s.nodes[s.assign.Node[rec.FileID]]
-		for _, ch := range s.chunksOf(rec.FileID) {
-			d := n.data[ch.disk]
-			d.predicted = append(d.predicted, float64(s.offset)+rec.TimeS)
+	}
+	for i := range s.tr.Records {
+		if rec := &s.tr.Records[i]; s.reachesDataDisk(rec) {
+			n := s.nodes[s.assign.Node[rec.FileID]]
+			for _, ch := range s.chunksOf(rec.FileID) {
+				d := n.data[ch.disk]
+				d.predicted = append(d.predicted, float64(s.offset)+rec.TimeS)
+			}
 		}
 	}
 	horizon := float64(s.offset) + s.tr.Duration() + 30
@@ -488,10 +516,23 @@ func (s *sim) buildPredictions() {
 			// only if the plan actually saves energy.
 			busy := prefetch.BusyFromAccesses(d.predicted, meanService)
 			windows := prefetch.IdleWindows(busy, horizon)
-			plan := prefetch.PlanSleeps(windows, s.hintGate(n.cfg.DataModel))
+			plan := prefetch.PlanSleeps(windows, s.hintGate(&n.cfg.DataModel))
 			d.sleepAllowed = prefetch.PredictSavings(busy, horizon, n.cfg.DataModel, plan) > 0
 		}
 	}
+}
+
+// reachesDataDisk reports whether the hint plan expects rec on its data
+// disks: a read of a file not prefetched, or a write the buffer does not
+// take.
+func (s *sim) reachesDataDisk(rec *trace.Record) bool {
+	switch rec.Op {
+	case trace.Read:
+		return !s.prefetched[rec.FileID]
+	case trace.Write:
+		return !s.cfg.WriteBuffer
+	}
+	return true
 }
 
 // meanFileSize returns the average file size, the service-time stand-in
@@ -701,7 +742,7 @@ func (s *sim) diskDone(now simtime.Time, arg any) {
 		// Buffer-disk population completed. For dynamic prefetch the
 		// file only now becomes servable from the buffer.
 		if s.fetching[r.fileID] {
-			delete(s.fetching, r.fileID)
+			s.fetching[r.fileID] = false
 			s.prefetched[r.fileID] = true
 			s.res.PrefetchedFiles++
 		}
@@ -792,29 +833,24 @@ func (s *sim) admitFetch(n *simNode, fid int, want prefetch.Set, feeJ float64, n
 // that the current ranking no longer wants; it reports whether anything
 // was evicted.
 func (s *sim) evictColdest(n *simNode, bufIdx int, want prefetch.Set) bool {
-	victim := -1
-	for fid := range s.prefetched {
-		if !want[fid] && s.assign.Node[fid] == n.id && fid%len(n.buffers) == bufIdx {
-			if victim < 0 || fid < victim { // deterministic choice
-				victim = fid
-			}
+	for fid, in := range s.prefetched { // the lowest id goes first
+		if in && !want[fid] && s.assign.Node[fid] == n.id && fid%len(n.buffers) == bufIdx {
+			s.prefetched[fid] = false
+			n.bufferRelease(fid, s.tr.FileSizes[fid])
+			return true
 		}
 	}
-	if victim < 0 {
-		return false
-	}
-	delete(s.prefetched, victim)
-	n.bufferRelease(victim, s.tr.FileSizes[victim])
-	return true
+	return false
 }
 
 func (s *sim) record(r *request, rt float64) {
 	s.noteResponse(r, rt)
 	s.resp.Add(rt)
-	if r.kind == opRead {
-		s.readResp.Add(rt)
-	} else {
+	switch {
+	case r.kind == opWrite:
 		s.writeResp.Add(rt)
+	case s.writes > 0:
+		s.readResp.Add(rt)
 	}
 	s.doneWork()
 }
@@ -846,7 +882,7 @@ func (s *sim) quiesce() {
 // hintGate returns the effective predictive-sleep gate for a disk: the
 // idle threshold, floored at the physical sleep/wake cycle time — a
 // window shorter than the two transitions cannot be slept at all.
-func (s *sim) hintGate(m disk.Model) float64 {
+func (s *sim) hintGate(m *disk.Model) float64 {
 	gate := s.cfg.IdleThresholdSec
 	if cycle := m.SpinDownSec + m.SpinUpSec; gate < cycle {
 		gate = cycle
@@ -1065,7 +1101,10 @@ func (s *sim) finalize() {
 	s.res.BaseEnergyJ = s.cfg.NodeBasePowerW * float64(makespan) * float64(len(s.nodes))
 	s.res.TotalEnergyJ = s.res.BaseEnergyJ + s.res.DiskEnergyJ
 	s.res.Response = s.resp.Summarize()
-	s.res.ReadResponse = s.readResp.Summarize()
+	s.res.ReadResponse = s.res.Response
+	if s.writes > 0 {
+		s.res.ReadResponse = s.readResp.Summarize()
+	}
 	s.res.WriteResponse = s.writeResp.Summarize()
 }
 

@@ -53,6 +53,8 @@ func (s PowerState) String() string {
 }
 
 // Model holds the performance and power parameters of one drive type.
+// Its methods read it through a pointer: they run on every simulated
+// event, where a copy of the struct would cost more than their arithmetic.
 type Model struct {
 	Name string
 
@@ -75,7 +77,7 @@ type Model struct {
 }
 
 // Validate reports the first problem with the parameter set, or nil.
-func (m Model) Validate() error {
+func (m *Model) Validate() error {
 	switch {
 	case m.BandwidthMBps <= 0:
 		return fmt.Errorf("disk %q: bandwidth must be positive", m.Name)
@@ -96,7 +98,7 @@ func (m Model) Validate() error {
 }
 
 // TransferTime returns the time to move size bytes at the sustained rate.
-func (m Model) TransferTime(size int64) float64 {
+func (m *Model) TransferTime(size int64) float64 {
 	if size <= 0 {
 		return 0
 	}
@@ -106,14 +108,14 @@ func (m Model) TransferTime(size int64) float64 {
 // ServiceTime returns seek + rotational latency + transfer time for one
 // request of size bytes. Sequential log appends on buffer disks should use
 // SequentialTime instead.
-func (m Model) ServiceTime(size int64) float64 {
+func (m *Model) ServiceTime(size int64) float64 {
 	return m.AvgSeekSec + m.AvgRotateSec + m.TransferTime(size)
 }
 
 // SequentialTime returns the service time of a sequential (log) access:
 // no seek, half the usual rotational latency. Buffer disks are log disks
 // precisely so that writes take this path (Section I).
-func (m Model) SequentialTime(size int64) float64 {
+func (m *Model) SequentialTime(size int64) float64 {
 	return m.AvgRotateSec/2 + m.TransferTime(size)
 }
 
@@ -123,7 +125,7 @@ func (m Model) SequentialTime(size int64) float64 {
 //	PIdle*T  >=  SpinDownJ + SpinUpJ + PStandby*(T - SpinDownSec - SpinUpSec)
 //
 // solved for T. Gaps shorter than this waste energy if the disk sleeps.
-func (m Model) BreakEvenSec() float64 {
+func (m *Model) BreakEvenSec() float64 {
 	num := m.SpinDownJ + m.SpinUpJ - m.PStandby*(m.SpinDownSec+m.SpinUpSec)
 	den := m.PIdle - m.PStandby
 	be := num / den
@@ -137,7 +139,7 @@ func (m Model) BreakEvenSec() float64 {
 
 // StatePower returns the drawn power in the given state, with transition
 // states drawing their energy spread uniformly over their latency.
-func (m Model) StatePower(s PowerState) float64 {
+func (m *Model) StatePower(s PowerState) float64 {
 	switch s {
 	case Active:
 		return m.PActive
@@ -205,8 +207,9 @@ func New(name string, m Model) *Disk {
 	return d
 }
 
-// Model returns the disk's parameter set.
-func (d *Disk) Model() Model { return d.model }
+// Model returns the disk's parameter set, read in place: callers must
+// not modify it.
+func (d *Disk) Model() *Model { return &d.model }
 
 // State returns the current power state.
 func (d *Disk) State() PowerState { return d.state }

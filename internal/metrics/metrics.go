@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -25,6 +26,10 @@ func (s *Sampler) Add(v float64) {
 	s.sum += v
 	s.sorted = false
 }
+
+// Grow makes room for n more observations, so a caller that knows how
+// many are coming allocates once instead of growing the store.
+func (s *Sampler) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
 // N returns the number of observations.
 func (s *Sampler) N() int { return len(s.samples) }

@@ -113,6 +113,23 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// Grow changes where the samples live, not what they sum or sort to.
+func TestGrowLeavesTheSummaryAlone(t *testing.T) {
+	var grown, plain Sampler
+	grown.Grow(1000)
+	for i := 0; i < 1000; i++ {
+		v := math.Sin(float64(i)) * float64(i%17) // unordered, with repeats
+		grown.Add(v)
+		plain.Add(v)
+	}
+	if grown.N() != plain.N() || grown.Mean() != plain.Mean() {
+		t.Fatalf("grown: N %d mean %v; plain: N %d mean %v", grown.N(), grown.Mean(), plain.N(), plain.Mean())
+	}
+	if g, p := grown.Summarize(), plain.Summarize(); g != p {
+		t.Fatalf("grown summary %+v, plain %+v", g, p)
+	}
+}
+
 func TestStringIncludesStdDev(t *testing.T) {
 	s := Summary{N: 3, Mean: 1.5, StdDev: 0.25, P50: 1.4, P95: 2, P99: 2.1, Max: 2.2}
 	got := s.String()

@@ -125,7 +125,7 @@ func MergeBusy(busy []Interval) []Interval {
 // [0, horizon). Busy time beyond the horizon is clipped.
 func IdleWindows(busy []Interval, horizon float64) []Window {
 	merged := MergeBusy(busy)
-	var windows []Window
+	windows := make([]Window, 0, len(merged)+1) // a gap before each interval, one after
 	cursor := 0.0
 	for _, iv := range merged {
 		if iv.Start >= horizon {
@@ -151,7 +151,13 @@ func IdleWindows(busy []Interval, horizon float64) []Window {
 // threshold; callers that want guaranteed savings pass
 // max(threshold, model.BreakEvenSec()).
 func PlanSleeps(windows []Window, minGap float64) []Window {
-	var plan []Window
+	n := 0
+	for _, w := range windows {
+		if w.Length() >= minGap {
+			n++
+		}
+	}
+	plan := make([]Window, 0, n)
 	for _, w := range windows {
 		if w.Length() >= minGap {
 			plan = append(plan, w)

@@ -183,7 +183,7 @@ func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 		sizes[i] = sampleSize(src, cfg.MeanSize, cfg.SizeSpread)
 	}
 
-	tr := &trace.Trace{FileSizes: sizes}
+	tr := &trace.Trace{FileSizes: sizes, Records: make([]trace.Record, 0, cfg.NumRequests)}
 	phases := max(cfg.Phases, 1)
 	flashLo, flashHi := cfg.flashSet()
 	now := 0.0
@@ -349,7 +349,7 @@ func BerkeleyWeb(cfg BerkeleyWebConfig) (*trace.Trace, error) {
 		sizes[i] = cfg.MeanSize
 	}
 
-	tr := &trace.Trace{FileSizes: sizes}
+	tr := &trace.Trace{FileSizes: sizes, Records: make([]trace.Record, 0, cfg.NumRequests)}
 	now := 0.0
 	for i := 0; i < cfg.NumRequests; i++ {
 		var fid int
