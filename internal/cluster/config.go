@@ -271,12 +271,14 @@ func DefaultTestbed() Config {
 
 // NPF returns a copy of the configuration with prefetching (and therefore
 // power management) disabled — the paper's NPF comparison arm. The options
-// of other arms go too: Concentrate would change the run, and the rest
-// would fail validation here or in AdaptiveArm.
+// of other arms go too: Concentrate would change the run, the rest would
+// fail validation here or in AdaptiveArm, and PrefetchCount is read only
+// by the Prefetch policy, so NPF arms built from configs that differ only
+// in K are equal.
 func (c Config) NPF() Config {
 	c.Policy = AlwaysOn
 	c.Hints, c.Prewake, c.Concentrate = false, false, false
-	c.ReprefetchEvery, c.AdaptiveParams = 0, nil
+	c.ReprefetchEvery, c.AdaptiveParams, c.PrefetchCount = 0, nil, 0
 	return c
 }
 

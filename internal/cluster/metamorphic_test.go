@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"eevfs/internal/trace"
@@ -129,5 +130,35 @@ func TestMetamorphicSizeScalingMonotonic(t *testing.T) {
 				k, res.Response.Mean, prev)
 		}
 		prev = res.Response.Mean
+	}
+}
+
+// TestMetamorphicPrefetchCountInertWithoutPrefetch: K is the Prefetch
+// policy's budget, so an arm that never prefetches up front must produce
+// the same Result whatever K it carries. NPF clears K on that ground, and
+// the experiment battery shares one NPF run across a K sweep.
+func TestMetamorphicPrefetchCountInertWithoutPrefetch(t *testing.T) {
+	w := workload.DefaultSynthetic()
+	w.NumRequests = 300
+	tr, err := workload.Synthetic(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []Config{DefaultTestbed().NPF(), DefaultTestbed().AdaptiveArm()} {
+		want, err := Run(arm, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 10, 70, 1000} {
+			cfg := arm
+			cfg.PrefetchCount = k
+			got, err := Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v with K=%d: result differs from K=0\ngot  %+v\nwant %+v", arm.Policy, k, got, want)
+			}
+		}
 	}
 }

@@ -513,8 +513,10 @@ func (s *sim) buildPredictions() {
 			sort.Float64s(d.predicted)
 			// PRE-BUD energy prediction: plan the sleeps this disk's
 			// residual pattern allows and keep power management enabled
-			// only if the plan actually saves energy.
-			busy := prefetch.BusyFromAccesses(d.predicted, meanService)
+			// only if the plan actually saves energy. The busy list is
+			// merged once here; IdleWindows and PredictSavings find it
+			// merged and use it as is.
+			busy := prefetch.MergeBusy(prefetch.BusyFromAccesses(d.predicted, meanService))
 			windows := prefetch.IdleWindows(busy, horizon)
 			plan := prefetch.PlanSleeps(windows, s.hintGate(&n.cfg.DataModel))
 			d.sleepAllowed = prefetch.PredictSavings(busy, horizon, n.cfg.DataModel, plan) > 0

@@ -38,11 +38,11 @@ func TestParallelByteIdenticalAllExperiments(t *testing.T) {
 
 func TestParallelByteIdenticalSweeps(t *testing.T) {
 	for _, a := range []axis{dataSize, popularity, delay, prefetchCount, disksPerNode, clusterSize} {
-		seq, err := a.sweep(Options{Requests: 150})
+		seq, err := a.sweep(Options{Requests: 150}, true)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", a.param, err)
 		}
-		par, err := a.sweep(Options{Requests: 150, Workers: -1})
+		par, err := a.sweep(Options{Requests: 150, Workers: -1}, true)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", a.param, err)
 		}
@@ -152,5 +152,98 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if got := (Options{Workers: -1}).workers(); got < 1 {
 		t.Errorf("negative Workers resolved to %d, want >= 1", got)
+	}
+}
+
+// batteryRuns is how many simulations the whole battery makes: one per
+// distinct (trace, config) of each experiment, and no NPF arm in the
+// transitions panels.
+const batteryRuns = 144
+
+// TestBatterySimulatesNothingTwice watches every simulate call of the
+// battery: no experiment may simulate equal traces under equal configs
+// twice, the transitions panels (Fig. 4) may simulate only the PF arm,
+// and the battery's count of cluster.Run calls is pinned.
+func TestBatterySimulatesNothingTwice(t *testing.T) {
+	var seen []run
+	onSimulate = func(distinct []run) { seen = append(seen, distinct...) }
+	t.Cleanup(func() { onSimulate = nil })
+	total := 0
+	for _, id := range IDs() {
+		seen = nil
+		if _, err := Run(id, Options{Requests: 100}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for i, r := range seen {
+			for _, q := range seen[:i] {
+				if reflect.DeepEqual(*q.trace, *r.trace) && reflect.DeepEqual(q.cfg, r.cfg) {
+					t.Errorf("%s: %q and %q simulate equal traces under equal configs", id, q.label, r.label)
+				}
+			}
+			if strings.HasPrefix(id, "fig4") && r.cfg.Policy != cluster.Prefetch {
+				t.Errorf("%s: %q simulates the %v arm; the panel reads PF only", id, r.label, r.cfg.Policy)
+			}
+		}
+		total += len(seen)
+	}
+	t.Logf("the battery makes %d cluster.Run calls", total)
+	if total != batteryRuns {
+		t.Errorf("the battery makes %d cluster.Run calls, want %d", total, batteryRuns)
+	}
+}
+
+// TestSimulateSharesEqualRuns pins simulate's sharing: a run equal to an
+// earlier one (same trace, equal config) is not simulated again but gets
+// the same result at its own index, while a run with a journal is always
+// simulated, even next to an equal one with a journal of its own, so that
+// every journal fills.
+func TestSimulateSharesEqualRuns(t *testing.T) {
+	tr, err := workload.Synthetic(Options{Requests: 80}.synthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, k10 := cluster.DefaultTestbed(), cluster.DefaultTestbed()
+	k10.PrefetchCount = 10
+	var distinct []string
+	onSimulate = func(d []run) {
+		for _, r := range d {
+			distinct = append(distinct, r.label)
+		}
+	}
+	t.Cleanup(func() { onSimulate = nil })
+	for _, workers := range []int{0, 3} {
+		journals := []*telemetry.Journal{{}, {}}
+		journaled := []cluster.Config{pf.NPF(), pf.NPF()}
+		for i := range journaled {
+			journaled[i].Journal = journals[i]
+		}
+		runs := []run{
+			{"pf", pf, tr}, {"npf", pf.NPF(), tr}, {"pf again", pf, tr},
+			{"npf from K=10", k10.NPF(), tr},
+			{"journaled npf", journaled[0], tr}, {"journaled npf again", journaled[1], tr},
+		}
+		distinct = nil
+		got, err := simulate(Options{Workers: workers}, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"pf", "npf", "journaled npf", "journaled npf again"}; !reflect.DeepEqual(distinct, want) {
+			t.Errorf("%d workers: simulated %q, want %q", workers, distinct, want)
+		}
+		for i, j := range journals {
+			if j.Len() == 0 {
+				t.Errorf("%d workers: journal %d is empty: its run was shared", workers, i)
+			}
+		}
+		for i, r := range runs {
+			r.cfg.Journal = nil
+			want, err := cluster.Run(r.cfg, r.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%d workers: %s: shared result differs from its own run", workers, r.label)
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // sweep simulates one axis at the paper's parameters.
 func sweep(t *testing.T, a axis) []point {
 	t.Helper()
-	pts, err := a.sweep(Options{})
+	pts, err := a.sweep(Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func BenchmarkFig3bSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := popularity.sweep(Options{}); err != nil {
+		if _, err := popularity.sweep(Options{}, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -15,8 +17,11 @@ import (
 // the simulations out over a worker pool cannot change any result —
 // provided no config is written once built, traces are only ever read,
 // and results are collected in run order rather than completion order.
-// simulate and RunMany encode exactly those rules; the determinism tests
-// hold them to byte-identity with the sequential path.
+// For the same reason two runs of one trace under equal configs are one
+// simulation: simulate runs it once and hands both the result. The
+// sharing lives and dies with one simulate call; nothing is remembered
+// across calls. simulate and RunMany encode exactly those rules; the
+// determinism tests hold them to byte-identity with the sequential path.
 
 // run is one simulation: a row label, a fully built config and the trace
 // it replays. Runs are built sequentially — trace generation is cheap and
@@ -33,18 +38,50 @@ func arms(label string, cfg cluster.Config, tr *trace.Trace) []run {
 	return []run{{label + " PF", cfg, tr}, {label + " NPF", cfg.NPF(), tr}}
 }
 
-// simulate runs the simulations — across a worker pool when
-// Options.Workers asks for one — and returns their results in run order,
-// or the first error in run order, naming its run. It is the package's
-// only caller of cluster.Run.
+// sameRun reports whether b would simulate exactly what a does: the same
+// trace under an equal config. A run with a journal is never the same as
+// another, since its events are its own.
+func sameRun(a, b run) bool {
+	return a.trace == b.trace && a.cfg.Journal == nil && b.cfg.Journal == nil &&
+		reflect.DeepEqual(a.cfg, b.cfg)
+}
+
+// onSimulate, when a test sets it, sees the distinct runs of each
+// simulate call just before they are simulated.
+var onSimulate func(distinct []run)
+
+// simulate runs the simulations — one per distinct run, across a worker
+// pool when Options.Workers asks for one — and returns a result for every
+// run in run order, or the first error in run order, naming its run. It
+// is the package's only caller of cluster.Run.
 func simulate(o Options, runs []run) ([]cluster.Result, error) {
-	return fanOut(o.workers(), len(runs), func(i int) (cluster.Result, error) {
-		res, err := cluster.Run(runs[i].cfg, runs[i].trace)
+	var distinct []run
+	slot := make([]int, len(runs)) // runs[i]'s index in distinct
+	for i, r := range runs {
+		slot[i] = slices.IndexFunc(distinct, func(d run) bool { return sameRun(d, r) })
+		if slot[i] < 0 {
+			slot[i] = len(distinct)
+			distinct = append(distinct, r)
+		}
+	}
+	if onSimulate != nil {
+		onSimulate(distinct)
+	}
+	res, err := fanOut(o.workers(), len(distinct), func(i int) (cluster.Result, error) {
+		res, err := cluster.Run(distinct[i].cfg, distinct[i].trace)
 		if err != nil {
-			return res, fmt.Errorf("experiments: %s: %w", runs[i].label, err)
+			return res, fmt.Errorf("experiments: %s: %w", distinct[i].label, err)
 		}
 		return res, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]cluster.Result, len(runs))
+	for i, s := range slot {
+		out[i] = res[s]
+	}
+	return out, nil
 }
 
 // workers resolves Options.Workers: 0 and 1 mean sequential, n > 1 means

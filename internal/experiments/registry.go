@@ -168,7 +168,7 @@ var figures = []figure{
 }
 
 func (f figure) run(o Options) (Table, error) {
-	pts, err := f.axis.sweep(o)
+	pts, err := f.axis.sweep(o, !f.metric.pfOnly)
 	if err != nil {
 		return Table{}, err
 	}
@@ -475,7 +475,7 @@ var clusterSize = axis{
 }
 
 func extScale(o Options) (Table, error) {
-	pts, err := clusterSize.sweep(o)
+	pts, err := clusterSize.sweep(o, true)
 	if err != nil {
 		return Table{}, err
 	}

@@ -100,14 +100,16 @@ func (a axis) list() string {
 	return strings.Join(s, ", ")
 }
 
-// point is one axis value with both comparison arms.
+// point is one axis value with both comparison arms; npf is the zero
+// Result in a sweep that left the NPF arm out.
 type point struct {
 	label   string
 	pf, npf cluster.Result
 }
 
-// sweep simulates PF and NPF at every value of the axis.
-func (a axis) sweep(o Options) ([]point, error) {
+// sweep simulates PF at every value of the axis, and NPF next to it when
+// withNPF is set.
+func (a axis) sweep(o Options, withNPF bool) ([]point, error) {
 	var runs []run
 	var w0 workload.SyntheticConfig
 	var tr *trace.Trace
@@ -126,23 +128,34 @@ func (a axis) sweep(o Options) ([]point, error) {
 			}
 			w0 = w
 		}
-		runs = append(runs, arms(fmt.Sprintf(a.label, v), cfg, tr)...)
+		label := fmt.Sprintf(a.label, v)
+		if withNPF {
+			runs = append(runs, arms(label, cfg, tr)...)
+		} else {
+			runs = append(runs, run{label + " PF", cfg, tr})
+		}
 	}
 	res, err := simulate(o, runs)
 	if err != nil {
 		return nil, err
 	}
+	per := len(runs) / len(a.values)
 	pts := make([]point, len(a.values))
 	for i, v := range a.values {
-		pts[i] = point{fmt.Sprintf(a.label, v), res[2*i], res[2*i+1]}
+		pts[i] = point{label: fmt.Sprintf(a.label, v), pf: res[per*i]}
+		if withNPF {
+			pts[i].npf = res[per*i+1]
+		}
 	}
 	return pts, nil
 }
 
 // metric is what a figure panel measures over an axis: Fig. 3 energy,
-// Fig. 4 power-state transitions or Fig. 5 response time.
+// Fig. 4 power-state transitions or Fig. 5 response time. A metric whose
+// cells read only the PF arm sets pfOnly, and its sweeps simulate no NPF.
 type metric struct {
 	columns []string // the table's columns after the axis column
+	pfOnly  bool
 	cells   func(pf, npf cluster.Result) []string
 }
 
@@ -157,6 +170,7 @@ var (
 	// column is the paper's Section VI-B reliability concern (fmtWear).
 	transitions = metric{
 		columns: []string{"transitions", "spin-ups", "spin-downs", "worst wear (yr)"},
+		pfOnly:  true,
 		cells: func(pf, _ cluster.Result) []string {
 			return []string{fmt.Sprint(pf.Transitions), fmt.Sprint(pf.SpinUps), fmt.Sprint(pf.SpinDowns), fmtWear(pf, 1)}
 		},

@@ -210,7 +210,7 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 			if st == nil {
 				// Late frame for a stream whose handler already finished
 				// (e.g. an abort racing our end): discard, keep framing.
-				_, err = io.CopyN(io.Discard, in, int64(n))
+				_, err = in.Discard(n)
 			} else {
 				// An error here is the peer breaking the protocol — it
 				// flooded past the window it was granted, say — and the

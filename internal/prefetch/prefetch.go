@@ -94,10 +94,17 @@ type Window struct {
 // Length returns the window duration.
 func (w Window) Length() float64 { return w.End - w.Start }
 
-// MergeBusy sorts and coalesces overlapping busy intervals.
+// MergeBusy sorts and coalesces overlapping (or touching) busy intervals.
+// It never writes to busy, and it returns busy itself when the list is
+// already merged — sorted by start, each interval starting after the
+// previous one ends — so merging a merged list costs one pass and no
+// allocation.
 func MergeBusy(busy []Interval) []Interval {
 	if len(busy) == 0 {
 		return nil
+	}
+	if merged(busy) {
+		return busy
 	}
 	sorted := make([]Interval, len(busy))
 	copy(sorted, busy)
@@ -119,6 +126,17 @@ func MergeBusy(busy []Interval) []Interval {
 		out = append(out, iv)
 	}
 	return out
+}
+
+// merged reports whether MergeBusy would return busy unchanged: every
+// interval starts after both the start and the end of the one before it.
+func merged(busy []Interval) bool {
+	for i := 1; i < len(busy); i++ {
+		if !(busy[i].Start > busy[i-1].Start && busy[i].Start > busy[i-1].End) {
+			return false
+		}
+	}
+	return true
 }
 
 // IdleWindows returns the idle gaps between merged busy intervals over

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,69 @@ func TestMergeBusyDoesNotMutateInput(t *testing.T) {
 	MergeBusy(in)
 	if in[0] != (Interval{5, 6}) {
 		t.Error("MergeBusy mutated its input")
+	}
+}
+
+// mergeBusyRef is MergeBusy without its already-merged shortcut: copy,
+// sort, coalesce.
+func mergeBusyRef(busy []Interval) []Interval {
+	if len(busy) == 0 {
+		return nil
+	}
+	sorted := append([]Interval(nil), busy...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Start != sorted[j].Start {
+			return sorted[i].Start < sorted[j].Start
+		}
+		return sorted[i].End < sorted[j].End
+	})
+	out := sorted[:1]
+	for _, iv := range sorted[1:] {
+		last := &out[len(out)-1]
+		if iv.Start <= last.End {
+			last.End = math.Max(last.End, iv.End)
+			continue
+		}
+		out = append(out, iv)
+	}
+	return out
+}
+
+// Property: MergeBusy equals the copy-sort-coalesce reference on random
+// lists (small integer bounds, so ties, touching and reversed intervals
+// are common) and, when no interval is reversed, on the reference's own
+// merged output, which it must hand back as is.
+func TestQuickMergeBusyMatchesReference(t *testing.T) {
+	f := func(raw []uint8, shift uint8) bool {
+		busy := make([]Interval, len(raw)/2)
+		reversed := false
+		for i := range busy {
+			busy[i] = Interval{float64(raw[2*i] % 40), float64(raw[2*i+1]%40) + float64(shift%4)}
+			reversed = reversed || busy[i].End < busy[i].Start
+		}
+		in := append([]Interval(nil), busy...)
+		want := mergeBusyRef(busy)
+		if got := MergeBusy(busy); !reflect.DeepEqual(got, want) || !slices.Equal(busy, in) {
+			return false
+		}
+		if reversed || len(want) == 0 {
+			return true
+		}
+		again := MergeBusy(want)
+		return reflect.DeepEqual(again, want) && &again[0] == &want[0]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMergeBusyMergedListAllocatesNothing(t *testing.T) {
+	busy := make([]Interval, 1000)
+	for i := range busy {
+		busy[i] = Interval{float64(2 * i), float64(2*i) + 1.5}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { MergeBusy(busy) }); allocs != 0 {
+		t.Errorf("MergeBusy on a merged list: %.0f allocations, want 0", allocs)
 	}
 }
 

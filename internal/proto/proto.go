@@ -17,6 +17,7 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -151,10 +152,28 @@ func WriteFrameID(w io.Writer, t Type, id uint32, payload []byte) error {
 // that many payload bytes next — splitting header from payload lets
 // stream demuxers route the payload into a pooled chunk buffer instead
 // of a fresh allocation per frame.
+//
+// From a *bufio.Reader — every connection's read half — the header is
+// decoded in place in the reader's buffer, so a frame costs no
+// allocation; any other reader fills a fresh header. The errors are
+// io.ReadFull's either way.
 func ReadFrameHeader(r io.Reader) (Type, uint32, int, error) {
-	var hdr [4 + v2HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, 0, err
+	var hdr []byte
+	if br, ok := r.(*bufio.Reader); ok {
+		p, err := br.Peek(4 + v2HeaderLen)
+		if err != nil {
+			if err == io.EOF && len(p) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, 0, err
+		}
+		hdr = p
+		br.Discard(len(p)) // already buffered: cannot fail, and p stays valid until the next read
+	} else {
+		hdr = make([]byte, 4+v2HeaderLen)
+		if _, err := io.ReadFull(r, hdr); err != nil {
+			return 0, 0, 0, err
+		}
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n < v2HeaderLen {

@@ -62,6 +62,11 @@ const (
 // holds 32 KiB, not a stream chunk's 256.
 var chunkPools = make([]sync.Pool, chunkClass(MaxStreamChunk)+1)
 
+// chunkBoxes recycles the *[]byte boxes the chunk pools hold, so that
+// PutChunk allocates no box: GetChunk empties the box its chunk came in
+// and leaves it here, and PutChunk takes one back to fill.
+var chunkBoxes sync.Pool
+
 // chunkClass is the smallest class holding n bytes, n <= MaxStreamChunk.
 func chunkClass(n int) int {
 	return bits.Len(uint(max(n, MinStreamChunk)-1)) - bits.Len(MinStreamChunk-1)
@@ -83,7 +88,10 @@ func GetChunk(n int) []byte {
 	chunksInUse.Add(1)
 	c := chunkClass(n)
 	if bp, ok := chunkPools[c].Get().(*[]byte); ok {
-		return (*bp)[:n]
+		b := (*bp)[:n]
+		*bp = nil
+		chunkBoxes.Put(bp)
+		return b
 	}
 	return make([]byte, n, MinStreamChunk<<c)
 }
@@ -96,8 +104,12 @@ func PutChunk(b []byte) {
 		return
 	}
 	chunksInUse.Add(-1)
-	b = b[:cap(b)]
-	chunkPools[c].Put(&b)
+	bp, ok := chunkBoxes.Get().(*[]byte)
+	if !ok {
+		bp = new([]byte)
+	}
+	*bp = b[:cap(b)]
+	chunkPools[c].Put(bp)
 }
 
 // NegotiateChunk picks the effective chunk size for one stream: the
@@ -258,6 +270,7 @@ type Stream struct {
 	id    uint32
 	conn  StreamConn
 	stall time.Duration  // longest wait for the peer's next frame
+	timer *time.Timer    // times next's waits, stopped between them
 	recv  chan streamMsg // window + streamRecvSlack deep
 	done  chan struct{}  // closed exactly once, by Fail
 
@@ -290,11 +303,14 @@ const (
 // data frames. Inbound data stays illegal until Accept (or the dialing
 // side's open) fixes the chunk size.
 func NewStream(id uint32, c StreamConn, stall time.Duration, window int) *Stream {
-	return &Stream{
+	st := &Stream{
 		id: id, conn: c, stall: stall, window: window,
-		recv: make(chan streamMsg, window+streamRecvSlack),
-		done: make(chan struct{}),
+		timer: time.NewTimer(stall),
+		recv:  make(chan streamMsg, window+streamRecvSlack),
+		done:  make(chan struct{}),
 	}
+	st.timer.Stop()
+	return st
 }
 
 // streamFrameType reports whether t is legal on an open stream id.
@@ -395,8 +411,10 @@ func (st *Stream) next(a, b Type) (streamMsg, error) {
 	select {
 	case msg = <-st.recv:
 	default:
-		timer := time.NewTimer(st.stall)
-		defer timer.Stop()
+		// One timer per stream, made with it: a wait allocates nothing,
+		// however many a stream makes.
+		st.timer.Reset(st.stall)
+		defer st.timer.Stop()
 		select {
 		case msg = <-st.recv:
 		case <-st.done:
@@ -406,7 +424,7 @@ func (st *Stream) next(a, b Type) (streamMsg, error) {
 			default:
 				return msg, st.fault()
 			}
-		case <-timer.C:
+		case <-st.timer.C:
 			return msg, st.violation(errRTTimeout{})
 		}
 	}

@@ -565,3 +565,29 @@ func FuzzFrameReader(f *testing.F) {
 		}
 	})
 }
+
+// TestReadFrameHeaderFromReadHalfAllocatesNothing: a connection's read
+// half decodes each header in place, so demuxing a frame costs no
+// allocation however many frames a stream moves.
+func TestReadFrameHeaderFromReadHalfAllocatesNothing(t *testing.T) {
+	var frames []byte
+	for i := 0; i < 200; i++ {
+		frames = appendFrameID(frames, TStreamCredit, uint32(i), []byte{0, 0, 0, 1})
+	}
+	src := bytes.NewReader(frames)
+	in := NewReadHalf(src)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(frames)
+		in.Reset(src)
+		for i := 0; i < 200; i++ {
+			ty, id, n, err := ReadFrameHeader(in)
+			if err != nil || ty != TStreamCredit || id != uint32(i) || n != 4 {
+				t.Fatalf("frame %d: type %d id %d len %d err %v", i, ty, id, n, err)
+			}
+			in.Discard(n)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("200 headers from a read half: %.0f allocations, want 0", allocs)
+	}
+}

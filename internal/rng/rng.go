@@ -101,54 +101,87 @@ func (r *Source) ExpFloat64() float64 {
 
 // Poisson returns a Poisson(mu) variate. For small mu it uses Knuth's
 // product-of-uniforms method; for large mu it uses the PTRS transformed
-// rejection method of Hörmann (1993), which is exact and O(1).
+// rejection method of Hörmann (1993), which is exact and O(1). Drawing
+// many variates at one mu, a PoissonSampler skips recomputing the
+// method's constants on every draw and yields the same variates.
 func (r *Source) Poisson(mu float64) int {
+	p := NewPoisson(r, mu)
+	return p.Sample()
+}
+
+// PoissonSampler draws Poisson(mu) variates from a Source at one fixed
+// mu, with the constants of the method computed once: exp(-mu) for
+// Knuth's, and for PTRS the hat parameters of Hörmann (1993). Its draws
+// are bit-identical to Source.Poisson(mu) on the same stream.
+type PoissonSampler struct {
+	src *Source
+	mu  float64
+	// limit is Knuth's exp(-mu); b to logMu are PTRS's constants.
+	limit                           float64
+	b, a, twoA, invAlpha, vr, logMu float64
+}
+
+// NewPoisson returns a sampler of Poisson(mu) variates drawn from src.
+func NewPoisson(src *Source, mu float64) PoissonSampler {
+	p := PoissonSampler{src: src, mu: mu}
 	switch {
 	case mu <= 0:
-		return 0
 	case mu < 30:
-		return r.poissonKnuth(mu)
+		p.limit = math.Exp(-mu)
 	default:
-		return r.poissonPTRS(mu)
+		smu := math.Sqrt(mu)
+		p.b = 0.931 + 2.53*smu
+		p.a = -0.059 + 0.02483*p.b
+		p.twoA = 2 * p.a
+		p.invAlpha = 1.1239 + 1.1328/(p.b-3.4)
+		p.vr = 0.9277 - 3.6224/(p.b-2)
+		p.logMu = math.Log(mu)
+	}
+	return p
+}
+
+// Sample draws one variate.
+func (p *PoissonSampler) Sample() int {
+	switch {
+	case p.mu <= 0:
+		return 0
+	case p.mu < 30:
+		return p.knuth()
+	default:
+		return p.ptrs()
 	}
 }
 
-func (r *Source) poissonKnuth(mu float64) int {
-	limit := math.Exp(-mu)
+func (p *PoissonSampler) knuth() int {
+	src, limit := p.src, p.limit
 	k := 0
-	p := 1.0
+	prod := 1.0
 	for {
-		p *= r.Float64()
-		if p <= limit {
+		prod *= src.Float64()
+		if prod <= limit {
 			return k
 		}
 		k++
 	}
 }
 
-// poissonPTRS implements W. Hörmann, "The transformed rejection method for
+// ptrs implements W. Hörmann, "The transformed rejection method for
 // generating Poisson random variables", Insurance: Mathematics and
 // Economics 12 (1993). Valid for mu >= 10.
-func (r *Source) poissonPTRS(mu float64) int {
-	smu := math.Sqrt(mu)
-	b := 0.931 + 2.53*smu
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	logMu := math.Log(mu)
+func (p *PoissonSampler) ptrs() int {
 	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
+		u := p.src.Float64() - 0.5
+		v := p.src.Float64()
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mu + 0.43)
-		if us >= 0.07 && v <= vr {
+		k := math.Floor((p.twoA/us+p.b)*u + p.mu + 0.43)
+		if us >= 0.07 && v <= p.vr {
 			return int(k)
 		}
 		if k < 0 || (us < 0.013 && v > us) {
 			continue
 		}
-		lhs := math.Log(v * invAlpha / (a/(us*us) + b))
-		rhs := k*logMu - mu - logGamma(k+1)
+		lhs := math.Log(v * p.invAlpha / (p.a/(us*us) + p.b))
+		rhs := k*p.logMu - p.mu - logGamma(k+1)
 		if lhs <= rhs {
 			return int(k)
 		}

@@ -259,6 +259,68 @@ func TestQuickPoissonDeterministic(t *testing.T) {
 	}
 }
 
+// poissonRef is Source.Poisson as a per-draw computation: every constant
+// of Knuth's method and of PTRS recomputed on each call.
+func poissonRef(r *Source, mu float64) int {
+	switch {
+	case mu <= 0:
+		return 0
+	case mu < 30:
+		limit := math.Exp(-mu)
+		k := 0
+		p := 1.0
+		for {
+			p *= r.Float64()
+			if p <= limit {
+				return k
+			}
+			k++
+		}
+	}
+	smu := math.Sqrt(mu)
+	b := 0.931 + 2.53*smu
+	a := -0.059 + 0.02483*b
+	invAlpha := 1.1239 + 1.1328/(b-3.4)
+	vr := 0.9277 - 3.6224/(b-2)
+	logMu := math.Log(mu)
+	for {
+		u := r.Float64() - 0.5
+		v := r.Float64()
+		us := 0.5 - math.Abs(u)
+		k := math.Floor((2*a/us+b)*u + mu + 0.43)
+		if us >= 0.07 && v <= vr {
+			return int(k)
+		}
+		if k < 0 || (us < 0.013 && v > us) {
+			continue
+		}
+		lhs := math.Log(v * invAlpha / (a/(us*us) + b))
+		rhs := k*logMu - mu - logGamma(k+1)
+		if lhs <= rhs {
+			return int(k)
+		}
+	}
+}
+
+// TestPoissonSamplerMatchesPerDrawPoisson: a sampler built once per mu,
+// Source.Poisson and the per-draw reference draw equal sequences from
+// equally seeded sources, on both sides of the Knuth/PTRS switch at 30.
+func TestPoissonSamplerMatchesPerDrawPoisson(t *testing.T) {
+	for _, mu := range []float64{0, 1, 10, 29.9, 30, 100, 1000} {
+		ref, viaSource, viaSampler := New(7), New(7), New(7)
+		sampler := NewPoisson(viaSampler, mu)
+		for i := 0; i < 20000; i++ {
+			want := poissonRef(ref, mu)
+			if got := viaSource.Poisson(mu); got != want {
+				t.Fatalf("mu=%g draw %d: Source.Poisson = %d, reference %d", mu, i, got, want)
+			}
+			if got := sampler.Sample(); got != want {
+				t.Fatalf("mu=%g draw %d: sampler = %d, reference %d", mu, i, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -277,6 +339,20 @@ func BenchmarkPoissonLargeMu(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Poisson(1000)
+	}
+}
+
+func BenchmarkPoissonSamplerSmallMu(b *testing.B) {
+	p := NewPoisson(New(1), 10)
+	for i := 0; i < b.N; i++ {
+		_ = p.Sample()
+	}
+}
+
+func BenchmarkPoissonSamplerLargeMu(b *testing.B) {
+	p := NewPoisson(New(1), 1000)
+	for i := 0; i < b.N; i++ {
+		_ = p.Sample()
 	}
 }
 

@@ -6,9 +6,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -232,17 +233,42 @@ func Parse(r io.Reader) (*Trace, error) {
 
 // RankByCount orders file ids by descending access count, breaking ties by
 // ascending file id (deterministic). Files with zero accesses are
-// included, after all accessed files.
+// included, after all accessed files. It is a counting sort, O(ids +
+// spread of the counts), while the counts spread over at most
+// countingSpread values per id, as access counts do; wider spreads fall
+// back to a comparison sort with the same order.
 func RankByCount(counts []int) []int {
 	ids := make([]int, len(counts))
-	for i := range ids {
-		ids[i] = i
+	if len(counts) == 0 {
+		return ids
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if counts[ids[a]] != counts[ids[b]] {
-			return counts[ids[a]] > counts[ids[b]]
+	lo, hi := slices.Min(counts), slices.Max(counts)
+	if uint(hi-lo) >= uint(countingSpread*len(counts)) {
+		for i := range ids {
+			ids[i] = i
 		}
-		return ids[a] < ids[b]
-	})
+		slices.SortFunc(ids, func(a, b int) int {
+			return cmp.Or(cmp.Compare(counts[b], counts[a]), cmp.Compare(a, b))
+		})
+		return ids
+	}
+	// next[hi-c] is where the next id with count c goes: the highest
+	// count's bucket first, and ids in ascending order within a bucket.
+	next := make([]int, hi-lo+1)
+	for _, c := range counts {
+		next[hi-c]++
+	}
+	pos := 0
+	for b, n := range next {
+		next[b], pos = pos, pos+n
+	}
+	for id, c := range counts {
+		ids[next[hi-c]] = id
+		next[hi-c]++
+	}
 	return ids
 }
+
+// countingSpread bounds RankByCount's bucket array at this many buckets
+// per id.
+const countingSpread = 16

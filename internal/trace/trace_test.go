@@ -2,10 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"eevfs/internal/rng"
 )
 
 func sampleTrace() *Trace {
@@ -136,6 +140,39 @@ func TestRankByCount(t *testing.T) {
 func TestRankByCountEmpty(t *testing.T) {
 	if got := RankByCount(nil); len(got) != 0 {
 		t.Errorf("RankByCount(nil) = %v", got)
+	}
+}
+
+// TestRankByCountMatchesReferenceSort compares RankByCount with a stable
+// comparison sort on random counts: mostly a few distinct values (many
+// ties), sometimes negative, and sometimes spread wider than the counting
+// sort's buckets allow, so both paths are checked.
+func TestRankByCountMatchesReferenceSort(t *testing.T) {
+	src := rng.New(1)
+	for trial := 0; trial < 2000; trial++ {
+		counts := make([]int, src.Intn(200))
+		distinct := 1 + src.Intn(8)
+		for i := range counts {
+			counts[i] = src.Intn(distinct)
+			switch trial % 4 {
+			case 1:
+				counts[i] -= distinct / 2
+			case 2:
+				counts[i] *= 1 + src.Intn(1000)
+			case 3:
+				if src.Intn(50) == 0 {
+					counts[i] = math.MaxInt - src.Intn(3)
+				}
+			}
+		}
+		want := make([]int, len(counts))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return counts[want[a]] > counts[want[b]] })
+		if got := RankByCount(counts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("counts %v:\ngot  %v\nwant %v", counts, got, want)
+		}
 	}
 }
 

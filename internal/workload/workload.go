@@ -177,6 +177,7 @@ func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 		return nil, err
 	}
 	src := rng.New(cfg.Seed)
+	popularity := rng.NewPoisson(src, cfg.MU)
 
 	sizes := make([]int64, cfg.NumFiles)
 	for i := range sizes {
@@ -193,7 +194,7 @@ func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 			fid = flashLo + src.Intn(flashHi-flashLo)
 		} else {
 			center := cfg.PhaseOf(i) * cfg.NumFiles / phases
-			fid = (center + src.Poisson(cfg.MU)) % cfg.NumFiles
+			fid = (center + popularity.Sample()) % cfg.NumFiles
 		}
 		op := trace.Read
 		if cfg.WriteFraction > 0 && src.Float64() < cfg.WriteFraction {

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -354,5 +357,40 @@ func BenchmarkBerkeleyWeb(b *testing.B) {
 		if _, err := BerkeleyWeb(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// syntheticDigest is the SHA-256 of the traces TestSyntheticTracesPinned
+// generates. Every draw of the generator feeds it, so any change in the
+// order or the value of a draw (the Poisson sampler's included) moves it.
+const syntheticDigest = "fa7bec95a515d6aaf52c5fa85d31ffa4d61b76fc58dbbd9b50570aa352ffb742"
+
+// TestSyntheticTracesPinned hashes Synthetic's traces at MU 1, 10, 100 and
+// 1000 (both Poisson methods, either side of the switch at 30) and on a
+// drifting workload with a flash crowd and writes.
+func TestSyntheticTracesPinned(t *testing.T) {
+	var cfgs []SyntheticConfig
+	for _, mu := range []float64{1, 10, 100, 1000} {
+		cfg := DefaultSynthetic()
+		cfg.MU = mu
+		cfgs = append(cfgs, cfg)
+	}
+	drift := DefaultDrift()
+	drift.FlashStartFrac, drift.FlashDurFrac, drift.FlashBoost, drift.FlashFiles = 0.5, 0.2, 0.5, 8
+	drift.WriteFraction = 0.2
+	cfgs = append(cfgs, drift)
+	h := sha256.New()
+	for _, cfg := range cfgs {
+		tr, err := Synthetic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(h, tr.FileSizes)
+		for _, r := range tr.Records {
+			fmt.Fprintf(h, "%d %v %d %d %d\n", r.Seq, r.TimeS, r.Op, r.FileID, r.Size)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != syntheticDigest {
+		t.Errorf("synthetic traces digest %s, want %s", got, syntheticDigest)
 	}
 }
