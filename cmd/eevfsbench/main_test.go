@@ -17,6 +17,13 @@ func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	cfg := workload.DefaultSynthetic()
 	cfg.NumRequests = 200
+	return writeTrace(t, cfg)
+}
+
+// writeTrace renders cfg's trace in the eevfs-trace/1 text format and
+// returns its path.
+func writeTrace(t *testing.T, cfg workload.SyntheticConfig) string {
+	t.Helper()
 	tr, err := workload.Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +60,24 @@ func TestRunTraceFile(t *testing.T) {
 		out := buf.String()
 		if strings.Count(out, c.pf) != 1 || strings.Count(out, c.npf) != 1 {
 			t.Errorf("markdown=%v: want one PF row and one NPF row:\n%s", c.markdown, out)
+		}
+	}
+
+	// The web-trace equivalent written to a file replays to fig6's rows.
+	const requests = 150
+	web := workload.DefaultWeb()
+	web.NumRequests = requests
+	var buf bytes.Buffer
+	if err := runTraceFile(&buf, writeTrace(t, web), true); err != nil {
+		t.Fatal(err)
+	}
+	fig6, err := experiments.Run("fig6", experiments.Options{Requests: requests})
+	if err != nil || len(fig6.Rows) != 2 {
+		t.Fatalf("fig6: %d rows, %v", len(fig6.Rows), err)
+	}
+	for _, row := range fig6.Rows {
+		if md := "\n| " + strings.Join(row, " | ") + " |\n"; !strings.Contains(buf.String(), md) {
+			t.Errorf("trace-file table lacks fig6's row %q:\n%s", md, buf.String())
 		}
 	}
 }

@@ -1,70 +1,61 @@
 // Command tracegen emits synthetic EEVFS traces in the eevfs-trace/1 text
 // format, for feeding the simulator or replaying against the TCP
-// prototype.
+// prototype. Its flags fill one workload.SyntheticConfig; popularity is
+// Poisson(-mu), or Zipf(-zipf) over the first -working-set files when
+// -working-set is positive (Fig. 6's web-trace equivalent).
 //
-//	tracegen -kind synthetic -mu 1000 -requests 1000 > trace.txt
-//	tracegen -kind web -working-set 60 > web.txt
+//	tracegen -mu 1000 -requests 1000 > trace.txt
+//	tracegen -working-set 60 -zipf 1.1 > web.txt
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
 
 func main() {
-	var (
-		kind       = flag.String("kind", "synthetic", "workload kind: synthetic | web")
-		files      = flag.Int("files", 1000, "number of files")
-		requests   = flag.Int("requests", 1000, "number of requests")
-		sizeMB     = flag.Float64("size-mb", 10, "mean file size in MB")
-		mu         = flag.Float64("mu", 1000, "Poisson popularity parameter (synthetic)")
-		delayMS    = flag.Float64("delay-ms", 700, "inter-arrival delay in ms")
-		writeFrac  = flag.Float64("write-frac", 0, "write fraction (synthetic)")
-		workingSet = flag.Int("working-set", 60, "hot-set size (web)")
-		zipf       = flag.Float64("zipf", 1.1, "Zipf exponent (web)")
-		coldFrac   = flag.Float64("cold-frac", 0, "fraction of requests outside the hot set (web)")
-		seed       = flag.Uint64("seed", 1, "PRNG seed")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	var tr *trace.Trace
-	var err error
-	switch *kind {
-	case "synthetic":
-		tr, err = workload.Synthetic(workload.SyntheticConfig{
-			NumFiles:      *files,
-			NumRequests:   *requests,
-			MeanSize:      int64(*sizeMB * 1e6),
-			MU:            *mu,
-			InterArrival:  *delayMS / 1000,
-			WriteFraction: *writeFrac,
-			Seed:          *seed,
-		})
-	case "web":
-		tr, err = workload.BerkeleyWeb(workload.BerkeleyWebConfig{
-			NumFiles:     *files,
-			NumRequests:  *requests,
-			WorkingSet:   *workingSet,
-			ZipfExponent: *zipf,
-			ColdFraction: *coldFrac,
-			MeanSize:     int64(*sizeMB * 1e6),
-			InterArrival: *delayMS / 1000,
-			Seed:         *seed,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown kind %q\n", *kind)
-		os.Exit(2)
+// run parses args into a workload and writes its trace to w. A malformed
+// flag exits the process, as flag.Parse would.
+func run(args []string, w io.Writer) error {
+	var cfg workload.SyntheticConfig
+	fs := flag.NewFlagSet("tracegen", flag.ExitOnError)
+	fs.IntVar(&cfg.NumFiles, "files", 1000, "number of files")
+	fs.IntVar(&cfg.NumRequests, "requests", 1000, "number of requests")
+	sizeMB := fs.Float64("size-mb", 10, "mean file size in MB")
+	fs.Float64Var(&cfg.MU, "mu", 1000, "Poisson popularity parameter (not with -working-set)")
+	delayMS := fs.Float64("delay-ms", 700, "inter-arrival delay in ms")
+	fs.Float64Var(&cfg.WriteFraction, "write-frac", 0, "write fraction")
+	fs.IntVar(&cfg.WorkingSet, "working-set", 0, "Zipf popularity over this many hot files (0 = Poisson)")
+	fs.Float64Var(&cfg.ZipfS, "zipf", 1.1, "Zipf exponent (with -working-set)")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "PRNG seed")
+	fs.Parse(args)
+	cfg.MeanSize = int64(*sizeMB * 1e6)
+	cfg.InterArrival = *delayMS / 1000
+
+	// The popularity model not chosen drops its flag's default; naming
+	// its flag explicitly is an error, which Validate reports.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if cfg.WorkingSet > 0 && !set["mu"] {
+		cfg.MU = 0
 	}
+	if cfg.WorkingSet == 0 && !set["zipf"] {
+		cfg.ZipfS = 0
+	}
+
+	tr, err := workload.Synthetic(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if err := tr.Write(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
-	}
+	return tr.Write(w)
 }

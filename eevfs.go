@@ -11,9 +11,9 @@
 //     every published figure. This substitutes for the paper's physical
 //     power-measured cluster; see DESIGN.md for the substitution argument.
 //
-//   - Workload generators (SyntheticWorkload, BerkeleyWebWorkload): the
-//     Poisson-MU popularity traces of Table II and the web-trace
-//     equivalent of Fig. 6.
+//   - The workload generator (SyntheticWorkload): the Poisson-MU
+//     popularity traces of Table II and, from DefaultWebConfig, the
+//     web-trace equivalent of Fig. 6.
 //
 //   - The TCP prototype (StartServer, StartNode, Dial): a real
 //     distributed file system with a storage server, storage-node
@@ -76,12 +76,11 @@ type (
 	Trace = trace.Trace
 	// TraceRecord is one request in a Trace.
 	TraceRecord = trace.Record
-	// SyntheticConfig parameterizes the Table II synthetic workloads and
-	// their drift — phase rotation, flash crowds, and diurnal load —
-	// behind the adaptive policy experiments.
+	// SyntheticConfig parameterizes the Table II synthetic workloads,
+	// the Fig. 6 web-trace equivalent, and their drift — phase rotation,
+	// flash crowds, and diurnal load — behind the adaptive policy
+	// experiments.
 	SyntheticConfig = workload.SyntheticConfig
-	// BerkeleyWebConfig parameterizes the Fig. 6 web-trace equivalent.
-	BerkeleyWebConfig = workload.BerkeleyWebConfig
 	// AdaptivePolicyParams tunes the online adaptive power-management
 	// arm (SimConfig.AdaptiveArm): EWMA gap estimation, adapted
 	// spin-down thresholds, transition budget, and churn-triggered
@@ -96,11 +95,9 @@ func DefaultSyntheticConfig() SyntheticConfig { return workload.DefaultSynthetic
 // SyntheticWorkload generates a synthetic trace, drifting or not.
 func SyntheticWorkload(cfg SyntheticConfig) (*Trace, error) { return workload.Synthetic(cfg) }
 
-// DefaultBerkeleyWebConfig returns the Fig. 6 workload configuration.
-func DefaultBerkeleyWebConfig() BerkeleyWebConfig { return workload.DefaultBerkeleyWeb() }
-
-// BerkeleyWebWorkload generates the web-trace-equivalent workload.
-func BerkeleyWebWorkload(cfg BerkeleyWebConfig) (*Trace, error) { return workload.BerkeleyWeb(cfg) }
+// DefaultWebConfig returns the Fig. 6 web-trace-equivalent workload
+// point (Zipf 1.1 over a 60-file working set of 1000 files).
+func DefaultWebConfig() SyntheticConfig { return workload.DefaultWeb() }
 
 // DefaultDriftConfig returns the strong-drift workload point of the
 // ext-adaptive experiments (16 phase hot sets over 1600 files).

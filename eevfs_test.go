@@ -30,7 +30,7 @@ func TestPublicSimulationHeadline(t *testing.T) {
 }
 
 func TestPublicWebWorkload(t *testing.T) {
-	tr, err := eevfs.BerkeleyWebWorkload(eevfs.DefaultBerkeleyWebConfig())
+	tr, err := eevfs.SyntheticWorkload(eevfs.DefaultWebConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestPublicAdaptiveArm(t *testing.T) {
 }
 
 func TestPublicBaselines(t *testing.T) {
-	tr, err := eevfs.BerkeleyWebWorkload(eevfs.BerkeleyWebConfig{
-		NumFiles: 200, NumRequests: 100, WorkingSet: 30, ZipfExponent: 1.1,
+	tr, err := eevfs.SyntheticWorkload(eevfs.SyntheticConfig{
+		NumFiles: 200, NumRequests: 100, WorkingSet: 30, ZipfS: 1.1,
 		MeanSize: 1e6, InterArrival: 0.1, Seed: 1,
 	})
 	if err != nil {

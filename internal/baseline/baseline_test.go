@@ -11,9 +11,9 @@ import (
 
 func webTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	cfg := workload.DefaultBerkeleyWeb()
+	cfg := workload.DefaultWeb()
 	cfg.NumRequests = 400
-	tr, err := workload.BerkeleyWeb(cfg)
+	tr, err := workload.Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +181,9 @@ func TestMAIDCacheWarming(t *testing.T) {
 }
 
 func BenchmarkRunAllComparators(b *testing.B) {
-	cfg := workload.DefaultBerkeleyWeb()
+	cfg := workload.DefaultWeb()
 	cfg.NumRequests = 300
-	tr, err := workload.BerkeleyWeb(cfg)
+	tr, err := workload.Synthetic(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -290,7 +290,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	s.assign = assign
 
 	if cfg.Policy == Prefetch {
-		ids, err := prefetch.Select(counts, tr.FileSizes, cfg.PrefetchCount, s.globalBufferCap())
+		ids, err := prefetch.SelectRanked(ranks, counts, tr.FileSizes, cfg.PrefetchCount, s.globalBufferCap())
 		if err != nil {
 			return Result{}, err
 		}

@@ -184,10 +184,10 @@ func init() {
 // webTrace is the Berkeley-web-equivalent workload (10 MB data size) of
 // Fig. 6 and the baseline comparison.
 func webTrace(o Options) (*trace.Trace, error) {
-	w := workload.DefaultBerkeleyWeb()
+	w := workload.DefaultWeb()
 	w.NumRequests = o.requests()
 	w.Seed = o.seed()
-	return workload.BerkeleyWeb(w)
+	return workload.Synthetic(w)
 }
 
 func fig6(o Options) (Table, error) {

@@ -19,13 +19,18 @@ import (
 // buffer-disk capacity; a file that does not fit is skipped (not a hard
 // stop), matching a greedy knapsack on popularity.
 func Select(counts []int, sizes []int64, k int, capacity int64) ([]int, error) {
+	return SelectRanked(trace.RankByCount(counts), counts, sizes, k, capacity)
+}
+
+// SelectRanked is Select for a caller that has already ranked counts:
+// ranks must be trace.RankByCount(counts).
+func SelectRanked(ranks, counts []int, sizes []int64, k int, capacity int64) ([]int, error) {
 	if len(counts) != len(sizes) {
 		return nil, fmt.Errorf("prefetch: %d counts vs %d sizes", len(counts), len(sizes))
 	}
 	if k < 0 {
 		return nil, fmt.Errorf("prefetch: negative k %d", k)
 	}
-	ranks := trace.RankByCount(counts)
 	var picked []int
 	var used int64
 	for _, id := range ranks {

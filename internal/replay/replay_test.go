@@ -35,8 +35,8 @@ func liveCluster(t *testing.T, nodes int, node func(c *fs.NodeConfig)) *fs.Clien
 
 func smallWebTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	tr, err := workload.BerkeleyWeb(workload.BerkeleyWebConfig{
-		NumFiles: 30, NumRequests: 60, WorkingSet: 8, ZipfExponent: 1.1,
+	tr, err := workload.Synthetic(workload.SyntheticConfig{
+		NumFiles: 30, NumRequests: 60, WorkingSet: 8, ZipfS: 1.1,
 		MeanSize: 40_000, InterArrival: 0, Seed: 7,
 	})
 	if err != nil {

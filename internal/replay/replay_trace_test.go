@@ -17,8 +17,8 @@ import (
 // after the top-k prefetch (PF: the working set is covered, so reads hit
 // the buffer disks).
 func TestBerkeleyTraceFileEndToEnd(t *testing.T) {
-	orig, err := workload.BerkeleyWeb(workload.BerkeleyWebConfig{
-		NumFiles: 24, NumRequests: 50, WorkingSet: 6, ZipfExponent: 1.1,
+	orig, err := workload.Synthetic(workload.SyntheticConfig{
+		NumFiles: 24, NumRequests: 50, WorkingSet: 6, ZipfS: 1.1,
 		MeanSize: 30_000, InterArrival: 0, Seed: 11,
 	})
 	if err != nil {

@@ -99,20 +99,11 @@ func (r *Source) ExpFloat64() float64 {
 	}
 }
 
-// Poisson returns a Poisson(mu) variate. For small mu it uses Knuth's
-// product-of-uniforms method; for large mu it uses the PTRS transformed
-// rejection method of Hörmann (1993), which is exact and O(1). Drawing
-// many variates at one mu, a PoissonSampler skips recomputing the
-// method's constants on every draw and yields the same variates.
-func (r *Source) Poisson(mu float64) int {
-	p := NewPoisson(r, mu)
-	return p.Sample()
-}
-
 // PoissonSampler draws Poisson(mu) variates from a Source at one fixed
-// mu, with the constants of the method computed once: exp(-mu) for
-// Knuth's, and for PTRS the hat parameters of Hörmann (1993). Its draws
-// are bit-identical to Source.Poisson(mu) on the same stream.
+// mu. For small mu it uses Knuth's product-of-uniforms method; for large
+// mu the PTRS transformed rejection method of Hörmann (1993), which is
+// exact and O(1). The constants of the method are computed once:
+// exp(-mu) for Knuth's, and for PTRS the hat parameters.
 type PoissonSampler struct {
 	src *Source
 	mu  float64

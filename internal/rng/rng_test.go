@@ -118,11 +118,11 @@ func TestExpFloat64Mean(t *testing.T) {
 
 func TestPoissonMoments(t *testing.T) {
 	for _, mu := range []float64{0.5, 1, 10, 100, 1000} {
-		r := New(23)
+		p := NewPoisson(New(23), mu)
 		const draws = 100000
 		sum, sumSq := 0.0, 0.0
 		for i := 0; i < draws; i++ {
-			v := float64(r.Poisson(mu))
+			v := float64(p.Sample())
 			if v < 0 {
 				t.Fatalf("Poisson(%g) returned negative %g", mu, v)
 			}
@@ -145,11 +145,11 @@ func TestPoissonMoments(t *testing.T) {
 
 func TestPoissonEdgeCases(t *testing.T) {
 	r := New(29)
-	if got := r.Poisson(0); got != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", got)
-	}
-	if got := r.Poisson(-5); got != 0 {
-		t.Errorf("Poisson(-5) = %d, want 0", got)
+	for _, mu := range []float64{0, -5} {
+		p := NewPoisson(r, mu)
+		if got := p.Sample(); got != 0 {
+			t.Errorf("Poisson(%g) = %d, want 0", mu, got)
+		}
 	}
 }
 
@@ -246,9 +246,9 @@ func TestQuickIntnInRange(t *testing.T) {
 func TestQuickPoissonDeterministic(t *testing.T) {
 	f := func(seed uint64, muRaw uint16) bool {
 		mu := float64(muRaw%2000) + 0.5
-		a, b := New(seed), New(seed)
+		a, b := NewPoisson(New(seed), mu), NewPoisson(New(seed), mu)
 		for i := 0; i < 20; i++ {
-			if a.Poisson(mu) != b.Poisson(mu) {
+			if a.Sample() != b.Sample() {
 				return false
 			}
 		}
@@ -256,68 +256,6 @@ func TestQuickPoissonDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// poissonRef is Source.Poisson as a per-draw computation: every constant
-// of Knuth's method and of PTRS recomputed on each call.
-func poissonRef(r *Source, mu float64) int {
-	switch {
-	case mu <= 0:
-		return 0
-	case mu < 30:
-		limit := math.Exp(-mu)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= limit {
-				return k
-			}
-			k++
-		}
-	}
-	smu := math.Sqrt(mu)
-	b := 0.931 + 2.53*smu
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	logMu := math.Log(mu)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mu + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lhs := math.Log(v * invAlpha / (a/(us*us) + b))
-		rhs := k*logMu - mu - logGamma(k+1)
-		if lhs <= rhs {
-			return int(k)
-		}
-	}
-}
-
-// TestPoissonSamplerMatchesPerDrawPoisson: a sampler built once per mu,
-// Source.Poisson and the per-draw reference draw equal sequences from
-// equally seeded sources, on both sides of the Knuth/PTRS switch at 30.
-func TestPoissonSamplerMatchesPerDrawPoisson(t *testing.T) {
-	for _, mu := range []float64{0, 1, 10, 29.9, 30, 100, 1000} {
-		ref, viaSource, viaSampler := New(7), New(7), New(7)
-		sampler := NewPoisson(viaSampler, mu)
-		for i := 0; i < 20000; i++ {
-			want := poissonRef(ref, mu)
-			if got := viaSource.Poisson(mu); got != want {
-				t.Fatalf("mu=%g draw %d: Source.Poisson = %d, reference %d", mu, i, got, want)
-			}
-			if got := sampler.Sample(); got != want {
-				t.Fatalf("mu=%g draw %d: sampler = %d, reference %d", mu, i, got, want)
-			}
-		}
 	}
 }
 
@@ -329,27 +267,13 @@ func BenchmarkUint64(b *testing.B) {
 }
 
 func BenchmarkPoissonSmallMu(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Poisson(10)
-	}
-}
-
-func BenchmarkPoissonLargeMu(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Poisson(1000)
-	}
-}
-
-func BenchmarkPoissonSamplerSmallMu(b *testing.B) {
 	p := NewPoisson(New(1), 10)
 	for i := 0; i < b.N; i++ {
 		_ = p.Sample()
 	}
 }
 
-func BenchmarkPoissonSamplerLargeMu(b *testing.B) {
+func BenchmarkPoissonLargeMu(b *testing.B) {
 	p := NewPoisson(New(1), 1000)
 	for i := 0; i < b.N; i++ {
 		_ = p.Sample()

@@ -1,6 +1,6 @@
 // Package workload generates the synthetic file-access traces of the
 // paper's evaluation (Section V-B, Table II) and a synthetic equivalent of
-// the Berkeley web trace (Section VI-D).
+// the Berkeley web trace (Section VI-D), both from one generator.
 //
 // The popularity model: the paper feeds the server "a Poisson distribution
 // of file requests" with mean MU, where MU=1 "skews the file access
@@ -9,7 +9,8 @@
 // as Poisson(MU) folded into the file-id space (id = X mod NumFiles).
 // This reproduces the published coverage crossover: prefetching the top 70
 // of 1000 files captures essentially 100 % of the request mass for
-// MU <= 100 but only ~74 % for MU = 1000.
+// MU <= 100 but only ~74 % for MU = 1000. The web trace's model instead
+// draws the id as Zipf(ZipfS) over a small working set.
 package workload
 
 import (
@@ -46,7 +47,12 @@ type SyntheticConfig struct {
 	MeanSize    int64   // mean file size in bytes (paper: 1..50 MB)
 	SizeSpread  float64 // sizes uniform in mean*(1±spread); 0 = fixed (paper)
 	MU          float64 // Poisson popularity parameter (paper: 1..1000)
-	Phases      int     // popularity epochs (0 or 1 = stationary)
+	// WorkingSet > 0 replaces the Poisson(MU) draw with Zipf(ZipfS) over
+	// ids 0..WorkingSet-1, the web trace's skew toward "a smaller subset
+	// of data" (Fig. 6); MU must then be 0.
+	WorkingSet int
+	ZipfS      float64 // Zipf exponent, positive with WorkingSet and 0 without
+	Phases     int     // popularity epochs (0 or 1 = stationary)
 	// InterArrival is the delay in seconds inserted between consecutive
 	// requests (paper: 0..1000 ms, default 700 ms).
 	InterArrival float64
@@ -81,6 +87,14 @@ func (c SyntheticConfig) Validate() error {
 		return fmt.Errorf("workload: SizeSpread must be in [0,1), got %g", c.SizeSpread)
 	case c.MU < 0:
 		return fmt.Errorf("workload: MU must be non-negative, got %g", c.MU)
+	case c.WorkingSet < 0 || c.WorkingSet > c.NumFiles:
+		return fmt.Errorf("workload: WorkingSet %d out of range (0..%d)", c.WorkingSet, c.NumFiles)
+	case c.WorkingSet > 0 && c.MU > 0:
+		return fmt.Errorf("workload: MU %g and WorkingSet %d both set; pick Poisson or Zipf popularity", c.MU, c.WorkingSet)
+	case c.WorkingSet > 0 && c.ZipfS <= 0:
+		return fmt.Errorf("workload: ZipfS must be positive with WorkingSet, got %g", c.ZipfS)
+	case c.WorkingSet == 0 && c.ZipfS != 0:
+		return fmt.Errorf("workload: ZipfS %g requires WorkingSet", c.ZipfS)
 	case c.Phases < 0:
 		return fmt.Errorf("workload: Phases must be non-negative, got %d", c.Phases)
 	case c.InterArrival < 0:
@@ -134,6 +148,22 @@ func DefaultDrift() SyntheticConfig {
 	}
 }
 
+// DefaultWeb returns Fig. 6's Berkeley-web-equivalent point: 1000 files
+// of 10 MB, 1000 read-only requests 700 ms apart, Zipf(1.1) over a
+// 60-file working set, which the default prefetch depth of 70 covers,
+// so every data disk can sleep through the whole trace as in the paper.
+func DefaultWeb() SyntheticConfig {
+	return SyntheticConfig{
+		NumFiles:     1000,
+		NumRequests:  1000,
+		MeanSize:     10 * 1e6,
+		WorkingSet:   60,
+		ZipfS:        1.1,
+		InterArrival: 0.7,
+		Seed:         1,
+	}
+}
+
 // PhaseOf returns the popularity epoch request index i belongs to, using
 // the same equal split as the generator. Tests use it to reconstruct
 // per-epoch hot sets without duplicating the arithmetic.
@@ -169,15 +199,19 @@ func (c SyntheticConfig) inFlash(i int) bool {
 // Synthetic generates a trace from the configuration. Its draws from the
 // seed come in a fixed order: every file size (only when SizeSpread > 0),
 // then per request the flash redirect (inside the window) or the
-// phase-centred Poisson id, then the write coin (only when WriteFraction
-// > 0). The diurnal gap draws nothing, so a mechanism left off never
-// shifts the draws of the others.
+// phase-centred Poisson or Zipf id, then the write coin (only when
+// WriteFraction > 0). The diurnal gap draws nothing, so a mechanism left
+// off never shifts the draws of the others.
 func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	src := rng.New(cfg.Seed)
-	popularity := rng.NewPoisson(src, cfg.MU)
+	poisson := rng.NewPoisson(src, cfg.MU)
+	popularity := poisson.Sample
+	if cfg.WorkingSet > 0 {
+		popularity = rng.NewZipf(src, cfg.WorkingSet, cfg.ZipfS).Sample
+	}
 
 	sizes := make([]int64, cfg.NumFiles)
 	for i := range sizes {
@@ -194,7 +228,7 @@ func Synthetic(cfg SyntheticConfig) (*trace.Trace, error) {
 			fid = flashLo + src.Intn(flashHi-flashLo)
 		} else {
 			center := cfg.PhaseOf(i) * cfg.NumFiles / phases
-			fid = (center + popularity.Sample()) % cfg.NumFiles
+			fid = (center + popularity()) % cfg.NumFiles
 		}
 		op := trace.Read
 		if cfg.WriteFraction > 0 && src.Float64() < cfg.WriteFraction {
@@ -278,98 +312,4 @@ func rankDesc(v []float64) []int {
 		return ids[a] < ids[b]
 	})
 	return ids
-}
-
-// BerkeleyWebConfig parameterizes the synthetic stand-in for the Berkeley
-// web trace. The paper reports the web trace "appeared to be skewed
-// towards a smaller subset of data" — small enough that with the default
-// prefetch depth of 70 files every data disk stayed in standby for the
-// whole trace.
-type BerkeleyWebConfig struct {
-	NumFiles     int     // files in the file system (1000)
-	NumRequests  int     // requests to replay
-	WorkingSet   int     // hot files that receive the skewed mass (<= prefetch depth for the paper's effect)
-	ZipfExponent float64 // skew within the working set
-	// ColdFraction sends this share of requests uniformly to files outside
-	// the working set. The paper's observed trace behaves like 0; raising
-	// it is the sensitivity knob used by the extension experiments.
-	ColdFraction float64
-	MeanSize     int64   // the paper fixed data size to 10 MB for Fig. 6
-	InterArrival float64 // seconds; the paper tuned this to avoid queueing
-	Seed         uint64
-}
-
-// DefaultBerkeleyWeb returns the Fig. 6 configuration.
-func DefaultBerkeleyWeb() BerkeleyWebConfig {
-	return BerkeleyWebConfig{
-		NumFiles:     1000,
-		NumRequests:  1000,
-		WorkingSet:   60,
-		ZipfExponent: 1.1,
-		ColdFraction: 0,
-		MeanSize:     10 * 1e6,
-		InterArrival: 0.7,
-		Seed:         1,
-	}
-}
-
-// Validate reports the first problem with the configuration.
-func (c BerkeleyWebConfig) Validate() error {
-	switch {
-	case c.NumFiles <= 0:
-		return fmt.Errorf("workload: NumFiles must be positive, got %d", c.NumFiles)
-	case c.NumRequests < 0:
-		return fmt.Errorf("workload: NumRequests must be non-negative, got %d", c.NumRequests)
-	case c.WorkingSet <= 0 || c.WorkingSet > c.NumFiles:
-		return fmt.Errorf("workload: WorkingSet %d out of range (1..%d)", c.WorkingSet, c.NumFiles)
-	case c.ZipfExponent <= 0:
-		return fmt.Errorf("workload: ZipfExponent must be positive, got %g", c.ZipfExponent)
-	case c.ColdFraction < 0 || c.ColdFraction > 1:
-		return fmt.Errorf("workload: ColdFraction must be in [0,1], got %g", c.ColdFraction)
-	case c.ColdFraction > 0 && c.WorkingSet == c.NumFiles:
-		return fmt.Errorf("workload: ColdFraction > 0 requires files outside the working set")
-	case c.MeanSize <= 0:
-		return fmt.Errorf("workload: MeanSize must be positive, got %d", c.MeanSize)
-	case c.InterArrival < 0:
-		return fmt.Errorf("workload: InterArrival must be non-negative, got %g", c.InterArrival)
-	}
-	return nil
-}
-
-// BerkeleyWeb generates the web-trace-equivalent workload: read-only,
-// Zipf-skewed over a small working set.
-func BerkeleyWeb(cfg BerkeleyWebConfig) (*trace.Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	src := rng.New(cfg.Seed)
-	zipf := rng.NewZipf(src, cfg.WorkingSet, cfg.ZipfExponent)
-
-	sizes := make([]int64, cfg.NumFiles)
-	for i := range sizes {
-		sizes[i] = cfg.MeanSize
-	}
-
-	tr := &trace.Trace{FileSizes: sizes, Records: make([]trace.Record, 0, cfg.NumRequests)}
-	now := 0.0
-	for i := 0; i < cfg.NumRequests; i++ {
-		var fid int
-		if cfg.ColdFraction > 0 && src.Float64() < cfg.ColdFraction {
-			fid = cfg.WorkingSet + src.Intn(cfg.NumFiles-cfg.WorkingSet)
-		} else {
-			fid = zipf.Sample()
-		}
-		tr.Records = append(tr.Records, trace.Record{
-			Seq:    int64(i),
-			TimeS:  now,
-			Op:     trace.Read,
-			FileID: fid,
-			Size:   sizes[fid],
-		})
-		now += cfg.InterArrival
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: generated invalid trace: %w", err)
-	}
-	return tr, nil
 }

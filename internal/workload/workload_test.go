@@ -256,16 +256,17 @@ func TestEmpiricalCountsMatchFoldedModel(t *testing.T) {
 	}
 }
 
+// TestBerkeleyWebDefaults checks the Berkeley web trace's point: every
+// request is a read of the Zipf working set.
 func TestBerkeleyWebDefaults(t *testing.T) {
-	tr, err := BerkeleyWeb(DefaultBerkeleyWeb())
+	cfg := DefaultWeb()
+	tr, err := Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Working-set property: every request hits the hot set.
-	cfg := DefaultBerkeleyWeb()
 	for _, r := range tr.Records {
 		if r.FileID >= cfg.WorkingSet {
 			t.Fatalf("request to file %d outside working set %d", r.FileID, cfg.WorkingSet)
@@ -276,44 +277,29 @@ func TestBerkeleyWebDefaults(t *testing.T) {
 	}
 }
 
-func TestBerkeleyWebColdFraction(t *testing.T) {
-	cfg := DefaultBerkeleyWeb()
-	cfg.ColdFraction = 0.2
-	cfg.NumRequests = 5000
-	tr, err := BerkeleyWeb(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := 0
-	for _, r := range tr.Records {
-		if r.FileID >= cfg.WorkingSet {
-			cold++
-		}
-	}
-	frac := float64(cold) / float64(len(tr.Records))
-	if math.Abs(frac-0.2) > 0.03 {
-		t.Fatalf("cold fraction %g, want ~0.2", frac)
-	}
-}
-
+// TestBerkeleyWebValidation walks the invalid corners of Zipf popularity
+// from the web point.
 func TestBerkeleyWebValidation(t *testing.T) {
-	bad := []func(*BerkeleyWebConfig){
-		func(c *BerkeleyWebConfig) { c.NumFiles = 0 },
-		func(c *BerkeleyWebConfig) { c.WorkingSet = 0 },
-		func(c *BerkeleyWebConfig) { c.WorkingSet = c.NumFiles + 1 },
-		func(c *BerkeleyWebConfig) { c.ZipfExponent = 0 },
-		func(c *BerkeleyWebConfig) { c.ColdFraction = -0.1 },
-		func(c *BerkeleyWebConfig) { c.WorkingSet = c.NumFiles; c.ColdFraction = 0.1 },
-		func(c *BerkeleyWebConfig) { c.MeanSize = 0 },
-		func(c *BerkeleyWebConfig) { c.InterArrival = -1 },
-		func(c *BerkeleyWebConfig) { c.NumRequests = -1 },
+	mods := map[string]func(*SyntheticConfig){
+		"zero files":           func(c *SyntheticConfig) { c.NumFiles = 0 },
+		"negative working set": func(c *SyntheticConfig) { c.WorkingSet = -1 },
+		"working set over":     func(c *SyntheticConfig) { c.WorkingSet = c.NumFiles + 1 },
+		"mu with working set":  func(c *SyntheticConfig) { c.MU = 10 },
+		"working set zipf 0":   func(c *SyntheticConfig) { c.ZipfS = 0 },
+		"zipf no working set":  func(c *SyntheticConfig) { c.WorkingSet = 0 },
+		"zero mean size":       func(c *SyntheticConfig) { c.MeanSize = 0 },
+		"negative arrival":     func(c *SyntheticConfig) { c.InterArrival = -1 },
+		"negative requests":    func(c *SyntheticConfig) { c.NumRequests = -1 },
 	}
-	for i, mod := range bad {
-		cfg := DefaultBerkeleyWeb()
+	for name, mod := range mods {
+		cfg := DefaultWeb()
 		mod(&cfg)
-		if _, err := BerkeleyWeb(cfg); err == nil {
-			t.Errorf("case %d: bad config accepted", i)
+		if _, err := Synthetic(cfg); err == nil {
+			t.Errorf("%s: bad config accepted", name)
 		}
+	}
+	if err := DefaultWeb().Validate(); err != nil {
+		t.Errorf("DefaultWeb rejected: %v", err)
 	}
 }
 
@@ -350,20 +336,33 @@ func BenchmarkSynthetic(b *testing.B) {
 	}
 }
 
-func BenchmarkBerkeleyWeb(b *testing.B) {
-	cfg := DefaultBerkeleyWeb()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BerkeleyWeb(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // syntheticDigest is the SHA-256 of the traces TestSyntheticTracesPinned
 // generates. Every draw of the generator feeds it, so any change in the
 // order or the value of a draw (the Poisson sampler's included) moves it.
 const syntheticDigest = "fa7bec95a515d6aaf52c5fa85d31ffa4d61b76fc58dbbd9b50570aa352ffb742"
+
+// webDigest is the SHA-256 of the traces TestWebTracesPinned generates,
+// the Zipf-popularity traces that fig6, ext-baselines and the replay
+// tests run on.
+const webDigest = "8bdace6ec346129b3da765951abd3026f80cc5ef562bd3b7aeb1eafefc6f271b"
+
+// tracesDigest hashes the traces Synthetic generates from cfgs: each
+// trace's file sizes, then one line per record.
+func tracesDigest(t *testing.T, cfgs []SyntheticConfig) string {
+	t.Helper()
+	h := sha256.New()
+	for _, cfg := range cfgs {
+		tr, err := Synthetic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(h, tr.FileSizes)
+		for _, r := range tr.Records {
+			fmt.Fprintf(h, "%d %v %d %d %d\n", r.Seq, r.TimeS, r.Op, r.FileID, r.Size)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // TestSyntheticTracesPinned hashes Synthetic's traces at MU 1, 10, 100 and
 // 1000 (both Poisson methods, either side of the switch at 30) and on a
@@ -379,18 +378,25 @@ func TestSyntheticTracesPinned(t *testing.T) {
 	drift.FlashStartFrac, drift.FlashDurFrac, drift.FlashBoost, drift.FlashFiles = 0.5, 0.2, 0.5, 8
 	drift.WriteFraction = 0.2
 	cfgs = append(cfgs, drift)
-	h := sha256.New()
-	for _, cfg := range cfgs {
-		tr, err := Synthetic(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintln(h, tr.FileSizes)
-		for _, r := range tr.Records {
-			fmt.Fprintf(h, "%d %v %d %d %d\n", r.Seq, r.TimeS, r.Op, r.FileID, r.Size)
-		}
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != syntheticDigest {
+	if got := tracesDigest(t, cfgs); got != syntheticDigest {
 		t.Errorf("synthetic traces digest %s, want %s", got, syntheticDigest)
+	}
+}
+
+// TestWebTracesPinned hashes the Zipf-popularity traces: Fig. 6's point at
+// seeds 1, 2 and 7, and the small working set the replay tests use.
+func TestWebTracesPinned(t *testing.T) {
+	var cfgs []SyntheticConfig
+	for _, seed := range []uint64{1, 2, 7} {
+		cfg := DefaultWeb()
+		cfg.Seed = seed
+		cfgs = append(cfgs, cfg)
+	}
+	cfgs = append(cfgs, SyntheticConfig{
+		NumFiles: 30, NumRequests: 60, WorkingSet: 8, ZipfS: 1.1,
+		MeanSize: 40_000, InterArrival: 0, Seed: 7,
+	})
+	if got := tracesDigest(t, cfgs); got != webDigest {
+		t.Errorf("web traces digest %s, want %s", got, webDigest)
 	}
 }
