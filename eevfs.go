@@ -56,15 +56,18 @@ type (
 
 // The simulated policy arms; the zero value is the paper's NPF.
 const (
-	SimAlwaysOn     = cluster.AlwaysOn
-	SimThresholdDPM = cluster.ThresholdDPM
-	SimPrefetch     = cluster.Prefetch
-	SimMAID         = cluster.MAID
-	SimAdaptive     = cluster.Adaptive
+	SimAlwaysOn        = cluster.AlwaysOn
+	SimThresholdDPM    = cluster.ThresholdDPM
+	SimPrefetch        = cluster.Prefetch
+	SimMAID            = cluster.MAID
+	SimAdaptive        = cluster.Adaptive
+	SimPrefetchHinted  = cluster.PrefetchHinted
+	SimPrefetchPrewake = cluster.PrefetchPrewake
 )
 
 // DefaultTestbed returns the simulated equivalent of the paper's Table I
-// testbed (8 storage nodes, 1 buffer + 2 data disks each, K=70, hints on).
+// testbed (8 storage nodes, 1 buffer + 2 data disks each, K=70, the
+// hinted PF arm).
 func DefaultTestbed() SimConfig { return cluster.DefaultTestbed() }
 
 // Simulate runs one deterministic cluster simulation of the trace.
@@ -182,13 +185,8 @@ func RunExperiment(id string, o ExperimentOptions) (ExperimentTable, error) {
 	return experiments.Run(id, o)
 }
 
-// Baseline comparators.
-type (
-	// BaselineName identifies a comparison system (MAID, PDC, ...).
-	BaselineName = baseline.Name
-	// BaselineComparison is one comparator's measured run.
-	BaselineComparison = baseline.Comparison
-)
+// BaselineName identifies a comparison system (MAID, PDC, ...).
+type BaselineName = baseline.Name
 
 // The comparator set from Section II of the paper.
 var (
@@ -199,9 +197,10 @@ var (
 	BaselineEEVFS        = baseline.EEVFS
 )
 
-// RunBaselines simulates the trace under every comparator.
-func RunBaselines(base SimConfig, tr *Trace) ([]BaselineComparison, error) {
-	return baseline.RunAll(base, tr)
+// ConfigureBaseline derives a comparator's simulated configuration from
+// a base EEVFS configuration; Simulate runs it.
+func ConfigureBaseline(base SimConfig, n BaselineName) (SimConfig, error) {
+	return baseline.Configure(base, n)
 }
 
 // Trace replay against a live deployment.

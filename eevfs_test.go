@@ -66,7 +66,7 @@ func TestPublicAdaptiveArm(t *testing.T) {
 	params := eevfs.DefaultAdaptivePolicyParams()
 	params.ChurnWindow, params.ChurnCooldown = 24, 3
 	cfg := eevfs.DefaultTestbed().AdaptiveArm()
-	if cfg.Policy != eevfs.SimAdaptive || eevfs.DefaultTestbed().Policy != eevfs.SimPrefetch {
+	if cfg.Policy != eevfs.SimAdaptive || eevfs.DefaultTestbed().Policy != eevfs.SimPrefetchHinted {
 		t.Fatalf("AdaptiveArm policy %v, testbed policy %v", cfg.Policy, eevfs.DefaultTestbed().Policy)
 	}
 	cfg.AdaptiveParams = &params
@@ -98,18 +98,23 @@ func TestPublicBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps, err := eevfs.RunBaselines(eevfs.DefaultTestbed(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[eevfs.BaselineName]bool{}
-	for _, c := range comps {
-		found[c.Name] = true
-	}
-	for _, want := range []eevfs.BaselineName{
+	names := []eevfs.BaselineName{
 		eevfs.BaselineAlwaysOn, eevfs.BaselineThresholdDPM, eevfs.BaselineMAID,
 		eevfs.BaselinePDC, eevfs.BaselineEEVFS,
-	} {
+	}
+	found := map[eevfs.BaselineName]bool{}
+	for _, n := range names {
+		cfg, err := eevfs.ConfigureBaseline(eevfs.DefaultTestbed(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eevfs.Simulate(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found[n] = res.Requests == len(tr.Records)
+	}
+	for _, want := range names {
 		if !found[want] {
 			t.Errorf("missing comparator %s", want)
 		}

@@ -27,7 +27,6 @@ import (
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/disk"
-	"eevfs/internal/trace"
 )
 
 // Name identifies a comparison system.
@@ -76,7 +75,9 @@ func Configure(base cluster.Config, n Name) (cluster.Config, error) {
 		return c, nil
 	case EEVFS:
 		c := base
-		c.Policy = cluster.Prefetch
+		if !c.Policy.Prefetches() {
+			c.Policy = cluster.Prefetch
+		}
 		c.Concentrate = false
 		if c.PrefetchCount == 0 {
 			c.PrefetchCount = 70
@@ -85,38 +86,4 @@ func Configure(base cluster.Config, n Name) (cluster.Config, error) {
 	default:
 		return cluster.Config{}, fmt.Errorf("baseline: unknown comparator %q", n)
 	}
-}
-
-// Comparison holds one comparator's measured run.
-type Comparison struct {
-	Name   Name
-	Result cluster.Result
-}
-
-// RunAll simulates the trace under every comparator and returns results in
-// presentation order.
-func RunAll(base cluster.Config, tr *trace.Trace) ([]Comparison, error) {
-	out := make([]Comparison, 0, len(All))
-	for _, n := range All {
-		cfg, err := Configure(base, n)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cluster.Run(cfg, tr)
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", n, err)
-		}
-		out = append(out, Comparison{Name: n, Result: res})
-	}
-	return out, nil
-}
-
-// Find returns the comparison with the given name, or false.
-func Find(comps []Comparison, n Name) (Comparison, bool) {
-	for _, c := range comps {
-		if c.Name == n {
-			return c, true
-		}
-	}
-	return Comparison{}, false
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,21 @@ func webTrace(t *testing.T) *trace.Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// runAll simulates the trace under every comparator, keyed by name.
+func runAll(base cluster.Config, tr *trace.Trace) (map[Name]cluster.Result, error) {
+	out := make(map[Name]cluster.Result, len(All))
+	for _, n := range All {
+		cfg, err := Configure(base, n)
+		if err != nil {
+			return nil, err
+		}
+		if out[n], err = cluster.Run(cfg, tr); err != nil {
+			return nil, fmt.Errorf("baseline %s: %w", n, err)
+		}
+	}
+	return out, nil
 }
 
 func TestConfigureAllComparators(t *testing.T) {
@@ -62,7 +78,7 @@ func TestConfigureProperties(t *testing.T) {
 		MAID:         cluster.MAID,
 		PDC:          cluster.ThresholdDPM,
 		LowPower:     cluster.AlwaysOn,
-		EEVFS:        cluster.Prefetch,
+		EEVFS:        cluster.PrefetchHinted, // the base's PF arm
 	} {
 		c, _ := Configure(base, n)
 		if c.Policy != want || c.Concentrate != (n == PDC) {
@@ -76,10 +92,14 @@ func TestConfigureProperties(t *testing.T) {
 	if ee.PrefetchCount != 70 {
 		t.Errorf("EEVFS K = %d, want default 70", ee.PrefetchCount)
 	}
+	// A base without a PF arm gets the threshold-sleeping one.
+	if ee, _ := Configure(base.NPF(), EEVFS); ee.Policy != cluster.Prefetch {
+		t.Errorf("EEVFS from an NPF base: policy %v, want %v", ee.Policy, cluster.Prefetch)
+	}
 }
 
 func TestRunAllOnWebTrace(t *testing.T) {
-	comps, err := RunAll(cluster.DefaultTestbed(), webTrace(t))
+	comps, err := runAll(cluster.DefaultTestbed(), webTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +108,11 @@ func TestRunAllOnWebTrace(t *testing.T) {
 	}
 
 	get := func(n Name) cluster.Result {
-		c, ok := Find(comps, n)
+		r, ok := comps[n]
 		if !ok {
 			t.Fatalf("missing %s", n)
 		}
-		return c.Result
+		return r
 	}
 
 	alwaysOn := get(AlwaysOn)
@@ -125,34 +145,28 @@ func TestRunAllOnWebTrace(t *testing.T) {
 }
 
 func TestEEVFSWinsOnSkewedWorkload(t *testing.T) {
-	comps, err := RunAll(cluster.DefaultTestbed(), webTrace(t))
+	comps, err := runAll(cluster.DefaultTestbed(), webTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	least, most := comps[0], comps[0]
-	for _, c := range comps {
-		if c.Result.TotalEnergyJ < least.Result.TotalEnergyJ {
-			least = c
+	least, most := All[0], All[0]
+	for _, n := range All {
+		if comps[n].TotalEnergyJ < comps[least].TotalEnergyJ {
+			least = n
 		}
-		if c.Result.TotalEnergyJ > most.Result.TotalEnergyJ {
-			most = c
+		if comps[n].TotalEnergyJ > comps[most].TotalEnergyJ {
+			most = n
 		}
 	}
-	if least.Name != EEVFS || most.Name != AlwaysOn {
-		t.Errorf("least energy %s, most %s; want EEVFS and AlwaysOn", least.Name, most.Name)
-	}
-}
-
-func TestFindMissing(t *testing.T) {
-	if _, ok := Find(nil, EEVFS); ok {
-		t.Fatal("Find on empty slice returned ok")
+	if least != EEVFS || most != AlwaysOn {
+		t.Errorf("least energy %s, most %s; want EEVFS and AlwaysOn", least, most)
 	}
 }
 
 func TestRunAllPropagatesErrors(t *testing.T) {
 	bad := cluster.DefaultTestbed()
 	bad.IdleThresholdSec = -1
-	if _, err := RunAll(bad, webTrace(t)); err == nil {
+	if _, err := runAll(bad, webTrace(t)); err == nil {
 		t.Fatal("invalid base config accepted")
 	}
 }
@@ -180,51 +194,34 @@ func TestMAIDCacheWarming(t *testing.T) {
 	}
 }
 
-func BenchmarkRunAllComparators(b *testing.B) {
-	cfg := workload.DefaultWeb()
-	cfg.NumRequests = 300
-	tr, err := workload.Synthetic(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := cluster.DefaultTestbed()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunAll(base, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestLowPowerBaselineTradesPerformance(t *testing.T) {
-	comps, err := RunAll(cluster.DefaultTestbed(), webTrace(t))
+	comps, err := runAll(cluster.DefaultTestbed(), webTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, ok := Find(comps, LowPower)
+	lp, ok := comps[LowPower]
 	if !ok {
 		t.Fatal("missing lowpower comparator")
 	}
-	ao, _ := Find(comps, AlwaysOn)
-	ee, _ := Find(comps, EEVFS)
+	ao, ee := comps[AlwaysOn], comps[EEVFS]
 
 	// Low-power drives save energy over always-on high-performance
 	// drives, with zero transitions...
-	if lp.Result.TotalEnergyJ >= ao.Result.TotalEnergyJ {
+	if lp.TotalEnergyJ >= ao.TotalEnergyJ {
 		t.Errorf("LowPower energy %.0f >= AlwaysOn %.0f",
-			lp.Result.TotalEnergyJ, ao.Result.TotalEnergyJ)
+			lp.TotalEnergyJ, ao.TotalEnergyJ)
 	}
-	if lp.Result.Transitions != 0 {
-		t.Errorf("LowPower transitions = %d, want 0", lp.Result.Transitions)
+	if lp.Transitions != 0 {
+		t.Errorf("LowPower transitions = %d, want 0", lp.Transitions)
 	}
 	// ...but pay for it in response time — the paper's argument for a
 	// file-system-level approach instead of a hardware swap.
-	if lp.Result.Response.Mean <= ao.Result.Response.Mean {
+	if lp.Response.Mean <= ao.Response.Mean {
 		t.Errorf("LowPower response %.3f not slower than AlwaysOn %.3f",
-			lp.Result.Response.Mean, ao.Result.Response.Mean)
+			lp.Response.Mean, ao.Response.Mean)
 	}
-	if lp.Result.Response.Mean <= ee.Result.Response.Mean {
+	if lp.Response.Mean <= ee.Response.Mean {
 		t.Errorf("LowPower response %.3f not slower than EEVFS %.3f",
-			lp.Result.Response.Mean, ee.Result.Response.Mean)
+			lp.Response.Mean, ee.Response.Mean)
 	}
 }

@@ -25,9 +25,8 @@ func tinyConfig() Config {
 		}},
 		NodeBasePowerW:   70,
 		IdleThresholdSec: 5,
-		Policy:           Prefetch,
+		Policy:           PrefetchHinted,
 		PrefetchCount:    70,
-		Hints:            true,
 		RouteLatencySec:  0.001,
 	}
 }
@@ -57,17 +56,33 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.PrefetchCount = -1 },
 		func(c *Config) { c.BufferCapacityBytes = -1 },
 		func(c *Config) { c.RouteLatencySec = -1 },
-		func(c *Config) { c.Policy = Adaptive + 1 },
+		func(c *Config) { c.Policy = PrefetchPrewake + 1 },
 		func(c *Config) { c.Policy = MAID; c.WriteBuffer = true },
 		func(c *Config) { c.AdaptiveParams = &adaptive.Params{} }, // not Adaptive
-		func(c *Config) { c.Prewake, c.Hints = true, false },      // nothing to pre-wake for
-		func(c *Config) { c.Prewake, c.Hints, c.Policy = true, false, ThresholdDPM },
-		func(c *Config) { c.Policy, c.Hints = Adaptive, false; c.WriteBuffer = true },
-		// Hints is the Prefetch policy's plan; every other policy rejects it.
-		func(c *Config) { c.Policy = AlwaysOn },
-		func(c *Config) { c.Policy = ThresholdDPM },
-		func(c *Config) { c.Policy = MAID },
-		func(c *Config) { c.Policy = Adaptive },
+		func(c *Config) { c.Policy = Adaptive; c.WriteBuffer = true },
+		// Re-prefetching is the threshold-sleeping PF arm's; the hinted
+		// arms' plans assume the static prefetch.
+		func(c *Config) { c.Policy, c.ReprefetchEvery = AlwaysOn, 10 },
+		func(c *Config) { c.Policy, c.ReprefetchEvery = ThresholdDPM, 10 },
+		func(c *Config) { c.Policy, c.ReprefetchEvery = MAID, 10 },
+		func(c *Config) { c.Policy, c.ReprefetchEvery = Adaptive, 10 },
+		func(c *Config) { c.Policy, c.ReprefetchEvery = PrefetchHinted, 10 },
+		func(c *Config) { c.Policy, c.ReprefetchEvery = PrefetchPrewake, 10 },
+	}
+	// Every policy value is legal on the testbed, and Prefetch with
+	// re-prefetching.
+	good := []func(*Config){
+		func(c *Config) { c.Policy, c.ReprefetchEvery = Prefetch, 10 },
+	}
+	for p := AlwaysOn; p <= PrefetchPrewake; p++ {
+		good = append(good, func(c *Config) { c.Policy = p })
+	}
+	for i, mod := range good {
+		cfg := DefaultTestbed()
+		mod(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("good case %d (%v): %v", i, cfg.Policy, err)
+		}
 	}
 	for i, mod := range bad {
 		cfg := DefaultTestbed()
@@ -80,10 +95,10 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNPFHelper(t *testing.T) {
 	base := DefaultTestbed()
-	base.Prewake = true
+	base.Policy = PrefetchPrewake
 	base.Concentrate = true
 	cfg := base.NPF()
-	if cfg.Policy != AlwaysOn || cfg.Hints || cfg.Prewake || cfg.Concentrate {
+	if cfg.Policy != AlwaysOn || cfg.Concentrate {
 		t.Fatalf("NPF() left a policy option on: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -254,7 +269,7 @@ func TestPartialCoverageWakesDisks(t *testing.T) {
 func TestThresholdModeSleeps(t *testing.T) {
 	// PF without hints: the idle-threshold timer must produce sleeps.
 	cfg := DefaultTestbed()
-	cfg.Hints = false
+	cfg.Policy = Prefetch
 	wcfg := workload.DefaultSynthetic()
 	wcfg.MU = 100
 	tr, _ := workload.Synthetic(wcfg)
@@ -294,7 +309,7 @@ func TestPrewakeReducesPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Prewake = true
+	cfg.Policy = PrefetchPrewake
 	prewake, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -657,7 +672,7 @@ func TestReprefetchFollowsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	static := DefaultTestbed()
-	static.Hints = false // threshold sleeping for both arms
+	static.Policy = Prefetch // threshold sleeping for both arms
 	staticRes, err := Run(static, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -685,9 +700,9 @@ func TestReprefetchFollowsDrift(t *testing.T) {
 
 func TestReprefetchValidation(t *testing.T) {
 	cfg := DefaultTestbed()
-	cfg.ReprefetchEvery = 100 // Hints still on
+	cfg.ReprefetchEvery = 100 // the hinted arm
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("ReprefetchEvery with Hints accepted")
+		t.Fatal("ReprefetchEvery with hints accepted")
 	}
 	cfg = DefaultTestbed().NPF()
 	cfg.ReprefetchEvery = 100
@@ -704,7 +719,7 @@ func TestReprefetchValidation(t *testing.T) {
 func TestReprefetchDeterministic(t *testing.T) {
 	tr, _ := workload.Synthetic(tenPhases)
 	cfg := DefaultTestbed()
-	cfg.Hints = false
+	cfg.Policy = Prefetch
 	cfg.ReprefetchEvery = 25
 	a, err := Run(cfg, tr)
 	if err != nil {
@@ -745,9 +760,9 @@ func TestQuickSimulationConservation(t *testing.T) {
 			cfg = cfg.NPF()
 		case 1: // defaults: PF + hints
 		case 2:
-			cfg.Hints = false
+			cfg.Policy = Prefetch
 		case 3:
-			cfg.Hints = false
+			cfg.Policy = Prefetch
 			cfg.WriteBuffer = true
 		case 4:
 			cfg = cfg.NPF()
@@ -851,7 +866,7 @@ func TestPreBudGateBlocksHopelessSleeping(t *testing.T) {
 	// Contrast: the reactive threshold policy has no such foresight but
 	// also never fires here (gaps < threshold), while a 1 s threshold
 	// would thrash.
-	cfg.Hints = false
+	cfg.Policy = Prefetch
 	cfg.IdleThresholdSec = 1
 	thrash, err := Run(cfg, tr)
 	if err != nil {

@@ -49,9 +49,9 @@ const (
 	// ThresholdDPM is classic DPM (Section II): no copies, and a data
 	// disk idle for IdleThresholdSec spins down.
 	ThresholdDPM
-	// Prefetch is EEVFS: the popular files are copied to the buffer
-	// disks up front, and data disks sleep on the hinted plan (Hints) or
-	// on the idle-threshold timer.
+	// Prefetch copies the popular files to the buffer disks up front
+	// (EEVFS's prefetch phase), and data disks sleep on the idle-threshold
+	// timer.
 	Prefetch
 	// MAID is cache-on-access (Colarelli & Grunwald, Section II): the
 	// buffer disk caches files in LRU order after each miss, and data
@@ -61,9 +61,28 @@ const (
 	// each data disk's spin-down threshold under a hard per-window
 	// transition budget, and re-prefetches when the hot set churns.
 	Adaptive
+	// PrefetchHinted is the paper's PF (Section IV-C): Prefetch's phase,
+	// then application hints — the predicted access pattern — sleep each
+	// data disk at the start of every predicted idle window.
+	PrefetchHinted
+	// PrefetchPrewake is PrefetchHinted that also spins a sleeping disk
+	// up SpinUpSec before its next predicted access, hiding the wake
+	// latency from clients. The paper's prototype woke disks on demand
+	// (its measured response-time penalties come from spin-ups), so this
+	// is the X2 ablation, not the default.
+	PrefetchPrewake
 )
 
-var policyNames = [...]string{AlwaysOn: "npf", ThresholdDPM: "dpm", Prefetch: "pf", MAID: "maid", Adaptive: "adaptive"}
+var policyNames = [...]string{
+	AlwaysOn: "npf", ThresholdDPM: "dpm", Prefetch: "pf", MAID: "maid", Adaptive: "adaptive",
+	PrefetchHinted: "pf-hints", PrefetchPrewake: "pf-prewake",
+}
+
+// Prefetches reports whether the policy is one of the PF family, the arms
+// that run the up-front prefetch phase.
+func (p Policy) Prefetches() bool {
+	return p == Prefetch || p == PrefetchHinted || p == PrefetchPrewake
+}
 
 // String returns the policy's short name, as repro strings spell it.
 func (p Policy) String() string {
@@ -98,21 +117,6 @@ type Config struct {
 	// a global budget taken from the top of the popularity ranking.
 	PrefetchCount int
 
-	// Hints enables application hints (Section IV-C): the storage nodes
-	// receive the predicted access pattern and sleep disks proactively at
-	// the start of each predicted idle window. Without hints the node
-	// falls back to the reactive idle-threshold timer. Only the Prefetch
-	// policy has a plan to hint, so Validate rejects Hints under any other.
-	Hints bool
-
-	// Prewake additionally schedules disk spin-up SpinUpSec before the
-	// next predicted access, hiding the wake latency from clients. The
-	// paper's prototype woke disks on demand (its measured response-time
-	// penalties come from spin-ups), so this defaults to off; it is the
-	// X2 ablation. Only the hint plan predicts an access, so Prewake
-	// requires the Prefetch policy with Hints.
-	Prewake bool
-
 	// WriteBuffer uses free buffer-disk space as a write buffer for the
 	// data disks (Section III-C). Writes are acknowledged after the
 	// sequential log append and flushed to their data disk lazily.
@@ -146,8 +150,8 @@ type Config struct {
 	// requests, using the accesses observed so far, and refreshes the
 	// buffer-disk contents (PRE-BUD's "dynamically fetch the most
 	// popular data"). Zero keeps the single up-front prefetch the
-	// paper's prototype used. Requires the Prefetch policy; ignored by
-	// the hint planner (hints assume the static plan).
+	// paper's prototype used. Requires the Prefetch policy: the hinted
+	// arms' plans assume the static prefetch.
 	ReprefetchEvery int
 
 	// AdaptiveParams tunes the Adaptive policy; nil means adaptive.Defaults.
@@ -198,7 +202,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative BufferCapacityBytes")
 	case c.RouteLatencySec < 0:
 		return fmt.Errorf("cluster: negative RouteLatencySec")
-	case c.Policy > Adaptive:
+	case c.Policy > PrefetchPrewake:
 		return fmt.Errorf("cluster: unknown policy %v", c.Policy)
 	case c.Policy == MAID && c.WriteBuffer:
 		return fmt.Errorf("cluster: MAID does not implement the write buffer")
@@ -207,13 +211,7 @@ func (c Config) Validate() error {
 	case c.ReprefetchEvery < 0:
 		return fmt.Errorf("cluster: negative ReprefetchEvery")
 	case c.ReprefetchEvery > 0 && c.Policy != Prefetch:
-		return fmt.Errorf("cluster: ReprefetchEvery requires Prefetch")
-	case c.Hints && c.Policy != Prefetch:
-		return fmt.Errorf("cluster: Hints acts only on the Prefetch policy, not %v", c.Policy)
-	case c.ReprefetchEvery > 0 && c.Hints:
-		return fmt.Errorf("cluster: ReprefetchEvery is incompatible with static Hints plans; disable Hints")
-	case c.Prewake && !c.Hints:
-		return fmt.Errorf("cluster: Prewake acts only on the Prefetch policy's Hints plan")
+		return fmt.Errorf("cluster: ReprefetchEvery requires the %v policy, not %v", Prefetch, c.Policy)
 	case c.Policy == Adaptive && (c.Concentrate || c.WriteBuffer):
 		return fmt.Errorf("cluster: the Adaptive policy takes no Concentrate or WriteBuffer")
 	case c.AdaptiveParams != nil && c.Policy != Adaptive:
@@ -238,7 +236,7 @@ func (c Config) DataDisksPerNode() int {
 // DefaultTestbed returns the simulated equivalent of Table I: eight
 // storage nodes — four Type 1 (1 Gb/s NIC, 58 MB/s disks) and four Type 2
 // (100 Mb/s NIC, 34 MB/s disks) — each with one buffer disk and two data
-// disks, 5 s idle threshold, prefetching with hints enabled and K = 70.
+// disks, 5 s idle threshold, the hinted PF arm and K = 70.
 func DefaultTestbed() Config {
 	nodes := make([]NodeConfig, 8)
 	for i := range nodes {
@@ -262,9 +260,8 @@ func DefaultTestbed() Config {
 		Nodes:            nodes,
 		NodeBasePowerW:   55,
 		IdleThresholdSec: 5,
-		Policy:           Prefetch,
+		Policy:           PrefetchHinted,
 		PrefetchCount:    70,
-		Hints:            true,
 		RouteLatencySec:  0.001,
 	}
 }
@@ -273,11 +270,10 @@ func DefaultTestbed() Config {
 // power management) disabled — the paper's NPF comparison arm. The options
 // of other arms go too: Concentrate would change the run, the rest would
 // fail validation here or in AdaptiveArm, and PrefetchCount is read only
-// by the Prefetch policy, so NPF arms built from configs that differ only
-// in K are equal.
+// by the PF family, so NPF arms built from configs that differ only in K
+// are equal.
 func (c Config) NPF() Config {
-	c.Policy = AlwaysOn
-	c.Hints, c.Prewake, c.Concentrate = false, false, false
+	c.Policy, c.Concentrate = AlwaysOn, false
 	c.ReprefetchEvery, c.AdaptiveParams, c.PrefetchCount = 0, nil, 0
 	return c
 }

@@ -289,7 +289,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	}
 	s.assign = assign
 
-	if cfg.Policy == Prefetch {
+	if cfg.Policy.Prefetches() {
 		ids, err := prefetch.SelectRanked(ranks, counts, tr.FileSizes, cfg.PrefetchCount, s.globalBufferCap())
 		if err != nil {
 			return Result{}, err
@@ -300,7 +300,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 		s.runPrefetchPhase(ids)
 	}
 
-	if cfg.Policy == Prefetch && cfg.Hints {
+	if cfg.Policy == PrefetchHinted || cfg.Policy == PrefetchPrewake {
 		s.buildPredictions()
 	}
 
@@ -617,7 +617,7 @@ func (s *sim) fanToDataDisks(n *simNode, op *request, now simtime.Time) {
 func (s *sim) writeArrived(now simtime.Time, arg any) {
 	r := arg.(*request)
 	n := s.nodes[s.assign.Node[r.fileID]]
-	if s.cfg.Policy == Prefetch && s.cfg.WriteBuffer && n.bufferFits(r.fileID, r.size) {
+	if s.cfg.Policy.Prefetches() && s.cfg.WriteBuffer && n.bufferFits(r.fileID, r.size) {
 		n.bufferReserve(r.fileID, r.size)
 		buf, bi := n.bufferFor(r.fileID)
 		// The eventual flush lands on the same disks a direct write
@@ -911,12 +911,12 @@ func (s *sim) onIdle(now simtime.Time, arg any) {
 		return
 	}
 
-	switch p := s.cfg.Policy; {
-	case p == Adaptive:
+	switch s.cfg.Policy {
+	case Adaptive:
 		s.adaptiveArm(d, now)
-	case p == Prefetch && s.cfg.Hints:
+	case PrefetchHinted, PrefetchPrewake:
 		s.hintSleep(d, now)
-	case p == Prefetch || p == ThresholdDPM || p == MAID:
+	case Prefetch, ThresholdDPM, MAID:
 		// The reactive threshold policy: a disk still idle when the timer
 		// fires spins down.
 		s.eng.Arm(&d.idleTimer, now+simtime.Time(s.cfg.IdleThresholdSec), s.on.idleTimeout, d)
@@ -998,7 +998,7 @@ func (s *sim) hintSleep(d *simDisk, now simtime.Time) {
 	// Either no predicted access remains (sleep until something real
 	// arrives) or the window is long enough.
 	s.beginSpinDown(d, now)
-	if s.cfg.Prewake && ok {
+	if s.cfg.Policy == PrefetchPrewake && ok {
 		m := d.d.Model()
 		wakeAt := next - m.SpinUpSec
 		earliest := float64(now) + m.SpinDownSec

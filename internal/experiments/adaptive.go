@@ -37,7 +37,7 @@ func adaptiveTable(o Options, w workload.SyntheticConfig, id, title string, note
 		return Table{}, err
 	}
 	static := cluster.DefaultTestbed()
-	static.Hints = false
+	static.Policy = cluster.Prefetch
 	online := static.AdaptiveArm()
 	online.AdaptiveParams = driftAdaptiveParams(w)
 	t := Table{

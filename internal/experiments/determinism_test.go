@@ -180,7 +180,7 @@ func TestBatterySimulatesNothingTwice(t *testing.T) {
 					t.Errorf("%s: %q and %q simulate equal traces under equal configs", id, q.label, r.label)
 				}
 			}
-			if strings.HasPrefix(id, "fig4") && r.cfg.Policy != cluster.Prefetch {
+			if strings.HasPrefix(id, "fig4") && !r.cfg.Policy.Prefetches() {
 				t.Errorf("%s: %q simulates the %v arm; the panel reads PF only", id, r.label, r.cfg.Policy)
 			}
 		}

@@ -249,8 +249,8 @@ func extHints(o Options) (Table, error) {
 	}
 	hints := cluster.DefaultTestbed()
 	threshold, prewake := hints, hints
-	threshold.Hints = false
-	prewake.Prewake = true
+	threshold.Policy = cluster.Prefetch
+	prewake.Policy = cluster.PrefetchPrewake
 	t := Table{
 		ID:    "ext-hints",
 		Title: "Ablation: application hints and prewake (Section IV-C)",
@@ -363,7 +363,7 @@ func extDynamic(o Options) (Table, error) {
 		return Table{}, err
 	}
 	static := cluster.DefaultTestbed()
-	static.Hints = false // threshold sleeping for a like-for-like contrast
+	static.Policy = cluster.Prefetch // threshold sleeping for a like-for-like contrast
 	dynamic := static
 	dynamic.ReprefetchEvery = 25
 	t := Table{
@@ -418,8 +418,8 @@ func extWrites(o Options) (Table, error) {
 
 // extThreshold sweeps the disk idle threshold (Table II fixes it at 5 s;
 // the paper notes "the idle threshold can be increased to prevent disks
-// from transitioning frequently"). Hints are disabled so the threshold is
-// actually the active policy.
+// from transitioning frequently"). The PF arm sleeps on the threshold,
+// not on hints, so the threshold is actually the active policy.
 func extThreshold(o Options) (Table, error) {
 	tr, err := workload.Synthetic(o.synthetic())
 	if err != nil {
@@ -428,7 +428,7 @@ func extThreshold(o Options) (Table, error) {
 	runs := []run{{"npf", cluster.DefaultTestbed().NPF(), tr}}
 	for _, th := range []float64{1, 2, 5, 10, 20, 60} {
 		cfg := cluster.DefaultTestbed()
-		cfg.Hints = false
+		cfg.Policy = cluster.Prefetch
 		cfg.IdleThresholdSec = th
 		runs = append(runs, run{fmt.Sprintf("%.0f", th), cfg, tr})
 	}

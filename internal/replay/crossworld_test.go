@@ -20,9 +20,8 @@ import (
 // StartNode; a node whose clock started at a disk's first service would
 // leave these disks spinning.
 //
-// The simulator buffers writes only under its Prefetch arm, so that is
-// the arm it runs, with Hints off: the reactive threshold the node
-// applies. Its files reach the buffer disk in its prefetch phase, the
+// The simulator buffers writes only under its PF arms, so it runs the
+// one that sleeps on the reactive threshold the node applies, Prefetch. Its files reach the buffer disk in its prefetch phase, the
 // node's as buffered creates; either way every read of the trace hits.
 func TestUntouchedDataDisksSleepInBothWorlds(t *testing.T) {
 	const (

@@ -172,8 +172,8 @@ func checkTransitionCounts(a *Artifacts) *Failure {
 }
 
 // diskModel resolves a journal/stats disk name ("node<i>/data<j>" or
-// "node<i>/buffer[<j>]") to its drive model via the scenario's
-// in-service node list.
+// "node<i>/buffer[<j>]") to its drive model via the scenario's node
+// list.
 func diskModel(s Scenario, name string) (disk.Model, error) {
 	rest, ok := strings.CutPrefix(name, "node")
 	if !ok {
@@ -187,14 +187,14 @@ func diskModel(s Scenario, name string) (disk.Model, error) {
 	if err != nil {
 		return disk.Model{}, fmt.Errorf("unrecognized disk name %q", name)
 	}
-	up := s.UpNodeConfigs()
-	if idx < 0 || idx >= len(up) {
-		return disk.Model{}, fmt.Errorf("disk %q names node %d of %d in service", name, idx, len(up))
+	nodes := s.NodeConfigs()
+	if idx < 0 || idx >= len(nodes) {
+		return disk.Model{}, fmt.Errorf("disk %q names node %d of %d", name, idx, len(nodes))
 	}
 	if strings.HasPrefix(kind, "buffer") {
-		return up[idx].BufferModel, nil
+		return nodes[idx].BufferModel, nil
 	}
-	return up[idx].DataModel, nil
+	return nodes[idx].DataModel, nil
 }
 
 // checkEnergyConservation verifies the energy ledger bottom-up: each
@@ -202,11 +202,10 @@ func diskModel(s Scenario, name string) (disk.Model, error) {
 // model's state powers, every disk's dwell must span the whole makespan,
 // the per-disk Joules must sum to DiskEnergyJ, and the Result total must
 // decompose into base + disk energy with the base drawn by exactly the
-// in-service nodes.
+// scenario's nodes.
 func checkEnergyConservation(a *Artifacts) *Failure {
 	s, r := a.Scenario, a.Result
-	upCount := len(s.UpNodeConfigs())
-	wantDisks := upCount * (s.DataDisks + s.BufferDisks)
+	wantDisks := s.NodeCount * (s.DataDisks + s.BufferDisks)
 	if len(r.PerDisk) != wantDisks {
 		return failf("energy-conservation", "PerDisk has %d disks, want %d", len(r.PerDisk), wantDisks)
 	}
@@ -232,9 +231,9 @@ func checkEnergyConservation(a *Artifacts) *Failure {
 	if !closeTo(sum, r.DiskEnergyJ) {
 		return failf("energy-conservation", "per-disk energies sum to %g J, DiskEnergyJ=%g", sum, r.DiskEnergyJ)
 	}
-	wantBase := 55 * r.MakespanSec * float64(upCount)
+	wantBase := 55 * r.MakespanSec * float64(s.NodeCount)
 	if !closeTo(r.BaseEnergyJ, wantBase) {
-		return failf("energy-conservation", "BaseEnergyJ=%g, want 55W * %g s * %d nodes = %g", r.BaseEnergyJ, r.MakespanSec, upCount, wantBase)
+		return failf("energy-conservation", "BaseEnergyJ=%g, want 55W * %g s * %d nodes = %g", r.BaseEnergyJ, r.MakespanSec, s.NodeCount, wantBase)
 	}
 	if !closeTo(r.TotalEnergyJ, r.BaseEnergyJ+r.DiskEnergyJ) {
 		return failf("energy-conservation", "TotalEnergyJ=%g != base %g + disk %g", r.TotalEnergyJ, r.BaseEnergyJ, r.DiskEnergyJ)
@@ -285,10 +284,10 @@ func checkRequestAccounting(a *Artifacts) *Failure {
 		return failf("request-accounting", "journal has %d request events for %d requests", nreq, r.Requests)
 	}
 	s := a.Scenario
-	if s.Policy != cluster.Prefetch && s.Policy != cluster.Adaptive && r.PrefetchedFiles != 0 {
+	if !s.Policy.Prefetches() && s.Policy != cluster.Adaptive && r.PrefetchedFiles != 0 {
 		return failf("request-accounting", "PrefetchedFiles=%d under the %v policy", r.PrefetchedFiles, s.Policy)
 	}
-	if s.Policy == cluster.Prefetch && s.ReprefetchEvery == 0 && r.PrefetchedFiles > s.PrefetchCount {
+	if s.Policy.Prefetches() && s.ReprefetchEvery == 0 && r.PrefetchedFiles > s.PrefetchCount {
 		return failf("request-accounting", "PrefetchedFiles=%d exceeds budget K=%d", r.PrefetchedFiles, s.PrefetchCount)
 	}
 	if s.Policy != cluster.Adaptive && (r.AdaptiveReprefetches != 0 || r.AdaptiveBudgetVetoes != 0) {
@@ -346,7 +345,7 @@ func checkCausality(a *Artifacts) *Failure {
 // "all data disks sleep through the entire trace".
 func checkCoveredQuiesce(a *Artifacts) *Failure {
 	s, r := a.Scenario, a.Result
-	if s.Policy != cluster.Prefetch || s.ReprefetchEvery != 0 || r.BufferMisses != 0 {
+	if !s.Policy.Prefetches() || s.ReprefetchEvery != 0 || r.BufferMisses != 0 {
 		return nil
 	}
 	for _, rec := range a.Trace.Records {
@@ -388,7 +387,7 @@ func checkNPFStatic(a *Artifacts) *Failure {
 // prefetch phase stays cheap. The generator steers ~20 % of scenarios
 // into this regime so the oracle keeps earning its place in the corpus.
 func pfRegime(s Scenario) bool {
-	return s.Policy == cluster.Prefetch && s.ReprefetchEvery == 0 &&
+	return s.Policy.Prefetches() && s.ReprefetchEvery == 0 &&
 		s.WritePct == 0 && s.InterArrivalMS >= 500 &&
 		s.Requests >= 150 && s.MeanSizeKB <= 2048
 }
@@ -417,9 +416,9 @@ func checkPFDominatesNPF(a *Artifacts) *Failure {
 // burning. It is the slower transition priced fleet-wide — a few
 // hundred Joules against run totals in the hundreds of thousands.
 func wakeSlackJ(s Scenario) float64 {
-	up := s.UpNodeConfigs()
+	nodes := s.NodeConfigs()
 	maxTrans, idleSum := 0.0, 0.0
-	for _, n := range up {
+	for _, n := range nodes {
 		for _, m := range []disk.Model{n.DataModel, n.BufferModel} {
 			if m.SpinUpSec > maxTrans {
 				maxTrans = m.SpinUpSec
@@ -430,7 +429,7 @@ func wakeSlackJ(s Scenario) float64 {
 		}
 		idleSum += float64(n.DataDisks)*n.DataModel.PIdle + float64(n.BufferDisks)*n.BufferModel.PIdle
 	}
-	return maxTrans * (55*float64(len(up)) + idleSum)
+	return maxTrans * (55*float64(len(nodes)) + idleSum)
 }
 
 // checkAdaptiveDominatesNPF is the adaptive arm's headline guarantee as

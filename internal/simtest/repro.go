@@ -68,7 +68,7 @@ func boolField[S any](key string, p func(*S) *bool) fieldCodec[S] {
 // value, is elided like every other zero.
 func policyField[S any](key string, p func(*S) *cluster.Policy) fieldCodec[S] {
 	return parsedField(key, p, cluster.Policy.String, func(v string) (cluster.Policy, error) {
-		for q := cluster.ThresholdDPM; q <= cluster.Adaptive; q++ {
+		for q := cluster.ThresholdDPM; q <= cluster.PrefetchPrewake; q++ {
 			if v == q.String() {
 				return q, nil
 			}
@@ -135,11 +135,8 @@ var codecs = []fieldCodec[Scenario]{
 	intField("t2", func(s *Scenario) *int { return &s.Type2Count }),
 	intField("dd", func(s *Scenario) *int { return &s.DataDisks }),
 	intField("bd", func(s *Scenario) *int { return &s.BufferDisks }),
-	intField("down", func(s *Scenario) *int { return &s.DownNodes }),
 	policyField("policy", func(s *Scenario) *cluster.Policy { return &s.Policy }),
 	intField("k", func(s *Scenario) *int { return &s.PrefetchCount }),
-	boolField("hints", func(s *Scenario) *bool { return &s.Hints }),
-	boolField("prewake", func(s *Scenario) *bool { return &s.Prewake }),
 	boolField("wb", func(s *Scenario) *bool { return &s.WriteBuffer }),
 	boolField("pdc", func(s *Scenario) *bool { return &s.Concentrate }),
 	intField("stripekb", func(s *Scenario) *int { return &s.StripeChunkKB }),

@@ -18,7 +18,6 @@
 package simtest
 
 import (
-	"fmt"
 	"math"
 
 	"eevfs/internal/adaptive"
@@ -44,13 +43,10 @@ type Scenario struct {
 	Type2Count  int // trailing nodes that use Type 2 links/disks (Table I)
 	DataDisks   int // data disks per node (uniform, as the sim requires)
 	BufferDisks int // buffer disks per node
-	DownNodes   int // leading nodes marked out of service for the run
 
 	// Policy and its options (cluster.Config mirror).
 	Policy           cluster.Policy
 	PrefetchCount    int
-	Hints            bool
-	Prewake          bool
 	WriteBuffer      bool
 	Concentrate      bool
 	StripeChunkKB    int
@@ -101,27 +97,33 @@ const (
 
 // Generate derives a scenario from a seed. Every generated scenario is
 // valid by construction (Valid() == nil): the generator draws one policy
-// and then only the options cluster.Config accepts with it (no
-// reprefetch with hints, nothing but the policy itself on the adaptive
-// arm), so the random walk never leaves the legal configuration space.
+// and then only the options cluster.Config accepts with it (reprefetch
+// only on the threshold-sleeping PF arm, nothing but the policy itself on
+// the adaptive arm), so the random walk never leaves the legal
+// configuration space.
 func Generate(seed uint64) Scenario {
 	src := rng.New(seed)
 	s := Scenario{Seed: seed}
 
 	// Shape: small clusters keep each run in the low milliseconds while
-	// still covering heterogeneity, multiple spindles, and dead nodes.
+	// still covering heterogeneity and multiple spindles. A fifth of the
+	// clusters lose a prefix of their nodes: the simulator only ever sees
+	// the nodes left, so the draw shrinks the cluster (and its Type 2
+	// tail) in place.
 	s.NodeCount = 1 + src.Intn(6)
 	s.Type2Count = src.Intn(s.NodeCount + 1)
 	s.DataDisks = 1 + src.Intn(3)
 	s.BufferDisks = 1 + src.Intn(2)
 	if s.NodeCount > 1 && src.Float64() < 0.2 {
-		s.DownNodes = 1 + src.Intn(s.NodeCount-1)
+		s.NodeCount -= 1 + src.Intn(s.NodeCount-1)
+		s.Type2Count = min(s.Type2Count, s.NodeCount)
 	}
 	s.IdleThresholdSec = []float64{1, 2, 5, 10}[src.Intn(4)]
 	s.RouteLatencyMS = float64(1+src.Intn(5)) / 2 // 0.5..2.5 ms
 
-	// Policy family: mostly PF (the system under test), with the online
-	// adaptive arm, MAID, and the DPM/NPF baselines mixed in.
+	// Policy family: mostly PF (the system under test; its hinted and
+	// prewake arms are drawn below), with the online adaptive arm, MAID,
+	// and the DPM/NPF baselines mixed in.
 	switch p := src.Float64(); {
 	case p < 0.55:
 		s.Policy = cluster.Prefetch
@@ -149,9 +151,11 @@ func Generate(seed uint64) Scenario {
 		s.PrefetchCount = 1 + src.Intn(120)
 		if src.Float64() < 0.25 {
 			s.ReprefetchEvery = 10 + src.Intn(60)
-		} else {
-			s.Hints = src.Float64() < 0.6
-			s.Prewake = s.Hints && src.Float64() < 0.4
+		} else if src.Float64() < 0.6 {
+			s.Policy = cluster.PrefetchHinted
+			if src.Float64() < 0.4 {
+				s.Policy = cluster.PrefetchPrewake
+			}
 		}
 		s.WriteBuffer = src.Float64() < 0.35
 	}
@@ -183,7 +187,7 @@ func Generate(seed uint64) Scenario {
 	// A slice of the space is steered into the paper's fully-covered
 	// regime (low MU, long delays, read-only, small files) so the
 	// PF-dominates-NPF oracle is exercised rather than always gated off.
-	if s.Policy == cluster.Prefetch && src.Float64() < 0.3 {
+	if s.Policy.Prefetches() && src.Float64() < 0.3 {
 		s.WritePct = 0
 		s.MeanSizeKB = 256 + src.Intn(1793) // <= ~2 MB
 		s.MU = 1 + float64(src.Intn(10))
@@ -209,7 +213,7 @@ func GenerateDrift(seed uint64) Scenario {
 	s := Generate(seed)
 	s.Policy = cluster.Adaptive
 	s.PrefetchCount, s.ReprefetchEvery, s.WritePct = 0, 0, 0
-	s.Hints, s.Prewake, s.WriteBuffer, s.Concentrate = false, false, false, false
+	s.WriteBuffer, s.Concentrate = false, false
 	// Re-draw the drift dimensions from a derived stream so they are
 	// present regardless of which policy branch Generate took.
 	src := rng.New(seed ^ 0x9E3779B97F4A7C15)
@@ -227,14 +231,13 @@ func GenerateDrift(seed uint64) Scenario {
 	return s
 }
 
-// UpNodeConfigs returns the configs of the nodes that stay in service
-// (the DownNodes prefix dropped): the nodes ClusterConfig simulates. Index
-// i here matches the "node<i>/..." disk names in the run's journal and
-// Result.PerDisk, which the oracles rely on to find each disk's power
+// NodeConfigs returns the configs of the nodes ClusterConfig simulates.
+// Index i here matches the "node<i>/..." disk names in the run's journal
+// and Result.PerDisk, which the oracles rely on to find each disk's power
 // model.
-func (s Scenario) UpNodeConfigs() []cluster.NodeConfig {
+func (s Scenario) NodeConfigs() []cluster.NodeConfig {
 	var nodes []cluster.NodeConfig
-	for i := s.DownNodes; i < s.NodeCount; i++ {
+	for i := 0; i < s.NodeCount; i++ {
 		nc := cluster.NodeConfig{
 			LinkMbps:    1000,
 			DataModel:   disk.ModelType1,
@@ -255,13 +258,11 @@ func (s Scenario) UpNodeConfigs() []cluster.NodeConfig {
 // ClusterConfig expands the scenario into the simulator configuration.
 func (s Scenario) ClusterConfig() cluster.Config {
 	cfg := cluster.Config{
-		Nodes:               s.UpNodeConfigs(),
+		Nodes:               s.NodeConfigs(),
 		NodeBasePowerW:      55,
 		IdleThresholdSec:    s.IdleThresholdSec,
 		Policy:              s.Policy,
 		PrefetchCount:       s.PrefetchCount,
-		Hints:               s.Hints,
-		Prewake:             s.Prewake,
 		WriteBuffer:         s.WriteBuffer,
 		Concentrate:         s.Concentrate,
 		StripeChunkBytes:    int64(s.StripeChunkKB) * 1024,
@@ -330,9 +331,6 @@ func (s Scenario) WorkloadConfig() workload.SyntheticConfig {
 // shrinker uses Valid to discard reduction candidates that would leave
 // the legal space.
 func (s Scenario) Valid() error {
-	if s.DownNodes < 0 {
-		return fmt.Errorf("simtest: negative DownNodes %d", s.DownNodes)
-	}
 	if err := s.ClusterConfig().Validate(); err != nil {
 		return err
 	}

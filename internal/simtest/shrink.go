@@ -5,8 +5,7 @@ import "eevfs/internal/cluster"
 // The shrinker: given a failing scenario, search for a smaller scenario
 // that fails the *same* oracle, and keep reducing until a fixed point.
 // Smaller means fewer requests and files first (they dominate repro
-// reading time), then fewer faults and policy toggles, then a smaller
-// cluster. The result is the scenario printed in the one-line repro
+// reading time), then fewer policy toggles, then a smaller cluster. The result is the scenario printed in the one-line repro
 // command, so minimality directly buys debuggability.
 
 // CheckFn judges one scenario; nil means all invariants hold. Shrink is
@@ -81,10 +80,6 @@ var reducers = []func(Scenario) []Scenario{
 	func(s Scenario) []Scenario {
 		return intLadder(s, s.Files, 1, func(s Scenario, v int) Scenario { s.Files = v; return s })
 	},
-	// Drop faults.
-	func(s Scenario) []Scenario {
-		return intLadder(s, s.DownNodes, 0, func(s Scenario, v int) Scenario { s.DownNodes = v; return s })
-	},
 	// Disable policy toggles one at a time.
 	func(s Scenario) []Scenario {
 		var out []Scenario
@@ -93,8 +88,17 @@ var reducers = []func(Scenario) []Scenario{
 			func(s *Scenario) { s.SizeSpreadPct = 0 },
 			func(s *Scenario) { s.StripeChunkKB = 0 },
 			func(s *Scenario) { s.ReprefetchEvery = 0 },
-			func(s *Scenario) { s.Prewake = false },
-			func(s *Scenario) { s.Hints, s.Prewake = false, false },
+			// The PF arms step down pf-prewake -> pf-hints -> pf.
+			func(s *Scenario) {
+				if s.Policy == cluster.PrefetchPrewake {
+					s.Policy = cluster.PrefetchHinted
+				}
+			},
+			func(s *Scenario) {
+				if s.Policy == cluster.PrefetchHinted || s.Policy == cluster.PrefetchPrewake {
+					s.Policy = cluster.Prefetch
+				}
+			},
 			func(s *Scenario) { s.WriteBuffer = false },
 			func(s *Scenario) { s.Concentrate = false },
 			func(s *Scenario) {
@@ -116,12 +120,7 @@ var reducers = []func(Scenario) []Scenario{
 		var out []Scenario
 		for _, cand := range intLadder(s, s.NodeCount, 1, func(s Scenario, v int) Scenario {
 			s.NodeCount = v
-			if s.DownNodes >= v {
-				s.DownNodes = v - 1
-			}
-			if s.Type2Count > v {
-				s.Type2Count = v
-			}
+			s.Type2Count = min(s.Type2Count, v)
 			return s
 		}) {
 			out = append(out, cand)

@@ -1,6 +1,10 @@
 package simtest
 
-import "testing"
+import (
+	"testing"
+
+	"eevfs/internal/cluster"
+)
 
 // fakeCheck builds a CheckFn from a predicate, counting evaluations.
 func fakeCheck(oracle string, failing func(Scenario) bool, calls *int) CheckFn {
@@ -14,20 +18,36 @@ func fakeCheck(oracle string, failing func(Scenario) bool, calls *int) CheckFn {
 }
 
 // TestShrinkReachesFloor: a failure that holds regardless of scenario
-// size must shrink all the way to the 1-request floor.
+// size must shrink all the way to the 1-request floor, and a PF arm that
+// needs neither prewake nor hints to fail down to plain pf.
 func TestShrinkReachesFloor(t *testing.T) {
-	s := Generate(3001)
-	calls := 0
-	check := fakeCheck("always", func(Scenario) bool { return true }, &calls)
-	min := Shrink(s, check(s), check)
-	if min.Scenario.Requests != 1 || min.Scenario.Files != 1 {
-		t.Errorf("always-failing scenario stopped at %d requests / %d files", min.Scenario.Requests, min.Scenario.Files)
-	}
-	if min.Scenario.DownNodes != 0 || min.Scenario.NodeCount != 1 {
-		t.Errorf("cluster not minimized: nodes=%d down=%d", min.Scenario.NodeCount, min.Scenario.DownNodes)
-	}
-	if min.Failure == nil || min.Failure.Oracle != "always" {
-		t.Errorf("minimal failure lost: %+v", min.Failure)
+	prewake := Generate(3001)
+	prewake.Policy, prewake.PrefetchCount = cluster.PrefetchPrewake, 10
+	for _, tc := range []struct {
+		s      Scenario
+		policy cluster.Policy
+	}{
+		{Generate(3001), cluster.AlwaysOn}, // a maid scenario
+		{prewake, cluster.Prefetch},
+	} {
+		if err := tc.s.Valid(); err != nil {
+			t.Fatalf("%s: %v", tc.s.Encode(), err)
+		}
+		calls := 0
+		check := fakeCheck("always", func(Scenario) bool { return true }, &calls)
+		min := Shrink(tc.s, check(tc.s), check)
+		if min.Scenario.Requests != 1 || min.Scenario.Files != 1 {
+			t.Errorf("always-failing scenario stopped at %d requests / %d files", min.Scenario.Requests, min.Scenario.Files)
+		}
+		if min.Scenario.NodeCount != 1 {
+			t.Errorf("cluster not minimized: nodes=%d", min.Scenario.NodeCount)
+		}
+		if min.Scenario.Policy != tc.policy {
+			t.Errorf("%v scenario shrank to policy %v, want %v", tc.s.Policy, min.Scenario.Policy, tc.policy)
+		}
+		if min.Failure == nil || min.Failure.Oracle != "always" {
+			t.Errorf("minimal failure lost: %+v", min.Failure)
+		}
 	}
 }
 

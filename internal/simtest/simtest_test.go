@@ -20,7 +20,7 @@ const corpusBase = uint64(1000)
 // behavior) shows up here first.
 func TestCorpus(t *testing.T) {
 	dominance := 0
-	maid, writes, down := 0, 0, 0
+	maid, writes := 0, 0
 	adaptive, drifting, flash, diurnal := 0, 0, 0, 0
 	for i := 0; i < corpusSize; i++ {
 		seed := corpusBase + uint64(i)
@@ -33,9 +33,6 @@ func TestCorpus(t *testing.T) {
 		}
 		if s.WritePct > 0 {
 			writes++
-		}
-		if s.DownNodes > 0 {
-			down++
 		}
 		if s.Policy == cluster.Adaptive {
 			adaptive++
@@ -64,9 +61,6 @@ func TestCorpus(t *testing.T) {
 	if writes == 0 {
 		t.Error("corpus never generated writes")
 	}
-	if down == 0 {
-		t.Error("corpus never generated a degraded cluster")
-	}
 	if adaptive == 0 {
 		t.Error("corpus never generated an adaptive-arm scenario; its oracles were vacuous")
 	}
@@ -94,7 +88,7 @@ func TestGenerateDrift(t *testing.T) {
 		if s.Policy != cluster.Adaptive || !s.UsesDrift() {
 			t.Fatalf("seed %d: drift generator produced a non-adaptive scenario: %+v", seed, s)
 		}
-		if s.Hints || s.Prewake || s.Concentrate || s.WriteBuffer || s.WritePct != 0 {
+		if s.Concentrate || s.WriteBuffer || s.WritePct != 0 {
 			t.Fatalf("seed %d: adaptive arm is not standalone: %+v", seed, s)
 		}
 		if err := s.Valid(); err != nil {
@@ -197,7 +191,6 @@ func TestInjectedBadEstimatorCaughtAndShrunk(t *testing.T) {
 	s.Type2Count = 0
 	s.DataDisks = 2
 	s.BufferDisks = 1
-	s.DownNodes = 0
 	s.IdleThresholdSec = 1
 	s.Files = 200
 	s.Requests = 160
@@ -293,18 +286,5 @@ func TestRunArtifacts(t *testing.T) {
 	}
 	if a.Result.Requests != a.NPF.Requests {
 		t.Errorf("arms served different request counts: %d vs %d", a.Result.Requests, a.NPF.Requests)
-	}
-}
-
-// TestValidRejectsOutOfRangeDownNodes: a repro string can carry any down=
-// value; one that leaves no node in service, or one below zero, must be
-// reported invalid rather than run a cluster of another size.
-func TestValidRejectsOutOfRangeDownNodes(t *testing.T) {
-	for _, down := range []int{-1, 3} {
-		s := Generate(16)
-		s.NodeCount, s.DownNodes = 3, down
-		if f := Check(s); f == nil || f.Oracle != "valid" {
-			t.Errorf("down=%d of 3 nodes: Check = %v, want a valid failure", down, f)
-		}
 	}
 }

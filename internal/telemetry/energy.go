@@ -32,19 +32,42 @@ type EnergySnapshot struct {
 type EnergyLedger struct {
 	mu sync.Mutex
 
-	capEntries int
-	traces     map[uint64]float64
-	traceOrder []uint64
-	traceNext  int
-	files      map[string]float64
-	fileOrder  []string
-	fileNext   int
+	traces ring[uint64]
+	files  ring[string]
 
-	arms          map[string]float64
-	backgroundJ   float64
-	totalJ        float64
-	evictedTraces uint64
-	evictedFiles  uint64
+	arms        map[string]float64
+	backgroundJ float64
+	totalJ      float64
+}
+
+// ring is a map of running sums bounded to cap keys: a new key past the
+// cap evicts the oldest one (FIFO) and counts the eviction.
+type ring[K comparable] struct {
+	sums    map[K]float64
+	order   []K
+	next    int
+	cap     int
+	evicted uint64
+}
+
+func newRing[K comparable](n int) ring[K] {
+	return ring[K]{sums: make(map[K]float64), cap: n}
+}
+
+// add credits v to k, first evicting the oldest key if k is new and the
+// ring is full.
+func (r *ring[K]) add(k K, v float64) {
+	if _, ok := r.sums[k]; !ok {
+		if len(r.order) < r.cap {
+			r.order = append(r.order, k)
+		} else {
+			delete(r.sums, r.order[r.next])
+			r.order[r.next] = k
+			r.evicted++
+		}
+		r.next = (r.next + 1) % r.cap
+	}
+	r.sums[k] += v
 }
 
 // NewEnergyLedger builds a ledger keeping at most capEntries per-trace
@@ -54,10 +77,9 @@ func NewEnergyLedger(capEntries int) *EnergyLedger {
 		capEntries = 4096
 	}
 	return &EnergyLedger{
-		capEntries: capEntries,
-		traces:     make(map[uint64]float64),
-		files:      make(map[string]float64),
-		arms:       make(map[string]float64),
+		traces: newRing[uint64](capEntries),
+		files:  newRing[string](capEntries),
+		arms:   make(map[string]float64),
 	}
 }
 
@@ -74,33 +96,11 @@ func (l *EnergyLedger) Attribute(traceID uint64, file, arm string, joules float6
 	}
 	if traceID == 0 {
 		l.backgroundJ += joules
-	} else if _, ok := l.traces[traceID]; ok {
-		l.traces[traceID] += joules
 	} else {
-		if len(l.traceOrder) < l.capEntries {
-			l.traceOrder = append(l.traceOrder, traceID)
-		} else {
-			delete(l.traces, l.traceOrder[l.traceNext])
-			l.traceOrder[l.traceNext] = traceID
-			l.evictedTraces++
-		}
-		l.traceNext = (l.traceNext + 1) % l.capEntries
-		l.traces[traceID] = joules
+		l.traces.add(traceID, joules)
 	}
 	if file != "" {
-		if _, ok := l.files[file]; ok {
-			l.files[file] += joules
-		} else {
-			if len(l.fileOrder) < l.capEntries {
-				l.fileOrder = append(l.fileOrder, file)
-			} else {
-				delete(l.files, l.fileOrder[l.fileNext])
-				l.fileOrder[l.fileNext] = file
-				l.evictedFiles++
-			}
-			l.fileNext = (l.fileNext + 1) % l.capEntries
-			l.files[file] = joules
-		}
+		l.files.add(file, joules)
 	}
 	l.mu.Unlock()
 }
@@ -113,7 +113,7 @@ func (l *EnergyLedger) TraceJ(traceID uint64) float64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.traces[traceID]
+	return l.traces.sums[traceID]
 }
 
 // TotalJ returns the grand total attributed so far.
@@ -140,15 +140,15 @@ func (l *EnergyLedger) Snapshot() EnergySnapshot {
 	defer l.mu.Unlock()
 	out.TotalJ = l.totalJ
 	out.BackgroundJ = l.backgroundJ
-	out.EvictedTraces = l.evictedTraces
-	out.EvictedFiles = l.evictedFiles
+	out.EvictedTraces = l.traces.evicted
+	out.EvictedFiles = l.files.evicted
 	for k, v := range l.arms {
 		out.PerArm[k] = v
 	}
-	for k, v := range l.files {
+	for k, v := range l.files.sums {
 		out.PerFile[k] = v
 	}
-	for k, v := range l.traces {
+	for k, v := range l.traces.sums {
 		out.PerTrace[fmt.Sprintf("%016x", k)] = v
 	}
 	return out
