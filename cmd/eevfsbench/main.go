@@ -66,10 +66,11 @@ func runTraceFile(w io.Writer, path string, markdown bool) error {
 	return t.Render(w)
 }
 
-// writeTables runs the experiments — RunMany fans them over opts.Workers
-// and returns the tables in id order, so the output is identical
-// regardless of -parallel — and writes them as aligned text, each
-// followed by a blank line, or as markdown sections.
+// writeTables runs the experiments — RunMany simulates each distinct run
+// of them all once, over opts.Workers workers, and returns the tables in
+// id order, so the output is identical regardless of -parallel — and
+// writes them as aligned text, each followed by a blank line, or as
+// markdown sections.
 func writeTables(w io.Writer, ids []string, opts experiments.Options, markdown bool) error {
 	tables, err := experiments.RunMany(ids, opts)
 	if err != nil {
@@ -151,7 +152,7 @@ func run() error {
 		markdown = flag.Bool("markdown", false, "emit markdown instead of aligned text")
 		requests = flag.Int("requests", 0, "override trace length (default 1000)")
 		seed     = flag.Uint64("seed", 0, "override workload seed (default 1)")
-		parallel = flag.Int("parallel", 0, "simulation workers: 0 sequential, -1 GOMAXPROCS, n>1 a fixed pool (results are byte-identical)")
+		parallel = flag.Int("parallel", 0, "workers for the experiments' simulations: 0 sequential, -1 GOMAXPROCS, n>1 a fixed pool (results are byte-identical)")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		traceIn  = flag.String("trace", "", "run PF vs NPF on a trace file (eevfs-trace/1 format) and exit")
 		chromeO  = flag.String("chrome-trace", "", "simulate one PF run and write its timeline as Chrome trace-event JSON to this file")

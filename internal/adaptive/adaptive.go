@@ -21,6 +21,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 
 	"eevfs/internal/disk"
 )
@@ -364,14 +365,9 @@ func (c *Churn) Rescore(buffered func(fid int) bool) {
 	}
 }
 
-// Counts returns the per-file access counts over the current window.
-func (c *Churn) Counts() map[int]int {
-	counts := make(map[int]int, c.filled)
-	for i := 0; i < c.filled; i++ {
-		counts[c.fids[i]]++
-	}
-	return counts
-}
+// Window returns the file ids of the accesses in the current window, one
+// per access, in a slice the caller owns.
+func (c *Churn) Window() []int { return slices.Clone(c.fids[:c.filled]) }
 
 // MissRate returns the miss fraction over the current window (0 when
 // the window is empty).

@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"eevfs/internal/disk"
@@ -243,14 +244,9 @@ func TestChurnFiresOnDivergence(t *testing.T) {
 		t.Fatal("churn stayed quiet after the cooldown expired")
 	}
 
-	// Counts reflect the ring content.
-	counts := c.Counts()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != p.ChurnWindow {
-		t.Fatalf("window counts sum to %d, want %d", total, p.ChurnWindow)
+	// The window holds the ring content.
+	if n := len(c.Window()); n != p.ChurnWindow {
+		t.Fatalf("window holds %d accesses, want %d", n, p.ChurnWindow)
 	}
 }
 
@@ -297,9 +293,8 @@ func TestChurnRescore(t *testing.T) {
 	if c.MissRate() != 0.4 {
 		t.Fatalf("miss rate %g after dropping file 2, want 0.4", c.MissRate())
 	}
-	// Counts are unaffected by rescoring — only labels move.
-	counts := c.Counts()
-	if counts[1] != 6 || counts[2] != 4 {
-		t.Fatalf("counts changed under rescore: %v", counts)
+	// The window is unaffected by rescoring — only labels move.
+	if w := c.Window(); !slices.Equal(w, []int{1, 1, 1, 1, 1, 1, 2, 2, 2, 2}) {
+		t.Fatalf("window changed under rescore: %v", w)
 	}
 }

@@ -141,8 +141,7 @@ func (s *sim) adaptiveFetchFeeJ(n *simNode, fid int, size int64) float64 {
 // FetchSafety times the fetch's estimated cost.
 func (s *sim) adaptiveReprefetch(now simtime.Time) {
 	p := s.adapt.params
-	counts := s.adapt.churn.Counts()
-	ids := prefetch.SelectWindowed(counts, p.MinFetchHits, 0)
+	ids := prefetch.SelectWindowed(s.adapt.churn.Window(), p.MinFetchHits, 0)
 	want := prefetch.NewSet(ids)
 	fetched := 0
 	for _, fid := range ids {

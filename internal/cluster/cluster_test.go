@@ -57,7 +57,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BufferCapacityBytes = -1 },
 		func(c *Config) { c.RouteLatencySec = -1 },
 		func(c *Config) { c.Policy = PrefetchPrewake + 1 },
+		// The write buffer is the PF family's; no other arm buffers.
 		func(c *Config) { c.Policy = MAID; c.WriteBuffer = true },
+		func(c *Config) { c.Policy = AlwaysOn; c.WriteBuffer = true },
+		func(c *Config) { c.Policy = ThresholdDPM; c.WriteBuffer = true },
 		func(c *Config) { c.AdaptiveParams = &adaptive.Params{} }, // not Adaptive
 		func(c *Config) { c.Policy = Adaptive; c.WriteBuffer = true },
 		// Re-prefetching is the threshold-sleeping PF arm's; the hinted
@@ -96,9 +99,9 @@ func TestConfigValidate(t *testing.T) {
 func TestNPFHelper(t *testing.T) {
 	base := DefaultTestbed()
 	base.Policy = PrefetchPrewake
-	base.Concentrate = true
+	base.Concentrate, base.WriteBuffer = true, true
 	cfg := base.NPF()
-	if cfg.Policy != AlwaysOn || cfg.Concentrate {
+	if cfg.Policy != AlwaysOn || cfg.Concentrate || cfg.WriteBuffer {
 		t.Fatalf("NPF() left a policy option on: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {

@@ -120,6 +120,7 @@ type Config struct {
 	// WriteBuffer uses free buffer-disk space as a write buffer for the
 	// data disks (Section III-C). Writes are acknowledged after the
 	// sequential log append and flushed to their data disk lazily.
+	// Requires a PF-family policy: no other arm buffers writes.
 	WriteBuffer bool
 
 	// BufferCapacityBytes bounds buffer-disk occupancy (prefetched copies
@@ -204,16 +205,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative RouteLatencySec")
 	case c.Policy > PrefetchPrewake:
 		return fmt.Errorf("cluster: unknown policy %v", c.Policy)
-	case c.Policy == MAID && c.WriteBuffer:
-		return fmt.Errorf("cluster: MAID does not implement the write buffer")
+	case c.WriteBuffer && !c.Policy.Prefetches():
+		return fmt.Errorf("cluster: WriteBuffer requires a PF-family policy, not %v", c.Policy)
 	case c.StripeChunkBytes < 0:
 		return fmt.Errorf("cluster: negative StripeChunkBytes")
 	case c.ReprefetchEvery < 0:
 		return fmt.Errorf("cluster: negative ReprefetchEvery")
 	case c.ReprefetchEvery > 0 && c.Policy != Prefetch:
 		return fmt.Errorf("cluster: ReprefetchEvery requires the %v policy, not %v", Prefetch, c.Policy)
-	case c.Policy == Adaptive && (c.Concentrate || c.WriteBuffer):
-		return fmt.Errorf("cluster: the Adaptive policy takes no Concentrate or WriteBuffer")
+	case c.Policy == Adaptive && c.Concentrate:
+		return fmt.Errorf("cluster: the Adaptive policy takes no Concentrate")
 	case c.AdaptiveParams != nil && c.Policy != Adaptive:
 		return fmt.Errorf("cluster: AdaptiveParams set without the Adaptive policy")
 	}
@@ -273,7 +274,7 @@ func DefaultTestbed() Config {
 // by the PF family, so NPF arms built from configs that differ only in K
 // are equal.
 func (c Config) NPF() Config {
-	c.Policy, c.Concentrate = AlwaysOn, false
+	c.Policy, c.Concentrate, c.WriteBuffer = AlwaysOn, false, false
 	c.ReprefetchEvery, c.AdaptiveParams, c.PrefetchCount = 0, nil, 0
 	return c
 }

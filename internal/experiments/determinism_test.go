@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/telemetry"
+	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
 
@@ -38,11 +40,11 @@ func TestParallelByteIdenticalAllExperiments(t *testing.T) {
 
 func TestParallelByteIdenticalSweeps(t *testing.T) {
 	for _, a := range []axis{dataSize, popularity, delay, prefetchCount, disksPerNode, clusterSize} {
-		seq, err := a.sweep(Options{Requests: 150}, true)
+		seq, err := a.points(Options{Requests: 150}, true)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", a.param, err)
 		}
-		par, err := a.sweep(Options{Requests: 150, Workers: -1}, true)
+		par, err := a.points(Options{Requests: 150, Workers: -1}, true)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", a.param, err)
 		}
@@ -189,6 +191,71 @@ func TestBatterySimulatesNothingTwice(t *testing.T) {
 	t.Logf("the battery makes %d cluster.Run calls", total)
 	if total != batteryRuns {
 		t.Errorf("the battery makes %d cluster.Run calls, want %d", total, batteryRuns)
+	}
+}
+
+// One RunMany call of the whole battery simulates each distinct run once
+// and generates each distinct trace once, across all its experiments:
+// Figs. 4 and 5 repeat the runs of Fig. 3, and five ext-* tables repeat
+// runs of other tables.
+const (
+	batteryDistinctRuns = 78
+	batteryTraces       = 16
+)
+
+// TestRunManySharesAcrossTheBattery watches one RunMany call of the whole
+// battery: it must make one simulate call of batteryDistinctRuns runs on
+// batteryTraces traces, no two of them equal, and render every table as
+// Run renders it alone. A second call must simulate everything again:
+// nothing is remembered across calls.
+func TestRunManySharesAcrossTheBattery(t *testing.T) {
+	var calls [][]run
+	onSimulate = func(distinct []run) { calls = append(calls, distinct) }
+	t.Cleanup(func() { onSimulate = nil })
+	for _, seed := range []uint64{1, 7} {
+		var want []Table
+		for _, id := range IDs() {
+			tab, err := Run(id, Options{Requests: 100, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			want = append(want, tab)
+		}
+		for _, workers := range []int{0, 2} {
+			for call := 1; call <= 2; call++ {
+				calls = nil
+				got, err := RunMany(IDs(), Options{Requests: 100, Seed: seed, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(calls) != 1 {
+					t.Fatalf("seed %d, %d workers, call %d: %d simulate calls, want 1", seed, workers, call, len(calls))
+				}
+				var traces []*trace.Trace
+				for _, r := range calls[0] {
+					if !slices.Contains(traces, r.trace) {
+						traces = append(traces, r.trace)
+					}
+				}
+				for i, tr := range traces {
+					for _, q := range traces[:i] {
+						if reflect.DeepEqual(*q, *tr) {
+							t.Errorf("seed %d: two equal traces generated", seed)
+						}
+					}
+				}
+				if call == 1 && seed == 1 && workers == 0 {
+					t.Logf("the battery in one RunMany call makes %d cluster.Run calls on %d traces", len(calls[0]), len(traces))
+				}
+				if len(calls[0]) != batteryDistinctRuns || len(traces) != batteryTraces {
+					t.Errorf("seed %d, %d workers, call %d: %d cluster.Run calls on %d traces, want %d on %d",
+						seed, workers, call, len(calls[0]), len(traces), batteryDistinctRuns, batteryTraces)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d, %d workers, call %d: the battery's tables differ from Run's alone", seed, workers, call)
+				}
+			}
+		}
 	}
 }
 

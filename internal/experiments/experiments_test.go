@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"eevfs/internal/cluster"
+	"eevfs/internal/trace"
+	"eevfs/internal/workload"
 )
 
 // The tests below are the repository's paper-vs-measured gate: each pins a
@@ -18,11 +20,24 @@ import (
 // sweep simulates one axis at the paper's parameters.
 func sweep(t *testing.T, a axis) []point {
 	t.Helper()
-	pts, err := a.sweep(Options{}, true)
+	pts, err := a.points(Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pts
+}
+
+// points simulates the axis's sweep on its own and returns its points.
+func (a axis) points(o Options, withNPF bool) ([]point, error) {
+	var pts []point
+	pl, err := a.sweep(&planner{o, map[workload.SyntheticConfig]*trace.Trace{}}, withNPF, func(p []point) Table { pts = p; return Table{} })
+	if err != nil {
+		return nil, err
+	}
+	if _, err := execute(o, []plan{pl}); err != nil {
+		return nil, err
+	}
+	return pts, nil
 }
 
 func TestFig3aShapePFWinsAtEverySize(t *testing.T) {
@@ -171,7 +186,7 @@ func TestFig5bShapeNoPenaltyWhenDisksSleepWholeTrace(t *testing.T) {
 }
 
 func TestFig6ShapeWebTrace(t *testing.T) {
-	tr, err := webTrace(Options{})
+	tr, err := workload.Synthetic(Options{}.web())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +277,17 @@ func TestRunUnknownID(t *testing.T) {
 	if _, err := Run("fig99", Options{}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
+	// The error is the first failing experiment's, in id order.
+	_, err := RunMany([]string{"tableI", "nope", "fig99"}, Options{Requests: 50})
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("RunMany error %v, want the one naming nope", err)
+	}
 }
 
 func TestIDsStableAndComplete(t *testing.T) {
 	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Fatalf("IDs() returned %d, registry has %d", len(ids), len(Registry))
+	if len(ids) != len(registry) {
+		t.Fatalf("IDs() returned %d, registry has %d", len(ids), len(registry))
 	}
 	if ids[0] != "tableI" || ids[1] != "tableII" {
 		t.Errorf("tables should come first: %v", ids[:3])
@@ -304,7 +324,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func BenchmarkFig3bSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := popularity.sweep(Options{}, true); err != nil {
+		if _, err := popularity.points(Options{}, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,18 +10,18 @@ import (
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/trace"
+	"eevfs/internal/workload"
 )
 
-// The experiment engine. Every simulation is an independent pure function
-// of (config, trace), and cluster.Run is fully deterministic, so fanning
-// the simulations out over a worker pool cannot change any result —
-// provided no config is written once built, traces are only ever read,
-// and results are collected in run order rather than completion order.
-// For the same reason two runs of one trace under equal configs are one
-// simulation: simulate runs it once and hands both the result. The
-// sharing lives and dies with one simulate call; nothing is remembered
-// across calls. simulate and RunMany encode exactly those rules; the
-// determinism tests hold them to byte-identity with the sequential path.
+// The experiment engine: RunMany plans every experiment, simulates all
+// their runs in one simulate call, then renders. Each simulation is a
+// pure function of (config, trace), so fanning them over a worker pool
+// cannot change any result — provided no config is written once built,
+// traces are only ever read, and results are collected in run order. For
+// the same reason two runs of one trace under equal configs are one
+// simulation, whichever experiment planned them. The sharing lives and
+// dies with one RunMany call; nothing is remembered across calls. The
+// determinism tests hold this to byte-identity with the sequential path.
 
 // run is one simulation: a row label, a fully built config and the trace
 // it replays. Runs are built sequentially — trace generation is cheap and
@@ -31,6 +31,32 @@ type run struct {
 	label string
 	cfg   cluster.Config
 	trace *trace.Trace
+}
+
+// plan is an experiment's first phase: the runs its table reads, and how
+// to render the table from their results, given in run order.
+type plan struct {
+	runs   []run
+	render func(res []cluster.Result) Table
+}
+
+// planner builds the plans of one RunMany call. It generates one trace
+// per distinct workload config, so the experiments of a call that replay
+// equal workloads replay the same *trace.Trace, and simulate shares
+// their equal runs. A planner dies with its call.
+type planner struct {
+	Options
+	traces map[workload.SyntheticConfig]*trace.Trace
+}
+
+// trace returns the planner's trace of workload w, generating it on first
+// use.
+func (p *planner) trace(w workload.SyntheticConfig) (tr *trace.Trace, err error) {
+	if tr = p.traces[w]; tr == nil {
+		tr, err = workload.Synthetic(w)
+		p.traces[w] = tr
+	}
+	return tr, err
 }
 
 // arms is the paper's comparison at one point: PF, then NPF, on one trace.
@@ -127,11 +153,54 @@ func fanOut[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// RunMany executes several registered experiments, fanning them out over
-// Options.Workers workers, and returns their tables in the order the ids
-// were given — byte-identical to calling Run in a loop.
+// execute simulates the runs of every plan in one simulate call and
+// renders each plan's table from its share of the results.
+func execute(o Options, plans []plan) ([]Table, error) {
+	var runs []run
+	for _, pl := range plans {
+		runs = append(runs, pl.runs...)
+	}
+	res, err := simulate(o, runs)
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]Table, len(plans))
+	for i, pl := range plans {
+		tables[i], res = pl.render(res[:len(pl.runs)]), res[len(pl.runs):]
+	}
+	return tables, nil
+}
+
+// RunMany executes several registered experiments and returns their
+// tables in the order the ids were given — byte-identical to calling Run
+// on each — simulating each distinct run of them all once. The error is
+// the first failing experiment's, in id order.
 func RunMany(ids []string, o Options) ([]Table, error) {
-	return fanOut(o.workers(), len(ids), func(i int) (Table, error) {
-		return Run(strings.TrimSpace(ids[i]), o)
-	})
+	p := &planner{o, map[workload.SyntheticConfig]*trace.Trace{}}
+	var plans []plan
+	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		build, ok := registry[id]
+		if !ok {
+			build = func(*planner) (plan, error) { return plan{}, fmt.Errorf("experiments: unknown experiment %q", id) }
+		}
+		pl, err := build(p)
+		if err != nil {
+			if _, simErr := execute(o, plans); simErr != nil {
+				return nil, simErr // an earlier experiment's
+			}
+			return nil, err
+		}
+		plans = append(plans, pl)
+	}
+	return execute(o, plans)
+}
+
+// Run executes one registered experiment.
+func Run(id string, o Options) (Table, error) {
+	tables, err := RunMany([]string{id}, o)
+	if err != nil {
+		return Table{}, err
+	}
+	return tables[0], nil
 }

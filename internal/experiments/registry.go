@@ -11,15 +11,12 @@ import (
 	"eevfs/internal/workload"
 )
 
-// Runner regenerates one experiment artifact.
-type Runner func(Options) (Table, error)
-
-// Registry maps experiment ids (the per-experiment index in DESIGN.md) to
-// their runners; fig3a to fig5d and ext-disks are added from the figures
+// registry maps experiment ids (the per-experiment index in DESIGN.md)
+// to their plans; fig3a to fig5d and ext-disks are added from the figures
 // table.
-var Registry = map[string]Runner{
-	"tableI":             TableI,
-	"tableII":            TableII,
+var registry = map[string]func(*planner) (plan, error){
+	"tableI":             tableI,
+	"tableII":            tableII,
 	"fig6":               fig6,
 	"ext-hints":          extHints,
 	"ext-baselines":      extBaselines,
@@ -36,8 +33,8 @@ var Registry = map[string]Runner{
 
 // IDs returns all experiment ids in stable presentation order.
 func IDs() []string {
-	ids := make([]string, 0, len(Registry))
-	for id := range Registry {
+	ids := make([]string, 0, len(registry))
+	for id := range registry {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return orderKey(ids[i]) < orderKey(ids[j]) })
@@ -59,18 +56,20 @@ func orderKey(id string) string {
 	}
 }
 
-// Run executes one experiment by id.
-func Run(id string, o Options) (Table, error) {
-	r, ok := Registry[id]
-	if !ok {
-		return Table{}, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return r(o)
+// rows plans one row per run: the run's label, then cells(result).
+func rows(t Table, runs []run, cells func(cluster.Result) []string) plan {
+	return plan{runs, func(res []cluster.Result) Table {
+		t := t
+		for i, r := range res {
+			t.AddRow(append([]string{runs[i].label}, cells(r)...)...)
+		}
+		return t
+	}}
 }
 
-// TableI renders the simulated testbed configuration (the stand-in for the
+// tableI renders the simulated testbed configuration (the stand-in for the
 // paper's Table I).
-func TableI(Options) (Table, error) {
+func tableI(*planner) (plan, error) {
 	cfg := cluster.DefaultTestbed()
 	t := Table{
 		ID:    "tableI",
@@ -104,13 +103,13 @@ func TableI(Options) (Table, error) {
 			fmt.Sprintf("%d", max(n.BufferDisks, 1)),
 		)
 	}
-	return t, nil
+	return plan{render: func([]cluster.Result) Table { return t }}, nil
 }
 
-// TableII renders the system and workload parameter space (the paper's
+// tableII renders the system and workload parameter space (the paper's
 // Table II): the four swept axes, then the parameters the evaluation
 // holds fixed, each with its default.
-func TableII(Options) (Table, error) {
+func tableII(*planner) (plan, error) {
 	w, c := workload.DefaultSynthetic(), cluster.DefaultTestbed()
 	t := Table{
 		ID:      "tableII",
@@ -124,7 +123,7 @@ func TableII(Options) (Table, error) {
 	t.AddRow("Disk Idle Threshold (s)", fmt.Sprint(c.IdleThresholdSec), fmt.Sprint(c.IdleThresholdSec))
 	t.AddRow("Total files", fmt.Sprint(w.NumFiles), fmt.Sprint(w.NumFiles))
 	t.AddRow("Requests per trace", fmt.Sprint(w.NumRequests), fmt.Sprint(w.NumRequests))
-	return t, nil
+	return plan{render: func([]cluster.Result) Table { return t }}, nil
 }
 
 // figure is one table of PF-vs-NPF results over an axis: a panel of the
@@ -167,85 +166,66 @@ var figures = []figure{
 		"paper claim: savings grow as more disks are added to each storage node"}},
 }
 
-func (f figure) run(o Options) (Table, error) {
-	pts, err := f.axis.sweep(o, !f.metric.pfOnly)
-	if err != nil {
-		return Table{}, err
-	}
-	return f.metric.table(f.id, f.title, f.axis.param, pts, f.notes), nil
-}
-
 func init() {
 	for _, f := range figures {
-		Registry[f.id] = f.run
+		registry[f.id] = func(p *planner) (plan, error) {
+			return f.axis.sweep(p, !f.metric.pfOnly, func(pts []point) Table {
+				return f.metric.table(f.id, f.title, f.axis.param, pts, f.notes)
+			})
+		}
 	}
 }
 
-// webTrace is the Berkeley-web-equivalent workload (10 MB data size) of
-// Fig. 6 and the baseline comparison.
-func webTrace(o Options) (*trace.Trace, error) {
-	w := workload.DefaultWeb()
-	w.NumRequests = o.requests()
-	w.Seed = o.seed()
-	return workload.Synthetic(w)
-}
-
-func fig6(o Options) (Table, error) {
-	tr, err := webTrace(o)
+func fig6(p *planner) (plan, error) {
+	tr, err := p.trace(p.web())
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
-	return CompareArms(o, "fig6", "Energy on the Berkeley-web-equivalent trace (PF vs NPF)", tr,
+	return compareArms("fig6", "Energy on the Berkeley-web-equivalent trace (PF vs NPF)", tr,
 		func(pf, npf cluster.Result) []string {
 			return []string{
 				"paper: 17% energy savings; all data disks stayed in standby for the whole trace",
 				"workload substitution: Zipf-skewed hot set sized under K (see DESIGN.md)",
 				fmt.Sprintf("measured savings: %s", fmtPct(pf.EnergySavingsVs(npf))),
 			}
-		})
+		}), nil
 }
 
 // CompareArms replays tr under PF and NPF on the default testbed and
 // renders one row per arm, followed by notes(pf, npf): Fig. 6's table,
 // and eevfsbench's on an external trace.
 func CompareArms(o Options, id, title string, tr *trace.Trace, notes func(pf, npf cluster.Result) []string) (Table, error) {
-	res, err := simulate(o, arms(id, cluster.DefaultTestbed(), tr))
+	tables, err := execute(o, []plan{compareArms(id, title, tr, notes)})
 	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
-		ID:      id,
-		Title:   title,
-		Columns: []string{"arm", "energy (J)", "transitions", "hit ratio", "resp (s)"},
-		Notes:   notes(res[0], res[1]),
-	}
-	for i, arm := range []string{"PF", "NPF"} {
-		t.AddRow(arm, fmtJ(res[i].TotalEnergyJ), fmt.Sprint(res[i].Transitions),
-			fmtPct(100*res[i].HitRatio()), fmtS(res[i].Response.Mean))
-	}
-	return t, nil
+	return tables[0], nil
 }
 
-// simulateRows simulates the runs and adds one row per result: the run's
-// label, then cells(result).
-func (t Table) simulateRows(o Options, runs []run, cells func(cluster.Result) []string) (Table, error) {
-	res, err := simulate(o, runs)
-	if err != nil {
-		return Table{}, err
-	}
-	for i, r := range res {
-		t.AddRow(append([]string{runs[i].label}, cells(r)...)...)
-	}
-	return t, nil
+// compareArms is CompareArms's plan.
+func compareArms(id, title string, tr *trace.Trace, notes func(pf, npf cluster.Result) []string) plan {
+	return plan{arms(id, cluster.DefaultTestbed(), tr), func(res []cluster.Result) Table {
+		t := Table{
+			ID:      id,
+			Title:   title,
+			Columns: []string{"arm", "energy (J)", "transitions", "hit ratio", "resp (s)"},
+			Notes:   notes(res[0], res[1]),
+		}
+		for i, arm := range []string{"PF", "NPF"} {
+			t.AddRow(arm, fmtJ(res[i].TotalEnergyJ), fmt.Sprint(res[i].Transitions),
+				fmtPct(100*res[i].HitRatio()), fmtS(res[i].Response.Mean))
+		}
+		return t
+	}}
 }
 
 // extHints compares the three wake/sleep policies on the MU=1000 workload:
 // threshold timer only, hint-driven sleeps (paper default), and hints plus
 // predictive prewake.
-func extHints(o Options) (Table, error) {
-	tr, err := workload.Synthetic(o.synthetic())
+func extHints(p *planner) (plan, error) {
+	tr, err := p.trace(p.synthetic())
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
 	hints := cluster.DefaultTestbed()
 	threshold, prewake := hints, hints
@@ -265,56 +245,54 @@ func extHints(o Options) (Table, error) {
 		{"threshold-only", threshold, tr}, {"hints", hints, tr},
 		{"hints+prewake", prewake, tr}, {"npf", hints.NPF(), tr},
 	}
-	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+	return rows(t, runs, func(r cluster.Result) []string {
 		return []string{fmtJ(r.TotalEnergyJ), fmt.Sprint(r.Transitions), fmtS(r.Response.Mean), fmtS(r.Response.P95)}
-	})
+	}), nil
 }
 
 // extBaselines compares EEVFS against the Section II comparator systems on
 // the web-equivalent trace.
-func extBaselines(o Options) (Table, error) {
-	tr, err := webTrace(o)
+func extBaselines(p *planner) (plan, error) {
+	tr, err := p.trace(p.web())
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
 	base := cluster.DefaultTestbed()
 	var runs []run
 	for _, n := range baseline.All {
 		cfg, err := baseline.Configure(base, n)
 		if err != nil {
-			return Table{}, err
+			return plan{}, err
 		}
 		runs = append(runs, run{string(n), cfg, tr})
 	}
-	res, err := simulate(o, runs)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:    "ext-baselines",
-		Title: "Baseline comparison on the web-equivalent trace (Section II)",
-		Columns: []string{
-			"system", "energy (J)", "savings vs always-on", "transitions",
-			"hit ratio", "mean resp (s)",
-		},
-	}
-	alwaysOn := res[slices.Index(baseline.All, baseline.AlwaysOn)]
-	for i, r := range res {
-		t.AddRow(runs[i].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(alwaysOn)),
-			fmt.Sprint(r.Transitions), fmtPct(100*r.HitRatio()), fmtS(r.Response.Mean))
-	}
-	return t, nil
+	return plan{runs, func(res []cluster.Result) Table {
+		t := Table{
+			ID:    "ext-baselines",
+			Title: "Baseline comparison on the web-equivalent trace (Section II)",
+			Columns: []string{
+				"system", "energy (J)", "savings vs always-on", "transitions",
+				"hit ratio", "mean resp (s)",
+			},
+		}
+		alwaysOn := res[slices.Index(baseline.All, baseline.AlwaysOn)]
+		for i, r := range res {
+			t.AddRow(runs[i].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(alwaysOn)),
+				fmt.Sprint(r.Transitions), fmtPct(100*r.HitRatio()), fmtS(r.Response.Mean))
+		}
+		return t
+	}}, nil
 }
 
 // extStripe explores the paper's Section VII striping proposal: chunk
 // sizes from "off" down to 2 MB on a large-file workload with partial
 // coverage, trading response time against idle-window length.
-func extStripe(o Options) (Table, error) {
-	w := o.synthetic()
+func extStripe(p *planner) (plan, error) {
+	w := p.synthetic()
 	w.MeanSize = 25e6
-	tr, err := workload.Synthetic(w)
+	tr, err := p.trace(w)
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
 	var labels []string
 	var runs []run
@@ -328,39 +306,37 @@ func extStripe(o Options) (Table, error) {
 		labels = append(labels, label)
 		runs = append(runs, arms(label, cfg, tr)...)
 	}
-	res, err := simulate(o, runs)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:    "ext-stripe",
-		Title: "Striping across data disks (Section VII future work)",
-		Columns: []string{
-			"chunk", "PF energy (J)", "PF resp (s)", "NPF energy (J)",
-			"NPF resp (s)", "savings", "transitions",
-		},
-		Notes: []string{
-			"25 MB files, MU=1000, K=70; chunks round-robin over the node's data disks",
-			"striping parallelizes miss reads (lower response) but spreads residual load over more spindles",
-		},
-	}
-	for i, label := range labels {
-		pf, npf := res[2*i], res[2*i+1]
-		t.AddRow(label, fmtJ(pf.TotalEnergyJ), fmtS(pf.Response.Mean),
-			fmtJ(npf.TotalEnergyJ), fmtS(npf.Response.Mean),
-			fmtPct(pf.EnergySavingsVs(npf)), fmt.Sprint(pf.Transitions))
-	}
-	return t, nil
+	return plan{runs, func(res []cluster.Result) Table {
+		t := Table{
+			ID:    "ext-stripe",
+			Title: "Striping across data disks (Section VII future work)",
+			Columns: []string{
+				"chunk", "PF energy (J)", "PF resp (s)", "NPF energy (J)",
+				"NPF resp (s)", "savings", "transitions",
+			},
+			Notes: []string{
+				"25 MB files, MU=1000, K=70; chunks round-robin over the node's data disks",
+				"striping parallelizes miss reads (lower response) but spreads residual load over more spindles",
+			},
+		}
+		for i, label := range labels {
+			pf, npf := res[2*i], res[2*i+1]
+			t.AddRow(label, fmtJ(pf.TotalEnergyJ), fmtS(pf.Response.Mean),
+				fmtJ(npf.TotalEnergyJ), fmtS(npf.Response.Mean),
+				fmtPct(pf.EnergySavingsVs(npf)), fmt.Sprint(pf.Transitions))
+		}
+		return t
+	}}, nil
 }
 
 // extDynamic contrasts the paper's one-shot prefetch with PRE-BUD-style
 // dynamic re-prefetching on a workload whose hot set drifts.
-func extDynamic(o Options) (Table, error) {
+func extDynamic(p *planner) (plan, error) {
 	// Ten disjoint ~30-file hot sets: a one-shot top-70 prefetch covers a couple.
-	w := workload.SyntheticConfig{NumFiles: 1000, NumRequests: o.requests(), MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: o.seed()}
-	tr, err := workload.Synthetic(w)
+	w := workload.SyntheticConfig{NumFiles: 1000, NumRequests: p.requests(), MeanSize: 10 * 1e6, MU: 20, Phases: 10, InterArrival: 0.7, Seed: p.seed()}
+	tr, err := p.trace(w)
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
 	static := cluster.DefaultTestbed()
 	static.Policy = cluster.Prefetch // threshold sleeping for a like-for-like contrast
@@ -379,20 +355,20 @@ func extDynamic(o Options) (Table, error) {
 		},
 	}
 	runs := []run{{"npf", static.NPF(), tr}, {"static-prefetch", static, tr}, {"dynamic-prefetch", dynamic, tr}}
-	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+	return rows(t, runs, func(r cluster.Result) []string {
 		return []string{fmtJ(r.TotalEnergyJ), fmtPct(100 * r.HitRatio()), fmt.Sprint(r.Transitions), fmtS(r.Response.Mean)}
-	})
+	}), nil
 }
 
 // extWrites exercises the write-buffer area (Section III-C) on a mixed
 // read/write workload.
-func extWrites(o Options) (Table, error) {
-	w := o.synthetic()
+func extWrites(p *planner) (plan, error) {
+	w := p.synthetic()
 	w.MU = 100
 	w.WriteFraction = 0.3
-	tr, err := workload.Synthetic(w)
+	tr, err := p.trace(w)
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
 	through := cluster.DefaultTestbed() // the default writes through
 	buffered := through
@@ -409,21 +385,21 @@ func extWrites(o Options) (Table, error) {
 		},
 	}
 	runs := []run{{"write-buffer", buffered, tr}, {"write-through", through, tr}}
-	return t.simulateRows(o, runs, func(r cluster.Result) []string {
+	return rows(t, runs, func(r cluster.Result) []string {
 		return []string{fmtJ(r.TotalEnergyJ), fmt.Sprint(r.Transitions), fmtS(r.WriteResponse.Mean),
 			fmt.Sprint(r.BufferedWrites), fmt.Sprint(r.DirectWrites),
 			fmt.Sprintf("%.0f", float64(r.FlushedBytes)/1e6)}
-	})
+	}), nil
 }
 
 // extThreshold sweeps the disk idle threshold (Table II fixes it at 5 s;
 // the paper notes "the idle threshold can be increased to prevent disks
 // from transitioning frequently"). The PF arm sleeps on the threshold,
 // not on hints, so the threshold is actually the active policy.
-func extThreshold(o Options) (Table, error) {
-	tr, err := workload.Synthetic(o.synthetic())
+func extThreshold(p *planner) (plan, error) {
+	tr, err := p.trace(p.synthetic())
 	if err != nil {
-		return Table{}, err
+		return plan{}, err
 	}
 	runs := []run{{"npf", cluster.DefaultTestbed().NPF(), tr}}
 	for _, th := range []float64{1, 2, 5, 10, 20, 60} {
@@ -432,27 +408,25 @@ func extThreshold(o Options) (Table, error) {
 		cfg.IdleThresholdSec = th
 		runs = append(runs, run{fmt.Sprintf("%.0f", th), cfg, tr})
 	}
-	res, err := simulate(o, runs)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:    "ext-threshold",
-		Title: "Idle-threshold sweep (Section VI-B's tuning remark)",
-		Columns: []string{
-			"threshold (s)", "energy (J)", "savings", "transitions",
-			"worst wear (yr)", "mean resp (s)",
-		},
-		Notes: []string{
-			"MU=1000, K=70, threshold policy (hints off); drive break-even is ~5.6 s",
-			"shorter thresholds capture more idle time (this workload's residual gaps are long) at the cost of more transitions; very long thresholds give up most of the savings",
-		},
-	}
-	for i, r := range res[1:] {
-		t.AddRow(runs[i+1].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(res[0])),
-			fmt.Sprint(r.Transitions), fmtWear(r, 2), fmtS(r.Response.Mean))
-	}
-	return t, nil
+	return plan{runs, func(res []cluster.Result) Table {
+		t := Table{
+			ID:    "ext-threshold",
+			Title: "Idle-threshold sweep (Section VI-B's tuning remark)",
+			Columns: []string{
+				"threshold (s)", "energy (J)", "savings", "transitions",
+				"worst wear (yr)", "mean resp (s)",
+			},
+			Notes: []string{
+				"MU=1000, K=70, threshold policy (hints off); drive break-even is ~5.6 s",
+				"shorter thresholds capture more idle time (this workload's residual gaps are long) at the cost of more transitions; very long thresholds give up most of the savings",
+			},
+		}
+		for i, r := range res[1:] {
+			t.AddRow(runs[i+1].label, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(res[0])),
+				fmt.Sprint(r.Transitions), fmtWear(r, 2), fmtS(r.Response.Mean))
+		}
+		return t
+	}}, nil
 }
 
 // clusterSize grows the cluster (the paper's Section I scalability
@@ -474,28 +448,26 @@ var clusterSize = axis{
 	},
 }
 
-func extScale(o Options) (Table, error) {
-	pts, err := clusterSize.sweep(o, true)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:    "ext-scale",
-		Title: "Cluster scaling (Section I scalability claim)",
-		Columns: []string{
-			"nodes", "PF energy (J)", "NPF energy (J)", "savings",
-			"PF resp (s)", "NPF resp (s)",
-		},
-		Notes: []string{
-			"fixed 1000-request MU=100 workload spread over growing clusters (half Type 1, half Type 2)",
-			"relative savings hold as the cluster grows; response improves with more spindles",
-		},
-	}
-	for _, p := range pts {
-		t.AddRow(p.label, fmtJ(p.pf.TotalEnergyJ), fmtJ(p.npf.TotalEnergyJ),
-			fmtPct(p.pf.EnergySavingsVs(p.npf)), fmtS(p.pf.Response.Mean), fmtS(p.npf.Response.Mean))
-	}
-	return t, nil
+func extScale(p *planner) (plan, error) {
+	return clusterSize.sweep(p, true, func(pts []point) Table {
+		t := Table{
+			ID:    "ext-scale",
+			Title: "Cluster scaling (Section I scalability claim)",
+			Columns: []string{
+				"nodes", "PF energy (J)", "NPF energy (J)", "savings",
+				"PF resp (s)", "NPF resp (s)",
+			},
+			Notes: []string{
+				"fixed 1000-request MU=100 workload spread over growing clusters (half Type 1, half Type 2)",
+				"relative savings hold as the cluster grows; response improves with more spindles",
+			},
+		}
+		for _, p := range pts {
+			t.AddRow(p.label, fmtJ(p.pf.TotalEnergyJ), fmtJ(p.npf.TotalEnergyJ),
+				fmtPct(p.pf.EnergySavingsVs(p.npf)), fmtS(p.pf.Response.Mean), fmtS(p.npf.Response.Mean))
+		}
+		return t
+	})
 }
 
 // extBuffers sweeps the number of buffer disks per node (the BUD
@@ -504,7 +476,7 @@ func extScale(o Options) (Table, error) {
 // paced load they only add idle draw — the paper's remark that "you would
 // need many data disks to amortize the energy cost of adding an extra
 // disk", seen from the m side.
-func extBuffers(o Options) (Table, error) {
+func extBuffers(p *planner) (plan, error) {
 	loads := []struct {
 		name  string
 		delay float64
@@ -513,12 +485,12 @@ func extBuffers(o Options) (Table, error) {
 	// Per load: the m=1 NPF baseline, then one run per m.
 	var runs []run
 	for _, load := range loads {
-		w := o.synthetic()
+		w := p.synthetic()
 		w.MU = 100
 		w.InterArrival = load.delay
-		tr, err := workload.Synthetic(w)
+		tr, err := p.trace(w)
 		if err != nil {
-			return Table{}, err
+			return plan{}, err
 		}
 		runs = append(runs, run{load.name + " npf", cluster.DefaultTestbed().NPF(), tr})
 		for _, m := range ms {
@@ -529,28 +501,26 @@ func extBuffers(o Options) (Table, error) {
 			runs = append(runs, run{fmt.Sprintf("%s m=%d", load.name, m), cfg, tr})
 		}
 	}
-	res, err := simulate(o, runs)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:    "ext-buffers",
-		Title: "Buffer disks per node (the BUD architecture's m, Section I)",
-		Columns: []string{
-			"m", "load", "energy (J)", "savings", "mean resp (s)", "p95 resp (s)",
-		},
-		Notes: []string{
-			"MU=100 (fully covered); 'paced' = 700 ms inter-arrival, 'burst' = all requests at t=0",
-			"savings are vs the m=1 NPF cluster: extra buffer spindles are pure idle draw unless the load is buffer-bound",
-		},
-	}
-	for l, load := range loads {
-		group := res[l*(len(ms)+1):]
-		for i, m := range ms {
-			r := group[i+1]
-			t.AddRow(fmt.Sprint(m), load.name, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(group[0])),
-				fmtS(r.Response.Mean), fmtS(r.Response.P95))
+	return plan{runs, func(res []cluster.Result) Table {
+		t := Table{
+			ID:    "ext-buffers",
+			Title: "Buffer disks per node (the BUD architecture's m, Section I)",
+			Columns: []string{
+				"m", "load", "energy (J)", "savings", "mean resp (s)", "p95 resp (s)",
+			},
+			Notes: []string{
+				"MU=100 (fully covered); 'paced' = 700 ms inter-arrival, 'burst' = all requests at t=0",
+				"savings are vs the m=1 NPF cluster: extra buffer spindles are pure idle draw unless the load is buffer-bound",
+			},
 		}
-	}
-	return t, nil
+		for l, load := range loads {
+			group := res[l*(len(ms)+1):]
+			for i, m := range ms {
+				r := group[i+1]
+				t.AddRow(fmt.Sprint(m), load.name, fmtJ(r.TotalEnergyJ), fmtPct(r.EnergySavingsVs(group[0])),
+					fmtS(r.Response.Mean), fmtS(r.Response.P95))
+			}
+		}
+		return t
+	}}, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"eevfs/internal/cluster"
 	"eevfs/internal/disk"
-	"eevfs/internal/trace"
 	"eevfs/internal/workload"
 )
 
@@ -19,8 +18,8 @@ type Options struct {
 	// Seed overrides the workload seed (default 1).
 	Seed uint64
 	// Workers sets the simulation concurrency: 0 or 1 runs sequentially,
-	// n > 1 fans the experiments and their simulations over n workers,
-	// negative means GOMAXPROCS. Results are byte-identical either way
+	// n > 1 fans the simulations over n workers, negative means
+	// GOMAXPROCS. Results are byte-identical either way
 	// (see parallel.go).
 	Workers int
 }
@@ -46,9 +45,18 @@ func (o Options) synthetic() workload.SyntheticConfig {
 	return cfg
 }
 
+// web is the Berkeley-web-equivalent workload (10 MB data size) of Fig. 6
+// and the baseline comparison.
+func (o Options) web() workload.SyntheticConfig {
+	w := workload.DefaultWeb()
+	w.NumRequests = o.requests()
+	w.Seed = o.seed()
+	return w
+}
+
 // axis is one swept parameter, compared PF against NPF at every value.
 // A value changes the default synthetic workload, the default testbed, or
-// both; consecutive values whose workloads are equal replay one trace.
+// both; values whose workloads are equal replay one trace.
 type axis struct {
 	name     string // the parameter as Table II names it, if it does
 	param    string // column header for the swept value
@@ -107,26 +115,21 @@ type point struct {
 	pf, npf cluster.Result
 }
 
-// sweep simulates PF at every value of the axis, and NPF next to it when
-// withNPF is set.
-func (a axis) sweep(o Options, withNPF bool) ([]point, error) {
+// sweep plans PF at every value of the axis, and NPF next to it when
+// withNPF is set, and renders the table from the points.
+func (a axis) sweep(p *planner, withNPF bool, render func([]point) Table) (plan, error) {
 	var runs []run
-	var w0 workload.SyntheticConfig
-	var tr *trace.Trace
 	for _, v := range a.values {
-		w, cfg := o.synthetic(), cluster.DefaultTestbed()
+		w, cfg := p.synthetic(), cluster.DefaultTestbed()
 		if a.workload != nil {
 			a.workload(&w, v)
 		}
 		if a.config != nil {
 			a.config(&cfg, v)
 		}
-		if tr == nil || w != w0 {
-			var err error
-			if tr, err = workload.Synthetic(w); err != nil {
-				return nil, err
-			}
-			w0 = w
+		tr, err := p.trace(w)
+		if err != nil {
+			return plan{}, err
 		}
 		label := fmt.Sprintf(a.label, v)
 		if withNPF {
@@ -135,19 +138,17 @@ func (a axis) sweep(o Options, withNPF bool) ([]point, error) {
 			runs = append(runs, run{label + " PF", cfg, tr})
 		}
 	}
-	res, err := simulate(o, runs)
-	if err != nil {
-		return nil, err
-	}
-	per := len(runs) / len(a.values)
-	pts := make([]point, len(a.values))
-	for i, v := range a.values {
-		pts[i] = point{label: fmt.Sprintf(a.label, v), pf: res[per*i]}
-		if withNPF {
-			pts[i].npf = res[per*i+1]
+	return plan{runs, func(res []cluster.Result) Table {
+		per := len(res) / len(a.values)
+		pts := make([]point, len(a.values))
+		for i, v := range a.values {
+			pts[i] = point{label: fmt.Sprintf(a.label, v), pf: res[per*i]}
+			if withNPF {
+				pts[i].npf = res[per*i+1]
+			}
 		}
-	}
-	return pts, nil
+		return render(pts)
+	}}, nil
 }
 
 // metric is what a figure panel measures over an axis: Fig. 3 energy,

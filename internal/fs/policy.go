@@ -112,7 +112,7 @@ func (p *reprefetcher) loop() {
 		case id := <-p.obs:
 			if churn.Observe(id, buffered[id]) && p.s.log.isPrimary() && p.busy.CompareAndSwap(false, true) {
 				p.s.wg.Add(1)
-				go p.recompute(churn.Counts())
+				go p.recompute(churn.Window())
 			}
 		}
 	}
@@ -124,10 +124,10 @@ func (p *reprefetcher) loop() {
 // fan-out a client-issued prefetch uses, and record the new buffered
 // set. Failures are logged, not fatal, and do not reset the detector, so
 // a transient node error is retried on the next trigger.
-func (p *reprefetcher) recompute(counts map[int]int) {
+func (p *reprefetcher) recompute(window []int) {
 	defer p.s.wg.Done()
 	defer p.busy.Store(false)
-	ids := prefetch.SelectWindowed(counts, p.params.MinFetchHits, int(p.lastK.Load()))
+	ids := prefetch.SelectWindowed(window, p.params.MinFetchHits, int(p.lastK.Load()))
 	if len(ids) == 0 {
 		return
 	}

@@ -6,7 +6,9 @@
 package prefetch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"eevfs/internal/disk"
@@ -54,22 +56,34 @@ func SelectRanked(ranks, counts []int, sizes []int64, k int, capacity int64) ([]
 // popularity window (the adaptive policy's churn-triggered re-ranking,
 // in contrast to Select's whole-trace counts) and returns the ids worth
 // fetching: windowed count at least minHits, in descending count order
-// with ties broken by ascending id. max > 0 caps the result length.
-func SelectWindowed(counts map[int]int, minHits, max int) []int {
-	ids := make([]int, 0, len(counts))
-	for id, c := range counts {
-		if c >= minHits {
-			ids = append(ids, id)
+// with ties broken by ascending id. window holds one file id per access
+// and is sorted in place. max > 0 caps the result length.
+func SelectWindowed(window []int, minHits, max int) []int {
+	type tally struct{ id, count int }
+	slices.Sort(window)
+	var hot []tally
+	for i := 0; i < len(window); {
+		j := i + 1
+		for j < len(window) && window[j] == window[i] {
+			j++
 		}
+		if j-i >= minHits {
+			hot = append(hot, tally{window[i], j - i})
+		}
+		i = j
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if counts[ids[i]] != counts[ids[j]] {
-			return counts[ids[i]] > counts[ids[j]]
+	slices.SortFunc(hot, func(a, b tally) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(a.id, b.id)
 	})
-	if max > 0 && len(ids) > max {
-		ids = ids[:max]
+	if max > 0 && len(hot) > max {
+		hot = hot[:max]
+	}
+	ids := make([]int, len(hot))
+	for i, h := range hot {
+		ids[i] = h.id
 	}
 	return ids
 }

@@ -386,3 +386,42 @@ func TestQuickSelectShape(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSelectWindowedMatchesComparator pins SelectWindowed to the ranking
+// it replaced — a count map, sorted by count descending then id
+// ascending — on random windows over few ids, so counts repeat and tie.
+func TestSelectWindowedMatchesComparator(t *testing.T) {
+	reference := func(window []int, minHits, max int) []int {
+		counts := map[int]int{}
+		for _, id := range window {
+			counts[id]++
+		}
+		ids := []int{}
+		for id, c := range counts {
+			if c >= minHits {
+				ids = append(ids, id)
+			}
+		}
+		sort.Slice(ids, func(i, j int) bool {
+			if counts[ids[i]] != counts[ids[j]] {
+				return counts[ids[i]] > counts[ids[j]]
+			}
+			return ids[i] < ids[j]
+		})
+		if max > 0 && len(ids) > max {
+			ids = ids[:max]
+		}
+		return ids
+	}
+	f := func(raw []uint8, minHits, max uint8) bool {
+		window := make([]int, len(raw))
+		for i, b := range raw {
+			window[i] = int(b % 40)
+		}
+		want := reference(window, int(minHits%5), int(max%12))
+		return slices.Equal(SelectWindowed(window, int(minHits%5), int(max%12)), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
