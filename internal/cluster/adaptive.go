@@ -142,7 +142,7 @@ func (s *sim) adaptiveFetchFeeJ(n *simNode, fid int, size int64) float64 {
 func (s *sim) adaptiveReprefetch(now simtime.Time) {
 	p := s.adapt.params
 	ids := prefetch.SelectWindowed(s.adapt.churn.Window(), p.MinFetchHits, 0)
-	want := prefetch.NewSet(ids)
+	want := &wanted{ids: ids}
 	fetched := 0
 	for _, fid := range ids {
 		if fetched >= p.MaxFetchPerRecompute {

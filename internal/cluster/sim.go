@@ -795,7 +795,7 @@ func (s *sim) reprefetch(now simtime.Time) {
 		// Cannot happen: inputs are internally consistent.
 		panic(err)
 	}
-	want := prefetch.NewSet(ids)
+	want := &wanted{ids: ids}
 
 	// Fetch newly hot files. Eviction is capacity-driven only: cooled
 	// files stay as free buffer hits until their space is needed (the
@@ -813,7 +813,7 @@ func (s *sim) reprefetch(now simtime.Time) {
 // feeJ from the adaptive arm's savings bank, reserves the space and fans
 // the fetch read out to the data disks. It reports false, and does
 // nothing past the evictions, when the file cannot be made to fit.
-func (s *sim) admitFetch(n *simNode, fid int, want prefetch.Set, feeJ float64, now simtime.Time) bool {
+func (s *sim) admitFetch(n *simNode, fid int, want *wanted, feeJ float64, now simtime.Time) bool {
 	size := s.tr.FileSizes[fid]
 	_, bi := n.bufferFor(fid)
 	for !n.bufferFits(fid, size) {
@@ -831,12 +831,27 @@ func (s *sim) admitFetch(n *simNode, fid int, want prefetch.Set, feeJ float64, n
 	return true
 }
 
+// wanted is the ranking a re-prefetch fetches by. Only an eviction asks
+// whether it holds a file, and only when a buffer disk is full, so the set
+// is built the first time one asks.
+type wanted struct {
+	ids []int
+	set prefetch.Set
+}
+
+func (w *wanted) has(fid int) bool {
+	if w.set == nil {
+		w.set = prefetch.NewSet(w.ids)
+	}
+	return w.set[fid]
+}
+
 // evictColdest drops one prefetched file on the node's given buffer disk
 // that the current ranking no longer wants; it reports whether anything
 // was evicted.
-func (s *sim) evictColdest(n *simNode, bufIdx int, want prefetch.Set) bool {
+func (s *sim) evictColdest(n *simNode, bufIdx int, want *wanted) bool {
 	for fid, in := range s.prefetched { // the lowest id goes first
-		if in && !want[fid] && s.assign.Node[fid] == n.id && fid%len(n.buffers) == bufIdx {
+		if in && !want.has(fid) && s.assign.Node[fid] == n.id && fid%len(n.buffers) == bufIdx {
 			s.prefetched[fid] = false
 			n.bufferRelease(fid, s.tr.FileSizes[fid])
 			return true

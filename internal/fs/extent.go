@@ -96,34 +96,30 @@ const wholeFile = -1
 // serves it, the first one open, and the byte range wanted from them.
 type reading struct {
 	exts        []extent
-	first       *os.File // exts[0] when it is a file of its own; a segment is open already
-	rec         *fileRec // the file read: while first is open, one of its readers
+	first       *openExtent // exts[0] when it is a file of its own; a segment is open already
+	rec         *fileRec    // the file read: while first is open, one of its readers
 	off, length int64
 	fromBuffer  bool // source pinned exts[0].seg
 }
 
-// open opens the first extent if it is a file of its own: the existence
-// check before any disk is charged. It counts itself among the file's
-// readers first, so that no commit recycles an inode it may have open
-// (extentWriter.commit).
+// open takes the first extent's descriptor if it is a file of its own —
+// the existence check before any disk is charged — from the node's open
+// extents (openextent.go), counting itself among the file's readers first,
+// so that no commit recycles an inode it may have open (land).
 func (r *reading) open(t *fileTable) (err error) {
 	if r.exts[0].seg != nil {
 		return nil
 	}
-	t.addReader(r.rec, 1)
-	if r.first, err = os.Open(r.exts[0].path); err != nil {
-		t.addReader(r.rec, -1)
-	}
+	r.first, err = t.takeExtent(r.rec, r.exts[0].path, true)
 	return err
 }
 
-// close releases what source took for the reading: the open first extent
-// and its place among the file's readers, or the pin on the segment
-// holding the buffer copy.
+// close releases what source took for the reading: the first extent's
+// descriptor and its place among the file's readers, or the pin on the
+// segment holding the buffer copy.
 func (r reading) close(t *fileTable) {
 	if r.first != nil {
-		r.first.Close()
-		t.addReader(r.rec, -1)
+		t.putExtent(r.first, true)
 	}
 	if r.fromBuffer {
 		t.unpin(r.exts[0].seg)
@@ -262,7 +258,7 @@ func (n *Node) chargeOn(nd *nodeDisk, exts []extent, off, length int64, write bo
 // emit moves the reading's bytes through buf, at most len(buf) at a time:
 // each piece is handed to fn before buf is filled again — or, with no fn,
 // stays, the next landing behind it, and buf ends up holding the range.
-func (r reading) emit(buf []byte, fn func([]byte) error) error {
+func (r reading) emit(t *fileTable, buf []byte, fn func([]byte) error) error {
 	pos := int64(0)
 	for i, e := range r.exts {
 		lo, hi := max(r.off, pos)-pos, min(r.off+r.length, pos+e.size)-pos
@@ -270,14 +266,18 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 		if lo >= hi {
 			continue
 		}
-		f, base, err := r.first, e.off, error(nil)
+		open, base, err := r.first, e.off, error(nil)
+		var f *os.File
 		switch {
 		case e.seg != nil:
 			f = e.seg.f
 		case i > 0:
-			if f, err = os.Open(e.path); err != nil {
+			if open, err = t.takeExtent(r.rec, e.path, false); err != nil {
 				return err
 			}
+			f = open.f
+		default:
+			f = open.f
 		}
 		for lo < hi && err == nil {
 			b := buf[:min(int64(len(buf)), hi-lo)]
@@ -291,7 +291,7 @@ func (r reading) emit(buf []byte, fn func([]byte) error) error {
 			lo += int64(len(b))
 		}
 		if e.seg == nil && i > 0 {
-			f.Close()
+			t.putExtent(open, false)
 		}
 		if err != nil {
 			return err
@@ -317,7 +317,7 @@ func (n *Node) copyInto(w *extentWriter, file fileRec, src []extent, ra reqAttri
 	n.charge(w.exts, 0, file.Size, true, ra)
 	buf := proto.GetChunk(proto.DefaultStreamChunk)
 	defer proto.PutChunk(buf)
-	if err := r.emit(buf, w.write); err != nil {
+	if err := r.emit(n.files, buf, w.write); err != nil {
 		w.abandon()
 		return err
 	}
@@ -360,6 +360,9 @@ type extentWriter struct {
 	asOf     uint64
 	reserved int64
 	pinned   *segment
+	// retired are the disks on which commit kept the inode it replaced
+	// under spareName, for land to settle.
+	retired []*nodeDisk
 	// Set by sink for a client write.
 	size     int64
 	buffered bool
@@ -443,31 +446,18 @@ func (w *extentWriter) spareName(nd *nodeDisk) string {
 // An extent of recycleBytes or more first gets a second name for the inode
 // it replaces, link(cur, spare); the rename then switches readers from old
 // to new in one step as before, and the old inode lives on under the spare
-// name only — kept as its disk's spare, one per disk, when no reading of
-// the file's data-disk copy is open once the renames are done. A reading
-// counts itself before it opens, so one that could hold the old inode is
-// seen here, and one that is not seen opens the new one. Otherwise the
-// spare is unlinked.
-func (w *extentWriter) commit() (err error) {
+// name only, for land to settle (retire).
+func (w *extentWriter) commit() error {
 	if w.f != nil || w.idx != len(w.exts) {
 		return fmt.Errorf("fs: write ended short of declared size")
 	}
-	var retired []*nodeDisk // disks holding a replaced inode under spareName
-	defer func() {
-		keep := err == nil && len(retired) > 0 && !w.files.isRead(w.rec)
-		for _, nd := range retired {
-			if name := w.spareName(nd); !keep || !nd.spare.CompareAndSwap(nil, &name) {
-				os.Remove(name)
-			}
-		}
-	}()
 	for _, e := range w.exts {
 		if e.seg != nil {
 			continue
 		}
-		if e.size >= recycleBytes && e.nd.spare.Load() == nil && !slices.Contains(retired, e.nd) &&
+		if e.size >= recycleBytes && e.nd.spare.Load() == nil && !slices.Contains(w.retired, e.nd) &&
 			os.Link(e.path, w.spareName(e.nd)) == nil {
-			retired = append(retired, e.nd)
+			w.retired = append(w.retired, e.nd)
 		}
 		if err := os.Rename(e.path+w.part, e.path); err != nil {
 			return err
@@ -479,6 +469,23 @@ func (w *extentWriter) commit() (err error) {
 		}
 	}
 	return nil
+}
+
+// retire settles the inodes commit replaced: each is kept as its disk's
+// spare, one per disk, when the write landed and no reading of the file's
+// data-disk copy is open; otherwise it is unlinked. It runs after land's
+// transition, which moved the file's generation and so dropped its kept
+// descriptors (openextent.go): a reading not counted by now opens the new
+// inode, and one that could hold the old one is counted, because a
+// reading counts itself before it takes a descriptor.
+func (w *extentWriter) retire(landed bool) {
+	keep := landed && len(w.retired) > 0 && !w.files.isRead(w.rec)
+	for _, nd := range w.retired {
+		if name := w.spareName(nd); !keep || !nd.spare.CompareAndSwap(nil, &name) {
+			os.Remove(name)
+		}
+	}
+	w.retired = nil
 }
 
 // abandon discards all partial state.
@@ -535,6 +542,7 @@ func (n *Node) land(w *extentWriter, edit func(r *nodeRecord)) error {
 		}
 		return nil
 	})
+	w.retire(err == nil)
 	if err != nil {
 		w.abandon()
 		return err

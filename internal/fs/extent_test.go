@@ -797,3 +797,14 @@ func TestExtentPathMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// TestFileKeyMatchesFmt: the energy ledger's per-file key, built with
+// strconv, is byte for byte fmt's "file:%d", so per-file joules land in
+// the buckets they always did.
+func TestFileKeyMatchesFmt(t *testing.T) {
+	for _, id := range []int64{0, 1, 9, 10, 99, 100, 42, 99999999, 123456789012, math.MaxInt64, -1, -1234567, math.MinInt64} {
+		if got, want := fileKey(id), fmt.Sprintf("file:%d", id); got != want {
+			t.Errorf("fileKey(%d) = %q, want %q", id, got, want)
+		}
+	}
+}

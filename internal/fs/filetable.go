@@ -9,6 +9,7 @@ package fs
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 
@@ -28,6 +29,9 @@ type fileRec struct {
 	last      float64 // model time of the last request; 0: none since start
 	gen       uint64  // bumped by every apply: has the file moved since it was looked up?
 	readers   int     // readings of the data-disk copy open (extent.go): no commit recycles under them
+	// open holds the data-disk descriptors kept for readings to come, all
+	// opened at gen (openextent.go); they count as no reader.
+	open []*openExtent
 }
 
 // inBuffer reports whether the buffer disk holds the file's newest copy.
@@ -53,6 +57,7 @@ type fileTable struct {
 	plantRecycleUnderReader bool
 
 	mu     sync.Mutex
+	ext    openExtents // the data-disk descriptors kept open (openextent.go)
 	files  map[int]*fileRec
 	used   int64 // buffer-disk occupancy: the sum of every record's held()
 	cursor int   // round-robin placement cursor for creates
@@ -98,8 +103,17 @@ func (t *fileTable) validate(r nodeRecord) error {
 // knows about a file that stays — hint, last access, reservations — is
 // kept.
 func (t *fileTable) apply(r nodeRecord) error {
+	shut, err := t.applyHolding(r)
+	closeAll(shut)
+	return err
+}
+
+// applyHolding is apply handing back the file's kept descriptors, which no
+// reading may take at its next generation (openextent.go), for the caller
+// to close: transition does once it has let go of persistMu.
+func (t *fileTable) applyHolding(r nodeRecord) (shut []*os.File, err error) {
 	if err := t.validate(r); err != nil {
-		return err
+		return nil, err
 	}
 	t.mu.Lock()
 	var was *segment // the one the old record names
@@ -113,6 +127,7 @@ func (t *fileTable) apply(r nodeRecord) error {
 	t.cursor = r.NextDisk
 	rec := t.files[r.Entry.ID]
 	if rec != nil {
+		shut = t.dropFileLocked(rec, nil)
 		was = t.segs[rec.loc.Seg]
 		t.used -= rec.held()
 		t.addLive(rec.loc, -rec.Size)
@@ -120,7 +135,7 @@ func (t *fileTable) apply(r nodeRecord) error {
 	}
 	if !r.Present {
 		delete(t.files, r.Entry.ID)
-		return nil
+		return shut, nil
 	}
 	if rec == nil {
 		rec = &fileRec{NodeEntry: metadata.NodeEntry{ID: r.Entry.ID}}
@@ -134,7 +149,7 @@ func (t *fileTable) apply(r nodeRecord) error {
 	t.used += rec.held()
 	t.addLive(rec.loc, rec.Size)
 	t.index(rec)
-	return nil
+	return shut, nil
 }
 
 // index keeps rec's membership in wanted current. Callers hold mu.

@@ -6,7 +6,7 @@
 package fs
 
 import (
-	"fmt"
+	"strconv"
 
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
@@ -23,8 +23,9 @@ func (n *Node) dispatchStream(t proto.Type, req proto.StreamOpenReq, sp *telemet
 
 // handleStreamRead streams one file to the peer: open response first,
 // then data chunks under the peer-granted credit window, then a clean
-// end. One pooled chunk buffer is resident per stream regardless of file
-// size.
+// end. The open response leaves with the first chunk and the last chunk
+// with the end, so a file of one chunk leaves in one write. One pooled
+// chunk buffer is resident per stream regardless of file size.
 func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error {
 	r, err := n.source(req.FileID, 0, wholeFile, spanAttrib(sp, req.FileID, planeStream))
 	if err != nil {
@@ -33,21 +34,28 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 	defer r.close(n.files)
 
 	chunk := proto.NegotiateChunk(req.ChunkSize)
-	if err := st.Accept(proto.StreamOpenResp{FromBuffer: r.fromBuffer, Size: r.length, ChunkSize: uint32(chunk)}); err != nil {
-		return err
-	}
+	st.AcceptDeferred(proto.StreamOpenResp{FromBuffer: r.fromBuffer, Size: r.length, ChunkSize: uint32(chunk)})
 	buf := proto.GetChunk(chunk)
 	defer proto.PutChunk(buf)
-	err = r.emit(buf, func(b []byte) error {
+	sent := int64(0)
+	err = r.emit(n.files, buf, func(b []byte) error {
 		n.streamChunksC.Inc()
 		n.streamBytesC.Add(int64(len(b)))
+		if sent += int64(len(b)); sent == r.length {
+			return st.EndWith(b)
+		}
 		return st.SendChunk(b)
 	})
 	if err != nil {
 		return err
 	}
-	sp.Annotate("stream.bytes", fmt.Sprint(r.length))
-	return st.End(false)
+	if sp != nil {
+		sp.Annotate("stream.bytes", strconv.FormatInt(r.length, 10))
+	}
+	if sent == 0 { // nothing to send: the end leaves alone
+		return st.End(false)
+	}
+	return nil
 }
 
 // handleStreamWrite receives one file from the peer under a node-granted
@@ -78,6 +86,8 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 	if err := n.commitWrite(w); err != nil {
 		return err
 	}
-	sp.Annotate("stream.bytes", fmt.Sprint(req.Size))
+	if sp != nil {
+		sp.Annotate("stream.bytes", strconv.FormatInt(req.Size, 10))
+	}
 	return st.End(w.buffered)
 }

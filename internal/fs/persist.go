@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"eevfs/internal/metadata"
@@ -163,8 +164,11 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 // apply, the one place a segment loses live bytes, never frees one the log
 // still names. All of it happens inside persistMu: nothing persisted moves
 // under step, which may therefore rename staged extents into place, and an
-// id's records reach the log in the order they are applied.
+// id's records reach the log in the order they are applied. The file's
+// kept descriptors that apply drops are closed after persistMu is let go.
 func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) error) error {
+	var shut []*os.File
+	defer func() { closeAll(shut) }()
 	n.persistMu.Lock()
 	defer n.persistMu.Unlock()
 	rec, r := n.files.record(id)
@@ -186,7 +190,7 @@ func (n *Node) transition(id int, step func(rec *fileRec, r *nodeRecord) error) 
 		}
 		n.logBytesC.Add(n.wal.Size() - before)
 	}
-	_ = n.files.apply(r) // validated above: it cannot fail
+	shut, _ = n.files.applyHolding(r) // validated above: it cannot fail
 	if n.wal.NeedsCheckpoint() {
 		n.checkpointLocked()
 	}

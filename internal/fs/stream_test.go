@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
@@ -576,5 +577,90 @@ func TestReadAllocsPerOp(t *testing.T) {
 	t.Logf("%d bytes in %d objects per 16 KiB read", perOp, objs)
 	if perOp > size+4<<10 {
 		t.Fatalf("a 16 KiB read allocates %d bytes, want at most the payload + 4 KiB", perOp)
+	}
+}
+
+// TestSmallReadStreamIsOneWrite: a read stream of a one-chunk file costs
+// the node one socket write — open response, data frame and end leave
+// together — counted on an otherwise idle node by proto.write.flushes.
+func TestSmallReadStreamIsOneWrite(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cl, _, _ := testClusterSrv(t, 1, func(cfg *NodeConfig) {
+		cfg.InjectLatency = false
+		cfg.Metrics = reg
+	}, func(c *ServerConfig) { c.Health.ProbeInterval = -1 })
+	content := patternedContent(16, 1<<10)
+	if err := cl.Create("s.dat", content); err != nil {
+		t.Fatal(err)
+	}
+	// A peer can have a write's bytes before the node has counted the
+	// write: the handlers' return settles the streams' counts, and the
+	// bound leaves room for the create's two replies to the server.
+	flushes := reg.Counter("proto.write.flushes")
+	handled := reg.Histogram("node.op.stream.read.seconds", nil)
+	writesAfter := func(streams int64) int64 {
+		for deadline := time.Now().Add(10 * time.Second); handled.Count() < streams && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return flushes.Value()
+	}
+	const reads, late = 30, 2
+	var before int64
+	for i := 0; i <= reads; i++ {
+		if i == 1 { // the first opens the connection
+			before = writesAfter(1)
+		}
+		var buf bytes.Buffer
+		if _, _, err := cl.ReadTo("s.dat", &buf); err != nil || !bytes.Equal(buf.Bytes(), content) {
+			t.Fatalf("ReadTo: %d bytes, err %v", buf.Len(), err)
+		}
+	}
+	// A write may also carry the next stream's frames, if the flusher is
+	// slow to look again: at most one write per stream, not three.
+	if got := writesAfter(reads+1) - before; got > reads+late {
+		t.Fatalf("%d one-chunk read streams cost the node %d writes, want at most %d", reads, got, reads+late)
+	}
+}
+
+// TestSmallReadToAllocsPerOp is the stream read path's allocation
+// ratchet: a 1 KiB Client.ReadTo of a file on a data disk against an
+// in-process cluster — client, server and node all counted. The node
+// takes the extent's descriptor from its open extents and sends the
+// stream in one write; an open file per read, a stall timer per stream
+// or a formatted annotation trips this.
+func TestSmallReadToAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are meaningless")
+	}
+	cl, _, _ := testCluster(t, 1, func(cfg *NodeConfig) {
+		cfg.InjectLatency = false
+	})
+	const size, reads = 1 << 10, 2000
+	if err := cl.Create("small.dat", patternedContent(17, size)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if n, hit, err := cl.ReadTo("small.dat", io.Discard); err != nil || n != size || hit {
+			t.Fatalf("ReadTo: %d bytes, from buffer %v, err %v", n, hit, err)
+		}
+	}
+	for i := 0; i < 20; i++ { // warm the pools, the connections, the open extents
+		read()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / reads
+	objs := (after.Mallocs - before.Mallocs) / reads
+	t.Logf("%d bytes in %d objects per 1 KiB ReadTo", perOp, objs)
+	// Measured on 2 cores: 40 objects and 3541-3814 bytes (53 objects and
+	// 3887 bytes before the open extents and the one-write stream). The
+	// bounds allow 4 objects and about 20 % of bytes over that.
+	if objs > 44 || perOp > 4608 {
+		t.Fatalf("a 1 KiB ReadTo allocates %d objects and %d bytes, want at most 44 and 4608", objs, perOp)
 	}
 }

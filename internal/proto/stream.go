@@ -170,10 +170,16 @@ type StreamOpenResp struct {
 }
 
 // Encode serializes the message body.
-func (m StreamOpenResp) Encode() []byte {
-	var e Encoder
+func (m StreamOpenResp) Encode() []byte { return m.appendTo(nil) }
+
+// appendTo appends the encoded body to b.
+func (m StreamOpenResp) appendTo(b []byte) []byte {
+	e := Encoder{buf: b}
 	return e.Bool(m.FromBuffer).I64(m.Size).U32(m.ChunkSize).U32(m.Window).Bytes()
 }
+
+// streamOpenRespLen is the length of an encoded StreamOpenResp.
+const streamOpenRespLen = 1 + 8 + 4 + 4
 
 // DecodeStreamOpenResp parses a StreamOpenResp payload.
 func DecodeStreamOpenResp(b []byte) (StreamOpenResp, error) {
@@ -189,6 +195,11 @@ type StreamEnd struct{ Buffered bool }
 
 // Encode serializes the message body.
 func (m StreamEnd) Encode() []byte { var e Encoder; return e.Bool(m.Buffered).Bytes() }
+
+// streamEnds are the two encoded StreamEnds, indexed by Buffered: a
+// stream's end frame is copied into the write half's batch, so one shared
+// payload serves every stream.
+var streamEnds = [2][]byte{StreamEnd{}.Encode(), StreamEnd{Buffered: true}.Encode()}
 
 // DecodeStreamEnd parses a StreamEnd payload; an empty payload decodes
 // to the zero value so bare end frames stay legal.
@@ -252,6 +263,12 @@ type StreamConn interface {
 	Kill(err error)
 }
 
+// frameBatcher is a StreamConn that puts several frames of a stream on
+// the wire in one write, as FrameWriter.SendFrames does.
+type frameBatcher interface {
+	SendFrames(id uint32, frames []Frame) error
+}
+
 // streamMsg is one inbound frame of an open stream. TDataFrame payloads
 // are pooled chunk buffers; control-frame payloads are plain allocations.
 type streamMsg struct {
@@ -270,7 +287,7 @@ type Stream struct {
 	id    uint32
 	conn  StreamConn
 	stall time.Duration  // longest wait for the peer's next frame
-	timer *time.Timer    // times next's waits, stopped between them
+	timer *time.Timer    // times next's waits, stopped between them; nil until the first
 	recv  chan streamMsg // window + streamRecvSlack deep
 	done  chan struct{}  // closed exactly once, by Fail
 
@@ -288,6 +305,13 @@ type Stream struct {
 	cur     []byte // the chunk RecvChunk handed out last
 	ended   bool   // the peer's terminal frame has been consumed
 
+	// held is the open response AcceptDeferred keeps for the next frame
+	// this end sends (nil: none), encoded into heldBuf; out is what send
+	// hands the connection.
+	held    []byte
+	heldBuf [streamOpenRespLen]byte
+	out     [3]Frame
+
 	// plant is the conformance suite's planted bug, tests only:
 	// plantNoReplenish never returns a credit, plantNoSizeCheck takes any
 	// end for a clean one.
@@ -303,14 +327,11 @@ const (
 // data frames. Inbound data stays illegal until Accept (or the dialing
 // side's open) fixes the chunk size.
 func NewStream(id uint32, c StreamConn, stall time.Duration, window int) *Stream {
-	st := &Stream{
+	return &Stream{
 		id: id, conn: c, stall: stall, window: window,
-		timer: time.NewTimer(stall),
-		recv:  make(chan streamMsg, window+streamRecvSlack),
-		done:  make(chan struct{}),
+		recv: make(chan streamMsg, window+streamRecvSlack),
+		done: make(chan struct{}),
 	}
-	st.timer.Stop()
-	return st
 }
 
 // streamFrameType reports whether t is legal on an open stream id.
@@ -411,9 +432,14 @@ func (st *Stream) next(a, b Type) (streamMsg, error) {
 	select {
 	case msg = <-st.recv:
 	default:
-		// One timer per stream, made with it: a wait allocates nothing,
-		// however many a stream makes.
-		st.timer.Reset(st.stall)
+		// One timer per stream, made at its first wait: a later wait
+		// allocates nothing, and a stream that never waits — the node's
+		// end of a read within its window — allocates none.
+		if st.timer == nil {
+			st.timer = time.NewTimer(st.stall)
+		} else {
+			st.timer.Reset(st.stall)
+		}
 		defer st.timer.Stop()
 		select {
 		case msg = <-st.recv:
@@ -449,13 +475,44 @@ func (st *Stream) adopt(resp StreamOpenResp) {
 
 // Accept answers the peer's open, on the accepting side: resp carries the
 // negotiated chunk size and the declared size, Accept fills in the window.
+// The answer leaves at once: a write stream's peer waits for its grant.
 func (st *Stream) Accept(resp StreamOpenResp) error {
+	st.AcceptDeferred(resp)
+	return st.send()
+}
+
+// AcceptDeferred is Accept for an end that sends next — a read stream's
+// node: the answer is held and leaves in the same write as the next frame
+// this end sends, its first chunk, its end or an abort.
+func (st *Stream) AcceptDeferred(resp StreamOpenResp) {
 	resp.Window = uint32(st.window)
 	st.mu.Lock()
 	st.limit = int(resp.ChunkSize)
 	st.mu.Unlock()
 	st.adopt(resp)
-	return st.conn.SendFrame(TStreamOpenResp, st.id, resp.Encode())
+	st.held = resp.appendTo(st.heldBuf[:0])
+}
+
+// send puts frames of this stream on the wire behind the open response
+// this end holds, if it holds one: in one write where the connection
+// batches (FrameWriter does), one frame after the other where it does not.
+func (st *Stream) send(frames ...Frame) error {
+	out := st.out[:0]
+	if st.held != nil {
+		out = append(out, Frame{T: TStreamOpenResp, Payload: st.held})
+		st.held = nil
+	}
+	out = append(out, frames...)
+	defer clear(out) // the payloads are the caller's
+	if b, ok := st.conn.(frameBatcher); ok && len(out) > 1 {
+		return b.SendFrames(st.id, out)
+	}
+	for _, f := range out {
+		if err := st.conn.SendFrame(f.T, st.id, f.Payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // awaitOpen waits for the peer's answer to our open, on the dialing side.
@@ -476,6 +533,24 @@ func (st *Stream) awaitOpen() (StreamOpenResp, error) {
 // credit window if it is spent. A peer abort surfaces as its typed error,
 // so a sender can stop reading its disk at once.
 func (st *Stream) SendChunk(b []byte) error {
+	if err := st.awaitCredit(); err != nil {
+		return err
+	}
+	return st.send(Frame{T: TDataFrame, Payload: b})
+}
+
+// EndWith is SendChunk(b) followed by End(false) in one write: the last
+// chunk of a read stream leaves with the stream's end.
+func (st *Stream) EndWith(b []byte) error {
+	if err := st.awaitCredit(); err != nil {
+		return err
+	}
+	return st.send(Frame{T: TDataFrame, Payload: b}, Frame{T: TStreamEnd, Payload: streamEnds[0]})
+}
+
+// awaitCredit takes one send credit, waiting for the peer to return some
+// if the window is spent.
+func (st *Stream) awaitCredit() error {
 	for st.credits <= 0 {
 		msg, err := st.next(TStreamCredit, TStreamCredit)
 		if err != nil {
@@ -488,7 +563,7 @@ func (st *Stream) SendChunk(b []byte) error {
 		st.credits += int(c.N)
 	}
 	st.credits--
-	return st.conn.SendFrame(TDataFrame, st.id, b)
+	return nil
 }
 
 // RecvChunk returns the stream's next data chunk, valid until the next
@@ -527,7 +602,11 @@ func (st *Stream) RecvChunk() ([]byte, error) {
 // End ends the stream cleanly from this side. buffered is the accepting
 // side's report on a write stream; everywhere else it is false.
 func (st *Stream) End(buffered bool) error {
-	return st.conn.SendFrame(TStreamEnd, st.id, StreamEnd{Buffered: buffered}.Encode())
+	end := streamEnds[0]
+	if buffered {
+		end = streamEnds[1]
+	}
+	return st.send(Frame{T: TStreamEnd, Payload: end})
 }
 
 // awaitEnd waits for the peer's end marker answering ours, passing over
@@ -553,7 +632,7 @@ func (st *Stream) awaitEnd() (StreamEnd, error) {
 // streams stay healthy.
 func (st *Stream) Abort(errMsg []byte) {
 	st.Release()
-	_ = st.conn.SendFrame(TStreamAbort, st.id, errMsg) // a dead connection has told the peer already
+	_ = st.send(Frame{T: TStreamAbort, Payload: errMsg}) // a dead connection has told the peer already
 }
 
 // hangUp is how the dialing side lets go of a stream. The accepting side

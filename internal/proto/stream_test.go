@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -449,4 +450,85 @@ func TestStreamMessagesRoundTrip(t *testing.T) {
 	if _, err := DecodeStreamOpenReq([]byte{1, 2}); err == nil {
 		t.Fatal("truncated open req decoded")
 	}
+}
+
+// typeRecorder is a StreamConn that batches nothing: it records the type
+// of every frame it is handed.
+type typeRecorder struct{ types []Type }
+
+func (r *typeRecorder) SendFrame(t Type, _ uint32, _ []byte) error {
+	r.types = append(r.types, t)
+	return nil
+}
+
+func (r *typeRecorder) Kill(error) {}
+
+// TestReadStreamLeavesInOneWrite: the accepting end of a read stream
+// holds its open response for the first chunk and sends its last chunk
+// with the end, so a stream of n chunks costs its connection n writes —
+// one for a file of one chunk, where it cost three — whether the chunks
+// are copied into the batch or sent in place; the frames and their order
+// are what they were, also over a connection that does not batch. The
+// open response of a write stream, whose peer waits for the grant, leaves
+// at once.
+func TestReadStreamLeavesInOneWrite(t *testing.T) {
+	for _, tc := range []struct{ chunks, size int }{{1, 1000}, {1, 64 << 10}, {3, 1000}, {3, 64 << 10}} {
+		a, b := net.Pipe()
+		reg := telemetry.NewRegistry()
+		w := NewFrameWriter(a, time.Second, reg, func(error) { a.Close() })
+		got := make(chan []Type)
+		go func() {
+			var types []Type
+			for {
+				ty, _, _, err := ReadFrameID(b)
+				if err != nil {
+					got <- types
+					return
+				}
+				types = append(types, ty)
+			}
+		}()
+		var plain typeRecorder
+		for _, c := range []StreamConn{w, &plain} {
+			st := NewStream(7, c, time.Second, tc.chunks)
+			st.AcceptDeferred(StreamOpenResp{Size: int64(tc.chunks * tc.size), ChunkSize: uint32(tc.size)})
+			chunk := make([]byte, tc.size)
+			for i := 1; i < tc.chunks; i++ {
+				if err := st.SendChunk(chunk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.EndWith(chunk); err != nil {
+				t.Fatal(err)
+			}
+			if st.timer != nil {
+				t.Errorf("%d chunks of %d bytes: a sender that never waited made a stall timer", tc.chunks, tc.size)
+			}
+		}
+		if n := reg.Counter("proto.write.flushes").Value(); n != int64(tc.chunks) {
+			t.Errorf("%d chunks of %d bytes left in %d writes, want %d", tc.chunks, tc.size, n, tc.chunks)
+		}
+		a.Close()
+		want := []Type{TStreamOpenResp}
+		for i := 0; i < tc.chunks; i++ {
+			want = append(want, TDataFrame)
+		}
+		want = append(want, TStreamEnd)
+		if types := <-got; !slices.Equal(types, want) || !slices.Equal(plain.types, want) {
+			t.Errorf("%d chunks of %d bytes: frames %v batched and %v plain, want %v", tc.chunks, tc.size, types, plain.types, want)
+		}
+	}
+
+	a, b := net.Pipe()
+	defer b.Close()
+	go io.Copy(io.Discard, b)
+	reg := telemetry.NewRegistry()
+	st := NewStream(9, NewFrameWriter(a, time.Second, reg, func(error) { a.Close() }), time.Second, 4)
+	if err := st.Accept(StreamOpenResp{ChunkSize: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("proto.write.flushes").Value(); n != 1 {
+		t.Fatalf("Accept left its open response unwritten (%d writes)", n)
+	}
+	a.Close()
 }

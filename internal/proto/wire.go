@@ -111,17 +111,37 @@ func NewFrameWriter(conn net.Conn, timeout time.Duration, reg *telemetry.Registr
 // senders take the flush when it is let go.
 func (w *FrameWriter) owned() bool { return w.flushing || len(w.refs) > 0 }
 
+// Frame is one frame of a batch that SendFrames puts on the wire.
+type Frame struct {
+	T       Type
+	Payload []byte
+}
+
 // SendFrame implements StreamConn: on return the frame is on the wire or
 // queued behind the write in progress; the payload is the caller's again.
 func (w *FrameWriter) SendFrame(t Type, id uint32, payload []byte) error {
-	n := v2HeaderLen + len(payload)
-	if n > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	ref := len(payload) >= inPlacePayload
-	copied := 4 + n
-	if ref || w.plant == plantCopiedUncounted {
-		copied = 4 + v2HeaderLen
+	return w.SendFrames(id, []Frame{{T: t, Payload: payload}})
+}
+
+// SendFrames is SendFrame for several frames of stream id, queued in order
+// under one lock, so that they leave in one write: a stream's open
+// response with its first chunk, its last chunk with its end. The
+// payloads in place among them are the caller's again once that write
+// has returned.
+func (w *FrameWriter) SendFrames(id uint32, frames []Frame) error {
+	ref, copied := false, 0
+	for _, f := range frames {
+		n := v2HeaderLen + len(f.Payload)
+		if n > MaxFrame {
+			return ErrFrameTooLarge
+		}
+		byRef := len(f.Payload) >= inPlacePayload
+		ref = ref || byRef
+		if byRef || w.plant == plantCopiedUncounted {
+			copied += 4 + v2HeaderLen
+		} else {
+			copied += 4 + n
+		}
 	}
 	w.mu.Lock()
 	for w.err == nil && w.owned() && len(w.pend)+copied > writeBacklog {
@@ -132,14 +152,16 @@ func (w *FrameWriter) SendFrame(t Type, id uint32, payload []byte) error {
 		return w.err
 	}
 	idle := !w.owned()
-	w.pend = appendFrameHeader(w.pend, t, id, len(payload))
-	if ref {
-		w.refs = append(w.refs, inPlace{at: len(w.pend), b: payload})
-	} else {
-		w.pend = append(w.pend, payload...)
+	for _, f := range frames {
+		w.pend = appendFrameHeader(w.pend, f.T, id, len(f.Payload))
+		if len(f.Payload) >= inPlacePayload {
+			w.refs = append(w.refs, inPlace{at: len(w.pend), b: f.Payload})
+		} else {
+			w.pend = append(w.pend, f.Payload...)
+		}
+		w.depth.Observe(float64(w.queued))
+		w.queued++
 	}
-	w.depth.Observe(float64(w.queued))
-	w.queued++
 	batch := w.taken + 1
 	failed := false
 	if idle {
@@ -154,7 +176,11 @@ func (w *FrameWriter) SendFrame(t Type, id uint32, payload []byte) error {
 		failed = w.flush(ref)
 	}
 	if ref && w.plant == plantEarlyRelease && w.taken < batch {
-		clear(payload)
+		for _, f := range frames {
+			if len(f.Payload) >= inPlacePayload {
+				clear(f.Payload)
+			}
+		}
 	}
 	// A payload in place is its caller's again once the write carrying it
 	// has returned, or once a fault means no write ever will; its sender
