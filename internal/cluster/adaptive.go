@@ -6,7 +6,8 @@ import (
 	"eevfs/internal/simtime"
 )
 
-// adaptiveState carries one run's online-policy state (the Adaptive policy).
+// adaptiveState is the Adaptive arm's re-prefetch half; its sleep rule
+// (adaptiveRule) is the other.
 //
 // The arm starts exactly like NPF — cold buffers, no prefetch phase, no
 // future knowledge — and earns its way into power management: per-disk
@@ -17,93 +18,17 @@ import (
 // disks, so the policy can only ever spend energy it has already saved.
 type adaptiveState struct {
 	params adaptive.Params
-	ctl    *adaptive.Controller
 	churn  *adaptive.Churn
-
-	// bankJ is the realized net savings versus never sleeping: credited
-	// when a sleep episode settles, debited when a fetch is admitted.
-	bankJ float64
+	sleep  *adaptiveRule // holds the bank
 }
 
-// newAdaptiveState sizes the controller for the run's data disks and
-// stamps each with its global index.
 func (s *sim) newAdaptiveState() *adaptiveState {
 	p := adaptive.Defaults()
 	if s.cfg.AdaptiveParams != nil {
 		p = *s.cfg.AdaptiveParams
 	}
-	n := 0
-	for _, node := range s.nodes {
-		for _, d := range node.data {
-			d.adIdx = n
-			n++
-		}
-	}
-	return &adaptiveState{
-		params: p,
-		ctl:    adaptive.NewController(p, n),
-		churn:  adaptive.NewChurn(p),
-	}
-}
-
-// adaptiveObserve feeds one foreground data-disk arrival into the
-// estimator. Background fetch reads are excluded: the estimator tracks
-// client demand, not the policy's own traffic.
-func (s *sim) adaptiveObserve(d *simDisk, r *request, now simtime.Time) {
-	if s.adapt == nil || d.isBuffer {
-		return
-	}
-	if r.kind == opRead || r.kind == opWrite {
-		s.adapt.ctl.Observe(d.adIdx, float64(now))
-	}
-}
-
-// adaptiveArm applies the adapted threshold when a data disk goes idle:
-// one timer at the controller's threshold; if the disk is still idle
-// when it fires, the spin-down is attempted against the budget.
-func (s *sim) adaptiveArm(d *simDisk, now simtime.Time) {
-	if !d.idle() {
-		return
-	}
-	th := s.adapt.ctl.ThresholdSec(d.adIdx, s.cfg.IdleThresholdSec, *d.d.Model())
-	s.eng.Arm(&d.idleTimer, now+simtime.Time(th), s.on.adaptiveMaybeSleep, d)
-}
-
-// adaptiveMaybeSleep fires at the adapted threshold: if the disk is
-// still idle and the transition budget admits it, spin down; a budget
-// veto re-arms at the instant the window frees up.
-func (s *sim) adaptiveMaybeSleep(now simtime.Time, arg any) {
-	d := arg.(*simDisk)
-	if !d.idle() {
-		return
-	}
-	if !s.adapt.ctl.AllowSpinDown(d.adIdx, float64(now)) {
-		s.res.AdaptiveBudgetVetoes++
-		at := s.adapt.ctl.NextBudgetFreeAt(d.adIdx, float64(now))
-		s.eng.Arm(&d.idleTimer, simtime.Time(at), s.on.adaptiveMaybeSleep, d)
-		return
-	}
-	s.adapt.ctl.NoteSpinDown(d.adIdx, float64(now))
-	d.adSleepStart = float64(now)
-	d.adSleeping = true
-	s.beginSpinDown(d, now)
-}
-
-// adaptiveSettle credits the bank when a sleep episode ends at wake
-// time: what idling through [sleep start, wake end] would have cost,
-// minus what the cycle actually cost.
-func (s *sim) adaptiveSettle(d *simDisk, now simtime.Time) {
-	if s.adapt == nil || !d.adSleeping {
-		return
-	}
-	d.adSleeping = false
-	m := d.d.Model()
-	span := float64(now) - d.adSleepStart + m.SpinUpSec
-	dwell := float64(now) - d.adSleepStart - m.SpinDownSec
-	if dwell < 0 {
-		dwell = 0
-	}
-	s.adapt.bankJ += m.PIdle*span - (m.SpinDownJ + m.PStandby*dwell + m.SpinUpJ)
+	disks := len(s.nodes) * s.cfg.DataDisksPerNode()
+	return &adaptiveState{params: p, churn: adaptive.NewChurn(p), sleep: newAdaptiveRule(p, disks, s.cfg.IdleThresholdSec)}
 }
 
 // adaptiveNoteRead feeds the churn detector with one read's buffer
@@ -165,10 +90,11 @@ func (s *sim) adaptiveReprefetch(now simtime.Time) {
 			continue
 		}
 		fee := s.adaptiveFetchFeeJ(n, fid, size)
-		if s.adapt.bankJ < p.FetchSafety*fee {
+		if s.adapt.sleep.bankJ < p.FetchSafety*fee {
 			continue
 		}
-		if s.admitFetch(n, fid, want, fee, now) {
+		if s.admitFetch(n, fid, want, now) {
+			s.adapt.sleep.bankJ -= fee
 			fetched++
 		}
 	}

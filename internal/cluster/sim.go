@@ -73,37 +73,18 @@ func (q *reqQueue) pop() *request {
 // simDisk wraps a disk state machine with its queue and power-management
 // bookkeeping.
 type simDisk struct {
-	d         *disk.Disk
-	node      *simNode
-	name      string // journal subject, e.g. "node0/data1"
-	isBuffer  bool
-	dataIndex int // -1 for the buffer disk
+	d        *disk.Disk
+	node     *simNode
+	name     string // journal subject, e.g. "node0/data1"
+	isBuffer bool
+	index    int // run-wide data-disk index, as sleep rules key it; -1 for a buffer
 
 	queue reqQueue
-	busy  bool
-	cur   *request
+	cur   *request // in service while the disk is Active
 
-	// predicted holds the absolute times of accesses expected to reach
-	// this data disk (hints mode); predIdx advances as time passes.
-	predicted []float64
-	predIdx   int
-
-	// The disk's own re-armable timers: no handle outlives what it names.
-	idleTimer   simtime.Event
-	prewake     simtime.Event
-	wakePending bool
-
-	// Adaptive-arm bookkeeping: the disk's index into the online
-	// controller, and the open sleep episode being banked.
-	adIdx        int
-	adSleepStart float64
-	adSleeping   bool
-
-	// sleepAllowed is the PRE-BUD gate (Section IV-C): hints predict
-	// whether any idle window on this disk clears the break-even test;
-	// when none does, the node "will not place disks into the standby
-	// state" at all, avoiding guaranteed-loss transitions.
-	sleepAllowed bool
+	// timer is the disk's one re-armable timer, set by the sleep rule: no
+	// handle outlives what it names.
+	timer simtime.Event
 
 	pendingFlushBytes int64
 	// pendingPerBuffer tracks which buffer disks hold the unflushed
@@ -147,7 +128,9 @@ type sim struct {
 	replayed       int
 	observedCounts []int
 
-	// Online adaptive policy state (the Adaptive policy); nil otherwise.
+	// rule is the arm's sleep rule (nil for AlwaysOn); adapt is the
+	// Adaptive arm's re-prefetch state, nil for every other arm.
+	rule  sleepRule
 	adapt *adaptiveState
 
 	// outstanding counts unfinished work items (unarrived or in-flight
@@ -171,8 +154,8 @@ type sim struct {
 	// carries the *simDisk or *request it acts on instead of a fresh
 	// closure. Retired requests are reused; chunkBuf backs chunksOf.
 	on struct {
-		writeArrived, diskDone, respond, spinUpDone, spinDownDone  func(simtime.Time, any)
-		onIdle, idleTimeout, adaptiveMaybeSleep, prewake, flushNow func(simtime.Time, any)
+		writeArrived, diskDone, respond, spinUpDone, spinDownDone func(simtime.Time, any)
+		onIdle, timer, flushNow                                   func(simtime.Time, any)
 	}
 	freeReqs []*request
 	chunkBuf []chunk
@@ -265,17 +248,13 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 	s := &sim{cfg: cfg, tr: tr, eng: &simtime.Engine{}}
 	s.on.writeArrived, s.on.diskDone, s.on.respond = s.writeArrived, s.diskDone, s.respond
 	s.on.spinUpDone, s.on.spinDownDone, s.on.onIdle = s.spinUpDone, s.spinDownDone, s.onIdle
-	s.on.idleTimeout, s.on.adaptiveMaybeSleep = s.idleTimeout, s.adaptiveMaybeSleep
-	s.on.prewake, s.on.flushNow = s.prewakeDue, s.flushNow
+	s.on.timer, s.on.flushNow = s.timerFired, s.flushNow
 	s.jour = cfg.Journal
 	if cfg.ReprefetchEvery > 0 {
 		s.observedCounts = make([]int, tr.NumFiles())
 	}
 	s.prefetched, s.fetching = make([]bool, tr.NumFiles()), make([]bool, tr.NumFiles())
 	s.buildNodes()
-	if cfg.Policy == Adaptive {
-		s.adapt = s.newAdaptiveState()
-	}
 
 	counts := tr.Counts()
 	ranks := trace.RankByCount(counts)
@@ -300,9 +279,7 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 		s.runPrefetchPhase(ids)
 	}
 
-	if cfg.Policy == PrefetchHinted || cfg.Policy == PrefetchPrewake {
-		s.buildPredictions()
-	}
+	s.rule = s.chooseRule()
 
 	// Replay: every trace record's arrival at its storage node, streamed
 	// into the event order as the engine's ordered source.
@@ -355,23 +332,14 @@ func (s *sim) buildNodes() {
 			if buffers > 1 {
 				name = fmt.Sprintf("node%d/buffer%d", i, j)
 			}
-			sd := &simDisk{
-				d:         disk.New(name, nc.BufferModel),
-				node:      n,
-				isBuffer:  true,
-				dataIndex: -1,
-			}
+			sd := &simDisk{d: disk.New(name, nc.BufferModel), node: n, isBuffer: true, index: -1}
 			s.instrumentDisk(sd, name)
 			n.buffers = append(n.buffers, sd)
 		}
 		n.bufUsed = make([]int64, buffers)
 		for j := 0; j < nc.DataDisks; j++ {
 			name := fmt.Sprintf("node%d/data%d", i, j)
-			sd := &simDisk{
-				d:         disk.New(name, nc.DataModel),
-				node:      n,
-				dataIndex: j,
-			}
+			sd := &simDisk{d: disk.New(name, nc.DataModel), node: n, index: i*nc.DataDisks + j}
 			s.instrumentDisk(sd, name)
 			n.data = append(n.data, sd)
 		}
@@ -471,12 +439,29 @@ func (s *sim) runPrefetchPhase(ids []int) {
 	s.res.PrefetchEndSec = float64(s.offset)
 }
 
+// chooseRule returns the arm's sleep rule: the one place a run reads its
+// policy for sleep behaviour. AlwaysOn gets none.
+func (s *sim) chooseRule() sleepRule {
+	switch p := s.cfg.Policy; p {
+	case Prefetch, ThresholdDPM, MAID:
+		return &thresholdRule{tau: s.cfg.IdleThresholdSec}
+	case PrefetchHinted, PrefetchPrewake:
+		r := &hintedRule{tau: s.cfg.IdleThresholdSec, route: s.cfg.RouteLatencySec, prewake: p == PrefetchPrewake}
+		s.buildPredictions(r)
+		return r
+	case Adaptive:
+		s.adapt = s.newAdaptiveState()
+		return s.adapt.sleep
+	}
+	return nil
+}
+
 // buildPredictions distributes the per-file access pattern to the data
-// disks (the server "splits the file access patterns based on the data
-// distribution and forwards [them] to each storage node", Section III-B).
-// Only residual traffic — files not prefetched, or writes that will reach
-// the data disk — is included.
-func (s *sim) buildPredictions() {
+// disks' plans in r (the server "splits the file access patterns based on
+// the data distribution and forwards [them] to each storage node",
+// Section III-B). Only residual traffic — files not prefetched, or writes
+// that will reach the data disk — is included.
+func (s *sim) buildPredictions(r *hintedRule) {
 	// The first pass counts each data disk's predicted accesses, so that
 	// one array, carved per disk, holds every list the second pass fills.
 	per := s.cfg.DataDisksPerNode()
@@ -490,36 +475,35 @@ func (s *sim) buildPredictions() {
 			}
 		}
 	}
+	r.disks = make([]hintedDisk, len(counts))
 	all, off := make([]float64, total), 0
-	for ni, n := range s.nodes {
-		for j, d := range n.data {
-			c := counts[ni*per+j]
-			d.predicted, off = all[off:off:off+c], off+c
-		}
+	for i, c := range counts {
+		r.disks[i].pred, off = all[off:off:off+c], off+c
 	}
 	for i := range s.tr.Records {
 		if rec := &s.tr.Records[i]; s.reachesDataDisk(rec) {
-			n := s.nodes[s.assign.Node[rec.FileID]]
+			ni := s.assign.Node[rec.FileID]
 			for _, ch := range s.chunksOf(rec.FileID) {
-				d := n.data[ch.disk]
-				d.predicted = append(d.predicted, float64(s.offset)+rec.TimeS)
+				d := &r.disks[ni*per+ch.disk]
+				d.pred = append(d.pred, float64(s.offset)+rec.TimeS)
 			}
 		}
 	}
 	horizon := float64(s.offset) + s.tr.Duration() + 30
 	for _, n := range s.nodes {
 		meanService := n.cfg.DataModel.ServiceTime(s.meanFileSize())
-		for _, d := range n.data {
-			sort.Float64s(d.predicted)
+		for _, sd := range n.data {
+			d := &r.disks[sd.index]
+			sort.Float64s(d.pred)
 			// PRE-BUD energy prediction: plan the sleeps this disk's
 			// residual pattern allows and keep power management enabled
 			// only if the plan actually saves energy. The busy list is
 			// merged once here; IdleWindows and PredictSavings find it
 			// merged and use it as is.
-			busy := prefetch.MergeBusy(prefetch.BusyFromAccesses(d.predicted, meanService))
+			busy := prefetch.MergeBusy(prefetch.BusyFromAccesses(d.pred, meanService))
 			windows := prefetch.IdleWindows(busy, horizon)
-			plan := prefetch.PlanSleeps(windows, s.hintGate(&n.cfg.DataModel))
-			d.sleepAllowed = prefetch.PredictSavings(busy, horizon, n.cfg.DataModel, plan) > 0
+			plan := prefetch.PlanSleeps(windows, r.gate(&n.cfg.DataModel))
+			d.allowed = prefetch.PredictSavings(busy, horizon, n.cfg.DataModel, plan) > 0
 		}
 	}
 }
@@ -641,35 +625,31 @@ func (s *sim) writeArrived(now simtime.Time, arg any) {
 // enqueue adds a request to a disk queue and makes sure the disk is
 // coming up to serve it.
 func (s *sim) enqueue(d *simDisk, r *request, now simtime.Time) {
-	s.eng.Cancel(&d.idleTimer)
-	s.adaptiveObserve(d, r, now)
+	s.eng.Cancel(&d.timer)
+	// The rule tracks client demand, not the policy's own traffic.
+	if s.rule != nil && !d.isBuffer && (r.kind == opRead || r.kind == opWrite) {
+		s.rule.arrived(d.index, float64(now))
+	}
 	r.enqAt = now
 	d.queue.push(r)
 	s.ensureAwake(d, now)
 }
 
 // ensureAwake drives the disk toward serving its queue, whatever power
-// state it is in.
+// state it is in: an active or spinning-up disk serves it when done, and a
+// spinning-down one wakes for it.
 func (s *sim) ensureAwake(d *simDisk, now simtime.Time) {
 	switch d.d.State() {
 	case disk.Idle:
-		if !d.busy {
-			s.startService(d, now)
-		}
-	case disk.Active:
-		// diskDone will pick up the queue.
+		s.startService(d, now)
 	case disk.Standby:
 		s.beginSpinUp(d, now)
-	case disk.SpinningUp:
-		// spinUpDone will serve the queue.
-	case disk.SpinningDown:
-		d.wakePending = true
 	}
 }
 
 func (s *sim) beginSpinUp(d *simDisk, now simtime.Time) {
-	s.eng.Cancel(&d.prewake)
-	s.adaptiveSettle(d, now)
+	s.eng.Cancel(&d.timer)
+	s.rule.wakes(d.index, float64(now), d.d.Model())
 	d.d.BeginSpinUp(now)
 	s.eng.Post(now+simtime.Time(d.d.Model().SpinUpSec), s.on.spinUpDone, d)
 }
@@ -691,7 +671,6 @@ func (s *sim) serveOrIdle(d *simDisk, now simtime.Time) {
 
 func (s *sim) startService(d *simDisk, now simtime.Time) {
 	r := d.queue.pop()
-	d.busy = true
 	d.cur = r
 	r.startAt = now
 	d.d.BeginService(now)
@@ -711,7 +690,6 @@ func (s *sim) diskDone(now simtime.Time, arg any) {
 	d := arg.(*simDisk)
 	r := d.cur
 	d.d.EndService(now, r.size)
-	d.busy = false
 	d.cur = nil
 	s.noteService(d, r, now)
 
@@ -804,25 +782,22 @@ func (s *sim) reprefetch(now simtime.Time) {
 		if s.prefetched[fid] || s.fetching[fid] {
 			continue
 		}
-		s.admitFetch(s.nodes[s.assign.Node[fid]], fid, want, 0, now)
+		s.admitFetch(s.nodes[s.assign.Node[fid]], fid, want, now)
 	}
 }
 
 // admitFetch starts the background fetch of file fid into its buffer
-// disk: it evicts the coldest unwanted copies until the file fits, debits
-// feeJ from the adaptive arm's savings bank, reserves the space and fans
-// the fetch read out to the data disks. It reports false, and does
-// nothing past the evictions, when the file cannot be made to fit.
-func (s *sim) admitFetch(n *simNode, fid int, want *wanted, feeJ float64, now simtime.Time) bool {
+// disk: it evicts the coldest unwanted copies until the file fits,
+// reserves the space and fans the fetch read out to the data disks. It
+// reports false, and does nothing past the evictions, when the file cannot
+// be made to fit.
+func (s *sim) admitFetch(n *simNode, fid int, want *wanted, now simtime.Time) bool {
 	size := s.tr.FileSizes[fid]
 	_, bi := n.bufferFor(fid)
 	for !n.bufferFits(fid, size) {
 		if !s.evictColdest(n, bi, want) {
 			return false
 		}
-	}
-	if s.adapt != nil {
-		s.adapt.bankJ -= feeJ
 	}
 	n.bufferReserve(fid, size)
 	s.fetching[fid] = true
@@ -890,26 +865,14 @@ func (s *sim) doneWork() {
 func (s *sim) quiesce() {
 	for _, n := range s.nodes {
 		for _, d := range n.data {
-			s.eng.Cancel(&d.idleTimer)
-			s.eng.Cancel(&d.prewake)
+			s.eng.Cancel(&d.timer)
 		}
 	}
 }
 
-// hintGate returns the effective predictive-sleep gate for a disk: the
-// idle threshold, floored at the physical sleep/wake cycle time — a
-// window shorter than the two transitions cannot be slept at all.
-func (s *sim) hintGate(m *disk.Model) float64 {
-	gate := s.cfg.IdleThresholdSec
-	if cycle := m.SpinDownSec + m.SpinUpSec; gate < cycle {
-		gate = cycle
-	}
-	return gate
-}
-
 // onIdle runs every time a disk's queue drains (and once at replay start).
-// It flushes pending write-buffer data and then applies the node's power
-// management policy (Section III-C).
+// It flushes pending write-buffer data and then asks the arm's sleep rule
+// (Section III-C).
 func (s *sim) onIdle(now simtime.Time, arg any) {
 	d := arg.(*simDisk)
 	if d.isBuffer {
@@ -918,23 +881,31 @@ func (s *sim) onIdle(now simtime.Time, arg any) {
 
 	// Piggyback the write-buffer flush on an awake, idle disk.
 	if d.pendingFlushBytes > 0 && d.d.State() == disk.Idle {
-		r := s.takeFlush(d)
 		s.addWork(1)
-		r.enqAt = now
-		d.queue.push(r)
-		s.startService(d, now)
+		s.enqueue(d, s.takeFlush(d), now)
 		return
 	}
+	if s.rule != nil {
+		s.apply(d, now, s.rule.drained(d.index, float64(now), d.idle(), d.d.Model()))
+	}
+}
 
-	switch s.cfg.Policy {
-	case Adaptive:
-		s.adaptiveArm(d, now)
-	case PrefetchHinted, PrefetchPrewake:
-		s.hintSleep(d, now)
-	case Prefetch, ThresholdDPM, MAID:
-		// The reactive threshold policy: a disk still idle when the timer
-		// fires spins down.
-		s.eng.Arm(&d.idleTimer, now+simtime.Time(s.cfg.IdleThresholdSec), s.on.idleTimeout, d)
+// timerFired hands a data disk's timer to the sleep rule that armed it.
+func (s *sim) timerFired(now simtime.Time, arg any) {
+	d := arg.(*simDisk)
+	s.apply(d, now, s.rule.fired(d.index, float64(now), d.idle(), d.d.Model()))
+}
+
+// apply carries out a sleep rule's answer for disk d.
+func (s *sim) apply(d *simDisk, now simtime.Time, a sleepAction) {
+	switch {
+	case a.down:
+		s.beginSpinDown(d, now)
+	case a.wake:
+		s.beginSpinUp(d, now)
+	}
+	if a.arm {
+		s.eng.Arm(&d.timer, simtime.Time(a.at), s.on.timer, d)
 	}
 }
 
@@ -993,67 +964,9 @@ func (s *sim) maidInsert(n *simNode, fileID int, size int64, now simtime.Time) {
 	s.insertIntoBuffer(n, fileID, size, now)
 }
 
-// hintSleep applies the predictive policy: if the gap to the next
-// predicted access exceeds the sleep gate, transition to standby now.
-func (s *sim) hintSleep(d *simDisk, now simtime.Time) {
-	if !d.sleepAllowed {
-		return // PRE-BUD predicted no energy opportunity on this disk
-	}
-	if !d.idle() {
-		return
-	}
-	next, ok := s.nextPredicted(d, now)
-	gap := float64(0)
-	if ok {
-		gap = next - float64(now)
-	}
-	if ok && gap < s.hintGate(d.d.Model()) {
-		return // too short to be worth it; stay idle
-	}
-	// Either no predicted access remains (sleep until something real
-	// arrives) or the window is long enough.
-	s.beginSpinDown(d, now)
-	if s.cfg.Policy == PrefetchPrewake && ok {
-		m := d.d.Model()
-		wakeAt := next - m.SpinUpSec
-		earliest := float64(now) + m.SpinDownSec
-		if wakeAt < earliest {
-			wakeAt = earliest
-		}
-		s.eng.Arm(&d.prewake, simtime.Time(wakeAt), s.on.prewake, d)
-	}
-}
-
-// prewakeDue spins the disk up ahead of its next predicted access.
-func (s *sim) prewakeDue(now simtime.Time, arg any) {
-	if d := arg.(*simDisk); d.d.State() == disk.Standby {
-		s.beginSpinUp(d, now)
-	}
-}
-
-// nextPredicted returns the next predicted access time strictly after
-// now (with a small lookback so requests already in flight through the
-// control path count as imminent).
-func (s *sim) nextPredicted(d *simDisk, now simtime.Time) (float64, bool) {
-	horizon := float64(now) - s.cfg.RouteLatencySec - 0.01
-	for d.predIdx < len(d.predicted) && d.predicted[d.predIdx] < horizon {
-		d.predIdx++
-	}
-	if d.predIdx >= len(d.predicted) {
-		return 0, false
-	}
-	return d.predicted[d.predIdx], true
-}
-
-func (s *sim) idleTimeout(now simtime.Time, arg any) {
-	if d := arg.(*simDisk); d.idle() {
-		s.beginSpinDown(d, now)
-	}
-}
-
 // idle reports that the disk is spinning with nothing to do.
 func (d *simDisk) idle() bool {
-	return d.d.State() == disk.Idle && !d.busy && d.queue.len() == 0
+	return d.d.State() == disk.Idle && d.queue.len() == 0
 }
 
 func (s *sim) beginSpinDown(d *simDisk, now simtime.Time) {
@@ -1064,8 +977,7 @@ func (s *sim) beginSpinDown(d *simDisk, now simtime.Time) {
 func (s *sim) spinDownDone(now simtime.Time, arg any) {
 	d := arg.(*simDisk)
 	d.d.CompleteSpinDown(now)
-	if d.wakePending || d.queue.len() > 0 {
-		d.wakePending = false
+	if d.queue.len() > 0 {
 		s.beginSpinUp(d, now)
 	}
 }
@@ -1115,6 +1027,9 @@ func (s *sim) finalize() {
 		}
 	}
 
+	if s.adapt != nil {
+		s.res.AdaptiveBudgetVetoes = s.adapt.sleep.vetoes
+	}
 	s.res.BaseEnergyJ = s.cfg.NodeBasePowerW * float64(makespan) * float64(len(s.nodes))
 	s.res.TotalEnergyJ = s.res.BaseEnergyJ + s.res.DiskEnergyJ
 	s.res.Response = s.resp.Summarize()

@@ -104,7 +104,10 @@ type nodeDisk struct {
 	label    string
 	isBuffer bool
 	index    int // data-disk index; -1 for the buffer disk
-	timer    *time.Timer
+	// The managed disk's one idle timer and the deadline it was last armed
+	// for (zero once stopped), owned by the mu holder.
+	timer   *time.Timer
+	sleepAt time.Time
 	// alarm wakes the runtime's poller at the end of each injected wait
 	// (elapse); owned by the mu holder. The zero alarm (no latency
 	// injected, or a closed node) arms nothing.
@@ -309,7 +312,7 @@ func (n *Node) Close() error {
 		nd.mu.Lock()
 		if nd.timer != nil {
 			nd.timer.Stop()
-			nd.timer = nil
+			nd.sleepAt = time.Time{}
 		}
 		nd.alarm.close()
 		nd.alarm = alarm{}
@@ -677,27 +680,29 @@ func (n *Node) armTimerLocked(nd *nodeDisk, wantedAt float64, hinted bool) {
 	if !n.managed(nd) {
 		return
 	}
-	if nd.timer != nil {
-		nd.timer.Stop()
-	}
 	delay := n.cfg.IdleThresholdSec
 	if hinted && wantedAt-float64(n.clock.Now()) >= delay {
 		delay = 0.001 // effectively immediate, off the request path
 	}
-	// A timer that fired while a request held nd.mu cannot be stopped any
-	// more: once it gets the lock it must see that it has been replaced.
-	var timer *time.Timer
-	timer = time.AfterFunc(n.clock.RealDuration(delay), func() {
+	d := n.clock.RealDuration(delay)
+	nd.sleepAt = time.Now().Add(d)
+	if nd.timer != nil {
+		nd.timer.Reset(d)
+		return
+	}
+	// A firing that waited for nd.mu while a service re-armed the timer, or
+	// the node closed, cannot be stopped any more: it must see the deadline
+	// moved or gone.
+	nd.timer = time.AfterFunc(d, func() {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		if nd.timer != timer || nd.d.State() != disk.Idle {
+		if nd.sleepAt.IsZero() || time.Now().Before(nd.sleepAt) || nd.d.State() != disk.Idle {
 			return // re-armed, the node closed, or the disk is busy again
 		}
 		now := n.diskNow(nd)
 		nd.d.BeginSpinDown(now)
 		nd.d.CompleteSpinDown(n.elapse(nd, now, nd.d.Model().SpinDownSec))
 	})
-	nd.timer = timer
 }
 
 // statsResp snapshots every disk's accounting.
