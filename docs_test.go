@@ -16,6 +16,11 @@ import (
 // dot, both sides Go identifiers without underscores.
 var docIdent = regexp.MustCompile("`([A-Za-z][A-Za-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\(\\))?`")
 
+// docBare is a backticked bare camelCase name, `saveState` or `onIdle()`:
+// a Go identifier without underscores in which a lower-case letter is
+// followed by an upper-case one.
+var docBare = regexp.MustCompile("`([A-Za-z][A-Za-z0-9]*[a-z][A-Z][A-Za-z0-9]*)(?:\\(\\))?`")
+
 // declared parses every Go file of the module, tests included, and
 // returns its package names, its type names and every name it declares
 // as a func, method, type, struct field, interface method, const or var.
@@ -71,12 +76,13 @@ func declared(t *testing.T) (pkgs, types, names map[string]bool) {
 	return pkgs, types, names
 }
 
-// TestDocsNameDeclaredIdentifiers: every `pkg.Exported` and `Type.Member`
-// that README.md or DESIGN.md names is declared somewhere in the module,
-// so the docs cannot go on naming code that was renamed or deleted.
+// TestDocsNameDeclaredIdentifiers: every `pkg.Exported`, `Type.Member`
+// and bare camelCase name that README.md, DESIGN.md or EXPERIMENTS.md
+// names is declared somewhere in the module, so the docs cannot go on
+// naming code that was renamed or deleted.
 func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	pkgs, types, names := declared(t)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -89,6 +95,11 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 				}
 				if (types[qual] || pkgs[qual] && token.IsExported(name)) && !names[name] {
 					t.Errorf("%s:%d: %s names %s, which no Go file declares", doc, i+1, m[0], name)
+				}
+			}
+			for _, m := range docBare.FindAllStringSubmatch(line, -1) {
+				if !names[m[1]] {
+					t.Errorf("%s:%d: %s names %s, which no Go file declares", doc, i+1, m[0], m[1])
 				}
 			}
 		}

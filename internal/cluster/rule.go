@@ -65,6 +65,29 @@ func (r *hintedRule) gate(m *disk.Model) float64 {
 	return max(r.tau, m.SpinDownSec+m.SpinUpSec)
 }
 
+// savedJ is PRE-BUD's prediction, the sign of which sets allowed: the
+// Joules saved by sleeping through every predicted idle gap of at least
+// gate seconds in [0, horizon). Each access keeps the disk busy for svc
+// seconds; pred is sorted, so the latest access ends the busy time so far,
+// and touching or overlapping accesses leave no gap between them. The
+// first gap starts at 0 and the last ends at horizon.
+func (d *hintedDisk) savedJ(svc, horizon, gate float64, m *disk.Model) float64 {
+	saved, cursor := 0.0, 0.0
+	for _, p := range d.pred {
+		if p >= horizon {
+			break
+		}
+		if g := p - cursor; g >= gate {
+			saved += m.SleepSavedJ(g)
+		}
+		cursor = p + svc
+	}
+	if g := horizon - cursor; g >= gate {
+		saved += m.SleepSavedJ(g)
+	}
+	return saved
+}
+
 func (r *hintedRule) arrived(int, float64)            {}
 func (r *hintedRule) wakes(int, float64, *disk.Model) {}
 

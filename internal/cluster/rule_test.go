@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"eevfs/internal/adaptive"
 	"eevfs/internal/disk"
+	"eevfs/internal/simtime"
 )
 
 // ruleStep is one scripted event on a data disk and the answer the rule
@@ -137,5 +141,93 @@ func TestAdaptiveRuleDecides(t *testing.T) {
 	r.wakes(1, 30, &m) // no open episode on disk 1
 	if r.bankJ != want {
 		t.Errorf("a wake without an episode moved the bank to %g J", r.bankJ)
+	}
+}
+
+// chargedSavingJ is what a disk.Disk is charged for idling through a gap
+// of g seconds minus what it is charged for sleeping through it: the
+// spin-down starts at the gap's start and the spin-up ends at its end.
+func chargedSavingJ(m disk.Model, g float64) float64 {
+	idle := disk.New("idle", m)
+	idle.Advance(simtime.Time(g))
+	sleep := disk.New("sleep", m)
+	sleep.BeginSpinDown(0)
+	sleep.CompleteSpinDown(simtime.Time(m.SpinDownSec))
+	sleep.BeginSpinUp(simtime.Time(g - m.SpinUpSec))
+	sleep.CompleteSpinUp(simtime.Time(g))
+	return idle.Stats().EnergyJ - sleep.Stats().EnergyJ
+}
+
+// Property: PRE-BUD's prediction is the disk's own charges summed over
+// the planned gaps. The gaps come from merging the busy spans [p, p+svc)
+// (touching ones included) and taking what they leave of [0, horizon);
+// a gap shorter than the gate is not planned.
+func TestQuickSavedJIsWhatTheDiskIsCharged(t *testing.T) {
+	m := disk.ModelType1
+	f := func(raw []uint16, svcRaw, tauRaw uint8) bool {
+		pred := make([]float64, len(raw))
+		for i, r := range raw {
+			pred[i] = float64(r % 400) // whole seconds, so spans touch exactly
+		}
+		slices.Sort(pred)
+		svc := []float64{0, 0.5, 1, 3}[svcRaw%4]
+		gate := (&hintedRule{tau: float64(tauRaw % 12)}).gate(&m)
+		const horizon = 380.0 // some predictions lie past it
+
+		var spans [][2]float64
+		for _, p := range pred {
+			if n := len(spans); n > 0 && p <= spans[n-1][1] {
+				spans[n-1][1] = max(spans[n-1][1], p+svc)
+			} else {
+				spans = append(spans, [2]float64{p, p + svc})
+			}
+		}
+		want, scale, cursor := 0.0, 0.0, 0.0
+		plan := func(g float64) {
+			if g >= gate {
+				want += chargedSavingJ(m, g)
+				scale += m.PIdle * g
+			}
+		}
+		for _, sp := range spans {
+			if sp[0] >= horizon {
+				break
+			}
+			plan(sp[0] - cursor)
+			cursor = sp[1]
+		}
+		plan(horizon - cursor)
+
+		d := hintedDisk{pred: pred}
+		got := d.savedJ(svc, horizon, gate, &m)
+		if math.Abs(got-want) > 1e-9*scale {
+			t.Logf("svc %g gate %g: savedJ %g, charged %g", svc, gate, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The deny branch, which no measured run reaches: with the idle threshold
+// below break-even, gaps that clear the gate but not the break-even lose
+// energy, and with no tail gap the disk may not sleep. One gap long enough
+// to pay for them lets it.
+func TestSavedJDeniesGapsUnderBreakEven(t *testing.T) {
+	m := disk.ModelType1 // break-even 5.65 s, cycle 3 s
+	gate := (&hintedRule{tau: 2}).gate(&m)
+	const svc = 1.0
+	d := hintedDisk{pred: []float64{0, 5, 10, 15}} // three 4 s gaps
+	if be := m.BreakEvenSec(); !(gate <= 4 && 4 < be) {
+		t.Fatalf("gate %g, break-even %g: the 4 s gaps must lie between them", gate, be)
+	}
+	if got := d.savedJ(svc, 16, gate, &m); got >= 0 {
+		t.Errorf("three 4 s gaps and no tail: savedJ %g, want < 0 (deny)", got)
+	}
+	d.pred = append(d.pred, 36) // and one 20 s gap
+	if got := d.savedJ(svc, 37, gate, &m); got <= 0 {
+		t.Errorf("with a 20 s gap added: savedJ %g, want > 0 (allow)", got)
 	}
 }

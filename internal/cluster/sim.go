@@ -491,19 +491,12 @@ func (s *sim) buildPredictions(r *hintedRule) {
 	}
 	horizon := float64(s.offset) + s.tr.Duration() + 30
 	for _, n := range s.nodes {
-		meanService := n.cfg.DataModel.ServiceTime(s.meanFileSize())
+		m := &n.cfg.DataModel
+		svc, gate := m.ServiceTime(s.meanFileSize()), r.gate(m)
 		for _, sd := range n.data {
 			d := &r.disks[sd.index]
 			sort.Float64s(d.pred)
-			// PRE-BUD energy prediction: plan the sleeps this disk's
-			// residual pattern allows and keep power management enabled
-			// only if the plan actually saves energy. The busy list is
-			// merged once here; IdleWindows and PredictSavings find it
-			// merged and use it as is.
-			busy := prefetch.MergeBusy(prefetch.BusyFromAccesses(d.pred, meanService))
-			windows := prefetch.IdleWindows(busy, horizon)
-			plan := prefetch.PlanSleeps(windows, r.gate(&n.cfg.DataModel))
-			d.allowed = prefetch.PredictSavings(busy, horizon, n.cfg.DataModel, plan) > 0
+			d.allowed = d.savedJ(svc, horizon, gate, m) > 0
 		}
 	}
 }

@@ -137,6 +137,14 @@ func (m *Model) BreakEvenSec() float64 {
 	return be
 }
 
+// SleepSavedJ returns the Joules saved by sleeping through an idle gap of
+// gap seconds rather than idling through it: the two sides of
+// BreakEvenSec's inequality, spin-down at the gap's start and spin-up
+// ending at its end. It is negative for gaps shorter than the break-even.
+func (m *Model) SleepSavedJ(gap float64) float64 {
+	return m.PIdle*gap - (m.SpinDownJ + m.SpinUpJ + m.PStandby*(gap-m.SpinDownSec-m.SpinUpSec))
+}
+
 // StatePower returns the drawn power in the given state, with transition
 // states drawing their energy spread uniformly over their latency.
 func (m *Model) StatePower(s PowerState) float64 {

@@ -96,6 +96,23 @@ func TestBreakEvenFormula(t *testing.T) {
 	}
 }
 
+// At the catalog drives' break-even, both above the cycle floor, sleeping
+// saves nothing: SleepSavedJ and BreakEvenSec solve the same inequality.
+func TestSleepSavedJZeroAtBreakEven(t *testing.T) {
+	for _, m := range []Model{ModelType1, ModelType2} {
+		be := m.BreakEvenSec()
+		if be <= m.SpinDownSec+m.SpinUpSec {
+			t.Fatalf("%s: break-even %g is the cycle floor", m.Name, be)
+		}
+		if got := m.SleepSavedJ(be); math.Abs(got) > 1e-9 {
+			t.Errorf("%s: SleepSavedJ(%g) = %g, want 0", m.Name, be, got)
+		}
+		if m.SleepSavedJ(be-0.1) >= 0 || m.SleepSavedJ(be+0.1) <= 0 {
+			t.Errorf("%s: SleepSavedJ does not change sign at break-even %g", m.Name, be)
+		}
+	}
+}
+
 func TestBreakEvenFloorIsTransitionTime(t *testing.T) {
 	m := testModel()
 	// Make transitions nearly free: break-even must still cover the
