@@ -51,6 +51,13 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // number of goroutines can have round trips in flight to the server and
 // to each node simultaneously, correlated by request id.
 //
+// A read of a file the client has located before — by creating it, or by
+// a lookup the server marked cacheable — skips the server and goes to the
+// file's node; a failure there that a stale location explains drops the
+// location and falls back once to lookup-then-read. The server still
+// counts every such read, from the client's batched access reports
+// (client_locs.go).
+//
 // Against a replicated server group the client tracks which member it
 // believes is primary: a typed not-primary rejection switches it to the
 // redirect hint, and a transport fault rotates it to the next known
@@ -64,6 +71,10 @@ type Client struct {
 	current string // address currently believed primary
 	eps     map[string]*proto.Endpoint
 	nodes   map[string]*proto.Endpoint
+
+	locMu sync.RWMutex
+	locs  map[string]location // name -> where it was last found
+	rep   reports
 }
 
 // Dial connects to the storage server with default transport settings.
@@ -89,7 +100,11 @@ func DialCluster(serverAddrs []string, cfg ClientConfig) (*Client, error) {
 		servers: append([]string(nil), serverAddrs...),
 		eps:     make(map[string]*proto.Endpoint),
 		nodes:   make(map[string]*proto.Endpoint),
+		locs:    make(map[string]location),
 	}
+	c.rep.pending = make(map[int64]pendingReads)
+	c.rep.timer = time.AfterFunc(time.Hour, func() { c.flushReports(false, nil) })
+	c.rep.timer.Stop()
 	var firstErr error
 	for _, addr := range c.servers {
 		if err := c.serverEp(addr).Connect(); err == nil {
@@ -105,11 +120,13 @@ func DialCluster(serverAddrs []string, cfg ClientConfig) (*Client, error) {
 	return nil, fmt.Errorf("fs: dialing server %s: %w", c.servers[0], firstErr)
 }
 
-// Close shuts down all connections.
+// Close reports the reads not yet counted, then shuts down all
+// connections.
 func (c *Client) Close() error {
+	err := c.flushReports(true, nil)
+	c.rep.timer.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var err error
 	for _, ep := range c.eps {
 		if cerr := ep.Close(); err == nil {
 			err = cerr
@@ -261,15 +278,20 @@ func (c *Client) nodeRT(addr string, t proto.Type, payload []byte, parent *telem
 	return rt, rp, err
 }
 
-// locate asks the server which node holds name. t is TLookupReq, or
-// TLookupWriteReq to declare write intent (the server invalidates any
-// buffer-disk replica before answering).
+// locate asks the server which node holds name, and remembers a
+// cacheable answer. t is TLookupReq, or TLookupWriteReq to declare write
+// intent (the server invalidates any buffer-disk replica before
+// answering).
 func (c *Client) locate(name string, t proto.Type, sp *telemetry.Span) (proto.LookupResp, error) {
 	_, payload, err := c.serverRT(t, proto.LookupReq{Name: name}.Encode(), sp)
 	if err != nil {
 		return proto.LookupResp{}, err
 	}
-	return proto.DecodeLookupResp(payload)
+	resp, err := proto.DecodeLookupResp(payload)
+	if err == nil && resp.Cacheable {
+		c.remember(name, location{id: resp.FileID, node: resp.NodeAddr})
+	}
+	return resp, err
 }
 
 // Create registers a new file with the server and uploads its content to
@@ -289,6 +311,9 @@ func (c *Client) Create(name string, data []byte) (err error) {
 	if err != nil {
 		return err
 	}
+	// The server answers a create once it has committed, so the location
+	// is cacheable.
+	c.remember(name, location{id: resp.FileID, node: resp.NodeAddr})
 	_, _, err = c.nodeRT(resp.NodeAddr, proto.TNodeWriteReq,
 		proto.NodeWriteReq{FileID: resp.FileID, Data: data}.Encode(), sp)
 	return err
@@ -310,17 +335,32 @@ func (c *Client) ReadAt(name string, off, length int64) (data []byte, fromBuffer
 	})
 }
 
-// read is the RPC read path: locate the file, then one round trip to its
-// node with the request req builds for the file's id.
+// read is the RPC read path: one round trip to the file's node with the
+// request req builds for the file's id — straight there when the client
+// knows the location, else after locating the file. A read at a known
+// location that fails as a stale one would forgets it and locates the
+// file once.
 func (c *Client) read(op, name string, req func(fileID int64) (proto.Type, []byte)) (data []byte, fromBuffer bool, err error) {
 	sp := c.startOp(op, name)
 	defer func() { sp.End(err) }()
+	if loc, ok := c.cached(name); ok {
+		if data, fromBuffer, err = c.readNode(loc.node, loc.id, req, sp); !stale(err) {
+			c.noteRead(loc.id)
+			return data, fromBuffer, err
+		}
+		c.forget(name)
+	}
 	loc, err := c.locate(name, proto.TLookupReq, sp)
 	if err != nil {
 		return nil, false, err
 	}
-	t, payload := req(loc.FileID)
-	_, payload, err = c.nodeRT(loc.NodeAddr, t, payload, sp)
+	return c.readNode(loc.NodeAddr, loc.FileID, req, sp)
+}
+
+// readNode reads file id on the node at addr.
+func (c *Client) readNode(addr string, id int64, req func(fileID int64) (proto.Type, []byte), sp *telemetry.Span) (data []byte, fromBuffer bool, err error) {
+	t, payload := req(id)
+	_, payload, err = c.nodeRT(addr, t, payload, sp)
 	if err != nil {
 		return nil, false, err
 	}
@@ -378,15 +418,21 @@ func (c *Client) List() (names []string, err error) {
 func (c *Client) Delete(name string) (err error) {
 	sp := c.startOp("delete", name)
 	defer func() { sp.End(err) }()
+	c.forget(name)
 	_, _, err = c.serverRT(proto.TDeleteReq, proto.DeleteReq{Name: name}.Encode(), sp)
 	return err
 }
 
 // Prefetch asks the server to prefetch the top-k popular files into the
 // storage nodes' buffer disks; it returns how many files were copied.
+// The server ranks this client's reads so far, all of them reported
+// first, but not yet those another client has still to report.
 func (c *Client) Prefetch(k int) (count int, err error) {
 	sp := c.startOp("prefetch", "")
 	defer func() { sp.End(err) }()
+	if err := c.flushReports(false, sp); err != nil {
+		return 0, err
+	}
 	_, payload, err := c.serverRT(proto.TPrefetchReq, proto.PrefetchReq{K: int64(k)}.Encode(), sp)
 	if err != nil {
 		return 0, err
@@ -398,10 +444,14 @@ func (c *Client) Prefetch(k int) (count int, err error) {
 	return int(resp.Prefetched), nil
 }
 
-// Stats fetches cluster-wide per-disk accounting.
+// Stats fetches cluster-wide per-disk accounting, this client's reads
+// reported first.
 func (c *Client) Stats() (resp proto.StatsResp, err error) {
 	sp := c.startOp("stats", "")
 	defer func() { sp.End(err) }()
+	if err := c.flushReports(false, sp); err != nil {
+		return proto.StatsResp{}, err
+	}
 	_, payload, err := c.serverRT(proto.TStatsReq, nil, sp)
 	if err != nil {
 		return proto.StatsResp{}, err

@@ -90,29 +90,44 @@ func (r *FileReader) Close() error {
 
 // openOnNode opens a stream on the node holding name: lookup on the
 // server (with the usual failover walk), then open against the owning
-// storage node. A transport fault during the open is retried once against
-// a fresh lookup, so a node redirect or replica change heals
-// transparently; faults after data starts flowing surface to the caller
-// (a partially moved stream cannot be transparently replayed). att is the
-// node round trip's span, still open on success.
+// storage node. A read of a name the client has located before opens at
+// that location first, and a failure there that a stale location would
+// explain forgets it and goes the lookup way. A transport fault during
+// the open is retried once against a fresh lookup, so a node redirect or
+// replica change heals transparently; faults after data starts flowing
+// surface to the caller (a partially moved stream cannot be
+// transparently replayed). att is the node round trip's span, still open
+// on success.
 func openOnNode[S any](c *Client, name string, lookup proto.Type, sp *telemetry.Span,
 	open func(ep *proto.Endpoint, fileID int64, sc telemetry.SpanContext) (S, error)) (s S, att *telemetry.Span, err error) {
+	openAt := func(node string, id int64) (S, *telemetry.Span, error) {
+		att := sp.Child("client.rt.node.stream")
+		att.Annotate("peer", node)
+		s, err := open(c.nodeEp(node), id, att.Context())
+		if err != nil {
+			err = mapRemote(err)
+			att.End(err)
+			return s, nil, err
+		}
+		return s, att, nil
+	}
+	if loc, ok := c.cached(name); ok && lookup == proto.TLookupReq {
+		if s, att, err = openAt(loc.node, loc.id); !stale(err) {
+			c.noteRead(loc.id)
+			return s, att, err
+		}
+		c.forget(name)
+	}
 	for attempt := 0; attempt < 2; attempt++ {
 		loc, lerr := c.locate(name, lookup, sp)
 		if lerr != nil {
 			return s, nil, lerr
 		}
-		att = sp.Child("client.rt.node.stream")
-		att.Annotate("peer", loc.NodeAddr)
-		if s, err = open(c.nodeEp(loc.NodeAddr), loc.FileID, att.Context()); err == nil {
-			return s, att, nil
-		}
-		att.End(mapRemote(err))
-		if !isTransportErr(err) {
+		if s, att, err = openAt(loc.NodeAddr, loc.FileID); !isTransportErr(err) {
 			break
 		}
 	}
-	return s, nil, mapRemote(err)
+	return s, att, err
 }
 
 // OpenRead opens a streamed read of name straight from the owning

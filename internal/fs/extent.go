@@ -135,7 +135,7 @@ func (r reading) close(t *fileTable) {
 func (n *Node) source(fileID, off, length int64, ra reqAttrib) (reading, error) {
 	rec, file, seg, ok := n.files.getPinned(int(fileID), float64(n.clock.Now()))
 	if !ok {
-		return reading{}, fmt.Errorf("fs: read of unknown file %d", fileID)
+		return reading{}, fmt.Errorf("fs: read of unknown file %d: %w", fileID, ErrFileNotFound)
 	}
 	if length == wholeFile {
 		off, length = 0, file.Size

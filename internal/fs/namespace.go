@@ -96,10 +96,12 @@ func (ns *namespace) place(fi metadata.FileInfo, claim func() error) error {
 	if fi.Node < 0 || fi.Node >= ns.numNodes {
 		return fmt.Errorf("fs: file %q placed on node %d, server has %d", fi.Name, fi.Node, ns.numNodes)
 	}
-	ns.pop.slot(int64(fi.ID)).size.Store(fi.Size)
+	sl := ns.pop.slot(int64(fi.ID))
+	sl.size.Store(fi.Size)
 	if claim == nil {
 		return ns.meta.Put(fi)
 	}
+	sl.creating.Store(true) // before the name is visible; the committed create clears it
 	claimed, err := ns.meta.PutIfAbsent(fi)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package fs
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"eevfs/internal/adaptive"
@@ -73,6 +74,35 @@ func (p *reprefetcher) observe(id int) {
 	case p.obs <- id:
 	default:
 		p.dropped.Inc()
+	}
+}
+
+// observeReport hands a client's access report to the detector, whose
+// window is a stream of accesses, not per-file folds: each file's reads
+// are spread evenly between its first and its last, and all of them go
+// in time order. At most cap(obs) reads go in, which is as many as the
+// channel holds.
+func (p *reprefetcher) observeReport(recs []proto.AccessAge) {
+	if p == nil {
+		return
+	}
+	type read struct {
+		age float64
+		id  int
+	}
+	var reads []read
+	for _, r := range recs {
+		for j := int64(0); j < r.Count && len(reads) < cap(p.obs); j++ {
+			age := r.FirstAge
+			if r.Count > 1 {
+				age -= (r.FirstAge - r.LastAge) * float64(j) / float64(r.Count-1)
+			}
+			reads = append(reads, read{age, int(r.FileID)})
+		}
+	}
+	slices.SortStableFunc(reads, func(a, b read) int { return cmp.Compare(b.age, a.age) })
+	for _, r := range reads {
+		p.observe(r.id)
 	}
 }
 

@@ -33,6 +33,12 @@ type popSlot struct {
 	first atomic.Uint64
 	last  atomic.Uint64
 
+	// creating is set, on the primary, from the moment a create claims
+	// this id until its op has committed. A lookup answer for the file
+	// meanwhile is not cacheable: were the primary to die first, a new
+	// one would give the id to another name.
+	creating atomic.Bool
+
 	// rep is the part of the fold that is sequenced into the op log: on a
 	// primary what its epochs have shipped, on a follower what it has
 	// applied (and there the live fold is kept equal to it). FileID is
@@ -45,21 +51,27 @@ func decodeTime(e uint64) float64 { return math.Float64frombits(e - 1) }
 
 // note folds one access at timeS (model seconds, non-negative) into the
 // live fold.
-func (s *popSlot) note(timeS float64) {
-	enc := encodeTime(timeS)
+func (s *popSlot) note(timeS float64) { s.fold(1, timeS, timeS) }
+
+// fold folds count accesses, the earliest at first and the latest at
+// last (model seconds, 0 <= first <= last), into the live fold: a
+// lookup's one access, or a client's report of the reads it served
+// without one.
+func (s *popSlot) fold(count int64, first, last float64) {
+	encFirst, encLast := encodeTime(first), encodeTime(last)
 	for {
 		cur := s.first.Load()
-		if (cur != 0 && cur <= enc) || s.first.CompareAndSwap(cur, enc) {
+		if (cur != 0 && cur <= encFirst) || s.first.CompareAndSwap(cur, encFirst) {
 			break
 		}
 	}
 	for {
 		cur := s.last.Load()
-		if cur >= enc || s.last.CompareAndSwap(cur, enc) {
+		if cur >= encLast || s.last.CompareAndSwap(cur, encLast) {
 			break
 		}
 	}
-	s.count.Add(1)
+	s.count.Add(count)
 }
 
 // live returns the live fold; the times mean nothing while count is 0.

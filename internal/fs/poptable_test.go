@@ -39,19 +39,25 @@ func registerFiles(t *testing.T, srv *Server, ids []int) []metadata.FileInfo {
 // eight concurrent appenders — goes into the server's table and into the
 // reference log (a plain slice of records), and everything the server
 // derives from popularity must come out the same as a walk of the log
-// gives.
+// gives. So must it when the log reaches a second table as client access
+// reports do: cut at random into runs of one file's records, each folded
+// in as one (count, first, last).
 func TestPopularityMatchesAccessLog(t *testing.T) {
-	_, srv, _ := testCluster(t, 2, nil)
 	var ids []int
 	for id := 0; id < 40; id++ {
 		ids = append(ids, id)
 	}
 	ids = append(ids, 1022, 1023, 1024, 1025, 2047, 2048, 2500) // chunk edges and grows
-	fis := registerFiles(t, srv, ids)
 	deleted := map[int]bool{3: true, 1024: true, 2500: true}
-	for id := range deleted {
-		srv.ns.meta.Delete(fmt.Sprintf("f%d", id))
+	popServer := func() (*Server, []metadata.FileInfo) {
+		_, srv, _ := testCluster(t, 2, nil)
+		fis := registerFiles(t, srv, ids)
+		for id := range deleted {
+			srv.ns.meta.Delete(fmt.Sprintf("f%d", id))
+		}
+		return srv, fis
 	}
+	srv, fis := popServer()
 
 	rng := rand.New(rand.NewSource(16))
 	const appenders, perAppender = 8, 2500
@@ -86,6 +92,38 @@ func TestPopularityMatchesAccessLog(t *testing.T) {
 	}
 	wg.Wait()
 
+	// The second table: the log shuffled, then cut into runs of at most
+	// eight records of one file, each run folded in at once.
+	reported, _ := popServer()
+	byFile := map[int][]trace.Record{}
+	for _, i := range rng.Perm(len(ref)) {
+		byFile[ref[i].FileID] = append(byFile[ref[i].FileID], ref[i])
+	}
+	folds := 0
+	for id, recs := range byFile {
+		for len(recs) > 0 {
+			run := recs[:1+rng.Intn(min(8, len(recs)))]
+			recs = recs[len(run):]
+			first, last := run[0].TimeS, run[0].TimeS
+			for _, r := range run {
+				first, last = min(first, r.TimeS), max(last, r.TimeS)
+			}
+			reported.ns.pop.slot(int64(id)).fold(int64(len(run)), first, last)
+			folds++
+		}
+	}
+	if folds <= len(byFile) || folds >= len(ref) {
+		t.Fatalf("%d folds of %d records over %d files: the cut is degenerate", folds, len(ref), len(byFile))
+	}
+	for _, srv := range []*Server{srv, reported} {
+		matchesLog(t, srv, fis, ref, deleted)
+	}
+}
+
+// matchesLog checks everything srv derives from popularity against a
+// walk of the reference log ref over files fis.
+func matchesLog(t *testing.T, srv *Server, fis []metadata.FileInfo, ref []trace.Record, deleted map[int]bool) {
+	t.Helper()
 	// The reference: what a walk of the whole log derives.
 	numFiles := int(srv.ns.nextID.Load())
 	refSizes := make([]int64, numFiles)

@@ -135,6 +135,13 @@ type Server struct {
 
 	wg   sync.WaitGroup // the heartbeat, the policy loop, mirror deletes
 	stop chan struct{}
+
+	// afterClaim, when set, runs between a change's transition and its
+	// commit: the stale-location tests stop a primary there.
+	afterClaim func(op proto.RepOp)
+	// plantCacheAll is the stale-location oracles' planted bug: every
+	// lookup answer is cacheable, a mirror's and an uncommitted create's.
+	plantCacheAll bool
 }
 
 // bootProbeTimeout bounds the dial and the round trip of the start-up
@@ -210,7 +217,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	// stream opens are rejected with a typed error.
 	ops := newOpMetrics(cfg.Metrics, cfg.Tracer, "server", []proto.Type{
 		proto.TCreateReq, proto.TLookupReq, proto.TListReq, proto.TDeleteReq,
-		proto.TPrefetchReq, proto.TStatsReq,
+		proto.TPrefetchReq, proto.TStatsReq, proto.TAccessReq,
 	})
 	s.lis.listen(ln, s.cfg.Logger.Printf, func(conn net.Conn) {
 		serveFrames(conn, s.cfg.WriteTimeout, ops, s.dispatch, nil)
@@ -317,6 +324,8 @@ func (s *Server) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (rep
 			func(req proto.LookupReq, sp *telemetry.Span) (proto.LookupResp, error) {
 				return s.handleLookup(req, t == proto.TLookupWriteReq, sp)
 			})
+	case proto.TAccessReq:
+		return answer(payload, sp, proto.DecodeAccessReq, proto.TAccessResp, s.handleAccess)
 	case proto.TListReq:
 		return reply{t: proto.TListResp, body: proto.ListResp{Names: s.ns.meta.Names()}.Encode()}, nil
 	case proto.TDeleteReq:
@@ -376,6 +385,9 @@ func (s *Server) handleCreate(req proto.CreateReq, sp *telemetry.Span) (proto.Cr
 			proto.NodeCreateReq{FileID: op.ID, Size: req.Size}.Encode(), sp)
 		return err
 	})
+	if err == nil {
+		s.ns.pop.slot(op.ID).creating.Store(false)
+	}
 	return proto.CreateResp{FileID: op.ID, NodeAddr: h.addr}, err
 }
 
@@ -386,6 +398,9 @@ func (s *Server) handleCreate(req proto.CreateReq, sp *telemetry.Span) (proto.Cr
 func (s *Server) mutate(op proto.RepOp, sp *telemetry.Span, claim func() error) error {
 	if err := s.ns.transition(op, claim); err != nil {
 		return err
+	}
+	if s.afterClaim != nil {
+		s.afterClaim(op)
 	}
 	s.log.commit(op, sp)
 	return nil
@@ -415,7 +430,9 @@ func (s *Server) resolve(name string, read bool) (metadata.FileInfo, *nodeHandle
 // fold of Section IV's append-only request log). A write never routes to
 // a replica, and it invalidates any recorded mirror first: the write is
 // about to make that copy stale, and a reader redirected there later must
-// not see old bytes.
+// not see old bytes. The answer is cacheable when it names the owner and
+// the file's create has committed: a client may then read the file again
+// without asking, reporting those reads instead (handleAccess).
 func (s *Server) handleLookup(req proto.LookupReq, write bool, sp *telemetry.Span) (proto.LookupResp, error) {
 	fi, h, err := s.resolve(req.Name, !write)
 	if err != nil {
@@ -430,7 +447,8 @@ func (s *Server) handleLookup(req proto.LookupReq, write bool, sp *telemetry.Spa
 		s.dropMirror(ridx, fi.ID)
 	}
 	s.journalAccess(fi)
-	return proto.LookupResp{FileID: int64(fi.ID), Size: fi.Size, NodeAddr: h.addr}, nil
+	cacheable := h == s.nodes.all[fi.Node] && !s.ns.pop.slot(int64(fi.ID)).creating.Load()
+	return proto.LookupResp{FileID: int64(fi.ID), Size: fi.Size, NodeAddr: h.addr, Cacheable: cacheable || s.plantCacheAll}, nil
 }
 
 // dropMirror deletes file id's copy on mirror node ridx in the
@@ -447,13 +465,33 @@ func (s *Server) dropMirror(ridx, id int) {
 	}()
 }
 
-// journalAccess folds one access to fi into its popularity slot and
+// journalAccess folds one lookup of fi into its popularity slot and
 // hands it to the adaptive policy's detector — the lookup hot path takes
 // no lock and waits on nothing.
 func (s *Server) journalAccess(fi metadata.FileInfo) {
 	s.ns.pop.slot(int64(fi.ID)).note(float64(s.clock.Now()))
 	s.accessCtr.Inc()
 	s.policy.observe(fi.ID)
+}
+
+// handleAccess counts the reads a client served from its location cache:
+// each file's report folds in as count accesses between now − first age
+// and now − last age on the server's clock, and the detector sees them
+// as one stream. An id the server has not given out is skipped — the
+// table grows only by creates.
+func (s *Server) handleAccess(req proto.AccessReq, _ *telemetry.Span) (noBody, error) {
+	now, scale, horizon := float64(s.clock.Now()), s.clock.Scale(), s.ns.nextID.Load()
+	recs := req.Records[:0]
+	for _, r := range req.Records {
+		if r.FileID >= horizon {
+			continue
+		}
+		s.ns.pop.slot(r.FileID).fold(r.Count, max(0, now-r.FirstAge*scale), max(0, now-r.LastAge*scale))
+		s.accessCtr.Add(r.Count)
+		recs = append(recs, r)
+	}
+	s.policy.observeReport(recs)
+	return noBody{}, nil
 }
 
 func (s *Server) handleDelete(req proto.DeleteReq, sp *telemetry.Span) (noBody, error) {

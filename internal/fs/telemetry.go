@@ -35,6 +35,8 @@ func opName(t proto.Type) string {
 		return "hints"
 	case proto.TLookupWriteReq:
 		return "lookupwrite"
+	case proto.TAccessReq:
+		return "access"
 	case proto.TRepAppendReq:
 		return "repl.append"
 	case proto.TRepSnapshotReq:

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -51,6 +52,13 @@ func FuzzMessageDecoders(f *testing.F) {
 	legacy := ErrorMsg{Msg: "legacy"}.Encode()
 	f.Add(legacy[:len(legacy)-8]) // pre-Code encoding: message only
 	f.Add(legacy[:len(legacy)-4]) // pre-Redirect encoding: message + code
+	f.Add(LookupResp{FileID: 3, Size: 10, NodeAddr: "127.0.0.1:9", Cacheable: true}.Encode())
+	cacheable := LookupResp{FileID: 3, Size: 10, NodeAddr: "n"}.Encode()
+	f.Add(cacheable[:len(cacheable)-1]) // pre-flag encoding: no Cacheable byte
+	f.Add(AccessReq{Records: []AccessAge{{FileID: 4, Count: 3, FirstAge: 0.5, LastAge: 0.001}, {FileID: 9, Count: 1}}}.Encode())
+	// A report with unordered ages and one with a zero count.
+	f.Add(AccessReq{Records: []AccessAge{{FileID: 4, Count: 2, FirstAge: 0.001, LastAge: 0.5}}}.Encode())
+	f.Add(AccessReq{Records: []AccessAge{{FileID: 4, Count: 0}}}.Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 
@@ -62,7 +70,21 @@ func FuzzMessageDecoders(f *testing.F) {
 			_ = m.Encode()
 		}
 		if m, err := DecodeLookupResp(input); err == nil {
-			_ = m.Encode()
+			// Re-encoding always emits the flag; it must decode back to
+			// the same answer (a pre-flag input gains Cacheable false).
+			if rt, err := DecodeLookupResp(m.Encode()); err != nil || rt != m {
+				t.Fatalf("LookupResp round trip mismatch: %+v vs %+v (%v)", m, rt, err)
+			}
+		}
+		if m, err := DecodeAccessReq(input); err == nil {
+			for _, r := range m.Records {
+				if r.FileID < 0 || r.Count <= 0 || !(r.LastAge >= 0 && r.FirstAge >= r.LastAge) {
+					t.Fatalf("accepted a report no client sends: %+v", r)
+				}
+			}
+			if rt, err := DecodeAccessReq(m.Encode()); err != nil || !reflect.DeepEqual(rt, m) {
+				t.Fatalf("AccessReq round trip mismatch: %+v vs %+v (%v)", m, rt, err)
+			}
 		}
 		if m, err := DecodeListResp(input); err == nil {
 			_ = m.Encode()

@@ -149,23 +149,73 @@ func DecodeLookupReq(b []byte) (LookupReq, error) {
 
 // LookupResp carries the node holding the file. The server deliberately
 // does not know (or say) which disk inside the node has it, nor whether it
-// is prefetched (Section IV-D).
+// is prefetched (Section IV-D). Cacheable marks an answer the client may
+// keep and read through without asking again: NodeAddr is the file's
+// owner (not a mirror standing in for it) and the create that gave the
+// file its id has committed, so the id is never given to another name.
+// It rides last, so a payload without it decodes as not cacheable.
 type LookupResp struct {
-	FileID   int64
-	Size     int64
-	NodeAddr string
+	FileID    int64
+	Size      int64
+	NodeAddr  string
+	Cacheable bool
 }
 
 // Encode serializes the message body.
 func (m LookupResp) Encode() []byte {
 	var e Encoder
-	return e.I64(m.FileID).I64(m.Size).Str(m.NodeAddr).Bytes()
+	return e.I64(m.FileID).I64(m.Size).Str(m.NodeAddr).Bool(m.Cacheable).Bytes()
 }
 
 // DecodeLookupResp parses a LookupResp payload.
 func DecodeLookupResp(b []byte) (LookupResp, error) {
 	d := NewDecoder(b)
 	m := LookupResp{FileID: d.I64(), Size: d.I64(), NodeAddr: d.Str()}
+	if d.Err() == nil && d.Remaining() > 0 {
+		m.Cacheable = d.Bool()
+	}
+	return m, d.Err()
+}
+
+// AccessAge is one file's reads in an access report: Count reads, the
+// earliest FirstAge seconds and the latest LastAge seconds before the
+// report left the client.
+type AccessAge struct {
+	FileID            int64
+	Count             int64
+	FirstAge, LastAge float64
+}
+
+// AccessReq reports the reads a client served from its location cache
+// since its previous report, one AccessAge per file. Ages, not times:
+// the server places them on its own clock, so client and server clocks
+// need not agree.
+type AccessReq struct{ Records []AccessAge }
+
+// Encode serializes the message body.
+func (m AccessReq) Encode() []byte {
+	var e Encoder
+	e.U32(uint32(len(m.Records)))
+	for _, r := range m.Records {
+		e.I64(r.FileID).I64(r.Count).F64(r.FirstAge).F64(r.LastAge)
+	}
+	return e.Bytes()
+}
+
+// DecodeAccessReq parses an AccessReq payload. Like a replicated fold it
+// refuses what no client sends — a negative id, a count below one, a
+// negative age or a first read younger than the last — written so that
+// a NaN age fails too.
+func DecodeAccessReq(b []byte) (AccessReq, error) {
+	d := NewDecoder(b)
+	var m AccessReq
+	for n := d.U32(); n > 0 && d.err == nil; n-- {
+		r := AccessAge{FileID: d.I64(), Count: d.I64(), FirstAge: d.F64(), LastAge: d.F64()}
+		if d.err == nil && (r.FileID < 0 || r.Count <= 0 || !(r.LastAge >= 0 && r.FirstAge >= r.LastAge)) {
+			d.err = errBadAccessAge
+		}
+		m.Records = append(m.Records, r)
+	}
 	return m, d.Err()
 }
 

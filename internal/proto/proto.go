@@ -92,6 +92,11 @@ const (
 	TStreamEnd
 	TStreamAbort
 	TStreamCredit
+	// TAccessReq reports reads a client served from its location cache,
+	// without a lookup, so the server still counts each of them once
+	// (an AccessReq; TAccessResp has an empty body).
+	TAccessReq
+	TAccessResp
 )
 
 // Errors returned by the codec.
@@ -99,6 +104,7 @@ var (
 	ErrFrameTooLarge = errors.New("proto: frame exceeds MaxFrame")
 	ErrShortPayload  = errors.New("proto: truncated payload")
 	errBadRepAccess  = errors.New("proto: access fold with a negative id, no accesses or unordered times")
+	errBadAccessAge  = errors.New("proto: access report with a negative id, no accesses or unordered ages")
 )
 
 // MagicV2 is the connection preface. Read as a frame length it decodes

@@ -78,8 +78,10 @@ func TestMessageRoundTrips(t *testing.T) {
 			func(b []byte) (any, error) { return DecodeCreateResp(b) }, CreateResp{7, "1.2.3.4:9"}},
 		{"LookupReq", LookupReq{"f"}.Encode,
 			func(b []byte) (any, error) { return DecodeLookupReq(b) }, LookupReq{"f"}},
-		{"LookupResp", LookupResp{1, 2, "addr"}.Encode,
-			func(b []byte) (any, error) { return DecodeLookupResp(b) }, LookupResp{1, 2, "addr"}},
+		{"LookupResp", LookupResp{1, 2, "addr", true}.Encode,
+			func(b []byte) (any, error) { return DecodeLookupResp(b) }, LookupResp{1, 2, "addr", true}},
+		{"AccessReq", AccessReq{[]AccessAge{{4, 3, 0.5, 0.25}, {0, 1, 0, 0}}}.Encode,
+			func(b []byte) (any, error) { return DecodeAccessReq(b) }, AccessReq{[]AccessAge{{4, 3, 0.5, 0.25}, {0, 1, 0, 0}}}},
 		{"DeleteReq", DeleteReq{"f"}.Encode,
 			func(b []byte) (any, error) { return DecodeDeleteReq(b) }, DeleteReq{"f"}},
 		{"PrefetchReq", PrefetchReq{70}.Encode,
