@@ -403,15 +403,46 @@ func TestMalformedFrameGetsErrorNotCrash(t *testing.T) {
 	}
 }
 
+// TestUnknownMessageTypeGetsError: a request type a daemon has no row
+// for — one no daemon knows, a response sent as a request, the other
+// daemon's request, a stream open at the metadata server — is answered
+// with a TError under its own id, and the connection goes on serving.
 func TestUnknownMessageTypeGetsError(t *testing.T) {
-	_, srv, _ := testCluster(t, 1, nil)
-	conn := dialFramed(t, srv.Addr())
-	if err := proto.WriteFrameID(conn, proto.Type(200), 9, nil); err != nil {
-		t.Fatal(err)
-	}
-	ty, id, _, err := proto.ReadFrameID(conn)
-	if err != nil || ty != proto.TError || id != 9 {
-		t.Fatalf("type=%d id=%d err=%v", ty, id, err)
+	_, srv, nodes := testCluster(t, 1, nil)
+	open := proto.StreamOpenReq{FileID: 1, Size: 1, ChunkSize: proto.MinStreamChunk}.Encode()
+	past := proto.TAccessResp + 1 // untraced, and past the last type
+	for _, d := range []struct {
+		name        string
+		addr        string
+		valid, resp proto.Type
+		unknown     []proto.Type
+	}{
+		{"server", srv.Addr(), proto.TListReq, proto.TListResp,
+			[]proto.Type{past, proto.TLookupResp, proto.TNodeReadReq, proto.TStreamReadReq}},
+		{"node", nodes[0].Addr(), proto.TNodeStatsReq, proto.TNodeStatsResp,
+			[]proto.Type{past, proto.TNodeReadResp, proto.TLookupReq}},
+	} {
+		for i, ty := range d.unknown {
+			conn := dialFramed(t, d.addr)
+			var payload []byte
+			if ty == proto.TStreamReadReq {
+				payload = open
+			}
+			id := uint32(10 + i)
+			if err := proto.WriteFrameID(conn, ty, id, payload); err != nil {
+				t.Fatal(err)
+			}
+			if got, gotID, _, err := proto.ReadFrameID(conn); err != nil || got != proto.TError || gotID != id {
+				t.Errorf("%s answered type %d with type %d id %d (err %v), want TError id %d", d.name, ty, got, gotID, err, id)
+				continue
+			}
+			if err := proto.WriteFrameID(conn, d.valid, id+100, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got, gotID, _, err := proto.ReadFrameID(conn); err != nil || got != d.resp || gotID != id+100 {
+				t.Errorf("%s after type %d: type %d id %d (err %v), want %d id %d", d.name, ty, got, gotID, err, d.resp, id+100)
+			}
+		}
 	}
 }
 

@@ -64,6 +64,7 @@ type nodeSet struct {
 	failThreshold int
 	logger        *log.Logger
 	tracer        *telemetry.Tracer
+	nodeOps       *opTable // names a round trip's span after the node's row
 	transitions   *telemetry.Counter
 	healthyG      *telemetry.Gauge
 }
@@ -73,6 +74,7 @@ func newNodeSet(cfg ServerConfig) *nodeSet {
 		failThreshold: cfg.Health.FailThreshold,
 		logger:        cfg.Logger,
 		tracer:        cfg.Tracer,
+		nodeOps:       newOpTable("node", nil, nil, (*Node)(nil).ops()),
 		transitions:   cfg.Metrics.Counter("server.health.transitions"),
 		healthyG:      cfg.Metrics.Gauge("server.nodes.healthy"),
 	}
@@ -91,7 +93,7 @@ func newNodeSet(cfg ServerConfig) *nodeSet {
 // child span of its own and carries that child's context to the node,
 // so the node's server-side span parents correctly under this hop.
 func (ns *nodeSet) roundTrip(h *nodeHandle, t proto.Type, payload []byte, parent *telemetry.Span) (proto.Type, []byte, error) {
-	sp := ns.tracer.StartChild(parent.Context(), "server", "node."+opName(t))
+	sp := ns.tracer.StartChild(parent.Context(), "server", ns.nodeOps.rows[t].span)
 	sp.Annotate("peer", h.addr)
 	rt, rp, err := h.ep.CallCtx(t, payload, sp.Context())
 	sp.End(err)

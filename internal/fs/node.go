@@ -203,12 +203,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if n.counters == nil {
 		n.counters = telemetry.NewRegistry()
 	}
-	ops := newOpMetrics(cfg.Metrics, cfg.Tracer, "node", []proto.Type{
-		proto.TNodeCreateReq, proto.TNodeWriteReq, proto.TNodeReadReq,
-		proto.TNodeReadAtReq, proto.TNodeDeleteReq, proto.TNodePrefetchReq,
-		proto.TNodeHintsReq, proto.TNodeStatsReq,
-		proto.TStreamReadReq, proto.TStreamWriteReq,
-	})
 	n.streamBytesC = cfg.Metrics.Counter("node.stream.bytes")
 	n.streamChunksC = cfg.Metrics.Counter("node.stream.chunks")
 	n.hitsC = n.counters.Counter("node.buffer.hits")
@@ -282,8 +276,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.armTimerLocked(nd, 0, false)
 		nd.mu.Unlock()
 	}
+	ops := newOpTable("node", cfg.Metrics, cfg.Tracer, n.ops())
 	n.lis.listen(ln, n.logger.Printf, func(conn net.Conn) {
-		serveFrames(conn, n.cfg.WriteTimeout, ops, n.dispatch, n.dispatchStream)
+		serveFrames(conn, n.cfg.WriteTimeout, ops)
 	})
 	return n, nil
 }
@@ -329,37 +324,39 @@ func (n *Node) Close() error {
 	return err
 }
 
-func (n *Node) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (reply, error) {
-	switch t {
-	case proto.TNodeCreateReq:
-		return answer(payload, sp, proto.DecodeNodeCreateReq, proto.TNodeCreateResp, n.handleCreate)
-	case proto.TNodeWriteReq:
-		return answer(payload, sp, proto.DecodeNodeWriteReq, proto.TNodeWriteResp, n.handleWrite)
-	case proto.TNodeReadReq:
-		req, err := proto.DecodeNodeReadReq(payload)
-		if err != nil {
-			return reply{}, err
-		}
-		return n.handleRead(proto.TNodeReadResp, req.FileID, 0, wholeFile, sp)
-	case proto.TNodeReadAtReq:
-		req, err := proto.DecodeNodeReadAtReq(payload)
-		if err != nil {
-			return reply{}, err
-		}
-		if req.Length < 0 {
-			return reply{}, fmt.Errorf("fs: ranged read of file %d with length %d", req.FileID, req.Length)
-		}
-		return n.handleRead(proto.TNodeReadAtResp, req.FileID, req.Offset, req.Length, sp)
-	case proto.TNodeDeleteReq:
-		return answer(payload, sp, proto.DecodeNodeDeleteReq, proto.TNodeDeleteResp, n.handleDelete)
-	case proto.TNodePrefetchReq:
-		return answer(payload, sp, proto.DecodeNodePrefetchReq, proto.TNodePrefetchResp, n.handlePrefetch)
-	case proto.TNodeHintsReq:
-		return answer(payload, sp, proto.DecodeNodeHintsReq, proto.TNodeHintsResp, n.handleHints)
-	case proto.TNodeStatsReq:
-		return reply{t: proto.TNodeStatsResp, body: n.statsResp().Encode()}, nil
-	default:
-		return reply{}, fmt.Errorf("fs: node got unexpected message type %d", t)
+// ops is the node's op table: the RPCs the server sends it and the two
+// stream opens of its data plane (node_stream.go). n may be nil where only
+// the rows' names are wanted: the server names its node round trips'
+// spans after them.
+func (n *Node) ops() map[proto.Type]op {
+	return map[proto.Type]op{
+		proto.TNodeCreateReq: {name: "create", rpc: answer(proto.DecodeNodeCreateReq, proto.TNodeCreateResp, n.handleCreate)},
+		proto.TNodeWriteReq:  {name: "write", rpc: answer(proto.DecodeNodeWriteReq, proto.TNodeWriteResp, n.handleWrite)},
+		proto.TNodeReadReq: {name: "read", rpc: func(payload []byte, sp *telemetry.Span) (reply, error) {
+			req, err := proto.DecodeNodeReadReq(payload)
+			if err != nil {
+				return reply{}, err
+			}
+			return n.handleRead(proto.TNodeReadResp, req.FileID, 0, wholeFile, sp)
+		}},
+		proto.TNodeReadAtReq: {name: "readat", rpc: func(payload []byte, sp *telemetry.Span) (reply, error) {
+			req, err := proto.DecodeNodeReadAtReq(payload)
+			if err != nil {
+				return reply{}, err
+			}
+			if req.Length < 0 {
+				return reply{}, fmt.Errorf("fs: ranged read of file %d with length %d", req.FileID, req.Length)
+			}
+			return n.handleRead(proto.TNodeReadAtResp, req.FileID, req.Offset, req.Length, sp)
+		}},
+		proto.TNodeDeleteReq:   {name: "delete", rpc: answer(proto.DecodeNodeDeleteReq, proto.TNodeDeleteResp, n.handleDelete)},
+		proto.TNodePrefetchReq: {name: "prefetch", rpc: answer(proto.DecodeNodePrefetchReq, proto.TNodePrefetchResp, n.handlePrefetch)},
+		proto.TNodeHintsReq:    {name: "hints", rpc: answer(proto.DecodeNodeHintsReq, proto.TNodeHintsResp, n.handleHints)},
+		proto.TNodeStatsReq: {name: "stats", rpc: func([]byte, *telemetry.Span) (reply, error) {
+			return reply{t: proto.TNodeStatsResp, body: n.statsResp().Encode()}, nil
+		}},
+		proto.TStreamReadReq:  {name: "stream.read", stream: n.handleStreamRead},
+		proto.TStreamWriteReq: {name: "stream.write", stream: n.handleStreamWrite},
 	}
 }
 

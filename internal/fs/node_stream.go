@@ -12,15 +12,6 @@ import (
 	"eevfs/internal/telemetry"
 )
 
-// dispatchStream serves one opened stream end to end: the handlers send
-// End on success, serveFrames the Abort carrying a returned error.
-func (n *Node) dispatchStream(t proto.Type, req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error {
-	if t == proto.TStreamReadReq {
-		return n.handleStreamRead(req, sp, st)
-	}
-	return n.handleStreamWrite(req, sp, st)
-}
-
 // handleStreamRead streams one file to the peer: open response first,
 // then data chunks under the peer-granted credit window, then a clean
 // end. The open response leaves with the first chunk and the last chunk

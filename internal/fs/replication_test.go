@@ -12,6 +12,7 @@ import (
 	"eevfs/internal/faultnet"
 	"eevfs/internal/proto"
 	"eevfs/internal/simtest/leak"
+	"eevfs/internal/telemetry"
 )
 
 // startGroup boots numServers metadata servers over numNodes storage
@@ -238,6 +239,44 @@ func typedTestErr(err error) bool {
 	var re *proto.RemoteError
 	return errors.Is(err, ErrNodeUnavailable) || errors.Is(err, ErrFileNotFound) ||
 		errors.Is(err, ErrNotPrimary) || errors.As(err, &te) || errors.As(err, &re)
+}
+
+// TestWriteLookupAndReplicationMetered: every op a server answers is
+// metered under its row's name — a write's lookup on the primary, the
+// peer frames on the followers, an append and a status probe on one, a
+// snapshot repair on the other.
+func TestWriteLookupAndReplicationMetered(t *testing.T) {
+	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry(), telemetry.NewRegistry()}
+	g := startGroup(t, 3, 2, func(i int, c *ServerConfig) {
+		c.Health.ProbeInterval = time.Hour // no heartbeat: which follower is repaired how is the test's choice
+		c.Metrics = regs[i]
+	})
+	cl := dialLocal(t, g, ClientConfig{Transport: chaosTransport()})
+	if err := cl.Create("f", []byte("old")); err != nil { // an append to both followers
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := cl.Write("f", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	desync(g.Servers[0], 2)
+	if err := cl.Create("g", []byte("g")); err != nil { // an append to 1, a snapshot to 2
+		t.Fatal(err)
+	}
+	count := func(i int, name string) int64 { return regs[i].Histogram("server.op."+name+".seconds", nil).Count() }
+	if n := count(0, "lookupwrite"); n != 5 {
+		t.Errorf("server.op.lookupwrite.seconds counted %d on the primary after 5 writes", n)
+	}
+	// Member 2's boot probe asked member 1 for its status.
+	for _, m := range []struct {
+		follower int
+		name     string
+	}{{1, "repl.append"}, {1, "repl.status"}, {2, "repl.snapshot"}} {
+		if count(m.follower, m.name) == 0 {
+			t.Errorf("server.op.%s.seconds is empty on follower %d", m.name, m.follower)
+		}
+	}
 }
 
 // snapshotOf takes a server's snapshot under its own replication lock.

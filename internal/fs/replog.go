@@ -457,33 +457,26 @@ func (l *replog) close() error {
 	return l.wal.Close()
 }
 
-// serve answers the three server-to-server frames, valid in every role.
-func (l *replog) serve(t proto.Type, payload []byte) (proto.Type, []byte, error) {
-	switch {
-	case t == proto.TRepStatusReq:
-		return proto.TRepStatusResp, l.status().Encode(), nil
-	case len(l.peers) == 0:
-		return 0, nil, errors.New("replication: server is not part of a group")
-	case t == proto.TRepAppendReq:
-		req, err := proto.DecodeRepAppendReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		resp, err := l.handleAppend(req)
-		if err != nil {
-			return 0, nil, err
-		}
-		return proto.TRepAppendResp, resp.Encode(), nil
-	case t == proto.TRepSnapshotReq:
-		snap, err := proto.DecodeRepSnapshot(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return proto.TRepSnapshotResp, nil, l.handleSnapshot(snap)
-	default:
-		return 0, nil, fmt.Errorf("fs: replication got unexpected message type %d", t)
+// ops are the server's rows for the three server-to-server frames, valid
+// in every role: status must stay answerable even mid-election.
+func (l *replog) ops() map[proto.Type]op {
+	return map[proto.Type]op{
+		proto.TRepStatusReq: {name: "repl.status", rpc: func([]byte, *telemetry.Span) (reply, error) {
+			return reply{t: proto.TRepStatusResp, body: l.status().Encode()}, nil
+		}},
+		proto.TRepAppendReq: {name: "repl.append", rpc: answer(proto.DecodeRepAppendReq, proto.TRepAppendResp,
+			func(req proto.RepAppendReq, _ *telemetry.Span) (proto.RepAppendResp, error) {
+				return l.handleAppend(req)
+			})},
+		proto.TRepSnapshotReq: {name: "repl.snapshot", rpc: answer(proto.DecodeRepSnapshot, proto.TRepSnapshotResp,
+			func(snap proto.RepSnapshot, _ *telemetry.Span) (noBody, error) {
+				return noBody{}, l.handleSnapshot(snap)
+			})},
 	}
 }
+
+// errNoGroup refuses a peer's log on a standalone server.
+var errNoGroup = errors.New("replication: server is not part of a group")
 
 // status answers "who are you": role, epoch, log position. Lock-free so
 // a primary mid-fan-out still answers elections honestly.
@@ -500,6 +493,9 @@ func (l *replog) status() proto.RepStatusResp {
 // idempotent duplicates, ordered applies, loud gaps. A refusal goes back
 // to the primary, which falls back to a snapshot.
 func (l *replog) handleAppend(req proto.RepAppendReq) (proto.RepAppendResp, error) {
+	if len(l.peers) == 0 {
+		return proto.RepAppendResp{}, errNoGroup
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.fenceLocked(req.Epoch, req.From); err != nil {
@@ -523,6 +519,9 @@ func (l *replog) handleAppend(req proto.RepAppendReq) (proto.RepAppendResp, erro
 
 // handleSnapshot replaces the follower's state wholesale.
 func (l *replog) handleSnapshot(snap proto.RepSnapshot) error {
+	if len(l.peers) == 0 {
+		return errNoGroup
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.fenceLocked(snap.Epoch, snap.From); err != nil {

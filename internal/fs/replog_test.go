@@ -67,11 +67,11 @@ func (c memCaller) CallCtx(t proto.Type, payload []byte, _ telemetry.SpanContext
 	if c.g.down[c.to] {
 		return 0, nil, &proto.TransportError{Addr: fmt.Sprint(c.to), Attempts: 1, Err: errors.New("member is down")}
 	}
-	rt, rp, err := c.g.logs[c.to].serve(t, payload)
+	r, err := c.g.logs[c.to].ops()[t].rpc(payload, nil)
 	if err != nil {
 		return 0, nil, &proto.RemoteError{Code: errCode(err), Msg: err.Error()}
 	}
-	return rt, rp, nil
+	return r.t, r.body, nil
 }
 
 func (g *memGroup) cfg(i int) ServerConfig {

@@ -147,40 +147,116 @@ type reply struct {
 	pooled bool
 }
 
-// handlerFunc handles one request under its span and returns the response
-// frame. A returned error becomes a TError frame; the connection stays up
-// either way (malformed payloads answer with an error rather than a
-// hangup).
-type handlerFunc func(t proto.Type, payload []byte, sp *telemetry.Span) (reply, error)
+// handlerFunc answers one RPC under its span with the response frame. A
+// returned error becomes a TError frame; the connection stays up either
+// way (malformed payloads answer with an error rather than a hangup).
+type handlerFunc func(payload []byte, sp *telemetry.Span) (reply, error)
 
-// streamHandlerFunc serves one open stream (DESIGN.md §19): t is the
-// opening frame type (TStreamReadReq or TStreamWriteReq), req its body,
-// and st this side's end of the stream. The handler owns the stream until
-// it returns, having sent End on success; a returned error is sent as the
-// Abort carrying it — the dialing side relies on that terminal frame to
-// retire the stream id.
-type streamHandlerFunc func(t proto.Type, req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error
+// streamHandlerFunc serves one open stream (DESIGN.md §19): req is the
+// opening frame's body and st this side's end of the stream. The handler
+// owns the stream until it returns, having sent End on success; a
+// returned error is sent as the Abort carrying it — the dialing side
+// relies on that terminal frame to retire the stream id.
+type streamHandlerFunc func(req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error
+
+// op is one row of a daemon's op table: the name a request type is
+// metered and traced under, and what answers it — an RPC handler or, for
+// a request that opens a stream, a stream handler.
+type op struct {
+	name   string
+	rpc    handlerFunc
+	stream streamHandlerFunc
+
+	// Built from name by newOpTable: the span "<prefix>.<name>" and the
+	// metrics "<prefix>.op.<name>.seconds" and ".errors".
+	span    string
+	seconds *telemetry.Histogram
+	errors  *telemetry.Counter
+}
+
+// opTable is a daemon's ops indexed by request type, the traced flag
+// cleared, and where their spans and its connections' write halves count.
+// serveFrames answers each request from its row, under the row's span,
+// latency histogram and error counter; a type without a row gets a
+// TError. All handles are no-ops on a nil registry or tracer.
+type opTable struct {
+	prefix string // "server" or "node"
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
+	rows   [proto.FlagTraced]op
+}
+
+// newOpTable builds a daemon's table from its rows, resolving every
+// row's span name and metric handles once, so no request pays for them.
+func newOpTable(prefix string, reg *telemetry.Registry, tracer *telemetry.Tracer, rows map[proto.Type]op) *opTable {
+	tbl := &opTable{prefix: prefix, reg: reg, tracer: tracer}
+	for t, r := range rows {
+		metric := prefix + ".op." + r.name
+		r.span = prefix + "." + r.name
+		r.seconds = reg.Histogram(metric+".seconds", nil)
+		r.errors = reg.Counter(metric + ".errors")
+		tbl.rows[t] = r
+	}
+	return tbl
+}
+
+// begin opens the span of one request, joined to the caller's trace when
+// the frame carried a context.
+func (tbl *opTable) begin(r *op, sc telemetry.SpanContext) (*telemetry.Span, time.Time) {
+	return tbl.tracer.StartRemote(sc, tbl.prefix, r.span), time.Now()
+}
+
+// end records one handled request.
+func (r *op) end(sp *telemetry.Span, start time.Time, err error) {
+	r.seconds.Observe(time.Since(start).Seconds())
+	if err != nil {
+		r.errors.Inc()
+	}
+	sp.End(err)
+}
+
+// answer is the RPC handler of a row whose request and response have
+// codecs: decode the payload, handle it under the request's span, encode
+// the response as type rt.
+func answer[Q any, R interface{ Encode() []byte }](decode func([]byte) (Q, error), rt proto.Type,
+	handle func(Q, *telemetry.Span) (R, error)) handlerFunc {
+	return func(payload []byte, sp *telemetry.Span) (reply, error) {
+		req, err := decode(payload)
+		if err != nil {
+			return reply{}, err
+		}
+		resp, err := handle(req, sp)
+		if err != nil {
+			return reply{}, err
+		}
+		return reply{t: rt, body: resp.Encode()}, nil
+	}
+}
+
+// noBody is the response of an op that answers with its type alone.
+type noBody struct{}
+
+func (noBody) Encode() []byte { return nil }
 
 // errStreamConnDead reports that the connection under a stream died while
 // its handler was mid-transfer.
 var errStreamConnDead = errors.New("fs: stream connection closed")
 
 // serveFrames drives one accepted connection until it dies (DESIGN.md
-// §15). The peer opens with the 4-byte EEV2 preface; a connection that
-// opens with anything else is closed. Requests are dispatched to a bounded
-// pool of worker goroutines; responses carry the request's id and leave
-// through the connection's write half in whatever order the handlers
-// finish. Stream opens spawn a dedicated handler goroutine outside the
-// worker pool (bounded by connStreams instead), and later frames of an
-// open stream are delivered to it by id.
+// §15), answering each request from its row of ops. The peer opens with
+// the 4-byte EEV2 preface; a connection that opens with anything else is
+// closed. An RPC goes to a bounded pool of worker goroutines; responses
+// carry the request's id and leave through the connection's write half in
+// whatever order the handlers finish. A stream open spawns a dedicated
+// handler goroutine outside the worker pool (bounded by connStreams
+// instead), and later frames of an open stream are delivered to it by id.
+// A type without a row is answered with a typed TError and the connection
+// stays healthy (the metadata server, say, does not serve file bytes).
 //
 // writeTimeout bounds each write so a stalled peer cannot pin a handler
 // goroutine; a failed write, like a stream's protocol violation, closes
 // the socket, and the read loop fails every open stream on its way out.
-// Every handler runs between ops.begin and ops.end. shandle may be nil:
-// stream opens then answer with a typed TError and the connection stays
-// healthy (the metadata server does not serve file bytes).
-func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handle handlerFunc, shandle streamHandlerFunc) {
+func serveFrames(conn net.Conn, writeTimeout time.Duration, ops *opTable) {
 	in := proto.NewReadHalf(conn)
 	var preface [4]byte
 	if _, err := io.ReadFull(in, preface[:]); err != nil || binary.BigEndian.Uint32(preface[:]) != proto.MagicV2 {
@@ -202,7 +278,8 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 		if err != nil {
 			break
 		}
-		switch base := t &^ proto.FlagTraced; base {
+		base := t &^ proto.FlagTraced
+		switch base {
 		case proto.TDataFrame, proto.TStreamCredit, proto.TStreamEnd, proto.TStreamAbort:
 			smu.Lock()
 			st := streams[id]
@@ -226,20 +303,16 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 		if _, err := io.ReadFull(in, payload); err != nil {
 			break
 		}
-		switch t &^ proto.FlagTraced {
-		case proto.TStreamReadReq, proto.TStreamWriteReq:
-			t, payload, sc, err := proto.ExtractContext(t, payload)
+		switch row := &ops.rows[base]; {
+		case row.stream != nil:
+			_, payload, sc, err := proto.ExtractContext(t, payload)
 			var req proto.StreamOpenReq
-			if err == nil && shandle == nil {
-				// This daemon has no data plane (the metadata server).
-				err = fmt.Errorf("unexpected message type %d", t)
-			}
 			if err == nil {
 				req, err = proto.DecodeStreamOpenReq(payload)
 			}
 			if err != nil {
-				// No handler: the connection stays healthy, and so does
-				// every stream on it, unless the answer cannot be written.
+				// The connection stays healthy, and so does every stream
+				// on it, unless the answer cannot be written.
 				_ = out.SendFrame(proto.TError, id, errorPayload(err))
 				continue
 			}
@@ -263,29 +336,29 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sp, start := ops.begin(t, sc)
-				err := shandle(t, req, sp, st)
+				sp, start := ops.begin(row, sc)
+				err := row.stream(req, sp, st)
 				if err != nil {
 					st.Abort(errorPayload(err))
 				}
-				ops.end(t, sp, start, err)
+				row.end(sp, start, err)
 				smu.Lock()
 				delete(streams, id)
 				smu.Unlock()
 				st.Release()
 			}()
-		default:
+		case row.rpc != nil:
 			slots <- struct{}{}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer func() { <-slots }()
-				t, payload, sc, herr := proto.ExtractContext(t, payload)
+				_, payload, sc, herr := proto.ExtractContext(t, payload)
 				var r reply
 				if herr == nil {
-					sp, start := ops.begin(t, sc)
-					r, herr = handle(t, payload, sp)
-					ops.end(t, sp, start, herr)
+					sp, start := ops.begin(row, sc)
+					r, herr = row.rpc(payload, sp)
+					row.end(sp, start, herr)
 				}
 				if herr != nil {
 					r = reply{t: proto.TError, body: errorPayload(herr)}
@@ -295,6 +368,9 @@ func serveFrames(conn net.Conn, writeTimeout time.Duration, ops opMetrics, handl
 					proto.PutChunk(r.body)
 				}
 			}()
+		default:
+			err := fmt.Errorf("fs: %s got unexpected message type %d", ops.prefix, base)
+			_ = out.SendFrame(proto.TError, id, errorPayload(err))
 		}
 	}
 dead:

@@ -14,18 +14,28 @@ import (
 // servePipe runs serveFrames on the server end of a net.Pipe and returns
 // both ends, the client's prefaced, plus a channel closed when serveFrames
 // has returned — which it does only after every handler goroutine it
-// started.
-func servePipe(t *testing.T, shandle streamHandlerFunc) (client, server net.Conn, served <-chan struct{}) {
+// started. Its table answers TListReq and opens both kinds of stream
+// with shandle, told which kind it serves.
+func servePipe(t *testing.T, shandle func(proto.Type, proto.StreamOpenReq, *telemetry.Span, *proto.Stream) error) (client, server net.Conn, served <-chan struct{}) {
 	t.Helper()
 	client, server = net.Pipe()
 	t.Cleanup(func() { client.Close() })
+	stream := func(ty proto.Type) streamHandlerFunc {
+		return func(req proto.StreamOpenReq, sp *telemetry.Span, st *proto.Stream) error {
+			return shandle(ty, req, sp, st)
+		}
+	}
+	ops := newOpTable("node", nil, nil, map[proto.Type]op{
+		proto.TListReq: {name: "list", rpc: func([]byte, *telemetry.Span) (reply, error) {
+			return reply{t: proto.TListResp, body: proto.ListResp{}.Encode()}, nil
+		}},
+		proto.TStreamReadReq:  {name: "stream.read", stream: stream(proto.TStreamReadReq)},
+		proto.TStreamWriteReq: {name: "stream.write", stream: stream(proto.TStreamWriteReq)},
+	})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		serveFrames(server, time.Second, opMetrics{},
-			func(proto.Type, []byte, *telemetry.Span) (reply, error) {
-				return reply{t: proto.TListResp, body: proto.ListResp{}.Encode()}, nil
-			}, shandle)
+		serveFrames(server, time.Second, ops)
 	}()
 	if err := proto.WritePreface(client); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"os"
 	"sync"
@@ -111,8 +112,8 @@ type ServerConfig struct {
 	listener net.Listener
 }
 
-// Server is a running storage-server daemon: the listener, the dispatch
-// of client frames to handlers, and the four parts the handlers work
+// Server is a running storage-server daemon: the listener, its op table
+// (ops) from frames to handlers, and the four parts the handlers work
 // with (DESIGN.md §17) — the namespace they change, the replicated log
 // that makes a change durable, the node set they route to, and the
 // prefetch policy.
@@ -213,14 +214,9 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	// The metadata server has no data plane: nil stream handler, so
-	// stream opens are rejected with a typed error.
-	ops := newOpMetrics(cfg.Metrics, cfg.Tracer, "server", []proto.Type{
-		proto.TCreateReq, proto.TLookupReq, proto.TListReq, proto.TDeleteReq,
-		proto.TPrefetchReq, proto.TStatsReq, proto.TAccessReq,
-	})
+	ops := newOpTable("server", cfg.Metrics, cfg.Tracer, s.ops())
 	s.lis.listen(ln, s.cfg.Logger.Printf, func(conn net.Conn) {
-		serveFrames(conn, s.cfg.WriteTimeout, ops, s.dispatch, nil)
+		serveFrames(conn, s.cfg.WriteTimeout, ops)
 	})
 	if s.policy != nil {
 		s.policy.s = s
@@ -300,65 +296,45 @@ func (s *Server) Healthy() []bool {
 	return out
 }
 
-func (s *Server) dispatch(t proto.Type, payload []byte, sp *telemetry.Span) (reply, error) {
-	switch t {
-	case proto.TRepStatusReq, proto.TRepAppendReq, proto.TRepSnapshotReq:
-		// Server-to-server frames are valid in every role; status must
-		// stay answerable even mid-election.
-		rt, body, err := s.log.serve(t, payload)
-		return reply{t: rt, body: body}, err
+// ops is the server's op table: the client ops, which only the primary
+// answers, and the group's peer frames (replog.ops), which every member
+// answers in every role. The metadata server has no data plane: a stream
+// open finds no row.
+func (s *Server) ops() map[proto.Type]op {
+	// A follower serving even reads could hand out stale placement during
+	// a partition, so it redirects every client op.
+	onPrimary := func(h handlerFunc) handlerFunc {
+		return func(payload []byte, sp *telemetry.Span) (reply, error) {
+			if !s.log.isPrimary() {
+				return reply{}, s.log.notPrimaryErr()
+			}
+			return h(payload, sp)
+		}
 	}
-
-	// Client operations only run on the primary: a follower serving even
-	// reads could hand out stale placement during a partition, so it
-	// redirects everything.
-	if !s.log.isPrimary() {
-		return reply{}, s.log.notPrimaryErr()
-	}
-
-	switch t {
-	case proto.TCreateReq:
-		return answer(payload, sp, proto.DecodeCreateReq, proto.TCreateResp, s.handleCreate)
-	case proto.TLookupReq, proto.TLookupWriteReq:
-		return answer(payload, sp, proto.DecodeLookupReq, proto.TLookupResp,
+	rows := map[proto.Type]op{
+		proto.TCreateReq: {name: "create", rpc: onPrimary(answer(proto.DecodeCreateReq, proto.TCreateResp, s.handleCreate))},
+		proto.TLookupReq: {name: "lookup", rpc: onPrimary(answer(proto.DecodeLookupReq, proto.TLookupResp,
 			func(req proto.LookupReq, sp *telemetry.Span) (proto.LookupResp, error) {
-				return s.handleLookup(req, t == proto.TLookupWriteReq, sp)
-			})
-	case proto.TAccessReq:
-		return answer(payload, sp, proto.DecodeAccessReq, proto.TAccessResp, s.handleAccess)
-	case proto.TListReq:
-		return reply{t: proto.TListResp, body: proto.ListResp{Names: s.ns.meta.Names()}.Encode()}, nil
-	case proto.TDeleteReq:
-		return answer(payload, sp, proto.DecodeDeleteReq, proto.TDeleteResp, s.handleDelete)
-	case proto.TPrefetchReq:
-		return answer(payload, sp, proto.DecodePrefetchReq, proto.TPrefetchResp, s.handlePrefetch)
-	case proto.TStatsReq:
-		resp, err := s.handleStats(sp)
-		return reply{t: proto.TStatsResp, body: resp.Encode()}, err
-	default:
-		return reply{}, fmt.Errorf("fs: server got unexpected message type %d", t)
+				return s.handleLookup(req, false, sp)
+			}))},
+		proto.TLookupWriteReq: {name: "lookupwrite", rpc: onPrimary(answer(proto.DecodeLookupReq, proto.TLookupResp,
+			func(req proto.LookupReq, sp *telemetry.Span) (proto.LookupResp, error) {
+				return s.handleLookup(req, true, sp)
+			}))},
+		proto.TAccessReq: {name: "access", rpc: onPrimary(answer(proto.DecodeAccessReq, proto.TAccessResp, s.handleAccess))},
+		proto.TListReq: {name: "list", rpc: onPrimary(func([]byte, *telemetry.Span) (reply, error) {
+			return reply{t: proto.TListResp, body: proto.ListResp{Names: s.ns.meta.Names()}.Encode()}, nil
+		})},
+		proto.TDeleteReq:   {name: "delete", rpc: onPrimary(answer(proto.DecodeDeleteReq, proto.TDeleteResp, s.handleDelete))},
+		proto.TPrefetchReq: {name: "prefetch", rpc: onPrimary(answer(proto.DecodePrefetchReq, proto.TPrefetchResp, s.handlePrefetch))},
+		proto.TStatsReq: {name: "stats", rpc: onPrimary(func(_ []byte, sp *telemetry.Span) (reply, error) {
+			resp, err := s.handleStats(sp)
+			return reply{t: proto.TStatsResp, body: resp.Encode()}, err
+		})},
 	}
+	maps.Copy(rows, s.log.ops())
+	return rows
 }
-
-// answer is one request's way through its handler: decode the payload,
-// handle it under the request's span, encode the response as type rt.
-func answer[Q any, R interface{ Encode() []byte }](payload []byte, sp *telemetry.Span, decode func([]byte) (Q, error),
-	rt proto.Type, handle func(Q, *telemetry.Span) (R, error)) (reply, error) {
-	req, err := decode(payload)
-	if err != nil {
-		return reply{}, err
-	}
-	resp, err := handle(req, sp)
-	if err != nil {
-		return reply{}, err
-	}
-	return reply{t: rt, body: resp.Encode()}, nil
-}
-
-// noBody is the response of an op that answers with its type alone.
-type noBody struct{}
-
-func (noBody) Encode() []byte { return nil }
 
 // handleCreate assigns the next healthy node, registers metadata, and
 // tells the node — the RPC is the create transition's claim, so a failed
