@@ -51,41 +51,17 @@ type hintedRule struct {
 }
 
 // hintedDisk is one data disk's plan: the predicted accesses in time
-// order, the first not yet passed, and PRE-BUD's gate (Section IV-C): a
-// disk whose plan saves no energy never sleeps.
+// order and the first not yet passed.
 type hintedDisk struct {
-	pred    []float64
-	next    int
-	allowed bool
+	pred []float64
+	next int
 }
 
 // gate returns the shortest predicted window worth sleeping: the idle
-// threshold, floored at the sleep/wake cycle.
+// threshold, floored at the break-even time, so every sleep the plan
+// orders saves energy if the plan holds.
 func (r *hintedRule) gate(m *disk.Model) float64 {
-	return max(r.tau, m.SpinDownSec+m.SpinUpSec)
-}
-
-// savedJ is PRE-BUD's prediction, the sign of which sets allowed: the
-// Joules saved by sleeping through every predicted idle gap of at least
-// gate seconds in [0, horizon). Each access keeps the disk busy for svc
-// seconds; pred is sorted, so the latest access ends the busy time so far,
-// and touching or overlapping accesses leave no gap between them. The
-// first gap starts at 0 and the last ends at horizon.
-func (d *hintedDisk) savedJ(svc, horizon, gate float64, m *disk.Model) float64 {
-	saved, cursor := 0.0, 0.0
-	for _, p := range d.pred {
-		if p >= horizon {
-			break
-		}
-		if g := p - cursor; g >= gate {
-			saved += m.SleepSavedJ(g)
-		}
-		cursor = p + svc
-	}
-	if g := horizon - cursor; g >= gate {
-		saved += m.SleepSavedJ(g)
-	}
-	return saved
+	return max(r.tau, m.BreakEvenSec())
 }
 
 func (r *hintedRule) arrived(int, float64)            {}
@@ -93,7 +69,7 @@ func (r *hintedRule) wakes(int, float64, *disk.Model) {}
 
 func (r *hintedRule) drained(i int, now float64, idle bool, m *disk.Model) sleepAction {
 	d := &r.disks[i]
-	if !d.allowed || !idle {
+	if !idle {
 		return sleepAction{}
 	}
 	horizon := now - r.route - 0.01 // a request still on the control path is imminent

@@ -1,14 +1,15 @@
 package cluster
 
 import (
-	"math"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"eevfs/internal/adaptive"
 	"eevfs/internal/disk"
-	"eevfs/internal/simtime"
+	"eevfs/internal/telemetry"
+	"eevfs/internal/workload"
 )
 
 // ruleStep is one scripted event on a data disk and the answer the rule
@@ -50,59 +51,66 @@ func TestSleepRulesDecide(t *testing.T) {
 	m := disk.ModelType1 // SpinDownSec 1, SpinUpSec 2: the cycle is 3 s
 	none := sleepAction{}
 	down := sleepAction{down: true}
-	hinted := func(prewake bool, tau float64, allowed bool, pred ...float64) *hintedRule {
-		return &hintedRule{tau: tau, route: 0.001, prewake: prewake,
-			disks: []hintedDisk{{pred: pred, allowed: allowed}}}
+	hinted := func(prewake bool, tau float64, pred ...float64) *hintedRule {
+		return &hintedRule{tau: tau, route: 0.001, prewake: prewake, disks: []hintedDisk{{pred: pred}}}
 	}
+	cheap := m // transitions so cheap that break-even is the 3 s cycle
+	cheap.SpinUpJ, cheap.SpinDownJ = 0.001, 0.001
 	for _, c := range []struct {
 		name  string
 		rule  sleepRule
+		m     *disk.Model // nil: m
 		steps []ruleStep
 	}{
-		{"threshold arms at tau and sleeps when it fires", &thresholdRule{tau: 5}, []ruleStep{
+		{"threshold arms at tau and sleeps when it fires", &thresholdRule{tau: 5}, nil, []ruleStep{
 			{ev: "drain", now: 10, idle: true, want: sleepAction{arm: true, at: 15}},
 			{ev: "fire", now: 15, idle: true, want: down},
 		}},
-		{"threshold leaves a busy disk to its next drain", &thresholdRule{tau: 5}, []ruleStep{
+		{"threshold leaves a busy disk to its next drain", &thresholdRule{tau: 5}, nil, []ruleStep{
 			// A replay-start drain may find the disk busy; it arms all the same.
 			{ev: "drain", now: 0, idle: false, want: sleepAction{arm: true, at: 5}},
 			{ev: "fire", now: 5, idle: false, want: none},
 		}},
-		{"hinted: a gap under the gate stays idle", hinted(false, 5, true, 24), []ruleStep{
+		{"hinted: a gap under the gate stays idle", hinted(false, 5, 25.6), nil, []ruleStep{
+			// 5.6 s is past tau but under break-even (5.65 s).
 			{ev: "drain", now: 20, idle: true, want: none},
 		}},
-		{"hinted: a gap of at least the gate sleeps", hinted(false, 5, true, 25, 40), []ruleStep{
+		{"hinted: a gap of at least the gate sleeps", hinted(false, 5, 25.7, 40), nil, []ruleStep{
 			{ev: "drain", now: 20, idle: true, want: down},
 			{ev: "drain", now: 30, idle: false, want: none},
 		}},
-		{"hinted: the gate is at least the cycle", hinted(false, 1, true, 22.5), []ruleStep{
+		{"hinted: the gate is at least break-even", hinted(false, 1, 25.6, 40), nil, []ruleStep{
+			{ev: "drain", now: 20, idle: true, want: none},
+			{ev: "drain", now: 34, idle: true, want: down},
+		}},
+		{"hinted: the gate is at least tau", hinted(false, 10, 29), nil, []ruleStep{
 			{ev: "drain", now: 20, idle: true, want: none},
 		}},
-		{"hinted: a request on the control path is imminent", hinted(false, 5, true, 10), []ruleStep{
+		{"hinted: a request on the control path is imminent", hinted(false, 5, 10), nil, []ruleStep{
 			// 10 lies within route + 10 ms behind now: not passed yet.
 			{ev: "drain", now: 10.005, idle: true, want: none},
 		}},
-		{"hinted: no prediction left means sleep", hinted(false, 5, true, 10), []ruleStep{
+		{"hinted: no prediction left means sleep", hinted(false, 5, 10), nil, []ruleStep{
 			{ev: "drain", now: 12, idle: true, want: down},
 		}},
-		{"hinted: a PRE-BUD-vetoed disk never sleeps", hinted(false, 5, false, 100), []ruleStep{
-			{ev: "drain", now: 10, idle: true, want: none},
-			{ev: "drain", now: 200, idle: true, want: none},
-		}},
-		{"prewake wakes SpinUpSec ahead of the next access", hinted(true, 5, true, 50), []ruleStep{
+		{"prewake wakes SpinUpSec ahead of the next access", hinted(true, 5, 50), nil, []ruleStep{
 			{ev: "drain", now: 10, idle: true, want: sleepAction{down: true, arm: true, at: 48}},
 			{ev: "fire", now: 48, want: sleepAction{wake: true}},
 		}},
-		{"prewake never wakes before the spin-down ends", hinted(true, 2, true, 13), []ruleStep{
-			// The gap is the gate (the 3 s cycle), so the wake lands on
-			// the spin-down's end: now + SpinDownSec.
+		{"prewake never wakes before the spin-down ends", hinted(true, 2, 13), &cheap, []ruleStep{
+			// The gap is the gate (break-even at the 3 s cycle), so the
+			// wake lands on the spin-down's end: now + SpinDownSec.
 			{ev: "drain", now: 10, idle: true, want: sleepAction{down: true, arm: true, at: 11}},
 		}},
-		{"prewake arms nothing when no prediction is left", hinted(true, 5, true, 10), []ruleStep{
+		{"prewake arms nothing when no prediction is left", hinted(true, 5, 10), nil, []ruleStep{
 			{ev: "drain", now: 20, idle: true, want: down},
 		}},
 	} {
-		t.Run(c.name, func(t *testing.T) { runRuleScript(t, c.rule, &m, c.steps) })
+		mm := c.m
+		if mm == nil {
+			mm = &m
+		}
+		t.Run(c.name, func(t *testing.T) { runRuleScript(t, c.rule, mm, c.steps) })
 	}
 }
 
@@ -144,65 +152,45 @@ func TestAdaptiveRuleDecides(t *testing.T) {
 	}
 }
 
-// chargedSavingJ is what a disk.Disk is charged for idling through a gap
-// of g seconds minus what it is charged for sleeping through it: the
-// spin-down starts at the gap's start and the spin-up ends at its end.
-func chargedSavingJ(m disk.Model, g float64) float64 {
-	idle := disk.New("idle", m)
-	idle.Advance(simtime.Time(g))
-	sleep := disk.New("sleep", m)
-	sleep.BeginSpinDown(0)
-	sleep.CompleteSpinDown(simtime.Time(m.SpinDownSec))
-	sleep.BeginSpinUp(simtime.Time(g - m.SpinUpSec))
-	sleep.CompleteSpinUp(simtime.Time(g))
-	return idle.Stats().EnergyJ - sleep.Stats().EnergyJ
-}
-
-// Property: PRE-BUD's prediction is the disk's own charges summed over
-// the planned gaps. The gaps come from merging the busy spans [p, p+svc)
-// (touching ones included) and taking what they leave of [0, horizon);
-// a gap shorter than the gate is not planned.
-func TestQuickSavedJIsWhatTheDiskIsCharged(t *testing.T) {
-	m := disk.ModelType1
-	f := func(raw []uint16, svcRaw, tauRaw uint8) bool {
-		pred := make([]float64, len(raw))
-		for i, r := range raw {
-			pred[i] = float64(r % 400) // whole seconds, so spans touch exactly
+// Property: the hinted rule orders a spin-down only when it saves energy
+// if the plan holds. Over random plans, drain times, thresholds and both
+// data-disk models, every spin-down drained orders has either no predicted
+// access left or a gap to the next one that SleepSavedJ counts as no
+// loss. An access is left while it lies at most route + 10 ms behind now:
+// a request still on the control path is imminent.
+func TestQuickHintedSleepsOnlyPastBreakEven(t *testing.T) {
+	f := func(rawPred, rawNow []uint16, tauRaw, flags uint8) bool {
+		m := disk.ModelType1
+		if flags&1 != 0 {
+			m = disk.ModelType2
+		}
+		pred := make([]float64, len(rawPred))
+		for i, p := range rawPred {
+			pred[i] = float64(p%2000) / 8 // 0–250 s in 1/8 s steps
 		}
 		slices.Sort(pred)
-		svc := []float64{0, 0.5, 1, 3}[svcRaw%4]
-		gate := (&hintedRule{tau: float64(tauRaw % 12)}).gate(&m)
-		const horizon = 380.0 // some predictions lie past it
-
-		var spans [][2]float64
-		for _, p := range pred {
-			if n := len(spans); n > 0 && p <= spans[n-1][1] {
-				spans[n-1][1] = max(spans[n-1][1], p+svc)
-			} else {
-				spans = append(spans, [2]float64{p, p + svc})
-			}
+		nows := make([]float64, len(rawNow))
+		for i, n := range rawNow {
+			nows[i] = float64(n%2000)/8 + 0.0625
 		}
-		want, scale, cursor := 0.0, 0.0, 0.0
-		plan := func(g float64) {
-			if g >= gate {
-				want += chargedSavingJ(m, g)
-				scale += m.PIdle * g
+		slices.Sort(nows)
+		r := &hintedRule{tau: float64(tauRaw%128) / 8, route: 0.001, prewake: flags&2 != 0,
+			disks: []hintedDisk{{pred: pred}}}
+		for k, now := range nows {
+			idle := k%4 != 3 // every fourth drain finds the disk busy
+			if !r.drained(0, now, idle, &m).down {
+				continue
 			}
-		}
-		for _, sp := range spans {
-			if sp[0] >= horizon {
-				break
+			if !idle {
+				t.Logf("%s: a busy disk was ordered down at %g", m.Name, now)
+				return false
 			}
-			plan(sp[0] - cursor)
-			cursor = sp[1]
-		}
-		plan(horizon - cursor)
-
-		d := hintedDisk{pred: pred}
-		got := d.savedJ(svc, horizon, gate, &m)
-		if math.Abs(got-want) > 1e-9*scale {
-			t.Logf("svc %g gate %g: savedJ %g, charged %g", svc, gate, got, want)
-			return false
+			i, _ := slices.BinarySearch(pred, now-r.route-0.01)
+			if i < len(pred) && m.SleepSavedJ(pred[i]-now) < -1e-9 {
+				t.Logf("%s, tau %g: slept at %g with the next access at %g: %g J saved",
+					m.Name, r.tau, now, pred[i], m.SleepSavedJ(pred[i]-now))
+				return false
+			}
 		}
 		return true
 	}
@@ -211,23 +199,57 @@ func TestQuickSavedJIsWhatTheDiskIsCharged(t *testing.T) {
 	}
 }
 
-// The deny branch, which no measured run reaches: with the idle threshold
-// below break-even, gaps that clear the gate but not the break-even lose
-// energy, and with no tail gap the disk may not sleep. One gap long enough
-// to pay for them lets it.
-func TestSavedJDeniesGapsUnderBreakEven(t *testing.T) {
-	m := disk.ModelType1 // break-even 5.65 s, cycle 3 s
-	gate := (&hintedRule{tau: 2}).gate(&m)
-	const svc = 1.0
-	d := hintedDisk{pred: []float64{0, 5, 10, 15}} // three 4 s gaps
-	if be := m.BreakEvenSec(); !(gate <= 4 && 4 < be) {
-		t.Fatalf("gate %g, break-even %g: the 4 s gaps must lie between them", gate, be)
-	}
-	if got := d.savedJ(svc, 16, gate, &m); got >= 0 {
-		t.Errorf("three 4 s gaps and no tail: savedJ %g, want < 0 (deny)", got)
-	}
-	d.pred = append(d.pred, 36) // and one 20 s gap
-	if got := d.savedJ(svc, 37, gate, &m); got <= 0 {
-		t.Errorf("with a 20 s gap added: savedJ %g, want > 0 (allow)", got)
+// On the default testbed's PF arm, no sleep ends in a client read or write
+// that reached the disk before break-even. A sleep is judged by the first
+// client service its disk journals after the spin-down began: that
+// request reached the disk WaitS before its service started. Sleeps ended
+// by a flush or a prefetch, or by nothing, are not judged.
+func TestHintedSleepsPassBreakEven(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		wcfg := workload.DefaultSynthetic()
+		wcfg.NumRequests, wcfg.Seed = 5000, seed
+		tr, err := workload.Synthetic(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultTestbed()
+		cfg.Journal = &telemetry.Journal{}
+		if _, err := Run(cfg, tr); err != nil {
+			t.Fatal(err)
+		}
+		sleptAt := map[string]float64{} // disk -> start of its open sleep
+		judged, losing := 0, 0
+		for _, e := range cfg.Journal.Events() {
+			var ni, di int
+			if _, err := fmt.Sscanf(e.Subject, "node%d/data%d", &ni, &di); err != nil {
+				continue
+			}
+			switch {
+			case e.Kind == telemetry.KindState && e.Detail == disk.SpinningDown.String():
+				sleptAt[e.Subject] = e.TimeS
+			case e.Kind == telemetry.KindService:
+				start, open := sleptAt[e.Subject]
+				if !open {
+					continue
+				}
+				delete(sleptAt, e.Subject)
+				if e.Detail != opLabel(opRead) && e.Detail != opLabel(opWrite) {
+					continue
+				}
+				judged++
+				m := &cfg.Nodes[ni].DataModel
+				if gap := e.TimeS - e.WaitS - start; gap < m.BreakEvenSec() {
+					losing++
+					if losing <= 3 {
+						t.Errorf("seed %d: %s slept at %.3f s and a client %s reached it %.3f s later, under break-even %.2f s",
+							seed, e.Subject, start, e.Detail, gap, m.BreakEvenSec())
+					}
+				}
+			}
+		}
+		t.Logf("seed %d: %d sleeps ended by a client read or write, %d of them under break-even", seed, judged, losing)
+		if judged == 0 {
+			t.Errorf("seed %d: no sleep was judged", seed)
+		}
 	}
 }

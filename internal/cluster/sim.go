@@ -3,7 +3,6 @@ package cluster
 import (
 	"container/list"
 	"fmt"
-	"sort"
 
 	"eevfs/internal/disk"
 	"eevfs/internal/metrics"
@@ -460,7 +459,8 @@ func (s *sim) chooseRule() sleepRule {
 // disks' plans in r (the server "splits the file access patterns based on
 // the data distribution and forwards [them] to each storage node",
 // Section III-B). Only residual traffic — files not prefetched, or writes
-// that will reach the data disk — is included.
+// that will reach the data disk — is included. Run validated the trace's
+// times as nondecreasing, so each disk's list is built in time order.
 func (s *sim) buildPredictions(r *hintedRule) {
 	// The first pass counts each data disk's predicted accesses, so that
 	// one array, carved per disk, holds every list the second pass fills.
@@ -489,16 +489,6 @@ func (s *sim) buildPredictions(r *hintedRule) {
 			}
 		}
 	}
-	horizon := float64(s.offset) + s.tr.Duration() + 30
-	for _, n := range s.nodes {
-		m := &n.cfg.DataModel
-		svc, gate := m.ServiceTime(s.meanFileSize()), r.gate(m)
-		for _, sd := range n.data {
-			d := &r.disks[sd.index]
-			sort.Float64s(d.pred)
-			d.allowed = d.savedJ(svc, horizon, gate, m) > 0
-		}
-	}
 }
 
 // reachesDataDisk reports whether the hint plan expects rec on its data
@@ -512,19 +502,6 @@ func (s *sim) reachesDataDisk(rec *trace.Record) bool {
 		return !s.cfg.WriteBuffer
 	}
 	return true
-}
-
-// meanFileSize returns the average file size, the service-time stand-in
-// the energy predictor uses.
-func (s *sim) meanFileSize() int64 {
-	if s.tr.NumFiles() == 0 {
-		return 0
-	}
-	var total int64
-	for _, sz := range s.tr.FileSizes {
-		total += sz
-	}
-	return total / int64(s.tr.NumFiles())
 }
 
 // nodeArrival handles trace record i reaching its storage node.

@@ -113,6 +113,36 @@ func TestSleepSavedJZeroAtBreakEven(t *testing.T) {
 	}
 }
 
+// Property: SleepSavedJ is what a Disk is charged for idling through a gap
+// minus what it is charged for sleeping through it, the spin-down starting
+// at the gap's start and the spin-up ending at its end. Gaps run from the
+// sleep/wake cycle, the shortest schedulable, to well past break-even.
+func TestQuickSleepSavedJIsWhatTheDiskIsCharged(t *testing.T) {
+	f := func(gapRaw uint16, second bool) bool {
+		m := ModelType1
+		if second {
+			m = ModelType2
+		}
+		g := m.SpinDownSec + m.SpinUpSec + float64(gapRaw%4000)/100
+		idle := New("idle", m)
+		idle.Advance(simtime.Time(g))
+		sleep := New("sleep", m)
+		sleep.BeginSpinDown(0)
+		sleep.CompleteSpinDown(simtime.Time(m.SpinDownSec))
+		sleep.BeginSpinUp(simtime.Time(g - m.SpinUpSec))
+		sleep.CompleteSpinUp(simtime.Time(g))
+		charged := idle.Stats().EnergyJ - sleep.Stats().EnergyJ
+		if math.Abs(m.SleepSavedJ(g)-charged) > 1e-9*m.PIdle*g {
+			t.Logf("%s, gap %g s: SleepSavedJ %g, charged %g", m.Name, g, m.SleepSavedJ(g), charged)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBreakEvenFloorIsTransitionTime(t *testing.T) {
 	m := testModel()
 	// Make transitions nearly free: break-even must still cover the

@@ -198,9 +198,10 @@ func (c *Client) rotateServer(failed string) {
 }
 
 // startOp opens the root span of one client operation (nil when tracing
-// is off).
+// is off). name is the span's full constant name, "client.read" say, so
+// an untraced operation builds no string.
 func (c *Client) startOp(name, file string) *telemetry.Span {
-	sp := c.cfg.Tracer.StartRoot("client", "client."+name)
+	sp := c.cfg.Tracer.StartRoot("client", name)
 	if file != "" {
 		sp.Annotate("file", file)
 	}
@@ -300,7 +301,7 @@ func (c *Client) Create(name string, data []byte) (err error) {
 	if len(data) == 0 {
 		return fmt.Errorf("fs: refusing to create empty file %q", name)
 	}
-	sp := c.startOp("create", name)
+	sp := c.startOp("client.create", name)
 	defer func() { sp.End(err) }()
 	_, payload, err := c.serverRT(proto.TCreateReq,
 		proto.CreateReq{Name: name, Size: int64(len(data))}.Encode(), sp)
@@ -322,7 +323,7 @@ func (c *Client) Create(name string, data []byte) (err error) {
 // Read fetches a file. fromBuffer reports whether the storage node served
 // it from its buffer disk.
 func (c *Client) Read(name string) (data []byte, fromBuffer bool, err error) {
-	return c.read("read", name, func(id int64) (proto.Type, []byte) {
+	return c.read("client.read", name, func(id int64) (proto.Type, []byte) {
 		return proto.TNodeReadReq, proto.NodeReadReq{FileID: id}.Encode()
 	})
 }
@@ -330,7 +331,7 @@ func (c *Client) Read(name string) (data []byte, fromBuffer bool, err error) {
 // ReadAt fetches length bytes of a file starting at off. fromBuffer
 // reports whether the storage node's buffer disk served the range.
 func (c *Client) ReadAt(name string, off, length int64) (data []byte, fromBuffer bool, err error) {
-	return c.read("readat", name, func(id int64) (proto.Type, []byte) {
+	return c.read("client.readat", name, func(id int64) (proto.Type, []byte) {
 		return proto.TNodeReadAtReq, proto.NodeReadAtReq{FileID: id, Offset: off, Length: length}.Encode()
 	})
 }
@@ -381,7 +382,7 @@ func (c *Client) Write(name string, data []byte) (buffered bool, err error) {
 	if len(data) == 0 {
 		return false, fmt.Errorf("fs: refusing to write empty content to %q", name)
 	}
-	sp := c.startOp("write", name)
+	sp := c.startOp("client.write", name)
 	defer func() { sp.End(err) }()
 	loc, err := c.locate(name, proto.TLookupWriteReq, sp)
 	if err != nil {
@@ -401,7 +402,7 @@ func (c *Client) Write(name string, data []byte) (buffered bool, err error) {
 
 // List returns all file names.
 func (c *Client) List() (names []string, err error) {
-	sp := c.startOp("list", "")
+	sp := c.startOp("client.list", "")
 	defer func() { sp.End(err) }()
 	_, payload, err := c.serverRT(proto.TListReq, nil, sp)
 	if err != nil {
@@ -416,7 +417,7 @@ func (c *Client) List() (names []string, err error) {
 
 // Delete removes a file.
 func (c *Client) Delete(name string) (err error) {
-	sp := c.startOp("delete", name)
+	sp := c.startOp("client.delete", name)
 	defer func() { sp.End(err) }()
 	c.forget(name)
 	_, _, err = c.serverRT(proto.TDeleteReq, proto.DeleteReq{Name: name}.Encode(), sp)
@@ -428,7 +429,7 @@ func (c *Client) Delete(name string) (err error) {
 // The server ranks this client's reads so far, all of them reported
 // first, but not yet those another client has still to report.
 func (c *Client) Prefetch(k int) (count int, err error) {
-	sp := c.startOp("prefetch", "")
+	sp := c.startOp("client.prefetch", "")
 	defer func() { sp.End(err) }()
 	if err := c.flushReports(false, sp); err != nil {
 		return 0, err
@@ -447,7 +448,7 @@ func (c *Client) Prefetch(k int) (count int, err error) {
 // Stats fetches cluster-wide per-disk accounting, this client's reads
 // reported first.
 func (c *Client) Stats() (resp proto.StatsResp, err error) {
-	sp := c.startOp("stats", "")
+	sp := c.startOp("client.stats", "")
 	defer func() { sp.End(err) }()
 	if err := c.flushReports(false, sp); err != nil {
 		return proto.StatsResp{}, err

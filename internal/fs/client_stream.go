@@ -133,7 +133,7 @@ func openOnNode[S any](c *Client, name string, lookup proto.Type, sp *telemetry.
 // OpenRead opens a streamed read of name straight from the owning
 // storage node.
 func (c *Client) OpenRead(name string, opts StreamOptions) (*FileReader, error) {
-	sp := c.startOp("stream.read", name)
+	sp := c.startOp("client.stream.read", name)
 	rs, att, err := openOnNode(c, name, proto.TLookupReq, sp,
 		func(ep *proto.Endpoint, id int64, sc telemetry.SpanContext) (*proto.ReadStream, error) {
 			return ep.OpenReadStream(proto.StreamOpenReq{
@@ -206,7 +206,7 @@ func (c *Client) OpenWrite(name string, size int64, opts StreamOptions) (*FileWr
 	if size <= 0 {
 		return nil, fmt.Errorf("fs: refusing to stream empty content to %q", name)
 	}
-	sp := c.startOp("stream.write", name)
+	sp := c.startOp("client.stream.write", name)
 	ws, att, err := openOnNode(c, name, proto.TLookupWriteReq, sp,
 		func(ep *proto.Endpoint, id int64, sc telemetry.SpanContext) (*proto.WriteStream, error) {
 			return ep.OpenWriteStream(proto.StreamOpenReq{

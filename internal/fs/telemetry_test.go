@@ -142,3 +142,17 @@ func TestWriteHalfTelemetryOnDaemon(t *testing.T) {
 		t.Fatalf("node registry: %d frames in %d flushes, want >= 6 frames and 1 <= flushes <= frames", frames, flushes)
 	}
 }
+
+// An untraced client operation opens its root span for free: callers pass
+// the span's full constant name, so a nil tracer leaves nothing to build.
+func TestUntracedStartOpAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	c := &Client{}
+	if n := testing.AllocsPerRun(100, func() {
+		c.startOp("client.read", "f").End(nil)
+	}); n != 0 {
+		t.Errorf("startOp with no tracer: %v allocations, want 0", n)
+	}
+}

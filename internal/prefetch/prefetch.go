@@ -1,9 +1,9 @@
 // Package prefetch chooses which popular files EEVFS copies into a buffer
 // disk (Sections III-C and IV-B of the paper): top-K by whole-trace
 // popularity under a capacity limit, or the hot files of a sliding
-// window. Whether sleeping through the idle windows this opens up on the
-// data disks saves energy (the PRE-BUD prediction [12]) is the hinted
-// sleep rule's question, in package cluster.
+// window. Which of the idle windows this opens up on the data disks are
+// worth sleeping through, those at least the disk's break-even time long,
+// is the hinted sleep rule's question, in package cluster.
 package prefetch
 
 import (
